@@ -54,7 +54,7 @@
 //! connection counts (1 → 10k), pipeline depths (1 vs 16 outstanding
 //! `GET`s), and cache modes (exact delta-cache hits vs capacity-zero full
 //! decodes). Rows report sustained req/s plus p50/p99/max microseconds —
-//! the end-to-end reactor + parser + batched-dispatch cost around the same
+//! the end-to-end reactor + parser + dispatch cost around the same
 //! engine the other series measure in isolation.
 //!
 //! Run with `cargo run --release -p sec-bench --bin throughput`. Pass

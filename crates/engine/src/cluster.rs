@@ -30,10 +30,10 @@ use crate::ordered::{LockRank, OrderedRwLock};
 use sec_store::fault;
 use sec_store::{FailurePattern, IoMetrics, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache};
+use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats, VersioningError};
 
 use crate::engine::{EngineMetrics, EnginePrefix, EngineRetrieval, NodeLiveness, SecEngine};
-use sec_erasure::ByteCodec;
+use sec_erasure::{ByteCodec, CodeParams, SecCode};
 
 /// Identifier of one versioned object in a cluster.
 ///
@@ -282,12 +282,15 @@ impl SecCluster {
             return Err(ClusterError::NoShards);
         }
         // Build the one codec every per-object archive will share; routing a
-        // new object then costs no table materialization at all.
-        let codec = ByteVersionedArchive::new(config)
-            .map_err(StoreError::from)?
-            .codec()
-            .clone();
-        let n = config.params().n;
+        // new object then costs no table materialization at all. `(n, k)`
+        // was validated when `config` was built (`ArchiveConfig::new`), and
+        // every per-object `ByteVersionedArchive::with_codec` still checks
+        // the codec against the config; what can fail here is the Cauchy
+        // construction over `GF(2^8)`, reported as the archive would.
+        let CodeParams { n, k } = config.params();
+        let code = SecCode::cauchy(n, k, config.form())
+            .map_err(|e| StoreError::from(VersioningError::from(e)))?;
+        let codec = ByteCodec::new(code);
         Ok(Self {
             config,
             codec,
@@ -433,13 +436,12 @@ impl SecCluster {
         // encode into a private engine with no map lock held.
         let archive = ByteVersionedArchive::with_codec(self.config, self.codec.clone())
             .map_err(StoreError::from)?;
-        // Each engine owns its cache but files entries under the object's
-        // id, so per-object statistics and capacities stay independent (the
-        // cluster's aggregate metrics sum them).
-        let engine = Arc::new(SecEngine::from_layout_with_cache(
+        // Each engine owns its cache, so per-object statistics and
+        // capacities stay independent (the cluster's aggregate metrics sum
+        // them).
+        let engine = Arc::new(SecEngine::build(
             archive,
-            Arc::new(DeltaCache::new(self.cache_capacity)),
-            id.0,
+            self.cache_capacity,
             self.placement,
             shard.liveness.as_ref().map(Arc::clone),
         ));
@@ -509,47 +511,18 @@ impl SecCluster {
         Ok(self.engine_of(id)?.get_version(l)?)
     }
 
-    /// Retrieves a batch of `(object, version)` requests, amortizing the
-    /// per-request routing work: consecutive requests for the same object
-    /// resolve the shard map **once** and run as one
-    /// [`SecEngine::get_versions`] call (one archive lock, one entry
-    /// snapshot, cache-primed within the run). This is what the network
-    /// server's pipelined `GET` dispatch calls.
+    /// Retrieves a batch of `(object, version)` requests: a plain in-order
+    /// loop over [`SecCluster::get_version`], kept as one call for callers
+    /// that hold a request list.
     ///
     /// Results come back in request order and are independent: an unknown
     /// object or invalid version fills its own slot with an `Err` without
-    /// failing the rest. Callers that interleave objects still get correct
-    /// answers — only the amortization degrades to per-request work.
+    /// failing the rest.
     pub fn get_batch(
         &self,
         requests: &[(ObjectId, usize)],
     ) -> Vec<Result<EngineRetrieval, ClusterError>> {
-        let mut results: Vec<Result<EngineRetrieval, ClusterError>> = Vec::with_capacity(requests.len());
-        let mut start = 0;
-        while start < requests.len() {
-            // audit: panic ok — `start < requests.len()` is the loop condition
-            let id = requests[start].0;
-            let mut end = start + 1;
-            while requests.get(end).is_some_and(|&(other, _)| other == id) {
-                end += 1;
-            }
-            // audit: panic ok — start..end indexes a run found within bounds above
-            let run = &requests[start..end];
-            match self.engine_of(id) {
-                Ok(engine) => {
-                    let versions: Vec<usize> = run.iter().map(|&(_, l)| l).collect();
-                    results.extend(
-                        engine
-                            .get_versions(&versions)
-                            .into_iter()
-                            .map(|r| r.map_err(ClusterError::from)),
-                    );
-                }
-                Err(e) => results.extend(run.iter().map(|_| Err(e.clone()))),
-            }
-            start = end;
-        }
-        results
+        requests.iter().map(|&(id, l)| self.get_version(id, l)).collect()
     }
 
     /// Retrieves the first `l` versions of object `id` in order.
@@ -856,7 +829,7 @@ impl SecCluster {
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
-    use sec_versioning::{EncodingStrategy, VersioningError};
+    use sec_versioning::EncodingStrategy;
 
     const N: usize = 6;
     const K: usize = 3;
@@ -940,6 +913,17 @@ mod tests {
         assert!(matches!(
             SecCluster::new(config(EncodingStrategy::BasicSec), 0),
             Err(ClusterError::NoShards)
+        ));
+        // A valid (n, k) too large for the Cauchy construction over GF(2^8)
+        // surfaces exactly as the per-object archive would report it.
+        let oversized =
+            ArchiveConfig::new(200, 100, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
+                .unwrap();
+        assert!(matches!(
+            SecCluster::new(oversized, 1),
+            Err(ClusterError::Engine(StoreError::Versioning(
+                VersioningError::Code(sec_erasure::CodeError::FieldTooSmall { n: 200, k: 100, .. })
+            )))
         ));
         assert!(matches!(
             cluster.get_version(ObjectId(7), 1),

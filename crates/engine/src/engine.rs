@@ -107,10 +107,7 @@ use sec_store::fault;
 use sec_store::node::{StorageNode, SymbolKey};
 use sec_store::{AtomicIoMetrics, FailurePattern, IoMetrics, Placement, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::walk::{
-    decode_planned, read_target, trim_object, walk_prefix, walk_prefix_from_tail, walk_version,
-    walk_version_from_base, walk_version_from_tail,
-};
+use sec_versioning::walk::{decode_planned, read_target, trim_object, walk_prefix, walk_version};
 use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
     VersioningError,
@@ -198,6 +195,10 @@ impl NodeSlab {
     }
 }
 
+/// The engine owns its [`DeltaCache`], so every entry files under one object
+/// key.
+const CACHE_KEY: u64 = 0;
+
 /// A concurrent SEC serving engine.
 ///
 /// # Locking model
@@ -254,10 +255,7 @@ pub struct SecEngine {
     placement: OrderedRwLock<Placement>,
     slabs: OrderedRwLock<Vec<NodeSlab>>,
     metrics: AtomicIoMetrics,
-    cache: Arc<DeltaCache<Vec<u8>>>,
-    /// Key this engine's decoded versions are filed under in the (possibly
-    /// shared) delta cache — 0 standalone, the cluster object id otherwise.
-    cache_object: u64,
+    cache: DeltaCache<Vec<u8>>,
     /// Stored entries XOR-applied on top of cached bases, for
     /// [`EngineMetrics::deltas_applied`].
     deltas_applied: AtomicU64,
@@ -304,119 +302,29 @@ impl SecEngine {
         cache_capacity: usize,
     ) -> Result<Self, StoreError> {
         let archive = ByteVersionedArchive::new(config)?;
-        Ok(Self::from_layout(archive, cache_capacity, placement, None))
+        Ok(Self::build(archive, cache_capacity, placement, None))
     }
 
-    /// Creates an empty engine that reuses an existing codec (its code and
-    /// `GF(2^8)` multiplication tables sit behind `Arc`s) instead of building
-    /// one — the constructor a multi-engine deployment uses so the tables
-    /// exist once per process, not once per engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Versioning`] when the codec's code does not
-    /// match the configuration's `(n, k, form)`.
-    pub fn with_shared_codec(
-        config: ArchiveConfig,
-        codec: &ByteCodec,
-        cache_capacity: usize,
-    ) -> Result<Self, StoreError> {
-        let archive = ByteVersionedArchive::with_codec(config, codec.clone())?;
-        Ok(Self::from_archive_with_cache(archive, cache_capacity))
-    }
-
-    /// Creates an empty engine that serves reads through an externally owned
-    /// [`DeltaCache`], filing its decoded versions under `cache_object` — the
-    /// constructor a multi-engine deployment uses to pool one cache budget
-    /// across objects. The cache keys every entry by `(object, version)`, so
-    /// engines sharing a cache must use distinct object keys.
-    ///
-    /// # Errors
-    ///
-    /// Returns a versioning error when the configured code cannot be built
-    /// over `GF(2^8)`.
-    pub fn with_shared_cache(
-        config: ArchiveConfig,
-        placement: PlacementStrategy,
-        cache: Arc<DeltaCache<Vec<u8>>>,
-        cache_object: u64,
-    ) -> Result<Self, StoreError> {
-        let archive = ByteVersionedArchive::new(config)?;
-        Ok(Self::from_layout_with_cache(
-            archive,
-            cache,
-            cache_object,
-            placement,
-            None,
-        ))
-    }
-
-    /// Wraps an existing archive, distributing its coded blocks across the
-    /// engine's nodes (colocated placement: node `i` holds block position
-    /// `i` of every stored entry, the placement the paper shows maximizes
-    /// whole-archive resilience).
-    pub fn from_archive(archive: ByteVersionedArchive) -> Self {
-        Self::from_archive_with_cache(archive, 0)
-    }
-
-    /// Like [`SecEngine::from_archive`] with a version cache of the given
-    /// capacity.
-    pub fn from_archive_with_cache(archive: ByteVersionedArchive, cache_capacity: usize) -> Self {
-        Self::from_layout(archive, cache_capacity, PlacementStrategy::Colocated, None)
-    }
-
-    /// Wraps an existing archive under an explicit placement strategy; under
-    /// [`PlacementStrategy::Dispersed`] every already-stored entry gets its
-    /// own slab of `n` fresh nodes.
-    pub fn from_archive_with_placement(
-        archive: ByteVersionedArchive,
-        placement: PlacementStrategy,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::from_layout(archive, cache_capacity, placement, None)
-    }
-
-    /// The one constructor every other one funnels into: builds the
-    /// placement and the slab directory for the archive's stored entries
-    /// and writes every coded block to its node.
+    /// The one builder every constructor (and the cluster) funnels into:
+    /// wraps a still-empty archive in an empty placement and slab directory
+    /// (both grow on append).
     ///
     /// `shared_liveness` is the cluster hook (colocated only): every
     /// per-object engine of one shard shares the shard's liveness array, so
     /// failing a shard node is one atomic store observed by every
     /// co-hosted read planner. Dispersed engines own their node space.
-    pub(crate) fn from_layout(
+    pub(crate) fn build(
         archive: ByteVersionedArchive,
         cache_capacity: usize,
         strategy: PlacementStrategy,
         shared_liveness: Option<Arc<NodeLiveness>>,
     ) -> Self {
-        Self::from_layout_with_cache(
-            archive,
-            Arc::new(DeltaCache::new(cache_capacity)),
-            0,
-            strategy,
-            shared_liveness,
-        )
-    }
-
-    /// [`SecEngine::from_layout`] with an explicit (possibly shared) delta
-    /// cache and the object key this engine files entries under.
-    pub(crate) fn from_layout_with_cache(
-        archive: ByteVersionedArchive,
-        cache: Arc<DeltaCache<Vec<u8>>>,
-        cache_object: u64,
-        strategy: PlacementStrategy,
-        shared_liveness: Option<Arc<NodeLiveness>>,
-    ) -> Self {
+        debug_assert!(archive.is_empty(), "engines are built empty and filled by append");
         let n = archive.code().n();
         let codec = archive.codec().clone();
-        let metrics = AtomicIoMetrics::new();
-        let entries = archive.stored_entries();
-        let placement = Placement::new(strategy, n, entries.len());
-        let slabs: Vec<NodeSlab> = match strategy {
+        let slabs = match strategy {
             PlacementStrategy::Colocated => {
                 let alive = shared_liveness.unwrap_or_else(|| Arc::new(NodeLiveness::new(n)));
-                debug_assert_eq!(alive.len(), n);
                 vec![NodeSlab::fresh(n, 0, alive)]
             }
             PlacementStrategy::Dispersed => {
@@ -424,37 +332,16 @@ impl SecEngine {
                     shared_liveness.is_none(),
                     "dispersed engines own their node space"
                 );
-                (0..entries.len())
-                    .map(|entry| NodeSlab::fresh(n, entry * n, Arc::new(NodeLiveness::new(n))))
-                    .collect()
+                Vec::new()
             }
         };
-        for (entry_idx, entry) in entries.iter().enumerate() {
-            let slab = match strategy {
-                // audit: panic ok — colocated placement always builds exactly one slab
-                PlacementStrategy::Colocated => &slabs[0],
-                // audit: panic ok — dispersed placement builds one slab per entry
-                PlacementStrategy::Dispersed => &slabs[entry_idx],
-            };
-            for position in 0..entry.shards.shard_count() {
-                let key = SymbolKey {
-                    entry: entry_idx,
-                    position,
-                };
-                // audit: panic ok — `position < shard_count = n`, and every slab holds n nodes
-                let mut node = slab.nodes[position].write();
-                node.put(key, entry.shards.shard(position).to_vec());
-                metrics.add_symbol_writes(1);
-            }
-        }
         Self {
             archive: OrderedRwLock::new(LockRank::Archive, archive),
             codec,
-            placement: OrderedRwLock::new(LockRank::Placement, placement),
+            placement: OrderedRwLock::new(LockRank::Placement, Placement::new(strategy, n, 0)),
             slabs: OrderedRwLock::new(LockRank::Directory, slabs),
-            metrics,
-            cache,
-            cache_object,
+            metrics: AtomicIoMetrics::new(),
+            cache: DeltaCache::new(cache_capacity),
             deltas_applied: AtomicU64::new(0),
         }
     }
@@ -682,7 +569,7 @@ impl SecEngine {
         // only its *encoded* full-copy slot, and that entry carries the new
         // version's id).
         if self.cache.capacity() > 0 {
-            self.cache.insert(self.cache_object, id.0, object.to_vec());
+            self.cache.insert(CACHE_KEY, id.0, object.to_vec());
         }
         Ok(id)
     }
@@ -714,10 +601,10 @@ impl SecEngine {
 
     /// Retrieves version `l` (1-based), reading blocks only from live nodes
     /// under the SEC read plan (`2γ` block reads per exploitable delta, `k`
-    /// otherwise). The delta cache is consulted for the nearest usable base
-    /// first: an exact hit costs zero reads, and a cached neighbour lets the
-    /// walk pay only for the deltas between it and `l` instead of rewinding
-    /// to a stored full version.
+    /// otherwise). The delta cache is consulted for the nearest usable
+    /// anchor first: an exact hit costs zero reads, and a cached neighbour
+    /// lets the walk pay only for the deltas between it and `l` instead of
+    /// rewinding to a stored full version.
     ///
     /// # Errors
     ///
@@ -729,22 +616,9 @@ impl SecEngine {
         check_version(&archive, l)?;
         self.metrics.add_retrieval();
         // Probe the cache only for a validated version, so an out-of-range
-        // request can never register as a (phantom) cache miss. Each
-        // strategy asks for the nearest base its delta chain can extend:
-        // Basic/Optimized walk forward from a version ≤ l, Reversed walks
-        // backward from a version ≥ l, and NonDifferential (no deltas) can
-        // use only an exact copy.
-        let base = match archive.config().strategy() {
-            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
-                self.cache.nearest_at_most(self.cache_object, l)
-            }
-            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(self.cache_object, l),
-            EncodingStrategy::NonDifferential => {
-                self.cache.get(self.cache_object, l).map(|data| (l, data))
-            }
-        };
-        if let Some((base_version, data)) = base {
-            if base_version == l {
+        // request can never register as a (phantom) cache miss.
+        let anchor = match self.cached_anchor(archive.config().strategy(), l) {
+            Some((version, data)) if version == l => {
                 return Ok(EngineRetrieval {
                     version: l,
                     data,
@@ -752,8 +626,8 @@ impl SecEngine {
                     cached: true,
                 });
             }
-            return self.get_version_from_base(archive, l, base_version, &data);
-        }
+            anchor => anchor,
+        };
         let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
         let out = walk_version(
             strategy,
@@ -761,194 +635,19 @@ impl SecEngine {
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
             |idx| entries[idx].0,
             l,
+            self.anchor_shards(anchor),
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
             |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
         )?;
+        self.count_anchored_deltas(out.anchor_used, out.entries_read);
         let data = self
             .cache
-            .insert(self.cache_object, l, trim_object(&out.shards, object_len));
+            .insert(CACHE_KEY, l, trim_object(&out.shards, object_len));
         Ok(EngineRetrieval {
             version: l,
             data,
             io_reads: out.io_reads,
-            cached: false,
-        })
-    }
-
-    /// Retrieves a batch of versions under **one** archive lock acquisition
-    /// and **one** entry-metadata snapshot, instead of re-locking and
-    /// re-snapshotting per request the way a loop over
-    /// [`SecEngine::get_version`] would.
-    ///
-    /// Requests are served in order against the shared snapshot, and each
-    /// result lands in the delta cache before the next request probes it —
-    /// so a batch of identical versions decodes once and serves the rest as
-    /// exact hits, and a batch of neighbouring versions pays only the delta
-    /// chain between them. This is the engine half of the network server's
-    /// pipelined `GET` dispatch.
-    ///
-    /// Per-request outcomes are independent: one invalid version yields an
-    /// `Err` in its slot without failing the rest of the batch.
-    pub fn get_versions(&self, versions: &[usize]) -> Vec<Result<EngineRetrieval, StoreError>> {
-        if versions.is_empty() {
-            return Vec::new();
-        }
-        let archive = self.read_archive();
-        let checks: Vec<Option<StoreError>> = versions
-            .iter()
-            .map(|&l| check_version(&archive, l).err())
-            .collect();
-        // One snapshot serves every valid request in the batch; for Reversed
-        // SEC the returned pin keeps the archive read lock held until the
-        // whole batch is served, exactly as long as the snapshot is in use.
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
-        versions
-            .iter()
-            .zip(checks)
-            .map(|(&l, check)| match check {
-                Some(e) => Err(e),
-                None => {
-                    self.metrics.add_retrieval();
-                    self.serve_from_snapshot(strategy, object_len, &entries, l)
-                }
-            })
-            .collect()
-    }
-
-    /// Serves one already-validated version against a snapshot taken by
-    /// [`SecEngine::snapshot_entries`]: the same cache-probe / walk-from-base
-    /// / full-walk ladder as [`SecEngine::get_version`], minus the archive
-    /// lock acquisition.
-    fn serve_from_snapshot(
-        &self,
-        strategy: EncodingStrategy,
-        object_len: usize,
-        entries: &[(StoredPayload, usize)],
-        l: usize,
-    ) -> Result<EngineRetrieval, StoreError> {
-        let base = match strategy {
-            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
-                self.cache.nearest_at_most(self.cache_object, l)
-            }
-            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(self.cache_object, l),
-            EncodingStrategy::NonDifferential => {
-                self.cache.get(self.cache_object, l).map(|data| (l, data))
-            }
-        };
-        if let Some((base_version, data)) = base {
-            if base_version == l {
-                return Ok(EngineRetrieval {
-                    version: l,
-                    data,
-                    io_reads: 0,
-                    cached: true,
-                });
-            }
-            let k = self.codec.code().k();
-            let base_shards = ByteShards::from_flat(&data, k);
-            let (out, base_used) = match strategy {
-                EncodingStrategy::ReversedSec => walk_version_from_tail(
-                    l,
-                    base_version,
-                    base_shards,
-                    // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                    |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-                )
-                .map(|out| (out, true))?,
-                _ => walk_version_from_base(
-                    strategy,
-                    entries.len(),
-                    // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                    |idx| entries[idx].0,
-                    l,
-                    base_version,
-                    base_shards,
-                    // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                    |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-                )?,
-            };
-            if base_used {
-                let applied = out.entries_read as u64;
-                // audit: atomic ok — statistic
-                self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
-            }
-            let data = self
-                .cache
-                .insert(self.cache_object, l, trim_object(&out.shards, object_len));
-            return Ok(EngineRetrieval {
-                version: l,
-                data,
-                io_reads: out.io_reads,
-                cached: base_used,
-            });
-        }
-        let out = walk_version(
-            strategy,
-            entries.len(),
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx| entries[idx].0,
-            l,
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-        )?;
-        let data = self
-            .cache
-            .insert(self.cache_object, l, trim_object(&out.shards, object_len));
-        Ok(EngineRetrieval {
-            version: l,
-            data,
-            io_reads: out.io_reads,
-            cached: false,
-        })
-    }
-
-    /// Serves version `l` by extending a cached decoded neighbour: forward
-    /// over the deltas `base_version + 1..=l` (Basic/Optimized), or backward
-    /// from a newer tail by un-applying `l + 1..=base_version` (Reversed).
-    fn get_version_from_base(
-        &self,
-        archive: OrderedReadGuard<'_, ByteVersionedArchive>,
-        l: usize,
-        base_version: usize,
-        base: &[u8],
-    ) -> Result<EngineRetrieval, StoreError> {
-        let k = self.codec.code().k();
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
-        let base_shards = ByteShards::from_flat(base, k);
-        let (out, base_used) = match strategy {
-            EncodingStrategy::ReversedSec => walk_version_from_tail(
-                l,
-                base_version,
-                base_shards,
-                // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-            )
-            .map(|out| (out, true))?,
-            _ => walk_version_from_base(
-                strategy,
-                entries.len(),
-                // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                |idx| entries[idx].0,
-                l,
-                base_version,
-                base_shards,
-                // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-            )?,
-        };
-        if base_used {
-            let applied = out.entries_read as u64;
-            // audit: atomic ok — statistic
-            self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
-        }
-        let data = self
-            .cache
-            .insert(self.cache_object, l, trim_object(&out.shards, object_len));
-        Ok(EngineRetrieval {
-            version: l,
-            data,
-            io_reads: out.io_reads,
-            cached: base_used,
+            cached: out.anchor_used,
         })
     }
 
@@ -967,29 +666,10 @@ impl SecEngine {
         let archive = self.read_archive();
         check_version(&archive, l)?;
         self.metrics.add_retrieval();
-        if archive.config().strategy() == EncodingStrategy::ReversedSec {
-            if let Some((tail_version, data)) = self.cache.nearest_at_least(self.cache_object, l) {
-                let k = self.codec.code().k();
-                let (_, object_len, entries, _pin) = self.snapshot_entries(archive);
-                let tail_shards = ByteShards::from_flat(&data, k);
-                let out = walk_prefix_from_tail(
-                    l,
-                    object_len,
-                    tail_version,
-                    tail_shards,
-                    // audit: panic ok — `idx` comes from the walk, which stays within 0..entries.len()
-                    |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
-                )?;
-                let applied = out.entries_read as u64;
-                // audit: atomic ok — statistic
-                self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
-                return Ok(EnginePrefix {
-                    versions: out.versions,
-                    io_reads: out.io_reads,
-                    cached: true,
-                });
-            }
-        }
+        let tail = match archive.config().strategy() {
+            EncodingStrategy::ReversedSec => self.cached_anchor(EncodingStrategy::ReversedSec, l),
+            _ => None,
+        };
         let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
         let out = walk_prefix(
             strategy,
@@ -998,18 +678,51 @@ impl SecEngine {
             |idx| entries[idx].0,
             l,
             object_len,
+            self.anchor_shards(tail),
             // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
             |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
         )?;
+        self.count_anchored_deltas(out.anchor_used, out.entries_read);
         Ok(EnginePrefix {
             versions: out.versions,
             io_reads: out.io_reads,
-            cached: false,
+            cached: out.anchor_used,
         })
     }
 
+    /// The nearest cached decoded version `strategy`'s delta chain can
+    /// extend to reach `l`: Basic/Optimized walk forward from a version
+    /// ≤ `l`, Reversed walks backward from a version ≥ `l`, and
+    /// NonDifferential (no deltas) can use only an exact copy.
+    fn cached_anchor(&self, strategy: EncodingStrategy, l: usize) -> Option<(usize, Arc<Vec<u8>>)> {
+        match strategy {
+            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
+                self.cache.nearest_at_most(CACHE_KEY, l)
+            }
+            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(CACHE_KEY, l),
+            EncodingStrategy::NonDifferential => self.cache.get(CACHE_KEY, l).map(|data| (l, data)),
+        }
+    }
+
+    /// Re-shards a cached flat version into the `k` data shards a walk
+    /// starts from.
+    fn anchor_shards(&self, anchor: Option<(usize, Arc<Vec<u8>>)>) -> Option<(usize, ByteShards)> {
+        let k = self.codec.code().k();
+        anchor.map(|(version, data)| (version, ByteShards::from_flat(&data, k)))
+    }
+
+    /// Feeds [`EngineMetrics::deltas_applied`]: the stored entries a walk
+    /// XOR-applied on top of a cached anchor.
+    fn count_anchored_deltas(&self, anchor_used: bool, entries_read: usize) {
+        if anchor_used {
+            let applied = entries_read as u64;
+            // audit: atomic ok — statistic
+            self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
+        }
+    }
+
     /// Drops every cached decoded version. Statistics and capacity are
-    /// untouched; with a shared cache this clears *all* objects' entries.
+    /// untouched.
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -1370,50 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn with_shared_codec_shares_tables_and_rejects_mismatches() {
-        let donor = ByteVersionedArchive::new(config(EncodingStrategy::BasicSec)).unwrap();
-        let codec = donor.codec().clone();
-        let tables = codec.shared_tables();
-        let before = Arc::strong_count(&tables);
-        let engine =
-            SecEngine::with_shared_codec(config(EncodingStrategy::BasicSec), &codec, 2).unwrap();
-        // The engine (and its archive) hold handles to the donor's tables
-        // allocation instead of materializing their own.
-        assert!(Arc::strong_count(&tables) > before);
-        let vs = versions();
-        engine.append_all(&vs).unwrap();
-        for (l, expect) in vs.iter().enumerate() {
-            assert_eq!(&*engine.get_version(l + 1).unwrap().data, expect);
-        }
-        // A codec built for a different code is rejected, not adopted.
-        let other = ArchiveConfig::new(4, 2, sec_erasure::GeneratorForm::NonSystematic, {
-            EncodingStrategy::BasicSec
-        })
-        .unwrap();
-        assert!(matches!(
-            SecEngine::with_shared_codec(other, &codec, 0),
-            Err(StoreError::Versioning(VersioningError::CodecMismatch { .. }))
-        ));
-    }
-
-    #[test]
-    fn from_archive_serves_preexisting_versions() {
-        let mut archive = ByteVersionedArchive::new(config(EncodingStrategy::BasicSec)).unwrap();
-        let vs = versions();
-        archive.append_all(&vs).unwrap();
-        let engine = SecEngine::from_archive(archive);
-        assert_eq!(engine.len(), 3);
-        for (l, expect) in vs.iter().enumerate() {
-            assert_eq!(&*engine.get_version(l + 1).unwrap().data, expect);
-        }
-        // Appends keep working after adoption.
-        let mut v4 = vs[2].clone();
-        v4[0] ^= 0xAA;
-        engine.append_version(&v4).unwrap();
-        assert_eq!(*engine.get_version(4).unwrap().data, v4);
-    }
-
-    #[test]
     fn survives_n_minus_k_failures_and_repairs() {
         let engine = SecEngine::new(config(EncodingStrategy::BasicSec)).unwrap();
         let vs = versions();
@@ -1580,40 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_keys_engines_by_object() {
-        let cache = Arc::new(DeltaCache::new(4));
-        let a = SecEngine::with_shared_cache(
-            config(EncodingStrategy::BasicSec),
-            PlacementStrategy::Colocated,
-            Arc::clone(&cache),
-            1,
-        )
-        .unwrap();
-        let b = SecEngine::with_shared_cache(
-            config(EncodingStrategy::BasicSec),
-            PlacementStrategy::Colocated,
-            Arc::clone(&cache),
-            2,
-        )
-        .unwrap();
-        let vs_a = versions();
-        let mut vs_b = versions();
-        for v in &mut vs_b {
-            v[0] ^= 0xFF;
-        }
-        a.append_version(&vs_a[0]).unwrap();
-        b.append_version(&vs_b[0]).unwrap();
-        // Both engines pre-warmed version 1 of *their* object into the one
-        // shared cache; the object key keeps them from aliasing.
-        assert_eq!(cache.len(), 2);
-        let from_a = a.get_version(1).unwrap();
-        let from_b = b.get_version(1).unwrap();
-        assert!(from_a.cached && from_b.cached);
-        assert_eq!(*from_a.data, vs_a[0]);
-        assert_eq!(*from_b.data, vs_b[0]);
-    }
-
-    #[test]
     fn clear_cache_forces_node_reads_again() {
         let engine = SecEngine::with_cache(config(EncodingStrategy::BasicSec), 4).unwrap();
         let vs = versions();
@@ -1743,12 +1378,6 @@ mod tests {
             engine.fail_node(18),
             Err(StoreError::InvalidNode { node: 18, n: 18 })
         ));
-        // from_archive_with_placement adopts an existing archive dispersed.
-        let mut archive = ByteVersionedArchive::new(config(EncodingStrategy::BasicSec)).unwrap();
-        archive.append_all(&vs).unwrap();
-        let adopted = SecEngine::from_archive_with_placement(archive, PlacementStrategy::Dispersed, 0);
-        assert_eq!(adopted.node_count(), 18);
-        assert_eq!(*adopted.get_version(3).unwrap().data, vs[2]);
     }
 
     #[test]

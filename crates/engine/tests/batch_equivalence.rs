@@ -1,8 +1,7 @@
-//! Differential tests for the batch read entry points: `SecCluster::get_batch`
-//! and `SecEngine::get_versions` must return byte-identical data and the
-//! same per-request errors as a loop over the single-request calls, for
-//! every encoding strategy, with and without a delta cache, and under
-//! failures.
+//! `SecCluster::get_batch` is a plain in-order loop over `get_version`:
+//! it must return byte-identical data, the same block-read counts and the
+//! same per-request error text as the single-request calls, for every
+//! encoding strategy, with and without a delta cache, and under failures.
 
 use std::sync::Arc;
 
@@ -39,11 +38,11 @@ fn all_strategies() -> [EncodingStrategy; 4] {
 /// per-request failures (bad versions, unknown objects).
 fn request_mix() -> Vec<(ObjectId, usize)> {
     let mut requests = Vec::new();
-    // A long same-object run (the amortized case), including repeats.
+    // A long same-object run, including repeats.
     for v in [1usize, 3, 3, 5, 2, 4, 1, 5] {
         requests.push((ObjectId(0), v));
     }
-    // Interleaved objects (degrades to per-request routing).
+    // Interleaved objects.
     for v in 1..=5usize {
         for id in 1..4u64 {
             requests.push((ObjectId(id), v));
@@ -59,42 +58,45 @@ fn request_mix() -> Vec<(ObjectId, usize)> {
     requests
 }
 
+/// Asserts a batch's slots equal the single calls replayed on `singles` (a
+/// twin cluster, so cache state can't leak between the two runs): bytes,
+/// version, block reads and cache flag on success, error text on failure.
+fn assert_matches_singles(
+    batched: &SecCluster,
+    singles: &SecCluster,
+    requests: &[(ObjectId, usize)],
+    ctx: &str,
+) {
+    let results = batched.get_batch(requests);
+    assert_eq!(results.len(), requests.len(), "{ctx}");
+    for (&(id, version), result) in requests.iter().zip(&results) {
+        let ctx = format!("{ctx} object {} version {version}", id.0);
+        match (result, singles.get_version(id, version)) {
+            (Ok(b), Ok(s)) => {
+                assert_eq!(*b.data, *s.data, "{ctx}");
+                assert_eq!(
+                    (b.version, b.io_reads, b.cached),
+                    (s.version, s.io_reads, s.cached),
+                    "{ctx}"
+                );
+            }
+            (Err(b), Err(s)) => {
+                assert_eq!(b, &s, "{ctx}");
+                assert_eq!(b.to_string(), s.to_string(), "{ctx}");
+            }
+            (b, s) => panic!("{ctx}: batch {b:?} vs single {s:?}"),
+        }
+    }
+}
+
 #[test]
 fn get_batch_matches_single_calls_for_every_strategy() {
     for strategy in all_strategies() {
         for cache in [0usize, 4] {
-            // Separate clusters so cache state can't leak between the
-            // batched and the single-call runs.
             let batched = populated(strategy, cache);
             let singles = populated(strategy, cache);
-            let requests = request_mix();
-            let batch_results = batched.get_batch(&requests);
-            assert_eq!(batch_results.len(), requests.len());
-            for (&(id, version), result) in requests.iter().zip(&batch_results) {
-                let single = singles.get_version(id, version);
-                match (result, single) {
-                    (Ok(b), Ok(s)) => {
-                        assert_eq!(
-                            *b.data, *s.data,
-                            "{strategy:?} cache={cache} object {} version {version}",
-                            id.0
-                        );
-                        assert_eq!(b.version, s.version);
-                    }
-                    (Err(b), Err(s)) => {
-                        assert_eq!(
-                            b, &s,
-                            "{strategy:?} cache={cache} object {} version {version}",
-                            id.0
-                        );
-                    }
-                    (b, s) => panic!(
-                        "{strategy:?} cache={cache} object {} version {version}: \
-                         batch {b:?} vs single {s:?}",
-                        id.0
-                    ),
-                }
-            }
+            let ctx = format!("{strategy:?} cache={cache}");
+            assert_matches_singles(&batched, &singles, &request_mix(), &ctx);
         }
     }
 }
@@ -120,21 +122,31 @@ fn batched_repeats_prime_the_cache_within_one_call() {
 
 #[test]
 fn get_batch_under_node_failures_matches_single_calls() {
-    let batched = populated(EncodingStrategy::BasicSec, 0);
-    let singles = populated(EncodingStrategy::BasicSec, 0);
-    for shard in 0..4usize {
-        for node in 0..4usize {
-            batched.fail_node(shard, node).expect("fail");
-            singles.fail_node(shard, node).expect("fail");
-        }
-    }
-    // Only 2 of 6 nodes live with k = 3: every read must fail — identically.
-    let requests: Vec<(ObjectId, usize)> = (0..6u64).map(|id| (ObjectId(id), 1)).collect();
-    for (&(id, version), result) in requests.iter().zip(batched.get_batch(&requests).iter()) {
-        let single = singles.get_version(id, version);
-        match (result, single) {
-            (Err(b), Err(s)) => assert_eq!(b, &s, "object {}", id.0),
-            (b, s) => panic!("object {}: batch {b:?} vs single {s:?}", id.0),
+    for strategy in all_strategies() {
+        let batched = populated(strategy, 0);
+        let singles = populated(strategy, 0);
+        // n − k = 3 failures per shard: every read re-plans around the dead
+        // nodes and still succeeds; a fourth makes every read fail. Both
+        // must come out identically.
+        for (dead, readable) in [(0..3usize, true), (3..4, false)] {
+            for shard in 0..4usize {
+                for node in dead.clone() {
+                    batched.fail_node(shard, node).expect("fail");
+                    singles.fail_node(shard, node).expect("fail");
+                }
+            }
+            let requests = request_mix();
+            assert_eq!(
+                batched.get_batch(&requests[..1])[0].is_ok(),
+                readable,
+                "{strategy:?}"
+            );
+            assert_matches_singles(
+                &batched,
+                &singles,
+                &requests,
+                &format!("{strategy:?} dead={dead:?}"),
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! [`NetClient::pipeline`] encodes a whole slice of commands into one
 //! buffer, sends it with a single `write`, and then reads exactly one reply
-//! per command — the client-side half of the server's batched dispatch.
+//! per command — the client-side half of the server's reply coalescing.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

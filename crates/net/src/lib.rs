@@ -15,8 +15,8 @@
 //! * [`server`] — the event-loop server: one reactor per worker thread,
 //!   shared accept with round-robin handoff, per-connection read/write
 //!   buffers with high/low-water backpressure, per-connection pipelining
-//!   with consecutive `GET`s dispatched as one
-//!   [`SecCluster::get_batch`](sec_engine::SecCluster::get_batch) call, and
+//!   (every frame of a readiness event is served through the one
+//!   per-command path and the replies leave in a single `write`), and
 //!   graceful shutdown that drains in-flight requests.
 //! * [`client`] — a small blocking client speaking the same protocol, with
 //!   explicit pipelining.

@@ -7,7 +7,7 @@
 //!   exactly [`LoadConfig::pipeline`] `GET`s outstanding; a reply
 //!   immediately funds the next request. `pipeline: 1` is the classic
 //!   one-request-per-flush client, larger depths exercise the server's
-//!   batched dispatch.
+//!   frame draining and reply coalescing.
 //! * **open loop** (`open_loop_rate: Some(rate)`) — requests arrive on a
 //!   Poisson schedule of `rate` req/s (exponential interarrivals from
 //!   [`sec_workload::arrivals::ArrivalProcess`]), assigned to connections

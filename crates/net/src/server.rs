@@ -10,16 +10,18 @@
 //! on its worker: no cross-thread state beyond the shared `SecCluster`,
 //! whose read path is `&self` by contract.
 //!
-//! # Pipelining and batching
+//! # Pipelining
 //!
 //! After every read the worker parses *every* complete frame in the
-//! connection's input buffer. Runs of consecutive `GET`s are accumulated
-//! and dispatched as one [`SecCluster::get_batch`] call — amortizing shard
-//! routing and the per-engine archive-lock/snapshot work — and their
-//! responses (often cache-hit `Arc` clones) are appended to the write
-//! buffer in order, flushed with a single `write` per wakeup. Non-`GET`
-//! commands flush the pending batch first, so responses always come back in
-//! request order.
+//! connection's input buffer and serves each command as it is parsed, one
+//! [`SecCluster`] call per command, so responses come back in request
+//! order by construction. All responses of one readiness event (often
+//! cache-hit `Arc` clones) accumulate in the connection's write buffer and
+//! are flushed with a single `write` per wakeup. That syscall coalescing —
+//! many frames drained per `read`, many replies flushed per `write` — is
+//! the whole pipelining gain; there is no batched read path underneath
+//! (the one PR 10 shipped was 0.42–0.91× a plain `get_version` loop on the
+//! benchmark ledger and was removed).
 //!
 //! # Backpressure
 //!
@@ -45,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sec_engine::{ClusterMetrics, ObjectId, SecCluster};
+use sec_engine::{ClusterMetrics, SecCluster};
 
 use crate::proto::{self, Command, Parsed};
 use crate::sys::{Interest, Poller, Waker};
@@ -54,8 +56,6 @@ use crate::sys::{Interest, Poller, Waker};
 const WAKER_TOKEN: u64 = u64::MAX;
 /// Reactor token of the listener (worker 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
-/// GET batch flushed to the cluster at this size even mid-buffer.
-const MAX_BATCH: usize = 1024;
 /// Bytes per read syscall.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -259,7 +259,6 @@ fn worker_loop(
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events = Vec::new();
-    let mut batch: Vec<(ObjectId, usize)> = Vec::new();
     let mut rr = 0usize;
     let mut draining = false;
     let mut drain_deadline = Instant::now();
@@ -282,7 +281,7 @@ fn worker_loop(
             for token in tokens {
                 if let Some(conn) = conns.get_mut(&token) {
                     let _ = read_some(conn);
-                    process_conn(&shared.cluster, conn, &mut batch);
+                    process_conn(&shared.cluster, conn);
                     conn.closing = true;
                     let _ = flush(conn);
                     finish_conn(
@@ -341,7 +340,7 @@ fn worker_loop(
                             Ok(()) => {}
                             Err(_) => conn.closing = true,
                         }
-                        process_conn(&shared.cluster, conn, &mut batch);
+                        process_conn(&shared.cluster, conn);
                     }
                     if flush(conn).is_err() {
                         conn.wbuf.clear();
@@ -424,11 +423,10 @@ fn read_some(conn: &mut Conn) -> io::Result<()> {
     }
 }
 
-/// Parses every complete frame in the read buffer, batching consecutive
-/// `GET`s, and appends all responses (in request order) to the write
-/// buffer.
-fn process_conn(cluster: &SecCluster, conn: &mut Conn, batch: &mut Vec<(ObjectId, usize)>) {
-    let (consumed, poisoned) = process_frames(cluster, &conn.rbuf, &mut conn.wbuf, batch);
+/// Parses and serves every complete frame in the read buffer, appending
+/// all responses (in request order) to the write buffer.
+fn process_conn(cluster: &SecCluster, conn: &mut Conn) {
+    let (consumed, poisoned) = process_frames(cluster, &conn.rbuf, &mut conn.wbuf);
     if poisoned {
         conn.closing = true;
         conn.rbuf.clear();
@@ -437,58 +435,24 @@ fn process_conn(cluster: &SecCluster, conn: &mut Conn, batch: &mut Vec<(ObjectId
     }
 }
 
-fn process_frames(
-    cluster: &SecCluster,
-    rbuf: &[u8],
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<(ObjectId, usize)>,
-) -> (usize, bool) {
+fn process_frames(cluster: &SecCluster, rbuf: &[u8], wbuf: &mut Vec<u8>) -> (usize, bool) {
     let mut pos = 0;
-    let mut poisoned = false;
     loop {
-        if batch.len() >= MAX_BATCH {
-            dispatch_batch(cluster, wbuf, batch);
-        }
         match proto::parse_command(&rbuf[pos..]) {
             Parsed::Complete { command, consumed } => {
-                match command {
-                    Command::Get { object, version } => batch.push((object, version)),
-                    other => {
-                        dispatch_batch(cluster, wbuf, batch);
-                        execute(cluster, wbuf, &other);
-                    }
-                }
+                execute(cluster, wbuf, &command);
                 pos += consumed;
             }
-            Parsed::Incomplete => break,
+            Parsed::Incomplete => return (pos, false),
             Parsed::Malformed { reason } => {
-                dispatch_batch(cluster, wbuf, batch);
                 proto::write_error(wbuf, reason);
-                poisoned = true;
-                break;
+                return (pos, true);
             }
         }
     }
-    dispatch_batch(cluster, wbuf, batch);
-    (pos, poisoned)
 }
 
-/// Serves an accumulated run of `GET`s through the cluster's batch entry
-/// point and encodes the responses in order.
-fn dispatch_batch(cluster: &SecCluster, wbuf: &mut Vec<u8>, batch: &mut Vec<(ObjectId, usize)>) {
-    if batch.is_empty() {
-        return;
-    }
-    for result in cluster.get_batch(batch) {
-        match result {
-            Ok(retrieval) => proto::write_bulk(wbuf, &retrieval.data),
-            Err(e) => proto::write_error(wbuf, &e.to_string()),
-        }
-    }
-    batch.clear();
-}
-
-/// Serves one non-`GET` command.
+/// Serves one command, appending its response to `wbuf`.
 fn execute(cluster: &SecCluster, wbuf: &mut Vec<u8>, command: &Command<'_>) {
     match *command {
         Command::Ping => proto::write_simple(wbuf, "PONG"),

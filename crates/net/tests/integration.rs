@@ -108,8 +108,7 @@ fn pipelined_batches_preserve_request_order() {
     let server = start_server(&cluster, 2);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
-    // A long mixed pipeline: GET runs (batched server-side) interleaved
-    // with PINGs that force batch boundaries.
+    // A long mixed pipeline: GET runs interleaved with PINGs.
     let mut commands = Vec::new();
     let mut expected: Vec<Option<(u64, usize)>> = Vec::new();
     for round in 0..50usize {
@@ -135,6 +134,66 @@ fn pipelined_batches_preserve_request_order() {
             None => assert_eq!(*reply, Reply::Simple("PONG".to_string())),
         }
     }
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn pipelined_errors_and_a_write_keep_their_slots_on_the_wire() {
+    let cluster = test_cluster();
+    populate(&cluster, 2, 3, 64);
+    let server = start_server(&cluster, 1);
+
+    // The error text the socket must carry, taken from the direct calls
+    // (before the pipeline's APPEND changes the version count they quote).
+    let bad_version = cluster.get_version(ObjectId(0), 99).expect_err("bad version");
+    let unknown = cluster.get_version(ObjectId(777), 1).expect_err("unknown object");
+    let appended = payload(0, 4, 64);
+
+    // One write: GET ok, GET bad-version, GET unknown-object, APPEND,
+    // GET new-version, GET ok.
+    let get = |id, version| Command::Get {
+        object: ObjectId(id),
+        version,
+    };
+    let commands = [
+        get(0, 2),
+        get(0, 99),
+        get(777, 1),
+        Command::Append {
+            object: ObjectId(0),
+            payload: &appended,
+        },
+        get(0, 4),
+        get(1, 1),
+    ];
+    let mut request = Vec::new();
+    for command in &commands {
+        proto::encode_command(command, &mut request);
+    }
+
+    // Six replies, in request order, byte for byte.
+    let mut expected = Vec::new();
+    proto::write_bulk(&mut expected, &payload(0, 2, 64));
+    expected.extend_from_slice(format!("-ERR {bad_version}\r\n").as_bytes());
+    expected.extend_from_slice(format!("-ERR {unknown}\r\n").as_bytes());
+    proto::write_int(&mut expected, 4);
+    proto::write_bulk(&mut expected, &appended);
+    proto::write_bulk(&mut expected, &payload(1, 1, 64));
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(&request).expect("pipelined write");
+    let mut wire = vec![0u8; expected.len()];
+    stream.read_exact(&mut wire).expect("six replies");
+    assert!(
+        wire == expected,
+        "replies out of order or altered:\n got {}\nwant {}",
+        String::from_utf8_lossy(&wire),
+        String::from_utf8_lossy(&expected)
+    );
 
     server.shutdown().expect("clean shutdown");
 }

@@ -305,6 +305,7 @@ impl ByteDistributedStore {
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
             |idx| entries[idx].payload,
             l,
+            None,
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
             |idx| self.read_entry(idx, entries[idx].payload, entries[idx].shards.shard_len()),
         )?;

@@ -380,6 +380,7 @@ impl ByteVersionedArchive {
             entries.len(),
             |idx| entries[idx].payload,
             l,
+            None,
             |idx| decode_entry(&self.codec, entries[idx]),
         )?;
         Ok(ByteVersionRetrieval {
@@ -405,6 +406,7 @@ impl ByteVersionedArchive {
             |idx| entries[idx].payload,
             l,
             self.object_len.unwrap_or(0),
+            None,
             |idx| decode_entry(&self.codec, entries[idx]),
         )?;
         Ok(BytePrefixRetrieval {

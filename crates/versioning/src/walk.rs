@@ -37,10 +37,71 @@ pub struct WalkOutcome {
     pub entries_read: usize,
     /// The reconstructed data shards of the requested version.
     pub shards: ByteShards,
+    /// Whether the walk started from the caller's decoded anchor instead of
+    /// a stored full version.
+    pub anchor_used: bool,
+}
+
+impl WalkOutcome {
+    /// Starts an XOR chain at the decoded `anchor` when there is one (no
+    /// reads), else at the stored full version in entry `full_idx`. Also
+    /// returns the version the chain now holds (a full version stored in
+    /// entry `i` is version `i + 1` under every strategy), which bounds the
+    /// deltas left to apply.
+    fn start<E, R>(
+        anchor: Option<(usize, ByteShards)>,
+        full_idx: usize,
+        read_entry: &mut R,
+    ) -> Result<(usize, Self), E>
+    where
+        R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+    {
+        if let Some((version, shards)) = anchor {
+            let chain = Self {
+                io_reads: 0,
+                entries_read: 0,
+                shards,
+                anchor_used: true,
+            };
+            return Ok((version, chain));
+        }
+        let (io_reads, shards) = read_entry(full_idx)?;
+        let chain = Self {
+            io_reads,
+            entries_read: 1,
+            shards,
+            anchor_used: false,
+        };
+        Ok((full_idx + 1, chain))
+    }
+
+    /// Reads the delta in entry `idx` and XORs it onto the chain.
+    fn apply_delta<E, R>(&mut self, idx: usize, read_entry: &mut R) -> Result<(), E>
+    where
+        E: From<CodeError>,
+        R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+    {
+        let (reads, delta) = read_entry(idx)?;
+        self.io_reads += reads;
+        self.entries_read += 1;
+        self.shards.xor_with(&delta)?;
+        Ok(())
+    }
 }
 
 /// Reconstructs version `l` by walking the stored entries under `strategy`,
 /// fetching each touched entry through `read_entry`.
+///
+/// `anchor` is an optional already-decoded version `(version, shards)` the
+/// walk may start from instead of a stored full version: a base `≤ l` for
+/// Basic/Optimized SEC (only the trailing deltas `z_{b+1}, …, z_l` are
+/// read), a tail `≥ l` for Reversed SEC (only `z_{tail}, …, z_{l+1}` are
+/// un-applied, never touching the stored latest copy), and the exact
+/// version for NonDifferential. [`WalkOutcome::anchor_used`] reports
+/// whether it served: a forward base is dropped when a stored **full
+/// version** (a checkpoint or Optimized-threshold full) sits at or above it
+/// — that entry is not a delta and cannot be XORed, and it is the closer
+/// anchor anyway.
 ///
 /// # Errors
 ///
@@ -51,6 +112,7 @@ pub fn walk_version<E, P, R>(
     stored_count: usize,
     payload_at: P,
     l: usize,
+    anchor: Option<(usize, ByteShards)>,
     mut read_entry: R,
 ) -> Result<WalkOutcome, E>
 where
@@ -60,198 +122,36 @@ where
 {
     match strategy {
         EncodingStrategy::NonDifferential => {
-            let (io_reads, shards) = read_entry(l - 1)?;
-            Ok(WalkOutcome {
-                io_reads,
-                entries_read: 1,
-                shards,
-            })
+            let exact = anchor.filter(|&(version, _)| version == l);
+            WalkOutcome::start(exact, l - 1, &mut read_entry).map(|(_, out)| out)
         }
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
-            let anchor = (0..l)
+            let full = (0..l)
                 .rev()
                 .find(|&idx| matches!(payload_at(idx), StoredPayload::FullVersion { .. }))
                 // audit: panic ok — archive invariant: entry 0 always stores a full version
                 .expect("the first entry always stores a full version");
-            let (mut io_reads, mut acc) = read_entry(anchor)?;
-            let mut entries_read = 1;
-            for idx in anchor + 1..l {
-                let (reads, delta) = read_entry(idx)?;
-                io_reads += reads;
-                entries_read += 1;
-                acc.xor_with(&delta)?;
+            // Entry `v - 1` stores the delta to version `v`, so a base `b`
+            // is followed by entries `b..l` — usable only while the latest
+            // full lies below them.
+            let base = anchor.filter(|&(version, _)| version > full);
+            let (held, mut out) = WalkOutcome::start(base, full, &mut read_entry)?;
+            for idx in held..l {
+                out.apply_delta(idx, &mut read_entry)?;
             }
-            Ok(WalkOutcome {
-                io_reads,
-                entries_read,
-                shards: acc,
-            })
+            Ok(out)
         }
         EncodingStrategy::ReversedSec => {
-            // The full latest copy is the final stored entry; un-apply the
-            // deltas z_L, …, z_{l+1} backwards.
-            let latest_idx = stored_count - 1;
-            let (mut io_reads, mut acc) = read_entry(latest_idx)?;
-            let mut entries_read = 1;
-            for idx in (l.saturating_sub(1)..latest_idx).rev() {
-                let (reads, delta) = read_entry(idx)?;
-                io_reads += reads;
-                entries_read += 1;
-                acc.xor_with(&delta)?;
+            // The full latest copy is the final stored entry and entry
+            // `v - 2` stores the delta to version `v`; un-apply the deltas
+            // newest-first from the tail (or the latest copy) down to `l + 1`.
+            let (held, mut out) = WalkOutcome::start(anchor, stored_count - 1, &mut read_entry)?;
+            for idx in (l.saturating_sub(1)..held.saturating_sub(1)).rev() {
+                out.apply_delta(idx, &mut read_entry)?;
             }
-            Ok(WalkOutcome {
-                io_reads,
-                entries_read,
-                shards: acc,
-            })
+            Ok(out)
         }
     }
-}
-
-/// Reconstructs version `l` under Basic/Optimized SEC starting from an
-/// already-decoded base: `base_shards` holds version `base_version`
-/// (1-based, `base_version ≤ l`), and the walk XORs only the trailing
-/// deltas `z_{b+1}, …, z_l` on top of it.
-///
-/// Two cases leave the base unused (the second bool in the return is
-/// `false`): the degenerate `base_version == l` never happens here because
-/// the caller serves an exact hit directly, but a stored **full version**
-/// inside the region to walk does — a checkpoint or Optimized-threshold
-/// full at entry `f ∈ [b, l)` is not a delta and cannot be XORed, and
-/// anchoring the plain walk at the *latest* such full is cheaper than any
-/// cached base below it. In that case this falls back to [`walk_version`].
-///
-/// # Errors
-///
-/// As for [`walk_version`].
-pub fn walk_version_from_base<E, P, R>(
-    strategy: EncodingStrategy,
-    stored_count: usize,
-    payload_at: P,
-    l: usize,
-    base_version: usize,
-    base_shards: ByteShards,
-    mut read_entry: R,
-) -> Result<(WalkOutcome, bool), E>
-where
-    E: From<CodeError>,
-    P: Fn(usize) -> StoredPayload,
-    R: FnMut(usize) -> Result<(usize, ByteShards), E>,
-{
-    debug_assert!(matches!(
-        strategy,
-        EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec
-    ));
-    debug_assert!(base_version >= 1 && base_version <= l);
-    if base_version == l {
-        return Ok((
-            WalkOutcome {
-                io_reads: 0,
-                entries_read: 0,
-                shards: base_shards,
-            },
-            true,
-        ));
-    }
-    // Entry `v - 1` stores the delta to version `v`, so the trailing deltas
-    // occupy entries `base_version..l`. A full version stored in that range
-    // both invalidates the XOR chain and offers a closer anchor.
-    if (base_version..l).any(|idx| matches!(payload_at(idx), StoredPayload::FullVersion { .. })) {
-        return walk_version(strategy, stored_count, payload_at, l, read_entry).map(|out| (out, false));
-    }
-    let mut acc = base_shards;
-    let mut io_reads = 0;
-    let mut entries_read = 0;
-    for idx in base_version..l {
-        let (reads, delta) = read_entry(idx)?;
-        io_reads += reads;
-        entries_read += 1;
-        acc.xor_with(&delta)?;
-    }
-    Ok((
-        WalkOutcome {
-            io_reads,
-            entries_read,
-            shards: acc,
-        },
-        true,
-    ))
-}
-
-/// Reconstructs version `l` under Reversed SEC starting from an
-/// already-decoded tail: `tail_shards` holds version `tail_version`
-/// (`tail_version ≥ l`), and the walk un-applies only the deltas
-/// `z_{tail}, …, z_{l+1}` — never touching the stored full latest copy.
-///
-/// # Errors
-///
-/// As for [`walk_version`].
-pub fn walk_version_from_tail<E, R>(
-    l: usize,
-    tail_version: usize,
-    tail_shards: ByteShards,
-    mut read_entry: R,
-) -> Result<WalkOutcome, E>
-where
-    E: From<CodeError>,
-    R: FnMut(usize) -> Result<(usize, ByteShards), E>,
-{
-    debug_assert!(l >= 1 && tail_version >= l);
-    // Entry `v - 2` stores the delta to version `v`; un-apply deltas to
-    // versions `tail_version, …, l + 1`, i.e. entries `l - 1..tail_version - 1`
-    // walked newest-first.
-    let mut acc = tail_shards;
-    let mut io_reads = 0;
-    let mut entries_read = 0;
-    for idx in (l.saturating_sub(1)..tail_version.saturating_sub(1)).rev() {
-        let (reads, delta) = read_entry(idx)?;
-        io_reads += reads;
-        entries_read += 1;
-        acc.xor_with(&delta)?;
-    }
-    Ok(WalkOutcome {
-        io_reads,
-        entries_read,
-        shards: acc,
-    })
-}
-
-/// Reconstructs versions `1..=l` under Reversed SEC starting from an
-/// already-decoded tail at `tail_version ≥ l`, un-applying deltas backwards
-/// from the tail instead of reading the stored full latest copy.
-///
-/// # Errors
-///
-/// As for [`walk_version`].
-pub fn walk_prefix_from_tail<E, R>(
-    l: usize,
-    object_len: usize,
-    tail_version: usize,
-    tail_shards: ByteShards,
-    mut read_entry: R,
-) -> Result<PrefixWalkOutcome, E>
-where
-    E: From<CodeError>,
-    R: FnMut(usize) -> Result<(usize, ByteShards), E>,
-{
-    debug_assert!(l >= 1 && tail_version >= l);
-    let mut acc = tail_shards;
-    let mut io_reads = 0;
-    let mut versions_rev = vec![trim_object(&acc, object_len)];
-    for idx in (0..tail_version.saturating_sub(1)).rev() {
-        let (reads, delta) = read_entry(idx)?;
-        io_reads += reads;
-        acc.xor_with(&delta)?;
-        versions_rev.push(trim_object(&acc, object_len));
-    }
-    let entries_read = versions_rev.len() - 1;
-    versions_rev.reverse();
-    versions_rev.truncate(l);
-    Ok(PrefixWalkOutcome {
-        io_reads,
-        entries_read,
-        versions: versions_rev,
-    })
 }
 
 /// Maps one stored payload to its SEC read target, or `None` for the
@@ -309,10 +209,18 @@ pub struct PrefixWalkOutcome {
     pub entries_read: usize,
     /// The reconstructed versions in order, trimmed to `object_len` bytes.
     pub versions: Vec<Vec<u8>>,
+    /// Whether the walk started from the caller's decoded tail instead of
+    /// the stored latest copy.
+    pub anchor_used: bool,
 }
 
 /// Reconstructs versions `1..=l` in one pass under `strategy`, trimming each
 /// to `object_len` bytes (dropping shard zero-padding).
+///
+/// `tail` is an optional already-decoded version `(version, shards)` with
+/// `version ≥ l`. Reversed SEC un-applies its deltas backwards from it
+/// instead of reading the stored full latest copy; the forward strategies
+/// read every stored entry below `l` regardless and ignore it.
 ///
 /// # Errors
 ///
@@ -323,6 +231,7 @@ pub fn walk_prefix<E, P, R>(
     payload_at: P,
     l: usize,
     object_len: usize,
+    tail: Option<(usize, ByteShards)>,
     mut read_entry: R,
 ) -> Result<PrefixWalkOutcome, E>
 where
@@ -344,6 +253,7 @@ where
                 io_reads,
                 entries_read: l,
                 versions,
+                anchor_used: false,
             })
         }
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
@@ -368,24 +278,23 @@ where
                 io_reads,
                 entries_read: l,
                 versions,
+                anchor_used: false,
             })
         }
         EncodingStrategy::ReversedSec => {
-            let latest_idx = stored_count - 1;
-            let (mut io_reads, mut acc) = read_entry(latest_idx)?;
-            let mut versions_rev = vec![trim(&acc)];
-            for idx in (0..latest_idx).rev() {
-                let (reads, delta) = read_entry(idx)?;
-                io_reads += reads;
-                acc.xor_with(&delta)?;
-                versions_rev.push(trim(&acc));
+            let (held, mut chain) = WalkOutcome::start(tail, stored_count - 1, &mut read_entry)?;
+            let mut versions_rev = vec![trim(&chain.shards)];
+            for idx in (0..held.saturating_sub(1)).rev() {
+                chain.apply_delta(idx, &mut read_entry)?;
+                versions_rev.push(trim(&chain.shards));
             }
             versions_rev.reverse();
             versions_rev.truncate(l);
             Ok(PrefixWalkOutcome {
-                io_reads,
-                entries_read: latest_idx + 1,
+                io_reads: chain.io_reads,
+                entries_read: chain.entries_read,
                 versions: versions_rev,
+                anchor_used: chain.anchor_used,
             })
         }
     }
@@ -395,145 +304,132 @@ where
 mod tests {
     use super::*;
 
+    type Entries = Vec<(StoredPayload, ByteShards)>;
+
+    fn full(version: usize, byte: u8) -> (StoredPayload, ByteShards) {
+        (
+            StoredPayload::FullVersion { version },
+            ByteShards::from_flat(&[byte], 1),
+        )
+    }
+
+    fn delta(to: usize, byte: u8) -> (StoredPayload, ByteShards) {
+        (
+            StoredPayload::Delta {
+                to,
+                sparsity: usize::from(byte != 0),
+            },
+            ByteShards::from_flat(&[byte], 1),
+        )
+    }
+
     /// A tiny in-memory entry list driving the walk directly: k = 1 shard
     /// of one byte, so deltas are single XOR bytes and outcomes are easy to
-    /// enumerate by hand.
-    fn entries() -> Vec<(StoredPayload, ByteShards)> {
-        let full = |version, byte| {
-            (
-                StoredPayload::FullVersion { version },
-                ByteShards::from_flat(&[byte], 1),
-            )
-        };
-        let delta = |to, byte: u8| {
-            (
-                StoredPayload::Delta {
-                    to,
-                    sparsity: usize::from(byte != 0),
-                },
-                ByteShards::from_flat(&[byte], 1),
-            )
-        };
-        // Versions: 5, 5^3 = 6, 6^1 = 7.
+    /// enumerate by hand. Versions: 5, 5^3 = 6, 6^1 = 7.
+    fn entries() -> Entries {
         vec![full(1, 5), delta(2, 3), delta(3, 1)]
     }
 
-    fn reader(
-        entries: &[(StoredPayload, ByteShards)],
-    ) -> impl FnMut(usize) -> Result<(usize, ByteShards), CodeError> + '_ {
-        |idx| Ok((1, entries[idx].1.clone()))
+    /// The same three versions as Reversed SEC stores them: z_2 = 3,
+    /// z_3 = 1, full x_3 = 7 (final entry).
+    fn reversed_entries() -> Entries {
+        vec![delta(2, 3), delta(3, 1), full(3, 7)]
+    }
+
+    /// A decoded one-byte version to anchor a walk on.
+    fn anchor(version: usize, byte: u8) -> Option<(usize, ByteShards)> {
+        Some((version, ByteShards::from_flat(&[byte], 1)))
+    }
+
+    /// `walk_version` over `entries`, one block read per touched entry.
+    fn walk(
+        strategy: EncodingStrategy,
+        entries: &Entries,
+        l: usize,
+        anchor: Option<(usize, ByteShards)>,
+    ) -> WalkOutcome {
+        walk_version::<CodeError, _, _>(
+            strategy,
+            entries.len(),
+            |i| entries[i].0,
+            l,
+            anchor,
+            |idx| Ok((1, entries[idx].1.clone())),
+        )
+        .unwrap()
+    }
+
+    /// `walk_prefix` over `entries` (one-byte objects), one block read per
+    /// touched entry.
+    fn prefix(
+        strategy: EncodingStrategy,
+        entries: &Entries,
+        l: usize,
+        tail: Option<(usize, ByteShards)>,
+    ) -> PrefixWalkOutcome {
+        walk_prefix::<CodeError, _, _>(
+            strategy,
+            entries.len(),
+            |i| entries[i].0,
+            l,
+            1,
+            tail,
+            |idx| Ok((1, entries[idx].1.clone())),
+        )
+        .unwrap()
     }
 
     #[test]
     fn forward_walk_xors_deltas_from_the_anchor() {
         let entries = entries();
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
         for (l, expect) in [(1, 5u8), (2, 6), (3, 7)] {
-            let out = walk_version(
-                EncodingStrategy::BasicSec,
-                payloads.len(),
-                |i| payloads[i],
-                l,
-                reader(&entries),
-            )
-            .unwrap();
+            let out = walk(EncodingStrategy::BasicSec, &entries, l, None);
             assert_eq!(out.shards.as_bytes(), &[expect], "version {l}");
             assert_eq!(out.entries_read, l);
             assert_eq!(out.io_reads, l);
+            assert!(!out.anchor_used);
         }
     }
 
     #[test]
     fn reversed_walk_unapplies_from_the_latest_copy() {
-        // Stored list: z_2 = 3, z_3 = 1, full x_3 = 7 (final entry).
-        let entries = vec![
-            (
-                StoredPayload::Delta { to: 2, sparsity: 1 },
-                ByteShards::from_flat(&[3], 1),
-            ),
-            (
-                StoredPayload::Delta { to: 3, sparsity: 1 },
-                ByteShards::from_flat(&[1], 1),
-            ),
-            (
-                StoredPayload::FullVersion { version: 3 },
-                ByteShards::from_flat(&[7], 1),
-            ),
-        ];
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
+        let entries = reversed_entries();
         for (l, expect, touched) in [(3, 7u8, 1), (2, 6, 2), (1, 5, 3)] {
-            let out = walk_version(
-                EncodingStrategy::ReversedSec,
-                payloads.len(),
-                |i| payloads[i],
-                l,
-                reader(&entries),
-            )
-            .unwrap();
+            let out = walk(EncodingStrategy::ReversedSec, &entries, l, None);
             assert_eq!(out.shards.as_bytes(), &[expect], "version {l}");
             assert_eq!(out.entries_read, touched);
+            assert!(!out.anchor_used);
         }
-        let prefix = walk_prefix(
-            EncodingStrategy::ReversedSec,
-            payloads.len(),
-            |i| payloads[i],
-            2,
-            1,
-            reader(&entries),
-        )
-        .unwrap();
+        let prefix = prefix(EncodingStrategy::ReversedSec, &entries, 2, None);
         assert_eq!(prefix.versions, vec![vec![5u8], vec![6]]);
         assert_eq!(prefix.entries_read, 3);
+        assert!(!prefix.anchor_used);
     }
 
     #[test]
     fn prefix_walk_snapshots_every_intermediate_version() {
         let entries = entries();
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
-        let out = walk_prefix(
-            EncodingStrategy::BasicSec,
-            payloads.len(),
-            |i| payloads[i],
-            3,
-            1,
-            reader(&entries),
-        )
-        .unwrap();
+        let out = prefix(EncodingStrategy::BasicSec, &entries, 3, None);
         assert_eq!(out.versions, vec![vec![5u8], vec![6], vec![7]]);
         assert_eq!(out.io_reads, 3);
+        // The forward strategies read every entry below `l` regardless, so
+        // a decoded tail is ignored, not misapplied.
+        let anchored = prefix(EncodingStrategy::BasicSec, &entries, 3, anchor(3, 7));
+        assert_eq!(anchored, out);
     }
 
     #[test]
     fn forward_walk_from_base_applies_only_trailing_deltas() {
         let entries = entries();
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
         // Base: decoded version 2 (value 6). Target 3 needs one delta.
-        let (out, base_used) = walk_version_from_base(
-            EncodingStrategy::BasicSec,
-            payloads.len(),
-            |i| payloads[i],
-            3,
-            2,
-            ByteShards::from_flat(&[6], 1),
-            reader(&entries),
-        )
-        .unwrap();
-        assert!(base_used);
+        let out = walk(EncodingStrategy::BasicSec, &entries, 3, anchor(2, 6));
+        assert!(out.anchor_used);
         assert_eq!(out.shards.as_bytes(), &[7]);
         assert_eq!(out.entries_read, 1);
         assert_eq!(out.io_reads, 1);
         // Base equal to the target: nothing to read at all.
-        let (out, base_used) = walk_version_from_base(
-            EncodingStrategy::BasicSec,
-            payloads.len(),
-            |i| payloads[i],
-            2,
-            2,
-            ByteShards::from_flat(&[6], 1),
-            reader(&entries),
-        )
-        .unwrap();
-        assert!(base_used);
+        let out = walk(EncodingStrategy::BasicSec, &entries, 2, anchor(2, 6));
+        assert!(out.anchor_used);
         assert_eq!(out.shards.as_bytes(), &[6]);
         assert_eq!(out.io_reads, 0);
         assert_eq!(out.entries_read, 0);
@@ -543,92 +439,59 @@ mod tests {
     fn forward_walk_from_base_falls_back_when_a_full_interposes() {
         // Layout with a checkpoint: full x1=5, z2=3, full x3=7, z4=2.
         // Versions: 5, 6, 7, 5.
-        let full = |version, byte| {
-            (
-                StoredPayload::FullVersion { version },
-                ByteShards::from_flat(&[byte], 1),
-            )
-        };
-        let delta = |to, byte: u8| {
-            (
-                StoredPayload::Delta { to, sparsity: 1 },
-                ByteShards::from_flat(&[byte], 1),
-            )
-        };
         let entries = vec![full(1, 5), delta(2, 3), full(3, 7), delta(4, 2)];
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
         // Cached base 1 is older than the stored full at entry 2: the walk
         // must anchor on the full, not XOR it onto the base.
-        let (out, base_used) = walk_version_from_base(
-            EncodingStrategy::OptimizedSec,
-            payloads.len(),
-            |i| payloads[i],
-            4,
-            1,
-            ByteShards::from_flat(&[5], 1),
-            reader(&entries),
-        )
-        .unwrap();
-        assert!(!base_used, "full version inside the walk region");
+        let out = walk(EncodingStrategy::OptimizedSec, &entries, 4, anchor(1, 5));
+        assert!(!out.anchor_used, "full version inside the walk region");
         assert_eq!(out.shards.as_bytes(), &[5]);
         assert_eq!(out.entries_read, 2, "anchor full + one trailing delta");
         // A base past the checkpoint is used directly.
-        let (out, base_used) = walk_version_from_base(
-            EncodingStrategy::OptimizedSec,
-            payloads.len(),
-            |i| payloads[i],
-            4,
-            3,
-            ByteShards::from_flat(&[7], 1),
-            reader(&entries),
-        )
-        .unwrap();
-        assert!(base_used);
+        let out = walk(EncodingStrategy::OptimizedSec, &entries, 4, anchor(3, 7));
+        assert!(out.anchor_used);
         assert_eq!(out.shards.as_bytes(), &[5]);
         assert_eq!(out.entries_read, 1);
     }
 
     #[test]
     fn reversed_walk_from_tail_unapplies_only_newer_deltas() {
-        // Stored list: z_2 = 3, z_3 = 1, full x_3 = 7 (final entry).
-        let entries = vec![
-            (
-                StoredPayload::Delta { to: 2, sparsity: 1 },
-                ByteShards::from_flat(&[3], 1),
-            ),
-            (
-                StoredPayload::Delta { to: 3, sparsity: 1 },
-                ByteShards::from_flat(&[1], 1),
-            ),
-            (
-                StoredPayload::FullVersion { version: 3 },
-                ByteShards::from_flat(&[7], 1),
-            ),
-        ];
+        let entries = reversed_entries();
         for (l, tail, expect, touched) in [(1, 3, 5u8, 2), (2, 3, 6, 1), (3, 3, 7, 0), (1, 2, 5, 1)] {
-            let shards = ByteShards::from_flat(&[if tail == 3 { 7 } else { 6 }], 1);
-            let out = walk_version_from_tail(l, tail, shards, reader(&entries)).unwrap();
+            let byte = if tail == 3 { 7 } else { 6 };
+            let out = walk(EncodingStrategy::ReversedSec, &entries, l, anchor(tail, byte));
+            assert!(out.anchor_used);
             assert_eq!(out.shards.as_bytes(), &[expect], "l={l} tail={tail}");
             assert_eq!(out.entries_read, touched, "l={l} tail={tail}");
             assert_eq!(out.io_reads, touched);
         }
         // Prefix from the tail: versions 1..=2 without reading the full copy.
-        let prefix =
-            walk_prefix_from_tail(2, 1, 3, ByteShards::from_flat(&[7], 1), reader(&entries)).unwrap();
+        let prefix = prefix(EncodingStrategy::ReversedSec, &entries, 2, anchor(3, 7));
+        assert!(prefix.anchor_used);
         assert_eq!(prefix.versions, vec![vec![5u8], vec![6]]);
         assert_eq!(prefix.entries_read, 2);
         assert_eq!(prefix.io_reads, 2);
     }
 
     #[test]
+    fn non_differential_uses_only_an_exact_anchor() {
+        let entries = vec![full(1, 5), full(2, 6)];
+        let out = walk(EncodingStrategy::NonDifferential, &entries, 2, anchor(2, 6));
+        assert!(out.anchor_used);
+        assert_eq!((out.io_reads, out.shards.as_bytes()), (0, &[6u8][..]));
+        let out = walk(EncodingStrategy::NonDifferential, &entries, 2, anchor(1, 5));
+        assert!(!out.anchor_used, "no delta chain links version 1 to 2");
+        assert_eq!((out.io_reads, out.shards.as_bytes()), (1, &[6u8][..]));
+    }
+
+    #[test]
     fn read_errors_propagate() {
         let entries = entries();
-        let payloads: Vec<StoredPayload> = entries.iter().map(|(p, _)| *p).collect();
         let result = walk_version(
             EncodingStrategy::BasicSec,
-            payloads.len(),
-            |i| payloads[i],
+            entries.len(),
+            |i| entries[i].0,
             3,
+            None,
             |idx| {
                 if idx == 1 {
                     Err(CodeError::SparseRecoveryFailed { gamma: 1 })
