@@ -107,7 +107,7 @@ use sec_store::fault;
 use sec_store::node::{StorageNode, SymbolKey};
 use sec_store::{AtomicIoMetrics, FailurePattern, IoMetrics, Placement, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::walk::{decode_planned, read_target, trim_object, walk_prefix, walk_version};
+use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
 use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
     VersioningError,
@@ -637,12 +637,10 @@ impl SecEngine {
             l,
             self.anchor_shards(anchor),
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
+            |idx, acc| self.read_entry(idx, entries[idx].0, entries[idx].1, acc),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
-        let data = self
-            .cache
-            .insert(CACHE_KEY, l, trim_object(&out.shards, object_len));
+        let data = self.cache.insert(CACHE_KEY, l, out.shards.into_flat(object_len));
         Ok(EngineRetrieval {
             version: l,
             data,
@@ -680,7 +678,7 @@ impl SecEngine {
             object_len,
             self.anchor_shards(tail),
             // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
-            |idx| self.read_entry(idx, entries[idx].0, entries[idx].1),
+            |idx, acc| self.read_entry(idx, entries[idx].0, entries[idx].1, acc),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
         Ok(EnginePrefix {
@@ -832,7 +830,7 @@ impl SecEngine {
             if live.len() < k {
                 return Err(StoreError::Unrecoverable { entry: entry_idx });
             }
-            let codeword = {
+            let block = {
                 // audit: panic ok — `live.len() >= k` was checked above
                 let guards = lock_nodes(&slab.nodes, &live[..k]);
                 let mut shares: Vec<(usize, &[u8])> = Vec::with_capacity(k);
@@ -850,14 +848,13 @@ impl SecEngine {
                     // audit: panic ok — touch succeeded on this guard, so the block is stored
                     shares.push((source, guard.peek_stored(key).expect("touched above").as_slice()));
                 }
-                let object = self.codec.decode_blocks(&shares)?;
-                self.codec.encode_blocks(&object)?
+                self.codec.rebuild_block(&shares, position)?
             };
             let key = SymbolKey {
                 entry: entry_idx,
                 position,
             };
-            staged.push((key, codeword.shard(position).to_vec()));
+            staged.push((key, block));
             fault::reached("engine::rebuild::staged");
         }
         if fault::buggify("engine::rebuild::abort") {
@@ -944,18 +941,20 @@ impl SecEngine {
         self.archive.read()
     }
 
-    /// Reads and decodes one stored entry from the live nodes of its slab
-    /// under the SEC read plan, locking exactly the planned nodes. Under
-    /// dispersed placement the slab is the entry's private node set, so
-    /// failures elsewhere in the engine cannot affect this entry's plan.
+    /// Reads one stored entry from the live nodes of its slab under the SEC
+    /// read plan, locking exactly the planned nodes, and folds it into the
+    /// walk's accumulator. Under dispersed placement the slab is the entry's
+    /// private node set, so failures elsewhere in the engine cannot affect
+    /// this entry's plan.
     fn read_entry(
         &self,
         entry_idx: usize,
         payload: StoredPayload,
         shard_len: usize,
+        acc: Option<ByteShards>,
     ) -> Result<(usize, ByteShards), StoreError> {
         let Some(target) = read_target(payload) else {
-            return Ok((0, ByteShards::zeroed(self.codec.code().k(), shard_len)));
+            return Ok((0, unchanged(acc, self.codec.code().k(), shard_len)));
         };
         let slab = self.slab_for_entry(entry_idx);
         // Lock-free planning: liveness is read from the slab's atomics, no
@@ -988,8 +987,8 @@ impl SecEngine {
                 guard.peek_stored(key).expect("touched above").as_slice(),
             ));
         }
-        let decoded = decode_planned(&self.codec, plan.method, target, &shares)?;
-        Ok((plan.io_reads, decoded))
+        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
+        Ok((plan.io_reads, acc))
     }
 }
 

@@ -13,9 +13,13 @@
 //! * [`ByteCodec`] wraps an [`Arc`]-shared [`SecCode<Gf256>`] and
 //!   per-coefficient multiplication-table cache, and exposes the batched
 //!   pipeline: [`ByteCodec::encode_blocks`], [`ByteCodec::decode_blocks`] and
-//!   [`ByteCodec::recover_sparse_blocks`]. Every method takes `&self`, so one
-//!   codec can serve many decoding threads; the scratch arena sparse recovery
-//!   needs lives in a caller-supplied (or thread-local) [`DecodeScratch`].
+//!   [`ByteCodec::recover_sparse_blocks`], each a thin wrapper (allocate,
+//!   then fill) over its in-place form — [`ByteCodec::encode_blocks_into`],
+//!   [`ByteCodec::decode_blocks_into`] and [`ByteCodec::recover_sparse_into`],
+//!   the last of which XORs the recovered delta straight onto an
+//!   accumulator. Every method takes `&self`, so one codec can serve many
+//!   decoding threads; the scratch arena sparse recovery needs lives in a
+//!   caller-supplied (or thread-local) [`DecodeScratch`].
 //!
 //! The differential property suite in `tests/byte_path_equiv.rs` locks every
 //! pipeline stage to the scalar reference: for any coefficients, shard sizes
@@ -51,7 +55,7 @@ use sec_gf::{GaloisField, Gf256};
 use sec_linalg::combinatorics::Combinations;
 use sec_linalg::{ops, Matrix};
 
-use crate::code::SecCode;
+use crate::code::{GeneratorForm, SecCode};
 use crate::error::CodeError;
 
 /// One output row of a blocked application: each source shard paired with
@@ -176,6 +180,15 @@ impl ByteShards {
         out
     }
 
+    /// Turns the shards into the flat object in place: the buffer is handed
+    /// over and truncated to `original_len` bytes, no copy —
+    /// [`ByteShards::join`] for a caller that is done with the shards.
+    pub fn into_flat(self, original_len: usize) -> Vec<u8> {
+        let mut out = self.data;
+        out.truncate(original_len);
+        out
+    }
+
     /// Number of non-zero shards — the per-block sparsity level `γ` of a
     /// delta object (Definition 1 of the paper, lifted from symbols to
     /// blocks).
@@ -191,12 +204,13 @@ impl ByteShards {
     ///
     /// # Errors
     ///
-    /// Returns [`CodeError::ShardSizeMismatch`] when the shapes differ.
+    /// Returns [`CodeError::DataLengthMismatch`] when the shard counts differ
+    /// and [`CodeError::ShardSizeMismatch`] when the shard lengths do.
     pub fn xor_with(&mut self, other: &ByteShards) -> Result<(), CodeError> {
         if self.shards != other.shards {
-            return Err(CodeError::ShardSizeMismatch {
-                expected: self.shard_len,
-                actual: other.shard_len,
+            return Err(CodeError::DataLengthMismatch {
+                expected: self.shards,
+                actual: other.shards,
             });
         }
         // Shard counts match, so a flat-length mismatch from the fallible
@@ -211,8 +225,8 @@ impl ByteShards {
     }
 }
 
-/// Reusable buffers for the batched pipeline, so steady-state decode /
-/// recovery performs no per-call row allocation.
+/// Reusable buffers for the batched pipeline, so steady-state sparse
+/// recovery allocates nothing: the support search runs entirely in here.
 ///
 /// The scratch is deliberately *outside* the codec: every [`ByteCodec`]
 /// method takes `&self`, so any number of threads can decode through one
@@ -220,9 +234,21 @@ impl ByteShards {
 /// thread-local one used by the convenience methods).
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// One shard-sized row used for consistency checks in sparse recovery.
+    /// One strip of a residual row, for the full consistency verification.
     row: Vec<u8>,
+    /// The generator rows of the supplied shares, `r × k` row-major.
+    phi: Vec<Gf256>,
+    /// Elimination workspace `[A | T]`, `r × (w + r)` row-major: after
+    /// [`DecodeScratch::eliminate`] succeeds, `T · A = [I_w ; 0]`.
+    work: Vec<Gf256>,
+    /// Probe byte-columns: `r` observed bytes per probed offset.
+    probes: Vec<Gf256>,
 }
+
+/// Probe columns kept per search. A probe only ever *rejects* a candidate
+/// support early, so the cap bounds scratch and per-candidate work without
+/// affecting which support wins.
+const MAX_PROBES: usize = 8;
 
 impl DecodeScratch {
     /// Creates an empty scratch arena (buffers grow on first use).
@@ -230,11 +256,84 @@ impl DecodeScratch {
         Self::default()
     }
 
-    /// A zeroed scratch row of exactly `len` bytes.
-    fn row(&mut self, len: usize) -> &mut [u8] {
-        self.row.clear();
-        self.row.resize(len, 0);
-        &mut self.row
+    /// Loads the generator rows of `shares` and clears the probe set.
+    fn begin(&mut self, code: &SecCode<Gf256>, shares: &[(usize, &[u8])]) {
+        let g = code.generator();
+        self.phi.clear();
+        for &(row, _) in shares {
+            self.phi.extend((0..code.k()).map(|col| g.get(row, col)));
+        }
+        self.probes.clear();
+    }
+
+    /// Records the byte-column at `offset` as a probe (up to [`MAX_PROBES`]).
+    fn add_probe(&mut self, shares: &[(usize, &[u8])], offset: usize) {
+        if self.probes.len() < MAX_PROBES * shares.len() {
+            self.probes
+                .extend(shares.iter().map(|&(_, shard)| Gf256::from(shard[offset])));
+        }
+    }
+
+    /// Gauss-Jordan on `[A | I_r]` with `A` the `support` columns of the
+    /// loaded generator rows, tracking the row transform `T` so that
+    /// `T · A = [I_w ; 0]`: applied to the observed shards, rows `0..w` of `T`
+    /// give the candidate solution and rows `w..r` the consistency residuals.
+    /// Returns `false` when `A` lacks full column rank.
+    fn eliminate(&mut self, r: usize, k: usize, support: &[usize]) -> bool {
+        let w = support.len();
+        let width = w + r;
+        let work = &mut self.work;
+        work.clear();
+        for i in 0..r {
+            work.extend(support.iter().map(|&col| self.phi[i * k + col]));
+            work.extend((0..r).map(|j| if i == j { Gf256::ONE } else { Gf256::ZERO }));
+        }
+        for col in 0..w {
+            let Some(pivot) = (col..r).find(|&row| !work[row * width + col].is_zero()) else {
+                return false;
+            };
+            if pivot != col {
+                for c in 0..width {
+                    work.swap(col * width + c, pivot * width + c);
+                }
+            }
+            let inv = work[col * width + col].inv().expect("pivot chosen non-zero");
+            for x in &mut work[col * width..(col + 1) * width] {
+                *x *= inv;
+            }
+            for row in 0..r {
+                let factor = work[row * width + col];
+                if row != col && !factor.is_zero() {
+                    for c in 0..width {
+                        let p = work[col * width + c];
+                        work[row * width + c] += factor * p;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Row `j` of the transform `T` left by [`DecodeScratch::eliminate`].
+    fn transform_row(work: &[Gf256], r: usize, w: usize, j: usize) -> &[Gf256] {
+        &work[j * (w + r) + w..(j + 1) * (w + r)]
+    }
+
+    /// Whether every residual row of the current transform vanishes on every
+    /// probe column. A support that is inconsistent on one byte-column is
+    /// inconsistent on the shards, so `false` rejects it for certain; `true`
+    /// proves nothing and must be followed by the full verification.
+    fn probes_pass(&self, r: usize, w: usize) -> bool {
+        self.probes.chunks_exact(r).all(|column| {
+            (w..r).all(|j| {
+                let residual: Gf256 = Self::transform_row(&self.work, r, w, j)
+                    .iter()
+                    .zip(column)
+                    .map(|(&t, &y)| t * y)
+                    .sum();
+                residual.is_zero()
+            })
+        })
     }
 }
 
@@ -318,25 +417,16 @@ impl ByteCodec {
                 actual: data.shard_count(),
             });
         }
-        if out.shard_count() != n || out.shard_len() != data.shard_len() {
-            return Err(CodeError::ShardSizeMismatch {
-                expected: n * data.shard_len(),
-                actual: out.total_len(),
-            });
-        }
+        check_shape(out, n, data.shard_len())?;
         let g = self.code.generator();
         // One fused source list per output row (zero coefficients dropped),
         // then a strip-blocked application: every row consumes a strip of the
         // sources before the pipeline moves on, so a multi-MiB encode streams
         // each source strip through cache once instead of making `n` full
         // passes over all `k` shards.
-        let rows: Vec<Vec<(&MulTable, &[u8])>> = (0..n)
-            .map(|row| {
-                (0..k)
-                    .filter(|&col| !g.get(row, col).is_zero())
-                    .map(|col| (self.tables.get(g.get(row, col)), data.shard(col)))
-                    .collect()
-            })
+        let sources = || (0..k).map(|col| data.shard(col));
+        let rows: Vec<RowSources<'_>> = (0..n)
+            .map(|row| self.row_sources((0..k).map(|col| g.get(row, col)), sources()))
             .collect();
         apply_rows_blocked(&rows, data.shard_len(), &mut out.data);
         Ok(())
@@ -353,28 +443,98 @@ impl ByteCodec {
     /// * [`CodeError::ShareIndexOutOfRange`] / [`CodeError::DuplicateShare`]
     ///   for malformed indices.
     pub fn decode_blocks(&self, shares: &[(usize, &[u8])]) -> Result<ByteShards, CodeError> {
+        let mut out = ByteShards::zeroed(self.code.k(), first_len(shares));
+        self.decode_blocks_into(shares, &mut out)?;
+        Ok(out)
+    }
+
+    /// Like [`ByteCodec::decode_blocks`] but overwrites a caller-provided
+    /// `k`-shard output, reusing its allocation across calls.
+    ///
+    /// When the first `k` shares are the systematic symbols of a systematic
+    /// code they *are* the data shards and are copied, with no arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteCodec::decode_blocks`], plus
+    /// [`CodeError::ShardSizeMismatch`] when `out` has the wrong shape.
+    pub fn decode_blocks_into(
+        &self,
+        shares: &[(usize, &[u8])],
+        out: &mut ByteShards,
+    ) -> Result<(), CodeError> {
         let k = self.code.k();
         let shard_len = self.validate_shares(shares, k)?;
+        check_shape(out, k, shard_len)?;
 
         // Use the first k shards; the MDS property guarantees invertibility.
-        let rows: Vec<usize> = shares.iter().take(k).map(|&(i, _)| i).collect();
-        let sub = self.code.generator().select_rows(&rows)?;
-        let inv = ops::invert(&sub).map_err(|_| CodeError::UndecodableShareSet)?;
-
-        let mut out = ByteShards::zeroed(k, shard_len);
-        let rows: Vec<Vec<(&MulTable, &[u8])>> = (0..k)
-            .map(|row| {
-                shares
-                    .iter()
-                    .take(k)
-                    .enumerate()
-                    .filter(|&(col, _)| !inv.get(row, col).is_zero())
-                    .map(|(col, &(_, shard))| (self.tables.get(inv.get(row, col)), shard))
-                    .collect()
-            })
+        let used = &shares[..k];
+        if self.code.form() == GeneratorForm::Systematic && used.iter().all(|&(i, _)| i < k) {
+            for &(i, shard) in used {
+                out.shard_mut(i).copy_from_slice(shard);
+            }
+            return Ok(());
+        }
+        let inv = self.inverse_for(used)?;
+        let rows: Vec<RowSources<'_>> = (0..k)
+            .map(|row| self.row_sources((0..k).map(|col| inv.get(row, col)), blocks_of(used)))
             .collect();
         apply_rows_blocked(&rows, shard_len, &mut out.data);
-        Ok(out)
+        Ok(())
+    }
+
+    /// Rebuilds the single coded shard at `position` from any `k` (or more)
+    /// coded shards — what a node repair needs. The one coefficient row
+    /// `g[position] · inv(sub)` is composed first and applied to the `k`
+    /// source shards in one pass (`k` block products, against the
+    /// `k² + n·k` of a decode followed by a re-encode).
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteCodec::decode_blocks`], plus
+    /// [`CodeError::ShareIndexOutOfRange`] for a `position` outside `0..n`.
+    pub fn rebuild_block(
+        &self,
+        shares: &[(usize, &[u8])],
+        position: usize,
+    ) -> Result<Vec<u8>, CodeError> {
+        let (n, k) = (self.code.n(), self.code.k());
+        let shard_len = self.validate_shares(shares, k)?;
+        if position >= n {
+            return Err(CodeError::ShareIndexOutOfRange { index: position, n });
+        }
+        let used = &shares[..k];
+        let inv = self.inverse_for(used)?;
+        let g = self.code.generator();
+        let coeffs = (0..k).map(|col| (0..k).map(|j| g.get(position, j) * inv.get(j, col)).sum());
+        let mut block = vec![0u8; shard_len];
+        apply_rows_blocked(
+            &[self.row_sources(coeffs, blocks_of(used))],
+            shard_len,
+            &mut block,
+        );
+        Ok(block)
+    }
+
+    /// Inverse of the generator rows held by `used` (exactly `k` shares).
+    fn inverse_for(&self, used: &[(usize, &[u8])]) -> Result<Matrix<Gf256>, CodeError> {
+        let rows: Vec<usize> = used.iter().map(|&(i, _)| i).collect();
+        let sub = self.code.generator().select_rows(&rows)?;
+        ops::invert(&sub).map_err(|_| CodeError::UndecodableShareSet)
+    }
+
+    /// One fused source list: each shard paired with the split tables of its
+    /// coefficient, zero coefficients dropped.
+    fn row_sources<'a>(
+        &'a self,
+        coeffs: impl Iterator<Item = Gf256>,
+        shards: impl Iterator<Item = &'a [u8]>,
+    ) -> RowSources<'a> {
+        coeffs
+            .zip(shards)
+            .filter(|(coeff, _)| !coeff.is_zero())
+            .map(|(coeff, shard)| (self.tables.get(coeff), shard))
+            .collect()
     }
 
     /// Recovers a block-level `γ`-sparse object (at most `γ` of its `k`
@@ -385,6 +545,15 @@ impl ByteCodec {
     /// reference ([`sparse::recover_sparse`](crate::sparse::recover_sparse)):
     /// weights `0, 1, …, γ`, lexicographic supports within each weight, first
     /// consistent solution wins.
+    ///
+    /// A wrong candidate is normally rejected without touching bulk data: a
+    /// few *probe* byte-columns of the shares are checked with scalar field
+    /// arithmetic first, and a support that is inconsistent on one column is
+    /// inconsistent on the shards. Probes only ever **reject**. Every support
+    /// that is accepted has passed the full residual verification over all
+    /// `shard_len` bytes, and nothing is written before it has — so the
+    /// winner, and the output, are exactly those of an exhaustive check of
+    /// each candidate in turn, including on inputs that are not `γ`-sparse.
     ///
     /// # Errors
     ///
@@ -416,6 +585,41 @@ impl ByteCodec {
         gamma: usize,
         scratch: &mut DecodeScratch,
     ) -> Result<ByteShards, CodeError> {
+        let mut out = ByteShards::zeroed(self.code.k(), first_len(shares));
+        self.recover_sparse_into_with(shares, gamma, &mut out, scratch)?;
+        Ok(out)
+    }
+
+    /// Recovers a block-level `γ`-sparse object as
+    /// [`ByteCodec::recover_sparse_blocks`] does and XORs it onto `acc` —
+    /// delta application fused into the recovery: only the (at most `γ`)
+    /// solved blocks of `acc` are touched, and no `k`-block temporary exists.
+    /// On any error `acc` is left exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteCodec::recover_sparse_blocks`], plus
+    /// [`CodeError::ShardSizeMismatch`] when `acc` is not `k` shards of the
+    /// shares' length.
+    pub fn recover_sparse_into(
+        &self,
+        shares: &[(usize, &[u8])],
+        gamma: usize,
+        acc: &mut ByteShards,
+    ) -> Result<(), CodeError> {
+        THREAD_SCRATCH
+            .with(|scratch| self.recover_sparse_into_with(shares, gamma, acc, &mut scratch.borrow_mut()))
+    }
+
+    /// The one sparse-recovery implementation: validate, search the supports
+    /// behind the probe screen, fully verify, then accumulate the winner.
+    fn recover_sparse_into_with(
+        &self,
+        shares: &[(usize, &[u8])],
+        gamma: usize,
+        acc: &mut ByteShards,
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), CodeError> {
         let k = self.code.k();
         if gamma == 0 || 2 * gamma >= k {
             return Err(CodeError::SparsityNotExploitable { gamma, k });
@@ -428,131 +632,97 @@ impl ByteCodec {
             });
         }
         let shard_len = self.validate_shares(shares, 0)?;
+        check_shape(acc, k, shard_len)?;
 
-        // Weight-0 fast path: an all-zero observation decodes to zero.
-        if shares.iter().all(|(_, s)| s.iter().all(|&b| b == 0)) {
-            return Ok(ByteShards::zeroed(k, shard_len));
+        // Weight 0: an all-zero observation decodes to zero. Otherwise the
+        // two ends of the first non-zero share seed the probe set — blocks
+        // edited at different offsets show up at different ends.
+        let Some((first, last)) = shares.iter().find_map(|&(_, shard)| nonzero_span(shard)) else {
+            return Ok(());
+        };
+        scratch.begin(&self.code, shares);
+        scratch.add_probe(shares, first);
+        if last != first {
+            scratch.add_probe(shares, last);
         }
 
-        let rows: Vec<usize> = shares.iter().map(|&(i, _)| i).collect();
-        let phi = self.code.generator().select_rows(&rows)?;
-        for weight in 1..=gamma.min(k) {
-            for support in Combinations::new(k, weight) {
-                if let Some(out) = self.try_support(&phi, shares, &support, shard_len, scratch) {
-                    return Ok(out);
+        let r = shares.len();
+        for weight in 1..=gamma {
+            let mut supports = Combinations::new(k, weight);
+            while let Some(support) = supports.advance() {
+                if !scratch.eliminate(r, k, support) || !scratch.probes_pass(r, weight) {
+                    continue;
+                }
+                match self.first_residual(shares, weight, shard_len, scratch) {
+                    // One column saw only part of the support: it passed the
+                    // probes but not the shards. Probe the offending offset.
+                    Some(offset) => scratch.add_probe(shares, offset),
+                    None => {
+                        self.accumulate_solution(shares, support, &scratch.work, acc);
+                        return Ok(());
+                    }
                 }
             }
         }
         Err(CodeError::SparseRecoveryFailed { gamma })
     }
 
-    /// Attempts to explain the observed shards with non-zero blocks exactly
-    /// on `support`, returning the recovered object when the (overdetermined)
-    /// block system is consistent.
-    fn try_support(
+    /// The full consistency check of the support just eliminated in
+    /// `scratch`: applies every residual row of the transform to the whole
+    /// shards and returns the first offset at which one is non-zero, `None`
+    /// when the support explains every byte.
+    fn first_residual(
         &self,
-        phi: &Matrix<Gf256>,
         shares: &[(usize, &[u8])],
-        support: &[usize],
+        w: usize,
         shard_len: usize,
         scratch: &mut DecodeScratch,
-    ) -> Option<ByteShards> {
-        let r = phi.rows();
-        let w = support.len();
-        let restricted = phi.select_cols(support).expect("support indices in range");
-
-        // Gauss-Jordan on the restricted matrix, tracking the row transform T
-        // so that T · restricted = [I_w ; 0]. The same T applied to the
-        // observed shards yields the candidate solution (rows 0..w) and the
-        // consistency residuals (rows w..r).
-        let mut a: Vec<Vec<Gf256>> = (0..r)
-            .map(|i| (0..w).map(|j| restricted.get(i, j)).collect())
-            .collect();
-        let mut t: Vec<Vec<Gf256>> = (0..r)
-            .map(|i| {
-                (0..r)
-                    .map(|j| if i == j { Gf256::ONE } else { Gf256::ZERO })
-                    .collect()
-            })
-            .collect();
-        for col in 0..w {
-            let pivot = (col..r).find(|&row| !a[row][col].is_zero())?;
-            a.swap(col, pivot);
-            t.swap(col, pivot);
-            let inv = a[col][col].inv().expect("pivot chosen non-zero");
-            for x in &mut a[col] {
-                *x *= inv;
-            }
-            for x in &mut t[col] {
-                *x *= inv;
-            }
-            let pivot_a = a[col].clone();
-            let pivot_t = t[col].clone();
-            for row in 0..r {
-                if row != col && !a[row][col].is_zero() {
-                    let factor = a[row][col];
-                    for (x, &p) in a[row].iter_mut().zip(&pivot_a) {
-                        *x += factor * p;
-                    }
-                    for (x, &p) in t[row].iter_mut().zip(&pivot_t) {
-                        *x += factor * p;
-                    }
+    ) -> Option<usize> {
+        let r = shares.len();
+        let DecodeScratch { row, work, .. } = scratch;
+        row.resize(L1_STRIP.min(shard_len), 0);
+        // Strip-first: every residual row consumes a strip of the shares
+        // while it is cache-resident before the check moves on.
+        for start in (0..shard_len).step_by(L1_STRIP) {
+            let end = (start + L1_STRIP).min(shard_len);
+            let residual = &mut row[..end - start];
+            for j in w..r {
+                residual.fill(0);
+                for (&coeff, &(_, shard)) in
+                    DecodeScratch::transform_row(work, r, w, j).iter().zip(shares)
+                {
+                    self.tables.mul_add_slice(coeff, &shard[start..end], residual);
+                }
+                if let Some(at) = first_nonzero(residual) {
+                    return Some(start + at);
                 }
             }
         }
+        None
+    }
 
-        // Strip-blocked application of T. Consistency rows (w..r of T) must
-        // map the observation to the zero shard; checking them strip-first
-        // rejects an inconsistent support after at most one strip of work
-        // instead of a full-shard pass, and the solution rows (0..w) reuse
-        // the same cache-resident share strips.
-        let collect_row = |trow: &[Gf256]| -> RowSources<'_> {
-            trow.iter()
-                .zip(shares)
-                .filter(|(coeff, _)| !coeff.is_zero())
-                .map(|(&coeff, &(_, shard))| (self.tables.get(coeff), shard))
-                .collect()
-        };
-        let residual_rows: Vec<RowSources<'_>> =
-            t.iter().take(r).skip(w).map(|trow| collect_row(trow)).collect();
-        let out_rows: Vec<(usize, RowSources<'_>)> = support
-            .iter()
-            .enumerate()
-            .map(|(j, &col)| (col, collect_row(&t[j])))
-            .collect();
-
-        let k = self.code.k();
-        let mut out = ByteShards::zeroed(k, shard_len);
-        let max_sources = residual_rows
-            .iter()
-            .map(Vec::len)
-            .chain(out_rows.iter().map(|(_, sources)| sources.len()))
-            .max()
-            .unwrap_or(0);
-        let strip = strip_len(max_sources);
-        let residual = scratch.row(strip.min(shard_len));
-        let mut strip_sources: Vec<(&MulTable, &[u8])> = Vec::with_capacity(max_sources);
-        let mut start = 0;
-        while start < shard_len {
-            let end = (start + strip).min(shard_len);
-            for sources in &residual_rows {
-                strip_sources.clear();
-                strip_sources.extend(sources.iter().map(|&(table, s)| (table, &s[start..end])));
-                let res = &mut residual[..end - start];
-                mul_multi(&strip_sources, res);
-                if res.iter().any(|&b| b != 0) {
-                    return None;
+    /// XORs the solved blocks of a verified support onto `acc`: block
+    /// `support[j]` gains row `j` of the transform applied to the shares.
+    fn accumulate_solution(
+        &self,
+        shares: &[(usize, &[u8])],
+        support: &[usize],
+        work: &[Gf256],
+        acc: &mut ByteShards,
+    ) {
+        let (r, w) = (shares.len(), support.len());
+        let shard_len = acc.shard_len();
+        for start in (0..shard_len).step_by(L1_STRIP) {
+            let end = (start + L1_STRIP).min(shard_len);
+            for (j, &col) in support.iter().enumerate() {
+                let dst = &mut acc.shard_mut(col)[start..end];
+                for (&coeff, &(_, shard)) in
+                    DecodeScratch::transform_row(work, r, w, j).iter().zip(shares)
+                {
+                    self.tables.mul_add_slice(coeff, &shard[start..end], dst);
                 }
             }
-            for (col, sources) in &out_rows {
-                strip_sources.clear();
-                strip_sources.extend(sources.iter().map(|&(table, s)| (table, &s[start..end])));
-                let dst = &mut out.data[col * shard_len + start..col * shard_len + end];
-                mul_multi(&strip_sources, dst);
-            }
-            start = end;
         }
-        Some(out)
     }
 
     /// Validates indices (range, duplicates) and equal shard lengths,
@@ -566,7 +736,7 @@ impl ByteCodec {
                 available: shares.len(),
             });
         }
-        let shard_len = shares.first().map_or(0, |(_, s)| s.len());
+        let shard_len = first_len(shares);
         let mut seen = vec![false; n];
         for &(idx, shard) in shares {
             if idx >= n {
@@ -593,6 +763,54 @@ impl ByteCodec {
 /// of 64-byte cache lines.
 fn strip_len(sources: usize) -> usize {
     (128 * 1024 / sources.max(1)).clamp(4096, 32 * 1024) & !63
+}
+
+/// Strip size of the sparse-recovery passes, which drive the
+/// multiply-accumulate kernel directly: one destination strip plus a strip
+/// of each of the `2γ` sources stays L1-resident across all rows.
+const L1_STRIP: usize = 4096;
+
+/// Length of the first share (0 for none) — the shard length of an output
+/// sized before the shares are validated.
+fn first_len(shares: &[(usize, &[u8])]) -> usize {
+    shares.first().map_or(0, |(_, s)| s.len())
+}
+
+/// The blocks of a share list, without their node indices.
+fn blocks_of<'a, 's>(shares: &'s [(usize, &'a [u8])]) -> impl Iterator<Item = &'a [u8]> + 's {
+    shares.iter().map(|&(_, shard)| shard)
+}
+
+/// Checks that `shards` is `count` shards of `shard_len` bytes.
+fn check_shape(shards: &ByteShards, count: usize, shard_len: usize) -> Result<(), CodeError> {
+    if shards.shard_count() != count || shards.shard_len() != shard_len {
+        return Err(CodeError::ShardSizeMismatch {
+            expected: count * shard_len,
+            actual: shards.total_len(),
+        });
+    }
+    Ok(())
+}
+
+/// Whether a (≤ 64-byte) chunk holds a non-zero byte; the OR-fold compiles
+/// to vector code, unlike a byte-at-a-time search with an early exit.
+fn any_nonzero(chunk: &[u8]) -> bool {
+    chunk.iter().fold(0, |acc, &b| acc | b) != 0
+}
+
+/// Offset of the first non-zero byte of `bytes`, testing 64 bytes at a time.
+fn first_nonzero(bytes: &[u8]) -> Option<usize> {
+    let head = bytes.chunks(64).position(any_nonzero)? * 64;
+    bytes[head..].iter().position(|&b| b != 0).map(|at| head + at)
+}
+
+/// Offsets of the first and last non-zero bytes of `shard`, `None` when it
+/// is all zero.
+fn nonzero_span(shard: &[u8]) -> Option<(usize, usize)> {
+    let first = first_nonzero(shard)?;
+    let tail = shard.len() - shard.rchunks(64).position(any_nonzero)? * 64;
+    let last = shard[..tail].iter().rposition(|&b| b != 0)?;
+    Some((first, last))
 }
 
 /// Applies every fused source list in `rows` into the corresponding
@@ -640,6 +858,11 @@ mod tests {
         assert_eq!(s.join(10), object(10));
         assert_eq!(s.to_rows().len(), 3);
         assert_eq!(s.as_bytes().len(), 12);
+        // `into_flat` is `join` without the copy: same bytes, same buffer.
+        let buffer = s.as_bytes().as_ptr();
+        let flat = s.into_flat(10);
+        assert_eq!(flat, object(10));
+        assert_eq!(flat.as_ptr(), buffer);
         // Empty object: zero-length shards.
         let empty = ByteShards::from_flat(&[], 4);
         assert_eq!(empty.shard_count(), 4);
@@ -667,8 +890,25 @@ mod tests {
         a.xor_with(&b).unwrap();
         assert_eq!(a.as_bytes(), &[1, 0, 0, 0, 0, 9]);
         assert_eq!(a.weight(), 2);
-        let ragged = ByteShards::from_flat(&[1, 2], 2);
-        assert!(a.xor_with(&ragged).is_err());
+        // A differing shard count and a differing shard length are told
+        // apart, each in its own unit; `a` is untouched by both.
+        let fewer = ByteShards::from_flat(&[1, 2, 3, 4], 2);
+        assert_eq!(
+            a.xor_with(&fewer),
+            Err(CodeError::DataLengthMismatch {
+                expected: 3,
+                actual: 2
+            })
+        );
+        let longer = ByteShards::from_flat(&[1; 9], 3);
+        assert_eq!(
+            a.xor_with(&longer),
+            Err(CodeError::ShardSizeMismatch {
+                expected: 2,
+                actual: 3
+            })
+        );
+        assert_eq!(a.as_bytes(), &[1, 0, 0, 0, 0, 9]);
     }
 
     #[test]
@@ -713,6 +953,93 @@ mod tests {
         let mut bad = ByteShards::zeroed(5, data.shard_len());
         assert!(matches!(
             codec.encode_blocks_into(&data, &mut bad),
+            Err(CodeError::ShardSizeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_blocks_into_overwrites_and_copies_systematic_symbols() {
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let codec = codec(6, 3, form);
+            let data = ByteShards::from_flat(&object(100), 3);
+            let coded = codec.encode_blocks(&data).unwrap();
+            // Every 3-subset in a scrambled order, systematic-only ones
+            // (the copy path) included, into a dirty output.
+            for rows in sec_linalg::combinatorics::combinations(6, 3) {
+                let shares: Vec<(usize, &[u8])> =
+                    rows.iter().rev().map(|&i| (i, coded.shard(i))).collect();
+                let mut out = ByteShards::from_flat(&[0xEE; 102], 3);
+                codec.decode_blocks_into(&shares, &mut out).unwrap();
+                assert_eq!(out, data, "{form} rows {rows:?}");
+            }
+            let shares: Vec<(usize, &[u8])> = (0..3).map(|i| (i, coded.shard(i))).collect();
+            for mut bad in [ByteShards::zeroed(2, 34), ByteShards::zeroed(3, 33)] {
+                assert!(matches!(
+                    codec.decode_blocks_into(&shares, &mut bad),
+                    Err(CodeError::ShardSizeMismatch { expected: 102, .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_block_equals_decode_then_encode() {
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let codec = codec(6, 3, form);
+            let coded = codec
+                .encode_blocks(&ByteShards::from_flat(&object(200), 3))
+                .unwrap();
+            for rows in sec_linalg::combinatorics::combinations(6, 3) {
+                let shares: Vec<(usize, &[u8])> = rows.iter().map(|&i| (i, coded.shard(i))).collect();
+                for position in 0..6 {
+                    let block = codec.rebuild_block(&shares, position).unwrap();
+                    assert_eq!(block, coded.shard(position), "{form} rows {rows:?} → {position}");
+                }
+            }
+            let shares: Vec<(usize, &[u8])> = (0..3).map(|i| (i, coded.shard(i))).collect();
+            assert!(matches!(
+                codec.rebuild_block(&shares, 6),
+                Err(CodeError::ShareIndexOutOfRange { index: 6, n: 6 })
+            ));
+            assert!(matches!(
+                codec.rebuild_block(&shares[..2], 0),
+                Err(CodeError::NotEnoughShares { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn nonzero_span_finds_both_ends_across_chunk_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let mut shard = vec![0u8; len];
+            assert_eq!(nonzero_span(&shard), None, "len {len}");
+            for first in 0..len {
+                for last in [first, (first + 70).min(len - 1), len - 1] {
+                    shard.fill(0);
+                    shard[first] = 1;
+                    shard[last] = 2;
+                    assert_eq!(nonzero_span(&shard), Some((first, last)), "len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recover_sparse_into_leaves_the_accumulator_alone_on_failure() {
+        let codec = codec(6, 3, GeneratorForm::NonSystematic);
+        let dense = ByteShards::from_flat(&object(30), 3);
+        let coded = codec.encode_blocks(&dense).unwrap();
+        let shares: Vec<(usize, &[u8])> = vec![(0, coded.shard(0)), (1, coded.shard(1))];
+        let before = ByteShards::from_flat(&object(30), 3);
+        let mut acc = before.clone();
+        assert_eq!(
+            codec.recover_sparse_into(&shares, 1, &mut acc),
+            Err(CodeError::SparseRecoveryFailed { gamma: 1 })
+        );
+        assert_eq!(acc, before);
+        let mut misshapen = ByteShards::zeroed(3, 9);
+        assert!(matches!(
+            codec.recover_sparse_into(&shares, 1, &mut misshapen),
             Err(CodeError::ShardSizeMismatch { .. })
         ));
     }

@@ -2,6 +2,7 @@
 //! decoding, in systematic or non-systematic form.
 
 use core::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sec_gf::GaloisField;
 use sec_linalg::cauchy::{cauchy_matrix, cauchy_parity_block, CauchyError};
@@ -91,6 +92,69 @@ impl fmt::Display for GeneratorForm {
 /// One coded symbol together with the index of the node that stores it.
 pub type Share<F> = (usize, F);
 
+/// Bounded, lock-free memo of [`SecCode::rows_qualify`] verdicts, keyed by
+/// the row set's bitmask. Whether a row set satisfies Criterion 2 depends
+/// only on the generator, so each verdict is a pure function of its key: a
+/// racing or evicted slot costs a recomputation, never a different answer.
+///
+/// A slot holds `mask << 2 | verdict << 1 | 1` (zero = empty), which needs
+/// `n ≤ 62`; longer codes simply bypass the memo. The memo is a cache, not
+/// part of the code's identity: clones start empty and all memos compare
+/// equal.
+struct QualifyMemo {
+    slots: [AtomicU64; Self::SLOTS],
+}
+
+impl QualifyMemo {
+    const SLOTS: usize = 256;
+    const MAX_N: usize = 62;
+
+    fn slot(&self, mask: u64) -> &AtomicU64 {
+        // Fibonacci hashing: the top 8 bits of the product pick the slot.
+        &self.slots[(mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize]
+    }
+
+    fn get(&self, mask: u64) -> Option<bool> {
+        // audit: atomic ok — the slot word is the whole entry (key and verdict), publishing no other data
+        let word = self.slot(mask).load(Ordering::Relaxed);
+        (word & 1 == 1 && word >> 2 == mask).then_some(word & 2 != 0)
+    }
+
+    fn put(&self, mask: u64, verdict: bool) {
+        let word = mask << 2 | u64::from(verdict) << 1 | 1;
+        // audit: atomic ok — the slot word is the whole entry; overwriting a colliding key only evicts it
+        self.slot(mask).store(word, Ordering::Relaxed);
+    }
+}
+
+impl Default for QualifyMemo {
+    fn default() -> Self {
+        Self {
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Clone for QualifyMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for QualifyMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for QualifyMemo {}
+
+impl fmt::Debug for QualifyMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("QualifyMemo")
+    }
+}
+
 /// An `(n, k)` linear MDS code with SEC's two decoding modes.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
@@ -99,6 +163,7 @@ pub struct SecCode<F> {
     params: CodeParams,
     form: GeneratorForm,
     generator: Matrix<F>,
+    qualify: QualifyMemo,
 }
 
 impl<F: GaloisField> SecCode<F> {
@@ -123,6 +188,7 @@ impl<F: GaloisField> SecCode<F> {
             params,
             form,
             generator,
+            qualify: QualifyMemo::default(),
         })
     }
 
@@ -157,6 +223,7 @@ impl<F: GaloisField> SecCode<F> {
             params,
             form,
             generator,
+            qualify: QualifyMemo::default(),
         })
     }
 
@@ -194,6 +261,32 @@ impl<F: GaloisField> SecCode<F> {
             GeneratorForm::Systematic => (self.params.k..self.params.n).collect(),
             GeneratorForm::NonSystematic => (0..self.params.n).collect(),
         }
+    }
+
+    /// Whether the generator rows `rows` (distinct) form a Criterion-2
+    /// submatrix — every `|rows|` of its columns linearly independent — i.e.
+    /// whether those coded symbols sparse-recover any `|rows|/2`-sparse
+    /// object. The verdict depends only on the code, so it is decided once
+    /// per row set and remembered.
+    pub(crate) fn rows_qualify(&self, rows: &[usize]) -> bool {
+        let n = self.params.n;
+        let mask = (n <= QualifyMemo::MAX_N)
+            .then(|| {
+                rows.iter()
+                    .try_fold(0u64, |mask, &row| (row < n).then(|| mask | 1 << row))
+            })
+            .flatten();
+        if let Some(verdict) = mask.and_then(|mask| self.qualify.get(mask)) {
+            return verdict;
+        }
+        let verdict = self
+            .generator
+            .select_rows(rows)
+            .is_ok_and(|sub| checks::all_columns_independent(&sub));
+        if let Some(mask) = mask {
+            self.qualify.put(mask, verdict);
+        }
+        verdict
     }
 
     /// Encodes a `k`-symbol object into its `n`-symbol codeword `c = G·x`.
@@ -375,6 +468,36 @@ mod tests {
         assert_eq!(p.max_exploitable_sparsity(), 4);
         assert_eq!(CodeParams::new(6, 3).unwrap().max_exploitable_sparsity(), 1);
         assert_eq!(format!("{p}"), "(20, 10)");
+    }
+
+    #[test]
+    fn qualify_memo_remembers_verdicts_and_is_not_part_of_the_code() {
+        let memo = QualifyMemo::default();
+        assert_eq!(memo.get(0b11_000), None);
+        memo.put(0b11_000, true);
+        memo.put(0b00_011, false);
+        assert_eq!(memo.get(0b11_000), Some(true));
+        assert_eq!(memo.get(0b00_011), Some(false));
+        // A colliding key evicts; the evicted key reads as unknown, never as
+        // the other key's verdict.
+        let collider = (1u64..)
+            .find(|&m| m != 0b11_000 && std::ptr::eq(memo.slot(m), memo.slot(0b11_000)))
+            .unwrap();
+        memo.put(collider, false);
+        assert_eq!(memo.get(0b11_000), None);
+        assert_eq!(memo.get(collider), Some(false));
+
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        assert!(code.rows_qualify(&[3, 4]));
+        assert!(!code.rows_qualify(&[0, 4]));
+        assert_eq!(code.qualify.get(0b011_000), Some(true));
+        assert_eq!(code.qualify.get(0b010_001), Some(false));
+        assert!(!code.rows_qualify(&[3, 9]), "out-of-range rows never qualify");
+        // Clones start with an empty memo and still compare equal.
+        let clone = code.clone();
+        assert_eq!(clone.qualify.get(0b011_000), None);
+        assert_eq!(clone, code);
+        assert!(clone.rows_qualify(&[3, 4]));
     }
 
     #[test]

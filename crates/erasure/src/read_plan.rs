@@ -9,7 +9,6 @@
 //! true for systematic SEC), and `k` reads otherwise.
 
 use sec_gf::GaloisField;
-use sec_linalg::checks;
 use sec_linalg::combinatorics::Combinations;
 
 use crate::code::{GeneratorForm, SecCode};
@@ -137,28 +136,26 @@ fn plan_sparse<F: GaloisField>(code: &SecCode<F>, live: &[usize], gamma: usize) 
             // full search over live subsets (mixed identity/parity subsets
             // occasionally qualify too, and the paper counts them — e.g. 12
             // of the 15 two-row subsets of the (6,3) G_S do *not* qualify).
-            let generator = code.generator();
+            // Whether a subset qualifies is a property of the code alone,
+            // remembered by `SecCode::rows_qualify`.
+            let sparse_plan = |nodes: Vec<usize>| ReadPlan {
+                nodes,
+                io_reads: needed,
+                method: DecodeMethod::SparseRecovery,
+            };
             let parity_live: Vec<usize> = live.iter().copied().filter(|&i| i >= code.k()).collect();
-            if parity_live.len() >= needed {
-                let candidate = &parity_live[..needed];
-                let sub = generator.select_rows(candidate).ok()?;
-                if checks::all_columns_independent(&sub) {
-                    return Some(ReadPlan {
-                        nodes: candidate.to_vec(),
-                        io_reads: needed,
-                        method: DecodeMethod::SparseRecovery,
-                    });
+            if let Some(candidate) = parity_live.get(..needed) {
+                if code.rows_qualify(candidate) {
+                    return Some(sparse_plan(candidate.to_vec()));
                 }
             }
-            for subset in Combinations::new(live.len(), needed) {
-                let candidate: Vec<usize> = subset.iter().map(|&i| live[i]).collect();
-                let sub = generator.select_rows(&candidate).ok()?;
-                if checks::all_columns_independent(&sub) {
-                    return Some(ReadPlan {
-                        nodes: candidate,
-                        io_reads: needed,
-                        method: DecodeMethod::SparseRecovery,
-                    });
+            let mut subsets = Combinations::new(live.len(), needed);
+            let mut candidate = Vec::with_capacity(needed);
+            while let Some(subset) = subsets.advance() {
+                candidate.clear();
+                candidate.extend(subset.iter().map(|&i| live[i]));
+                if code.rows_qualify(&candidate) {
+                    return Some(sparse_plan(candidate));
                 }
             }
             None
@@ -279,6 +276,36 @@ mod tests {
         let (plan, decoded) = plan_and_decode(&code, &c, &live, ReadTarget::Full).unwrap();
         assert_eq!(plan.io_reads, 5);
         assert_eq!(decoded, z);
+    }
+
+    #[test]
+    fn memoised_plans_equal_fresh_plans_over_every_failure_pattern() {
+        // Same nodes, same order, same method: one long-lived code (its memo
+        // warm from the first sweep on) against a clone per plan, whose memo
+        // starts empty and so re-proves every row set.
+        for (n, k) in [(6usize, 3usize), (12, 6)] {
+            for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+                let code: SecCode<Gf256> = SecCode::cauchy(n, k, form).unwrap();
+                let targets: Vec<ReadTarget> = std::iter::once(ReadTarget::Full)
+                    .chain((0..=k).map(|gamma| ReadTarget::Sparse { gamma }))
+                    .collect();
+                for sweep in 0..2 {
+                    for failures in 0..=(n - k) {
+                        for failed in Combinations::new(n, failures) {
+                            let live: Vec<usize> = (0..n).filter(|i| !failed.contains(i)).collect();
+                            for &target in &targets {
+                                let memoised = plan_read(&code, &live, target);
+                                let fresh = plan_read(&code.clone(), &live, target);
+                                assert_eq!(
+                                    memoised, fresh,
+                                    "({n},{k}) {form} sweep {sweep} failed {failed:?} {target:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

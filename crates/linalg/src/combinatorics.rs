@@ -19,6 +19,7 @@ pub struct Combinations {
     n: usize,
     r: usize,
     current: Vec<usize>,
+    started: bool,
     done: bool,
 }
 
@@ -32,8 +33,36 @@ impl Combinations {
             n,
             r,
             current: (0..r).collect(),
+            started: false,
             done: r > n,
         }
+    }
+
+    /// Steps to the next subset and lends it, without allocating — the form
+    /// for hot loops that only inspect each subset ([`Iterator::next`] is
+    /// this plus a copy).
+    pub fn advance(&mut self) -> Option<&[usize]> {
+        if self.done {
+            return None;
+        }
+        if !self.started {
+            self.started = true;
+            return Some(&self.current);
+        }
+        let (n, r) = (self.n, self.r);
+        let mut i = r;
+        while i > 0 && self.current[i - 1] == i - 1 + n - r {
+            i -= 1;
+        }
+        if i == 0 {
+            self.done = true;
+            return None;
+        }
+        self.current[i - 1] += 1;
+        for j in i..r {
+            self.current[j] = self.current[j - 1] + 1;
+        }
+        Some(&self.current)
     }
 }
 
@@ -41,30 +70,7 @@ impl Iterator for Combinations {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let result = self.current.clone();
-        // Advance to the next combination, or mark the iterator finished.
-        let r = self.r;
-        let n = self.n;
-        if r == 0 {
-            self.done = true;
-            return Some(result);
-        }
-        let mut i = r;
-        while i > 0 && self.current[i - 1] == i - 1 + n - r {
-            i -= 1;
-        }
-        if i == 0 {
-            self.done = true;
-        } else {
-            self.current[i - 1] += 1;
-            for j in i..r {
-                self.current[j] = self.current[j - 1] + 1;
-            }
-        }
-        Some(result)
+        self.advance().map(<[usize]>::to_vec)
     }
 }
 

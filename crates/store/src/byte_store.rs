@@ -18,7 +18,7 @@
 use rand::Rng;
 use sec_erasure::read_plan::plan_read;
 use sec_erasure::{ByteCodec, ByteShards};
-use sec_versioning::walk::{decode_planned, read_target, walk_version};
+use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_version};
 use sec_versioning::{ByteVersionedArchive, StoredPayload, VersioningError};
 
 use crate::failure::FailurePattern;
@@ -218,17 +218,18 @@ impl ByteDistributedStore {
         (0..archive.stored_entry_count()).all(|entry| self.entry_recoverable(archive, entry))
     }
 
-    /// Reads and decodes one stored entry from live nodes through the
-    /// batched pipeline, honouring the SEC read planning.
+    /// Reads one stored entry from live nodes under the SEC read plan and
+    /// folds it into the walk's accumulator through the batched pipeline.
     fn read_entry(
         &self,
         entry_idx: usize,
         payload: StoredPayload,
         shard_len: usize,
+        acc: Option<ByteShards>,
     ) -> Result<(usize, ByteShards), StoreError> {
         let live = self.live_positions(entry_idx);
         let Some(target) = read_target(payload) else {
-            return Ok((0, ByteShards::zeroed(self.codec.code().k(), shard_len)));
+            return Ok((0, unchanged(acc, self.codec.code().k(), shard_len)));
         };
         let plan = plan_read(self.codec.code(), &live, target)
             .map_err(|_| StoreError::Unrecoverable { entry: entry_idx })?;
@@ -265,8 +266,8 @@ impl ByteDistributedStore {
                 (position, block.as_slice())
             })
             .collect();
-        let decoded = decode_planned(&self.codec, plan.method, target, &shares)?;
-        Ok((plan.io_reads, decoded))
+        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
+        Ok((plan.io_reads, acc))
     }
 
     /// Retrieves version `l` of the archive, reading only from live nodes.
@@ -307,10 +308,10 @@ impl ByteDistributedStore {
             l,
             None,
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx| self.read_entry(idx, entries[idx].payload, entries[idx].shards.shard_len()),
+            |idx, acc| self.read_entry(idx, entries[idx].payload, entries[idx].shards.shard_len(), acc),
         )?;
         Ok(ByteStoredRetrieval {
-            data: out.shards.join(self.object_len),
+            data: out.shards.into_flat(self.object_len),
             io_reads: out.io_reads,
         })
     }
@@ -379,9 +380,9 @@ impl ByteDistributedStore {
                 }
                 self.metrics.add_symbol_reads(1);
             }
-            // Borrow the surviving blocks only for the decode/encode pass,
-            // so the rebuilt block can be written back afterwards.
-            let codeword = {
+            // Borrow the surviving blocks only for the rebuild pass, so the
+            // rebuilt block can be written back afterwards.
+            let block = {
                 let shares: Vec<(usize, &[u8])> = live
                     .iter()
                     .take(k)
@@ -397,11 +398,10 @@ impl ByteDistributedStore {
                         (position, block.as_slice())
                     })
                     .collect();
-                let object = self.codec.decode_blocks(&shares)?;
-                self.codec.encode_blocks(&object)?
+                self.codec.rebuild_block(&shares, key.position)?
             };
             // audit: panic ok — `node_id < n` was checked at function entry
-            self.nodes[node_id].put(key, codeword.shard(key.position).to_vec());
+            self.nodes[node_id].put(key, block);
             self.metrics.add_symbol_writes(1);
             rebuilt += 1;
         }

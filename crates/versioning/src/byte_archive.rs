@@ -43,7 +43,7 @@ use sec_erasure::{ByteCodec, ByteShards, SecCode};
 use crate::archive::{ArchiveConfig, EncodingStrategy, StoredPayload};
 use crate::error::VersioningError;
 use crate::object::VersionId;
-use crate::walk::{decode_planned, read_target, walk_prefix, walk_version};
+use crate::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
 
 /// One stored, erasure-coded byte object: its semantic payload and its `n`
 /// coded blocks.
@@ -381,11 +381,11 @@ impl ByteVersionedArchive {
             |idx| entries[idx].payload,
             l,
             None,
-            |idx| decode_entry(&self.codec, entries[idx]),
+            |idx, acc| apply_entry(&self.codec, entries[idx], acc),
         )?;
         Ok(ByteVersionRetrieval {
             version: l,
-            data: self.trim(&out.shards),
+            data: out.shards.into_flat(self.object_len.unwrap_or(0)),
             io_reads: out.io_reads,
             entries_read: out.entries_read,
         })
@@ -407,7 +407,7 @@ impl ByteVersionedArchive {
             l,
             self.object_len.unwrap_or(0),
             None,
-            |idx| decode_entry(&self.codec, entries[idx]),
+            |idx, acc| apply_entry(&self.codec, entries[idx], acc),
         )?;
         Ok(BytePrefixRetrieval {
             versions: out.versions,
@@ -441,29 +441,24 @@ impl ByteVersionedArchive {
         }
         Ok(())
     }
-
-    /// Copies decoded data shards out as a flat object, dropping the zero
-    /// padding (single copy, no intermediate clone of the padded buffer).
-    fn trim(&self, shards: &ByteShards) -> Vec<u8> {
-        crate::walk::trim_object(shards, self.object_len.unwrap_or(0))
-    }
 }
 
-/// Decodes one stored entry with all nodes alive through the byte pipeline,
-/// returning `(block_reads, decoded_data_shards)`.
-fn decode_entry(
+/// Folds one stored entry into the walk's accumulator with all nodes alive,
+/// returning `(block_reads, accumulator)`.
+fn apply_entry(
     codec: &ByteCodec,
     entry: &ByteEncodedEntry,
+    acc: Option<ByteShards>,
 ) -> Result<(usize, ByteShards), VersioningError> {
     let Some(target) = read_target(entry.payload) else {
         // Nothing changed; no reads needed at all.
-        return Ok((0, ByteShards::zeroed(codec.code().k(), entry.shards.shard_len())));
+        return Ok((0, unchanged(acc, codec.code().k(), entry.shards.shard_len())));
     };
     let live: Vec<usize> = (0..codec.code().n()).collect();
     let plan = plan_read(codec.code(), &live, target)?;
     let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, entry.shards.shard(i))).collect();
-    let decoded = decode_planned(codec, plan.method, target, &shares)?;
-    Ok((plan.io_reads, decoded))
+    let acc = apply_planned(codec, plan.method, target, &shares, acc)?;
+    Ok((plan.io_reads, acc))
 }
 
 #[cfg(test)]

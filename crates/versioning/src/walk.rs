@@ -17,9 +17,14 @@
 //!   entry order, with the Reversed-SEC full latest copy as the **final**
 //!   element (the order [`ByteVersionedArchive::stored_entries`]
 //!   (crate::ByteVersionedArchive::stored_entries) produces);
-//! * the read callback receives the entry index and returns
-//!   `(block_reads, decoded_data_shards)`; the `γ = 0` shortcut (an empty
-//!   delta needs no reads) is provided by [`read_target`] returning `None`;
+//! * the read callback is a *fold step*: it receives the entry index and the
+//!   chain's accumulator — `None` at the start of a chain, where the entry
+//!   is a full version to decode into a fresh buffer — and returns
+//!   `(block_reads, accumulator)` with the entry applied. A delta recovers
+//!   straight into the accumulator it was handed ([`apply_planned`]); the
+//!   `γ = 0` shortcut (an empty delta needs no reads, [`read_target`]
+//!   returning `None`) hands it back untouched ([`unchanged`]). The walk
+//!   never materialises a delta and never XORs `k` blocks itself;
 //! * version bounds are validated by the caller — the walk assumes
 //!   `1 ≤ l ≤ L`.
 
@@ -35,7 +40,9 @@ pub struct WalkOutcome {
     pub io_reads: usize,
     /// Number of stored entries that were touched.
     pub entries_read: usize,
-    /// The reconstructed data shards of the requested version.
+    /// The reconstructed data shards of the requested version — the chain's
+    /// accumulator, owned by the caller from here on (turn it into the flat
+    /// object with [`ByteShards::into_flat`]).
     pub shards: ByteShards,
     /// Whether the walk started from the caller's decoded anchor instead of
     /// a stored full version.
@@ -43,18 +50,18 @@ pub struct WalkOutcome {
 }
 
 impl WalkOutcome {
-    /// Starts an XOR chain at the decoded `anchor` when there is one (no
-    /// reads), else at the stored full version in entry `full_idx`. Also
-    /// returns the version the chain now holds (a full version stored in
-    /// entry `i` is version `i + 1` under every strategy), which bounds the
-    /// deltas left to apply.
+    /// Starts a chain at the decoded `anchor` when there is one (no reads),
+    /// else at the stored full version in entry `full_idx`. Also returns the
+    /// version the chain now holds (a full version stored in entry `i` is
+    /// version `i + 1` under every strategy), which bounds the deltas left
+    /// to apply.
     fn start<E, R>(
         anchor: Option<(usize, ByteShards)>,
         full_idx: usize,
         read_entry: &mut R,
     ) -> Result<(usize, Self), E>
     where
-        R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+        R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
     {
         if let Some((version, shards)) = anchor {
             let chain = Self {
@@ -65,7 +72,7 @@ impl WalkOutcome {
             };
             return Ok((version, chain));
         }
-        let (io_reads, shards) = read_entry(full_idx)?;
+        let (io_reads, shards) = read_entry(full_idx, None)?;
         let chain = Self {
             io_reads,
             entries_read: 1,
@@ -75,22 +82,22 @@ impl WalkOutcome {
         Ok((full_idx + 1, chain))
     }
 
-    /// Reads the delta in entry `idx` and XORs it onto the chain.
-    fn apply_delta<E, R>(&mut self, idx: usize, read_entry: &mut R) -> Result<(), E>
+    /// Folds the delta in entry `idx` into the chain: the accumulator goes
+    /// through `read_entry` and comes back with the delta applied.
+    fn apply_delta<E, R>(mut self, idx: usize, read_entry: &mut R) -> Result<Self, E>
     where
-        E: From<CodeError>,
-        R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+        R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
     {
-        let (reads, delta) = read_entry(idx)?;
+        let (reads, shards) = read_entry(idx, Some(self.shards))?;
+        self.shards = shards;
         self.io_reads += reads;
         self.entries_read += 1;
-        self.shards.xor_with(&delta)?;
-        Ok(())
+        Ok(self)
     }
 }
 
 /// Reconstructs version `l` by walking the stored entries under `strategy`,
-/// fetching each touched entry through `read_entry`.
+/// folding each touched entry into the chain through `read_entry`.
 ///
 /// `anchor` is an optional already-decoded version `(version, shards)` the
 /// walk may start from instead of a stored full version: a base `≤ l` for
@@ -105,8 +112,7 @@ impl WalkOutcome {
 ///
 /// # Errors
 ///
-/// Propagates the first `read_entry` error; shard-shape mismatches during
-/// delta application surface through `E: From<CodeError>`.
+/// Propagates the first `read_entry` error.
 pub fn walk_version<E, P, R>(
     strategy: EncodingStrategy,
     stored_count: usize,
@@ -116,9 +122,8 @@ pub fn walk_version<E, P, R>(
     mut read_entry: R,
 ) -> Result<WalkOutcome, E>
 where
-    E: From<CodeError>,
     P: Fn(usize) -> StoredPayload,
-    R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+    R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
 {
     match strategy {
         EncodingStrategy::NonDifferential => {
@@ -137,7 +142,7 @@ where
             let base = anchor.filter(|&(version, _)| version > full);
             let (held, mut out) = WalkOutcome::start(base, full, &mut read_entry)?;
             for idx in held..l {
-                out.apply_delta(idx, &mut read_entry)?;
+                out = out.apply_delta(idx, &mut read_entry)?;
             }
             Ok(out)
         }
@@ -147,7 +152,7 @@ where
             // newest-first from the tail (or the latest copy) down to `l + 1`.
             let (held, mut out) = WalkOutcome::start(anchor, stored_count - 1, &mut read_entry)?;
             for idx in (l.saturating_sub(1)..held.saturating_sub(1)).rev() {
-                out.apply_delta(idx, &mut read_entry)?;
+                out = out.apply_delta(idx, &mut read_entry)?;
             }
             Ok(out)
         }
@@ -156,7 +161,7 @@ where
 
 /// Maps one stored payload to its SEC read target, or `None` for the
 /// `γ = 0` shortcut: an all-zero delta is known without reading a single
-/// block, so the caller should return `(0, ByteShards::zeroed(k, shard_len))`
+/// block, so the caller should return `(0, unchanged(acc, k, shard_len))`
 /// directly.
 pub fn read_target(payload: StoredPayload) -> Option<ReadTarget> {
     match payload {
@@ -166,8 +171,21 @@ pub fn read_target(payload: StoredPayload) -> Option<ReadTarget> {
     }
 }
 
-/// Decodes one planned entry read: the gathered shares of a
-/// [`ReadPlan`](sec_erasure::read_plan::ReadPlan) under its chosen method.
+/// The fold step of an all-zero delta: the accumulator itself, or `k` zero
+/// shards of `shard_len` bytes when no chain has started.
+pub fn unchanged(acc: Option<ByteShards>, k: usize, shard_len: usize) -> ByteShards {
+    acc.unwrap_or_else(|| ByteShards::zeroed(k, shard_len))
+}
+
+/// Applies one planned entry read to the chain: decodes the gathered shares
+/// of a [`ReadPlan`](sec_erasure::read_plan::ReadPlan) under its chosen
+/// method and folds them into `acc`.
+///
+/// With no accumulator (the start of a chain) the decoded object *is* the
+/// result. With one, a sparse plan recovers its `γ` blocks straight into it
+/// ([`ByteCodec::recover_sparse_into`]); a delta whose plan fell back to a
+/// full `k`-block read is dense by construction, so it is decoded and XORed
+/// whole.
 ///
 /// Shared by every read layer so the method dispatch (and the invariant that
 /// sparse plans only arise for sparse targets) lives once.
@@ -175,29 +193,32 @@ pub fn read_target(payload: StoredPayload) -> Option<ReadTarget> {
 /// # Errors
 ///
 /// Propagates decode failures from the codec.
-pub fn decode_planned(
+pub fn apply_planned(
     codec: &ByteCodec,
     method: DecodeMethod,
     target: ReadTarget,
     shares: &[(usize, &[u8])],
+    acc: Option<ByteShards>,
 ) -> Result<ByteShards, CodeError> {
-    match method {
-        DecodeMethod::SystematicDirect | DecodeMethod::Inversion => codec.decode_blocks(shares),
-        DecodeMethod::SparseRecovery => match target {
-            ReadTarget::Sparse { gamma } => codec.recover_sparse_blocks(shares, gamma),
+    match (method, target) {
+        (DecodeMethod::SystematicDirect | DecodeMethod::Inversion, _) => {
+            let decoded = codec.decode_blocks(shares)?;
+            match acc {
+                None => Ok(decoded),
+                Some(mut acc) => acc.xor_with(&decoded).map(|()| acc),
+            }
+        }
+        (DecodeMethod::SparseRecovery, ReadTarget::Sparse { gamma }) => {
+            let shard_len = shares.first().map_or(0, |(_, shard)| shard.len());
+            let mut acc = unchanged(acc, codec.code().k(), shard_len);
+            codec.recover_sparse_into(shares, gamma, &mut acc)?;
+            Ok(acc)
+        }
+        (DecodeMethod::SparseRecovery, ReadTarget::Full) => {
             // audit: panic ok — plan_read returns SparseRecovery only for ReadTarget::Sparse
-            ReadTarget::Full => unreachable!("sparse plans only arise for sparse targets"),
-        },
+            unreachable!("sparse plans only arise for sparse targets")
+        }
     }
-}
-
-/// Copies decoded data shards out as a flat object of `object_len` bytes,
-/// dropping the shard zero-padding — the one padding rule every read layer
-/// shares.
-pub fn trim_object(shards: &ByteShards, object_len: usize) -> Vec<u8> {
-    let len = object_len.min(shards.total_len());
-    // audit: panic ok — `len` is clamped to the shard total two lines up
-    shards.as_bytes()[..len].to_vec()
 }
 
 /// Result of a prefix walk: the I/O spent and versions `x_1, …, x_l`.
@@ -215,7 +236,8 @@ pub struct PrefixWalkOutcome {
 }
 
 /// Reconstructs versions `1..=l` in one pass under `strategy`, trimming each
-/// to `object_len` bytes (dropping shard zero-padding).
+/// to `object_len` bytes (dropping shard zero-padding). Every version is a
+/// distinct output, so each is copied out of the chain's accumulator.
 ///
 /// `tail` is an optional already-decoded version `(version, shards)` with
 /// `version ≥ l`. Reversed SEC un-applies its deltas backwards from it
@@ -235,44 +257,33 @@ pub fn walk_prefix<E, P, R>(
     mut read_entry: R,
 ) -> Result<PrefixWalkOutcome, E>
 where
-    E: From<CodeError>,
     P: Fn(usize) -> StoredPayload,
-    R: FnMut(usize) -> Result<(usize, ByteShards), E>,
+    R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
 {
-    let trim = |shards: &ByteShards| trim_object(shards, object_len);
+    // The one padding rule every read layer shares: a version is the first
+    // `object_len` bytes of its data shards.
+    let trim = |shards: &ByteShards| {
+        let bytes = shards.as_bytes();
+        bytes.get(..object_len).unwrap_or(bytes).to_vec()
+    };
     match strategy {
-        EncodingStrategy::NonDifferential => {
-            let mut versions = Vec::with_capacity(l);
-            let mut io_reads = 0;
-            for idx in 0..l {
-                let (reads, data) = read_entry(idx)?;
-                io_reads += reads;
-                versions.push(trim(&data));
-            }
-            Ok(PrefixWalkOutcome {
-                io_reads,
-                entries_read: l,
-                versions,
-                anchor_used: false,
-            })
-        }
-        EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
+        EncodingStrategy::NonDifferential
+        | EncodingStrategy::BasicSec
+        | EncodingStrategy::OptimizedSec => {
             let mut io_reads = 0;
             let mut versions: Vec<Vec<u8>> = Vec::with_capacity(l);
             let mut acc: Option<ByteShards> = None;
             for idx in 0..l {
-                let (reads, decoded) = read_entry(idx)?;
+                // A full version starts a new chain; a delta extends the
+                // one its base version (entry 0 is always full) started.
+                let chain = match payload_at(idx) {
+                    StoredPayload::FullVersion { .. } => None,
+                    StoredPayload::Delta { .. } => acc.take(),
+                };
+                let (reads, held) = read_entry(idx, chain)?;
                 io_reads += reads;
-                match payload_at(idx) {
-                    StoredPayload::FullVersion { .. } => acc = Some(decoded),
-                    StoredPayload::Delta { .. } => {
-                        // audit: panic ok — archive invariant: a delta is always preceded by its base full version
-                        let base = acc.as_mut().expect("delta entries follow their base version");
-                        base.xor_with(&decoded)?;
-                    }
-                }
-                // audit: panic ok — `acc` was set on this or an earlier iteration (entry 0 is full)
-                versions.push(trim(acc.as_ref().expect("set above")));
+                versions.push(trim(&held));
+                acc = Some(held);
             }
             Ok(PrefixWalkOutcome {
                 io_reads,
@@ -285,7 +296,7 @@ where
             let (held, mut chain) = WalkOutcome::start(tail, stored_count - 1, &mut read_entry)?;
             let mut versions_rev = vec![trim(&chain.shards)];
             for idx in (0..held.saturating_sub(1)).rev() {
-                chain.apply_delta(idx, &mut read_entry)?;
+                chain = chain.apply_delta(idx, &mut read_entry)?;
                 versions_rev.push(trim(&chain.shards));
             }
             versions_rev.reverse();
@@ -341,6 +352,17 @@ mod tests {
         Some((version, ByteShards::from_flat(&[byte], 1)))
     }
 
+    /// The fold step over `entries`: one block read per touched entry, a
+    /// full version decoded afresh, a delta XORed into the accumulator.
+    fn fold(
+        entries: &Entries,
+    ) -> impl FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), CodeError> + '_ {
+        |idx, acc| match acc {
+            None => Ok((1, entries[idx].1.clone())),
+            Some(mut acc) => acc.xor_with(&entries[idx].1).map(|()| (1, acc)),
+        }
+    }
+
     /// `walk_version` over `entries`, one block read per touched entry.
     fn walk(
         strategy: EncodingStrategy,
@@ -348,13 +370,13 @@ mod tests {
         l: usize,
         anchor: Option<(usize, ByteShards)>,
     ) -> WalkOutcome {
-        walk_version::<CodeError, _, _>(
+        walk_version(
             strategy,
             entries.len(),
             |i| entries[i].0,
             l,
             anchor,
-            |idx| Ok((1, entries[idx].1.clone())),
+            fold(entries),
         )
         .unwrap()
     }
@@ -367,14 +389,14 @@ mod tests {
         l: usize,
         tail: Option<(usize, ByteShards)>,
     ) -> PrefixWalkOutcome {
-        walk_prefix::<CodeError, _, _>(
+        walk_prefix(
             strategy,
             entries.len(),
             |i| entries[i].0,
             l,
             1,
             tail,
-            |idx| Ok((1, entries[idx].1.clone())),
+            fold(entries),
         )
         .unwrap()
     }
@@ -484,19 +506,52 @@ mod tests {
     }
 
     #[test]
+    fn the_accumulator_handed_to_the_callback_is_the_one_returned() {
+        // No hidden clone: the buffer the chain starts with is the buffer
+        // every delta callback receives and the buffer the walk returns.
+        let buffer = |shards: &ByteShards| shards.as_bytes().as_ptr();
+        for (strategy, entries, l, start) in [
+            (EncodingStrategy::BasicSec, entries(), 3, anchor(1, 5)),
+            (EncodingStrategy::ReversedSec, reversed_entries(), 1, anchor(3, 7)),
+            (EncodingStrategy::BasicSec, entries(), 3, None),
+        ] {
+            let mut held = start.as_ref().map(|(_, shards)| buffer(shards));
+            let mut step = fold(&entries);
+            let out = walk_version(
+                strategy,
+                entries.len(),
+                |i| entries[i].0,
+                l,
+                start,
+                |idx, acc| {
+                    assert_eq!(acc.as_ref().map(buffer), held, "{strategy:?} entry {idx}");
+                    let (reads, acc) = step(idx, acc)?;
+                    held = Some(buffer(&acc));
+                    Ok::<_, CodeError>((reads, acc))
+                },
+            )
+            .unwrap();
+            assert_eq!(Some(buffer(&out.shards)), held, "{strategy:?}");
+            assert_eq!(out.shards.as_bytes(), &[if l == 3 { 7 } else { 5 }]);
+            assert_eq!(out.entries_read, 2 + usize::from(!out.anchor_used));
+        }
+    }
+
+    #[test]
     fn read_errors_propagate() {
         let entries = entries();
+        let mut step = fold(&entries);
         let result = walk_version(
             EncodingStrategy::BasicSec,
             entries.len(),
             |i| entries[i].0,
             3,
             None,
-            |idx| {
+            |idx, acc| {
                 if idx == 1 {
                     Err(CodeError::SparseRecoveryFailed { gamma: 1 })
                 } else {
-                    Ok((1, entries[idx].1.clone()))
+                    step(idx, acc)
                 }
             },
         );
