@@ -30,7 +30,7 @@ use crate::ordered::{LockRank, OrderedRwLock};
 use sec_store::fault;
 use sec_store::{FailurePattern, IoMetrics, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CacheStats, VersioningError};
+use sec_versioning::{ArchiveConfig, ArchiveLedger, CacheStats, VersioningError};
 
 use crate::engine::{EngineMetrics, EnginePrefix, EngineRetrieval, NodeLiveness, SecEngine};
 use sec_erasure::{ByteCodec, CodeParams, SecCode};
@@ -284,7 +284,7 @@ impl SecCluster {
         // Build the one codec every per-object archive will share; routing a
         // new object then costs no table materialization at all. `(n, k)`
         // was validated when `config` was built (`ArchiveConfig::new`), and
-        // every per-object `ByteVersionedArchive::with_codec` still checks
+        // every per-object `ArchiveLedger::with_codec` still checks
         // the codec against the config; what can fail here is the Cauchy
         // construction over `GF(2^8)`, reported as the archive would.
         let CodeParams { n, k } = config.params();
@@ -434,13 +434,13 @@ impl SecCluster {
         }
         // First append (probably — confirmed under the write lock below):
         // encode into a private engine with no map lock held.
-        let archive = ByteVersionedArchive::with_codec(self.config, self.codec.clone())
-            .map_err(StoreError::from)?;
+        let ledger =
+            ArchiveLedger::with_codec(self.config, self.codec.clone()).map_err(StoreError::from)?;
         // Each engine owns its cache, so per-object statistics and
         // capacities stay independent (the cluster's aggregate metrics sum
         // them).
         let engine = Arc::new(SecEngine::build(
-            archive,
+            ledger,
             self.cache_capacity,
             self.placement,
             shard.liveness.as_ref().map(Arc::clone),

@@ -109,7 +109,7 @@ use sec_store::{AtomicIoMetrics, FailurePattern, IoMetrics, Placement, Placement
 use sec_versioning::object::VersionId;
 use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
 use sec_versioning::{
-    ArchiveConfig, ByteVersionedArchive, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
+    ArchiveConfig, ArchiveLedger, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
     VersioningError,
 };
 
@@ -210,15 +210,16 @@ const CACHE_KEY: u64 = 0;
 /// order (with the cluster object map innermost) lives in `audit.toml` and
 /// `docs/INVARIANTS.md`.
 ///
-/// 1. **Archive** (`OrderedRwLock<ByteVersionedArchive>`) — entry metadata
-///    (payloads, sparsity levels, shard lengths) and the plaintext tail used
-///    for delta computation. Readers take it shared just long enough to
-///    snapshot the entry metadata, then release it for the append-only
-///    strategies (Basic/Optimized/NonDifferential) — so an in-flight
-///    `append_version` (which takes it exclusively) does not block the block
-///    reads of concurrent retrievals. Reversed SEC rewrites its trailing
-///    full-copy slot in place on append, so its readers hold the lock for
-///    the whole walk.
+/// 1. **Archive** (`OrderedRwLock<ArchiveLedger>`) — the layout ledger:
+///    entry metadata (payloads, sparsity levels, shard length) and the
+///    plaintext tail used for delta computation, and **no coded blocks** —
+///    every block lives on exactly one storage node (lock 3). Readers take
+///    it shared just long enough to snapshot the layout, then release it for
+///    the append-only strategies (Basic/Optimized/NonDifferential) — so an
+///    in-flight `append_version` (which takes it exclusively) does not block
+///    the block reads of concurrent retrievals. Reversed SEC rewrites its
+///    trailing full-copy slot in place on append, so its readers hold the
+///    lock for the whole walk.
 /// 2. **Slab directory** (`OrderedRwLock<Vec<NodeSlab>>`) — the placement-driven
 ///    node map. Under colocated placement it holds one slab of `n` nodes;
 ///    under dispersed placement one slab of `n` fresh nodes *per stored
@@ -250,7 +251,7 @@ const CACHE_KEY: u64 = 0;
 /// the crash model, where data survives on disk).
 #[derive(Debug)]
 pub struct SecEngine {
-    archive: OrderedRwLock<ByteVersionedArchive>,
+    archive: OrderedRwLock<ArchiveLedger>,
     codec: ByteCodec,
     placement: OrderedRwLock<Placement>,
     slabs: OrderedRwLock<Vec<NodeSlab>>,
@@ -301,12 +302,12 @@ impl SecEngine {
         placement: PlacementStrategy,
         cache_capacity: usize,
     ) -> Result<Self, StoreError> {
-        let archive = ByteVersionedArchive::new(config)?;
-        Ok(Self::build(archive, cache_capacity, placement, None))
+        let ledger = ArchiveLedger::new(config)?;
+        Ok(Self::build(ledger, cache_capacity, placement, None))
     }
 
     /// The one builder every constructor (and the cluster) funnels into:
-    /// wraps a still-empty archive in an empty placement and slab directory
+    /// wraps a still-empty ledger in an empty placement and slab directory
     /// (both grow on append).
     ///
     /// `shared_liveness` is the cluster hook (colocated only): every
@@ -314,14 +315,14 @@ impl SecEngine {
     /// failing a shard node is one atomic store observed by every
     /// co-hosted read planner. Dispersed engines own their node space.
     pub(crate) fn build(
-        archive: ByteVersionedArchive,
+        ledger: ArchiveLedger,
         cache_capacity: usize,
         strategy: PlacementStrategy,
         shared_liveness: Option<Arc<NodeLiveness>>,
     ) -> Self {
-        debug_assert!(archive.is_empty(), "engines are built empty and filled by append");
-        let n = archive.code().n();
-        let codec = archive.codec().clone();
+        debug_assert!(ledger.is_empty(), "engines are built empty and filled by append");
+        let n = ledger.code().n();
+        let codec = ledger.codec().clone();
         let slabs = match strategy {
             PlacementStrategy::Colocated => {
                 let alive = shared_liveness.unwrap_or_else(|| Arc::new(NodeLiveness::new(n)));
@@ -336,7 +337,7 @@ impl SecEngine {
             }
         };
         Self {
-            archive: OrderedRwLock::new(LockRank::Archive, archive),
+            archive: OrderedRwLock::new(LockRank::Archive, ledger),
             codec,
             placement: OrderedRwLock::new(LockRank::Placement, Placement::new(strategy, n, 0)),
             slabs: OrderedRwLock::new(LockRank::Directory, slabs),
@@ -535,31 +536,24 @@ impl SecEngine {
     /// failure.
     pub fn append_version(&self, object: &[u8]) -> Result<VersionId, StoreError> {
         let mut archive = self.archive.write();
-        let stored_before = archive.stored_entry_count();
-        let id = archive.append_version(object)?;
-        // Reversed SEC rewrites the trailing full copy's slot (it becomes
-        // the new delta) in addition to appending; every other strategy only
-        // appends one entry. The rewritten slot keeps its node set — entry
-        // indices never move, so placement addressing stays stable.
-        let start = match archive.config().strategy() {
-            EncodingStrategy::ReversedSec => stored_before.saturating_sub(1),
-            _ => stored_before,
-        };
-        let entries = archive.stored_entries();
+        // The ledger hands the new blocks over by value: one fresh slot, or
+        // for Reversed SEC two (the old full copy's slot becomes the new
+        // delta and keeps its node set — slots never move, so placement
+        // addressing stays stable). Dropped once written to their nodes.
+        let (id, writes) = archive.append(object)?;
         // Admit the new entries into the placement (and their slabs into the
         // directory) before any block lands.
-        self.grow_to_entries(entries.len());
+        self.grow_to_entries(archive.layout().len());
         fault::reached("engine::append::slab_grown");
-        for (entry_idx, entry) in entries.iter().enumerate().skip(start) {
-            let slab = self.slab_for_entry(entry_idx);
-            for position in 0..entry.shards.shard_count() {
+        for (slot, entry) in &writes {
+            let slab = self.slab_for_entry(*slot);
+            // Every slab holds n nodes, one per coded block of the entry.
+            for (position, node) in slab.nodes.iter().enumerate() {
                 let key = SymbolKey {
-                    entry: entry_idx,
+                    entry: *slot,
                     position,
                 };
-                // audit: panic ok — `position < shard_count = n`, and every slab holds n nodes
-                let mut node = slab.nodes[position].write();
-                node.put(key, entry.shards.shard(position).to_vec());
+                node.write().put(key, entry.shards.shard(position).to_vec());
                 self.metrics.add_symbol_writes(1);
             }
         }
@@ -613,7 +607,7 @@ impl SecEngine {
     /// [`StoreError::Code`] for a corrupt block.
     pub fn get_version(&self, l: usize) -> Result<EngineRetrieval, StoreError> {
         let archive = self.read_archive();
-        check_version(&archive, l)?;
+        archive.check_version(l)?;
         self.metrics.add_retrieval();
         // Probe the cache only for a validated version, so an out-of-range
         // request can never register as a (phantom) cache miss.
@@ -628,19 +622,21 @@ impl SecEngine {
             }
             anchor => anchor,
         };
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
+        let snap = Snapshot::take(archive);
         let out = walk_version(
-            strategy,
-            entries.len(),
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx| entries[idx].0,
+            snap.strategy,
+            snap.layout.len(),
+            // audit: panic ok — `idx` comes from walk_version, which stays within 0..layout.len()
+            |idx| snap.layout[idx],
             l,
             self.anchor_shards(anchor),
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx, acc| self.read_entry(idx, entries[idx].0, entries[idx].1, acc),
+            // audit: panic ok — `idx` comes from walk_version, which stays within 0..layout.len()
+            |idx, acc| self.read_entry(idx, snap.layout[idx], snap.shard_len, acc),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
-        let data = self.cache.insert(CACHE_KEY, l, out.shards.into_flat(object_len));
+        let data = self
+            .cache
+            .insert(CACHE_KEY, l, out.shards.into_flat(snap.object_len));
         Ok(EngineRetrieval {
             version: l,
             data,
@@ -662,23 +658,23 @@ impl SecEngine {
     /// As for [`SecEngine::get_version`].
     pub fn get_prefix(&self, l: usize) -> Result<EnginePrefix, StoreError> {
         let archive = self.read_archive();
-        check_version(&archive, l)?;
+        archive.check_version(l)?;
         self.metrics.add_retrieval();
         let tail = match archive.config().strategy() {
             EncodingStrategy::ReversedSec => self.cached_anchor(EncodingStrategy::ReversedSec, l),
             _ => None,
         };
-        let (strategy, object_len, entries, _pin) = self.snapshot_entries(archive);
+        let snap = Snapshot::take(archive);
         let out = walk_prefix(
-            strategy,
-            entries.len(),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
-            |idx| entries[idx].0,
+            snap.strategy,
+            snap.layout.len(),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx| snap.layout[idx],
             l,
-            object_len,
+            snap.object_len,
             self.anchor_shards(tail),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..entries.len()
-            |idx, acc| self.read_entry(idx, entries[idx].0, entries[idx].1, acc),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx, acc| self.read_entry(idx, snap.layout[idx], snap.shard_len, acc),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
         Ok(EnginePrefix {
@@ -723,41 +719,6 @@ impl SecEngine {
     /// untouched.
     pub fn clear_cache(&self) {
         self.cache.clear();
-    }
-
-    /// Snapshots the entry metadata a walk needs — `(payload, shard_len)`
-    /// per stored entry — and releases the archive read lock when the
-    /// strategy allows it.
-    ///
-    /// Basic/Optimized/NonDifferential archives are append-only: existing
-    /// entries and their node blocks never change, so once the metadata is
-    /// snapshotted the walk can run without the archive lock and a
-    /// concurrent `append_version` no longer blocks readers (this is what
-    /// makes the per-node lock sharding real). Reversed SEC rewrites the
-    /// trailing full-copy slot in place on every append, so its readers
-    /// keep the lock to pin that slot.
-    #[allow(clippy::type_complexity)]
-    fn snapshot_entries<'a>(
-        &self,
-        archive: OrderedReadGuard<'a, ByteVersionedArchive>,
-    ) -> (
-        EncodingStrategy,
-        usize,
-        Vec<(StoredPayload, usize)>,
-        Option<OrderedReadGuard<'a, ByteVersionedArchive>>,
-    ) {
-        let strategy = archive.config().strategy();
-        let object_len = archive.object_len().unwrap_or(0);
-        let entries: Vec<(StoredPayload, usize)> = archive
-            .stored_entries()
-            .iter()
-            .map(|e| (e.payload, e.shards.shard_len()))
-            .collect();
-        let pin = match strategy {
-            EncodingStrategy::ReversedSec => Some(archive),
-            _ => None,
-        };
-        (strategy, object_len, entries, pin)
     }
 
     /// Repairs a node after data loss: rebuilds every block it should hold
@@ -817,9 +778,8 @@ impl SecEngine {
         let archive = self.archive.write();
         let k = self.codec.code().k();
         let n = self.codec.code().n();
-        let entries = archive.stored_entries();
         let hosted: Vec<usize> = match self.placement().strategy() {
-            PlacementStrategy::Colocated => (0..entries.len()).collect(),
+            PlacementStrategy::Colocated => (0..archive.layout().len()).collect(),
             PlacementStrategy::Dispersed => vec![slab_idx],
         };
         let mut staged: Vec<(SymbolKey, Vec<u8>)> = Vec::with_capacity(hosted.len());
@@ -830,24 +790,11 @@ impl SecEngine {
             if live.len() < k {
                 return Err(StoreError::Unrecoverable { entry: entry_idx });
             }
+            // audit: panic ok — `live.len() >= k` was checked above
+            let sources = &live[..k];
             let block = {
-                // audit: panic ok — `live.len() >= k` was checked above
-                let guards = lock_nodes(&slab.nodes, &live[..k]);
-                let mut shares: Vec<(usize, &[u8])> = Vec::with_capacity(k);
-                // audit: panic ok — `live.len() >= k` was checked above
-                for (source, guard) in live[..k].iter().copied().zip(guards.iter()) {
-                    let key = SymbolKey {
-                        entry: entry_idx,
-                        position: source,
-                    };
-                    if !guard.touch(key) {
-                        self.metrics.add_failed_read();
-                        return Err(StoreError::Unrecoverable { entry: entry_idx });
-                    }
-                    self.metrics.add_symbol_reads(1);
-                    // audit: panic ok — touch succeeded on this guard, so the block is stored
-                    shares.push((source, guard.peek_stored(key).expect("touched above").as_slice()));
-                }
+                let guards = lock_nodes(&slab.nodes, sources);
+                let shares = self.gather(entry_idx, sources, &guards)?;
                 self.codec.rebuild_block(&shares, position)?
             };
             let key = SymbolKey {
@@ -937,7 +884,7 @@ impl SecEngine {
         }
     }
 
-    fn read_archive(&self) -> OrderedReadGuard<'_, ByteVersionedArchive> {
+    fn read_archive(&self) -> OrderedReadGuard<'_, ArchiveLedger> {
         self.archive.read()
     }
 
@@ -966,8 +913,22 @@ impl SecEngine {
             .map_err(|_| StoreError::Unrecoverable { entry: entry_idx })?;
 
         let guards = lock_nodes(&slab.nodes, &plan.nodes);
-        let mut shares: Vec<(usize, &[u8])> = Vec::with_capacity(plan.nodes.len());
-        for (&position, guard) in plan.nodes.iter().zip(guards.iter()) {
+        let shares = self.gather(entry_idx, &plan.nodes, &guards)?;
+        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
+        Ok((plan.io_reads, acc))
+    }
+
+    /// Counts one block read per position and borrows entry `entry_idx`'s
+    /// blocks from their locked nodes (`guards` as returned by
+    /// [`lock_nodes`] for `positions`).
+    fn gather<'g>(
+        &self,
+        entry_idx: usize,
+        positions: &[usize],
+        guards: &'g [OrderedReadGuard<'_, StorageNode<Vec<u8>>>],
+    ) -> Result<Vec<(usize, &'g [u8])>, StoreError> {
+        let mut shares = Vec::with_capacity(positions.len());
+        for (&position, guard) in positions.iter().zip(guards) {
             let key = SymbolKey {
                 entry: entry_idx,
                 position,
@@ -981,62 +942,64 @@ impl SecEngine {
                 return Err(StoreError::Unrecoverable { entry: entry_idx });
             }
             self.metrics.add_symbol_reads(1);
-            shares.push((
-                position,
-                // audit: panic ok — touch succeeded on this guard, so the block is stored
-                guard.peek_stored(key).expect("touched above").as_slice(),
-            ));
+            // audit: panic ok — touch succeeded on this guard, so the block is stored
+            let block = guard.peek_stored(key).expect("touched above");
+            shares.push((position, block.as_slice()));
         }
-        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
-        Ok((plan.io_reads, acc))
+        Ok(shares)
     }
 }
 
-/// Read-locks the given nodes of one slab in ascending id order (stable
-/// acquisition order keeps the lock graph acyclic alongside the
-/// one-at-a-time writers), returning guards in the caller's order.
+/// The ledger metadata one walk needs, taken under the archive read lock.
+///
+/// Basic/Optimized/NonDifferential archives are append-only: existing
+/// entries and their node blocks never change, so once the layout is copied
+/// the walk runs without the archive lock and a concurrent `append_version`
+/// no longer blocks readers (this is what makes the per-node lock sharding
+/// real). Reversed SEC rewrites the trailing full-copy slot in place on
+/// every append, so its readers keep the guard to pin that slot.
+struct Snapshot<'a> {
+    strategy: EncodingStrategy,
+    object_len: usize,
+    shard_len: usize,
+    layout: Vec<StoredPayload>,
+    _pin: Option<OrderedReadGuard<'a, ArchiveLedger>>,
+}
+
+impl<'a> Snapshot<'a> {
+    fn take(archive: OrderedReadGuard<'a, ArchiveLedger>) -> Self {
+        let strategy = archive.config().strategy();
+        Self {
+            strategy,
+            object_len: archive.object_len().unwrap_or(0),
+            shard_len: archive.shard_len(),
+            layout: archive.layout().to_vec(),
+            _pin: (strategy == EncodingStrategy::ReversedSec).then_some(archive),
+        }
+    }
+}
+
+/// Read-locks the given nodes of one slab in the given order, which every
+/// caller keeps strictly ascending ([`ReadPlan::nodes`](sec_erasure::read_plan::ReadPlan::nodes),
+/// a prefix of an ascending live set): a stable acquisition order keeps the
+/// lock graph acyclic alongside the one-at-a-time writers.
 fn lock_nodes<'a>(
     nodes: &'a [OrderedRwLock<StorageNode<Vec<u8>>>],
     positions: &[usize],
 ) -> Vec<OrderedReadGuard<'a, StorageNode<Vec<u8>>>> {
-    let mut sorted: Vec<usize> = positions.to_vec();
-    sorted.sort_unstable();
-    let mut guards: Vec<(usize, OrderedReadGuard<'a, StorageNode<Vec<u8>>>)> = sorted
-        .into_iter()
-        // audit: panic ok — planned positions come from the live set, which indexes this slab
-        .map(|p| (p, nodes[p].read()))
-        .collect();
-    // Hand the guards back in plan order.
-    positions
-        .iter()
-        .map(|&p| {
-            let idx = guards
-                .iter()
-                .position(|(gp, _)| *gp == p)
-                // audit: panic ok — `sorted` is a permutation of `positions`, so every lookup hits
-                .expect("every planned position was locked");
-            guards.swap_remove(idx).1
-        })
-        .collect()
-}
-
-fn check_version(archive: &ByteVersionedArchive, l: usize) -> Result<(), StoreError> {
-    if archive.is_empty() {
-        return Err(StoreError::Versioning(VersioningError::EmptyArchive));
-    }
-    if l == 0 || l > archive.len() {
-        return Err(StoreError::Versioning(VersioningError::NoSuchVersion {
-            requested: l,
-            available: archive.len(),
-        }));
-    }
-    Ok(())
+    debug_assert!(
+        positions.windows(2).all(|w| w.first() < w.last()),
+        "node locks are taken in ascending position order: {positions:?}"
+    );
+    // audit: panic ok — planned positions come from the live set, which indexes this slab
+    positions.iter().map(|&p| nodes[p].read()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
+    use sec_versioning::ByteVersionedArchive;
 
     fn config(strategy: EncodingStrategy) -> ArchiveConfig {
         ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap()
@@ -1305,7 +1268,7 @@ mod tests {
             engine.append_all(&vs).unwrap();
             reference.append_all(&vs).unwrap();
             // One slab of 6 fresh nodes per stored entry.
-            assert_eq!(engine.node_count(), 6 * reference.stored_entry_count());
+            assert_eq!(engine.node_count(), 6 * reference.layout().len());
             assert_eq!(engine.placement().strategy(), PlacementStrategy::Dispersed);
             for (l, expect) in vs.iter().enumerate() {
                 let r = engine.get_version(l + 1).unwrap();

@@ -6,10 +6,13 @@
 //! (`sec-erasure`, `sec-versioning`, `sec-store`) expose retrieval through
 //! `&self`, and this crate puts a long-lived engine on top of them:
 //!
-//! * [`SecEngine`] owns a `ByteVersionedArchive` behind an `RwLock` (shared
+//! * [`SecEngine`] owns an `ArchiveLedger` — the stored layout, γ profile
+//!   and plaintext tail, but no coded blocks — behind an `RwLock` (shared
 //!   for reads, exclusive only for appends and repairs) plus one `RwLock`'d
 //!   storage node per codeword position — the *sharded lock* layout, so a
-//!   retrieval locks exactly the nodes its read plan touches;
+//!   retrieval locks exactly the nodes its read plan touches. The nodes are
+//!   the only owner of coded blocks: an append writes the blocks the ledger
+//!   returns to their nodes and drops the encode buffer;
 //! * read planning is **lock-free**: node liveness lives in an array of
 //!   atomics outside the node locks, so planning a `2γ`-read sparse
 //!   retrieval never contends with in-flight block reads;

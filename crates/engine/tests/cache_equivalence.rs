@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use sec_engine::{PlacementStrategy, SecEngine};
 use sec_erasure::GeneratorForm;
 use sec_versioning::{
-    ArchiveConfig, ByteVersionedArchive, CacheStats, CheckpointPolicy, EncodingStrategy, StoredPayload,
+    ArchiveConfig, ArchiveLedger, ByteVersionedArchive, CacheStats, CheckpointPolicy, EncodingStrategy,
+    StoredPayload,
 };
 
 const N: usize = 6;
@@ -129,6 +130,29 @@ proptest! {
         let model = config.io_model();
         let layout: Vec<StoredPayload> =
             reference.stored_entries().iter().map(|e| e.payload).collect();
+
+        // Layout and write parity: a bare ledger — what the engine keeps
+        // behind its archive lock — records the layout the reference's
+        // blocks carry, and the engine wrote each block it returned to
+        // exactly one node: one entry per append, or for Reversed SEC two
+        // from the second version on (the rewritten slot and the new full).
+        let mut ledger = ArchiveLedger::new(config).unwrap();
+        let mut entries_written = 0usize;
+        for version in &versions {
+            entries_written += ledger.append(version).unwrap().1.len();
+        }
+        prop_assert_eq!(ledger.layout(), layout.as_slice(), "{} spacing {}", strategy, spacing);
+        prop_assert_eq!(ledger.checkpoints_written(), reference.checkpoints_written());
+        let appends = versions.len();
+        prop_assert_eq!(entries_written, match strategy {
+            EncodingStrategy::ReversedSec => 1 + 2 * (appends - 1),
+            _ => appends,
+        });
+        prop_assert_eq!(
+            engine.metrics_snapshot().io.symbol_writes as usize, N * entries_written,
+            "{} {:?} spacing {}: block writes", strategy, placement, spacing
+        );
+
         for l in 1..=versions.len() {
             let got = engine.get_version(l).unwrap();
             let want = reference.retrieve_version(l).unwrap();

@@ -54,7 +54,7 @@ fn failing_one_entry_degrades_only_the_versions_that_need_it() {
         let engine =
             SecEngine::with_placement(config(strategy), PlacementStrategy::Dispersed, 0).unwrap();
         engine.append_all(&vs).unwrap();
-        let entries = reference.stored_entry_count();
+        let entries = reference.layout().len();
 
         for doomed in 0..entries {
             // Wholesale-fail the doomed entry's private node set.

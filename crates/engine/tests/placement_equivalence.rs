@@ -73,7 +73,7 @@ proptest! {
         // The engine grew one fresh slab of n nodes per stored entry — the
         // same node space the dispersed store provisions up front.
         prop_assert_eq!(engine.node_count(), store.node_count());
-        prop_assert_eq!(engine.node_count(), N * reference.stored_entry_count());
+        prop_assert_eq!(engine.node_count(), N * reference.layout().len());
         prop_assert_eq!(engine.placement().strategy(), PlacementStrategy::Dispersed);
 
         let mut reported_reads = 0usize;

@@ -40,7 +40,9 @@ pub enum DecodeMethod {
 /// A concrete plan: which node indices to read and how to decode them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadPlan {
-    /// Indices of the coded symbols (nodes) to read, in read order.
+    /// Indices of the coded symbols (nodes) to read, in read order: strictly
+    /// ascending, so a reader that locks nodes in plan order acquires them in
+    /// one global order.
     pub nodes: Vec<usize>,
     /// Number of disk I/O reads the plan costs (`nodes.len()`).
     pub io_reads: usize,
@@ -305,6 +307,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn planned_nodes_are_strictly_ascending_for_every_live_subset() {
+        // `sec-engine` read-locks nodes in plan order and relies on that
+        // order being ascending. Every subset of the (6,3) code's nodes,
+        // handed over in descending order, under every target and both forms.
+        let (n, k) = (6usize, 3usize);
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let code: SecCode<Gf256> = SecCode::cauchy(n, k, form).unwrap();
+            let targets: Vec<ReadTarget> = std::iter::once(ReadTarget::Full)
+                .chain((0..=k).map(|gamma| ReadTarget::Sparse { gamma }))
+                .collect();
+            let mut feasible = 0usize;
+            for mask in 0u32..(1 << n) {
+                let live: Vec<usize> = (0..n).rev().filter(|&i| mask >> i & 1 == 1).collect();
+                for &target in &targets {
+                    let Ok(plan) = plan_read(&code, &live, target) else {
+                        continue;
+                    };
+                    feasible += 1;
+                    assert!(
+                        plan.nodes.windows(2).all(|w| w[0] < w[1]),
+                        "{form} live {live:?} {target:?}: {:?}",
+                        plan.nodes
+                    );
+                    assert!(plan.nodes.iter().all(|i| live.contains(i)));
+                    assert_eq!(plan.io_reads, plan.nodes.len(), "{form} live {live:?} {target:?}");
+                }
+            }
+            // Every subset of ≥ k nodes serves every target (42 subsets × 5).
+            assert!(feasible >= 42 * targets.len(), "{form}: {feasible}");
         }
     }
 

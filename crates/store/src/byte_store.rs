@@ -19,7 +19,7 @@ use rand::Rng;
 use sec_erasure::read_plan::plan_read;
 use sec_erasure::{ByteCodec, ByteShards};
 use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_version};
-use sec_versioning::{ByteVersionedArchive, StoredPayload, VersioningError};
+use sec_versioning::{ByteVersionedArchive, StoredPayload};
 
 use crate::failure::FailurePattern;
 use crate::metrics::{AtomicIoMetrics, IoMetrics};
@@ -215,7 +215,7 @@ impl ByteDistributedStore {
 
     /// Whether every stored object of the archive is recoverable.
     pub fn archive_recoverable(&self, archive: &ByteVersionedArchive) -> bool {
-        (0..archive.stored_entry_count()).all(|entry| self.entry_recoverable(archive, entry))
+        (0..archive.layout().len()).all(|entry| self.entry_recoverable(archive, entry))
     }
 
     /// Reads one stored entry from live nodes under the SEC read plan and
@@ -289,15 +289,7 @@ impl ByteDistributedStore {
                 supplied: entries.len(),
             });
         }
-        if archive.is_empty() {
-            return Err(StoreError::Versioning(VersioningError::EmptyArchive));
-        }
-        if l == 0 || l > archive.len() {
-            return Err(StoreError::Versioning(VersioningError::NoSuchVersion {
-                requested: l,
-                available: archive.len(),
-            }));
-        }
+        archive.check_version(l)?;
         self.metrics.add_retrieval();
 
         let out = walk_version(
@@ -308,7 +300,7 @@ impl ByteDistributedStore {
             l,
             None,
             // audit: panic ok — `idx` comes from walk_version, which stays within 0..entries.len()
-            |idx, acc| self.read_entry(idx, entries[idx].payload, entries[idx].shards.shard_len(), acc),
+            |idx, acc| self.read_entry(idx, entries[idx].payload, archive.shard_len(), acc),
         )?;
         Ok(ByteStoredRetrieval {
             data: out.shards.into_flat(self.object_len),
@@ -414,7 +406,7 @@ impl ByteDistributedStore {
 mod tests {
     use super::*;
     use sec_erasure::{CodeError, GeneratorForm};
-    use sec_versioning::{ArchiveConfig, EncodingStrategy};
+    use sec_versioning::{ArchiveConfig, EncodingStrategy, VersioningError};
 
     fn versions() -> Vec<Vec<u8>> {
         let v1: Vec<u8> = (0..60).map(|i| (i * 11 + 3) as u8).collect();

@@ -37,23 +37,16 @@
 //! # }
 //! ```
 
-use sec_erasure::read_plan::plan_read;
-use sec_erasure::{ByteCodec, ByteShards, SecCode};
+use std::ops::Deref;
 
-use crate::archive::{ArchiveConfig, EncodingStrategy, StoredPayload};
+use sec_erasure::read_plan::plan_read;
+use sec_erasure::{ByteCodec, ByteShards};
+
+use crate::archive::ArchiveConfig;
 use crate::error::VersioningError;
+use crate::ledger::{ArchiveLedger, ByteEncodedEntry};
 use crate::object::VersionId;
 use crate::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
-
-/// One stored, erasure-coded byte object: its semantic payload and its `n`
-/// coded blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ByteEncodedEntry {
-    /// What the coded blocks encode.
-    pub payload: StoredPayload,
-    /// The `n` coded blocks, shard `i` belonging to node position `i`.
-    pub shards: ByteShards,
-}
 
 /// Result of retrieving a single version from a byte archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +73,13 @@ pub struct BytePrefixRetrieval {
 }
 
 /// A delta-based versioned archive over byte objects, encoded with SEC
-/// through the batched byte-shard pipeline.
+/// through the batched byte-shard pipeline: an [`ArchiveLedger`] plus the
+/// coded blocks its appends return, kept in memory in walk order.
+///
+/// The archive dereferences to its ledger, so every metadata query
+/// (`config`, `codec`, `len`, `object_len`, `sparsity_profile`, `layout`, …)
+/// is the ledger's own; only the ledger's `append` is withheld, because the
+/// archive must store the blocks it returns.
 ///
 /// Every retrieval method takes `&self`: the codec is shared-read (its
 /// decode scratch is per-thread), so any number of readers can retrieve
@@ -88,19 +87,17 @@ pub struct BytePrefixRetrieval {
 /// exclusive borrow.
 #[derive(Debug)]
 pub struct ByteVersionedArchive {
-    config: ArchiveConfig,
-    codec: ByteCodec,
-    /// Fixed byte length of every version, set by the first append.
-    object_len: Option<usize>,
+    ledger: ArchiveLedger,
+    /// The coded blocks of `ledger.layout()`, slot for slot.
     entries: Vec<ByteEncodedEntry>,
-    latest_full: Option<ByteEncodedEntry>,
-    /// Plaintext copy of the latest version for delta computation.
-    latest_version: Vec<u8>,
-    sparsity: Vec<usize>,
-    versions: usize,
-    /// Consecutive deltas since the last stored full version.
-    delta_run: usize,
-    checkpoints_written: usize,
+}
+
+impl Deref for ByteVersionedArchive {
+    type Target = ArchiveLedger;
+
+    fn deref(&self) -> &ArchiveLedger {
+        &self.ledger
+    }
 }
 
 impl ByteVersionedArchive {
@@ -111,117 +108,10 @@ impl ByteVersionedArchive {
     /// Returns [`VersioningError::Code`] when the configured code cannot be
     /// built over `GF(2^8)` (e.g. `n` too large for the Cauchy construction).
     pub fn new(config: ArchiveConfig) -> Result<Self, VersioningError> {
-        let code = SecCode::cauchy(config.params().n, config.params().k, config.form())?;
-        Self::with_codec(config, ByteCodec::new(code))
-    }
-
-    /// Creates an empty byte archive that reuses an existing codec instead of
-    /// building one.
-    ///
-    /// [`ByteCodec`] is `Clone`-cheap (its code and multiplication tables sit
-    /// behind `Arc`s), so a fleet of archives over the same `(n, k)` code —
-    /// e.g. the per-object archives of a sharded cluster — can share one set
-    /// of `GF(2^8)` tables per process instead of materializing `n·k` cached
-    /// coefficient tables per archive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::CodecMismatch`] when the codec's code does
-    /// not match the configuration's `(n, k, form)`.
-    pub fn with_codec(config: ArchiveConfig, codec: ByteCodec) -> Result<Self, VersioningError> {
-        let expected = (config.params().n, config.params().k, config.form());
-        let code = codec.code();
-        let actual = (code.n(), code.k(), code.form());
-        if expected != actual {
-            return Err(VersioningError::CodecMismatch { expected, actual });
-        }
         Ok(Self {
-            config,
-            codec,
-            object_len: None,
+            ledger: ArchiveLedger::new(config)?,
             entries: Vec::new(),
-            latest_full: None,
-            latest_version: Vec::new(),
-            sparsity: Vec::new(),
-            versions: 0,
-            delta_run: 0,
-            checkpoints_written: 0,
         })
-    }
-
-    /// The archive configuration.
-    pub fn config(&self) -> ArchiveConfig {
-        self.config
-    }
-
-    /// The underlying erasure code.
-    pub fn code(&self) -> &SecCode<sec_gf::Gf256> {
-        self.codec.code()
-    }
-
-    /// The archive's batched codec. Cloning it is cheap and shares the code
-    /// and multiplication tables, which is how `sec-store` and `sec-engine`
-    /// avoid rebuilding them per store.
-    pub fn codec(&self) -> &ByteCodec {
-        &self.codec
-    }
-
-    /// Shared handle to the underlying code (no clone of the generator).
-    pub fn shared_code(&self) -> std::sync::Arc<SecCode<sec_gf::Gf256>> {
-        self.codec.shared_code()
-    }
-
-    /// Number of versions appended so far (`L`).
-    pub fn len(&self) -> usize {
-        self.versions
-    }
-
-    /// `true` when no version has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.versions == 0
-    }
-
-    /// Byte length every version must have, fixed by the first append
-    /// (`None` while the archive is empty).
-    pub fn object_len(&self) -> Option<usize> {
-        self.object_len
-    }
-
-    /// Per-block sparsity profile `γ_2, …, γ_L` of the appended versions.
-    pub fn sparsity_profile(&self) -> &[usize] {
-        &self.sparsity
-    }
-
-    /// Number of policy-forced checkpoint entries written so far (full
-    /// versions stored by the [`CheckpointPolicy`](crate::CheckpointPolicy)
-    /// where the strategy alone would have stored a delta).
-    pub fn checkpoints_written(&self) -> usize {
-        self.checkpoints_written
-    }
-
-    /// The stored entries, in append order (excluding the Reversed-SEC latest
-    /// full copy, exposed by [`ByteVersionedArchive::latest_full_entry`]).
-    pub fn entries(&self) -> &[ByteEncodedEntry] {
-        &self.entries
-    }
-
-    /// Reversed-SEC full copy of the latest version, when that strategy is in
-    /// use and at least one version exists.
-    pub fn latest_full_entry(&self) -> Option<&ByteEncodedEntry> {
-        self.latest_full.as_ref()
-    }
-
-    /// Number of stored objects ([`ByteVersionedArchive::stored_entries`]
-    /// without materializing the list).
-    pub fn stored_entry_count(&self) -> usize {
-        self.entries.len() + usize::from(self.latest_full.is_some())
-    }
-
-    /// Total number of stored coded bytes across all entries — the storage
-    /// footprint.
-    pub fn stored_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.shards.total_len()).sum::<usize>()
-            + self.latest_full.as_ref().map_or(0, |e| e.shards.total_len())
     }
 
     /// Appends the next version, encoding it according to the configured
@@ -233,116 +123,13 @@ impl ByteVersionedArchive {
     /// byte length differs from the first version's, or an encoding error
     /// from the code layer.
     pub fn append_version(&mut self, object: &[u8]) -> Result<VersionId, VersioningError> {
-        let k = self.config.params().k;
-        if let Some(expected) = self.object_len {
-            if object.len() != expected {
-                return Err(VersioningError::ObjectLengthMismatch {
-                    expected,
-                    actual: object.len(),
-                });
-            }
-        } else {
-            self.object_len = Some(object.len());
-        }
-        let id = VersionId(self.versions + 1);
-
-        if self.versions == 0 {
-            let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-            let entry = ByteEncodedEntry {
-                payload: StoredPayload::FullVersion { version: id.0 },
-                shards,
-            };
-            match self.config.strategy() {
-                EncodingStrategy::ReversedSec => self.latest_full = Some(entry),
-                _ => self.entries.push(entry),
-            }
-        } else {
-            // Bytewise delta against the cached previous version; γ counted
-            // per block.
-            let mut delta_bytes = object.to_vec();
-            sec_gf::bulk8::xor_accumulate(&mut delta_bytes, &[&self.latest_version]);
-            let delta = ByteShards::from_flat(&delta_bytes, k);
-            let gamma = delta.weight();
-            self.sparsity.push(gamma);
-            // Anchor checkpoints: after `spacing` consecutive deltas the next
-            // Basic/Optimized append stores the full version instead, bounding
-            // every forward walk to at most `spacing` delta applications.
-            let spacing = self.config.checkpoints().spacing;
-            let checkpoint_due = spacing > 0 && self.delta_run >= spacing;
-
-            match self.config.strategy() {
-                EncodingStrategy::NonDifferential => {
-                    let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                    self.entries.push(ByteEncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        shards,
-                    });
-                }
-                EncodingStrategy::BasicSec => {
-                    if checkpoint_due {
-                        let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            shards,
-                        });
-                        self.checkpoints_written += 1;
-                        self.delta_run = 0;
-                    } else {
-                        let shards = self.codec.encode_blocks(&delta)?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            shards,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::OptimizedSec => {
-                    let threshold_full = self.config.io_model().optimized_stores_full(gamma);
-                    if threshold_full || checkpoint_due {
-                        let shards = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::FullVersion { version: id.0 },
-                            shards,
-                        });
-                        if !threshold_full {
-                            self.checkpoints_written += 1;
-                        }
-                        self.delta_run = 0;
-                    } else {
-                        let shards = self.codec.encode_blocks(&delta)?;
-                        self.entries.push(ByteEncodedEntry {
-                            payload: StoredPayload::Delta {
-                                to: id.0,
-                                sparsity: gamma,
-                            },
-                            shards,
-                        });
-                        self.delta_run += 1;
-                    }
-                }
-                EncodingStrategy::ReversedSec => {
-                    let shards = self.codec.encode_blocks(&delta)?;
-                    self.entries.push(ByteEncodedEntry {
-                        payload: StoredPayload::Delta {
-                            to: id.0,
-                            sparsity: gamma,
-                        },
-                        shards,
-                    });
-                    let full = self.codec.encode_blocks(&ByteShards::from_flat(object, k))?;
-                    self.latest_full = Some(ByteEncodedEntry {
-                        payload: StoredPayload::FullVersion { version: id.0 },
-                        shards: full,
-                    });
-                }
+        let (id, writes) = self.ledger.append(object)?;
+        for (slot, entry) in writes {
+            match self.entries.get_mut(slot) {
+                Some(stored) => *stored = entry,
+                None => self.entries.push(entry),
             }
         }
-
-        self.latest_version = object.to_vec();
-        self.versions += 1;
         Ok(id)
     }
 
@@ -355,14 +142,13 @@ impl ByteVersionedArchive {
     /// remain in the archive. An empty sequence on an empty archive yields
     /// [`VersioningError::EmptyArchive`].
     pub fn append_all<B: AsRef<[u8]>>(&mut self, versions: &[B]) -> Result<VersionId, VersioningError> {
-        let mut last = VersionId(self.versions.max(1));
         for version in versions {
-            last = self.append_version(version.as_ref())?;
+            self.append_version(version.as_ref())?;
         }
-        if self.versions == 0 {
+        if self.is_empty() {
             return Err(VersioningError::EmptyArchive);
         }
-        Ok(last)
+        Ok(VersionId(self.len()))
     }
 
     /// Retrieves version `l` (1-based) assuming every node is alive, decoding
@@ -374,18 +160,17 @@ impl ByteVersionedArchive {
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_version(&self, l: usize) -> Result<ByteVersionRetrieval, VersioningError> {
         self.check_version(l)?;
-        let entries = self.stored_entries();
         let out = walk_version(
-            self.config.strategy(),
-            entries.len(),
-            |idx| entries[idx].payload,
+            self.config().strategy(),
+            self.entries.len(),
+            |idx| self.entries[idx].payload,
             l,
             None,
-            |idx, acc| apply_entry(&self.codec, entries[idx], acc),
+            |idx, acc| apply_entry(self.codec(), &self.entries[idx], acc),
         )?;
         Ok(ByteVersionRetrieval {
             version: l,
-            data: out.shards.into_flat(self.object_len.unwrap_or(0)),
+            data: out.shards.into_flat(self.object_len().unwrap_or(0)),
             io_reads: out.io_reads,
             entries_read: out.entries_read,
         })
@@ -399,15 +184,14 @@ impl ByteVersionedArchive {
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_prefix(&self, l: usize) -> Result<BytePrefixRetrieval, VersioningError> {
         self.check_version(l)?;
-        let entries = self.stored_entries();
         let out = walk_prefix(
-            self.config.strategy(),
-            entries.len(),
-            |idx| entries[idx].payload,
+            self.config().strategy(),
+            self.entries.len(),
+            |idx| self.entries[idx].payload,
             l,
-            self.object_len.unwrap_or(0),
+            self.object_len().unwrap_or(0),
             None,
-            |idx, acc| apply_entry(&self.codec, entries[idx], acc),
+            |idx, acc| apply_entry(self.codec(), &self.entries[idx], acc),
         )?;
         Ok(BytePrefixRetrieval {
             versions: out.versions,
@@ -416,30 +200,12 @@ impl ByteVersionedArchive {
         })
     }
 
-    /// All stored entries in the walk order shared by every read layer
-    /// ([`crate::walk`]): append-order entries, with the Reversed-SEC full
-    /// latest copy as the final element. `sec-store` and `sec-engine` build
-    /// their node layouts and read paths from this list, so the ordering
-    /// convention lives here, once.
+    /// All stored entries in the walk order of [`ArchiveLedger::layout`]:
+    /// append-order entries, with the Reversed-SEC full latest copy as the
+    /// final element. `sec-store` builds its node layout and read path from
+    /// this list.
     pub fn stored_entries(&self) -> Vec<&ByteEncodedEntry> {
-        let mut list: Vec<&ByteEncodedEntry> = self.entries.iter().collect();
-        if let Some(latest) = self.latest_full.as_ref() {
-            list.push(latest);
-        }
-        list
-    }
-
-    fn check_version(&self, l: usize) -> Result<(), VersioningError> {
-        if self.is_empty() {
-            return Err(VersioningError::EmptyArchive);
-        }
-        if l == 0 || l > self.len() {
-            return Err(VersioningError::NoSuchVersion {
-                requested: l,
-                available: self.len(),
-            });
-        }
-        Ok(())
+        self.entries.iter().collect()
     }
 }
 
@@ -464,6 +230,7 @@ fn apply_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::{EncodingStrategy, StoredPayload};
     use sec_erasure::GeneratorForm;
 
     fn archive(strategy: EncodingStrategy) -> ByteVersionedArchive {
@@ -476,7 +243,7 @@ mod tests {
         let config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let donor = ByteVersionedArchive::new(config).unwrap();
-        let shared = ByteVersionedArchive::with_codec(config, donor.codec().clone()).unwrap();
+        let shared = ArchiveLedger::with_codec(config, donor.codec().clone()).unwrap();
         // One set of mul tables per code: both archives point at the same
         // allocations.
         assert!(std::sync::Arc::ptr_eq(
@@ -492,7 +259,7 @@ mod tests {
         let other =
             ArchiveConfig::new(4, 2, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let other_codec = ByteVersionedArchive::new(other).unwrap().codec().clone();
-        match ByteVersionedArchive::with_codec(config, other_codec) {
+        match ArchiveLedger::with_codec(config, other_codec) {
             Err(VersioningError::CodecMismatch { expected, actual }) => {
                 assert_eq!((expected.0, expected.1), (6, 3));
                 assert_eq!((actual.0, actual.1), (4, 2));
@@ -504,7 +271,7 @@ mod tests {
             ArchiveConfig::new(6, 3, GeneratorForm::Systematic, EncodingStrategy::BasicSec).unwrap();
         let sys_codec = ByteVersionedArchive::new(sys).unwrap().codec().clone();
         assert!(matches!(
-            ByteVersionedArchive::with_codec(config, sys_codec),
+            ArchiveLedger::with_codec(config, sys_codec),
             Err(VersioningError::CodecMismatch { .. })
         ));
     }
@@ -529,7 +296,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.object_len(), Some(90));
         assert_eq!(a.sparsity_profile(), &[1, 2]);
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        let payloads: Vec<StoredPayload> = a.stored_entries().iter().map(|e| e.payload).collect();
         assert_eq!(
             payloads,
             vec![
@@ -538,9 +305,10 @@ mod tests {
                 StoredPayload::Delta { to: 3, sparsity: 2 },
             ]
         );
-        assert!(a.latest_full_entry().is_none());
+        assert_eq!(payloads, a.layout(), "blocks and ledger agree slot for slot");
         // L entries × n blocks × 30 bytes.
-        assert_eq!(a.stored_bytes(), 3 * 6 * 30);
+        let stored_bytes: usize = a.stored_entries().iter().map(|e| e.shards.total_len()).sum();
+        assert_eq!(stored_bytes, 3 * 6 * 30);
     }
 
     #[test]
@@ -571,7 +339,7 @@ mod tests {
     fn optimized_sec_stores_full_for_dense_deltas() {
         let mut a = archive(EncodingStrategy::OptimizedSec);
         a.append_all(&three_versions()).unwrap();
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        let payloads: Vec<StoredPayload> = a.stored_entries().iter().map(|e| e.payload).collect();
         // γ3 = 2 ≥ k/2 = 1.5 → version 3 stored in full.
         assert_eq!(
             payloads,
@@ -588,9 +356,16 @@ mod tests {
         let mut a = archive(EncodingStrategy::ReversedSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        assert_eq!(a.entries().len(), 2);
-        let latest = a.latest_full_entry().unwrap();
-        assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
+        // Two deltas, then the full latest copy as the final element.
+        let payloads: Vec<StoredPayload> = a.stored_entries().iter().map(|e| e.payload).collect();
+        assert_eq!(
+            payloads,
+            vec![
+                StoredPayload::Delta { to: 2, sparsity: 1 },
+                StoredPayload::Delta { to: 3, sparsity: 2 },
+                StoredPayload::FullVersion { version: 3 },
+            ]
+        );
         // Latest version costs only the full copy.
         let r = a.retrieve_version(3).unwrap();
         assert_eq!(r.data, versions[2]);

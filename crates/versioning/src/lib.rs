@@ -60,6 +60,7 @@ pub mod byte_archive;
 pub mod cache;
 pub mod delta;
 pub mod io_model;
+pub mod ledger;
 pub mod object;
 pub mod retrieval;
 pub mod walk;
@@ -67,13 +68,12 @@ pub mod walk;
 pub use archive::{
     ArchiveConfig, CheckpointPolicy, EncodedEntry, EncodingStrategy, StoredPayload, VersionedArchive,
 };
-pub use byte_archive::{
-    ByteEncodedEntry, BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive,
-};
+pub use byte_archive::{BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive};
 pub use cache::{CacheStats, DeltaCache};
 pub use delta::Delta;
 pub use error::VersioningError;
 pub use io_model::IoModel;
+pub use ledger::{ArchiveLedger, ByteEncodedEntry};
 pub use retrieval::{PrefixRetrieval, VersionRetrieval};
 
 #[cfg(test)]

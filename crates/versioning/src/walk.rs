@@ -15,8 +15,7 @@
 //!
 //! * `payload_at(i)` describes stored entry `i` of `stored_count` entries in
 //!   entry order, with the Reversed-SEC full latest copy as the **final**
-//!   element (the order [`ByteVersionedArchive::stored_entries`]
-//!   (crate::ByteVersionedArchive::stored_entries) produces);
+//!   element (the order of [`ArchiveLedger::layout`](crate::ArchiveLedger::layout));
 //! * the read callback is a *fold step*: it receives the entry index and the
 //!   chain's accumulator — `None` at the start of a chain, where the entry
 //!   is a full version to decode into a fresh buffer — and returns

@@ -47,8 +47,7 @@ fn versions() -> Vec<Vec<u8>> {
 /// Stored entries touched by retrieving version `l`, with their payloads, in
 /// the order the store reads them.
 fn touched_entries(archive: &ByteVersionedArchive, l: usize) -> Vec<(usize, StoredPayload)> {
-    let mut entries: Vec<StoredPayload> = archive.entries().iter().map(|e| e.payload).collect();
-    let latest = archive.latest_full_entry().map(|e| e.payload);
+    let entries: Vec<StoredPayload> = archive.stored_entries().iter().map(|e| e.payload).collect();
     match archive.config().strategy() {
         EncodingStrategy::NonDifferential => vec![(l - 1, entries[l - 1])],
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
@@ -59,14 +58,12 @@ fn touched_entries(archive: &ByteVersionedArchive, l: usize) -> Vec<(usize, Stor
             (anchor..l).map(|i| (i, entries[i])).collect()
         }
         EncodingStrategy::ReversedSec => {
-            // The latest full copy is stored after the delta entries.
-            let latest_idx = entries.len();
-            entries.push(latest.expect("reversed archives keep a latest full copy"));
-            let mut touched = vec![(latest_idx, entries[latest_idx])];
-            for idx in (l.saturating_sub(1)..latest_idx).rev() {
-                touched.push((idx, entries[idx]));
-            }
-            touched
+            // The latest full copy is the final stored entry; the walk reads
+            // it first, then rewinds through the deltas above `l`.
+            (l.saturating_sub(1)..entries.len())
+                .rev()
+                .map(|idx| (idx, entries[idx]))
+                .collect()
         }
     }
 }
