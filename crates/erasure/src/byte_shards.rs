@@ -50,17 +50,13 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use sec_gf::bulk8::{mul_multi, CoeffTables, MulTable};
+use sec_gf::bulk8::CoeffTables;
 use sec_gf::{GaloisField, Gf256};
 use sec_linalg::combinatorics::Combinations;
 use sec_linalg::{ops, Matrix};
 
 use crate::code::{GeneratorForm, SecCode};
 use crate::error::CodeError;
-
-/// One output row of a blocked application: each source shard paired with
-/// the split tables of its coefficient (zero coefficients filtered out).
-type RowSources<'a> = Vec<(&'a MulTable, &'a [u8])>;
 
 /// A set of equally sized byte shards stored in one contiguous buffer.
 ///
@@ -167,6 +163,16 @@ impl ByteShards {
         &self.data
     }
 
+    /// Every shard in turn, mutably — the destinations of a matrix apply.
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut [u8]> {
+        let (shard_len, mut rest) = (self.shard_len, self.data.as_mut_slice());
+        (0..self.shards).map(move |_| {
+            let (shard, tail) = std::mem::take(&mut rest).split_at_mut(shard_len);
+            rest = tail;
+            shard
+        })
+    }
+
     /// Copies the shards out as per-shard row vectors (reference-path shape).
     pub fn to_rows(&self) -> Vec<Vec<u8>> {
         (0..self.shards).map(|i| self.shard(i).to_vec()).collect()
@@ -234,7 +240,8 @@ impl ByteShards {
 /// thread-local one used by the convenience methods).
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// One strip of a residual row, for the full consistency verification.
+    /// One [`VERIFY_CHUNK`] of every residual row, for the full consistency
+    /// verification.
     row: Vec<u8>,
     /// The generator rows of the supplied shares, `r × k` row-major.
     phi: Vec<Gf256>,
@@ -243,6 +250,9 @@ pub struct DecodeScratch {
     work: Vec<Gf256>,
     /// Probe byte-columns: `r` observed bytes per probed offset.
     probes: Vec<Gf256>,
+    /// The rows of the transform being applied to the shares, as one
+    /// row-major `rows × r` matrix.
+    coeffs: Vec<Gf256>,
 }
 
 /// Probe columns kept per search. A probe only ever *rejects* a candidate
@@ -317,6 +327,16 @@ impl DecodeScratch {
     /// Row `j` of the transform `T` left by [`DecodeScratch::eliminate`].
     fn transform_row(work: &[Gf256], r: usize, w: usize, j: usize) -> &[Gf256] {
         &work[j * (w + r) + w..(j + 1) * (w + r)]
+    }
+
+    /// Gathers rows `rows` of the transform into `coeffs`, the matrix a
+    /// matrix apply over the `r` shares takes.
+    fn load_rows(&mut self, r: usize, w: usize, rows: std::ops::Range<usize>) {
+        self.coeffs.clear();
+        for j in rows {
+            self.coeffs
+                .extend_from_slice(Self::transform_row(&self.work, r, w, j));
+        }
     }
 
     /// Whether every residual row of the current transform vanishes on every
@@ -418,17 +438,10 @@ impl ByteCodec {
             });
         }
         check_shape(out, n, data.shard_len())?;
-        let g = self.code.generator();
-        // One fused source list per output row (zero coefficients dropped),
-        // then a strip-blocked application: every row consumes a strip of the
-        // sources before the pipeline moves on, so a multi-MiB encode streams
-        // each source strip through cache once instead of making `n` full
-        // passes over all `k` shards.
-        let sources = || (0..k).map(|col| data.shard(col));
-        let rows: Vec<RowSources<'_>> = (0..n)
-            .map(|row| self.row_sources((0..k).map(|col| g.get(row, col)), sources()))
-            .collect();
-        apply_rows_blocked(&rows, data.shard_len(), &mut out.data);
+        let srcs: Vec<&[u8]> = (0..k).map(|col| data.shard(col)).collect();
+        let mut coded: Vec<&mut [u8]> = out.shards_mut().collect();
+        self.tables
+            .matrix_apply(self.code.generator().as_slice(), &srcs, &mut coded, false);
         Ok(())
     }
 
@@ -476,17 +489,16 @@ impl ByteCodec {
             return Ok(());
         }
         let inv = self.inverse_for(used)?;
-        let rows: Vec<RowSources<'_>> = (0..k)
-            .map(|row| self.row_sources((0..k).map(|col| inv.get(row, col)), blocks_of(used)))
-            .collect();
-        apply_rows_blocked(&rows, shard_len, &mut out.data);
+        let mut data: Vec<&mut [u8]> = out.shards_mut().collect();
+        self.tables
+            .matrix_apply(inv.as_slice(), &blocks_of(used), &mut data, false);
         Ok(())
     }
 
     /// Rebuilds the single coded shard at `position` from any `k` (or more)
     /// coded shards — what a node repair needs. The one coefficient row
     /// `g[position] · inv(sub)` is composed first and applied to the `k`
-    /// source shards in one pass (`k` block products, against the
+    /// source shards as a `1 × k` matrix (`k` block products, against the
     /// `k² + n·k` of a decode followed by a re-encode).
     ///
     /// # Errors
@@ -506,13 +518,12 @@ impl ByteCodec {
         let used = &shares[..k];
         let inv = self.inverse_for(used)?;
         let g = self.code.generator();
-        let coeffs = (0..k).map(|col| (0..k).map(|j| g.get(position, j) * inv.get(j, col)).sum());
+        let coeffs: Vec<Gf256> = (0..k)
+            .map(|col| (0..k).map(|j| g.get(position, j) * inv.get(j, col)).sum())
+            .collect();
         let mut block = vec![0u8; shard_len];
-        apply_rows_blocked(
-            &[self.row_sources(coeffs, blocks_of(used))],
-            shard_len,
-            &mut block,
-        );
+        self.tables
+            .matrix_apply(&coeffs, &blocks_of(used), &mut [&mut block], false);
         Ok(block)
     }
 
@@ -521,20 +532,6 @@ impl ByteCodec {
         let rows: Vec<usize> = used.iter().map(|&(i, _)| i).collect();
         let sub = self.code.generator().select_rows(&rows)?;
         ops::invert(&sub).map_err(|_| CodeError::UndecodableShareSet)
-    }
-
-    /// One fused source list: each shard paired with the split tables of its
-    /// coefficient, zero coefficients dropped.
-    fn row_sources<'a>(
-        &'a self,
-        coeffs: impl Iterator<Item = Gf256>,
-        shards: impl Iterator<Item = &'a [u8]>,
-    ) -> RowSources<'a> {
-        coeffs
-            .zip(shards)
-            .filter(|(coeff, _)| !coeff.is_zero())
-            .map(|(coeff, shard)| (self.tables.get(coeff), shard))
-            .collect()
     }
 
     /// Recovers a block-level `γ`-sparse object (at most `γ` of its `k`
@@ -658,7 +655,7 @@ impl ByteCodec {
                     // probes but not the shards. Probe the offending offset.
                     Some(offset) => scratch.add_probe(shares, offset),
                     None => {
-                        self.accumulate_solution(shares, support, &scratch.work, acc);
+                        self.accumulate_solution(shares, support, scratch, acc);
                         return Ok(());
                     }
                 }
@@ -668,9 +665,9 @@ impl ByteCodec {
     }
 
     /// The full consistency check of the support just eliminated in
-    /// `scratch`: applies every residual row of the transform to the whole
-    /// shards and returns the first offset at which one is non-zero, `None`
-    /// when the support explains every byte.
+    /// `scratch`: applies the residual rows of the transform to the whole
+    /// shards, [`VERIFY_CHUNK`] bytes at a time, and returns an offset at
+    /// which one is non-zero, `None` when the support explains every byte.
     fn first_residual(
         &self,
         shares: &[(usize, &[u8])],
@@ -679,23 +676,21 @@ impl ByteCodec {
         scratch: &mut DecodeScratch,
     ) -> Option<usize> {
         let r = shares.len();
-        let DecodeScratch { row, work, .. } = scratch;
-        row.resize(L1_STRIP.min(shard_len), 0);
-        // Strip-first: every residual row consumes a strip of the shares
-        // while it is cache-resident before the check moves on.
-        for start in (0..shard_len).step_by(L1_STRIP) {
-            let end = (start + L1_STRIP).min(shard_len);
-            let residual = &mut row[..end - start];
-            for j in w..r {
-                residual.fill(0);
-                for (&coeff, &(_, shard)) in
-                    DecodeScratch::transform_row(work, r, w, j).iter().zip(shares)
-                {
-                    self.tables.mul_add_slice(coeff, &shard[start..end], residual);
-                }
-                if let Some(at) = first_nonzero(residual) {
-                    return Some(start + at);
-                }
+        scratch.load_rows(r, w, w..r);
+        let DecodeScratch { row, coeffs, .. } = scratch;
+        let chunk = VERIFY_CHUNK.min(shard_len);
+        row.resize((r - w) * chunk, 0);
+        for start in (0..shard_len).step_by(VERIFY_CHUNK) {
+            let len = chunk.min(shard_len - start);
+            let srcs: Vec<&[u8]> = shares
+                .iter()
+                .map(|&(_, shard)| &shard[start..start + len])
+                .collect();
+            let mut residuals: Vec<&mut [u8]> =
+                row.chunks_exact_mut(chunk).map(|res| &mut res[..len]).collect();
+            self.tables.matrix_apply(coeffs, &srcs, &mut residuals, false);
+            if let Some(at) = residuals.iter().find_map(|res| first_nonzero(res)) {
+                return Some(start + at);
             }
         }
         None
@@ -707,22 +702,16 @@ impl ByteCodec {
         &self,
         shares: &[(usize, &[u8])],
         support: &[usize],
-        work: &[Gf256],
+        scratch: &mut DecodeScratch,
         acc: &mut ByteShards,
     ) {
-        let (r, w) = (shares.len(), support.len());
-        let shard_len = acc.shard_len();
-        for start in (0..shard_len).step_by(L1_STRIP) {
-            let end = (start + L1_STRIP).min(shard_len);
-            for (j, &col) in support.iter().enumerate() {
-                let dst = &mut acc.shard_mut(col)[start..end];
-                for (&coeff, &(_, shard)) in
-                    DecodeScratch::transform_row(work, r, w, j).iter().zip(shares)
-                {
-                    self.tables.mul_add_slice(coeff, &shard[start..end], dst);
-                }
-            }
-        }
+        scratch.load_rows(shares.len(), support.len(), 0..support.len());
+        // `support` is sorted, so the kept blocks line up with its rows.
+        let mut solved: Vec<&mut [u8]> = (acc.shards_mut().enumerate())
+            .filter_map(|(block, shard)| support.contains(&block).then_some(shard))
+            .collect();
+        self.tables
+            .matrix_apply(&scratch.coeffs, &blocks_of(shares), &mut solved, true);
     }
 
     /// Validates indices (range, duplicates) and equal shard lengths,
@@ -757,18 +746,10 @@ impl ByteCodec {
     }
 }
 
-/// Strip size (bytes per shard) for the blocked row applications: sized so
-/// the combined source strips (~`sources` of them) fit in L2 (~128 KiB
-/// budget), clamped to `[4 KiB, 32 KiB]` and rounded down to a whole number
-/// of 64-byte cache lines.
-fn strip_len(sources: usize) -> usize {
-    (128 * 1024 / sources.max(1)).clamp(4096, 32 * 1024) & !63
-}
-
-/// Strip size of the sparse-recovery passes, which drive the
-/// multiply-accumulate kernel directly: one destination strip plus a strip
-/// of each of the `2γ` sources stays L1-resident across all rows.
-const L1_STRIP: usize = 4096;
+/// Bytes of each share the full verification of a support covers per step:
+/// bounds the residual scratch whatever the shard length, and a support that
+/// passed the probes and still fails is dropped at the first failing step.
+const VERIFY_CHUNK: usize = 32 * 1024;
 
 /// Length of the first share (0 for none) — the shard length of an output
 /// sized before the shares are validated.
@@ -777,8 +758,8 @@ fn first_len(shares: &[(usize, &[u8])]) -> usize {
 }
 
 /// The blocks of a share list, without their node indices.
-fn blocks_of<'a, 's>(shares: &'s [(usize, &'a [u8])]) -> impl Iterator<Item = &'a [u8]> + 's {
-    shares.iter().map(|&(_, shard)| shard)
+fn blocks_of<'a>(shares: &[(usize, &'a [u8])]) -> Vec<&'a [u8]> {
+    shares.iter().map(|&(_, shard)| shard).collect()
 }
 
 /// Checks that `shards` is `count` shards of `shard_len` bytes.
@@ -811,28 +792,6 @@ fn nonzero_span(shard: &[u8]) -> Option<(usize, usize)> {
     let tail = shard.len() - shard.rchunks(64).position(any_nonzero)? * 64;
     let last = shard[..tail].iter().rposition(|&b| b != 0)?;
     Some((first, last))
-}
-
-/// Applies every fused source list in `rows` into the corresponding
-/// `shard_len`-sized row of `out` (shard-major), strip-blocked: all rows
-/// consume one strip of the sources before the pipeline advances, so each
-/// source strip is pulled through cache once per *strip*, not once per row.
-fn apply_rows_blocked(rows: &[Vec<(&MulTable, &[u8])>], shard_len: usize, out: &mut [u8]) {
-    debug_assert_eq!(out.len(), rows.len() * shard_len);
-    let max_sources = rows.iter().map(Vec::len).max().unwrap_or(0);
-    let strip = strip_len(max_sources);
-    let mut strip_sources: Vec<(&MulTable, &[u8])> = Vec::with_capacity(max_sources);
-    let mut start = 0;
-    while start < shard_len {
-        let end = (start + strip).min(shard_len);
-        for (row, sources) in rows.iter().enumerate() {
-            strip_sources.clear();
-            strip_sources.extend(sources.iter().map(|&(table, s)| (table, &s[start..end])));
-            let dst = &mut out[row * shard_len + start..row * shard_len + end];
-            mul_multi(&strip_sources, dst);
-        }
-        start = end;
-    }
 }
 
 #[cfg(test)]
@@ -1136,27 +1095,40 @@ mod tests {
 
     #[test]
     fn cached_coefficients_counts_distinct_nontrivial_generator_entries() {
-        let codec = codec(6, 3, GeneratorForm::NonSystematic);
-        assert_eq!(
-            codec.shared_tables().cached_coefficients(),
-            0,
-            "cache starts empty"
-        );
-        let data = ByteShards::from_flat(&object(96), 3);
-        codec.encode_blocks(&data).unwrap();
-        // Tables are built lazily, one per *distinct* coefficient the encode
-        // actually multiplies by: the c = 0 / c = 1 fast paths never touch
-        // the cache, so the count after an encode is exactly the number of
-        // distinct generator entries outside {0, 1}.
-        let g = codec.code().generator();
-        let expect: std::collections::BTreeSet<u64> = (0..codec.code().n())
-            .flat_map(|row| (0..codec.code().k()).map(move |col| g.get(row, col).to_u64()))
-            .filter(|&v| v > 1)
-            .collect();
-        assert_eq!(codec.shared_tables().cached_coefficients(), expect.len());
-        // Re-encoding reuses every cached table: the count must not grow.
-        codec.encode_blocks(&data).unwrap();
-        assert_eq!(codec.shared_tables().cached_coefficients(), expect.len());
+        for form in [GeneratorForm::NonSystematic, GeneratorForm::Systematic] {
+            let codec = codec(6, 3, form);
+            assert_eq!(
+                codec.shared_tables().cached_coefficients(),
+                0,
+                "cache starts empty"
+            );
+            let data = ByteShards::from_flat(&object(96), 3);
+            codec.encode_blocks(&data).unwrap();
+            // Tables are built lazily, one per *distinct* coefficient the
+            // encode actually multiplies by. A unit row — every systematic
+            // symbol — is a copy that touches no table, so the count after an
+            // encode is exactly the number of distinct entries of the other
+            // rows.
+            let g = codec.code().generator();
+            let expect: std::collections::BTreeSet<u64> = g
+                .iter_rows()
+                .filter(|row| row.iter().filter(|c| !c.is_zero()).count() > 1)
+                .flat_map(|row| row.iter().map(|c| c.to_u64()))
+                .collect();
+            assert!(!expect.contains(&0), "{form}: a Cauchy row has no zero entry");
+            assert_eq!(
+                codec.shared_tables().cached_coefficients(),
+                expect.len(),
+                "{form}"
+            );
+            // Re-encoding reuses every cached table: the count must not grow.
+            codec.encode_blocks(&data).unwrap();
+            assert_eq!(
+                codec.shared_tables().cached_coefficients(),
+                expect.len(),
+                "{form}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl<F: GaloisField> PuncturedCodeword<F> {
         self.positions
             .iter()
             .zip(&self.symbols)
-            .filter(|(pos, _)| live.map_or(true, |l| l.contains(*pos)))
+            .filter(|(pos, _)| live.is_none_or(|l| l.contains(*pos)))
             .map(|(&pos, &sym)| (pos, sym))
             .collect()
     }

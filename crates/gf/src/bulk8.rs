@@ -10,11 +10,11 @@
 //! coefficient so repeated generator-matrix rows reuse them.
 //!
 //! Every slice entry point here dispatches through the runtime-selected
-//! [`kernel`](crate::kernel): SSSE3/AVX2 `PSHUFB` or NEON `TBL` nibble
-//! lookups where the CPU supports them, otherwise portable scalar loops over
-//! the flattened table in [`CHUNK`]-byte blocks. Calling code never notices
-//! which kernel ran — all of them are locked bit-identical by differential
-//! tests — and `SEC_GF_KERNEL=scalar` (or
+//! [`kernel`](crate::kernel): GFNI bit-matrix products, SSSE3/AVX2 `PSHUFB`
+//! or NEON `TBL` nibble lookups where the CPU supports them, otherwise
+//! portable scalar loops over the flattened table in [`CHUNK`]-byte blocks.
+//! Calling code never notices which kernel ran — all of them are locked
+//! bit-identical by differential tests — and `SEC_GF_KERNEL=scalar` (or
 //! [`force_kernel`](crate::kernel::force_kernel)) pins the scalar path.
 //!
 //! The scalar [`bulk`](crate::bulk) path remains the reference
@@ -56,11 +56,14 @@ pub const CHUNK: usize = 64;
 /// product table is derived from the pair for the scalar inner loops; the
 /// split tables themselves are exactly what the SIMD kernels load into
 /// vector registers for `PSHUFB`/`TBL` nibble lookups (see
-/// [`kernel`](crate::kernel)).
+/// [`kernel`](crate::kernel)). Multiplication by `c` is also a linear map
+/// on the bits of `b`, and its 8×8 bit-matrix is kept in the operand layout
+/// of `GF2P8AFFINEQB` for the GFNI kernel.
 #[derive(Debug, Clone)]
 pub struct MulTable {
     lo: [u8; 16],
     hi: [u8; 16],
+    affine: u64,
     flat: [u8; 256],
 }
 
@@ -77,7 +80,14 @@ impl MulTable {
         for (x, slot) in flat.iter_mut().enumerate() {
             *slot = lo[x & 0xF] ^ hi[x >> 4];
         }
-        Self { lo, hi, flat }
+        // Output bit `i` of `c·b` is the parity of `b` masked by the inputs
+        // `j` whose image `c·2^j` has bit `i` set; the instruction reads that
+        // mask from byte `7 - i` of the matrix.
+        let affine = (0..8).fold(0u64, |matrix, i| {
+            let mask = (0..8).fold(0u64, |mask, j| mask | u64::from(flat[1 << j] >> i & 1) << j);
+            matrix | mask << (8 * (7 - i))
+        });
+        Self { lo, hi, affine, flat }
     }
 
     /// The low-nibble split table: `lo[x] = c·x` for `x ∈ 0..16`.
@@ -88,6 +98,12 @@ impl MulTable {
     /// The high-nibble split table: `hi[x] = c·(x·16)` for `x ∈ 0..16`.
     pub fn high_nibble(&self) -> &[u8; 16] {
         &self.hi
+    }
+
+    /// The 8×8 bit-matrix of `b ↦ c·b` as `GF2P8AFFINEQB` takes it: byte
+    /// `7 - i` masks the input bits whose parity is output bit `i`.
+    pub fn affine_matrix(&self) -> u64 {
+        self.affine
     }
 
     /// Multiplies one byte by the table's coefficient.
@@ -132,9 +148,10 @@ impl CoeffTables {
     /// Tables are built **lazily, one per distinct coefficient**, the first
     /// time [`CoeffTables::get`] sees that coefficient — never eagerly. The
     /// `c = 0` and `c = 1` fast paths in [`CoeffTables::mul_add_slice`] /
-    /// [`CoeffTables::mul_slice`] skip the cache entirely, so after an
-    /// encode this counts exactly the distinct generator coefficients
-    /// outside `{0, 1}`, not every coefficient the matrix mentions.
+    /// [`CoeffTables::mul_slice`] and the unit rows of
+    /// [`CoeffTables::matrix_apply`] skip the cache entirely, so after an
+    /// encode this counts exactly the distinct coefficients of the
+    /// generator's non-unit rows, not every coefficient the matrix mentions.
     pub fn cached_coefficients(&self) -> usize {
         self.slots.iter().filter(|slot| slot.get().is_some()).count()
     }
@@ -192,6 +209,41 @@ impl CoeffTables {
             return;
         }
         mul_with(self.get(c), src, dst);
+    }
+
+    /// The matrix apply, the one operation behind every block product:
+    /// `dsts[r] = Σ_c coeffs[r·cols + c] · srcs[c]` (sum in `GF(2^8)`, i.e.
+    /// XOR) over equal-length byte slices, with `cols = srcs.len()` and
+    /// `coeffs` row-major; `accumulate` makes it `dsts[r] ^= …`.
+    ///
+    /// Encode is the generator applied to the data shards, decode an inverse
+    /// applied to the shares, sparse recovery two rows-of-a-transform applied
+    /// to the shares. On the AVX2 and GFNI kernels every register-wide column of
+    /// the sources is loaded once, each row is summed in a register and each
+    /// output written once; the other kernels run one product at a time over
+    /// L1-sized strips. A unit row (a single coefficient 1) is a plain copy —
+    /// or XOR — on every kernel, and no table is built for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` is not `dsts.len() · srcs.len()` long or any slice
+    /// length differs from the first destination's.
+    pub fn matrix_apply(
+        &self,
+        coeffs: &[Gf256],
+        srcs: &[&[u8]],
+        dsts: &mut [&mut [u8]],
+        accumulate: bool,
+    ) {
+        assert_matrix_shape(coeffs.len(), srcs, dsts);
+        crate::kernel::matrix_apply_with(
+            crate::kernel::active_ops(),
+            self,
+            coeffs,
+            srcs,
+            dsts,
+            accumulate,
+        );
     }
 }
 
@@ -271,28 +323,6 @@ pub fn xor_accumulate(dst: &mut [u8], srcs: &[&[u8]]) {
     crate::kernel::xor_accumulate_with(crate::kernel::active_ops(), dst, srcs);
 }
 
-/// Fused multi-source product row: `dst[i] = Σ_j tables_j.mul(srcs_j[i])`
-/// (sum in `GF(2^8)`, i.e. XOR), overwriting `dst`.
-///
-/// This is the inner loop of block encode/decode: one output row is a linear
-/// combination of `k` source shards. The destination is tiled into L1-sized
-/// strips; within a strip the first source is written with a plain multiply
-/// and every further source fused in with multiply-accumulate, so the strip
-/// stays hot across all `k` sources and is streamed out exactly once.
-///
-/// Zero coefficients should be filtered out by the caller; the identity
-/// coefficient works through its (identity) table.
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn mul_multi(sources: &[(&MulTable, &[u8])], dst: &mut [u8]) {
-    for (_, src) in sources {
-        assert_slice_lengths("mul_multi", dst.len(), src.len());
-    }
-    crate::kernel::mul_multi_with(crate::kernel::active_ops(), sources, dst);
-}
-
 /// Kernel-dispatched `dst[i] ^= table.mul(src[i])`; lengths already checked.
 fn mul_add_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     (crate::kernel::active_ops().mul_add)(table, src, dst);
@@ -301,6 +331,24 @@ fn mul_add_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
 /// Kernel-dispatched `dst[i] = table.mul(src[i])`; lengths already checked.
 fn mul_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     (crate::kernel::active_ops().mul)(table, src, dst);
+}
+
+/// Checks a matrix apply's shape: `rows · cols` coefficients and one length
+/// across every destination and source.
+pub(crate) fn assert_matrix_shape(coeffs: usize, srcs: &[&[u8]], dsts: &[&mut [u8]]) {
+    assert_eq!(
+        coeffs,
+        dsts.len() * srcs.len(),
+        "matrix_apply requires one coefficient per (destination, source) pair"
+    );
+    let len = dsts.first().map_or(0, |dst| dst.len());
+    let lens = dsts
+        .iter()
+        .map(|dst| dst.len())
+        .chain(srcs.iter().map(|src| src.len()));
+    for actual in lens {
+        assert_slice_lengths("matrix_apply", len, actual);
+    }
 }
 
 pub(crate) fn assert_slice_lengths(op: &str, dst: usize, src: usize) {
@@ -390,29 +438,43 @@ mod tests {
     }
 
     #[test]
-    fn mul_multi_matches_sequential_kernels() {
+    fn matrix_apply_matches_sequential_kernels() {
         let tables = CoeffTables::new();
+        // Two dense rows, a unit row and a zero row over three sources.
+        let coeffs: Vec<Gf256> = [3, 1, 0xB1, 0x1D, 0, 0x53, 0, 1, 0, 0, 0, 0]
+            .map(Gf256::from_u64)
+            .to_vec();
         for len in [0usize, 1, 63, 64, 65, 130] {
             let srcs: Vec<Vec<u8>> = (0..3)
                 .map(|r| (0..len).map(|i| ((r * 97 + i * 13 + 5) & 0xFF) as u8).collect())
                 .collect();
-            let coeffs = [Gf256::from_u64(3), Gf256::ONE, Gf256::from_u64(0xB1)];
-            let mut expect = vec![0u8; len];
-            for (c, src) in coeffs.iter().zip(&srcs) {
-                tables.mul_add_slice(*c, src, &mut expect);
+            let views: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+            for accumulate in [false, true] {
+                let mut expect = vec![vec![if accumulate { 0xEE } else { 0 }; len]; 4];
+                for (row, dst) in coeffs.chunks_exact(3).zip(&mut expect) {
+                    for (c, src) in row.iter().zip(&srcs) {
+                        tables.mul_add_slice(*c, src, dst);
+                    }
+                }
+                let mut fused = vec![vec![0xEEu8; len]; 4];
+                let mut dsts: Vec<&mut [u8]> = fused.iter_mut().map(Vec::as_mut_slice).collect();
+                tables.matrix_apply(&coeffs, &views, &mut dsts, accumulate);
+                assert_eq!(fused, expect, "len {len} accumulate {accumulate}");
             }
-            let sources: Vec<(&MulTable, &[u8])> = coeffs
-                .iter()
-                .zip(&srcs)
-                .map(|(&c, s)| (tables.get(c), s.as_slice()))
-                .collect();
-            let mut fused = vec![0xEEu8; len]; // mul_multi overwrites
-            mul_multi(&sources, &mut fused);
-            assert_eq!(fused, expect, "len {len}");
-            // No sources → zero row.
-            mul_multi(&[], &mut fused);
-            assert!(fused.iter().all(|&b| b == 0));
+            // No sources → zero rows, or untouched ones when accumulating.
+            let mut row = vec![0xEEu8; len];
+            tables.matrix_apply(&[], &[], &mut [&mut row], true);
+            assert!(row.iter().all(|&b| b == 0xEE));
+            tables.matrix_apply(&[], &[], &mut [&mut row], false);
+            assert!(row.iter().all(|&b| b == 0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix_apply requires equally sized byte shards (dst 2 vs src 3)")]
+    fn matrix_apply_length_mismatch_panics() {
+        let mut dst = [0u8; 2];
+        CoeffTables::new().matrix_apply(&[Gf256::ONE], &[&[0u8; 3]], &mut [&mut dst], false);
     }
 
     #[test]

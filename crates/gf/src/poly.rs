@@ -146,7 +146,7 @@ impl<F: GaloisField> Poly<F> {
     pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
         assert!(!divisor.is_zero(), "polynomial division by zero");
         let dd = divisor.degree().expect("non-zero divisor");
-        if self.degree().map_or(true, |d| d < dd) {
+        if self.degree().is_none_or(|d| d < dd) {
             return (Self::zero(), self.clone());
         }
         let lead_inv = divisor.coeffs[dd]
@@ -277,7 +277,7 @@ mod tests {
         let p = p256(&[7, 1, 0, 3, 9]);
         let d = p256(&[2, 5, 1]);
         let (q, r) = p.div_rem(&d);
-        assert!(r.degree().map_or(true, |rd| rd < d.degree().unwrap()));
+        assert!(r.degree().is_none_or(|rd| rd < d.degree().unwrap()));
         assert_eq!(q.mul(&d).add(&r), p);
     }
 

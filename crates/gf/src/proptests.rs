@@ -179,16 +179,12 @@ proptest! {
             Just(16 * 1024usize + 1)
         ],
         c in 0u64..256,
-        c2 in 0u64..256,
         seed in 0u64..u64::MAX,
     ) {
         use crate::kernel::Kernel;
         let table = crate::bulk8::MulTable::new(Gf256::from_u64(c));
-        let table2 = crate::bulk8::MulTable::new(Gf256::from_u64(c2));
         let src: Vec<u8> = (0..len).map(|i| (seed.wrapping_mul(i as u64 + 1) >> 13) as u8).collect();
         let init: Vec<u8> = (0..len).map(|i| (seed.wrapping_add(i as u64 * 7) >> 21) as u8).collect();
-        let sources: Vec<(&crate::bulk8::MulTable, &[u8])> =
-            vec![(&table, src.as_slice()), (&table2, init.as_slice())];
 
         // The scalar kernel is the reference; every kernel the host supports
         // must be bit-identical to it through the per-kernel checked ops.
@@ -198,8 +194,6 @@ proptest! {
         Kernel::Scalar.mul_add_slice(&table, &src, &mut want_add).unwrap();
         let mut want_xor = init.clone();
         Kernel::Scalar.xor_slice(&src, &mut want_xor).unwrap();
-        let mut want_multi = vec![0u8; len];
-        Kernel::Scalar.mul_multi(&sources, &mut want_multi).unwrap();
 
         for kernel in Kernel::available() {
             let mut got = vec![0xEEu8; len];
@@ -211,9 +205,64 @@ proptest! {
             let mut got = init.clone();
             kernel.xor_slice(&src, &mut got).unwrap();
             prop_assert_eq!(&got, &want_xor, "xor_slice diverged on kernel `{}`", kernel.name());
-            let mut got = vec![0x77u8; len];
-            kernel.mul_multi(&sources, &mut got).unwrap();
-            prop_assert_eq!(&got, &want_multi, "mul_multi diverged on kernel `{}`", kernel.name());
+        }
+    }
+
+    #[test]
+    fn matrix_apply_matches_field_arithmetic_on_every_kernel(
+        rows in 1usize..=12,
+        // Up to one past a column tile and a half.
+        cols in 1usize..=13,
+        len in prop_oneof![0usize..258, Just(4096usize + 13), Just(2 * 4096usize)],
+        offset in 0usize..64,
+        mode in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        use crate::kernel::Kernel;
+        let accumulate = mode == 1;
+        let byte = |i: usize, salt: u64| (seed.wrapping_add(salt).wrapping_mul(i as u64 * 2 + 1) >> 23) as u8;
+        // A quarter of the coefficients are 0 or 1, and row 0 is a unit row.
+        let mut coeffs: Vec<Gf256> = (0..rows * cols)
+            .map(|i| match byte(i, 1) {
+                b if b < 32 => Gf256::ZERO,
+                b if b < 64 => Gf256::ONE,
+                b => Gf256::from_u64(u64::from(b)),
+            })
+            .collect();
+        if seed % 2 == 0 {
+            coeffs[..cols].fill(Gf256::ZERO);
+            coeffs[seed as usize % cols] = Gf256::ONE;
+        }
+        let srcs: Vec<Vec<u8>> = (0..cols)
+            .map(|c| (0..offset + len).map(|i| byte(i, 100 + c as u64)).collect())
+            .collect();
+        let init: Vec<Vec<u8>> = (0..rows)
+            .map(|r| (0..offset + len).map(|i| byte(i, 200 + r as u64)).collect())
+            .collect();
+
+        // Reference: the generic per-symbol kernels over `Gf256`.
+        let want: Vec<Vec<u8>> = (0..rows)
+            .map(|r| {
+                let start = if accumulate { &init[r][offset..] } else { &vec![0u8; len][..] };
+                let mut sum: Vec<Gf256> = crate::bulk::bytes_to_symbols(start);
+                for (c, src) in srcs.iter().enumerate() {
+                    let symbols: Vec<Gf256> = crate::bulk::bytes_to_symbols(&src[offset..]);
+                    crate::bulk::mul_add_assign(&mut sum, coeffs[r * cols + c], &symbols);
+                }
+                crate::bulk::symbols_to_bytes(&sum)
+            })
+            .collect();
+
+        let tables = crate::bulk8::CoeffTables::new();
+        let views: Vec<&[u8]> = srcs.iter().map(|src| &src[offset..]).collect();
+        for kernel in Kernel::available() {
+            let mut out = init.clone();
+            let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(|dst| &mut dst[offset..]).collect();
+            kernel.matrix_apply(&tables, &coeffs, &views, &mut dsts, accumulate).unwrap();
+            for (r, (got, before)) in out.iter().zip(&init).enumerate() {
+                prop_assert_eq!(&got[..offset], &before[..offset], "row {} head on `{}`", r, kernel.name());
+                prop_assert_eq!(&got[offset..], &want[r][..], "row {} on kernel `{}`", r, kernel.name());
+            }
         }
     }
 

@@ -56,7 +56,7 @@ use crate::sys::{Interest, Poller, Waker};
 const WAKER_TOKEN: u64 = u64::MAX;
 /// Reactor token of the listener (worker 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
-/// Bytes per read syscall.
+/// Spare room a read syscall is offered, at least.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Tunables for [`Server::start`].
@@ -218,7 +218,10 @@ impl Drop for ServerHandle {
 /// One connection's state, owned by its worker.
 struct Conn {
     stream: TcpStream,
+    /// Read buffer: `rbuf[..rlen]` holds received bytes not yet consumed, the
+    /// rest is zero-filled once and then reused as the room reads land in.
     rbuf: Vec<u8>,
+    rlen: usize,
     wbuf: Vec<u8>,
     /// Flushed prefix of `wbuf`.
     wpos: usize,
@@ -383,6 +386,7 @@ fn admit(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, stream: TcpStream)
         Conn {
             stream,
             rbuf: Vec::new(),
+            rlen: 0,
             wbuf: Vec::new(),
             wpos: 0,
             interest: Interest::READ,
@@ -394,31 +398,30 @@ fn admit(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, stream: TcpStream)
     Ok(())
 }
 
-/// Reads until `WouldBlock` (level-triggered, so a short read re-arms).
+/// Reads until the socket has no more to give: a read that comes back short
+/// of the room it was offered drained it, and the poller is level-triggered,
+/// so later bytes — and EOF — wake the worker again.
 fn read_some(conn: &mut Conn) -> io::Result<()> {
     loop {
-        let old = conn.rbuf.len();
-        conn.rbuf.resize(old + READ_CHUNK, 0);
-        match conn.stream.read(&mut conn.rbuf[old..]) {
+        if conn.rbuf.len() - conn.rlen < READ_CHUNK {
+            conn.rbuf.resize(conn.rlen + READ_CHUNK, 0);
+        }
+        let room = &mut conn.rbuf[conn.rlen..];
+        match conn.stream.read(room) {
             Ok(0) => {
-                conn.rbuf.truncate(old);
                 conn.peer_closed = true;
                 return Ok(());
             }
             Ok(n) => {
-                conn.rbuf.truncate(old + n);
+                let drained = n < room.len();
+                conn.rlen += n;
+                if drained {
+                    return Ok(());
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conn.rbuf.truncate(old);
-                return Ok(());
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                conn.rbuf.truncate(old);
-            }
-            Err(e) => {
-                conn.rbuf.truncate(old);
-                return Err(e);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -426,12 +429,13 @@ fn read_some(conn: &mut Conn) -> io::Result<()> {
 /// Parses and serves every complete frame in the read buffer, appending
 /// all responses (in request order) to the write buffer.
 fn process_conn(cluster: &SecCluster, conn: &mut Conn) {
-    let (consumed, poisoned) = process_frames(cluster, &conn.rbuf, &mut conn.wbuf);
+    let (consumed, poisoned) = process_frames(cluster, &conn.rbuf[..conn.rlen], &mut conn.wbuf);
     if poisoned {
         conn.closing = true;
-        conn.rbuf.clear();
+        conn.rlen = 0;
     } else if consumed > 0 {
-        conn.rbuf.drain(..consumed);
+        conn.rbuf.copy_within(consumed..conn.rlen, 0);
+        conn.rlen -= consumed;
     }
 }
 

@@ -352,6 +352,63 @@ fn torn_frames_across_writes_still_parse() {
 }
 
 #[test]
+fn a_burst_a_frame_longer_than_the_read_buffer_and_a_half_close_keep_every_reply() {
+    let cluster = test_cluster();
+    populate(&cluster, 2, 2, 64);
+    let server = start_server(&cluster, 1);
+
+    // One write: a burst of small GETs, an APPEND several read chunks long
+    // (the server reads at least 64 KiB at a time), a GET of what it stored,
+    // and another burst — then the client closes its sending half at once.
+    let big = payload(7, 3, 5 * 64 * 1024 + 123);
+    let burst = 48usize;
+    let get = |i: usize| Command::Get {
+        object: ObjectId((i % 2) as u64),
+        version: i % 2 + 1,
+    };
+    let mut frames = Vec::new();
+    (0..burst).for_each(|i| proto::encode_command(&get(i), &mut frames));
+    let append = Command::Append {
+        object: ObjectId(7),
+        payload: &big,
+    };
+    proto::encode_command(&append, &mut frames);
+    let read_back = Command::Get {
+        object: ObjectId(7),
+        version: 1,
+    };
+    proto::encode_command(&read_back, &mut frames);
+    (burst..2 * burst).for_each(|i| proto::encode_command(&get(i), &mut frames));
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&frames).expect("write");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+
+    let mut buf = Vec::new();
+    stream.read_to_end(&mut buf).expect("read to EOF");
+    let mut replies = Vec::new();
+    while !buf.is_empty() {
+        match proto::parse_reply(&buf) {
+            sec_net::ParsedReply::Complete { reply, consumed } => {
+                buf.drain(..consumed);
+                replies.push(reply);
+            }
+            sec_net::ParsedReply::Incomplete => panic!("truncated reply after {}", replies.len()),
+            sec_net::ParsedReply::Malformed { reason } => panic!("malformed reply: {reason}"),
+        }
+    }
+    let small = |i: usize| Reply::Bulk(payload((i % 2) as u64, i % 2 + 1, 64));
+    let mut want: Vec<Reply> = (0..burst).map(small).collect();
+    want.push(Reply::Int(1));
+    want.push(Reply::Bulk(big.clone()));
+    want.extend((burst..2 * burst).map(small));
+    assert_eq!(replies.len(), want.len(), "a reply went missing");
+    assert!(replies == want, "replies out of order or altered");
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn malformed_frame_gets_an_error_then_the_connection_closes() {
     let cluster = test_cluster();
     populate(&cluster, 1, 1, 32);
