@@ -1,4 +1,4 @@
-//! Console and markdown rendering of an [`AuditOutcome`](crate::AuditOutcome).
+//! Console and markdown rendering of an [`AuditOutcome`].
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,6 @@
 //! The five rule families plus cross-cutting diagnostics.
 //!
-//! Every rule consumes [`SourceFile`](crate::source::SourceFile)s and emits
+//! Every rule consumes [`SourceFile`]s and emits
 //! [`Violation`]s. Rules skip `#[cfg(test)]` regions, and each violation can
 //! be suppressed by a justification annotation for the rule's id on (or in
 //! the comment block directly above) the offending line.

@@ -8,14 +8,27 @@ use rand::SeedableRng;
 use sec_analysis::io::{average_io_exact, IoScheme};
 use sec_analysis::resilience::prob_lose_sparse_exact;
 use sec_erasure::{GeneratorForm, SecCode};
-use sec_gf::Gf1024;
-use sec_versioning::{ArchiveConfig, EncodingStrategy, VersionedArchive};
+use sec_gf::{bulk, Gf1024, Gf256};
+use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 use sec_workload::{EditModel, TraceConfig, VersionTrace};
 
-fn trace(versions: usize) -> Vec<Vec<Gf1024>> {
+/// Bytes per block: each symbol of the 10-symbol trace fills one 4 KiB block,
+/// so block sparsity is the trace's symbol sparsity.
+const BLOCK: usize = 4096;
+
+fn trace(versions: usize) -> Vec<Vec<u8>> {
     let config = TraceConfig::new(10, versions, EditModel::Localized { max_run: 3 });
     let mut rng = StdRng::seed_from_u64(7);
-    VersionTrace::<Gf1024>::generate(&config, &mut rng).versions
+    VersionTrace::<Gf256>::generate(&config, &mut rng)
+        .versions
+        .iter()
+        .map(|symbols| {
+            bulk::symbols_to_bytes(symbols)
+                .into_iter()
+                .flat_map(|byte| std::iter::repeat_n(byte, BLOCK))
+                .collect()
+        })
+        .collect()
 }
 
 fn bench_append_and_retrieve(c: &mut Criterion) {
@@ -34,14 +47,14 @@ fn bench_append_and_retrieve(c: &mut Criterion) {
                 b.iter(|| {
                     let config =
                         ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, strategy).unwrap();
-                    let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
+                    let mut archive = ByteVersionedArchive::new(config).unwrap();
                     archive.append_all(std::hint::black_box(&versions)).unwrap();
                     archive
                 });
             },
         );
         let config = ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, strategy).unwrap();
-        let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
+        let mut archive = ByteVersionedArchive::new(config).unwrap();
         archive.append_all(&versions).unwrap();
         group.bench_with_input(
             BenchmarkId::new("retrieve_all_versions", format!("{strategy}")),

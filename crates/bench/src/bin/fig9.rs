@@ -3,21 +3,23 @@
 //! profile {3, 8, 3, 6}, under Basic SEC, Optimized SEC and the
 //! non-differential baseline. The numbers are produced twice: analytically
 //! from the I/O model and operationally by building and reading an actual
-//! archive, to show they coincide.
+//! byte archive (ten 64-byte blocks per version, one block per symbol of the
+//! paper's example), to show they coincide.
 //!
 //! Run with `cargo run -p sec-bench --bin fig9`.
 
 use sec_bench::{ExperimentArgs, ResultTable};
 use sec_erasure::{CodeParams, GeneratorForm};
-use sec_gf::{GaloisField, Gf1024};
-use sec_versioning::{ArchiveConfig, EncodingStrategy, IoModel, VersionedArchive};
+use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, IoModel};
 
 const PROFILE: [usize; 4] = [3, 8, 3, 6];
+const BLOCK: usize = 64;
 
-/// Builds a concrete version sequence realizing the paper's sparsity profile.
-fn paper_versions() -> Vec<Vec<Gf1024>> {
+/// Builds a concrete version sequence realizing the paper's sparsity profile:
+/// each listed block gets one byte flipped.
+fn paper_versions() -> Vec<Vec<u8>> {
     let k = 10usize;
-    let base: Vec<Gf1024> = (0..k as u64).map(|v| Gf1024::from_u64(v + 1)).collect();
+    let base: Vec<u8> = (0..k * BLOCK).map(|i| (i % 251) as u8).collect();
     let mut versions = vec![base];
     let edits: [&[usize]; 4] = [
         &[0, 1, 2],
@@ -28,7 +30,7 @@ fn paper_versions() -> Vec<Vec<Gf1024>> {
     for positions in edits {
         let mut next = versions.last().expect("non-empty").clone();
         for &p in positions {
-            next[p] += Gf1024::from_u64(700);
+            next[p * BLOCK + p] ^= 0xA5;
         }
         versions.push(next);
     }
@@ -38,8 +40,7 @@ fn paper_versions() -> Vec<Vec<Gf1024>> {
 fn operational_reads(strategy: EncodingStrategy, l: usize, prefix: bool) -> usize {
     let config = ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, strategy)
         .expect("valid (20,10) configuration");
-    let mut archive: VersionedArchive<Gf1024> =
-        VersionedArchive::new(config).expect("GF(1024) is large enough for (20,10)");
+    let mut archive = ByteVersionedArchive::new(config).expect("GF(2^8) is large enough for (20,10)");
     archive.append_all(&paper_versions()).expect("append succeeds");
     assert_eq!(archive.sparsity_profile(), PROFILE);
     if prefix {

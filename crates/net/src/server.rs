@@ -2,10 +2,10 @@
 //!
 //! # Architecture
 //!
-//! One reactor ([`Poller`](crate::sys::Poller)) per worker thread. Worker 0
+//! One reactor ([`Poller`]) per worker thread. Worker 0
 //! owns the nonblocking listener and hands accepted connections to workers
 //! round-robin through per-worker inboxes (a `Mutex<Vec<TcpStream>>` plus a
-//! pipe [`Waker`](crate::sys::Waker) — an SO_REUSEPORT-free accept split
+//! pipe [`Waker`] — an SO_REUSEPORT-free accept split
 //! that keeps the whole stack portable). A connection then lives entirely
 //! on its worker: no cross-thread state beyond the shared `SecCluster`,
 //! whose read path is `&self` by contract.

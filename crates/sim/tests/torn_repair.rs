@@ -1,7 +1,7 @@
 //! Torn repairs never destroy recoverable data.
 //!
 //! A repair that dies between staging and commit (`engine::rebuild::abort`)
-//! or mid-rebuild (`store::repair::abort`) must leave every version that
+//! or mid-staging (`store::repair::abort`) must leave every version that
 //! was recoverable before the repair still recoverable after it — and a
 //! retry must finish the job. The abort points are the crate's buggify
 //! sites, fired deterministically through the installed [`SimHook`].
@@ -100,9 +100,12 @@ fn aborted_engine_rebuild_destroys_nothing_and_retry_completes() {
 }
 
 /// Store-level torn repair: `store::repair::abort` kills the rebuild loop
-/// after the node was revived and wiped — the worst moment, since the node
-/// is live but missing blocks. The retry rebuilds everything, proven by
-/// reading with the repaired node load-bearing.
+/// while it is still staging. Nothing was committed, so in the window before
+/// the retry the node is still failed, still holds its old blocks, and every
+/// version reads exactly from the other four nodes — a live but emptied node
+/// there would be picked by the read plan and fail every read. The retry
+/// rebuilds everything, proven by reading with the repaired node
+/// load-bearing.
 #[test]
 fn aborted_store_repair_is_completed_by_retry() {
     let mut archive = ByteVersionedArchive::new(config()).expect("archive");
@@ -121,9 +124,30 @@ fn aborted_store_repair_is_completed_by_retry() {
         .expect_err("the armed abort must tear the repair");
     assert!(matches!(err, StoreError::Unrecoverable { .. }));
     assert!(hook.faults_fired() > 0);
-
     hook.set_probability("store::repair::abort", 0);
+
+    // The window between the torn repair and its retry.
+    let node = store.node(0).expect("node 0 exists");
+    assert!(!node.is_alive(), "a torn repair must not revive the node");
+    assert_eq!(
+        node.stored_symbols(),
+        versions.len(),
+        "a torn repair must not wipe the node"
+    );
+    for (idx, bytes) in versions.iter().enumerate() {
+        let got = store
+            .retrieve_version(&archive, idx + 1)
+            .expect("recoverable with one node down");
+        assert_eq!(
+            got.data,
+            *bytes,
+            "version {} diverged after the torn repair",
+            idx + 1
+        );
+    }
+
     store.repair_node(&archive, 0).expect("retry must complete");
+    assert!(store.node(0).expect("node 0 exists").is_alive());
     for position in K..N {
         store.fail_node(position).expect("fail");
     }

@@ -2,14 +2,13 @@
 //! [`ByteDistributedStore`] whose nodes hold whole coded byte blocks and
 //! whose retrieval decodes through the batched `GF(2^8)` pipeline.
 //!
-//! This is the production-shaped counterpart of the symbol-level
-//! [`DistributedStore`](crate::DistributedStore): each stored object of a
-//! [`ByteVersionedArchive`] contributes `n` coded blocks, block `i` lives on
-//! the node chosen by the [`Placement`], and a retrieval reads whole blocks
-//! from live nodes according to the SEC read plan (`2γ` block reads for an
-//! exploitable delta, `k` otherwise). Read counts are identical to the
-//! symbol-level model — one block read corresponds to one of the paper's
-//! disk I/O reads.
+//! Each stored object of a [`ByteVersionedArchive`] contributes `n` coded
+//! blocks, block `i` lives on the node chosen by the [`Placement`], and a
+//! retrieval reads whole blocks from live nodes according to the SEC read
+//! plan (`2γ` block reads for an exploitable delta, `k` otherwise) — one
+//! block read is one of the paper's disk I/O reads. Single-threaded and
+//! lock-free, it is the reference `sec-engine`'s equivalence and simulation
+//! suites compare the concurrent engine against.
 //!
 //! Corrupt blocks (wrong length) surface as [`StoreError::Code`] rather than
 //! aborting the simulation: the decode pipeline validates shard lengths up
@@ -218,6 +217,27 @@ impl ByteDistributedStore {
         (0..archive.layout().len()).all(|entry| self.entry_recoverable(archive, entry))
     }
 
+    /// Counts one read of `entry`'s block at each of `positions` against the
+    /// node holding it and borrows the blocks: whole blocks are large, so
+    /// decoding works on references instead of cloning them out of the nodes.
+    fn gather(&self, entry: usize, positions: &[usize]) -> Result<Vec<(usize, &[u8])>, StoreError> {
+        let mut shares = Vec::with_capacity(positions.len());
+        for &position in positions {
+            let key = SymbolKey { entry, position };
+            // audit: panic ok — placement maps every key into 0..n and the store holds n nodes
+            let node = &self.nodes[self.placement.try_node_for(key)?];
+            if !node.touch(key) {
+                self.metrics.add_failed_read();
+                return Err(StoreError::Unrecoverable { entry });
+            }
+            self.metrics.add_symbol_reads(1);
+            // audit: panic ok — touch succeeded, so the node stores the block (liveness may flip, contents cannot under &self)
+            let block = node.peek_stored(key).expect("touched above");
+            shares.push((position, block.as_slice()));
+        }
+        Ok(shares)
+    }
+
     /// Reads one stored entry from live nodes under the SEC read plan and
     /// folds it into the walk's accumulator through the batched pipeline.
     fn read_entry(
@@ -234,38 +254,7 @@ impl ByteDistributedStore {
         let plan = plan_read(self.codec.code(), &live, target)
             .map_err(|_| StoreError::Unrecoverable { entry: entry_idx })?;
 
-        // Count the reads first, then borrow the blocks: whole blocks are
-        // large, so the decode pipeline works on references instead of
-        // cloning every block out of its node.
-        for &position in &plan.nodes {
-            let key = SymbolKey {
-                entry: entry_idx,
-                position,
-            };
-            let node = self.placement.try_node_for(key)?;
-            // audit: panic ok — node id came from the placement, which maps into 0..n
-            if self.nodes[node].touch(key) {
-                self.metrics.add_symbol_reads(1);
-            } else {
-                self.metrics.add_failed_read();
-                return Err(StoreError::Unrecoverable { entry: entry_idx });
-            }
-        }
-        let shares: Vec<(usize, &[u8])> = plan
-            .nodes
-            .iter()
-            .map(|&position| {
-                let key = SymbolKey {
-                    entry: entry_idx,
-                    position,
-                };
-                // audit: panic ok — same plan.nodes iterated two loops up; placement lookups already succeeded
-                let node = self.placement.try_node_for(key).expect("planned above");
-                // audit: panic ok — placement node id is in 0..n; touch succeeded above, so the block is stored
-                let block = self.nodes[node].peek_stored(key).expect("touched above");
-                (position, block.as_slice())
-            })
-            .collect();
+        let shares = self.gather(entry_idx, &plan.nodes)?;
         let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
         Ok((plan.io_reads, acc))
     }
@@ -308,14 +297,17 @@ impl ByteDistributedStore {
         })
     }
 
-    /// Repairs a failed node: revives it and rebuilds every block it should
-    /// hold by decoding each affected entry from `k` live blocks and
-    /// re-encoding the lost position. Returns the number of blocks rebuilt.
+    /// Repairs a failed node: rebuilds every block it should hold from `k`
+    /// live blocks of the same entry into a staging buffer, and only once
+    /// all of them are rebuilt wipes the node, writes them and revives it.
+    /// Returns the number of blocks rebuilt.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Unrecoverable`] if some affected entry has fewer
-    /// than `k` live nodes.
+    /// than `k` live nodes (or a read of one is lost). A repair that fails
+    /// part-way committed nothing: the node's contents and liveness are
+    /// exactly what they were before the call.
     pub fn repair_node(
         &mut self,
         archive: &ByteVersionedArchive,
@@ -327,10 +319,9 @@ impl ByteDistributedStore {
                 n: self.nodes.len(),
             });
         }
-        let entries = archive.stored_entries();
         let (n, k) = (self.codec.code().n(), self.codec.code().k());
         let mut to_rebuild = Vec::new();
-        for entry_idx in 0..entries.len() {
+        for entry_idx in 0..archive.layout().len() {
             for position in 0..n {
                 let key = SymbolKey {
                     entry: entry_idx,
@@ -341,14 +332,11 @@ impl ByteDistributedStore {
                 }
             }
         }
-        // audit: panic ok — `node_id < n` was checked at function entry
-        self.nodes[node_id].revive();
-        // audit: panic ok — `node_id < n` was checked at function entry
-        self.nodes[node_id].wipe();
-        let mut rebuilt = 0usize;
+        let mut staged: Vec<(SymbolKey, Vec<u8>)> = Vec::with_capacity(to_rebuild.len());
         for key in to_rebuild {
-            // Simulated mid-repair crash, as in `DistributedStore::repair_node`:
-            // a later retry must be able to finish the rebuild.
+            // Simulated mid-repair crash: the repair job dies between
+            // blocks. Nothing is committed yet, so reads keep working and a
+            // later retry starts over (see sec-sim's torn-repair suite).
             if crate::fault::buggify("store::repair::abort") {
                 return Err(StoreError::Unrecoverable { entry: key.entry });
             }
@@ -360,43 +348,20 @@ impl ByteDistributedStore {
             if live.len() < k {
                 return Err(StoreError::Unrecoverable { entry: key.entry });
             }
-            for &position in live.iter().take(k) {
-                let skey = SymbolKey {
-                    entry: key.entry,
-                    position,
-                };
-                let node = self.placement.try_node_for(skey)?;
-                // audit: panic ok — node id came from the placement, which maps into 0..n
-                if !self.nodes[node].touch(skey) {
-                    return Err(StoreError::Unrecoverable { entry: key.entry });
-                }
-                self.metrics.add_symbol_reads(1);
-            }
-            // Borrow the surviving blocks only for the rebuild pass, so the
-            // rebuilt block can be written back afterwards.
-            let block = {
-                let shares: Vec<(usize, &[u8])> = live
-                    .iter()
-                    .take(k)
-                    .map(|&position| {
-                        let skey = SymbolKey {
-                            entry: key.entry,
-                            position,
-                        };
-                        // audit: panic ok — same live set iterated above; placement lookups already succeeded
-                        let node = self.placement.try_node_for(skey).expect("checked above");
-                        // audit: panic ok — placement node id is in 0..n; touch succeeded above, so the block is stored
-                        let block = self.nodes[node].peek_stored(skey).expect("touched above");
-                        (position, block.as_slice())
-                    })
-                    .collect();
-                self.codec.rebuild_block(&shares, key.position)?
-            };
-            // audit: panic ok — `node_id < n` was checked at function entry
-            self.nodes[node_id].put(key, block);
-            self.metrics.add_symbol_writes(1);
-            rebuilt += 1;
+            // audit: panic ok — `live.len() >= k` was checked above
+            let shares = self.gather(key.entry, &live[..k])?;
+            staged.push((key, self.codec.rebuild_block(&shares, key.position)?));
         }
+        // Commit: every block rebuilt, so replace the node's contents.
+        let rebuilt = staged.len();
+        // audit: panic ok — `node_id < n` was checked at function entry
+        let node = &mut self.nodes[node_id];
+        node.wipe();
+        for (key, block) in staged {
+            node.put(key, block);
+            self.metrics.add_symbol_writes(1);
+        }
+        node.revive();
         self.metrics.add_repair();
         Ok(rebuilt)
     }
@@ -405,6 +370,8 @@ impl ByteDistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use sec_erasure::{CodeError, GeneratorForm};
     use sec_versioning::{ArchiveConfig, EncodingStrategy, VersioningError};
 
@@ -524,6 +491,74 @@ mod tests {
     }
 
     #[test]
+    fn sparse_deltas_survive_more_failures_than_full_objects() {
+        // With 4 failures (2 live nodes) the 1-sparse delta entry is still
+        // read with 2 block reads even though the full first version is lost
+        // — the paper's observation that individual deltas have higher
+        // static resilience (eq. 7 vs eq. 6).
+        let (archive, vs) = archive(EncodingStrategy::BasicSec);
+        let store = ByteDistributedStore::colocated(&archive);
+        for node in [0, 1, 3, 5] {
+            store.fail_node(node).unwrap();
+        }
+        assert!(!store.entry_recoverable(&archive, 0));
+        assert_eq!(store.live_positions(1), vec![2, 4]);
+        let layout = archive.layout();
+        assert!(matches!(
+            store.read_entry(0, layout[0], archive.shard_len(), None),
+            Err(StoreError::Unrecoverable { entry: 0 })
+        ));
+        let (reads, delta) = store.read_entry(1, layout[1], archive.shard_len(), None).unwrap();
+        assert_eq!(reads, 2);
+        assert_eq!(delta.weight(), 1);
+        let expect: Vec<u8> = vs[0].iter().zip(&vs[1]).map(|(a, b)| a ^ b).collect();
+        assert_eq!(delta.into_flat(expect.len()), expect);
+    }
+
+    #[test]
+    fn random_failures_and_pattern_application() {
+        let (archive, vs) = archive(EncodingStrategy::BasicSec);
+        let store = ByteDistributedStore::colocated(&archive);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pattern = store.fail_randomly(0.3, &mut rng);
+        assert_eq!(pattern.len(), 6);
+        for node in 0..6 {
+            assert_eq!(store.node(node).unwrap().is_alive(), !pattern.is_failed(node));
+        }
+        let read = store.retrieve_version(&archive, 3);
+        if store.archive_recoverable(&archive) {
+            assert_eq!(read.unwrap().data, vs[2]);
+        } else {
+            assert!(matches!(read, Err(StoreError::Unrecoverable { .. })));
+        }
+        // Overwriting with the all-alive pattern revives everything.
+        store.apply_pattern(&FailurePattern::none(6));
+        assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
+    }
+
+    #[test]
+    fn repair_with_too_few_survivors_changes_nothing() {
+        let (archive, vs) = archive(EncodingStrategy::BasicSec);
+        let mut store = ByteDistributedStore::colocated(&archive);
+        for node in [0, 1, 2, 3] {
+            store.fail_node(node).unwrap();
+        }
+        assert!(matches!(
+            store.repair_node(&archive, 0),
+            Err(StoreError::Unrecoverable { entry: 0 })
+        ));
+        // Staged, never committed: node 0 is still down and still holds the
+        // three blocks it had, so reviving the cluster loses nothing.
+        assert!(!store.node(0).unwrap().is_alive());
+        assert_eq!(store.node(0).unwrap().stored_symbols(), 3);
+        assert_eq!(store.metrics().repairs, 0);
+        store.apply_pattern(&FailurePattern::none(6));
+        for (l, expect) in vs.iter().enumerate() {
+            assert_eq!(&store.retrieve_version(&archive, l + 1).unwrap().data, expect);
+        }
+    }
+
+    #[test]
     fn corrupt_block_length_is_an_error_not_a_panic() {
         let (archive, _) = archive(EncodingStrategy::NonDifferential);
         let mut store = ByteDistributedStore::colocated(&archive);
@@ -550,6 +585,10 @@ mod tests {
             store.retrieve_version(&archive, 9),
             Err(StoreError::Versioning(VersioningError::NoSuchVersion { .. }))
         ));
+        let _ = store.retrieve_version(&archive, 1).unwrap();
+        assert!(store.metrics().symbol_reads > 0);
+        store.reset_metrics();
+        assert_eq!(store.metrics(), IoMetrics::default());
         let empty_config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let empty = ByteVersionedArchive::new(empty_config).unwrap();

@@ -31,7 +31,7 @@ pub type Site = &'static str;
 /// Both methods default to "do nothing", so a hook only overrides the sites
 /// it cares about. Implementations must not assume they run on any
 /// particular thread: the hook is installed per-thread via
-/// [`install`](self::install) and only ever called from that thread.
+/// [`install`] and only ever called from that thread.
 pub trait FaultHook {
     /// Returns `true` when the simulated fault at `site` should fire. The
     /// call site then takes its failure path (e.g. a read returns "node

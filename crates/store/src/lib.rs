@@ -8,39 +8,39 @@
 //! retrieval costs. This crate provides that substrate:
 //!
 //! * [`placement`] — colocated vs dispersed node assignment (§IV);
-//! * [`node`] / [`DistributedStore`] — in-memory storage nodes holding coded
-//!   symbols, with per-node read counters;
+//! * [`node`] — in-memory storage nodes holding coded blocks, with per-node
+//!   liveness and read counters;
 //! * [`failure`] — i.i.d. failure injection and exhaustive failure-pattern
 //!   enumeration for the small clusters of the paper's examples;
-//! * failure-aware retrieval that reads only from live nodes, falls back from
-//!   `2γ`-read sparse plans to `k`-read full plans exactly as §V describes,
-//!   and reports every read it performed;
-//! * [`byte_store`] / [`ByteDistributedStore`] — the byte-shard fast path:
-//!   nodes hold whole coded byte blocks and retrieval decodes through the
-//!   batched `GF(2^8)` pipeline, with identical read accounting.
+//! * [`byte_store`] / [`ByteDistributedStore`] — a byte archive's coded
+//!   blocks spread over those nodes, with failure-aware retrieval that reads
+//!   only from live nodes, falls back from `2γ`-read sparse plans to `k`-read
+//!   full plans exactly as §V describes, reports every read it performed, and
+//!   repairs lost nodes. It is single-threaded: the oracle `sec-engine` is
+//!   checked against, not the serving path.
 //!
 //! # Example
 //!
 //! ```rust
 //! use sec_erasure::GeneratorForm;
-//! use sec_gf::{GaloisField, Gf1024};
-//! use sec_store::{DistributedStore, PlacementStrategy};
-//! use sec_versioning::{ArchiveConfig, EncodingStrategy, VersionedArchive};
+//! use sec_store::ByteDistributedStore;
+//! use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-//! let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config)?;
-//! let v1: Vec<Gf1024> = [1u64, 2, 3].iter().map(|&x| Gf1024::from_u64(x)).collect();
+//! let mut archive = ByteVersionedArchive::new(config)?;
+//! let v1 = vec![1u8; 3 * 512]; // three 512-byte blocks
 //! let mut v2 = v1.clone();
-//! v2[2] = Gf1024::from_u64(77);
-//! archive.append_all(&[v1.clone(), v2.clone()])?;
+//! v2[1024] = 77; // edits the third block only
+//! archive.append_all(&[v1, v2.clone()])?;
 //!
-//! let mut store = DistributedStore::colocated(&archive);
-//! store.fail_node(0).unwrap();
-//! store.fail_node(5).unwrap();
+//! let store = ByteDistributedStore::colocated(&archive);
+//! store.fail_node(0)?;
+//! store.fail_node(5)?;
 //! // Both versions survive two failures of the (6,3) MDS code.
 //! let retrieved = store.retrieve_version(&archive, 2)?;
 //! assert_eq!(retrieved.data, v2);
+//! assert_eq!(retrieved.io_reads, 3 + 2); // k + 2γ block reads, failures or not
 //! # Ok(())
 //! # }
 //! ```
@@ -63,4 +63,4 @@ pub use failure::FailurePattern;
 pub use metrics::{AtomicIoMetrics, IoMetrics};
 pub use node::StorageNode;
 pub use placement::{Placement, PlacementStrategy};
-pub use store::{DistributedStore, StoreError, StoredRetrieval};
+pub use store::StoreError;

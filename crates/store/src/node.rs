@@ -18,10 +18,9 @@ pub struct SymbolKey {
 /// One storage node: a failure flag plus the coded values it holds and a
 /// read counter.
 ///
-/// The stored value type is generic: the symbol-level [`DistributedStore`]
-/// (crate::DistributedStore) keeps one field element per key, while the
-/// byte-shard [`ByteDistributedStore`](crate::ByteDistributedStore) keeps a
-/// whole `Vec<u8>` shard per key.
+/// The stored value is whatever one node holds of one entry: a whole
+/// `Vec<u8>` coded block in [`ByteDistributedStore`](crate::ByteDistributedStore)
+/// and `sec-engine`.
 ///
 /// Everything a *read path* needs — the failure flag, the read counter, and
 /// value lookup — works through `&self`: the flag and counter are atomics, so
@@ -82,39 +81,6 @@ impl<V: Clone> StorageNode<V> {
         self.symbols.insert(key, value);
     }
 
-    /// Reads one coded value, counting the I/O, or `None` when the node is
-    /// dead or does not hold the value.
-    pub fn read(&self, key: SymbolKey) -> Option<V> {
-        // Simulated transient read failure: the node is up but this one
-        // request is lost, exactly like a live node missing a deadline.
-        if !self.is_alive() || fault::buggify("store::node::read") {
-            return None;
-        }
-        let value = self.symbols.get(&key).cloned();
-        if value.is_some() {
-            // audit: atomic ok — read counter is a statistic; no ordering dependency
-            self.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        value
-    }
-
-    /// Inspects a value without counting a read (used by repair planning).
-    pub fn peek(&self, key: SymbolKey) -> Option<V> {
-        self.peek_ref(key).cloned()
-    }
-
-    /// Borrowed view of a stored value without counting a read.
-    ///
-    /// Pair with [`StorageNode::touch`] when the value is large (e.g. a whole
-    /// byte block) and cloning it per simulated read would be wasteful.
-    pub fn peek_ref(&self, key: SymbolKey) -> Option<&V> {
-        if self.is_alive() {
-            self.symbols.get(&key)
-        } else {
-            None
-        }
-    }
-
     /// Borrowed view of a stored value regardless of liveness — the crash
     /// model's "blocks survive on disk" view.
     ///
@@ -128,9 +94,11 @@ impl<V: Clone> StorageNode<V> {
 
     /// Counts one read against the node if it is alive and holds the value,
     /// without cloning the value out; returns whether the read succeeded.
+    /// Borrow the value itself with [`StorageNode::peek_stored`].
     pub fn touch(&self, key: SymbolKey) -> bool {
-        // Same simulated transient failure as `read`: admission fails, so
-        // callers fall back exactly as they would for a dead node.
+        // Simulated transient read failure: the node is up but this one
+        // request is lost, exactly like a live node missing a deadline, so
+        // callers fall back as they would for a dead node.
         if !self.is_alive() || fault::buggify("store::node::read") {
             return false;
         }
@@ -190,14 +158,14 @@ mod tests {
             entry: 0,
             position: 2,
         };
-        assert_eq!(node.read(key), None);
+        assert!(!node.touch(key));
         assert_eq!(node.reads(), 0);
         node.put(key, Gf256::from_u64(9));
         assert_eq!(node.stored_symbols(), 1);
-        assert_eq!(node.read(key), Some(Gf256::from_u64(9)));
+        assert!(node.touch(key));
         assert_eq!(node.reads(), 1);
-        assert_eq!(node.peek(key), Some(Gf256::from_u64(9)));
-        // Peek does not count.
+        assert_eq!(node.peek_stored(key), Some(&Gf256::from_u64(9)));
+        // Peeking does not count.
         assert_eq!(node.reads(), 1);
     }
 
@@ -211,12 +179,13 @@ mod tests {
         node.put(key, Gf256::ONE);
         node.fail();
         assert!(!node.is_alive());
-        assert_eq!(node.read(key), None);
-        assert_eq!(node.peek(key), None);
+        assert!(!node.touch(key));
+        // The crash model: the block is still on disk, just not served.
+        assert_eq!(node.peek_stored(key), Some(&Gf256::ONE));
         node.revive();
-        assert_eq!(node.read(key), Some(Gf256::ONE));
+        assert!(node.touch(key));
         node.wipe();
-        assert_eq!(node.read(key), None);
+        assert!(!node.touch(key));
         assert_eq!(node.stored_symbols(), 0);
     }
 
@@ -228,7 +197,7 @@ mod tests {
             position: 0,
         };
         node.put(key, Gf256::ONE);
-        let _ = node.read(key);
+        assert!(node.touch(key));
         let cloned = node.clone();
         assert_eq!(node, cloned);
         node.fail();

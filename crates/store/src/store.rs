@@ -1,18 +1,9 @@
-//! The [`DistributedStore`]: archive entries spread over simulated nodes, with
-//! failure-aware retrieval and repair.
+//! The error type shared by the storage simulator and `sec-engine`.
 
 use core::fmt;
 
-use rand::Rng;
-use sec_erasure::read_plan::{plan_read, DecodeMethod, ReadTarget};
 use sec_erasure::CodeError;
-use sec_gf::GaloisField;
-use sec_versioning::{EncodingStrategy, StoredPayload, VersionedArchive, VersioningError};
-
-use crate::failure::FailurePattern;
-use crate::metrics::{AtomicIoMetrics, IoMetrics};
-use crate::node::{StorageNode, SymbolKey};
-use crate::placement::{Placement, PlacementStrategy};
+use sec_versioning::VersioningError;
 
 /// Errors from the storage simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,585 +110,12 @@ impl From<CodeError> for StoreError {
     }
 }
 
-/// Result of a failure-aware retrieval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredRetrieval<F> {
-    /// The recovered object.
-    pub data: Vec<F>,
-    /// Symbols read from nodes to serve this retrieval.
-    pub io_reads: usize,
-}
-
-/// Archive entries stored across simulated nodes under a placement strategy.
-///
-/// Retrieval, recoverability checks and failure injection all take `&self`
-/// (node liveness and every counter are atomic), so one store can serve many
-/// concurrent readers; only content mutation (repair, corruption hooks)
-/// needs `&mut self`.
-#[derive(Debug, Clone)]
-pub struct DistributedStore<F> {
-    nodes: Vec<StorageNode<F>>,
-    placement: Placement,
-    metrics: AtomicIoMetrics,
-}
-
-impl<F: GaloisField> DistributedStore<F> {
-    /// Builds a store for `archive` under the given placement and writes every
-    /// coded symbol to its node.
-    pub fn new(archive: &VersionedArchive<F>, strategy: PlacementStrategy) -> Self {
-        let entries = Self::entry_list(archive).len();
-        let placement = Placement::new(strategy, archive.code().n(), entries);
-        let mut store = Self {
-            nodes: (0..placement.node_count()).map(StorageNode::new).collect(),
-            placement,
-            metrics: AtomicIoMetrics::new(),
-        };
-        store.write_archive(archive);
-        store
-    }
-
-    /// Convenience constructor for colocated placement.
-    pub fn colocated(archive: &VersionedArchive<F>) -> Self {
-        Self::new(archive, PlacementStrategy::Colocated)
-    }
-
-    /// Convenience constructor for dispersed placement.
-    pub fn dispersed(archive: &VersionedArchive<F>) -> Self {
-        Self::new(archive, PlacementStrategy::Dispersed)
-    }
-
-    /// All stored objects of the archive in entry order. For Reversed SEC the
-    /// full latest copy is appended after the delta entries.
-    fn entry_list(archive: &VersionedArchive<F>) -> Vec<(StoredPayload, Vec<F>)> {
-        let mut list: Vec<(StoredPayload, Vec<F>)> = archive
-            .entries()
-            .iter()
-            .map(|e| (e.payload, e.codeword.clone()))
-            .collect();
-        if let Some(latest) = archive.latest_full_entry() {
-            list.push((latest.payload, latest.codeword.clone()));
-        }
-        list
-    }
-
-    fn write_archive(&mut self, archive: &VersionedArchive<F>) {
-        for (entry_idx, (_, codeword)) in Self::entry_list(archive).iter().enumerate() {
-            for (position, &symbol) in codeword.iter().enumerate() {
-                let key = SymbolKey {
-                    entry: entry_idx,
-                    position,
-                };
-                let node = self
-                    .placement
-                    .try_node_for(key)
-                    // audit: panic ok — write path: keys are built from the same archive the placement was provisioned for
-                    .expect("placement covers every archive entry");
-                // audit: panic ok — placement maps every key into 0..n and the store holds n nodes
-                self.nodes[node].put(key, symbol);
-                self.metrics.add_symbol_writes(1);
-            }
-        }
-    }
-
-    /// The placement in use.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// A snapshot of the accumulated I/O metrics.
-    pub fn metrics(&self) -> IoMetrics {
-        self.metrics.snapshot()
-    }
-
-    /// Resets the I/O metrics.
-    pub fn reset_metrics(&self) {
-        self.metrics.reset();
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Immutable access to a node (for inspection in tests and experiments).
-    pub fn node(&self, id: usize) -> Option<&StorageNode<F>> {
-        self.nodes.get(id)
-    }
-
-    /// Marks a node failed, or reports [`StoreError::InvalidNode`] when
-    /// `node` is out of range.
-    pub fn fail_node(&self, node: usize) -> Result<(), StoreError> {
-        self.checked_node(node)?.fail();
-        Ok(())
-    }
-
-    /// Revives a node, or reports [`StoreError::InvalidNode`] when `node` is
-    /// out of range.
-    pub fn revive_node(&self, node: usize) -> Result<(), StoreError> {
-        self.checked_node(node)?.revive();
-        Ok(())
-    }
-
-    fn checked_node(&self, node: usize) -> Result<&StorageNode<F>, StoreError> {
-        self.nodes.get(node).ok_or(StoreError::InvalidNode {
-            node,
-            n: self.nodes.len(),
-        })
-    }
-
-    /// Applies a failure pattern over the whole cluster.
-    ///
-    /// **Overwrite semantics:** within the pattern's length the pattern *is*
-    /// the new liveness — covered nodes that the pattern marks alive are
-    /// revived even if they were failed before the call. Nodes beyond the
-    /// pattern's length are left untouched. Use
-    /// [`DistributedStore::apply_pattern_additive`] to layer failures on top
-    /// of existing ones instead.
-    pub fn apply_pattern(&self, pattern: &FailurePattern) {
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if pattern.is_failed(idx) {
-                node.fail();
-            } else if idx < pattern.len() {
-                node.revive();
-            }
-        }
-    }
-
-    /// Fails every node the pattern marks failed, leaving all other nodes'
-    /// liveness untouched — the additive counterpart of
-    /// [`DistributedStore::apply_pattern`], for layering patterns.
-    pub fn apply_pattern_additive(&self, pattern: &FailurePattern) {
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if pattern.is_failed(idx) {
-                node.fail();
-            }
-        }
-    }
-
-    /// Fails each node independently with probability `p`.
-    pub fn fail_randomly<R: Rng + ?Sized>(&self, p: f64, rng: &mut R) -> FailurePattern {
-        let pattern = FailurePattern::sample(self.nodes.len(), p, rng);
-        self.apply_pattern(&pattern);
-        pattern
-    }
-
-    /// Indices of live nodes holding entry `entry`, as positions within the
-    /// entry's codeword. An entry outside the placement has no live
-    /// positions.
-    pub fn live_positions(&self, entry: usize) -> Vec<usize> {
-        (0..self.placement.codeword_len())
-            .filter(|&position| {
-                self.placement
-                    .try_node_for(SymbolKey { entry, position })
-                    // audit: panic ok — placement maps every key into 0..n and the store holds n nodes
-                    .is_ok_and(|node| self.nodes[node].is_alive())
-            })
-            .collect()
-    }
-
-    /// Whether a single stored entry is still decodable (its full object for
-    /// full entries, its sparse delta — possibly via a `k`-read fallback — for
-    /// delta entries).
-    pub fn entry_recoverable(&self, archive: &VersionedArchive<F>, entry: usize) -> bool {
-        let live = self.live_positions(entry);
-        live.len() >= archive.code().k()
-    }
-
-    /// Whether every stored object of the archive is recoverable, i.e. the
-    /// whole versioned archive survives (the paper's availability event).
-    pub fn archive_recoverable(&self, archive: &VersionedArchive<F>) -> bool {
-        let entries = Self::entry_list(archive).len();
-        (0..entries).all(|entry| self.entry_recoverable(archive, entry))
-    }
-
-    /// Reads and decodes one stored entry from live nodes, honouring the SEC
-    /// read planning (2γ reads when a qualifying subset of live nodes exists,
-    /// k reads otherwise).
-    fn read_entry(
-        &self,
-        archive: &VersionedArchive<F>,
-        entry_idx: usize,
-        payload: StoredPayload,
-    ) -> Result<(usize, Vec<F>), StoreError> {
-        let code = archive.code();
-        let live = self.live_positions(entry_idx);
-        let target = match payload {
-            StoredPayload::FullVersion { .. } => ReadTarget::Full,
-            StoredPayload::Delta { sparsity, .. } => {
-                if sparsity == 0 {
-                    return Ok((0, vec![F::ZERO; code.k()]));
-                }
-                ReadTarget::Sparse { gamma: sparsity }
-            }
-        };
-        let plan = plan_read(code, &live, target)
-            .map_err(|_| StoreError::Unrecoverable { entry: entry_idx })?;
-
-        let mut shares = Vec::with_capacity(plan.nodes.len());
-        for &position in &plan.nodes {
-            let key = SymbolKey {
-                entry: entry_idx,
-                position,
-            };
-            let node = self.placement.try_node_for(key)?;
-            // audit: panic ok — node id came from the placement, which maps into 0..n
-            match self.nodes[node].read(key) {
-                Some(symbol) => {
-                    self.metrics.add_symbol_reads(1);
-                    shares.push((position, symbol));
-                }
-                None => {
-                    self.metrics.add_failed_read();
-                    return Err(StoreError::Unrecoverable { entry: entry_idx });
-                }
-            }
-        }
-        let decoded = match plan.method {
-            DecodeMethod::SystematicDirect | DecodeMethod::Inversion => code.decode_full(&shares)?,
-            DecodeMethod::SparseRecovery => match target {
-                ReadTarget::Sparse { gamma } => code.decode_sparse(&shares, gamma)?,
-                // audit: panic ok — plan_read returns SparseRecovery only for ReadTarget::Sparse
-                ReadTarget::Full => unreachable!("sparse plans only arise for sparse targets"),
-            },
-        };
-        Ok((plan.io_reads, decoded))
-    }
-
-    /// Retrieves version `l` of the archive, reading only from live nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Unrecoverable`] when some required entry has too
-    /// few live nodes, or a versioning error for an invalid `l`.
-    pub fn retrieve_version(
-        &self,
-        archive: &VersionedArchive<F>,
-        l: usize,
-    ) -> Result<StoredRetrieval<F>, StoreError> {
-        let entries = Self::entry_list(archive);
-        if self.placement.entries() < entries.len() {
-            return Err(StoreError::ArchiveMismatch {
-                provisioned: self.placement.entries(),
-                supplied: entries.len(),
-            });
-        }
-        if archive.is_empty() {
-            return Err(StoreError::Versioning(VersioningError::EmptyArchive));
-        }
-        if l == 0 || l > archive.len() {
-            return Err(StoreError::Versioning(VersioningError::NoSuchVersion {
-                requested: l,
-                available: archive.len(),
-            }));
-        }
-        self.metrics.add_retrieval();
-
-        match archive.config().strategy() {
-            EncodingStrategy::NonDifferential => {
-                // audit: panic ok — `l >= 1` and `l <= entries.len()` were checked above
-                let (reads, data) = self.read_entry(archive, l - 1, entries[l - 1].0)?;
-                Ok(StoredRetrieval {
-                    data,
-                    io_reads: reads,
-                })
-            }
-            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
-                // audit: panic ok — `l <= entries.len()` was checked above
-                let anchor = entries[..l]
-                    .iter()
-                    .rposition(|(p, _)| matches!(p, StoredPayload::FullVersion { .. }))
-                    // audit: panic ok — archive invariant: entry 0 is always a full version, so rposition finds one
-                    .expect("first entry is always a full version");
-                // audit: panic ok — `anchor < l <= entries.len()` by construction
-                let (mut io_reads, mut data) = self.read_entry(archive, anchor, entries[anchor].0)?;
-                for (idx, (payload, _)) in entries.iter().enumerate().take(l).skip(anchor + 1) {
-                    let (reads, delta) = self.read_entry(archive, idx, *payload)?;
-                    io_reads += reads;
-                    data = sec_versioning::Delta::from_vec(delta)
-                        .apply(&data)
-                        .map_err(StoreError::Versioning)?;
-                }
-                Ok(StoredRetrieval { data, io_reads })
-            }
-            EncodingStrategy::ReversedSec => {
-                // The full latest copy is the final entry in the stored list.
-                let latest_idx = entries.len() - 1;
-                let (mut io_reads, mut data) =
-                    // audit: panic ok — entry_list is non-empty once the archive has versions (checked above)
-                    self.read_entry(archive, latest_idx, entries[latest_idx].0)?;
-                // Delta entries are 0..latest_idx, delta at index j is z_{j+2}.
-                for idx in (l.saturating_sub(1)..latest_idx).rev() {
-                    // audit: panic ok — `idx < latest_idx < entries.len()` by the loop bounds
-                    let (reads, delta) = self.read_entry(archive, idx, entries[idx].0)?;
-                    io_reads += reads;
-                    data = sec_versioning::Delta::from_vec(delta)
-                        .unapply(&data)
-                        .map_err(StoreError::Versioning)?;
-                }
-                Ok(StoredRetrieval { data, io_reads })
-            }
-        }
-    }
-
-    /// Repairs a failed node: revives it and rebuilds every symbol it should
-    /// hold by decoding each affected entry from `k` live nodes and
-    /// re-encoding the lost position. Returns the number of symbols rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Unrecoverable`] if some affected entry has fewer
-    /// than `k` live nodes.
-    pub fn repair_node(
-        &mut self,
-        archive: &VersionedArchive<F>,
-        node_id: usize,
-    ) -> Result<usize, StoreError> {
-        if node_id >= self.nodes.len() {
-            return Err(StoreError::InvalidNode {
-                node: node_id,
-                n: self.nodes.len(),
-            });
-        }
-        let entries = Self::entry_list(archive);
-        let code = archive.code();
-        let mut rebuilt = 0usize;
-        // Determine which (entry, position) pairs live on this node.
-        let mut to_rebuild = Vec::new();
-        for entry_idx in 0..entries.len() {
-            for position in 0..code.n() {
-                let key = SymbolKey {
-                    entry: entry_idx,
-                    position,
-                };
-                if self.placement.try_node_for(key)? == node_id {
-                    to_rebuild.push(key);
-                }
-            }
-        }
-        // audit: panic ok — `node_id < n` was checked at function entry
-        self.nodes[node_id].revive();
-        // audit: panic ok — `node_id < n` was checked at function entry
-        self.nodes[node_id].wipe();
-        for key in to_rebuild {
-            // Simulated mid-repair crash: the repair job dies between
-            // symbols, leaving the node partially rebuilt. Retrying the
-            // repair must finish the job (see sec-sim's torn-repair suite).
-            if crate::fault::buggify("store::repair::abort") {
-                return Err(StoreError::Unrecoverable { entry: key.entry });
-            }
-            let live: Vec<usize> = self
-                .live_positions(key.entry)
-                .into_iter()
-                .filter(|&p| p != key.position)
-                .collect();
-            if live.len() < code.k() {
-                return Err(StoreError::Unrecoverable { entry: key.entry });
-            }
-            let mut shares = Vec::with_capacity(code.k());
-            for &position in live.iter().take(code.k()) {
-                let skey = SymbolKey {
-                    entry: key.entry,
-                    position,
-                };
-                let node = self.placement.try_node_for(skey)?;
-                // audit: panic ok — node id came from the placement, which maps into 0..n
-                let symbol = self.nodes[node]
-                    .read(skey)
-                    .ok_or(StoreError::Unrecoverable { entry: key.entry })?;
-                self.metrics.add_symbol_reads(1);
-                shares.push((position, symbol));
-            }
-            let object = code.decode_full(&shares)?;
-            let codeword = code.encode(&object)?;
-            // audit: panic ok — `key.position < n = codeword.len()` by the loop over 0..code.n()
-            self.nodes[node_id].put(key, codeword[key.position]);
-            self.metrics.add_symbol_writes(1);
-            rebuilt += 1;
-        }
-        self.metrics.add_repair();
-        Ok(rebuilt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sec_erasure::GeneratorForm;
-    use sec_gf::Gf1024;
-    use sec_versioning::ArchiveConfig;
-
-    fn versions() -> Vec<Vec<Gf1024>> {
-        let v1: Vec<Gf1024> = [1u64, 2, 3].iter().map(|&x| Gf1024::from_u64(x)).collect();
-        let mut v2 = v1.clone();
-        v2[0] = Gf1024::from_u64(100);
-        let mut v3 = v2.clone();
-        v3[1] = Gf1024::from_u64(200);
-        vec![v1, v2, v3]
-    }
-
-    fn archive(strategy: EncodingStrategy) -> (VersionedArchive<Gf1024>, Vec<Vec<Gf1024>>) {
-        let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap();
-        let mut archive = VersionedArchive::new(config).unwrap();
-        let vs = versions();
-        archive.append_all(&vs).unwrap();
-        (archive, vs)
-    }
 
     #[test]
-    fn colocated_store_round_trips_all_strategies() {
-        for strategy in [
-            EncodingStrategy::BasicSec,
-            EncodingStrategy::OptimizedSec,
-            EncodingStrategy::ReversedSec,
-            EncodingStrategy::NonDifferential,
-        ] {
-            let (archive, vs) = archive(strategy);
-            let store = DistributedStore::colocated(&archive);
-            assert_eq!(store.node_count(), 6);
-            for (l, expect) in vs.iter().enumerate() {
-                let r = store.retrieve_version(&archive, l + 1).unwrap();
-                assert_eq!(&r.data, expect, "{strategy:?} version {}", l + 1);
-            }
-            assert!(store.metrics().symbol_reads > 0);
-            assert_eq!(store.metrics().retrievals, vs.len() as u64);
-        }
-    }
-
-    #[test]
-    fn dispersed_store_uses_distinct_node_sets() {
-        let (archive, vs) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::dispersed(&archive);
-        assert_eq!(store.node_count(), 18);
-        let r = store.retrieve_version(&archive, 3).unwrap();
-        assert_eq!(r.data, vs[2]);
-        // Each entry's nodes hold exactly one symbol.
-        assert!(store.node(0).unwrap().stored_symbols() == 1);
-    }
-
-    #[test]
-    fn io_reads_match_all_alive_archive_retrieval() {
-        for strategy in [EncodingStrategy::BasicSec, EncodingStrategy::OptimizedSec] {
-            let (archive, vs) = archive(strategy);
-            let store = DistributedStore::colocated(&archive);
-            for l in 1..=vs.len() {
-                let via_store = store.retrieve_version(&archive, l).unwrap().io_reads;
-                let via_archive = archive.retrieve_version(l).unwrap().io_reads;
-                assert_eq!(via_store, via_archive, "{strategy:?} version {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn survives_n_minus_k_failures_colocated() {
-        let (archive, vs) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::colocated(&archive);
-        store.fail_node(0).unwrap();
-        store.fail_node(3).unwrap();
-        store.fail_node(5).unwrap();
-        assert!(store.archive_recoverable(&archive));
-        for (l, expect) in vs.iter().enumerate() {
-            assert_eq!(&store.retrieve_version(&archive, l + 1).unwrap().data, expect);
-        }
-        // A fourth failure makes full objects unrecoverable.
-        store.fail_node(1).unwrap();
-        assert!(!store.archive_recoverable(&archive));
-        assert!(matches!(
-            store.retrieve_version(&archive, 1),
-            Err(StoreError::Unrecoverable { .. })
-        ));
-    }
-
-    #[test]
-    fn sparse_deltas_survive_more_failures_than_full_objects() {
-        // With 4 failures (2 live nodes) the 1-sparse delta entry is still
-        // readable with 2 reads even though the full first version is lost —
-        // matching the paper's observation that individual deltas have higher
-        // static resilience (eq. 7 vs eq. 6).
-        let (archive, _) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::colocated(&archive);
-        for node in [0, 1, 3, 5] {
-            store.fail_node(node).unwrap();
-        }
-        assert!(!store.entry_recoverable(&archive, 0));
-        let live = store.live_positions(1);
-        assert_eq!(live.len(), 2);
-        // Entry 1 stores a 1-sparse delta; it can still be decoded directly.
-        let code = archive.code();
-        let entry = &archive.entries()[1];
-        let shares: Vec<(usize, Gf1024)> = live.iter().map(|&i| (i, entry.codeword[i])).collect();
-        let decoded = code.decode_sparse(&shares, 1).unwrap();
-        assert_eq!(decoded.iter().filter(|v| !v.is_zero()).count(), 1);
-    }
-
-    #[test]
-    fn random_failures_and_pattern_application() {
-        let (archive, vs) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::colocated(&archive);
-        let mut rng = StdRng::seed_from_u64(5);
-        let pattern = store.fail_randomly(0.3, &mut rng);
-        assert_eq!(pattern.len(), 6);
-        if store.archive_recoverable(&archive) {
-            assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
-        } else {
-            assert!(
-                store.retrieve_version(&archive, 1).is_err()
-                    || store.retrieve_version(&archive, 3).is_err()
-            );
-        }
-        // Reviving everything restores service.
-        store.apply_pattern(&FailurePattern::none(6));
-        assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
-    }
-
-    #[test]
-    fn repair_rebuilds_lost_symbols() {
-        let (archive, vs) = archive(EncodingStrategy::BasicSec);
-        let mut store = DistributedStore::colocated(&archive);
-        store.fail_node(2).unwrap();
-        let rebuilt = store.repair_node(&archive, 2).unwrap();
-        // Three entries, one symbol each on node 2.
-        assert_eq!(rebuilt, 3);
-        assert_eq!(store.metrics().repairs, 1);
-        // The node serves reads again and the archive remains intact.
-        store.fail_node(0).unwrap();
-        store.fail_node(1).unwrap();
-        store.fail_node(3).unwrap();
-        assert!(store.archive_recoverable(&archive));
-        assert_eq!(store.retrieve_version(&archive, 3).unwrap().data, vs[2]);
-    }
-
-    #[test]
-    fn repair_fails_when_too_few_survivors() {
-        let (archive, _) = archive(EncodingStrategy::BasicSec);
-        let mut store = DistributedStore::colocated(&archive);
-        for node in [0, 1, 2, 3] {
-            store.fail_node(node).unwrap();
-        }
-        assert!(matches!(
-            store.repair_node(&archive, 0),
-            Err(StoreError::Unrecoverable { .. })
-        ));
-    }
-
-    #[test]
-    fn error_paths_and_metrics_reset() {
-        let (archive, _) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::colocated(&archive);
-        assert!(matches!(
-            store.retrieve_version(&archive, 0),
-            Err(StoreError::Versioning(VersioningError::NoSuchVersion { .. }))
-        ));
-        assert!(matches!(
-            store.retrieve_version(&archive, 9),
-            Err(StoreError::Versioning(VersioningError::NoSuchVersion { .. }))
-        ));
-        let _ = store.retrieve_version(&archive, 1).unwrap();
-        assert!(store.metrics().symbol_reads > 0);
-        store.reset_metrics();
-        assert_eq!(store.metrics(), IoMetrics::default());
-        // Display impls.
+    fn display_names_the_offending_entry_node_or_symbol() {
         assert!(StoreError::Unrecoverable { entry: 2 }
             .to_string()
             .contains("entry 2"));
@@ -706,25 +124,22 @@ mod tests {
             supplied: 2
         }
         .to_string()
-        .contains("provisioned"));
+        .contains("provisioned for 1"));
         assert!(StoreError::InvalidNode { node: 9, n: 6 }
             .to_string()
             .contains("node id 9"));
-    }
-
-    #[test]
-    fn additive_patterns_layer_while_overwrite_replaces() {
-        let (archive, _) = archive(EncodingStrategy::BasicSec);
-        let store = DistributedStore::colocated(&archive);
-        store.fail_node(0).unwrap();
-        // Additive: node 0 stays failed even though the pattern marks it alive.
-        store.apply_pattern_additive(&FailurePattern::with_failures(6, &[2]));
-        assert!(!store.node(0).unwrap().is_alive());
-        assert!(!store.node(2).unwrap().is_alive());
-        assert!(store.node(1).unwrap().is_alive());
-        // Overwrite: the same pattern revives every covered node it marks alive.
-        store.apply_pattern(&FailurePattern::with_failures(6, &[2]));
-        assert!(store.node(0).unwrap().is_alive());
-        assert!(!store.node(2).unwrap().is_alive());
+        assert!(StoreError::RepairRaced { node: 4 }.to_string().contains("node 4"));
+        assert!(StoreError::InvalidSymbol {
+            entry: 7,
+            position: 8,
+            n: 6,
+            entries: 3
+        }
+        .to_string()
+        .contains("(entry 7, position 8)"));
+        let wrapped = StoreError::from(VersioningError::EmptyArchive);
+        assert!(wrapped.to_string().starts_with("versioning error:"));
+        let wrapped = StoreError::from(CodeError::UndecodableShareSet);
+        assert!(wrapped.to_string().starts_with("coding error:"));
     }
 }

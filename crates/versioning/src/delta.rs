@@ -1,5 +1,7 @@
-//! Deltas between consecutive versions: `z_{j+1} = x_{j+1} − x_j` and their
-//! sparsity level `γ` (Definition 1 of the paper).
+//! Symbol-level deltas between consecutive versions: `z_{j+1} = x_{j+1} − x_j`
+//! and their sparsity level `γ` (Definition 1 of the paper). Test-only, like
+//! the oracle in [`crate::symbol_archive`] that stores them; the byte path
+//! forms its deltas blockwise inside `ArchiveLedger::append`.
 
 use sec_gf::{bulk, GaloisField};
 

@@ -25,13 +25,6 @@ pub enum VersioningError {
     },
     /// The archive holds no versions yet.
     EmptyArchive,
-    /// A byte object was too large to fit in the configured `k` symbols.
-    ObjectTooLarge {
-        /// Maximum number of bytes the codec accepts.
-        max_bytes: usize,
-        /// Supplied number of bytes.
-        actual_bytes: usize,
-    },
     /// A shared codec passed to an archive constructor was built for a
     /// different code than the archive configuration names.
     CodecMismatch {
@@ -60,15 +53,6 @@ impl fmt::Display for VersioningError {
                 )
             }
             VersioningError::EmptyArchive => write!(f, "the archive holds no versions"),
-            VersioningError::ObjectTooLarge {
-                max_bytes,
-                actual_bytes,
-            } => {
-                write!(
-                    f,
-                    "object of {actual_bytes} bytes exceeds the {max_bytes}-byte capacity"
-                )
-            }
             VersioningError::CodecMismatch { expected, actual } => {
                 write!(
                     f,
@@ -116,12 +100,6 @@ mod tests {
         .to_string()
         .contains("7"));
         assert!(VersioningError::EmptyArchive.to_string().contains("no versions"));
-        assert!(VersioningError::ObjectTooLarge {
-            max_bytes: 10,
-            actual_bytes: 20
-        }
-        .to_string()
-        .contains("20 bytes"));
         let wrapped = VersioningError::from(CodeError::UndecodableShareSet);
         assert!(wrapped.to_string().contains("erasure coding"));
         use std::error::Error;

@@ -1,17 +1,10 @@
-//! The fixed-size object model: converting application bytes into `F_q^k`
-//! coding objects and back.
+//! Version numbering of the fixed-size object model.
 //!
 //! The paper assumes "application level objects are split and transformed into
-//! fixed sized objects (arguably with necessary zero padding)". [`ObjectCodec`]
-//! implements exactly that transformation for byte payloads: each symbol
-//! carries one byte (regardless of the field width, so the mapping is
-//! field-agnostic and loss-free) and the object is padded with zero symbols up
-//! to the configured dimension `k`.
-
-use bytes::Bytes;
-use sec_gf::{bulk, GaloisField};
-
-use crate::error::VersioningError;
+//! fixed sized objects (arguably with necessary zero padding)"; a byte archive
+//! fixes its object length at the first append and zero-pads the last of its
+//! `k` blocks (`ByteShards::from_flat`), so all that is left to model here is
+//! the paper's 1-based version index.
 
 /// A 1-based version number, matching the paper's `x_1, x_2, …` indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,127 +31,9 @@ impl core::fmt::Display for VersionId {
     }
 }
 
-/// Converts byte payloads to fixed-size symbol objects and back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjectCodec {
-    k: usize,
-}
-
-impl ObjectCodec {
-    /// Creates a codec for `k`-symbol objects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "object dimension must be positive");
-        Self { k }
-    }
-
-    /// The object dimension `k`.
-    pub fn dimension(&self) -> usize {
-        self.k
-    }
-
-    /// Maximum payload size in bytes (one byte per symbol).
-    pub fn max_bytes(&self) -> usize {
-        self.k
-    }
-
-    /// Encodes a byte payload into exactly `k` symbols, zero-padding the tail.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::ObjectTooLarge`] when the payload exceeds
-    /// `k` bytes.
-    pub fn bytes_to_object<F: GaloisField>(&self, payload: &[u8]) -> Result<Vec<F>, VersioningError> {
-        if payload.len() > self.k {
-            return Err(VersioningError::ObjectTooLarge {
-                max_bytes: self.k,
-                actual_bytes: payload.len(),
-            });
-        }
-        let mut symbols = bulk::bytes_to_symbols::<F>(payload);
-        symbols.resize(self.k, F::ZERO);
-        Ok(symbols)
-    }
-
-    /// Decodes an object back into its byte payload, trimming to
-    /// `original_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::ObjectLengthMismatch`] when the object does
-    /// not have `k` symbols, or [`VersioningError::ObjectTooLarge`] when
-    /// `original_len > k`.
-    pub fn object_to_bytes<F: GaloisField>(
-        &self,
-        object: &[F],
-        original_len: usize,
-    ) -> Result<Bytes, VersioningError> {
-        if object.len() != self.k {
-            return Err(VersioningError::ObjectLengthMismatch {
-                expected: self.k,
-                actual: object.len(),
-            });
-        }
-        if original_len > self.k {
-            return Err(VersioningError::ObjectTooLarge {
-                max_bytes: self.k,
-                actual_bytes: original_len,
-            });
-        }
-        let bytes = bulk::symbols_to_bytes(&object[..original_len]);
-        Ok(Bytes::from(bytes))
-    }
-
-    /// Splits a large byte payload into as many `k`-symbol objects as needed
-    /// (the "application object → sequence of coding objects" step), returning
-    /// the objects and the original length for later reassembly.
-    pub fn split_bytes<F: GaloisField>(&self, payload: &[u8]) -> (Vec<Vec<F>>, usize) {
-        let mut objects = Vec::with_capacity(payload.len().div_ceil(self.k).max(1));
-        if payload.is_empty() {
-            objects.push(vec![F::ZERO; self.k]);
-            return (objects, 0);
-        }
-        for chunk in payload.chunks(self.k) {
-            let mut symbols = bulk::bytes_to_symbols::<F>(chunk);
-            symbols.resize(self.k, F::ZERO);
-            objects.push(symbols);
-        }
-        (objects, payload.len())
-    }
-
-    /// Reassembles objects produced by [`ObjectCodec::split_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VersioningError::ObjectLengthMismatch`] if any object has the
-    /// wrong dimension.
-    pub fn join_bytes<F: GaloisField>(
-        &self,
-        objects: &[Vec<F>],
-        original_len: usize,
-    ) -> Result<Bytes, VersioningError> {
-        let mut bytes = Vec::with_capacity(objects.len() * self.k);
-        for object in objects {
-            if object.len() != self.k {
-                return Err(VersioningError::ObjectLengthMismatch {
-                    expected: self.k,
-                    actual: object.len(),
-                });
-            }
-            bytes.extend_from_slice(&bulk::symbols_to_bytes(object));
-        }
-        bytes.truncate(original_len);
-        Ok(Bytes::from(bytes))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::{Gf1024, Gf256};
 
     #[test]
     fn version_id_arithmetic() {
@@ -167,86 +42,5 @@ mod tests {
         assert_eq!(v.index(), 0);
         assert_eq!(v.next(), VersionId(2));
         assert_eq!(format!("{}", VersionId(7)), "v7");
-    }
-
-    #[test]
-    fn bytes_round_trip_with_padding() {
-        let codec = ObjectCodec::new(8);
-        assert_eq!(codec.dimension(), 8);
-        assert_eq!(codec.max_bytes(), 8);
-        let payload = b"hello";
-        let object: Vec<Gf256> = codec.bytes_to_object(payload).unwrap();
-        assert_eq!(object.len(), 8);
-        assert!(object[5..].iter().all(|s| s.is_zero()));
-        let back = codec.object_to_bytes(&object, payload.len()).unwrap();
-        assert_eq!(back.as_ref(), payload);
-    }
-
-    #[test]
-    fn wide_field_round_trip() {
-        let codec = ObjectCodec::new(4);
-        let payload = [0u8, 255, 17, 3];
-        let object: Vec<Gf1024> = codec.bytes_to_object(&payload).unwrap();
-        let back = codec.object_to_bytes(&object, 4).unwrap();
-        assert_eq!(back.as_ref(), payload);
-    }
-
-    #[test]
-    fn oversized_payload_rejected() {
-        let codec = ObjectCodec::new(3);
-        assert!(matches!(
-            codec.bytes_to_object::<Gf256>(b"toolong"),
-            Err(VersioningError::ObjectTooLarge {
-                max_bytes: 3,
-                actual_bytes: 7
-            })
-        ));
-        let obj = vec![Gf256::ZERO; 3];
-        assert!(matches!(
-            codec.object_to_bytes(&obj, 4),
-            Err(VersioningError::ObjectTooLarge { .. })
-        ));
-        assert!(matches!(
-            codec.object_to_bytes(&[Gf256::ZERO; 2], 1),
-            Err(VersioningError::ObjectLengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn split_and_join_large_payload() {
-        let codec = ObjectCodec::new(4);
-        let payload: Vec<u8> = (0..11).collect();
-        let (objects, len) = codec.split_bytes::<Gf256>(&payload);
-        assert_eq!(objects.len(), 3);
-        assert_eq!(len, 11);
-        assert!(objects.iter().all(|o| o.len() == 4));
-        let back = codec.join_bytes(&objects, len).unwrap();
-        assert_eq!(back.as_ref(), payload.as_slice());
-    }
-
-    #[test]
-    fn split_empty_payload_gives_one_zero_object() {
-        let codec = ObjectCodec::new(4);
-        let (objects, len) = codec.split_bytes::<Gf256>(b"");
-        assert_eq!(objects.len(), 1);
-        assert_eq!(len, 0);
-        assert!(objects[0].iter().all(|s| s.is_zero()));
-        assert!(codec.join_bytes(&objects, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn join_rejects_misshaped_objects() {
-        let codec = ObjectCodec::new(4);
-        let objects = vec![vec![Gf256::ZERO; 3]];
-        assert!(matches!(
-            codec.join_bytes(&objects, 3),
-            Err(VersioningError::ObjectLengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_dimension_panics() {
-        let _ = ObjectCodec::new(0);
     }
 }

@@ -1,18 +1,19 @@
-//! Retrieval of versions (and version prefixes) from a [`VersionedArchive`],
-//! with exact I/O read accounting.
+//! Retrieval of versions (and version prefixes) from the symbol-level oracle
+//! [`VersionedArchive`], with exact I/O read accounting — the second half of
+//! the test-only reference (see [`crate::symbol_archive`]).
 //!
-//! The functions here assume all `n` nodes of every entry are alive (the
-//! failure-aware path lives in `sec-store`, which combines the archive with a
-//! placement and a failure pattern). Under that assumption the read counts
-//! reproduce eqs. (3) and (4) of the paper exactly, which the tests assert
-//! against [`IoModel`](crate::io_model::IoModel).
+//! The functions here assume all `n` nodes of every entry are alive. Under
+//! that assumption the read counts reproduce eqs. (3) and (4) of the paper
+//! exactly, which the tests assert against
+//! [`IoModel`](crate::io_model::IoModel).
 
 use sec_erasure::read_plan::{plan_and_decode, ReadTarget};
 use sec_gf::GaloisField;
 
-use crate::archive::{EncodedEntry, EncodingStrategy, StoredPayload, VersionedArchive};
+use crate::archive::{EncodingStrategy, StoredPayload};
 use crate::delta::Delta;
 use crate::error::VersioningError;
+use crate::symbol_archive::{EncodedEntry, VersionedArchive};
 
 /// Result of retrieving a single version.
 #[derive(Debug, Clone, PartialEq, Eq)]

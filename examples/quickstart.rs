@@ -3,25 +3,25 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use sec::gf::{GaloisField, Gf1024};
-use sec::{ArchiveConfig, EncodingStrategy, GeneratorForm, VersionedArchive};
+use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A (6, 3) code over GF(1024): the paper's running example. Each object is
-    // three symbols; the code spreads six coded symbols over six nodes and
-    // tolerates any three failures.
+    // A (6, 3) code: the paper's running example. Each object is a 3 KiB
+    // buffer split into three 1 KiB blocks (the paper's three symbols); the
+    // code spreads six coded blocks over six nodes and tolerates any three
+    // failures.
     let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-    let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config)?;
+    let mut archive = ByteVersionedArchive::new(config)?;
 
-    // Three versions of a small object; each edit touches a single symbol, so
+    // Three versions of the object; each edit touches a single block, so
     // every delta is 1-sparse and exploitable by SEC.
-    let v1: Vec<Gf1024> = [100u64, 200, 300].iter().map(|&v| Gf1024::from_u64(v)).collect();
+    let v1: Vec<u8> = (0..3 * 1024).map(|i| (i % 251) as u8).collect();
     let mut v2 = v1.clone();
-    v2[0] = Gf1024::from_u64(111);
+    v2[100] = 111; // block 0
     let mut v3 = v2.clone();
-    v3[2] = Gf1024::from_u64(333);
+    v3[2500] = 33; // block 2
 
-    archive.append_all(&[v1.clone(), v2.clone(), v3.clone()])?;
+    archive.append_all(&[&v1, &v2, &v3])?;
     println!(
         "archived {} versions, sparsity profile {:?}",
         archive.len(),

@@ -8,16 +8,19 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sec::gf::Gf256;
+use sec::gf::{bulk, Gf256};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
-use sec::{ArchiveConfig, DistributedStore, EncodingStrategy, GeneratorForm, VersionedArchive};
+use sec::{ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2015);
     // 16-symbol object, 12 revisions, each revision rewrites a short run of
-    // up to 3 consecutive symbols (a typical code-edit pattern).
+    // up to 3 consecutive symbols (a typical code-edit pattern). A GF(2^8)
+    // symbol is a byte, so each revision is a 16-byte object the archive
+    // splits into k = 16 one-byte blocks.
     let trace_config = TraceConfig::new(16, 12, EditModel::Localized { max_run: 3 });
     let trace: VersionTrace<Gf256> = VersionTrace::generate(&trace_config, &mut rng);
+    let revisions: Vec<Vec<u8>> = trace.versions.iter().map(|v| bulk::symbols_to_bytes(v)).collect();
     println!(
         "generated {} revisions; delta sparsity: {:?} ({}% exploitable)",
         trace.len(),
@@ -33,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EncodingStrategy::NonDifferential,
     ] {
         let config = ArchiveConfig::new(32, 16, GeneratorForm::Systematic, strategy)?;
-        let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-        archive.append_all(&trace.versions)?;
+        let mut archive = ByteVersionedArchive::new(config)?;
+        archive.append_all(&revisions)?;
 
         let whole = archive.retrieve_prefix(archive.len())?;
         let latest = archive.retrieve_version(archive.len())?;
@@ -47,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Put the Basic SEC archive on a simulated cluster, kill a few nodes and
     // show that everything is still readable with the same I/O counts.
     let config = ArchiveConfig::new(32, 16, GeneratorForm::Systematic, EncodingStrategy::BasicSec)?;
-    let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-    archive.append_all(&trace.versions)?;
-    let mut store = DistributedStore::colocated(&archive);
+    let mut archive = ByteVersionedArchive::new(config)?;
+    archive.append_all(&revisions)?;
+    let mut store = ByteDistributedStore::colocated(&archive);
     for node in [0, 7, 13, 21, 30] {
-        store.fail_node(node).unwrap();
+        store.fail_node(node)?;
     }
     println!(
         "\nafter 5 node failures the archive is {}recoverable",
@@ -62,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
     let recovered = store.retrieve_version(&archive, archive.len())?;
-    assert_eq!(&recovered.data, trace.versions.last().expect("non-empty trace"));
+    assert_eq!(&recovered.data, revisions.last().expect("non-empty trace"));
     println!(
         "latest revision recovered from the degraded cluster with {} reads ({})",
         recovered.io_reads,
@@ -71,6 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Repair one of the failed nodes and report the rebuild cost.
     let rebuilt = store.repair_node(&archive, 7)?;
-    println!("repaired node 7: {rebuilt} symbols rebuilt");
+    println!("repaired node 7: {rebuilt} blocks rebuilt");
     Ok(())
 }

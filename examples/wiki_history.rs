@@ -9,9 +9,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sec::analysis::expected_io::{expected_joint_reads, joint_read_reduction_percent};
-use sec::gf::Gf256;
+use sec::gf::{bulk, Gf256};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
-use sec::{ArchiveConfig, EncodingStrategy, GeneratorForm, IoModel, SparsityPmf, VersionedArchive};
+use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm, IoModel, SparsityPmf};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 8usize;
@@ -49,8 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace: VersionTrace<Gf256> = VersionTrace::generate(&trace_config, &mut rng);
 
     let config = ArchiveConfig::new(n, k, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-    let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config)?;
-    archive.append_all(&trace.versions)?;
+    let mut archive = ByteVersionedArchive::new(config)?;
+    // One GF(2^8) symbol of the trace is one byte, i.e. one block of the
+    // k-byte article.
+    for revision in &trace.versions {
+        archive.append_version(&bulk::symbols_to_bytes(revision))?;
+    }
 
     let measured = archive.retrieve_prefix(archive.len())?.io_reads;
     let baseline = archive.len() * k;

@@ -11,8 +11,8 @@
 //! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, polynomials, bulk kernels |
 //! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy/Vandermonde, criteria checks |
 //! | [`erasure`] | `sec-erasure` | systematic / non-systematic Cauchy MDS codes, sparse recovery, read planning |
-//! | [`versioning`] | `sec-versioning` | delta archives, Basic/Optimized/Reversed SEC, I/O model |
-//! | [`store`] | `sec-store` | simulated distributed storage, placement, failures, repair |
+//! | [`versioning`] | `sec-versioning` | byte archives (layout ledger + blocks), Basic/Optimized/Reversed SEC, I/O model |
+//! | [`store`] | `sec-store` | simulated storage nodes, placement, failures, repair; the single-threaded store the engine is checked against |
 //! | [`engine`] | `sec-engine` | concurrent serving layer: sharded locks, lock-free planning, delta cache |
 //! | [`analysis`] | `sec-analysis` | static resilience, availability, average-I/O, expected-I/O |
 //! | [`workload`] | `sec-workload` | sparsity PMFs and synthetic edit traces |
@@ -22,21 +22,21 @@
 //! # Quickstart
 //!
 //! ```rust
-//! use sec::{ArchiveConfig, EncodingStrategy, GeneratorForm, VersionedArchive};
-//! use sec::gf::{GaloisField, Gf1024};
+//! use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // A (6, 3) non-systematic SEC archive, as in the paper's running example.
+//! // A (6, 3) non-systematic SEC archive, as in the paper's running example:
+//! // a 3 KB object in three 1 KB blocks, one block per symbol of the paper.
 //! let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)?;
-//! let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config)?;
+//! let mut archive = ByteVersionedArchive::new(config)?;
 //!
-//! let v1: Vec<Gf1024> = [3u64, 1, 4].iter().map(|&v| Gf1024::from_u64(v)).collect();
+//! let v1: Vec<u8> = (0..3 * 1024).map(|i| (i % 251) as u8).collect();
 //! let mut v2 = v1.clone();
-//! v2[1] = Gf1024::from_u64(59);
+//! v2[1500] ^= 59; // touches the second block only: γ = 1
 //! archive.append_all(&[v1, v2.clone()])?;
 //!
 //! let both = archive.retrieve_prefix(2)?;
-//! assert_eq!(both.io_reads, 5); // k + 2γ = 3 + 2, instead of 2k = 6
+//! assert_eq!(both.io_reads, 5); // k + 2γ = 3 + 2 block reads, instead of 2k = 6
 //! assert_eq!(both.versions[1], v2);
 //! # Ok(())
 //! # }
@@ -57,9 +57,8 @@ pub use sec_workload as workload;
 
 pub use sec_engine::{ObjectId, SecCluster, SecEngine};
 pub use sec_erasure::{ByteCodec, ByteShards, CodeParams, DecodeScratch, GeneratorForm, SecCode};
-pub use sec_store::{ByteDistributedStore, DistributedStore, Placement, PlacementStrategy};
+pub use sec_store::{ByteDistributedStore, Placement, PlacementStrategy};
 pub use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, DeltaCache, EncodingStrategy, IoModel,
-    VersionedArchive,
 };
 pub use sec_workload::{SparsityPmf, ZipfPmf};

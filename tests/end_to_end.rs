@@ -1,19 +1,34 @@
 //! End-to-end integration tests spanning every crate: workload generation →
 //! delta archiving → distributed storage → failures → retrieval, checked
-//! against the analytical I/O and resilience models.
+//! against the analytical I/O and resilience models. A `GF(2^8)` trace symbol
+//! is a byte, so a `k`-symbol trace version is a `k`-byte object whose blocks
+//! are its symbols.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sec::analysis::io::{average_io_exact, IoScheme};
 use sec::analysis::patterns::census;
 use sec::analysis::resilience::{paper_eq20_systematic_loss, prob_lose_sparse_exact};
-use sec::gf::{GaloisField, Gf1024, Gf256};
+use sec::gf::{bulk, Gf1024, Gf256};
 use sec::store::failure::enumerate_patterns;
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
-    ArchiveConfig, DistributedStore, EncodingStrategy, GeneratorForm, PlacementStrategy, SecCode,
-    SparsityPmf, VersionedArchive,
+    ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, EncodingStrategy, GeneratorForm,
+    PlacementStrategy, SecCode, SparsityPmf,
 };
+
+/// The versions of a `GF(2^8)` trace as byte objects, one byte per symbol.
+fn trace_bytes(trace: &VersionTrace<Gf256>) -> Vec<Vec<u8>> {
+    trace.versions.iter().map(|v| bulk::symbols_to_bytes(v)).collect()
+}
+
+/// A `(6, 3)` Basic SEC byte archive holding `versions`.
+fn archive_6_3(form: GeneratorForm, versions: &[Vec<u8>]) -> ByteVersionedArchive {
+    let config = ArchiveConfig::new(6, 3, form, EncodingStrategy::BasicSec).expect("valid (6,3)");
+    let mut archive = ByteVersionedArchive::new(config).expect("builds");
+    archive.append_all(versions).expect("append succeeds");
+    archive
+}
 
 /// Generates a trace, archives it, stores it on a degraded cluster and checks
 /// every version comes back bit-exact for every strategy and placement.
@@ -22,6 +37,7 @@ fn trace_to_storage_round_trip_under_failures() {
     let mut rng = StdRng::seed_from_u64(99);
     let trace_config = TraceConfig::new(8, 6, EditModel::Scattered { edits: 2 });
     let trace: VersionTrace<Gf256> = VersionTrace::generate(&trace_config, &mut rng);
+    let versions = trace_bytes(&trace);
 
     for strategy in [
         EncodingStrategy::BasicSec,
@@ -32,18 +48,17 @@ fn trace_to_storage_round_trip_under_failures() {
         for placement in [PlacementStrategy::Colocated, PlacementStrategy::Dispersed] {
             let config = ArchiveConfig::new(16, 8, GeneratorForm::Systematic, strategy)
                 .expect("valid (16,8) configuration");
-            let mut archive: VersionedArchive<Gf256> =
-                VersionedArchive::new(config).expect("GF(256) supports (16,8)");
-            archive.append_all(&trace.versions).expect("append succeeds");
+            let mut archive = ByteVersionedArchive::new(config).expect("GF(256) supports (16,8)");
+            archive.append_all(&versions).expect("append succeeds");
 
-            let store = DistributedStore::new(&archive, placement);
+            let store = ByteDistributedStore::new(&archive, placement);
             // Kill n - k = 8 nodes of the first entry's node set: the archive
             // must still be fully readable (MDS tolerance).
             for node in 0..8 {
                 store.fail_node(node).unwrap();
             }
             assert!(store.archive_recoverable(&archive), "{strategy} {placement}");
-            for (l, expect) in trace.versions.iter().enumerate() {
+            for (l, expect) in versions.iter().enumerate() {
                 let got = store
                     .retrieve_version(&archive, l + 1)
                     .unwrap_or_else(|e| panic!("{strategy} {placement} v{}: {e}", l + 1));
@@ -60,13 +75,12 @@ fn measured_io_matches_model_on_pmf_driven_trace() {
     let pmf = SparsityPmf::truncated_exponential(0.8, 10).expect("valid pmf");
     let mut rng = StdRng::seed_from_u64(3);
     let trace_config = TraceConfig::new(10, 12, EditModel::PmfDriven(pmf));
-    let trace: VersionTrace<Gf1024> = VersionTrace::generate(&trace_config, &mut rng);
+    let trace: VersionTrace<Gf256> = VersionTrace::generate(&trace_config, &mut rng);
 
     let config = ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
         .expect("valid (20,10) configuration");
-    let mut archive: VersionedArchive<Gf1024> =
-        VersionedArchive::new(config).expect("GF(1024) supports (20,10)");
-    archive.append_all(&trace.versions).expect("append succeeds");
+    let mut archive = ByteVersionedArchive::new(config).expect("GF(256) supports (20,10)");
+    archive.append_all(&trace_bytes(&trace)).expect("append succeeds");
     assert_eq!(archive.sparsity_profile(), trace.sparsity.as_slice());
 
     let model = archive.config().io_model();
@@ -78,21 +92,17 @@ fn measured_io_matches_model_on_pmf_driven_trace() {
     assert!(measured.io_reads <= archive.len() * 10);
 }
 
-/// The paper's §IV-C example end to end: the 3 KB object as three GF(1024)
-/// symbols, a 1-sparse second version, (6,3) codes — five reads for both
+/// The paper's §IV-C example end to end: the 3 KB object as three 1 KB
+/// blocks, a 1-sparse second version, (6,3) codes — five reads for both
 /// versions, pattern census 56 vs 44, and the eq. (20) loss probability.
 #[test]
 fn paper_running_example_end_to_end() {
-    let x1: Vec<Gf1024> = [513u64, 7, 1000].iter().map(|&v| Gf1024::from_u64(v)).collect();
+    let x1: Vec<u8> = (0..3 * 1024).map(|i| (i * 7 % 256) as u8).collect();
     let mut x2 = x1.clone();
-    x2[0] = Gf1024::from_u64(12); // modify only the first "1 KB block"
+    x2[12] ^= 0x51; // modify only the first 1 KB block
 
     for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
-        let config = ArchiveConfig::new(6, 3, form, EncodingStrategy::BasicSec).expect("valid (6,3)");
-        let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).expect("builds");
-        archive
-            .append_all(&[x1.clone(), x2.clone()])
-            .expect("append succeeds");
+        let archive = archive_6_3(form, &[x1.clone(), x2.clone()]);
         let both = archive.retrieve_prefix(2).expect("retrieval succeeds");
         assert_eq!(both.io_reads, 5, "{form:?}");
         assert_eq!(both.versions, vec![x1.clone(), x2.clone()]);
@@ -112,19 +122,13 @@ fn paper_running_example_end_to_end() {
 /// recoverable exactly when at least k nodes are alive.
 #[test]
 fn simulator_agrees_with_analytical_availability() {
-    let x1: Vec<Gf1024> = [1u64, 2, 3].iter().map(|&v| Gf1024::from_u64(v)).collect();
-    let mut x2 = x1.clone();
-    x2[1] = Gf1024::from_u64(9);
-    let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
-        .expect("valid (6,3)");
-    let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).expect("builds");
-    archive
-        .append_all(&[x1.clone(), x2.clone()])
-        .expect("append succeeds");
+    let x1 = vec![1u8, 2, 3];
+    let x2 = vec![1u8, 9, 3];
+    let archive = archive_6_3(GeneratorForm::NonSystematic, &[x1, x2.clone()]);
 
     let mut recoverable_patterns = 0usize;
     for pattern in enumerate_patterns(6) {
-        let store = DistributedStore::colocated(&archive);
+        let store = ByteDistributedStore::colocated(&archive);
         store.apply_pattern(&pattern);
         let recoverable = store.archive_recoverable(&archive);
         assert_eq!(
@@ -155,17 +159,13 @@ fn degraded_reads_match_average_io_analysis() {
     let avg_high_p = average_io_exact(&sys, IoScheme::Sec(GeneratorForm::Systematic), 1, 0.2);
     assert!(avg_low_p.average_reads < avg_high_p.average_reads);
 
-    let x1: Vec<Gf1024> = [5u64, 6, 7].iter().map(|&v| Gf1024::from_u64(v)).collect();
-    let mut x2 = x1.clone();
-    x2[2] = Gf1024::from_u64(700);
-    let config = ArchiveConfig::new(6, 3, GeneratorForm::Systematic, EncodingStrategy::BasicSec)
-        .expect("valid (6,3)");
-    let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).expect("builds");
-    archive.append_all(&[x1, x2.clone()]).expect("append succeeds");
+    let x1 = vec![5u8, 6, 7];
+    let x2 = vec![5u8, 6, 70];
+    let archive = archive_6_3(GeneratorForm::Systematic, &[x1, x2.clone()]);
 
     // Fail two of the three parity nodes: the delta can no longer be fetched
     // with 2 reads from the parity block, yet retrieval still succeeds.
-    let store = DistributedStore::colocated(&archive);
+    let store = ByteDistributedStore::colocated(&archive);
     store.fail_node(4).unwrap();
     store.fail_node(5).unwrap();
     let r = store.retrieve_version(&archive, 2).expect("still recoverable");

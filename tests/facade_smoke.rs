@@ -7,12 +7,12 @@ use sec::engine::{ClusterMetrics, EngineMetrics, EngineRetrieval};
 use sec::erasure::{CodeError, DecodeMethod, ReadPlan, ReadTarget, ReplicationCode, Share};
 use sec::gf::{GaloisField, Gf1024, Gf16, Gf256, Gf65536, Poly};
 use sec::linalg::{cauchy::cauchy_matrix, checks, Matrix, MatrixError};
-use sec::store::{FailurePattern, IoMetrics, Placement, StorageNode, StoredRetrieval};
-use sec::versioning::{PrefixRetrieval, VersionRetrieval, VersioningError};
+use sec::store::{ByteStoredRetrieval, FailurePattern, IoMetrics, Placement, StorageNode};
+use sec::versioning::{BytePrefixRetrieval, ByteVersionRetrieval, VersioningError};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
-    ArchiveConfig, CodeParams, DistributedStore, EncodingStrategy, GeneratorForm, IoModel, ObjectId,
-    PlacementStrategy, SecCluster, SecCode, SecEngine, SparsityPmf, VersionedArchive,
+    ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, CodeParams, EncodingStrategy,
+    GeneratorForm, IoModel, ObjectId, PlacementStrategy, SecCluster, SecCode, SecEngine, SparsityPmf,
 };
 
 /// Every crate-root re-export participates in one end-to-end flow.
@@ -30,12 +30,12 @@ fn facade_types_interoperate_end_to_end() {
     // versioning: archive two versions, check the io model agrees.
     let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
         .expect("valid config");
-    let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).expect("archive");
-    let v1: Vec<Gf1024> = [3u64, 1, 4].iter().map(|&v| Gf1024::from_u64(v)).collect();
+    let mut archive = ByteVersionedArchive::new(config).expect("archive");
+    let v1 = vec![3u8, 1, 4, 1, 5, 9];
     let mut v2 = v1.clone();
-    v2[1] = Gf1024::from_u64(59);
+    v2[2] = 59; // second of three 2-byte blocks
     archive.append_all(&[v1.clone(), v2.clone()]).expect("append");
-    let prefix: PrefixRetrieval<Gf1024> = archive.retrieve_prefix(2).expect("prefix");
+    let prefix: BytePrefixRetrieval = archive.retrieve_prefix(2).expect("prefix");
     assert_eq!(prefix.io_reads, 5); // k + 2γ = 3 + 2
     let model: IoModel = archive.config().io_model();
     assert_eq!(
@@ -44,15 +44,15 @@ fn facade_types_interoperate_end_to_end() {
     );
 
     // store: colocated placement, node failures, failure-aware retrieval.
-    let store: DistributedStore<Gf1024> = DistributedStore::new(&archive, PlacementStrategy::Colocated);
+    let store = ByteDistributedStore::new(&archive, PlacementStrategy::Colocated);
     store.fail_node(0).unwrap();
-    let retrieved: StoredRetrieval<Gf1024> = store.retrieve_version(&archive, 2).expect("retrieve");
+    let retrieved: ByteStoredRetrieval = store.retrieve_version(&archive, 2).expect("retrieve");
     assert_eq!(retrieved.data, v2);
     let metrics: IoMetrics = store.metrics();
     assert!(metrics.symbol_reads > 0);
     let placement: Placement = store.placement();
     assert_eq!(placement.strategy(), PlacementStrategy::Colocated);
-    let node: &StorageNode<Gf1024> = store.node(1).expect("node 1 exists");
+    let node: &StorageNode<Vec<u8>> = store.node(1).expect("node 1 exists");
     assert!(node.is_alive());
     let pattern = FailurePattern::none(store.node_count());
     assert_eq!(pattern.failed_count(), 0);
@@ -139,11 +139,9 @@ fn facade_module_reexports_are_reachable() {
     // versioning auxiliaries: error and retrieval types.
     let config = ArchiveConfig::new(4, 2, GeneratorForm::Systematic, EncodingStrategy::NonDifferential)
         .expect("valid config");
-    let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).expect("archive");
-    let missing: Result<VersionRetrieval<Gf256>, VersioningError> = archive.retrieve_version(1);
+    let mut archive = ByteVersionedArchive::new(config).expect("archive");
+    let missing: Result<ByteVersionRetrieval, VersioningError> = archive.retrieve_version(1);
     assert!(missing.is_err());
-    archive
-        .append_version(&[Gf256::ONE, Gf256::ZERO])
-        .expect("append");
+    archive.append_version(&[1, 0]).expect("append");
     assert_eq!(archive.retrieve_version(1).expect("v1").io_reads, 2);
 }

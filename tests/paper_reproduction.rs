@@ -10,7 +10,10 @@ use sec::analysis::resilience::{
 use sec::analysis::tables::table1;
 use sec::erasure::CriteriaReport;
 use sec::gf::Gf1024;
-use sec::{CodeParams, EncodingStrategy, GeneratorForm, IoModel, SecCode, SparsityPmf};
+use sec::{
+    ArchiveConfig, ByteVersionedArchive, CodeParams, EncodingStrategy, GeneratorForm, IoModel, SecCode,
+    SecEngine, SparsityPmf,
+};
 
 fn codes_6_3() -> (SecCode<Gf1024>, SecCode<Gf1024>) {
     (
@@ -145,6 +148,89 @@ fn fig9_io_read_series() {
     assert_eq!(basic, vec![10, 16, 26, 32, 42]);
     assert_eq!(optimized, vec![10, 16, 10, 16, 10]);
     assert_eq!(prefix_nd, vec![10, 20, 30, 40, 50]);
+}
+
+/// The §III-D version sequence over `block`-byte blocks: k = 10, each edit
+/// flips one byte in every block it lists, giving the profile {3, 8, 3, 6}.
+fn section_iii_d_versions(block: usize) -> Vec<Vec<u8>> {
+    let mut versions = vec![(0..10 * block).map(|i| (i * 31 % 256) as u8).collect::<Vec<u8>>()];
+    let edits: [&[usize]; 4] = [
+        &[0, 1, 2],
+        &[0, 1, 2, 3, 4, 5, 6, 7],
+        &[3, 4, 5],
+        &[0, 2, 4, 6, 8, 9],
+    ];
+    for blocks in edits {
+        let mut next = versions.last().expect("non-empty").clone();
+        for &b in blocks {
+            next[b * block + b % block] ^= 0x80;
+        }
+        versions.push(next);
+    }
+    versions
+}
+
+/// §III-D / Fig. 9 operationally, on the path that ships: block reads counted
+/// by the standalone byte archive and by the engine (cache off, so every read
+/// hits the nodes) equal the paper's series at any block size.
+#[test]
+fn fig9_io_read_series_measured_on_the_byte_archive_and_the_engine() {
+    let cases: [(EncodingStrategy, [usize; 5]); 3] = [
+        (EncodingStrategy::BasicSec, [10, 16, 26, 32, 42]),
+        (EncodingStrategy::OptimizedSec, [10, 16, 10, 16, 10]),
+        (EncodingStrategy::NonDifferential, [10, 10, 10, 10, 10]),
+    ];
+    for block in [1usize, 64] {
+        let versions = section_iii_d_versions(block);
+        let filled = |strategy| {
+            let config =
+                ArchiveConfig::new(20, 10, GeneratorForm::NonSystematic, strategy).expect("valid");
+            let mut archive = ByteVersionedArchive::new(config).expect("GF(2^8) fits (20,10)");
+            let engine = SecEngine::new(config).expect("engine");
+            for version in &versions {
+                archive.append_version(version).expect("append");
+                engine.append_version(version).expect("append");
+            }
+            assert_eq!(archive.sparsity_profile(), [3, 8, 3, 6], "block {block}");
+            (archive, engine)
+        };
+        for (strategy, series) in cases {
+            let (archive, engine) = filled(strategy);
+            for (l, &reads) in (1..=5).zip(&series) {
+                let from_archive = archive.retrieve_version(l).expect("archive read");
+                let from_engine = engine.get_version(l).expect("engine read");
+                assert_eq!(
+                    from_archive.io_reads, reads,
+                    "{strategy} archive v{l} block {block}"
+                );
+                assert_eq!(
+                    from_engine.io_reads, reads,
+                    "{strategy} engine v{l} block {block}"
+                );
+                assert_eq!(from_archive.data, versions[l - 1]);
+                assert_eq!(*from_engine.data, versions[l - 1]);
+            }
+        }
+
+        // Reversed SEC reads the latest version from its full copy alone.
+        let (archive, engine) = filled(EncodingStrategy::ReversedSec);
+        assert_eq!(archive.retrieve_version(5).expect("archive read").io_reads, 10);
+        assert_eq!(engine.get_version(5).expect("engine read").io_reads, 10);
+
+        // The whole archive: k + Σ min(2γ_j, k) = 42 block reads against 5k = 50.
+        for (strategy, total) in [
+            (EncodingStrategy::BasicSec, 42),
+            (EncodingStrategy::NonDifferential, 50),
+        ] {
+            let (archive, engine) = filled(strategy);
+            let from_archive = archive.retrieve_prefix(5).expect("archive prefix");
+            let from_engine = engine.get_prefix(5).expect("engine prefix");
+            assert_eq!(from_archive.io_reads, total, "{strategy} archive block {block}");
+            assert_eq!(from_engine.io_reads, total, "{strategy} engine block {block}");
+            assert_eq!(from_archive.versions, versions);
+            assert_eq!(from_engine.versions, versions);
+        }
+    }
 }
 
 #[test]
