@@ -195,10 +195,6 @@ impl NodeSlab {
     }
 }
 
-/// The engine owns its [`DeltaCache`], so every entry files under one object
-/// key.
-const CACHE_KEY: u64 = 0;
-
 /// A concurrent SEC serving engine.
 ///
 /// # Locking model
@@ -563,7 +559,7 @@ impl SecEngine {
         // only its *encoded* full-copy slot, and that entry carries the new
         // version's id).
         if self.cache.capacity() > 0 {
-            self.cache.insert(CACHE_KEY, id.0, object.to_vec());
+            self.cache.insert(id.0, object.to_vec());
         }
         Ok(id)
     }
@@ -634,9 +630,7 @@ impl SecEngine {
             |idx, acc| self.read_entry(idx, snap.layout[idx], snap.shard_len, acc),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
-        let data = self
-            .cache
-            .insert(CACHE_KEY, l, out.shards.into_flat(snap.object_len));
+        let data = self.cache.insert(l, out.shards.into_flat(snap.object_len));
         Ok(EngineRetrieval {
             version: l,
             data,
@@ -690,11 +684,9 @@ impl SecEngine {
     /// NonDifferential (no deltas) can use only an exact copy.
     fn cached_anchor(&self, strategy: EncodingStrategy, l: usize) -> Option<(usize, Arc<Vec<u8>>)> {
         match strategy {
-            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
-                self.cache.nearest_at_most(CACHE_KEY, l)
-            }
-            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(CACHE_KEY, l),
-            EncodingStrategy::NonDifferential => self.cache.get(CACHE_KEY, l).map(|data| (l, data)),
+            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => self.cache.nearest_at_most(l),
+            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(l),
+            EncodingStrategy::NonDifferential => self.cache.get(l).map(|data| (l, data)),
         }
     }
 

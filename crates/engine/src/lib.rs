@@ -23,10 +23,10 @@
 //!   (`n` fresh nodes per stored entry, slabs appended on write without
 //!   blocking in-flight readers) — under dispersed placement a node
 //!   failure degrades exactly the one entry it hosts;
-//! * an optional [`DeltaCache`] (shared-read LRU keyed by `(object,
-//!   version)`) serves exact hits without touching a single node and lets
-//!   nearby requests walk forward or backward from the *nearest* cached
-//!   decoded base, paying only for the deltas in between;
+//! * an optional [`DeltaCache`] (shared-read LRU keyed by version) serves
+//!   exact hits without touching a single node and lets nearby requests
+//!   walk forward or backward from the *nearest* cached decoded base,
+//!   paying only for the deltas in between;
 //! * every I/O is accounted exactly as in the paper's model — the engine's
 //!   read counts are bit-compatible with the single-threaded
 //!   `ByteVersionedArchive` reference, which the concurrency test suite

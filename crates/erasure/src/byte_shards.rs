@@ -18,8 +18,8 @@
 //!   [`ByteCodec::decode_blocks_into`] and [`ByteCodec::recover_sparse_into`],
 //!   the last of which XORs the recovered delta straight onto an
 //!   accumulator. Every method takes `&self`, so one codec can serve many
-//!   decoding threads; the scratch arena sparse recovery needs lives in a
-//!   caller-supplied (or thread-local) [`DecodeScratch`].
+//!   decoding threads; the scratch arena sparse recovery needs is
+//!   thread-local.
 //!
 //! The differential property suite in `tests/byte_path_equiv.rs` locks every
 //! pipeline stage to the scalar reference: for any coefficients, shard sizes
@@ -236,10 +236,9 @@ impl ByteShards {
 ///
 /// The scratch is deliberately *outside* the codec: every [`ByteCodec`]
 /// method takes `&self`, so any number of threads can decode through one
-/// shared codec, each threading its own `DecodeScratch` (or relying on the
-/// thread-local one used by the convenience methods).
+/// shared codec, each through its own thread-local `DecodeScratch`.
 #[derive(Debug, Default)]
-pub struct DecodeScratch {
+struct DecodeScratch {
     /// One [`VERIFY_CHUNK`] of every residual row, for the full consistency
     /// verification.
     row: Vec<u8>,
@@ -261,11 +260,6 @@ pub struct DecodeScratch {
 const MAX_PROBES: usize = 8;
 
 impl DecodeScratch {
-    /// Creates an empty scratch arena (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Loads the generator rows of `shares` and clears the probe set.
     fn begin(&mut self, code: &SecCode<Gf256>, shares: &[(usize, &[u8])]) {
         let g = code.generator();
@@ -358,10 +352,10 @@ impl DecodeScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing the convenience (`&self`, no explicit
-    /// scratch) entry points, so steady-state decoding stays allocation-free
-    /// without forcing every caller to carry a [`DecodeScratch`].
-    static THREAD_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
+    /// Per-thread scratch behind the sparse-recovery entry points (buffers
+    /// grow on first use), so steady-state decoding stays allocation-free
+    /// while every [`ByteCodec`] method takes `&self`.
+    static THREAD_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
 }
 
 /// Batched `GF(2^8)` encoder/decoder: a [`SecCode<Gf256>`] plus the
@@ -565,25 +559,8 @@ impl ByteCodec {
         shares: &[(usize, &[u8])],
         gamma: usize,
     ) -> Result<ByteShards, CodeError> {
-        THREAD_SCRATCH
-            .with(|scratch| self.recover_sparse_blocks_with(shares, gamma, &mut scratch.borrow_mut()))
-    }
-
-    /// Like [`ByteCodec::recover_sparse_blocks`] but with an explicit scratch
-    /// arena instead of the thread-local one — the reentrant form for callers
-    /// that manage their own per-worker buffers.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ByteCodec::recover_sparse_blocks`].
-    pub fn recover_sparse_blocks_with(
-        &self,
-        shares: &[(usize, &[u8])],
-        gamma: usize,
-        scratch: &mut DecodeScratch,
-    ) -> Result<ByteShards, CodeError> {
         let mut out = ByteShards::zeroed(self.code.k(), first_len(shares));
-        self.recover_sparse_into_with(shares, gamma, &mut out, scratch)?;
+        self.recover_sparse_into(shares, gamma, &mut out)?;
         Ok(out)
     }
 
@@ -1129,29 +1106,6 @@ mod tests {
                 "{form}"
             );
         }
-    }
-
-    #[test]
-    fn explicit_scratch_matches_thread_local_path() {
-        let codec = codec(6, 3, GeneratorForm::NonSystematic);
-        let mut delta = ByteShards::zeroed(3, 17);
-        delta.shard_mut(2).copy_from_slice(&object(17));
-        let coded = codec.encode_blocks(&delta).unwrap();
-        let shares: Vec<(usize, &[u8])> = vec![(1, coded.shard(1)), (4, coded.shard(4))];
-        let mut scratch = DecodeScratch::new();
-        let with_scratch = codec
-            .recover_sparse_blocks_with(&shares, 1, &mut scratch)
-            .unwrap();
-        let thread_local = codec.recover_sparse_blocks(&shares, 1).unwrap();
-        assert_eq!(with_scratch, thread_local);
-        assert_eq!(with_scratch, delta);
-        // The same scratch can be reused across calls and shard lengths.
-        let zero = ByteShards::zeroed(6, 4);
-        let zero_shares: Vec<(usize, &[u8])> = vec![(0, zero.shard(0)), (5, zero.shard(5))];
-        let recovered = codec
-            .recover_sparse_blocks_with(&zero_shares, 1, &mut scratch)
-            .unwrap();
-        assert_eq!(recovered.weight(), 0);
     }
 
     #[test]

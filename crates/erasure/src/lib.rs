@@ -56,7 +56,7 @@ pub mod shards;
 pub mod sparse;
 
 pub use baseline::ReplicationCode;
-pub use byte_shards::{ByteCodec, ByteShards, DecodeScratch};
+pub use byte_shards::{ByteCodec, ByteShards};
 pub use code::{CodeParams, GeneratorForm, SecCode, Share};
 pub use criteria::{CriteriaReport, GammaReport};
 pub use error::CodeError;

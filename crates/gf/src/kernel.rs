@@ -1578,13 +1578,70 @@ mod tests {
         }
     }
 
+    /// The CPU's feature names from a source other than
+    /// [`Kernel::is_supported`]: the `flags` (x86) / `Features` (arm) line of
+    /// `/proc/cpuinfo` where there is one, std's detection macros elsewhere.
+    fn cpu_features() -> Vec<String> {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        let flags = cpuinfo
+            .lines()
+            .find(|line| line.starts_with("flags") || line.starts_with("Features"))
+            .and_then(|line| line.split_once(':'));
+        if let Some((_, flags)) = flags {
+            return flags.split_whitespace().map(str::to_owned).collect();
+        }
+        let detected: &[(&str, bool)] = &[
+            #[cfg(target_arch = "x86_64")]
+            ("ssse3", std::arch::is_x86_feature_detected!("ssse3")),
+            #[cfg(target_arch = "x86_64")]
+            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+            #[cfg(target_arch = "x86_64")]
+            ("gfni", std::arch::is_x86_feature_detected!("gfni")),
+            #[cfg(target_arch = "x86_64")]
+            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+            #[cfg(target_arch = "aarch64")]
+            ("asimd", std::arch::is_aarch64_feature_detected!("neon")),
+        ];
+        detected
+            .iter()
+            .filter(|(_, present)| *present)
+            .map(|(name, _)| (*name).to_owned())
+            .collect()
+    }
+
     #[test]
-    fn auto_detection_prefers_the_widest_supported_kernel() {
-        let expect = [Kernel::Gfni, Kernel::Avx2, Kernel::Ssse3, Kernel::Neon]
-            .into_iter()
-            .find(|k| k.is_supported())
-            .unwrap_or(Kernel::Scalar);
-        assert_eq!(auto_detect(), expect);
+    #[cfg_attr(miri, ignore = "the host's cpuinfo does not describe Miri's CPU")]
+    fn dispatch_never_falls_below_what_the_cpu_reports() {
+        let features = cpu_features();
+        let has = |feature: &str| features.iter().any(|f| f == feature);
+        let auto = auto_detect();
+        if cfg!(target_arch = "x86_64") {
+            if has("ssse3") {
+                assert_ne!(auto, Kernel::Scalar, "SSSE3 host fell back to scalar");
+            }
+            if has("avx2") {
+                assert!(
+                    matches!(auto, Kernel::Avx2 | Kernel::Gfni),
+                    "AVX2 host runs {auto}"
+                );
+            }
+            if has("gfni") && has("avx512f") && has("avx2") {
+                assert_eq!(auto, Kernel::Gfni);
+            }
+        }
+        if cfg!(target_arch = "aarch64") && has("asimd") {
+            assert_ne!(auto, Kernel::Scalar, "NEON host fell back to scalar");
+        }
         assert!(Kernel::available().contains(&Kernel::Scalar));
+
+        // Production dispatch honours a supported pin (CI runs this suite
+        // under `scalar` and `avx2`) and is the auto-detected kernel otherwise.
+        let pinned = std::env::var(KERNEL_ENV)
+            .ok()
+            .and_then(|value| Kernel::from_name(value.trim()))
+            .filter(|kernel| kernel.is_supported());
+        let _forcing_lock = test_support::force_guard(Kernel::Scalar);
+        reset_kernel();
+        assert_eq!(active_kernel(), pinned.unwrap_or(auto));
     }
 }

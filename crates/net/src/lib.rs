@@ -22,8 +22,8 @@
 //!   explicit pipelining.
 //! * [`load`] — a loopback load generator (closed-loop pipelining or
 //!   open-loop Poisson arrivals via `sec-workload`) reporting sustained
-//!   req/s and p50/p99 latency; the `server_scaling` bench series and the
-//!   `sec-netload` bin are thin wrappers over it.
+//!   req/s and p50/p99 latency; the `sec-netload` bin is a thin wrapper
+//!   over it.
 //!
 //! See `docs/NETWORK.md` for the wire grammar and the backpressure and
 //! shutdown contracts.

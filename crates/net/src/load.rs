@@ -86,9 +86,15 @@ pub struct LoadReport {
     pub backend: &'static str,
 }
 
+/// Room offered to each socket read; the read buffer grows by this much at a
+/// time and is then reused.
+const READ_CHUNK: usize = 64 * 1024;
+
 struct LoadConn {
     stream: TcpStream,
+    /// Read buffer; `rbuf[..rlen]` holds received, not yet parsed bytes.
     rbuf: Vec<u8>,
+    rlen: usize,
     wbuf: Vec<u8>,
     wpos: usize,
     inflight: VecDeque<Instant>,
@@ -161,6 +167,7 @@ pub fn run_get_load(
         let conn = LoadConn {
             stream,
             rbuf: Vec::new(),
+            rlen: 0,
             wbuf: Vec::new(),
             wpos: 0,
             inflight: VecDeque::new(),
@@ -244,10 +251,11 @@ pub fn run_get_load(
             if ev.readable {
                 read_available(conn)?;
                 let mut refills = 0usize;
+                let mut pos = 0usize;
                 loop {
-                    match proto::parse_reply(&conn.rbuf) {
+                    match proto::parse_reply(&conn.rbuf[pos..conn.rlen]) {
                         ParsedReply::Complete { reply, consumed } => {
-                            conn.rbuf.drain(..consumed);
+                            pos += consumed;
                             let now = Instant::now();
                             last_reply = now;
                             if let Some(sent) = conn.inflight.pop_front() {
@@ -265,6 +273,11 @@ pub fn run_get_load(
                             return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
                         }
                     }
+                }
+                // One compaction per wakeup, not one per reply.
+                if pos > 0 {
+                    conn.rbuf.copy_within(pos..conn.rlen, 0);
+                    conn.rlen -= pos;
                 }
                 // Closed loop: a reply funds the next request; batch the
                 // whole refill into one flush.
@@ -322,28 +335,32 @@ fn connect_with_retry(addr: SocketAddr) -> io::Result<TcpStream> {
     Err(io::Error::other("connect retries exhausted"))
 }
 
+/// Reads until the socket has no more to give: a read that comes back short
+/// of the room it was offered drained it, and the poller is level-triggered,
+/// so later bytes wake the loop again (`server::read_some`, client side).
 fn read_available(conn: &mut LoadConn) -> io::Result<()> {
     loop {
-        let old = conn.rbuf.len();
-        conn.rbuf.resize(old + 64 * 1024, 0);
-        match conn.stream.read(&mut conn.rbuf[old..]) {
+        if conn.rbuf.len() - conn.rlen < READ_CHUNK {
+            conn.rbuf.resize(conn.rlen + READ_CHUNK, 0);
+        }
+        let room = &mut conn.rbuf[conn.rlen..];
+        match conn.stream.read(room) {
             Ok(0) => {
-                conn.rbuf.truncate(old);
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed a load connection",
                 ));
             }
-            Ok(n) => conn.rbuf.truncate(old + n),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conn.rbuf.truncate(old);
-                return Ok(());
+            Ok(n) => {
+                let drained = n < room.len();
+                conn.rlen += n;
+                if drained {
+                    return Ok(());
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => conn.rbuf.truncate(old),
-            Err(e) => {
-                conn.rbuf.truncate(old);
-                return Err(e);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }

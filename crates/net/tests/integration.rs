@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use sec_engine::{ObjectId, SecCluster};
 use sec_erasure::GeneratorForm;
+use sec_net::load::{run_get_load, LoadConfig};
 use sec_net::proto::{self, Command};
 use sec_net::{NetClient, Reply, Server, ServerConfig};
 use sec_versioning::{ArchiveConfig, EncodingStrategy};
@@ -555,5 +556,64 @@ fn backpressure_pauses_and_resumes_a_slow_reader() {
         }
     }
 
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn load_generator_closed_and_open_loop_count_every_reply_once() {
+    let cluster = test_cluster();
+    // 96 KiB replies: larger than one 64 KiB read, so the generator's read
+    // cursor and once-per-wakeup compaction carry partial frames across.
+    populate(&cluster, 4, 2, 96 * 1024);
+    let server = start_server(&cluster, 2);
+    let targets: Vec<(ObjectId, usize)> = (0..4u64)
+        .flat_map(|id| (1..=2usize).map(move |v| (ObjectId(id), v)))
+        .collect();
+
+    let closed = LoadConfig {
+        connections: 64,
+        pipeline: 4,
+        duration: Duration::from_millis(200),
+        ..LoadConfig::default()
+    };
+    let report = run_get_load(server.local_addr(), &targets, &closed).expect("closed loop");
+    assert!(report.requests > 0);
+    assert_eq!(report.errors, 0);
+    assert!(
+        report.p50_us <= report.p99_us && report.p99_us <= report.max_us,
+        "{report:?}"
+    );
+
+    let rate = 2000.0;
+    let open = LoadConfig {
+        connections: 8,
+        duration: Duration::from_millis(300),
+        open_loop_rate: Some(rate),
+        ..LoadConfig::default()
+    };
+    let report = run_get_load(server.local_addr(), &targets, &open).expect("open loop");
+    assert_eq!(report.errors, 0);
+    assert!(
+        report.p50_us <= report.p99_us && report.p99_us <= report.max_us,
+        "{report:?}"
+    );
+    let offered = rate * open.duration.as_secs_f64();
+    assert!(
+        (offered / 3.0..offered * 3.0).contains(&(report.requests as f64)),
+        "open loop at {rate}/s for {:?} answered {} requests",
+        open.duration,
+        report.requests
+    );
+
+    for (targets, connections, pipeline) in [(&[][..], 1, 1), (&targets[..], 0, 1), (&targets[..], 1, 0)]
+    {
+        let config = LoadConfig {
+            connections,
+            pipeline,
+            ..LoadConfig::default()
+        };
+        let err = run_get_load(server.local_addr(), targets, &config).expect_err("rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
     server.shutdown().expect("clean shutdown");
 }

@@ -4,16 +4,12 @@
 //! length grows with `l`'s distance from the nearest stored full version.
 //! Exact-hit caching wastes most of that work: after decoding version `v`,
 //! a read of `v + 1` needs only one more delta, yet an exact-hit cache
-//! re-walks the entire chain. [`DeltaCache`] therefore indexes decoded
-//! versions by `(object, version)` and answers *nearest-base* queries —
-//! "the closest cached version at or below the target" for the forward
-//! strategies ([`DeltaCache::nearest_at_most`]) and "at or above" for
-//! Reversed SEC, whose walk un-applies deltas backwards
-//! ([`DeltaCache::nearest_at_least`]). It also subsumes the paper's
-//! "cache a full copy of the latest version" rule (the old
-//! `LatestVersionCache`): [`DeltaCache::peek_latest`] serves the
-//! append path's need for the previous plaintext without touching the
-//! hit/miss statistics.
+//! re-walks the entire chain. [`DeltaCache`] therefore indexes the decoded
+//! versions of one archive by version number and answers *nearest-base*
+//! queries — "the closest cached version at or below the target" for the
+//! forward strategies ([`DeltaCache::nearest_at_most`]) and "at or above"
+//! for Reversed SEC, whose walk un-applies deltas backwards
+//! ([`DeltaCache::nearest_at_least`]).
 //!
 //! Lookups take `&self` (the recency touch is an atomic store under a read
 //! lock), so cached retrievals from many concurrent readers never serialize
@@ -58,14 +54,13 @@ impl CacheStats {
 /// touchable recency stamp.
 #[derive(Debug)]
 struct CacheSlot<V> {
-    object: u64,
     version: usize,
     value: Arc<V>,
     last_used: AtomicU64,
 }
 
-/// A capacity-bounded LRU cache of decoded versions keyed by
-/// `(object, version)`, with shared-read nearest-base lookup.
+/// A capacity-bounded LRU cache of one archive's decoded versions keyed by
+/// version number, with shared-read nearest-base lookup.
 ///
 /// Versions are immutable once appended (even under Reversed SEC, where only
 /// the *latest-full slot* is rewritten — it then encodes a new version id),
@@ -82,8 +77,7 @@ struct CacheSlot<V> {
 ///   version, evicting the slot with the oldest stamp when full.
 ///
 /// Values are handed out as [`Arc`]s so a hit costs one refcount bump, not a
-/// copy of the decoded object. Single-archive owners pass `object = 0`;
-/// cluster layers key by their object id so one cache can back many engines.
+/// copy of the decoded object.
 #[derive(Debug)]
 pub struct DeltaCache<V> {
     capacity: usize,
@@ -146,13 +140,12 @@ impl<V> DeltaCache<V> {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Shared core of the lookup family: finds the best slot for `object`
-    /// under `candidate` (which ranks acceptable versions by distance,
-    /// `None` meaning unusable), touches it and records the outcome against
+    /// Shared core of the lookup family: finds the best slot under
+    /// `candidate` (which ranks acceptable versions by distance, `None`
+    /// meaning unusable), touches it and records the outcome against
     /// `target`.
     fn lookup(
         &self,
-        object: u64,
         target: usize,
         candidate: impl Fn(usize) -> Option<usize>,
     ) -> Option<(usize, Arc<V>)> {
@@ -163,7 +156,6 @@ impl<V> DeltaCache<V> {
         let slots = self.slots.read().expect("cache lock poisoned");
         let found = slots
             .iter()
-            .filter(|slot| slot.object == object)
             .filter_map(|slot| candidate(slot.version).map(|rank| (rank, slot)))
             .min_by_key(|(rank, _)| *rank)
             .map(|(_, slot)| (slot.version, self.touch(slot)));
@@ -171,63 +163,43 @@ impl<V> DeltaCache<V> {
         found
     }
 
-    /// Looks up exactly `(object, version)`, touching its recency stamp and
+    /// Looks up exactly `version`, touching its recency stamp and
     /// recording a hit or miss. Concurrent lookups proceed in parallel.
     ///
     /// A disabled cache (capacity 0) returns `None` without recording a
     /// miss — there is no cache to be cold.
-    pub fn get(&self, object: u64, version: usize) -> Option<Arc<V>> {
-        self.lookup(object, version, |v| (v == version).then_some(0))
+    pub fn get(&self, version: usize) -> Option<Arc<V>> {
+        self.lookup(version, |v| (v == version).then_some(0))
             .map(|(_, value)| value)
     }
 
-    /// Returns the nearest cached base **at or below** `version` for
-    /// `object` — the best starting point for a forward (Basic/Optimized
-    /// SEC) delta walk. An exact match counts as a hit, a lower base as a
-    /// base hit, nothing as a miss.
-    pub fn nearest_at_most(&self, object: u64, version: usize) -> Option<(usize, Arc<V>)> {
-        self.lookup(object, version, |v| (v <= version).then(|| version - v))
+    /// Returns the nearest cached base **at or below** `version` — the best
+    /// starting point for a forward (Basic/Optimized SEC) delta walk. An
+    /// exact match counts as a hit, a lower base as a base hit, nothing as a
+    /// miss.
+    pub fn nearest_at_most(&self, version: usize) -> Option<(usize, Arc<V>)> {
+        self.lookup(version, |v| (v <= version).then(|| version - v))
     }
 
-    /// Returns the nearest cached base **at or above** `version` for
-    /// `object` — the best starting point for a backward (Reversed SEC)
-    /// un-apply walk. An exact match counts as a hit, a higher base as a
-    /// base hit, nothing as a miss.
-    pub fn nearest_at_least(&self, object: u64, version: usize) -> Option<(usize, Arc<V>)> {
-        self.lookup(object, version, |v| (v >= version).then(|| v - version))
+    /// Returns the nearest cached base **at or above** `version` — the best
+    /// starting point for a backward (Reversed SEC) un-apply walk. An exact
+    /// match counts as a hit, a higher base as a base hit, nothing as a miss.
+    pub fn nearest_at_least(&self, version: usize) -> Option<(usize, Arc<V>)> {
+        self.lookup(version, |v| (v >= version).then(|| v - version))
     }
 
-    /// The highest cached version for `object`, if any, without touching
-    /// recency or statistics — the append path's "previous plaintext" probe
-    /// (the paper's cache-the-latest rule).
-    pub fn peek_latest(&self, object: u64) -> Option<(usize, Arc<V>)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        // audit: panic ok — lock poisoning only propagates a prior panic
-        let slots = self.slots.read().expect("cache lock poisoned");
-        slots
-            .iter()
-            .filter(|slot| slot.object == object)
-            .max_by_key(|slot| slot.version)
-            .map(|slot| (slot.version, Arc::clone(&slot.value)))
-    }
-
-    /// Admits `(object, version)`, evicting the least recently used slot
-    /// when the cache is full. Returns the cached handle (the existing one
+    /// Admits `version`, evicting the least recently used slot when the
+    /// cache is full. Returns the cached handle (the existing one
     /// when the version was already present — versions are immutable, so
     /// the first admitted value wins).
-    pub fn insert(&self, object: u64, version: usize, value: V) -> Arc<V> {
+    pub fn insert(&self, version: usize, value: V) -> Arc<V> {
         let value = Arc::new(value);
         if self.capacity == 0 {
             return value;
         }
         // audit: panic ok — lock poisoning only propagates a prior panic
         let mut slots = self.slots.write().expect("cache lock poisoned");
-        if let Some(slot) = slots
-            .iter()
-            .find(|slot| slot.object == object && slot.version == version)
-        {
+        if let Some(slot) = slots.iter().find(|slot| slot.version == version) {
             return Arc::clone(&slot.value);
         }
         // audit: atomic ok — LRU clock tick; approximate recency is acceptable
@@ -244,7 +216,6 @@ impl<V> DeltaCache<V> {
             slots.swap_remove(oldest);
         }
         slots.push(CacheSlot {
-            object,
             version,
             value: Arc::clone(&value),
             last_used: AtomicU64::new(stamp),
@@ -270,38 +241,6 @@ impl<V> DeltaCache<V> {
     }
 }
 
-impl<V> Clone for DeltaCache<V> {
-    /// Clones the cache contents and statistics. Values are shared (`Arc`
-    /// clones), counters are copied at their current relaxed values.
-    fn clone(&self) -> Self {
-        // audit: panic ok — lock poisoning only propagates a prior panic
-        let slots = self.slots.read().expect("cache lock poisoned");
-        Self {
-            capacity: self.capacity,
-            // audit: atomic ok — relaxed copy of the LRU clock
-            clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
-            // audit: atomic ok — relaxed copy of statistics
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            // audit: atomic ok — relaxed copy of statistics
-            base_hits: AtomicU64::new(self.base_hits.load(Ordering::Relaxed)),
-            // audit: atomic ok — relaxed copy of statistics
-            misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-            slots: RwLock::new(
-                slots
-                    .iter()
-                    .map(|slot| CacheSlot {
-                        object: slot.object,
-                        version: slot.version,
-                        value: Arc::clone(&slot.value),
-                        // audit: atomic ok — relaxed copy of a recency stamp
-                        last_used: AtomicU64::new(slot.last_used.load(Ordering::Relaxed)),
-                    })
-                    .collect(),
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,14 +248,14 @@ mod tests {
     #[test]
     fn exact_get_and_counters() {
         let cache: DeltaCache<Vec<u8>> = DeltaCache::new(2);
-        assert!(cache.get(0, 1).is_none());
+        assert!(cache.get(1).is_none());
         assert_eq!(cache.stats().misses, 1);
 
-        cache.insert(0, 1, vec![1, 2, 3]);
-        assert_eq!(*cache.get(0, 1).unwrap(), vec![1, 2, 3]);
+        cache.insert(1, vec![1, 2, 3]);
+        assert_eq!(*cache.get(1).unwrap(), vec![1, 2, 3]);
         assert_eq!(cache.stats().hits, 1);
         // Asking for a different version misses; exact get never base-hits.
-        assert!(cache.get(0, 2).is_none());
+        assert!(cache.get(2).is_none());
         let stats = cache.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.base_hits, 0);
@@ -327,16 +266,16 @@ mod tests {
     #[test]
     fn nearest_at_most_prefers_the_closest_lower_base() {
         let cache: DeltaCache<Vec<u8>> = DeltaCache::new(4);
-        cache.insert(0, 2, vec![2]);
-        cache.insert(0, 5, vec![5]);
+        cache.insert(2, vec![2]);
+        cache.insert(5, vec![5]);
         // Exact match is a hit.
-        assert_eq!(cache.nearest_at_most(0, 5).unwrap().0, 5);
+        assert_eq!(cache.nearest_at_most(5).unwrap().0, 5);
         // Version 4: base 2 is the only one ≤ 4.
-        assert_eq!(cache.nearest_at_most(0, 4).unwrap().0, 2);
+        assert_eq!(cache.nearest_at_most(4).unwrap().0, 2);
         // Version 7: base 5 beats base 2.
-        assert_eq!(cache.nearest_at_most(0, 7).unwrap().0, 5);
+        assert_eq!(cache.nearest_at_most(7).unwrap().0, 5);
         // Version 1: nothing at or below.
-        assert!(cache.nearest_at_most(0, 1).is_none());
+        assert!(cache.nearest_at_most(1).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.base_hits, 2);
@@ -346,12 +285,12 @@ mod tests {
     #[test]
     fn nearest_at_least_prefers_the_closest_higher_base() {
         let cache: DeltaCache<Vec<u8>> = DeltaCache::new(4);
-        cache.insert(0, 3, vec![3]);
-        cache.insert(0, 8, vec![8]);
-        assert_eq!(cache.nearest_at_least(0, 3).unwrap().0, 3);
-        assert_eq!(cache.nearest_at_least(0, 4).unwrap().0, 8);
-        assert_eq!(cache.nearest_at_least(0, 1).unwrap().0, 3);
-        assert!(cache.nearest_at_least(0, 9).is_none());
+        cache.insert(3, vec![3]);
+        cache.insert(8, vec![8]);
+        assert_eq!(cache.nearest_at_least(3).unwrap().0, 3);
+        assert_eq!(cache.nearest_at_least(4).unwrap().0, 8);
+        assert_eq!(cache.nearest_at_least(1).unwrap().0, 3);
+        assert!(cache.nearest_at_least(9).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.base_hits, 2);
@@ -359,51 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn objects_are_isolated() {
-        let cache: DeltaCache<Vec<u8>> = DeltaCache::new(4);
-        cache.insert(7, 3, vec![73]);
-        cache.insert(9, 5, vec![95]);
-        assert_eq!(cache.nearest_at_most(7, 4).unwrap().0, 3);
-        assert!(cache.nearest_at_most(8, 9).is_none(), "unknown object");
-        assert_eq!(cache.peek_latest(9).unwrap().0, 5);
-        assert!(cache.peek_latest(8).is_none());
-    }
-
-    #[test]
-    fn peek_latest_returns_the_newest_without_counting() {
-        let cache: DeltaCache<Vec<u8>> = DeltaCache::new(4);
-        assert!(cache.peek_latest(0).is_none());
-        cache.insert(0, 1, vec![1]);
-        cache.insert(0, 3, vec![3]);
-        cache.insert(0, 2, vec![2]);
-        let (version, value) = cache.peek_latest(0).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(*value, vec![3]);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                base_hits: 0,
-                misses: 0,
-                len: 3,
-                capacity: 4,
-            }
-        );
-    }
-
-    #[test]
     fn lru_eviction() {
         let cache: DeltaCache<Vec<u8>> = DeltaCache::new(2);
         assert!(cache.is_empty());
-        cache.insert(0, 1, vec![1]);
-        cache.insert(0, 2, vec![2]);
+        cache.insert(1, vec![1]);
+        cache.insert(2, vec![2]);
         // Touch version 1 so version 2 is the LRU.
-        assert_eq!(*cache.get(0, 1).unwrap(), vec![1]);
-        cache.insert(0, 3, vec![3]);
+        assert_eq!(*cache.get(1).unwrap(), vec![1]);
+        cache.insert(3, vec![3]);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(0, 2).is_none(), "LRU entry evicted");
-        assert!(cache.get(0, 1).is_some());
-        assert!(cache.get(0, 3).is_some());
+        assert!(cache.get(2).is_none(), "LRU entry evicted");
+        assert!(cache.get(1).is_some());
+        assert!(cache.get(3).is_some());
         let stats = cache.stats();
         assert_eq!(stats.capacity, 2);
         assert_eq!(stats.len, 2);
@@ -414,17 +320,16 @@ mod tests {
     #[test]
     fn first_value_wins_and_zero_capacity_disables() {
         let cache: DeltaCache<Vec<u8>> = DeltaCache::new(2);
-        let first = cache.insert(0, 1, vec![1]);
-        let second = cache.insert(0, 1, vec![99]);
+        let first = cache.insert(1, vec![1]);
+        let second = cache.insert(1, vec![99]);
         assert!(Arc::ptr_eq(&first, &second), "versions are immutable");
         assert_eq!(*second, vec![1]);
 
         let disabled: DeltaCache<Vec<u8>> = DeltaCache::new(0);
-        disabled.insert(0, 1, vec![1]);
-        assert!(disabled.get(0, 1).is_none());
-        assert!(disabled.nearest_at_most(0, 1).is_none());
-        assert!(disabled.nearest_at_least(0, 1).is_none());
-        assert!(disabled.peek_latest(0).is_none());
+        disabled.insert(1, vec![1]);
+        assert!(disabled.get(1).is_none());
+        assert!(disabled.nearest_at_most(1).is_none());
+        assert!(disabled.nearest_at_least(1).is_none());
         // A disabled cache is not "cold": lookups record no bookkeeping.
         assert_eq!(
             disabled.stats(),
@@ -436,21 +341,6 @@ mod tests {
                 capacity: 0,
             }
         );
-    }
-
-    #[test]
-    fn clone_carries_contents_and_counters() {
-        let cache: DeltaCache<Vec<u8>> = DeltaCache::new(3);
-        cache.insert(0, 1, vec![4]);
-        let _ = cache.get(0, 1);
-        let _ = cache.nearest_at_most(0, 9);
-        let _ = cache.nearest_at_least(0, 9);
-        let cloned = cache.clone();
-        let stats = cloned.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.base_hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(*cloned.get(0, 1).unwrap(), vec![4]);
     }
 
     #[test]
@@ -485,7 +375,7 @@ mod tests {
     fn shared_reads() {
         let cache: Arc<DeltaCache<Vec<u8>>> = Arc::new(DeltaCache::new(4));
         for v in 1..=4 {
-            cache.insert(0, v, vec![v as u8]);
+            cache.insert(v, vec![v as u8]);
         }
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -493,7 +383,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..100 {
                         let v = (t + i) % 4 + 1;
-                        assert_eq!(*cache.get(0, v).unwrap(), vec![v as u8]);
+                        assert_eq!(*cache.get(v).unwrap(), vec![v as u8]);
                     }
                 })
             })

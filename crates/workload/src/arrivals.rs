@@ -2,10 +2,10 @@
 //!
 //! A *closed-loop* load generator only issues a request when the previous
 //! reply returns, so a slow server silently throttles its own offered load.
-//! The `server_scaling` bench series and `sec-netload` therefore also drive
-//! an **open-loop** mode: requests arrive on a Poisson process of a fixed
-//! rate whether or not earlier requests finished, so queueing delay shows
-//! up in the latency tail instead of vanishing into the arrival process.
+//! `sec-netload` therefore also drives an **open-loop** mode: requests
+//! arrive on a Poisson process of a fixed rate whether or not earlier
+//! requests finished, so queueing delay shows up in the latency tail
+//! instead of vanishing into the arrival process.
 //!
 //! Two generators, both deterministic under a seeded [`Rng`]:
 //!

@@ -12,7 +12,7 @@
 //!   model) that produce actual symbol-level version sequences whose measured
 //!   sparsity can be fed back into the analytical machinery;
 //! * [`zipf`] — Zipf popularity PMFs over recency ranks, used by the
-//!   `cache_scaling` bench series to draw skewed version-read targets;
+//!   benchmark's workloads to draw skewed version-read targets;
 //! * [`arrivals`] — open-loop request arrival processes (Poisson
 //!   interarrivals and slotted truncated-Poisson counts) consumed by the
 //!   network load generator's open-loop mode.

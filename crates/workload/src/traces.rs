@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn pmf_driven_trace_moments_track_the_source_pmf() {
         // Long traces driven by the bracketing PMFs must reproduce the
-        // source mean sparsity — the moment the cache_scaling bench trusts
+        // source mean sparsity — the moment a benchmark trusts
         // when it converts a PMF into an edit trace. (Scattered positions
         // always change, so measured γ equals the drawn edit count exactly.)
         let k = 12;

@@ -4,8 +4,8 @@
 //! of an object absorb most reads (wiki page views, backup restores of the
 //! newest snapshot). The standard model for that skew is a Zipf law over the
 //! recency rank — `P(rank) ∝ 1/rank^s` with rank 1 the most recent version.
-//! The `cache_scaling` bench series draws its version targets from this PMF
-//! so cache hit rates reflect a realistic hot set rather than a uniform scan.
+//! The benchmark's workloads draw their version targets from this PMF so
+//! cache hit rates reflect a realistic hot set rather than a uniform scan.
 
 use core::fmt;
 

@@ -56,7 +56,7 @@ pub use sec_versioning as versioning;
 pub use sec_workload as workload;
 
 pub use sec_engine::{ObjectId, SecCluster, SecEngine};
-pub use sec_erasure::{ByteCodec, ByteShards, CodeParams, DecodeScratch, GeneratorForm, SecCode};
+pub use sec_erasure::{ByteCodec, ByteShards, CodeParams, GeneratorForm, SecCode};
 pub use sec_store::{ByteDistributedStore, Placement, PlacementStrategy};
 pub use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, DeltaCache, EncodingStrategy, IoModel,
