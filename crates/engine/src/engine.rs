@@ -532,24 +532,25 @@ impl SecEngine {
     /// failure.
     pub fn append_version(&self, object: &[u8]) -> Result<VersionId, StoreError> {
         let mut archive = self.archive.write();
-        // The ledger hands the new blocks over by value: one fresh slot, or
-        // for Reversed SEC two (the old full copy's slot becomes the new
-        // delta and keeps its node set — slots never move, so placement
-        // addressing stays stable). Dropped once written to their nodes.
-        let (id, writes) = archive.append(object)?;
+        // The ledger encodes the new blocks into one buffer per block and
+        // hands them over by value: one fresh slot, or for Reversed SEC two
+        // (the old full copy's slot becomes the new delta and keeps its node
+        // set — slots never move, so placement addressing stays stable).
+        let (id, writes) = archive.append::<Vec<Vec<u8>>>(object)?;
         // Admit the new entries into the placement (and their slabs into the
         // directory) before any block lands.
         self.grow_to_entries(archive.layout().len());
         fault::reached("engine::append::slab_grown");
-        for (slot, entry) in &writes {
-            let slab = self.slab_for_entry(*slot);
-            // Every slab holds n nodes, one per coded block of the entry.
-            for (position, node) in slab.nodes.iter().enumerate() {
+        for (slot, entry) in writes {
+            let slab = self.slab_for_entry(slot);
+            // Every slab holds n nodes, one per coded block of the entry;
+            // each block moves onto its node, uncopied.
+            for (position, (node, block)) in slab.nodes.iter().zip(entry.shards).enumerate() {
                 let key = SymbolKey {
-                    entry: *slot,
+                    entry: slot,
                     position,
                 };
-                node.write().put(key, entry.shards.shard(position).to_vec());
+                node.write().put(key, block);
                 self.metrics.add_symbol_writes(1);
             }
         }
@@ -1108,6 +1109,47 @@ mod tests {
         }
         // Latest version costs exactly k block reads.
         assert_eq!(engine.get_version(3).unwrap().io_reads, 3);
+    }
+
+    /// An identical version (γ = 0) still stores its delta: `n` zero blocks,
+    /// written to their nodes, that no read ever touches — so reading it
+    /// costs exactly what reading the version before it costs, and the
+    /// layout-exact model says so too.
+    #[test]
+    fn an_identical_version_writes_n_zero_blocks_and_reads_for_free() {
+        for strategy in [
+            EncodingStrategy::BasicSec,
+            EncodingStrategy::OptimizedSec,
+            EncodingStrategy::ReversedSec,
+        ] {
+            let engine = SecEngine::new(config(strategy)).unwrap();
+            let vs = versions();
+            engine.append_all(&vs).unwrap();
+            let writes = |engine: &SecEngine| engine.metrics_snapshot().io.symbol_writes;
+            let before = writes(&engine);
+            engine.append_version(&vs[2]).unwrap();
+            // Reversed SEC also rewrites its full latest copy.
+            let entries = if strategy == EncodingStrategy::ReversedSec {
+                2
+            } else {
+                1
+            };
+            assert_eq!(writes(&engine) - before, 6 * entries, "{strategy}");
+
+            let layout = engine.read_archive().layout().to_vec();
+            assert!(layout.contains(&StoredPayload::Delta { to: 4, sparsity: 0 }));
+            let reads = |l: usize| engine.get_version(l).unwrap().io_reads;
+            assert_eq!(reads(4), reads(3), "{strategy}");
+            assert_eq!(*engine.get_version(4).unwrap().data, vs[2]);
+            let model = config(strategy).io_model();
+            for l in [3, 4] {
+                assert_eq!(
+                    model.version_reads_for_layout(strategy, &layout, l),
+                    reads(l),
+                    "{strategy} version {l}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ proptest! {
         let mut ledger = ArchiveLedger::new(config).unwrap();
         let mut entries_written = 0usize;
         for version in &versions {
-            entries_written += ledger.append(version).unwrap().1.len();
+            entries_written += ledger.append::<Vec<Vec<u8>>>(version).unwrap().1.len();
         }
         prop_assert_eq!(ledger.layout(), layout.as_slice(), "{} spacing {}", strategy, spacing);
         prop_assert_eq!(ledger.checkpoints_written(), reference.checkpoints_written());

@@ -17,9 +17,12 @@
 //!   then fill) over its in-place form — [`ByteCodec::encode_blocks_into`],
 //!   [`ByteCodec::decode_blocks_into`] and [`ByteCodec::recover_sparse_into`],
 //!   the last of which XORs the recovered delta straight onto an
-//!   accumulator. Every method takes `&self`, so one codec can serve many
-//!   decoding threads; the scratch arena sparse recovery needs is
-//!   thread-local.
+//!   accumulator. Every encode runs through
+//!   [`ByteCodec::encode_sparse_into`], which multiplies only the non-zero
+//!   data blocks into any `n` caller-owned buffers, so a `γ`-sparse delta
+//!   costs `n·γ` block products. Every method takes `&self`, so one codec
+//!   can serve many decoding threads; the scratch arena sparse recovery
+//!   needs is thread-local.
 //!
 //! The differential property suite in `tests/byte_path_equiv.rs` locks every
 //! pipeline stage to the scalar reference: for any coefficients, shard sizes
@@ -164,7 +167,7 @@ impl ByteShards {
     }
 
     /// Every shard in turn, mutably — the destinations of a matrix apply.
-    fn shards_mut(&mut self) -> impl Iterator<Item = &mut [u8]> {
+    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut [u8]> {
         let (shard_len, mut rest) = (self.shard_len, self.data.as_mut_slice());
         (0..self.shards).map(move |_| {
             let (shard, tail) = std::mem::take(&mut rest).split_at_mut(shard_len);
@@ -199,9 +202,15 @@ impl ByteShards {
     /// delta object (Definition 1 of the paper, lifted from symbols to
     /// blocks).
     pub fn weight(&self) -> usize {
+        self.nonzero_shards().count()
+    }
+
+    /// The non-zero shards with their indices, each found by one
+    /// 64-byte-at-a-time scan — the sources an encode multiplies.
+    fn nonzero_shards(&self) -> impl Iterator<Item = (usize, &[u8])> {
         (0..self.shards)
-            .filter(|&i| self.shard(i).iter().any(|&b| b != 0))
-            .count()
+            .map(|i| (i, self.shard(i)))
+            .filter(|&(_, shard)| first_nonzero(shard).is_some())
     }
 
     /// XORs `other` into `self` shard-by-shard — delta application in
@@ -417,7 +426,10 @@ impl ByteCodec {
     }
 
     /// Like [`ByteCodec::encode_blocks`] but writes into a caller-provided
-    /// output, reusing its allocation across calls.
+    /// output, reusing its allocation across calls. All-zero data shards are
+    /// found by one scan each and left out of the product
+    /// ([`ByteCodec::encode_sparse_into`]), so a `γ`-sparse delta costs `n·γ`
+    /// block products.
     ///
     /// # Errors
     ///
@@ -432,11 +444,94 @@ impl ByteCodec {
             });
         }
         check_shape(out, n, data.shard_len())?;
-        let srcs: Vec<&[u8]> = (0..k).map(|col| data.shard(col)).collect();
+        let blocks: Vec<(usize, &[u8])> = data.nonzero_shards().collect();
         let mut coded: Vec<&mut [u8]> = out.shards_mut().collect();
-        self.tables
-            .matrix_apply(self.code.generator().as_slice(), &srcs, &mut coded, false);
-        Ok(())
+        self.encode_sparse_into(&blocks, &mut coded)
+    }
+
+    /// The one encode every other runs through: writes into `out` the `n`
+    /// coded blocks of the `k`-block object whose non-zero blocks are
+    /// `blocks`, given as `(position, block)` pairs — every block not listed
+    /// is zero. A zero block adds nothing to `C = G · X`, so only the listed
+    /// columns of the generator are applied: `n·γ` block products for `γ`
+    /// listed blocks instead of `n·k` (a systematic row over a left-out
+    /// block becomes a zero fill).
+    ///
+    /// A block shorter than the coded blocks is zero-padded, as
+    /// [`ByteShards::from_flat`] pads an object's tail, so the
+    /// `chunks(shard_len)` of a flat object encode without a padded copy.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::DataLengthMismatch`] when `out` is not `n` blocks or a
+    ///   position lies outside `0..k`.
+    /// * [`CodeError::DuplicateShare`] for a position listed twice.
+    /// * [`CodeError::ShardSizeMismatch`] for `out` blocks of unequal length
+    ///   or a listed block longer than them.
+    pub fn encode_sparse_into(
+        &self,
+        blocks: &[(usize, &[u8])],
+        out: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        let (n, k) = (self.code.n(), self.code.k());
+        if out.len() != n {
+            return Err(CodeError::DataLengthMismatch {
+                expected: n,
+                actual: out.len(),
+            });
+        }
+        let shard_len = out.first().map_or(0, |dst| dst.len());
+        if let Some(dst) = out.iter().find(|dst| dst.len() != shard_len) {
+            return Err(CodeError::ShardSizeMismatch {
+                expected: shard_len,
+                actual: dst.len(),
+            });
+        }
+        let mut seen = vec![false; k];
+        for &(index, block) in blocks {
+            if index >= k {
+                return Err(CodeError::DataLengthMismatch {
+                    expected: k,
+                    actual: index + 1,
+                });
+            }
+            if std::mem::replace(&mut seen[index], true) {
+                return Err(CodeError::DuplicateShare { index });
+            }
+            if block.len() > shard_len {
+                return Err(CodeError::ShardSizeMismatch {
+                    expected: shard_len,
+                    actual: block.len(),
+                });
+            }
+        }
+
+        // Short blocks end early: each span up to the next block end is the
+        // product of the blocks that still reach it.
+        let g = self.code.generator();
+        let mut coeffs = Vec::with_capacity(n * blocks.len());
+        let mut start = 0;
+        loop {
+            let live: Vec<(usize, &[u8])> = blocks
+                .iter()
+                .filter(|(_, block)| block.len() > start)
+                .copied()
+                .collect();
+            let end = live
+                .iter()
+                .map(|(_, block)| block.len())
+                .min()
+                .unwrap_or(shard_len);
+            coeffs.clear();
+            coeffs.extend((0..n).flat_map(|row| live.iter().map(move |&(col, _)| g.get(row, col))));
+            let srcs: Vec<&[u8]> = live.iter().map(|(_, block)| &block[start..end]).collect();
+            let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(|dst| &mut dst[start..end]).collect();
+            self.tables.matrix_apply(&coeffs, &srcs, &mut dsts, false);
+            if end == shard_len {
+                return Ok(());
+            }
+            start = end;
+        }
     }
 
     /// Decodes the original `k` data shards from any `k` (or more) coded
@@ -750,15 +845,20 @@ fn check_shape(shards: &ByteShards, count: usize, shard_len: usize) -> Result<()
     Ok(())
 }
 
-/// Whether a (≤ 64-byte) chunk holds a non-zero byte; the OR-fold compiles
-/// to vector code, unlike a byte-at-a-time search with an early exit.
-fn any_nonzero(chunk: &[u8]) -> bool {
+/// Whether a 64-byte chunk holds a non-zero byte; the OR-fold over a
+/// fixed-size chunk compiles to a few vector instructions, unlike a
+/// byte-at-a-time search with an early exit.
+fn any_nonzero(chunk: &[u8; 64]) -> bool {
     chunk.iter().fold(0, |acc, &b| acc | b) != 0
 }
 
 /// Offset of the first non-zero byte of `bytes`, testing 64 bytes at a time.
 fn first_nonzero(bytes: &[u8]) -> Option<usize> {
-    let head = bytes.chunks(64).position(any_nonzero)? * 64;
+    let (chunks, _) = bytes.as_chunks::<64>();
+    let head = chunks
+        .iter()
+        .position(any_nonzero)
+        .map_or(chunks.len() * 64, |at| at * 64);
     bytes[head..].iter().position(|&b| b != 0).map(|at| head + at)
 }
 
@@ -766,8 +866,11 @@ fn first_nonzero(bytes: &[u8]) -> Option<usize> {
 /// is all zero.
 fn nonzero_span(shard: &[u8]) -> Option<(usize, usize)> {
     let first = first_nonzero(shard)?;
-    let tail = shard.len() - shard.rchunks(64).position(any_nonzero)? * 64;
-    let last = shard[..tail].iter().rposition(|&b| b != 0)?;
+    let (_, chunks) = shard.as_rchunks::<64>();
+    let skipped = chunks.iter().rev().position(any_nonzero).unwrap_or(chunks.len());
+    let last = shard[..shard.len() - skipped * 64]
+        .iter()
+        .rposition(|&b| b != 0)?;
     Some((first, last))
 }
 
@@ -845,6 +948,86 @@ mod tests {
             })
         );
         assert_eq!(a.as_bytes(), &[1, 0, 0, 0, 0, 9]);
+    }
+
+    #[test]
+    fn weight_sees_a_lone_byte_on_either_side_of_every_64_byte_boundary() {
+        for shard_len in [1usize, 63, 64, 65, 128, 129] {
+            assert_eq!(ByteShards::zeroed(3, shard_len).weight(), 0, "len {shard_len}");
+            for at in [0, 62, 63, 64, 65, 127, 128, shard_len - 1]
+                .into_iter()
+                .filter(|&at| at < shard_len)
+            {
+                let mut s = ByteShards::zeroed(3, shard_len);
+                s.shard_mut(1)[at] = 0x80;
+                assert_eq!(s.weight(), 1, "len {shard_len} byte {at}");
+                s.shard_mut(2)[shard_len - 1] = 1;
+                assert_eq!(s.weight(), 2, "len {shard_len} byte {at} + last byte");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_sparse_into_zero_pads_short_blocks() {
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let codec = codec(6, 3, form);
+            // A flat object's chunks, the last ones short or missing, encode
+            // as its zero-padded shards.
+            for len in [0usize, 1, 7, 10, 64, 65, 100] {
+                let obj = object(len);
+                let width = len.div_ceil(3).max(1);
+                let blocks: Vec<(usize, &[u8])> = obj.chunks(width).enumerate().collect();
+                let mut out = vec![vec![0xEEu8; len.div_ceil(3)]; 6];
+                let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                codec.encode_sparse_into(&blocks, &mut dsts).unwrap();
+                let padded = codec.encode_blocks(&ByteShards::from_flat(&obj, 3)).unwrap();
+                assert_eq!(out, padded.to_rows(), "{form} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_sparse_into_rejects_malformed_blocks_and_outputs() {
+        let codec = codec(6, 3, GeneratorForm::NonSystematic);
+        let block = [1u8; 4];
+        let encode = |blocks: &[(usize, &[u8])], out: &mut Vec<Vec<u8>>| {
+            let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            codec.encode_sparse_into(blocks, &mut dsts)
+        };
+        assert_eq!(
+            encode(&[(0, &block)], &mut vec![vec![0; 4]; 5]),
+            Err(CodeError::DataLengthMismatch {
+                expected: 6,
+                actual: 5
+            })
+        );
+        let mut ragged = vec![vec![0; 4]; 6];
+        ragged[3].pop();
+        assert_eq!(
+            encode(&[(0, &block)], &mut ragged),
+            Err(CodeError::ShardSizeMismatch {
+                expected: 4,
+                actual: 3
+            })
+        );
+        assert_eq!(
+            encode(&[(3, &block)], &mut vec![vec![0; 4]; 6]),
+            Err(CodeError::DataLengthMismatch {
+                expected: 3,
+                actual: 4
+            })
+        );
+        assert_eq!(
+            encode(&[(1, &block), (1, &block)], &mut vec![vec![0; 4]; 6]),
+            Err(CodeError::DuplicateShare { index: 1 })
+        );
+        assert_eq!(
+            encode(&[(0, &[1u8; 5])], &mut vec![vec![0; 4]; 6]),
+            Err(CodeError::ShardSizeMismatch {
+                expected: 4,
+                actual: 5
+            })
+        );
     }
 
     #[test]

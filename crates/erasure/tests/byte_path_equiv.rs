@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 
 use sec_erasure::{shards, sparse, ByteCodec, ByteShards, CodeError, GeneratorForm, SecCode, Share};
-use sec_gf::{bulk, GaloisField, Gf256};
+use sec_gf::bulk8::CoeffTables;
+use sec_gf::{bulk, force_kernel, reset_kernel, GaloisField, Gf256, Kernel};
 use sec_linalg::combinatorics::Combinations;
 use sec_linalg::ops;
 
@@ -326,6 +327,48 @@ proptest! {
         let reference_bytes = rows_to_bytes(&reference);
         for (i, ref_row) in reference_bytes.iter().enumerate() {
             prop_assert_eq!(fast.shard(i), ref_row.as_slice(), "row {}", i);
+        }
+    }
+
+    /// The sparse encode: a delta with `γ ∈ 0..=k` non-zero blocks at any
+    /// positions encodes, on every available kernel, to both the dense
+    /// generator product over all `k` blocks and the scalar `encode_shards`
+    /// — whether its zero blocks are found by `encode_blocks`' scan or left
+    /// out by the caller of `encode_sparse_into`.
+    #[test]
+    fn sparse_encode_matches_dense_product_and_scalar_encode(
+        form in form_strategy(),
+        shard_len in shard_len_strategy(),
+        support in prop::collection::btree_set(0usize..K, 0..=K),
+        seed in 0u64..u64::MAX,
+    ) {
+        let code = code(form);
+        let codec = ByteCodec::new(code.clone());
+        let support: Vec<usize> = support.into_iter().collect();
+        let mut delta = block_sparse(shard_len, &support, seed);
+        for &block in &support {
+            delta.shard_mut(block).iter_mut().for_each(|b| *b |= 1);
+        }
+        prop_assert_eq!(delta.weight(), if shard_len == 0 { 0 } else { support.len() });
+        let reference = rows_to_bytes(&shards::encode_shards(&code, &to_symbol_rows(&delta)).unwrap());
+        let every_block: Vec<&[u8]> = (0..K).map(|b| delta.shard(b)).collect();
+        let listed: Vec<(usize, &[u8])> = support.iter().map(|&b| (b, delta.shard(b))).collect();
+        let tables = CoeffTables::new();
+        for kernel in Kernel::available() {
+            let mut dense = vec![vec![0xEEu8; shard_len]; N];
+            let mut dsts: Vec<&mut [u8]> = dense.iter_mut().map(Vec::as_mut_slice).collect();
+            kernel.matrix_apply(&tables, code.generator().as_slice(), &every_block, &mut dsts, false).unwrap();
+            prop_assert_eq!(&dense, &reference, "dense product on `{}`", kernel.name());
+
+            force_kernel(kernel).unwrap();
+            let scanned = codec.encode_blocks(&delta).unwrap().to_rows();
+            let mut sparse = vec![vec![0xEEu8; shard_len]; N];
+            let mut dsts: Vec<&mut [u8]> = sparse.iter_mut().map(Vec::as_mut_slice).collect();
+            let result = codec.encode_sparse_into(&listed, &mut dsts);
+            reset_kernel();
+            prop_assert_eq!(result, Ok(()));
+            prop_assert_eq!(&scanned, &reference, "encode_blocks on `{}`", kernel.name());
+            prop_assert_eq!(&sparse, &reference, "encode_sparse_into on `{}`", kernel.name());
         }
     }
 

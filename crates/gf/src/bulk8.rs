@@ -222,7 +222,8 @@ impl CoeffTables {
     /// the sources is loaded once, each row is summed in a register and each
     /// output written once; the other kernels run one product at a time over
     /// L1-sized strips. A unit row (a single coefficient 1) is a plain copy —
-    /// or XOR — on every kernel, and no table is built for it.
+    /// or XOR — and an all-zero row a zero fill — or nothing — on every
+    /// kernel, and no table is built for either.
     ///
     /// # Panics
     ///

@@ -456,8 +456,9 @@ pub fn reset_kernel() -> Kernel {
 
 /// The matrix apply over `ops`: `dsts[r] (=|^=) Σ_c coeffs[r·cols + c] ·
 /// srcs[c]`, shape and lengths pre-checked by the caller. A unit row is a
-/// copy (or an XOR) of its source; each run of other rows between two unit
-/// rows goes through [`dense_rows`].
+/// copy (or an XOR) of its source and an all-zero row a zero fill (or
+/// nothing); each run of other rows between two such rows goes through
+/// [`dense_rows`].
 pub(crate) fn matrix_apply_with(
     ops: &KernelOps,
     tables: &CoeffTables,
@@ -467,36 +468,31 @@ pub(crate) fn matrix_apply_with(
     accumulate: bool,
 ) {
     let cols = srcs.len();
-    if cols == 0 {
-        if !accumulate {
-            dsts.iter_mut().for_each(|dst| dst.fill(0));
-        }
-        return;
-    }
-    let unit_of = |r: usize| unit_column(&coeffs[r * cols..(r + 1) * cols]);
+    let trivial_of = |r: usize| trivial_row(&coeffs[r * cols..(r + 1) * cols]);
     let mut run_tables: Vec<&MulTable> = Vec::new();
     let mut r = 0;
     while r < dsts.len() {
-        if let Some(col) = unit_of(r) {
-            if accumulate {
-                (ops.xor)(srcs[col], dsts[r]);
-            } else {
-                dsts[r].copy_from_slice(srcs[col]);
+        match trivial_of(r) {
+            Some(TrivialRow::Copy(col)) if accumulate => (ops.xor)(srcs[col], dsts[r]),
+            Some(TrivialRow::Copy(col)) => dsts[r].copy_from_slice(srcs[col]),
+            Some(TrivialRow::Zero) if accumulate => {}
+            Some(TrivialRow::Zero) => dsts[r].fill(0),
+            None => {
+                let end = (r + 1..dsts.len())
+                    .find(|&next| trivial_of(next).is_some())
+                    .unwrap_or(dsts.len());
+                run_tables.clear();
+                run_tables.extend(
+                    coeffs[r * cols..end * cols]
+                        .iter()
+                        .map(|&coeff| tables.get(coeff)),
+                );
+                dense_rows(ops, &run_tables, srcs, &mut dsts[r..end], accumulate);
+                r = end;
+                continue;
             }
-            r += 1;
-            continue;
         }
-        let end = (r + 1..dsts.len())
-            .find(|&next| unit_of(next).is_some())
-            .unwrap_or(dsts.len());
-        run_tables.clear();
-        run_tables.extend(
-            coeffs[r * cols..end * cols]
-                .iter()
-                .map(|&coeff| tables.get(coeff)),
-        );
-        dense_rows(ops, &run_tables, srcs, &mut dsts[r..end], accumulate);
-        r = end;
+        r += 1;
     }
 }
 
@@ -527,12 +523,23 @@ fn dense_rows(
     }
 }
 
-/// The column of a row's only non-zero coefficient when that coefficient is
-/// one — the rows a systematic code copies.
-fn unit_column(row: &[Gf256]) -> Option<usize> {
+/// A coefficient row the driver serves without a table.
+enum TrivialRow {
+    /// The only non-zero coefficient is a one in this column — the rows a
+    /// systematic code copies.
+    Copy(usize),
+    /// Every coefficient is zero — among others, a systematic unit row over
+    /// a source the caller left out because it is all zero.
+    Zero,
+}
+
+/// How the driver serves `row` without a table, `None` for a row of real
+/// products.
+fn trivial_row(row: &[Gf256]) -> Option<TrivialRow> {
     let mut nonzero = row.iter().enumerate().filter(|(_, coeff)| !coeff.is_zero());
     match (nonzero.next(), nonzero.next()) {
-        (Some((col, &coeff)), None) if coeff == Gf256::ONE => Some(col),
+        (None, _) => Some(TrivialRow::Zero),
+        (Some((col, &coeff)), None) if coeff == Gf256::ONE => Some(TrivialRow::Copy(col)),
         _ => None,
     }
 }

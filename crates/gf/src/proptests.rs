@@ -221,7 +221,9 @@ proptest! {
         use crate::kernel::Kernel;
         let accumulate = mode == 1;
         let byte = |i: usize, salt: u64| (seed.wrapping_add(salt).wrapping_mul(i as u64 * 2 + 1) >> 23) as u8;
-        // A quarter of the coefficients are 0 or 1, and row 0 is a unit row.
+        // A quarter of the coefficients are 0 or 1; row 0 is a unit row on
+        // even seeds, and one row is all zero (a systematic unit row over a
+        // source left out as zero) on every other pair of seeds.
         let mut coeffs: Vec<Gf256> = (0..rows * cols)
             .map(|i| match byte(i, 1) {
                 b if b < 32 => Gf256::ZERO,
@@ -232,6 +234,10 @@ proptest! {
         if seed % 2 == 0 {
             coeffs[..cols].fill(Gf256::ZERO);
             coeffs[seed as usize % cols] = Gf256::ONE;
+        }
+        if seed % 4 < 2 {
+            let zero = (seed >> 2) as usize % rows;
+            coeffs[zero * cols..(zero + 1) * cols].fill(Gf256::ZERO);
         }
         let srcs: Vec<Vec<u8>> = (0..cols)
             .map(|c| (0..offset + len).map(|i| byte(i, 100 + c as u64)).collect())

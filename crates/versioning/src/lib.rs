@@ -70,7 +70,7 @@ pub use byte_archive::{BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedA
 pub use cache::{CacheStats, DeltaCache};
 pub use error::VersioningError;
 pub use io_model::IoModel;
-pub use ledger::{ArchiveLedger, ByteEncodedEntry};
+pub use ledger::{ArchiveLedger, ByteEncodedEntry, CodedBlocks};
 
 // The paper-era symbol-level archive (one field element per node) is a test
 // oracle: `proptests` compares the byte archive against it, nothing ships it.
