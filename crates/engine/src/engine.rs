@@ -174,20 +174,19 @@ pub struct EngineMetrics {
 /// blocks while an append grows the directory behind it.
 #[derive(Debug, Clone)]
 struct NodeSlab {
-    nodes: Arc<Vec<OrderedRwLock<StorageNode<Vec<u8>>>>>,
+    nodes: Arc<Vec<OrderedRwLock<StorageNode>>>,
     alive: Arc<NodeLiveness>,
 }
 
 impl NodeSlab {
-    /// A slab of `n` empty nodes whose global ids start at `first_id`, with
-    /// the given (possibly externally shared) liveness flags.
-    fn fresh(n: usize, first_id: usize, alive: Arc<NodeLiveness>) -> Self {
+    /// A slab of `n` empty nodes with the given (possibly externally shared)
+    /// liveness flags.
+    fn fresh(n: usize, alive: Arc<NodeLiveness>) -> Self {
         debug_assert_eq!(alive.len(), n);
         Self {
             nodes: Arc::new(
-                (first_id..first_id + n)
-                    .map(StorageNode::new)
-                    .map(|node| OrderedRwLock::new(LockRank::Node, node))
+                (0..n)
+                    .map(|_| OrderedRwLock::new(LockRank::Node, StorageNode::default()))
                     .collect(),
             ),
             alive,
@@ -223,7 +222,7 @@ impl NodeSlab {
 ///    long enough to clone a slab's `Arc` handles (readers) or push new
 ///    slabs (appends) — never across a block read — so directory growth
 ///    does not block in-flight retrievals.
-/// 3. **Storage nodes** (`OrderedRwLock<StorageNode<Vec<u8>>>`, inside each slab) —
+/// 3. **Storage nodes** (`OrderedRwLock<StorageNode>`, inside each slab) —
 ///    one lock per node, so a `2γ`-read sparse retrieval locks only the
 ///    `2γ` nodes its plan names, and writers (append, repair) lock one node
 ///    at a time.
@@ -322,7 +321,7 @@ impl SecEngine {
         let slabs = match strategy {
             PlacementStrategy::Colocated => {
                 let alive = shared_liveness.unwrap_or_else(|| Arc::new(NodeLiveness::new(n)));
-                vec![NodeSlab::fresh(n, 0, alive)]
+                vec![NodeSlab::fresh(n, alive)]
             }
             PlacementStrategy::Dispersed => {
                 debug_assert!(
@@ -511,8 +510,7 @@ impl SecEngine {
             let n = placement.codeword_len();
             let mut slabs = self.slabs.write();
             while slabs.len() < placement.entries() {
-                let first_id = slabs.len() * n;
-                slabs.push(NodeSlab::fresh(n, first_id, Arc::new(NodeLiveness::new(n))));
+                slabs.push(NodeSlab::fresh(n, Arc::new(NodeLiveness::new(n))));
             }
         }
     }
@@ -918,7 +916,7 @@ impl SecEngine {
         &self,
         entry_idx: usize,
         positions: &[usize],
-        guards: &'g [OrderedReadGuard<'_, StorageNode<Vec<u8>>>],
+        guards: &'g [OrderedReadGuard<'_, StorageNode>],
     ) -> Result<Vec<(usize, &'g [u8])>, StoreError> {
         let mut shares = Vec::with_capacity(positions.len());
         for (&position, guard) in positions.iter().zip(guards) {
@@ -926,18 +924,15 @@ impl SecEngine {
                 entry: entry_idx,
                 position,
             };
-            // Liveness was snapshotted at plan time: the engine never flips
-            // a node's *internal* alive flag (only the `alive` atomics), so
-            // `touch` here can only fail for a genuinely absent block — a
-            // concurrent `fail_node` cannot abort an admitted read.
-            if !guard.touch(key) {
+            // Liveness was snapshotted at plan time and lives outside the
+            // node, so a concurrent `fail_node` cannot abort an admitted
+            // read: only an absent block (or an injected fault) fails here.
+            let Some(block) = guard.read(key) else {
                 self.metrics.add_failed_read();
                 return Err(StoreError::Unrecoverable { entry: entry_idx });
-            }
+            };
             self.metrics.add_symbol_reads(1);
-            // audit: panic ok — touch succeeded on this guard, so the block is stored
-            let block = guard.peek_stored(key).expect("touched above");
-            shares.push((position, block.as_slice()));
+            shares.push((position, block));
         }
         Ok(shares)
     }
@@ -977,9 +972,9 @@ impl<'a> Snapshot<'a> {
 /// a prefix of an ascending live set): a stable acquisition order keeps the
 /// lock graph acyclic alongside the one-at-a-time writers.
 fn lock_nodes<'a>(
-    nodes: &'a [OrderedRwLock<StorageNode<Vec<u8>>>],
+    nodes: &'a [OrderedRwLock<StorageNode>],
     positions: &[usize],
-) -> Vec<OrderedReadGuard<'a, StorageNode<Vec<u8>>>> {
+) -> Vec<OrderedReadGuard<'a, StorageNode>> {
     debug_assert!(
         positions.windows(2).all(|w| w.first() < w.last()),
         "node locks are taken in ascending position order: {positions:?}"

@@ -2,12 +2,10 @@
 //! readers with results and symbol-read counts *identical* to the
 //! single-threaded references, across every survivable failure pattern.
 //!
-//! Two references are used:
-//!
-//! * [`ByteVersionedArchive`] — the all-nodes-alive read counts (eqs. 3–4 of
-//!   the paper lifted to blocks);
-//! * [`ByteDistributedStore`] — the failure-aware counts under a colocated
-//!   placement, which the engine's sharded-node layout mirrors.
+//! The reference is [`ByteVersionedArchive`]: its all-nodes-alive read
+//! counts are eqs. 3–4 of the paper lifted to blocks, and read from the live
+//! positions of a failure pattern (colocated: position `i` is node `i`) it
+//! gives the failure-aware counts.
 //!
 //! Reads are deterministic given the live set, so even the aggregate
 //! counters must come out exact: N threads each replaying the reference
@@ -24,7 +22,6 @@ use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
 use sec_sim::SimRng;
 use sec_store::failure::enumerate_patterns;
-use sec_store::ByteDistributedStore;
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
 const N: usize = 6;
@@ -155,53 +152,57 @@ fn eight_readers_match_the_archive_reference_bit_for_bit() {
 #[test]
 fn eight_readers_under_every_survivable_failure_pattern() {
     let vs = versions(sec_sim::seed::resolve("engine-concurrency-patterns"));
-    let strategy = EncodingStrategy::BasicSec;
+    // The systematic form makes the live set observable: failures cost its
+    // sparse deltas their qualifying rows, and the reads rise to k.
+    for form in [GeneratorForm::NonSystematic, GeneratorForm::Systematic] {
+        let config = ArchiveConfig::new(N, K, form, EncodingStrategy::BasicSec).unwrap();
+        // Failure-aware single-threaded reference: the archive read from
+        // each pattern's live positions.
+        let mut reference = ByteVersionedArchive::new(config).unwrap();
+        reference.append_all(&vs).unwrap();
 
-    // Failure-aware single-threaded reference: a colocated byte store.
-    let mut reference_archive = ByteVersionedArchive::new(config(strategy)).unwrap();
-    reference_archive.append_all(&vs).unwrap();
+        let engine = SecEngine::new(config).unwrap();
+        engine.append_all(&vs).unwrap();
+        let engine = Arc::new(engine);
 
-    let engine = SecEngine::new(config(strategy)).unwrap();
-    engine.append_all(&vs).unwrap();
-    let engine = Arc::new(engine);
+        let mut checked = 0usize;
+        for pattern in enumerate_patterns(N) {
+            if pattern.failed_count() > N - K {
+                continue;
+            }
+            checked += 1;
 
-    let mut checked = 0usize;
-    for pattern in enumerate_patterns(N) {
-        if pattern.failed_count() > N - K {
-            continue;
+            let expected: Arc<Vec<Expected>> = Arc::new(
+                (1..=vs.len())
+                    .map(|l| {
+                        let r = reference
+                            .retrieve_version_from(l, |_, position| !pattern.is_failed(position))
+                            .unwrap();
+                        Expected {
+                            data: r.data,
+                            io_reads: r.io_reads,
+                        }
+                    })
+                    .collect(),
+            );
+
+            engine.apply_pattern(&pattern);
+            engine.reset_metrics();
+            hammer(&engine, &expected, 1);
+
+            let reference_total: usize = expected.iter().map(|e| e.io_reads).sum();
+            let m = engine.metrics_snapshot();
+            assert_eq!(
+                m.io.symbol_reads as usize,
+                READERS * reference_total,
+                "{form} pattern {:?}: aggregate reads must be exactly N threads × reference",
+                pattern.failed_nodes()
+            );
+            assert_eq!(m.live_nodes, N - pattern.failed_count());
         }
-        checked += 1;
-
-        let reference_store = ByteDistributedStore::colocated(&reference_archive);
-        reference_store.apply_pattern(&pattern);
-        let expected: Arc<Vec<Expected>> = Arc::new(
-            (1..=vs.len())
-                .map(|l| {
-                    let r = reference_store.retrieve_version(&reference_archive, l).unwrap();
-                    Expected {
-                        data: r.data,
-                        io_reads: r.io_reads,
-                    }
-                })
-                .collect(),
-        );
-
-        engine.apply_pattern(&pattern);
-        engine.reset_metrics();
-        hammer(&engine, &expected, 1);
-
-        let reference_total: usize = expected.iter().map(|e| e.io_reads).sum();
-        let m = engine.metrics_snapshot();
-        assert_eq!(
-            m.io.symbol_reads as usize,
-            READERS * reference_total,
-            "pattern {:?}: aggregate reads must be exactly N threads × reference",
-            pattern.failed_nodes()
-        );
-        assert_eq!(m.live_nodes, N - pattern.failed_count());
+        // 1 + 6 + 15 + 20 patterns of weight ≤ 3 over 6 nodes.
+        assert_eq!(checked, 42, "{form}");
     }
-    // 1 + 6 + 15 + 20 patterns of weight ≤ 3 over 6 nodes.
-    assert_eq!(checked, 42);
 }
 
 #[test]

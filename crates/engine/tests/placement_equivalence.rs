@@ -1,16 +1,17 @@
 //! Property-based equivalence for **dispersed placement**: for any random
 //! byte-version history, any strategy and either generator form, a dispersed
-//! [`SecEngine`] must agree with both the single-threaded
-//! [`ByteVersionedArchive`] reference and a [`ByteDistributedStore`] built
-//! with [`PlacementStrategy::Dispersed`] — same bytes *and* the same
-//! block-read accounting. Placement changes where blocks live, never what a
-//! retrieval reads.
+//! [`SecEngine`] must agree with the single-threaded [`ByteVersionedArchive`]
+//! reference — same bytes *and* the same block-read accounting, healthy and
+//! under a random failure pattern, where the reference reads each entry
+//! position only if the node [`Placement::try_node_for`] assigns it is up.
+//! Placement changes where blocks live, never what a retrieval reads.
 
 use proptest::prelude::*;
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
-use sec_store::{ByteDistributedStore, PlacementStrategy};
+use sec_store::node::SymbolKey;
+use sec_store::{Placement, PlacementStrategy, StoreError};
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
 const N: usize = 6;
@@ -56,35 +57,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn dispersed_engine_equals_dispersed_store_and_reference(
+    fn dispersed_engine_equals_the_failure_aware_reference(
         versions in history(),
         strategy in strategy_strategy(),
         form in form_strategy(),
+        failures in prop::collection::vec(0usize..64, 0..12),
     ) {
         let config = ArchiveConfig::new(N, K, form, strategy).unwrap();
         let mut reference = ByteVersionedArchive::new(config).unwrap();
         reference.append_all(&versions).unwrap();
-        let store = ByteDistributedStore::new(&reference, PlacementStrategy::Dispersed);
 
         let engine = SecEngine::with_placement(config, PlacementStrategy::Dispersed, 0).unwrap();
         engine.append_all(&versions).unwrap();
         engine.reset_metrics();
 
-        // The engine grew one fresh slab of n nodes per stored entry — the
-        // same node space the dispersed store provisions up front.
-        prop_assert_eq!(engine.node_count(), store.node_count());
+        // The engine grew one fresh slab of n nodes per stored entry: the
+        // node space a dispersed placement of the layout addresses.
+        let placement = Placement::new(PlacementStrategy::Dispersed, N, reference.layout().len());
+        prop_assert_eq!(engine.node_count(), placement.node_count());
         prop_assert_eq!(engine.node_count(), N * reference.layout().len());
-        prop_assert_eq!(engine.placement().strategy(), PlacementStrategy::Dispersed);
+        prop_assert_eq!(engine.placement(), placement);
 
         let mut reported_reads = 0usize;
         for l in 1..=versions.len() {
             let got = engine.get_version(l).unwrap();
-            let via_store = store.retrieve_version(&reference, l).unwrap();
-            let via_archive = reference.retrieve_version(l).unwrap();
-            prop_assert_eq!(&*got.data, &via_store.data, "{} {} version {}", strategy, form, l);
-            prop_assert_eq!(&*got.data, &via_archive.data, "{} {} version {}", strategy, form, l);
-            prop_assert_eq!(got.io_reads, via_store.io_reads, "{} {} version {}", strategy, form, l);
-            prop_assert_eq!(got.io_reads, via_archive.io_reads, "{} {} version {}", strategy, form, l);
+            let want = reference.retrieve_version(l).unwrap();
+            prop_assert_eq!(&*got.data, &want.data, "{} {} version {}", strategy, form, l);
+            prop_assert_eq!(got.io_reads, want.io_reads, "{} {} version {}", strategy, form, l);
             prop_assert!(!got.cached);
             reported_reads += got.io_reads;
         }
@@ -103,6 +102,29 @@ proptest! {
         let want = reference.retrieve_prefix(versions.len()).unwrap();
         prop_assert_eq!(&got.versions, &want.versions);
         prop_assert_eq!(got.io_reads, want.io_reads);
+
+        // Under failures each entry degrades on its own node set, and the
+        // engine fails exactly where the reference does, at the same entry.
+        let failed: Vec<usize> = failures.iter().map(|node| node % engine.node_count()).collect();
+        for &node in &failed {
+            engine.fail_node(node).unwrap();
+        }
+        let live = |entry, position| {
+            placement
+                .try_node_for(SymbolKey { entry, position })
+                .is_ok_and(|node| !failed.contains(&node))
+        };
+        for l in 1..=versions.len() {
+            let got = engine.get_version(l);
+            let want = reference.retrieve_version_from(l, live).map_err(StoreError::from);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(&*got.data, &want.data, "{} {} version {}", strategy, form, l);
+                    prop_assert_eq!(got.io_reads, want.io_reads, "{} {} version {}", strategy, form, l);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err(), "{} {} version {}", strategy, form, l),
+            }
+        }
     }
 
     #[test]

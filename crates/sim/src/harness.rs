@@ -10,8 +10,9 @@
 //! `cluster::repair::window`, i.e. between a repair's rebuild and its
 //! liveness commit, where no locks are held. Every step is checked against
 //! a model (the exact version bytes and liveness the system should hold)
-//! and against the single-threaded `ByteDistributedStore` oracle for read
-//! results and I/O accounting.
+//! and against the single-threaded oracle for read results and I/O
+//! accounting: a `ByteVersionedArchive` holding the same versions, read
+//! from the positions the model's liveness leaves readable.
 //!
 //! Schedules are pure functions of a seed; see `crate::explore` for the
 //! random-walk and exhaustive drivers and `docs/DST.md` for the replay
@@ -23,8 +24,11 @@ use std::rc::Rc;
 use sec_engine::{ClusterError, ObjectId, PlacementStrategy, SecCluster, SecEngine};
 use sec_erasure::GeneratorForm;
 use sec_store::fault::{self, HookGuard};
-use sec_store::{ByteDistributedStore, StoreError};
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy};
+use sec_store::node::SymbolKey;
+use sec_store::{Placement, StoreError};
+use sec_versioning::{
+    ArchiveConfig, ByteVersionRetrieval, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy,
+};
 
 use crate::clock::{EventQueue, VirtualClock};
 use crate::hook::SimHook;
@@ -41,7 +45,7 @@ pub enum Op {
         edits: Vec<(usize, u8)>,
     },
     /// Retrieve version `version` (1-based) and check it against the model
-    /// and the store oracle.
+    /// and the oracle.
     Get {
         /// The version to read.
         version: usize,
@@ -419,27 +423,25 @@ impl EngineSim {
         }
     }
 
-    /// The single-threaded oracle: a fresh store over the reference archive
-    /// with the model's failures applied. Always evaluated with fault
-    /// points suspended so injected faults never perturb expected results.
-    fn oracle<R>(&self, f: impl FnOnce(&ByteDistributedStore) -> R) -> R {
-        fault::with_suspended(|| {
-            let store = ByteDistributedStore::new(&self.reference, self.options.placement);
-            for (node, live) in self.live.iter().enumerate() {
-                if !live {
-                    store.fail_node(node).unwrap_or_else(|e| {
-                        panic!("step {}: oracle fail_node({node}): {e}", self.steps)
-                    });
-                }
-            }
-            f(&store)
-        })
+    /// The single-threaded oracle: the reference archive read only from the
+    /// blocks the model's liveness leaves readable, each position mapped to
+    /// its node through the engine's placement. The archive's read path has
+    /// no fault points, so injected faults never perturb expected results.
+    fn oracle(&self, version: usize) -> Result<ByteVersionRetrieval, StoreError> {
+        let entries = self.reference.layout().len();
+        let placement = Placement::new(self.options.placement, self.options.n, entries);
+        let live = |entry, position| {
+            placement
+                .try_node_for(SymbolKey { entry, position })
+                .is_ok_and(|node| self.model_alive(node))
+        };
+        Ok(self.reference.retrieve_version_from(version, live)?)
     }
 
     fn do_get(&mut self, version: usize) {
         self.expected_retrievals += 1;
         let engine_result = self.engine.get_version(version);
-        let oracle_result = self.oracle(|store| store.retrieve_version(&self.reference, version));
+        let oracle_result = self.oracle(version);
         let step = self.steps;
         match (&engine_result, &oracle_result) {
             (Ok(got), Ok(want)) => {
@@ -514,10 +516,8 @@ impl EngineSim {
         self.expected_retrievals += 1;
         let engine_result = self.engine.get_prefix(upto);
         // The oracle for prefix reads is recoverability of every version in
-        // the prefix (byte equality comes from the model); `retrieve_version`
-        // per version keeps the oracle single-threaded and fault-free.
-        let oracle_ok =
-            self.oracle(|store| (1..=upto).all(|l| store.retrieve_version(&self.reference, l).is_ok()));
+        // the prefix (byte equality comes from the model).
+        let oracle_ok = (1..=upto).all(|l| self.oracle(l).is_ok());
         let step = self.steps;
         match engine_result {
             Ok(prefix) => {
@@ -1107,19 +1107,11 @@ impl ClusterSim {
             panic!("step {step}: get on unknown object index {object}");
         };
         let engine_result = self.cluster.get_version(model.id, version);
-        let oracle_result = fault::with_suspended(|| {
-            let store = ByteDistributedStore::colocated(&model.reference);
-            if let Some(group) = self.live.get(model.shard) {
-                for (node, live) in group.iter().enumerate() {
-                    if !live {
-                        store
-                            .fail_node(node)
-                            .unwrap_or_else(|e| panic!("step {step}: oracle fail_node({node}): {e}"));
-                    }
-                }
-            }
-            store.retrieve_version(&model.reference, version)
-        });
+        // Colocated: position `p` of every entry lives on the shard's node `p`.
+        let oracle_result = model
+            .reference
+            .retrieve_version_from(version, |_, position| self.model_alive(model.shard, position))
+            .map_err(StoreError::from);
         match (&engine_result, &oracle_result) {
             (Ok(got), Ok(want)) => {
                 assert_eq!(

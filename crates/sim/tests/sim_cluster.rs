@@ -18,7 +18,7 @@ fn options() -> ClusterSimOptions {
 /// Seeded exploration over the full cluster alphabet: appends and reads on
 /// several objects across shards, node failures, revivals and repairs with
 /// interleaving windows — every read checked against the per-object model
-/// and the store oracle.
+/// and the failure-aware oracle.
 #[test]
 fn seeded_cluster_schedules_match_their_models() {
     random_walk("cluster-walk", 25, |seed| {

@@ -3,7 +3,7 @@
 //! The thread-raced suite hammers one engine from eight OS threads and
 //! hopes the scheduler produces interesting interleavings; these tests
 //! produce the interleavings *on purpose*, from a seed, and check every
-//! step against the model and the store oracle. Any failure prints a
+//! step against the model and the failure-aware oracle. Any failure prints a
 //! `SEC_SIM_SEED=0x…` line; export it to replay the schedule exactly.
 
 use sec_engine::PlacementStrategy;
@@ -27,7 +27,7 @@ fn walk(seed: u64, options: SimOptions, steps: usize) {
 
 /// `eight_readers_match_the_archive_reference_bit_for_bit`, deterministic:
 /// every `Get` in every schedule is checked against the reference archive's
-/// bytes and the store oracle's I/O count.
+/// bytes and, read from the model's live blocks, its I/O count.
 #[test]
 fn seeded_schedules_match_the_reference_bit_for_bit() {
     random_walk("engine-colocated-strict", 30, |seed| {

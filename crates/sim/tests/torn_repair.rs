@@ -1,10 +1,10 @@
 //! Torn repairs never destroy recoverable data.
 //!
 //! A repair that dies between staging and commit (`engine::rebuild::abort`)
-//! or mid-staging (`store::repair::abort`) must leave every version that
-//! was recoverable before the repair still recoverable after it — and a
-//! retry must finish the job. The abort points are the crate's buggify
-//! sites, fired deterministically through the installed [`SimHook`].
+//! must leave every version that was recoverable before the repair still
+//! recoverable after it — and a retry must finish the job. The abort point
+//! is a buggify site, fired deterministically through the installed
+//! [`SimHook`].
 
 use std::rc::Rc;
 
@@ -12,8 +12,8 @@ use sec_engine::{PlacementStrategy, SecEngine};
 use sec_erasure::GeneratorForm;
 use sec_sim::harness::{next_version, EngineSim, Op, SimOptions};
 use sec_sim::{random_walk, SimHook, SimRng};
-use sec_store::{ByteDistributedStore, StoreError};
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
+use sec_store::StoreError;
+use sec_versioning::{ArchiveConfig, EncodingStrategy};
 
 const N: usize = 5;
 const K: usize = 3;
@@ -92,71 +92,6 @@ fn aborted_engine_rebuild_destroys_nothing_and_retry_completes() {
             .expect("k live nodes incl. the repaired one");
         assert_eq!(
             *got.data,
-            *bytes,
-            "rebuilt blocks of version {} are wrong",
-            idx + 1
-        );
-    }
-}
-
-/// Store-level torn repair: `store::repair::abort` kills the rebuild loop
-/// while it is still staging. Nothing was committed, so in the window before
-/// the retry the node is still failed, still holds its old blocks, and every
-/// version reads exactly from the other four nodes — a live but emptied node
-/// there would be picked by the read plan and fail every read. The retry
-/// rebuilds everything, proven by reading with the repaired node
-/// load-bearing.
-#[test]
-fn aborted_store_repair_is_completed_by_retry() {
-    let mut archive = ByteVersionedArchive::new(config()).expect("archive");
-    let versions = version_chain(4);
-    for bytes in &versions {
-        archive.append_version(bytes).expect("append");
-    }
-    let mut store = ByteDistributedStore::colocated(&archive);
-    store.fail_node(0).expect("fail");
-
-    let hook = Rc::new(SimHook::new(SimRng::new(0x70A3)));
-    let _guard = hook.install();
-    hook.set_probability("store::repair::abort", 100);
-    let err = store
-        .repair_node(&archive, 0)
-        .expect_err("the armed abort must tear the repair");
-    assert!(matches!(err, StoreError::Unrecoverable { .. }));
-    assert!(hook.faults_fired() > 0);
-    hook.set_probability("store::repair::abort", 0);
-
-    // The window between the torn repair and its retry.
-    let node = store.node(0).expect("node 0 exists");
-    assert!(!node.is_alive(), "a torn repair must not revive the node");
-    assert_eq!(
-        node.stored_symbols(),
-        versions.len(),
-        "a torn repair must not wipe the node"
-    );
-    for (idx, bytes) in versions.iter().enumerate() {
-        let got = store
-            .retrieve_version(&archive, idx + 1)
-            .expect("recoverable with one node down");
-        assert_eq!(
-            got.data,
-            *bytes,
-            "version {} diverged after the torn repair",
-            idx + 1
-        );
-    }
-
-    store.repair_node(&archive, 0).expect("retry must complete");
-    assert!(store.node(0).expect("node 0 exists").is_alive());
-    for position in K..N {
-        store.fail_node(position).expect("fail");
-    }
-    for (idx, bytes) in versions.iter().enumerate() {
-        let got = store
-            .retrieve_version(&archive, idx + 1)
-            .expect("k live nodes incl. the repaired one");
-        assert_eq!(
-            got.data,
             *bytes,
             "rebuilt blocks of version {} are wrong",
             idx + 1

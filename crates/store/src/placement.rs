@@ -10,7 +10,7 @@
 use crate::node::SymbolKey;
 use crate::store::StoreError;
 
-/// Which placement strategy a store uses.
+/// Which placement strategy an engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementStrategy {
     /// All entries share one set of `n` nodes.
@@ -103,38 +103,8 @@ impl Placement {
         })
     }
 
-    /// The set of nodes holding the given entry in codeword-position order,
-    /// or [`StoreError::InvalidSymbol`] when the entry is outside the
-    /// placement.
-    pub fn try_nodes_for_entry(&self, entry: usize) -> Result<Vec<usize>, StoreError> {
-        (0..self.n)
-            .map(|position| self.try_node_for(SymbolKey { entry, position }))
-            .collect()
-    }
-
-    /// The node that stores the given coded symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is outside the placement (entry or position too
-    /// large); use [`Placement::try_node_for`] where a bad key is a handled
-    /// error rather than a bug.
-    pub fn node_for(&self, key: SymbolKey) -> usize {
-        self.try_node_for(key).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The set of nodes holding the given entry, in codeword-position order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry is outside the placement; use
-    /// [`Placement::try_nodes_for_entry`] for the fallible form.
-    pub fn nodes_for_entry(&self, entry: usize) -> Vec<usize> {
-        self.try_nodes_for_entry(entry).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Grows the placement to cover at least `entries` stored objects (used
-    /// when versions are appended after the store or engine was created).
+    /// when versions are appended after the engine was created).
     /// Growing is monotone — it never shrinks coverage nor reassigns an
     /// already-addressable symbol — and under
     /// [`PlacementStrategy::Dispersed`] each admitted entry adds `n` fresh
@@ -148,19 +118,19 @@ impl Placement {
 mod tests {
     use super::*;
 
+    /// The nodes holding `entry`, in codeword-position order.
+    fn nodes_of(p: &Placement, entry: usize) -> Result<Vec<usize>, StoreError> {
+        (0..p.codeword_len())
+            .map(|position| p.try_node_for(SymbolKey { entry, position }))
+            .collect()
+    }
+
     #[test]
     fn colocated_reuses_the_same_nodes() {
         let p = Placement::new(PlacementStrategy::Colocated, 6, 5);
         assert_eq!(p.node_count(), 6);
-        assert_eq!(p.nodes_for_entry(0), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(p.nodes_for_entry(4), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(
-            p.node_for(SymbolKey {
-                entry: 3,
-                position: 2
-            }),
-            2
-        );
+        assert_eq!(nodes_of(&p, 0), Ok(vec![0, 1, 2, 3, 4, 5]));
+        assert_eq!(nodes_of(&p, 4), Ok(vec![0, 1, 2, 3, 4, 5]));
         assert_eq!(p.strategy(), PlacementStrategy::Colocated);
         assert_eq!(p.codeword_len(), 6);
         assert_eq!(p.entries(), 5);
@@ -170,13 +140,13 @@ mod tests {
     fn dispersed_uses_disjoint_node_sets() {
         let p = Placement::new(PlacementStrategy::Dispersed, 6, 5);
         assert_eq!(p.node_count(), 30);
-        assert_eq!(p.nodes_for_entry(0), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(p.nodes_for_entry(2), vec![12, 13, 14, 15, 16, 17]);
+        assert_eq!(nodes_of(&p, 0), Ok(vec![0, 1, 2, 3, 4, 5]));
+        assert_eq!(nodes_of(&p, 2), Ok(vec![12, 13, 14, 15, 16, 17]));
         // Node sets of different entries never intersect.
         for a in 0..5 {
             for b in (a + 1)..5 {
-                let na = p.nodes_for_entry(a);
-                let nb = p.nodes_for_entry(b);
+                let na = nodes_of(&p, a).unwrap();
+                let nb = nodes_of(&p, b).unwrap();
                 assert!(na.iter().all(|x| !nb.contains(x)));
             }
         }
@@ -209,11 +179,11 @@ mod tests {
             .is_err());
         p.grow_to(2);
         assert_eq!(p.node_count(), 8);
-        assert_eq!(p.try_nodes_for_entry(1).unwrap(), vec![4, 5, 6, 7]);
+        assert_eq!(nodes_of(&p, 1), Ok(vec![4, 5, 6, 7]));
         // Colocated nodes exist independently of entries.
         let colo = Placement::new(PlacementStrategy::Colocated, 4, 0);
         assert_eq!(colo.node_count(), 4);
-        assert!(colo.try_nodes_for_entry(0).is_err());
+        assert!(nodes_of(&colo, 0).is_err());
     }
 
     #[test]
@@ -242,17 +212,12 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("out of range"));
-        assert!(p.try_nodes_for_entry(2).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_position_panics() {
-        let p = Placement::new(PlacementStrategy::Colocated, 4, 1);
-        let _ = p.node_for(SymbolKey {
-            entry: 0,
-            position: 4,
-        });
+        assert!(p
+            .try_node_for(SymbolKey {
+                entry: 0,
+                position: 6,
+            })
+            .is_err());
     }
 
     #[test]

@@ -17,13 +17,6 @@ pub enum StoreError {
     Versioning(VersioningError),
     /// An erasure-coding error (propagated from decode).
     Code(CodeError),
-    /// The store was built for a smaller archive than the one supplied.
-    ArchiveMismatch {
-        /// Entries the store was provisioned for.
-        provisioned: usize,
-        /// Entries in the supplied archive.
-        supplied: usize,
-    },
     /// A node id outside `0..n` was passed to a node-addressing operation
     /// (failure injection, liveness query, repair).
     InvalidNode {
@@ -65,13 +58,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::Versioning(e) => write!(f, "versioning error: {e}"),
             StoreError::Code(e) => write!(f, "coding error: {e}"),
-            StoreError::ArchiveMismatch {
-                provisioned,
-                supplied,
-            } => write!(
-                f,
-                "store was provisioned for {provisioned} entries but the archive has {supplied}"
-            ),
             StoreError::InvalidNode { node, n } => {
                 write!(f, "node id {node} is out of range for a {n}-node cluster")
             }
@@ -99,8 +85,14 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 impl From<VersioningError> for StoreError {
+    /// Wraps the error, except that an entry the archive could not read from
+    /// its live blocks is the engine's [`StoreError::Unrecoverable`], so the
+    /// reference archive's failures compare equal to the engine's.
     fn from(e: VersioningError) -> Self {
-        StoreError::Versioning(e)
+        match e {
+            VersioningError::Unrecoverable { entry } => StoreError::Unrecoverable { entry },
+            e => StoreError::Versioning(e),
+        }
     }
 }
 
@@ -119,12 +111,6 @@ mod tests {
         assert!(StoreError::Unrecoverable { entry: 2 }
             .to_string()
             .contains("entry 2"));
-        assert!(StoreError::ArchiveMismatch {
-            provisioned: 1,
-            supplied: 2
-        }
-        .to_string()
-        .contains("provisioned for 1"));
         assert!(StoreError::InvalidNode { node: 9, n: 6 }
             .to_string()
             .contains("node id 9"));
@@ -139,6 +125,10 @@ mod tests {
         .contains("(entry 7, position 8)"));
         let wrapped = StoreError::from(VersioningError::EmptyArchive);
         assert!(wrapped.to_string().starts_with("versioning error:"));
+        assert_eq!(
+            StoreError::from(VersioningError::Unrecoverable { entry: 3 }),
+            StoreError::Unrecoverable { entry: 3 }
+        );
         let wrapped = StoreError::from(CodeError::UndecodableShareSet);
         assert!(wrapped.to_string().starts_with("coding error:"));
     }

@@ -158,6 +158,31 @@ impl ByteVersionedArchive {
     /// Returns [`VersioningError::NoSuchVersion`] for an out-of-range `l`, or
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_version(&self, l: usize) -> Result<ByteVersionRetrieval, VersioningError> {
+        self.retrieve_version_from(l, |_, _| true)
+    }
+
+    /// Retrieves version `l` (1-based) reading block `position` of stored
+    /// entry `entry` only where `live(entry, position)` holds: each touched
+    /// entry is planned over its live positions exactly as the paper's §V
+    /// reader plans it (`2γ` reads for an exploitable delta, `k` otherwise),
+    /// so the result's `io_reads` is what a reader of a degraded cluster
+    /// pays. This is the failure-aware reference the serving engine is
+    /// checked against; the live set maps a placement and a failure pattern
+    /// onto entry positions.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteVersionedArchive::retrieve_version`], plus
+    /// [`VersioningError::Unrecoverable`] naming the first entry of the walk
+    /// that no plan can read from its live positions.
+    pub fn retrieve_version_from<L>(
+        &self,
+        l: usize,
+        live: L,
+    ) -> Result<ByteVersionRetrieval, VersioningError>
+    where
+        L: Fn(usize, usize) -> bool,
+    {
         self.check_version(l)?;
         let out = walk_version(
             self.config().strategy(),
@@ -165,7 +190,7 @@ impl ByteVersionedArchive {
             |idx| self.entries[idx].payload,
             l,
             None,
-            |idx, acc| apply_entry(self.codec(), &self.entries[idx], acc),
+            |idx, acc| apply_entry(self.codec(), idx, &self.entries[idx], |p| live(idx, p), acc),
         )?;
         Ok(ByteVersionRetrieval {
             version: l,
@@ -190,7 +215,7 @@ impl ByteVersionedArchive {
             l,
             self.object_len().unwrap_or(0),
             None,
-            |idx, acc| apply_entry(self.codec(), &self.entries[idx], acc),
+            |idx, acc| apply_entry(self.codec(), idx, &self.entries[idx], |_| true, acc),
         )?;
         Ok(BytePrefixRetrieval {
             versions: out.versions,
@@ -201,26 +226,28 @@ impl ByteVersionedArchive {
 
     /// All stored entries in the walk order of [`ArchiveLedger::layout`]:
     /// append-order entries, with the Reversed-SEC full latest copy as the
-    /// final element. `sec-store` builds its node layout and read path from
-    /// this list.
+    /// final element.
     pub fn stored_entries(&self) -> Vec<&ByteEncodedEntry> {
         self.entries.iter().collect()
     }
 }
 
-/// Folds one stored entry into the walk's accumulator with all nodes alive,
-/// returning `(block_reads, accumulator)`.
+/// Folds stored entry `idx` into the walk's accumulator, reading only the
+/// positions `live` admits, and returns `(block_reads, accumulator)`.
 fn apply_entry(
     codec: &ByteCodec,
+    idx: usize,
     entry: &ByteEncodedEntry,
+    live: impl Fn(usize) -> bool,
     acc: Option<ByteShards>,
 ) -> Result<(usize, ByteShards), VersioningError> {
     let Some(target) = read_target(entry.payload) else {
         // Nothing changed; no reads needed at all.
         return Ok((0, unchanged(acc, codec.code().k(), entry.shards.shard_len())));
     };
-    let live: Vec<usize> = (0..codec.code().n()).collect();
-    let plan = plan_read(codec.code(), &live, target)?;
+    let live: Vec<usize> = (0..codec.code().n()).filter(|&p| live(p)).collect();
+    let plan = plan_read(codec.code(), &live, target)
+        .map_err(|_| VersioningError::Unrecoverable { entry: idx })?;
     let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, entry.shards.shard(i))).collect();
     let acc = apply_planned(codec, plan.method, target, &shares, acc)?;
     Ok((plan.io_reads, acc))
@@ -442,6 +469,104 @@ mod tests {
             a.retrieve_version(4),
             Err(VersioningError::NoSuchVersion { requested: 4, .. })
         ));
+    }
+
+    #[test]
+    fn survives_n_minus_k_failures_and_sparse_reads_stay_cheap() {
+        let mut a = archive(EncodingStrategy::BasicSec);
+        let versions = three_versions();
+        a.append_all(&versions).unwrap();
+        let failed = [0, 3, 5];
+        let live = |_: usize, position: usize| !failed.contains(&position);
+        for (l, expect) in versions.iter().enumerate() {
+            let r = a.retrieve_version_from(l + 1, live).unwrap();
+            assert_eq!(&r.data, expect, "version {}", l + 1);
+            // Non-systematic Cauchy: any 2γ live rows serve a sparse delta,
+            // so n − k failures cost no extra reads.
+            assert_eq!(r.io_reads, a.retrieve_version(l + 1).unwrap().io_reads);
+        }
+        // A fourth failure leaves fewer than k rows for the full first version.
+        let failed = [0, 1, 3, 5];
+        let live = |_: usize, position: usize| !failed.contains(&position);
+        assert_eq!(
+            a.retrieve_version_from(3, live),
+            Err(VersioningError::Unrecoverable { entry: 0 })
+        );
+    }
+
+    #[test]
+    fn live_set_reads_round_trip_all_strategies() {
+        // n − k failures, a systematic row among them: every strategy and
+        // form still serves every version, and never for fewer reads than a
+        // healthy cluster.
+        let failed = [0, 3, 5];
+        let live = |_: usize, position: usize| !failed.contains(&position);
+        for strategy in [
+            EncodingStrategy::BasicSec,
+            EncodingStrategy::OptimizedSec,
+            EncodingStrategy::ReversedSec,
+            EncodingStrategy::NonDifferential,
+        ] {
+            for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+                let config = ArchiveConfig::new(6, 3, form, strategy).unwrap();
+                let mut a = ByteVersionedArchive::new(config).unwrap();
+                let versions = three_versions();
+                a.append_all(&versions).unwrap();
+                for (l, expect) in versions.iter().enumerate() {
+                    let r = a.retrieve_version_from(l + 1, live).unwrap();
+                    assert_eq!(&r.data, expect, "{strategy} {form} version {}", l + 1);
+                    assert!(r.io_reads >= a.retrieve_version(l + 1).unwrap().io_reads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unrecoverable_names_the_first_entry_the_walk_cannot_plan() {
+        // γ2 = 1, γ3 = 2: δ3 is read like a full version, from k rows.
+        let versions = three_versions();
+        // Two live rows everywhere: the forward walk fails at its full v1.
+        let mut basic = archive(EncodingStrategy::BasicSec);
+        basic.append_all(&versions).unwrap();
+        assert_eq!(
+            basic.retrieve_version_from(2, |_, position| position < 2),
+            Err(VersioningError::Unrecoverable { entry: 0 })
+        );
+        // Reversed [δ2, δ3, x3] with the latest copy's rows all up: the
+        // backward walk reads x3, then cannot un-apply δ3 from two rows.
+        let mut reversed = archive(EncodingStrategy::ReversedSec);
+        reversed.append_all(&versions).unwrap();
+        let live = |entry: usize, position: usize| entry == 2 || position < 2;
+        assert_eq!(reversed.retrieve_version_from(3, live).unwrap().data, versions[2]);
+        for l in [1, 2] {
+            assert_eq!(
+                reversed.retrieve_version_from(l, live),
+                Err(VersioningError::Unrecoverable { entry: 1 }),
+                "version {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_deltas_survive_more_failures_than_full_objects() {
+        // With two live rows the 1-sparse delta entry is still read with 2
+        // block reads though the full first version is lost — the paper's
+        // observation that deltas have higher static resilience (eq. 7 vs
+        // eq. 6).
+        let mut a = archive(EncodingStrategy::BasicSec);
+        let versions = three_versions();
+        a.append_all(&versions).unwrap();
+        let entries = a.stored_entries();
+        let live = |position: usize| position == 2 || position == 4;
+        assert!(matches!(
+            apply_entry(a.codec(), 0, entries[0], live, None),
+            Err(VersioningError::Unrecoverable { entry: 0 })
+        ));
+        let (reads, delta) = apply_entry(a.codec(), 1, entries[1], live, None).unwrap();
+        assert_eq!(reads, 2);
+        assert_eq!(delta.weight(), 1);
+        let expect: Vec<u8> = versions[0].iter().zip(&versions[1]).map(|(x, y)| x ^ y).collect();
+        assert_eq!(delta.into_flat(expect.len()), expect);
     }
 
     #[test]

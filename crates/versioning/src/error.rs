@@ -33,6 +33,12 @@ pub enum VersioningError {
         /// `(n, k, form)` of the supplied codec's code.
         actual: (usize, usize, GeneratorForm),
     },
+    /// A stored entry the retrieval needs has too few live blocks for any
+    /// read plan.
+    Unrecoverable {
+        /// Which stored entry could not be read.
+        entry: usize,
+    },
     /// An underlying erasure-coding error.
     Code(CodeError),
 }
@@ -60,6 +66,9 @@ impl fmt::Display for VersioningError {
                      ({}, {}) {} code",
                     actual.0, actual.1, actual.2, expected.0, expected.1, expected.2
                 )
+            }
+            VersioningError::Unrecoverable { entry } => {
+                write!(f, "archive entry {entry} has too few live blocks to be read")
             }
             VersioningError::Code(err) => write!(f, "erasure coding error: {err}"),
         }
@@ -100,6 +109,9 @@ mod tests {
         .to_string()
         .contains("7"));
         assert!(VersioningError::EmptyArchive.to_string().contains("no versions"));
+        assert!(VersioningError::Unrecoverable { entry: 4 }
+            .to_string()
+            .contains("entry 4"));
         let wrapped = VersioningError::from(CodeError::UndecodableShareSet);
         assert!(wrapped.to_string().contains("erasure coding"));
         use std::error::Error;

@@ -1,15 +1,16 @@
 //! The per-strategy retrieval traversal, shared by every byte-shard read
 //! path.
 //!
-//! Three layers serve versions out of the same stored-entry layout — the
-//! all-nodes-alive [`ByteVersionedArchive`](crate::ByteVersionedArchive),
-//! the failure-aware `ByteDistributedStore` in `sec-store`, and the
-//! concurrent `SecEngine` in `sec-engine`. They differ only in *how one
-//! entry's blocks are fetched and decoded*; the strategy walk itself (find
-//! the anchor, XOR deltas forward, or un-apply deltas backward from the
-//! Reversed-SEC latest copy) is identical. This module holds that walk
-//! once, parameterized over a per-entry read callback, so the strategy
-//! semantics cannot drift between layers.
+//! Two layers serve versions out of the same stored-entry layout — the
+//! reference [`ByteVersionedArchive`](crate::ByteVersionedArchive), whose
+//! in-memory blocks are read from whichever positions the caller's live set
+//! admits, and the concurrent `SecEngine` in `sec-engine`, whose blocks sit
+//! on storage nodes. They differ only in *how one entry's blocks are fetched*;
+//! the strategy walk itself (find the anchor, XOR deltas forward, or
+//! un-apply deltas backward from the Reversed-SEC latest copy) and the
+//! decode of the fetched blocks ([`apply_planned`]) are identical. This
+//! module holds both once, parameterized over a per-entry read callback, so
+//! the strategy semantics cannot drift between layers.
 //!
 //! Conventions shared by every caller:
 //!
@@ -533,6 +534,34 @@ mod tests {
             assert_eq!(Some(buffer(&out.shards)), held, "{strategy:?}");
             assert_eq!(out.shards.as_bytes(), &[if l == 3 { 7 } else { 5 }]);
             assert_eq!(out.entries_read, 2 + usize::from(!out.anchor_used));
+        }
+    }
+
+    #[test]
+    fn corrupt_block_length_is_an_error_not_a_panic() {
+        // A stored block one byte short must surface as ShardSizeMismatch
+        // from both decode methods, with or without a chain to fold into.
+        use sec_erasure::{GeneratorForm, SecCode};
+        let codec = ByteCodec::new(SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap());
+        let mut delta = ByteShards::zeroed(3, 8);
+        delta.shards_mut().next().unwrap().fill(0x5A);
+        let coded = codec.encode_blocks(&delta).unwrap();
+        let short = &coded.shard(1)[1..];
+        let shares = [(0, coded.shard(0)), (1, short), (2, coded.shard(2))];
+        let sparse = ReadTarget::Sparse { gamma: 1 };
+        for (method, target, shares) in [
+            (DecodeMethod::Inversion, ReadTarget::Full, &shares[..]),
+            (DecodeMethod::SparseRecovery, sparse, &shares[..2]),
+        ] {
+            for acc in [None, Some(ByteShards::zeroed(3, 8))] {
+                assert!(
+                    matches!(
+                        apply_planned(&codec, method, target, shares, acc),
+                        Err(CodeError::ShardSizeMismatch { .. })
+                    ),
+                    "{method:?}"
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! A source-repository style workload: a document receives many small,
 //! localized edits (the SVN scenario from the paper's introduction). The
 //! example generates a synthetic edit trace, archives it with every encoding
-//! strategy, stores it on a simulated colocated cluster, injects failures and
+//! strategy, serves it from a colocated engine, injects failures and
 //! compares I/O and availability.
 //!
 //! Run with `cargo run --example svn_archive`.
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sec::gf::{bulk, Gf256};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
-use sec::{ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, EncodingStrategy, GeneratorForm};
+use sec::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm, SecEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2015);
@@ -47,33 +47,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Put the Basic SEC archive on a simulated cluster, kill a few nodes and
-    // show that everything is still readable with the same I/O counts.
+    // Serve the Basic SEC history from a colocated engine, kill a few nodes
+    // and show that everything is still readable.
     let config = ArchiveConfig::new(32, 16, GeneratorForm::Systematic, EncodingStrategy::BasicSec)?;
-    let mut archive = ByteVersionedArchive::new(config)?;
-    archive.append_all(&revisions)?;
-    let mut store = ByteDistributedStore::colocated(&archive);
+    let engine = SecEngine::new(config)?;
+    engine.append_all(&revisions)?;
     for node in [0, 7, 13, 21, 30] {
-        store.fail_node(node)?;
+        engine.fail_node(node)?;
     }
+    let recoverable = (1..=engine.len()).all(|l| engine.get_version(l).is_ok());
     println!(
         "\nafter 5 node failures the archive is {}recoverable",
-        if store.archive_recoverable(&archive) {
-            ""
-        } else {
-            "NOT "
-        }
+        if recoverable { "" } else { "NOT " }
     );
-    let recovered = store.retrieve_version(&archive, archive.len())?;
-    assert_eq!(&recovered.data, revisions.last().expect("non-empty trace"));
+    let recovered = engine.get_version(engine.len())?;
+    assert_eq!(*recovered.data, *revisions.last().expect("non-empty trace"));
     println!(
         "latest revision recovered from the degraded cluster with {} reads ({})",
         recovered.io_reads,
-        store.metrics()
+        engine.metrics_snapshot().io
     );
 
     // Repair one of the failed nodes and report the rebuild cost.
-    let rebuilt = store.repair_node(&archive, 7)?;
+    let rebuilt = engine.repair_node(7)?;
     println!("repaired node 7: {rebuilt} blocks rebuilt");
     Ok(())
 }

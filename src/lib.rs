@@ -12,7 +12,7 @@
 //! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy/Vandermonde, criteria checks |
 //! | [`erasure`] | `sec-erasure` | systematic / non-systematic Cauchy MDS codes, sparse recovery, read planning |
 //! | [`versioning`] | `sec-versioning` | byte archives (layout ledger + blocks), Basic/Optimized/Reversed SEC, I/O model |
-//! | [`store`] | `sec-store` | simulated storage nodes, placement, failures, repair; the single-threaded store the engine is checked against |
+//! | [`store`] | `sec-store` | storage nodes, placement, failure patterns, I/O counters, the shared error type |
 //! | [`engine`] | `sec-engine` | concurrent serving layer: sharded locks, lock-free planning, delta cache |
 //! | [`analysis`] | `sec-analysis` | static resilience, availability, average-I/O, expected-I/O |
 //! | [`workload`] | `sec-workload` | sparsity PMFs and synthetic edit traces |
@@ -57,7 +57,7 @@ pub use sec_workload as workload;
 
 pub use sec_engine::{ObjectId, SecCluster, SecEngine};
 pub use sec_erasure::{ByteCodec, ByteShards, CodeParams, GeneratorForm, SecCode};
-pub use sec_store::{ByteDistributedStore, Placement, PlacementStrategy};
+pub use sec_store::{Placement, PlacementStrategy};
 pub use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, DeltaCache, EncodingStrategy, IoModel,
 };

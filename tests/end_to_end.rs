@@ -11,10 +11,11 @@ use sec::analysis::patterns::census;
 use sec::analysis::resilience::{paper_eq20_systematic_loss, prob_lose_sparse_exact};
 use sec::gf::{bulk, Gf1024, Gf256};
 use sec::store::failure::enumerate_patterns;
+use sec::store::node::SymbolKey;
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
-    ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, EncodingStrategy, GeneratorForm,
-    PlacementStrategy, SecCode, SparsityPmf,
+    ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm, PlacementStrategy, SecCode,
+    SecEngine, SparsityPmf,
 };
 
 /// The versions of a `GF(2^8)` trace as byte objects, one byte per symbol.
@@ -30,8 +31,9 @@ fn archive_6_3(form: GeneratorForm, versions: &[Vec<u8>]) -> ByteVersionedArchiv
     archive
 }
 
-/// Generates a trace, archives it, stores it on a degraded cluster and checks
-/// every version comes back bit-exact for every strategy and placement.
+/// Generates a trace, serves it from a degraded engine and checks every
+/// version comes back bit-exact, at the failure-aware reference's read cost,
+/// for every strategy and placement.
 #[test]
 fn trace_to_storage_round_trip_under_failures() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -50,19 +52,31 @@ fn trace_to_storage_round_trip_under_failures() {
                 .expect("valid (16,8) configuration");
             let mut archive = ByteVersionedArchive::new(config).expect("GF(256) supports (16,8)");
             archive.append_all(&versions).expect("append succeeds");
+            let engine = SecEngine::with_placement(config, placement, 0).expect("engine builds");
+            engine.append_all(&versions).expect("append succeeds");
 
-            let store = ByteDistributedStore::new(&archive, placement);
             // Kill n - k = 8 nodes of the first entry's node set: the archive
             // must still be fully readable (MDS tolerance).
             for node in 0..8 {
-                store.fail_node(node).unwrap();
+                engine.fail_node(node).unwrap();
             }
-            assert!(store.archive_recoverable(&archive), "{strategy} {placement}");
+            let nodes = engine.placement();
+            let live = |entry, position| {
+                nodes
+                    .try_node_for(SymbolKey { entry, position })
+                    .is_ok_and(|node| node >= 8)
+            };
             for (l, expect) in versions.iter().enumerate() {
-                let got = store
-                    .retrieve_version(&archive, l + 1)
-                    .unwrap_or_else(|e| panic!("{strategy} {placement} v{}: {e}", l + 1));
-                assert_eq!(&got.data, expect, "{strategy} {placement} version {}", l + 1);
+                let case = format!("{strategy} {placement} version {}", l + 1);
+                let got = engine
+                    .get_version(l + 1)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                let want = archive
+                    .retrieve_version_from(l + 1, live)
+                    .unwrap_or_else(|e| panic!("{case}: reference: {e}"));
+                assert_eq!(*got.data, *expect, "{case}");
+                assert_eq!(want.data, *expect, "{case}: reference");
+                assert_eq!(got.io_reads, want.io_reads, "{case}");
             }
         }
     }
@@ -117,20 +131,25 @@ fn paper_running_example_end_to_end() {
     }
 }
 
-/// The storage simulator agrees with the analytical availability model: over
+/// The serving engine agrees with the analytical availability model: over
 /// every failure pattern of the colocated (6,3) cluster, the archive is
 /// recoverable exactly when at least k nodes are alive.
 #[test]
 fn simulator_agrees_with_analytical_availability() {
     let x1 = vec![1u8, 2, 3];
     let x2 = vec![1u8, 9, 3];
-    let archive = archive_6_3(GeneratorForm::NonSystematic, &[x1, x2.clone()]);
+    let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
+        .expect("valid (6,3)");
+    let engine = SecEngine::new(config).expect("engine builds");
+    engine
+        .append_all(&[x1.clone(), x2.clone()])
+        .expect("append succeeds");
 
     let mut recoverable_patterns = 0usize;
     for pattern in enumerate_patterns(6) {
-        let store = ByteDistributedStore::colocated(&archive);
-        store.apply_pattern(&pattern);
-        let recoverable = store.archive_recoverable(&archive);
+        engine.apply_pattern(&pattern);
+        let reads = [engine.get_version(1), engine.get_version(2)];
+        let recoverable = reads.iter().all(Result::is_ok);
         assert_eq!(
             recoverable,
             pattern.live_count() >= 3,
@@ -140,8 +159,9 @@ fn simulator_agrees_with_analytical_availability() {
         if recoverable {
             recoverable_patterns += 1;
             // And retrieval really works when the model says it should.
-            let r = store.retrieve_version(&archive, 2).expect("retrievable pattern");
-            assert_eq!(r.data, x2);
+            let [v1, v2] = reads.map(|r| r.expect("retrievable pattern").data);
+            assert_eq!(*v1, x1);
+            assert_eq!(*v2, x2);
         }
     }
     // C(6,3) + C(6,2) + C(6,1) + C(6,0) patterns with >= 3 live nodes.
@@ -161,14 +181,20 @@ fn degraded_reads_match_average_io_analysis() {
 
     let x1 = vec![5u8, 6, 7];
     let x2 = vec![5u8, 6, 70];
-    let archive = archive_6_3(GeneratorForm::Systematic, &[x1, x2.clone()]);
+    let archive = archive_6_3(GeneratorForm::Systematic, &[x1.clone(), x2.clone()]);
+    let engine = SecEngine::new(archive.config()).expect("engine builds");
+    engine.append_all(&[x1, x2.clone()]).expect("append succeeds");
 
     // Fail two of the three parity nodes: the delta can no longer be fetched
-    // with 2 reads from the parity block, yet retrieval still succeeds.
-    let store = ByteDistributedStore::colocated(&archive);
-    store.fail_node(4).unwrap();
-    store.fail_node(5).unwrap();
-    let r = store.retrieve_version(&archive, 2).expect("still recoverable");
-    assert_eq!(r.data, x2);
+    // with 2 reads from the parity block, yet retrieval still succeeds, at
+    // the cost the failure-aware reference predicts.
+    engine.fail_node(4).unwrap();
+    engine.fail_node(5).unwrap();
+    let r = engine.get_version(2).expect("still recoverable");
+    assert_eq!(*r.data, x2);
     assert!(r.io_reads >= 5, "reads = {}", r.io_reads);
+    let want = archive
+        .retrieve_version_from(2, |_, position| position < 4)
+        .expect("still recoverable");
+    assert_eq!(r.io_reads, want.io_reads);
 }

@@ -7,12 +7,13 @@ use sec::engine::{ClusterMetrics, EngineMetrics, EngineRetrieval};
 use sec::erasure::{CodeError, DecodeMethod, ReadPlan, ReadTarget, ReplicationCode, Share};
 use sec::gf::{GaloisField, Gf1024, Gf16, Gf256, Gf65536, Poly};
 use sec::linalg::{cauchy::cauchy_matrix, checks, Matrix, MatrixError};
-use sec::store::{ByteStoredRetrieval, FailurePattern, IoMetrics, Placement, StorageNode};
+use sec::store::node::SymbolKey;
+use sec::store::{FailurePattern, IoMetrics, Placement, StorageNode};
 use sec::versioning::{BytePrefixRetrieval, ByteVersionRetrieval, VersioningError};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
-    ArchiveConfig, ByteDistributedStore, ByteVersionedArchive, CodeParams, EncodingStrategy,
-    GeneratorForm, IoModel, ObjectId, PlacementStrategy, SecCluster, SecCode, SecEngine, SparsityPmf,
+    ArchiveConfig, ByteVersionedArchive, CodeParams, EncodingStrategy, GeneratorForm, IoModel, ObjectId,
+    PlacementStrategy, SecCluster, SecCode, SecEngine, SparsityPmf,
 };
 
 /// Every crate-root re-export participates in one end-to-end flow.
@@ -43,19 +44,18 @@ fn facade_types_interoperate_end_to_end() {
         prefix.io_reads
     );
 
-    // store: colocated placement, node failures, failure-aware retrieval.
-    let store = ByteDistributedStore::new(&archive, PlacementStrategy::Colocated);
-    store.fail_node(0).unwrap();
-    let retrieved: ByteStoredRetrieval = store.retrieve_version(&archive, 2).expect("retrieve");
+    // store: colocated placement, a node failure, failure-aware retrieval.
+    let placement = Placement::new(PlacementStrategy::Colocated, 6, archive.layout().len());
+    let pattern = FailurePattern::with_failures(placement.node_count(), &[0]);
+    let live = |entry, position| {
+        placement
+            .try_node_for(SymbolKey { entry, position })
+            .is_ok_and(|node| !pattern.is_failed(node))
+    };
+    let retrieved: ByteVersionRetrieval = archive.retrieve_version_from(2, live).expect("retrieve");
     assert_eq!(retrieved.data, v2);
-    let metrics: IoMetrics = store.metrics();
-    assert!(metrics.symbol_reads > 0);
-    let placement: Placement = store.placement();
-    assert_eq!(placement.strategy(), PlacementStrategy::Colocated);
-    let node: &StorageNode<Vec<u8>> = store.node(1).expect("node 1 exists");
-    assert!(node.is_alive());
-    let pattern = FailurePattern::none(store.node_count());
-    assert_eq!(pattern.failed_count(), 0);
+    assert_eq!(retrieved.io_reads, prefix.io_reads);
+    assert_eq!(StorageNode::default().reads(), 0);
 
     // engine: the concurrent serving layer over the same configuration.
     let engine = SecEngine::new(config).expect("engine");
@@ -70,7 +70,9 @@ fn facade_types_interoperate_end_to_end() {
     assert_eq!(*served.data, vec![1, 2, 9, 4, 5, 6]);
     let engine_metrics: EngineMetrics = engine.metrics_snapshot();
     assert_eq!(engine_metrics.live_nodes, 5);
-    assert!(engine_metrics.io.symbol_reads > 0);
+    let io: IoMetrics = engine_metrics.io;
+    assert!(io.symbol_reads > 0);
+    assert_eq!(engine.placement(), placement);
 
     // cluster: the sharded multi-archive router over per-object engines.
     let cluster = SecCluster::new(config, 4).expect("cluster");
