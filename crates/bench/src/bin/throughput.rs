@@ -20,6 +20,13 @@
 //! prints each SIMD kernel's speedup over scalar for the (6, 3) encode next
 //! to the kernel production dispatch selected.
 //!
+//! The **folded decode** rows (`decode_folded_m*` against
+//! `decode_separate_m*`) time, on every kernel, what a version walk does
+//! with `m ∈ {1, 2, 3}` full-plan entries read at one position set of a
+//! (12, 6) code with 32 KiB blocks: one decode of their summed blocks
+//! ([`ByteCodec::decode_sum_into`]) against `m` decodes, each XORed into the
+//! first — the walk before it summed.
+//!
 //! Nothing here asserts or records. What a `GET` costs end to end, what the
 //! delta cache serves and how the server holds up under many connections are
 //! measured — with assertions — by the `benchmark/` package and with
@@ -226,6 +233,72 @@ impl Case {
     }
 }
 
+/// Op names of the folded-decode rows, by member count.
+const FOLDED: [&str; 3] = ["decode_folded_m1", "decode_folded_m2", "decode_folded_m3"];
+const SEPARATE: [&str; 3] = ["decode_separate_m1", "decode_separate_m2", "decode_separate_m3"];
+
+/// The folded-decode rows on whatever kernel is active (see the module
+/// docs): three objects of a (12, 6) code at 32 KiB blocks, read at the same
+/// `k` rows, decoded `m` at a time as one sum and as `m` decodes.
+fn measure_folded(path: &'static str, min_total: Duration, samples: &mut Vec<Sample>) {
+    let (k, shard_bytes) = (6, 32 * 1024);
+    let code: SecCode<Gf256> =
+        SecCode::cauchy(2 * k, k, GeneratorForm::NonSystematic).expect("(12,6) fits in GF(256)");
+    let codec = ByteCodec::new(code);
+    let coded: Vec<ByteShards> = (0..FOLDED.len() as u64)
+        .map(|m| {
+            let mut object = vec![0u8; k * shard_bytes];
+            fill(&mut object, 7 + m);
+            codec
+                .encode_blocks(&ByteShards::from_flat(&object, k))
+                .expect("encode")
+        })
+        .collect();
+    let rows: Vec<usize> = (k / 2..k / 2 + k).collect();
+    let shares: Vec<Vec<(usize, &[u8])>> = coded
+        .iter()
+        .map(|c| rows.iter().map(|&i| (i, c.shard(i))).collect())
+        .collect();
+    let mut out = ByteShards::zeroed(k, shard_bytes);
+    for (m, (folded, separate)) in FOLDED.into_iter().zip(SEPARATE).enumerate() {
+        let codewords: Vec<&[(usize, &[u8])]> = shares[..=m].iter().map(Vec::as_slice).collect();
+        let ns = measure(
+            || {
+                codec
+                    .decode_sum_into(&codewords, &mut out, false)
+                    .expect("decode")
+            },
+            min_total,
+            1000,
+        );
+        samples.push(Sample {
+            path,
+            op: folded,
+            k,
+            shard_bytes,
+            ns_per_op: ns,
+        });
+        let ns = measure(
+            || {
+                codec.decode_blocks_into(codewords[0], &mut out).expect("decode");
+                for codeword in &codewords[1..] {
+                    let decoded = codec.decode_blocks(codeword).expect("decode");
+                    out.xor_with(&decoded).expect("same shape");
+                }
+            },
+            min_total,
+            1000,
+        );
+        samples.push(Sample {
+            path,
+            op: separate,
+            k,
+            shard_bytes,
+            ns_per_op: ns,
+        });
+    }
+}
+
 /// Times `f` until `min_total` has elapsed or `max_iters` runs completed
 /// (after one untimed warm-up call), returning mean ns per call.
 fn measure<F: FnMut()>(mut f: F, min_total: Duration, max_iters: u64) -> f64 {
@@ -254,12 +327,12 @@ fn fill(buf: &mut [u8], mut seed: u64) {
 
 fn print_table(label: &str, samples: &[Sample]) {
     println!(
-        "{:<14} {:<16} {:>4} {:>4} {:>12} {:>14} {:>12}",
+        "{:<14} {:<18} {:>4} {:>4} {:>12} {:>14} {:>12}",
         label, "op", "n", "k", "shard_bytes", "ns/op", "MB/s"
     );
     for s in samples {
         println!(
-            "{:<14} {:<16} {:>4} {:>4} {:>12} {:>14.0} {:>12.1}",
+            "{:<14} {:<18} {:>4} {:>4} {:>12} {:>14.0} {:>12.1}",
             s.path,
             s.op,
             2 * s.k,
@@ -318,6 +391,7 @@ fn main() {
     }
 
     let mut kernel_samples = Vec::new();
+    let mut folded_samples = Vec::new();
     for kernel in Kernel::available() {
         sec_gf::force_kernel(kernel).expect("available kernels can be forced");
         for k in ks {
@@ -325,12 +399,15 @@ fn main() {
                 Case::new(k, shard_bytes).measure_byte(kernel.name(), min_total, &mut kernel_samples);
             }
         }
+        measure_folded(kernel.name(), min_total, &mut folded_samples);
     }
     sec_gf::reset_kernel();
 
     print_table("path", &codec_samples);
     println!("\nactive kernel (auto-detected): {auto_kernel}");
     print_table("kernel", &kernel_samples);
+    println!();
+    print_table("kernel", &folded_samples);
     println!();
     let headline = *sizes.last().expect("at least one size");
     print_encode_speedup(&codec_samples, headline, "byte", "per-symbol");

@@ -101,17 +101,14 @@ impl NodeLiveness {
     }
 }
 
-use sec_erasure::read_plan::plan_read;
-use sec_erasure::{ByteCodec, ByteShards};
+use sec_erasure::ByteCodec;
 use sec_store::fault;
 use sec_store::node::{StorageNode, SymbolKey};
 use sec_store::{AtomicIoMetrics, FailurePattern, IoMetrics, Placement, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
-use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
-use sec_versioning::{
-    ArchiveConfig, ArchiveLedger, CacheStats, DeltaCache, EncodingStrategy, StoredPayload,
-    VersioningError,
-};
+use sec_versioning::{ArchiveConfig, ArchiveLedger, CacheStats, DeltaCache, VersioningError};
+
+use crate::read::lock_nodes;
 
 /// Result of one engine retrieval.
 #[derive(Debug, Clone)]
@@ -173,9 +170,9 @@ pub struct EngineMetrics {
 /// a slab from the directory, release the directory lock, and keep reading
 /// blocks while an append grows the directory behind it.
 #[derive(Debug, Clone)]
-struct NodeSlab {
-    nodes: Arc<Vec<OrderedRwLock<StorageNode>>>,
-    alive: Arc<NodeLiveness>,
+pub(crate) struct NodeSlab {
+    pub(crate) nodes: Arc<Vec<OrderedRwLock<StorageNode>>>,
+    pub(crate) alive: Arc<NodeLiveness>,
 }
 
 impl NodeSlab {
@@ -191,6 +188,15 @@ impl NodeSlab {
             ),
             alive,
         }
+    }
+}
+
+/// The directory index of the slab hosting `entry`'s coded blocks: the one
+/// slab under colocated placement, the entry's own under dispersed.
+pub(crate) fn slab_index(strategy: PlacementStrategy, entry: usize) -> usize {
+    match strategy {
+        PlacementStrategy::Colocated => 0,
+        PlacementStrategy::Dispersed => entry,
     }
 }
 
@@ -247,14 +253,14 @@ impl NodeSlab {
 #[derive(Debug)]
 pub struct SecEngine {
     archive: OrderedRwLock<ArchiveLedger>,
-    codec: ByteCodec,
+    pub(crate) codec: ByteCodec,
     placement: OrderedRwLock<Placement>,
     slabs: OrderedRwLock<Vec<NodeSlab>>,
-    metrics: AtomicIoMetrics,
-    cache: DeltaCache<Vec<u8>>,
+    pub(crate) metrics: AtomicIoMetrics,
+    pub(crate) cache: DeltaCache<Vec<u8>>,
     /// Stored entries XOR-applied on top of cached bases, for
     /// [`EngineMetrics::deltas_applied`].
-    deltas_applied: AtomicU64,
+    pub(crate) deltas_applied: AtomicU64,
 }
 
 impl SecEngine {
@@ -393,7 +399,7 @@ impl SecEngine {
 
     /// Clones the `Arc` handles of slab `idx`, holding the directory lock
     /// only for the fetch.
-    fn slab(&self, idx: usize) -> NodeSlab {
+    pub(crate) fn slab(&self, idx: usize) -> NodeSlab {
         // audit: panic ok — private helper; callers pass a directory index they just resolved
         self.slabs.read()[idx].clone()
     }
@@ -407,11 +413,7 @@ impl SecEngine {
 
     /// The slab hosting `entry`'s coded blocks.
     fn slab_for_entry(&self, entry: usize) -> NodeSlab {
-        let idx = match self.placement().strategy() {
-            PlacementStrategy::Colocated => 0,
-            PlacementStrategy::Dispersed => entry,
-        };
-        self.slab(idx)
+        self.slab(slab_index(self.placement().strategy(), entry))
     }
 
     /// Whether node `node` is currently live. Lock-free.
@@ -588,124 +590,6 @@ impl SecEngine {
         }
     }
 
-    /// Retrieves version `l` (1-based), reading blocks only from live nodes
-    /// under the SEC read plan (`2γ` block reads per exploitable delta, `k`
-    /// otherwise). The delta cache is consulted for the nearest usable
-    /// anchor first: an exact hit costs zero reads, and a cached neighbour
-    /// lets the walk pay only for the deltas between it and `l` instead of
-    /// rewinding to a stored full version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Unrecoverable`] when too many nodes have
-    /// failed, [`StoreError::Versioning`] for an invalid `l`, or
-    /// [`StoreError::Code`] for a corrupt block.
-    pub fn get_version(&self, l: usize) -> Result<EngineRetrieval, StoreError> {
-        let archive = self.read_archive();
-        archive.check_version(l)?;
-        self.metrics.add_retrieval();
-        // Probe the cache only for a validated version, so an out-of-range
-        // request can never register as a (phantom) cache miss.
-        let anchor = match self.cached_anchor(archive.config().strategy(), l) {
-            Some((version, data)) if version == l => {
-                return Ok(EngineRetrieval {
-                    version: l,
-                    data,
-                    io_reads: 0,
-                    cached: true,
-                });
-            }
-            anchor => anchor,
-        };
-        let snap = Snapshot::take(archive);
-        let out = walk_version(
-            snap.strategy,
-            snap.layout.len(),
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..layout.len()
-            |idx| snap.layout[idx],
-            l,
-            self.anchor_shards(anchor),
-            // audit: panic ok — `idx` comes from walk_version, which stays within 0..layout.len()
-            |idx, acc| self.read_entry(idx, snap.layout[idx], snap.shard_len, acc),
-        )?;
-        self.count_anchored_deltas(out.anchor_used, out.entries_read);
-        let data = self.cache.insert(l, out.shards.into_flat(snap.object_len));
-        Ok(EngineRetrieval {
-            version: l,
-            data,
-            io_reads: out.io_reads,
-            cached: out.anchor_used,
-        })
-    }
-
-    /// Retrieves the first `l` versions in order.
-    ///
-    /// Only Reversed SEC consults the delta cache here: its backward chain
-    /// can anchor the whole prefix walk on any cached tail ≥ `l`, saving the
-    /// full-copy read. The forward strategies read every stored entry below
-    /// `l` regardless, so a probe would be bookkeeping with no read savings
-    /// — their accounting stays bit-compatible with the reference archive.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SecEngine::get_version`].
-    pub fn get_prefix(&self, l: usize) -> Result<EnginePrefix, StoreError> {
-        let archive = self.read_archive();
-        archive.check_version(l)?;
-        self.metrics.add_retrieval();
-        let tail = match archive.config().strategy() {
-            EncodingStrategy::ReversedSec => self.cached_anchor(EncodingStrategy::ReversedSec, l),
-            _ => None,
-        };
-        let snap = Snapshot::take(archive);
-        let out = walk_prefix(
-            snap.strategy,
-            snap.layout.len(),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
-            |idx| snap.layout[idx],
-            l,
-            snap.object_len,
-            self.anchor_shards(tail),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
-            |idx, acc| self.read_entry(idx, snap.layout[idx], snap.shard_len, acc),
-        )?;
-        self.count_anchored_deltas(out.anchor_used, out.entries_read);
-        Ok(EnginePrefix {
-            versions: out.versions,
-            io_reads: out.io_reads,
-            cached: out.anchor_used,
-        })
-    }
-
-    /// The nearest cached decoded version `strategy`'s delta chain can
-    /// extend to reach `l`: Basic/Optimized walk forward from a version
-    /// ≤ `l`, Reversed walks backward from a version ≥ `l`, and
-    /// NonDifferential (no deltas) can use only an exact copy.
-    fn cached_anchor(&self, strategy: EncodingStrategy, l: usize) -> Option<(usize, Arc<Vec<u8>>)> {
-        match strategy {
-            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => self.cache.nearest_at_most(l),
-            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(l),
-            EncodingStrategy::NonDifferential => self.cache.get(l).map(|data| (l, data)),
-        }
-    }
-
-    /// Re-shards a cached flat version into the `k` data shards a walk
-    /// starts from.
-    fn anchor_shards(&self, anchor: Option<(usize, Arc<Vec<u8>>)>) -> Option<(usize, ByteShards)> {
-        let k = self.codec.code().k();
-        anchor.map(|(version, data)| (version, ByteShards::from_flat(&data, k)))
-    }
-
-    /// Feeds [`EngineMetrics::deltas_applied`]: the stored entries a walk
-    /// XOR-applied on top of a cached anchor.
-    fn count_anchored_deltas(&self, anchor_used: bool, entries_read: usize) {
-        if anchor_used {
-            let applied = entries_read as u64;
-            // audit: atomic ok — statistic
-            self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
-        }
-    }
-
     /// Drops every cached decoded version. Statistics and capacity are
     /// untouched.
     pub fn clear_cache(&self) {
@@ -875,119 +759,16 @@ impl SecEngine {
         }
     }
 
-    fn read_archive(&self) -> OrderedReadGuard<'_, ArchiveLedger> {
+    pub(crate) fn read_archive(&self) -> OrderedReadGuard<'_, ArchiveLedger> {
         self.archive.read()
     }
-
-    /// Reads one stored entry from the live nodes of its slab under the SEC
-    /// read plan, locking exactly the planned nodes, and folds it into the
-    /// walk's accumulator. Under dispersed placement the slab is the entry's
-    /// private node set, so failures elsewhere in the engine cannot affect
-    /// this entry's plan.
-    fn read_entry(
-        &self,
-        entry_idx: usize,
-        payload: StoredPayload,
-        shard_len: usize,
-        acc: Option<ByteShards>,
-    ) -> Result<(usize, ByteShards), StoreError> {
-        let Some(target) = read_target(payload) else {
-            return Ok((0, unchanged(acc, self.codec.code().k(), shard_len)));
-        };
-        let slab = self.slab_for_entry(entry_idx);
-        // Lock-free planning: liveness is read from the slab's atomics, no
-        // node lock is held until the plan is fixed.
-        let live: Vec<usize> = (0..slab.alive.len())
-            .filter(|&p| slab.alive.is_alive(p))
-            .collect();
-        let plan = plan_read(self.codec.code(), &live, target)
-            .map_err(|_| StoreError::Unrecoverable { entry: entry_idx })?;
-
-        let guards = lock_nodes(&slab.nodes, &plan.nodes);
-        let shares = self.gather(entry_idx, &plan.nodes, &guards)?;
-        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
-        Ok((plan.io_reads, acc))
-    }
-
-    /// Counts one block read per position and borrows entry `entry_idx`'s
-    /// blocks from their locked nodes (`guards` as returned by
-    /// [`lock_nodes`] for `positions`).
-    fn gather<'g>(
-        &self,
-        entry_idx: usize,
-        positions: &[usize],
-        guards: &'g [OrderedReadGuard<'_, StorageNode>],
-    ) -> Result<Vec<(usize, &'g [u8])>, StoreError> {
-        let mut shares = Vec::with_capacity(positions.len());
-        for (&position, guard) in positions.iter().zip(guards) {
-            let key = SymbolKey {
-                entry: entry_idx,
-                position,
-            };
-            // Liveness was snapshotted at plan time and lives outside the
-            // node, so a concurrent `fail_node` cannot abort an admitted
-            // read: only an absent block (or an injected fault) fails here.
-            let Some(block) = guard.read(key) else {
-                self.metrics.add_failed_read();
-                return Err(StoreError::Unrecoverable { entry: entry_idx });
-            };
-            self.metrics.add_symbol_reads(1);
-            shares.push((position, block));
-        }
-        Ok(shares)
-    }
-}
-
-/// The ledger metadata one walk needs, taken under the archive read lock.
-///
-/// Basic/Optimized/NonDifferential archives are append-only: existing
-/// entries and their node blocks never change, so once the layout is copied
-/// the walk runs without the archive lock and a concurrent `append_version`
-/// no longer blocks readers (this is what makes the per-node lock sharding
-/// real). Reversed SEC rewrites the trailing full-copy slot in place on
-/// every append, so its readers keep the guard to pin that slot.
-struct Snapshot<'a> {
-    strategy: EncodingStrategy,
-    object_len: usize,
-    shard_len: usize,
-    layout: Vec<StoredPayload>,
-    _pin: Option<OrderedReadGuard<'a, ArchiveLedger>>,
-}
-
-impl<'a> Snapshot<'a> {
-    fn take(archive: OrderedReadGuard<'a, ArchiveLedger>) -> Self {
-        let strategy = archive.config().strategy();
-        Self {
-            strategy,
-            object_len: archive.object_len().unwrap_or(0),
-            shard_len: archive.shard_len(),
-            layout: archive.layout().to_vec(),
-            _pin: (strategy == EncodingStrategy::ReversedSec).then_some(archive),
-        }
-    }
-}
-
-/// Read-locks the given nodes of one slab in the given order, which every
-/// caller keeps strictly ascending ([`ReadPlan::nodes`](sec_erasure::read_plan::ReadPlan::nodes),
-/// a prefix of an ascending live set): a stable acquisition order keeps the
-/// lock graph acyclic alongside the one-at-a-time writers.
-fn lock_nodes<'a>(
-    nodes: &'a [OrderedRwLock<StorageNode>],
-    positions: &[usize],
-) -> Vec<OrderedReadGuard<'a, StorageNode>> {
-    debug_assert!(
-        positions.windows(2).all(|w| w.first() < w.last()),
-        "node locks are taken in ascending position order: {positions:?}"
-    );
-    // audit: panic ok — planned positions come from the live set, which indexes this slab
-    positions.iter().map(|&p| nodes[p].read()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
-    use sec_versioning::ByteVersionedArchive;
+    use sec_versioning::{ByteVersionedArchive, EncodingStrategy, StoredPayload};
 
     fn config(strategy: EncodingStrategy) -> ArchiveConfig {
         ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap()

@@ -101,6 +101,7 @@
 mod cluster;
 mod engine;
 pub mod ordered;
+mod read;
 
 pub use cluster::{ClusterError, ClusterMetrics, ObjectId, SecCluster, ShardMetrics};
 pub use engine::{EngineMetrics, EnginePrefix, EngineRetrieval, SecEngine};

@@ -1,0 +1,374 @@
+//! The engine's read path: [`SecEngine::get_version`] and
+//! [`SecEngine::get_prefix`], the delta cache in front of them and the node
+//! reads behind them.
+//!
+//! A version read plans every entry its walk touches before it locks a node,
+//! from one liveness snapshot per slab ([`WalkSlabs`]); then read-locks each
+//! planned node once ([`lock_walk_nodes`]) and hands the blocks to
+//! [`VersionWalk::fold`], which sums the full-plan entries that share a
+//! position set and decodes each sum once. A prefix read needs every version
+//! on the way, so it folds entry by entry, locking one entry's planned nodes
+//! at a time.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use sec_erasure::read_plan::{plan_read, ReadPlan, ReadTarget};
+use sec_erasure::ByteShards;
+use sec_store::node::{StorageNode, SymbolKey};
+use sec_store::{PlacementStrategy, StoreError};
+use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_prefix, VersionWalk};
+use sec_versioning::{ArchiveLedger, EncodingStrategy, StoredPayload};
+
+use crate::engine::{slab_index, EnginePrefix, EngineRetrieval, NodeSlab, SecEngine};
+use crate::ordered::{OrderedReadGuard, OrderedRwLock};
+
+impl SecEngine {
+    /// Retrieves version `l` (1-based), reading blocks only from live nodes
+    /// under the SEC read plan (`2γ` block reads per exploitable delta, `k`
+    /// otherwise). The delta cache is consulted for the nearest usable
+    /// anchor first: an exact hit costs zero reads, and a cached neighbour
+    /// lets the walk pay only for the deltas between it and `l` instead of
+    /// rewinding to a stored full version.
+    ///
+    /// Every entry the walk touches is planned first; then each planned node
+    /// is read-locked once, and the full-plan entries that read the same
+    /// nodes are decoded as one sum.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Unrecoverable`] when too many nodes have
+    /// failed, [`StoreError::Versioning`] for an invalid `l`, or
+    /// [`StoreError::Code`] for a corrupt block.
+    pub fn get_version(&self, l: usize) -> Result<EngineRetrieval, StoreError> {
+        let archive = self.read_archive();
+        archive.check_version(l)?;
+        self.metrics.add_retrieval();
+        // Probe the cache only for a validated version, so an out-of-range
+        // request can never register as a (phantom) cache miss.
+        let anchor = match self.cached_anchor(archive.config().strategy(), l) {
+            Some((version, data)) if version == l => {
+                return Ok(EngineRetrieval {
+                    version: l,
+                    data,
+                    io_reads: 0,
+                    cached: true,
+                });
+            }
+            anchor => anchor,
+        };
+        let snap = Snapshot::take(archive);
+        let mut slabs = WalkSlabs::new(self);
+        let walk = VersionWalk::plan(
+            snap.strategy,
+            snap.layout.len(),
+            // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
+            |idx| snap.layout[idx],
+            l,
+            self.anchor_shards(anchor),
+            |idx, target| slabs.plan(idx, target),
+        );
+        let out = {
+            let held = lock_walk_nodes(&slabs, walk.reads());
+            walk.fold(&self.codec, |idx, position| held.block(idx, position))?
+        };
+        self.count_anchored_deltas(out.anchor_used, out.entries_read);
+        let data = self.cache.insert(l, out.shards.into_flat(snap.object_len));
+        Ok(EngineRetrieval {
+            version: l,
+            data,
+            io_reads: out.io_reads,
+            cached: out.anchor_used,
+        })
+    }
+
+    /// Retrieves the first `l` versions in order.
+    ///
+    /// Only Reversed SEC consults the delta cache here: its backward chain
+    /// can anchor the whole prefix walk on any cached tail ≥ `l`, saving the
+    /// full-copy read. The forward strategies read every stored entry below
+    /// `l` regardless, so a probe would be bookkeeping with no read savings
+    /// — their accounting stays bit-compatible with the reference archive.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SecEngine::get_version`].
+    pub fn get_prefix(&self, l: usize) -> Result<EnginePrefix, StoreError> {
+        let archive = self.read_archive();
+        archive.check_version(l)?;
+        self.metrics.add_retrieval();
+        let tail = match archive.config().strategy() {
+            EncodingStrategy::ReversedSec => self.cached_anchor(EncodingStrategy::ReversedSec, l),
+            _ => None,
+        };
+        let snap = Snapshot::take(archive);
+        let mut slabs = WalkSlabs::new(self);
+        let out = walk_prefix(
+            snap.strategy,
+            snap.layout.len(),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx| snap.layout[idx],
+            l,
+            snap.object_len,
+            self.anchor_shards(tail),
+            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            |idx, acc| self.read_entry(&mut slabs, idx, snap.layout[idx], snap.shard_len, acc),
+        )?;
+        self.count_anchored_deltas(out.anchor_used, out.entries_read);
+        Ok(EnginePrefix {
+            versions: out.versions,
+            io_reads: out.io_reads,
+            cached: out.anchor_used,
+        })
+    }
+
+    /// The nearest cached decoded version `strategy`'s delta chain can
+    /// extend to reach `l`: Basic/Optimized walk forward from a version
+    /// ≤ `l`, Reversed walks backward from a version ≥ `l`, and
+    /// NonDifferential (no deltas) can use only an exact copy.
+    fn cached_anchor(&self, strategy: EncodingStrategy, l: usize) -> Option<(usize, Arc<Vec<u8>>)> {
+        match strategy {
+            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => self.cache.nearest_at_most(l),
+            EncodingStrategy::ReversedSec => self.cache.nearest_at_least(l),
+            EncodingStrategy::NonDifferential => self.cache.get(l).map(|data| (l, data)),
+        }
+    }
+
+    /// Re-shards a cached flat version into the `k` data shards a walk
+    /// starts from.
+    fn anchor_shards(&self, anchor: Option<(usize, Arc<Vec<u8>>)>) -> Option<(usize, ByteShards)> {
+        let k = self.codec.code().k();
+        anchor.map(|(version, data)| (version, ByteShards::from_flat(&data, k)))
+    }
+
+    /// Feeds [`EngineMetrics::deltas_applied`](crate::EngineMetrics::deltas_applied):
+    /// the stored entries a walk XOR-applied on top of a cached anchor.
+    fn count_anchored_deltas(&self, anchor_used: bool, entries_read: usize) {
+        if anchor_used {
+            let applied = entries_read as u64;
+            // audit: atomic ok — statistic
+            self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads one stored entry from the live nodes of its slab under the SEC
+    /// read plan, locking exactly the planned nodes, and folds it into a
+    /// prefix walk's accumulator. Under dispersed placement the slab is the
+    /// entry's private node set, so failures elsewhere in the engine cannot
+    /// affect this entry's plan.
+    fn read_entry(
+        &self,
+        slabs: &mut WalkSlabs<'_>,
+        entry_idx: usize,
+        payload: StoredPayload,
+        shard_len: usize,
+        acc: Option<ByteShards>,
+    ) -> Result<(usize, ByteShards), StoreError> {
+        let Some(target) = read_target(payload) else {
+            return Ok((0, unchanged(acc, self.codec.code().k(), shard_len)));
+        };
+        let plan = slabs.plan(entry_idx, target)?;
+        let guards = lock_nodes(&slabs.touch(entry_idx).slab.nodes, &plan.nodes);
+        let shares = self.gather(entry_idx, &plan.nodes, &guards)?;
+        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
+        Ok((plan.io_reads, acc))
+    }
+
+    /// Counts one block read per position and borrows entry `entry_idx`'s
+    /// blocks from their locked nodes (`guards` as returned by
+    /// [`lock_nodes`] for `positions`).
+    pub(crate) fn gather<'g>(
+        &self,
+        entry_idx: usize,
+        positions: &[usize],
+        guards: &'g [OrderedReadGuard<'_, StorageNode>],
+    ) -> Result<Vec<(usize, &'g [u8])>, StoreError> {
+        positions
+            .iter()
+            .zip(guards)
+            .map(|(&position, guard)| Ok((position, self.read_block(guard, entry_idx, position)?)))
+            .collect()
+    }
+
+    /// Reads entry `entry`'s block at `position` from its locked node and
+    /// counts the read.
+    fn read_block<'g>(
+        &self,
+        node: &'g StorageNode,
+        entry: usize,
+        position: usize,
+    ) -> Result<&'g [u8], StoreError> {
+        // Liveness was snapshotted at plan time and lives outside the node,
+        // so a concurrent `fail_node` cannot abort an admitted read: only an
+        // absent block (or an injected fault) fails here.
+        let Some(block) = node.read(SymbolKey { entry, position }) else {
+            self.metrics.add_failed_read();
+            return Err(StoreError::Unrecoverable { entry });
+        };
+        self.metrics.add_symbol_reads(1);
+        Ok(block)
+    }
+}
+
+/// The ledger metadata one walk needs, taken under the archive read lock.
+///
+/// Basic/Optimized/NonDifferential archives are append-only: existing
+/// entries and their node blocks never change, so once the layout is copied
+/// the walk runs without the archive lock and a concurrent `append_version`
+/// no longer blocks readers (this is what makes the per-node lock sharding
+/// real). Reversed SEC rewrites the trailing full-copy slot in place on
+/// every append, so its readers keep the guard to pin that slot.
+struct Snapshot<'a> {
+    strategy: EncodingStrategy,
+    object_len: usize,
+    shard_len: usize,
+    layout: Vec<StoredPayload>,
+    _pin: Option<OrderedReadGuard<'a, ArchiveLedger>>,
+}
+
+impl<'a> Snapshot<'a> {
+    fn take(archive: OrderedReadGuard<'a, ArchiveLedger>) -> Self {
+        let strategy = archive.config().strategy();
+        Self {
+            strategy,
+            object_len: archive.object_len().unwrap_or(0),
+            shard_len: archive.shard_len(),
+            layout: archive.layout().to_vec(),
+            _pin: (strategy == EncodingStrategy::ReversedSec).then_some(archive),
+        }
+    }
+}
+
+/// One slab a walk reads and the positions of it that were live when the
+/// walk first touched it.
+struct TouchedSlab {
+    idx: usize,
+    slab: NodeSlab,
+    live: Vec<usize>,
+}
+
+/// The slabs one walk reads, each fetched from the directory and its
+/// liveness snapshotted once, on the walk's first touch: every entry of a
+/// colocated engine lives on slab 0, every entry of a dispersed one on its
+/// own slab. All of it happens while planning, before any node is locked.
+struct WalkSlabs<'e> {
+    engine: &'e SecEngine,
+    placement: PlacementStrategy,
+    /// Ascending by slab index.
+    touched: Vec<TouchedSlab>,
+}
+
+impl<'e> WalkSlabs<'e> {
+    fn new(engine: &'e SecEngine) -> Self {
+        Self {
+            engine,
+            placement: engine.placement().strategy(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// The directory index of the slab hosting `entry`.
+    fn slab_of(&self, entry: usize) -> usize {
+        slab_index(self.placement, entry)
+    }
+
+    /// Touched slab `idx`, if the walk has touched it.
+    fn get(&self, idx: usize) -> Option<&TouchedSlab> {
+        let at = self
+            .touched
+            .binary_search_by_key(&idx, |touched| touched.idx)
+            .ok()?;
+        self.touched.get(at)
+    }
+
+    /// The slab hosting `entry`, fetched and its liveness snapshotted on
+    /// first use.
+    fn touch(&mut self, entry: usize) -> &TouchedSlab {
+        let idx = self.slab_of(entry);
+        let at = match self.touched.binary_search_by_key(&idx, |touched| touched.idx) {
+            Ok(at) => at,
+            Err(at) => {
+                let slab = self.engine.slab(idx);
+                let live = (0..slab.alive.len())
+                    .filter(|&p| slab.alive.is_alive(p))
+                    .collect();
+                self.touched.insert(at, TouchedSlab { idx, slab, live });
+                at
+            }
+        };
+        // audit: panic ok — `at` was just found or inserted
+        &self.touched[at]
+    }
+
+    /// Plans a read of `target` from `entry`'s live positions — lock-free:
+    /// liveness comes from the walk's snapshot of the slab's atomics.
+    fn plan(&mut self, entry: usize, target: ReadTarget) -> Result<ReadPlan, StoreError> {
+        let code = self.engine.codec.code();
+        plan_read(code, &self.touch(entry).live, target).map_err(|_| StoreError::Unrecoverable { entry })
+    }
+}
+
+/// Read guards on every node a walk's planned reads name.
+struct HeldNodes<'s> {
+    walk: &'s WalkSlabs<'s>,
+    /// One guard per `(slab index, position)`, ascending.
+    guards: Vec<((usize, usize), OrderedReadGuard<'s, StorageNode>)>,
+}
+
+impl HeldNodes<'_> {
+    /// Entry `entry`'s block at `position`, read from its held node and
+    /// counted.
+    fn block(&self, entry: usize, position: usize) -> Result<&[u8], StoreError> {
+        let node = (self.guards)
+            .binary_search_by_key(&(self.walk.slab_of(entry), position), |(node, _)| *node)
+            .ok()
+            .and_then(|at| self.guards.get(at));
+        match node {
+            Some((_, guard)) => self.walk.engine.read_block(guard, entry, position),
+            // Every planned read's node is held, so this is unreachable.
+            None => Err(StoreError::Unrecoverable { entry }),
+        }
+    }
+}
+
+/// Read-locks every node `reads` (a walk's `(entry, positions)` reads) name,
+/// each once however many entries read it, in ascending `(slab, position)`
+/// order — ascending node id, the one order that keeps the lock graph
+/// acyclic. Every slab named was touched while planning.
+fn lock_walk_nodes<'s, 'p>(
+    slabs: &'s WalkSlabs<'s>,
+    reads: impl Iterator<Item = (usize, &'p [usize])>,
+) -> HeldNodes<'s> {
+    let mut wanted: Vec<(usize, usize)> = reads
+        .flat_map(|(entry, positions)| {
+            let slab = slabs.slab_of(entry);
+            positions.iter().map(move |&position| (slab, position))
+        })
+        .collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let guards = wanted
+        .into_iter()
+        .filter_map(|(slab, position)| {
+            let node = slabs.get(slab)?.slab.nodes.get(position)?;
+            Some(((slab, position), node.read()))
+        })
+        .collect();
+    HeldNodes { walk: slabs, guards }
+}
+
+/// Read-locks the given nodes of one slab in the given order, which every
+/// caller keeps strictly ascending ([`ReadPlan::nodes`], a prefix of an
+/// ascending live set): a stable acquisition order keeps the lock graph
+/// acyclic alongside the one-at-a-time writers.
+pub(crate) fn lock_nodes<'a>(
+    nodes: &'a [OrderedRwLock<StorageNode>],
+    positions: &[usize],
+) -> Vec<OrderedReadGuard<'a, StorageNode>> {
+    debug_assert!(
+        positions.windows(2).all(|w| w.first() < w.last()),
+        "node locks are taken in ascending position order: {positions:?}"
+    );
+    // audit: panic ok — planned positions come from the live set, which indexes this slab
+    positions.iter().map(|&p| nodes[p].read()).collect()
+}

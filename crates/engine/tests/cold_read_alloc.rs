@@ -1,9 +1,11 @@
 //! Allocation budget of a cold read: the walk folds every delta into one
 //! accumulator and hands that buffer over as the reply, so a cold
 //! `get_version` allocates about one object — the decoded anchor — plus
-//! small planning vectors, whatever the number of deltas it applies. (Before
-//! the fold it allocated a `k`-block output per support guess, a `k`-block
-//! delta per entry and a trimmed copy: ~23 objects on this chain.)
+//! small planning vectors, whatever the number of deltas it applies, dense
+//! ones included: those are summed with the anchor's blocks and decoded
+//! with it. (Before the fold it allocated a `k`-block output per support
+//! guess, a `k`-block delta per entry and a trimmed copy: ~23 objects on
+//! this chain; before the summed decode, one more object per dense delta.)
 //!
 //! One test per binary: the counting allocator is process-global.
 
@@ -52,13 +54,14 @@ const OBJECT_LEN: usize = K * BLOCK;
 const VERSIONS: usize = 32;
 
 /// 32 versions of a 192 KiB object; version `v + 1` edits 64 bytes in each
-/// of `v % 3` blocks of version `v` (γ cycles 0, 1, 2), at per-block offsets.
+/// of `γ` blocks of version `v`, at per-block offsets, with γ cycling 0, 1,
+/// 2, 4 — the last dense (`γ ≥ k/2`), read like a full version.
 fn history() -> Vec<Vec<u8>> {
     let mut versions = vec![(0..OBJECT_LEN).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>()];
     for v in 1..VERSIONS {
         let mut next = versions[v - 1].clone();
-        for edit in 0..v % 3 {
-            let block = (v + 2 * edit) % K;
+        for edit in 0..[0, 1, 2, 4][v % 4] {
+            let block = (v + edit) % K;
             let offset = (v * 977 + edit * 12_345) % (BLOCK - 64);
             for byte in &mut next[block * BLOCK + offset..][..64] {
                 *byte ^= 0xA5;

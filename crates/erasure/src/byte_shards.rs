@@ -17,7 +17,10 @@
 //!   then fill) over its in-place form — [`ByteCodec::encode_blocks_into`],
 //!   [`ByteCodec::decode_blocks_into`] and [`ByteCodec::recover_sparse_into`],
 //!   the last of which XORs the recovered delta straight onto an
-//!   accumulator. Every encode runs through
+//!   accumulator. Every full decode runs through
+//!   [`ByteCodec::decode_sum_into`], which decodes the XOR of several
+//!   codewords read at the same positions once, overwriting or
+//!   accumulating. Every encode runs through
 //!   [`ByteCodec::encode_sparse_into`], which multiplies only the non-zero
 //!   data blocks into any `n` caller-owned buffers, so a `γ`-sparse delta
 //!   costs `n·γ` block products. Every method takes `&self`, so one codec
@@ -56,9 +59,8 @@ use std::sync::Arc;
 use sec_gf::bulk8::CoeffTables;
 use sec_gf::{GaloisField, Gf256};
 use sec_linalg::combinatorics::Combinations;
-use sec_linalg::{ops, Matrix};
 
-use crate::code::{GeneratorForm, SecCode};
+use crate::code::SecCode;
 use crate::error::CodeError;
 
 /// A set of equally sized byte shards stored in one contiguous buffer.
@@ -551,10 +553,12 @@ impl ByteCodec {
     }
 
     /// Like [`ByteCodec::decode_blocks`] but overwrites a caller-provided
-    /// `k`-shard output, reusing its allocation across calls.
+    /// `k`-shard output, reusing its allocation across calls — the one-share-
+    /// list case of [`ByteCodec::decode_sum_into`].
     ///
     /// When the first `k` shares are the systematic symbols of a systematic
-    /// code they *are* the data shards and are copied, with no arithmetic.
+    /// code they *are* the data shards: the inverse is the identity, whose
+    /// unit rows are copies, with no arithmetic.
     ///
     /// # Errors
     ///
@@ -565,22 +569,73 @@ impl ByteCodec {
         shares: &[(usize, &[u8])],
         out: &mut ByteShards,
     ) -> Result<(), CodeError> {
-        let k = self.code.k();
-        let shard_len = self.validate_shares(shares, k)?;
-        check_shape(out, k, shard_len)?;
+        self.decode_sum_into(&[shares], out, false)
+    }
 
-        // Use the first k shards; the MDS property guarantees invertibility.
-        let used = &shares[..k];
-        if self.code.form() == GeneratorForm::Systematic && used.iter().all(|&(i, _)| i < k) {
-            for &(i, shard) in used {
-                out.shard_mut(i).copy_from_slice(shard);
+    /// Decodes the XOR-sum of several codewords read at the same positions
+    /// straight into `out` — overwriting it, or XORing onto it when
+    /// `accumulate` is set. The code is linear, so the sum of the codewords
+    /// of `x_1, …, x_m` is the codeword of `x_1 ⊕ … ⊕ x_m`: one `k × k`
+    /// decode of the summed blocks ([`CoeffTables::matrix_apply_summed`],
+    /// which sums them in registers as it loads them) replaces `m` decodes,
+    /// and no `k`-block temporary is formed.
+    ///
+    /// Each codeword is a share list as for [`ByteCodec::decode_blocks`]; the
+    /// first `k` shares of each are used and must name the same positions in
+    /// the same order.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::NotEnoughShares`] for no codeword, or one with fewer
+    ///   than `k` shares.
+    /// * [`CodeError::ShardSizeMismatch`] for ragged shard lengths, across
+    ///   codewords too, or an `out` of the wrong shape.
+    /// * [`CodeError::ShareIndexOutOfRange`] / [`CodeError::DuplicateShare`]
+    ///   for malformed indices.
+    /// * [`CodeError::UndecodableShareSet`] when two codewords were read at
+    ///   different positions.
+    pub fn decode_sum_into(
+        &self,
+        codewords: &[&[(usize, &[u8])]],
+        out: &mut ByteShards,
+        accumulate: bool,
+    ) -> Result<(), CodeError> {
+        let k = self.code.k();
+        let Some((first, rest)) = codewords.split_first() else {
+            return Err(CodeError::NotEnoughShares {
+                needed: k,
+                available: 0,
+            });
+        };
+        let shard_len = self.validate_shares(first, k)?;
+        // Use the first k shares; the MDS property guarantees invertibility.
+        let positions: Vec<usize> = first[..k].iter().map(|&(i, _)| i).collect();
+        for codeword in rest {
+            let len = self.validate_shares(codeword, k)?;
+            if len != shard_len {
+                return Err(CodeError::ShardSizeMismatch {
+                    expected: shard_len,
+                    actual: len,
+                });
             }
-            return Ok(());
+            if !codeword
+                .iter()
+                .map(|&(i, _)| i)
+                .take(k)
+                .eq(positions.iter().copied())
+            {
+                return Err(CodeError::UndecodableShareSet);
+            }
         }
-        let inv = self.inverse_for(used)?;
+        check_shape(out, k, shard_len)?;
+        let inverse = self.code.rows_inverse(&positions)?;
+        let blocks: Vec<&[u8]> = codewords
+            .iter()
+            .flat_map(|codeword| codeword[..k].iter().map(|&(_, block)| block))
+            .collect();
         let mut data: Vec<&mut [u8]> = out.shards_mut().collect();
         self.tables
-            .matrix_apply(inv.as_slice(), &blocks_of(used), &mut data, false);
+            .matrix_apply_summed(&inverse, &blocks, codewords.len(), &mut data, accumulate);
         Ok(())
     }
 
@@ -605,22 +660,16 @@ impl ByteCodec {
             return Err(CodeError::ShareIndexOutOfRange { index: position, n });
         }
         let used = &shares[..k];
-        let inv = self.inverse_for(used)?;
+        let rows: Vec<usize> = used.iter().map(|&(i, _)| i).collect();
+        let inv = self.code.rows_inverse(&rows)?;
         let g = self.code.generator();
         let coeffs: Vec<Gf256> = (0..k)
-            .map(|col| (0..k).map(|j| g.get(position, j) * inv.get(j, col)).sum())
+            .map(|col| (0..k).map(|j| g.get(position, j) * inv[j * k + col]).sum())
             .collect();
         let mut block = vec![0u8; shard_len];
         self.tables
             .matrix_apply(&coeffs, &blocks_of(used), &mut [&mut block], false);
         Ok(block)
-    }
-
-    /// Inverse of the generator rows held by `used` (exactly `k` shares).
-    fn inverse_for(&self, used: &[(usize, &[u8])]) -> Result<Matrix<Gf256>, CodeError> {
-        let rows: Vec<usize> = used.iter().map(|&(i, _)| i).collect();
-        let sub = self.code.generator().select_rows(&rows)?;
-        ops::invert(&sub).map_err(|_| CodeError::UndecodableShareSet)
     }
 
     /// Recovers a block-level `γ`-sparse object (at most `γ` of its `k`
@@ -1098,6 +1147,55 @@ mod tests {
                     Err(CodeError::ShardSizeMismatch { expected: 102, .. })
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn decode_sum_into_decodes_the_xor_of_its_codewords() {
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let codec = codec(6, 3, form);
+            let objects: Vec<ByteShards> = (0..3)
+                .map(|m| ByteShards::from_flat(&object(300 + m)[m..], 3))
+                .collect();
+            let coded: Vec<ByteShards> =
+                objects.iter().map(|o| codec.encode_blocks(o).unwrap()).collect();
+            for rows in sec_linalg::combinatorics::combinations(6, 3) {
+                let shares: Vec<Vec<(usize, &[u8])>> = coded
+                    .iter()
+                    .map(|c| rows.iter().map(|&i| (i, c.shard(i))).collect())
+                    .collect();
+                for members in 1..=3 {
+                    let codewords: Vec<&[(usize, &[u8])]> =
+                        shares[..members].iter().map(Vec::as_slice).collect();
+                    let mut sum = objects[0].clone();
+                    for o in &objects[1..members] {
+                        sum.xor_with(o).unwrap();
+                    }
+                    let mut out = ByteShards::from_flat(&[0xEE; 300], 3);
+                    codec.decode_sum_into(&codewords, &mut out, false).unwrap();
+                    assert_eq!(out, sum, "{form} rows {rows:?} × {members}");
+                    // Accumulating onto the sum cancels it.
+                    codec.decode_sum_into(&codewords, &mut out, true).unwrap();
+                    assert_eq!(out.weight(), 0, "{form} rows {rows:?} × {members}");
+                }
+            }
+            // Two codewords read at different positions cannot be summed.
+            let at = |rows: [usize; 3]| -> Vec<(usize, &[u8])> {
+                rows.iter().map(|&i| (i, coded[0].shard(i))).collect()
+            };
+            let (a, b) = (at([0, 1, 2]), at([0, 1, 3]));
+            let mut out = ByteShards::zeroed(3, 100);
+            assert_eq!(
+                codec.decode_sum_into(&[&a, &b], &mut out, false),
+                Err(CodeError::UndecodableShareSet)
+            );
+            assert!(matches!(
+                codec.decode_sum_into(&[], &mut out, false),
+                Err(CodeError::NotEnoughShares {
+                    needed: 3,
+                    available: 0
+                })
+            ));
         }
     }
 

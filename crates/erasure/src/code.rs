@@ -2,7 +2,9 @@
 //! decoding, in systematic or non-systematic form.
 
 use core::fmt;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use sec_gf::GaloisField;
 use sec_linalg::cauchy::{cauchy_matrix, cauchy_parity_block, CauchyError};
@@ -155,6 +157,81 @@ impl fmt::Debug for QualifyMemo {
     }
 }
 
+/// Bounded, lock-free memo of [`SecCode::rows_inverse`], keyed like
+/// [`QualifyMemo`] by the row set's bitmask (`n ≤ 62`; longer codes bypass
+/// it). An inverse depends only on the generator, so a slot is filled once
+/// and read without synchronisation beyond its `OnceLock`: a row set whose
+/// two candidate slots are taken by other sets, or a racing fill that
+/// loses, only costs a recomputation. Like [`QualifyMemo`] it is a cache,
+/// not part of the code's identity: clones start empty and all memos
+/// compare equal.
+struct InverseMemo<F> {
+    slots: Box<[InverseSlot<F>]>,
+}
+
+/// One [`InverseMemo`] slot: a row set's mask and its inverse, row-major.
+type InverseSlot<F> = OnceLock<(u64, Box<[F]>)>;
+
+impl<F> InverseMemo<F> {
+    const SLOTS: usize = 128;
+
+    /// The two slots a mask may occupy: Fibonacci hashing picks a pair.
+    fn slots(&self, mask: u64) -> impl Iterator<Item = &InverseSlot<F>> {
+        let pair = (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize & !1;
+        self.slots[pair..pair + 2].iter()
+    }
+
+    fn get(&self, mask: u64) -> Option<&[F]> {
+        self.slots(mask).find_map(|slot| match slot.get() {
+            Some((key, inverse)) if *key == mask => Some(&**inverse),
+            _ => None,
+        })
+    }
+
+    /// Stores `inverse` in a free slot of `mask`'s pair and returns it
+    /// there, or hands it back when both are taken.
+    fn put(&self, mask: u64, inverse: Box<[F]>) -> Result<&[F], Box<[F]>> {
+        let mut inverse = Some(inverse);
+        for slot in self.slots(mask) {
+            // Claims an empty slot; a racing fill of the same mask wins
+            // and ours is dropped.
+            let (key, stored) = slot.get_or_init(|| (mask, inverse.take().unwrap_or_default()));
+            if *key == mask {
+                return Ok(stored);
+            }
+        }
+        Err(inverse.unwrap_or_default())
+    }
+}
+
+impl<F> Default for InverseMemo<F> {
+    fn default() -> Self {
+        Self {
+            slots: (0..Self::SLOTS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+}
+
+impl<F> Clone for InverseMemo<F> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<F> PartialEq for InverseMemo<F> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<F> Eq for InverseMemo<F> {}
+
+impl<F> fmt::Debug for InverseMemo<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("InverseMemo")
+    }
+}
+
 /// An `(n, k)` linear MDS code with SEC's two decoding modes.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
@@ -164,6 +241,7 @@ pub struct SecCode<F> {
     form: GeneratorForm,
     generator: Matrix<F>,
     qualify: QualifyMemo,
+    inverses: InverseMemo<F>,
 }
 
 impl<F: GaloisField> SecCode<F> {
@@ -189,6 +267,7 @@ impl<F: GaloisField> SecCode<F> {
             form,
             generator,
             qualify: QualifyMemo::default(),
+            inverses: InverseMemo::default(),
         })
     }
 
@@ -224,6 +303,7 @@ impl<F: GaloisField> SecCode<F> {
             form,
             generator,
             qualify: QualifyMemo::default(),
+            inverses: InverseMemo::default(),
         })
     }
 
@@ -269,13 +349,7 @@ impl<F: GaloisField> SecCode<F> {
     /// object. The verdict depends only on the code, so it is decided once
     /// per row set and remembered.
     pub(crate) fn rows_qualify(&self, rows: &[usize]) -> bool {
-        let n = self.params.n;
-        let mask = (n <= QualifyMemo::MAX_N)
-            .then(|| {
-                rows.iter()
-                    .try_fold(0u64, |mask, &row| (row < n).then(|| mask | 1 << row))
-            })
-            .flatten();
+        let mask = self.row_mask(rows);
         if let Some(verdict) = mask.and_then(|mask| self.qualify.get(mask)) {
             return verdict;
         }
@@ -287,6 +361,82 @@ impl<F: GaloisField> SecCode<F> {
             self.qualify.put(mask, verdict);
         }
         verdict
+    }
+
+    /// The memo key of a row set: its bitmask, `None` for a code too long
+    /// to memoise or a row out of range.
+    fn row_mask(&self, rows: &[usize]) -> Option<u64> {
+        let n = self.params.n;
+        (n <= QualifyMemo::MAX_N)
+            .then(|| {
+                rows.iter()
+                    .try_fold(0u64, |mask, &row| (row < n).then(|| mask | 1 << row))
+            })
+            .flatten()
+    }
+
+    /// The inverse of the `k × k` generator submatrix on `rows` (distinct),
+    /// row-major: the matrix that maps the coded symbols of `rows`, in that
+    /// order, back to the data. Inverting it is a pure function of the row
+    /// set, so it is done once per set in ascending order and remembered;
+    /// any other order of the same rows permutes the remembered columns.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::DataLengthMismatch`] unless exactly `k` rows are given.
+    /// * [`CodeError::ShareIndexOutOfRange`] for a row outside `0..n`.
+    /// * [`CodeError::UndecodableShareSet`] for a singular submatrix (a
+    ///   repeated row; never for `k` distinct rows of an MDS code).
+    pub fn rows_inverse(&self, rows: &[usize]) -> Result<Cow<'_, [F]>, CodeError> {
+        let k = self.params.k;
+        if rows.len() != k {
+            return Err(CodeError::DataLengthMismatch {
+                expected: k,
+                actual: rows.len(),
+            });
+        }
+        if let Some(&row) = rows.iter().find(|&&row| row >= self.params.n) {
+            return Err(CodeError::ShareIndexOutOfRange {
+                index: row,
+                n: self.params.n,
+            });
+        }
+        if rows.windows(2).all(|pair| pair[0] < pair[1]) {
+            return self.ascending_rows_inverse(rows);
+        }
+        let mut sorted = rows.to_vec();
+        sorted.sort_unstable();
+        let inverse = self.ascending_rows_inverse(&sorted)?;
+        // Column `c` of the inverse belongs to coded symbol `sorted[c]`.
+        let columns: Vec<usize> = rows
+            .iter()
+            .map(|row| sorted.partition_point(|sorted_row| sorted_row < row))
+            .collect();
+        let mut permuted = Vec::with_capacity(k * k);
+        for row in inverse.chunks_exact(k) {
+            permuted.extend(columns.iter().map(|&c| row[c]));
+        }
+        Ok(Cow::Owned(permuted))
+    }
+
+    /// [`SecCode::rows_inverse`] of ascending rows, through the memo.
+    fn ascending_rows_inverse(&self, rows: &[usize]) -> Result<Cow<'_, [F]>, CodeError> {
+        let mask = self.row_mask(rows);
+        if let Some(inverse) = mask.and_then(|mask| self.inverses.get(mask)) {
+            return Ok(Cow::Borrowed(inverse));
+        }
+        let sub = self.generator.select_rows(rows)?;
+        let inverse: Box<[F]> = ops::invert(&sub)
+            .map_err(|_| CodeError::UndecodableShareSet)?
+            .as_slice()
+            .into();
+        let Some(mask) = mask else {
+            return Ok(Cow::Owned(inverse.into_vec()));
+        };
+        Ok(match self.inverses.put(mask, inverse) {
+            Ok(stored) => Cow::Borrowed(stored),
+            Err(inverse) => Cow::Owned(inverse.into_vec()),
+        })
     }
 
     /// Encodes a `k`-symbol object into its `n`-symbol codeword `c = G·x`.
@@ -498,6 +648,56 @@ mod tests {
         assert_eq!(clone.qualify.get(0b011_000), None);
         assert_eq!(clone, code);
         assert!(clone.rows_qualify(&[3, 4]));
+    }
+
+    #[test]
+    fn memoised_inverses_equal_fresh_ones_for_every_k_subset() {
+        for (n, k) in [(6usize, 3usize), (12, 6)] {
+            for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+                let code: SecCode<Gf256> = SecCode::cauchy(n, k, form).unwrap();
+                let fresh = |rows: &[usize]| {
+                    let sub = code.generator().select_rows(rows).unwrap();
+                    ops::invert(&sub).unwrap().as_slice().to_vec()
+                };
+                for rows in sec_linalg::combinatorics::combinations(n, k) {
+                    let want = fresh(&rows);
+                    // The first call fills the memo (where a slot is free),
+                    // the second reads it back.
+                    for sweep in 0..2 {
+                        assert_eq!(
+                            *code.rows_inverse(&rows).unwrap(),
+                            want[..],
+                            "({n},{k}) {form} rows {rows:?} sweep {sweep}"
+                        );
+                    }
+                    // Any order of the same rows: the inverse of that order.
+                    let reversed: Vec<usize> = rows.iter().rev().copied().collect();
+                    assert_eq!(*code.rows_inverse(&reversed).unwrap(), fresh(&reversed)[..]);
+                }
+                let mask = code.row_mask(&(0..k).collect::<Vec<_>>()).unwrap();
+                assert!(
+                    code.inverses.get(mask).is_some(),
+                    "({n},{k}) {form}: memo never filled"
+                );
+                // Clones start with an empty memo and still compare equal.
+                let clone = code.clone();
+                assert!(clone.inverses.get(mask).is_none());
+                assert_eq!(clone, code);
+            }
+        }
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        assert!(matches!(
+            code.rows_inverse(&[0, 1]),
+            Err(CodeError::DataLengthMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
+        assert!(matches!(
+            code.rows_inverse(&[0, 1, 6]),
+            Err(CodeError::ShareIndexOutOfRange { index: 6, n: 6 })
+        ));
+        assert_eq!(code.rows_inverse(&[2, 2, 1]), Err(CodeError::UndecodableShareSet));
     }
 
     #[test]

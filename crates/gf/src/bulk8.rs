@@ -236,12 +236,51 @@ impl CoeffTables {
         dsts: &mut [&mut [u8]],
         accumulate: bool,
     ) {
-        assert_matrix_shape(coeffs.len(), srcs, dsts);
+        assert_matrix_shape(coeffs.len(), srcs, 1, dsts);
         crate::kernel::matrix_apply_with(
             crate::kernel::active_ops(),
             self,
             coeffs,
             srcs,
+            1,
+            dsts,
+            accumulate,
+        );
+    }
+
+    /// The matrix apply with every source column a sum: `srcs` holds
+    /// `members` runs of `cols` blocks, and column `c` is the XOR
+    /// `srcs[c] ^ srcs[cols + c] ^ …` of the runs' `c`-th blocks, so
+    /// `dsts[r] (=|^=) Σ_c coeffs[r·cols + c] · Σ_j srcs[j·cols + c]`. By
+    /// linearity that is the sum of `members` matrix applies, for the
+    /// products of one.
+    ///
+    /// No sum is ever written out: the AVX2 and GFNI tiles load every member
+    /// of a column and XOR them in a register before the products, and a
+    /// unit row XORs its column's members straight into its destination.
+    /// The kernels without a tile take one product per member instead. With
+    /// `members = 1` this is exactly [`CoeffTables::matrix_apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is zero or does not divide `srcs.len()`, if
+    /// `coeffs` is not `dsts.len() · cols` long, or if any slice length
+    /// differs from the first destination's.
+    pub fn matrix_apply_summed(
+        &self,
+        coeffs: &[Gf256],
+        srcs: &[&[u8]],
+        members: usize,
+        dsts: &mut [&mut [u8]],
+        accumulate: bool,
+    ) {
+        assert_matrix_shape(coeffs.len(), srcs, members, dsts);
+        crate::kernel::matrix_apply_with(
+            crate::kernel::active_ops(),
+            self,
+            coeffs,
+            srcs,
+            members,
             dsts,
             accumulate,
         );
@@ -334,12 +373,18 @@ fn mul_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     (crate::kernel::active_ops().mul)(table, src, dst);
 }
 
-/// Checks a matrix apply's shape: `rows · cols` coefficients and one length
-/// across every destination and source.
-pub(crate) fn assert_matrix_shape(coeffs: usize, srcs: &[&[u8]], dsts: &[&mut [u8]]) {
+/// Checks a matrix apply's shape: `members` equal runs of `cols` sources,
+/// `rows · cols` coefficients and one length across every destination and
+/// source.
+pub(crate) fn assert_matrix_shape(coeffs: usize, srcs: &[&[u8]], members: usize, dsts: &[&mut [u8]]) {
+    assert!(
+        members > 0 && srcs.len().is_multiple_of(members),
+        "matrix_apply_summed requires {members} equal runs of sources, got {}",
+        srcs.len()
+    );
     assert_eq!(
         coeffs,
-        dsts.len() * srcs.len(),
+        dsts.len() * (srcs.len() / members),
         "matrix_apply requires one coefficient per (destination, source) pair"
     );
     let len = dsts.first().map_or(0, |dst| dst.len());

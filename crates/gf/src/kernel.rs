@@ -213,8 +213,34 @@ impl Kernel {
         accumulate: bool,
     ) -> Result<(), UnsupportedKernel> {
         let ops = self.checked_ops()?;
-        crate::bulk8::assert_matrix_shape(coeffs.len(), srcs, dsts);
-        matrix_apply_with(ops, tables, coeffs, srcs, dsts, accumulate);
+        crate::bulk8::assert_matrix_shape(coeffs.len(), srcs, 1, dsts);
+        matrix_apply_with(ops, tables, coeffs, srcs, 1, dsts, accumulate);
+        Ok(())
+    }
+
+    /// The matrix apply over summed sources
+    /// ([`CoeffTables::matrix_apply_summed`]) with this kernel, bypassing the
+    /// global dispatch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnsupportedKernel`] when the host cannot run this kernel.
+    ///
+    /// # Panics
+    ///
+    /// As for [`CoeffTables::matrix_apply_summed`].
+    pub fn matrix_apply_summed(
+        self,
+        tables: &CoeffTables,
+        coeffs: &[Gf256],
+        srcs: &[&[u8]],
+        members: usize,
+        dsts: &mut [&mut [u8]],
+        accumulate: bool,
+    ) -> Result<(), UnsupportedKernel> {
+        let ops = self.checked_ops()?;
+        crate::bulk8::assert_matrix_shape(coeffs.len(), srcs, members, dsts);
+        matrix_apply_with(ops, tables, coeffs, srcs, members, dsts, accumulate);
         Ok(())
     }
 
@@ -268,11 +294,13 @@ impl fmt::Display for UnsupportedKernel {
 impl std::error::Error for UnsupportedKernel {}
 
 /// One register tile of the matrix apply, over the bytes `span` of every
-/// slice: `dsts[r] (=|^=) Σ_c tables[r·stride + c] · srcs[c]` for
-/// `1..=`[`TILE_COLS`] sources and any number of rows, the last argument
-/// choosing `^=`. Each column of the sources is loaded once, every row is
-/// summed in a register and written once.
-pub(crate) type MatrixTile = fn(&[&MulTable], usize, &[&[u8]], &mut [&mut [u8]], Range<usize>, bool);
+/// slice: `dsts[r] (=|^=) Σ_c tables[r·stride + c] · Σ_j srcs[j·C + c]` for
+/// `members` (the fourth argument) runs of `C ∈ 1..=`[`TILE_COLS`] sources
+/// and any number of rows, the last argument choosing `^=`. Each column's
+/// members are loaded once and XORed in a register, every row is summed in
+/// a register and written once.
+pub(crate) type MatrixTile =
+    fn(&[&MulTable], usize, &[&[u8]], usize, &mut [&mut [u8]], Range<usize>, bool);
 
 /// The dispatch table: one function pointer per slice op. The matrix apply
 /// and `xor_accumulate` are derived by the strip drivers below, so a kernel
@@ -455,26 +483,35 @@ pub fn reset_kernel() -> Kernel {
 }
 
 /// The matrix apply over `ops`: `dsts[r] (=|^=) Σ_c coeffs[r·cols + c] ·
-/// srcs[c]`, shape and lengths pre-checked by the caller. A unit row is a
-/// copy (or an XOR) of its source and an all-zero row a zero fill (or
-/// nothing); each run of other rows between two such rows goes through
-/// [`dense_rows`].
+/// Σ_j srcs[j·cols + c]` — `members` runs of `cols` sources, each column the
+/// XOR of its members (one member is the plain apply) — shape and lengths
+/// pre-checked by the caller. A unit row is a copy (or an XOR) of its
+/// column's members and an all-zero row a zero fill (or nothing); each run
+/// of other rows between two such rows goes through [`dense_rows`].
 pub(crate) fn matrix_apply_with(
     ops: &KernelOps,
     tables: &CoeffTables,
     coeffs: &[Gf256],
     srcs: &[&[u8]],
+    members: usize,
     dsts: &mut [&mut [u8]],
     accumulate: bool,
 ) {
-    let cols = srcs.len();
+    let cols = srcs.len() / members;
     let trivial_of = |r: usize| trivial_row(&coeffs[r * cols..(r + 1) * cols]);
     let mut run_tables: Vec<&MulTable> = Vec::new();
     let mut r = 0;
     while r < dsts.len() {
         match trivial_of(r) {
-            Some(TrivialRow::Copy(col)) if accumulate => (ops.xor)(srcs[col], dsts[r]),
-            Some(TrivialRow::Copy(col)) => dsts[r].copy_from_slice(srcs[col]),
+            Some(TrivialRow::Copy(col)) => {
+                for (member, src) in srcs.iter().skip(col).step_by(cols).enumerate() {
+                    if member == 0 && !accumulate {
+                        dsts[r].copy_from_slice(src);
+                    } else {
+                        (ops.xor)(src, dsts[r]);
+                    }
+                }
+            }
             Some(TrivialRow::Zero) if accumulate => {}
             Some(TrivialRow::Zero) => dsts[r].fill(0),
             None => {
@@ -487,7 +524,7 @@ pub(crate) fn matrix_apply_with(
                         .iter()
                         .map(|&coeff| tables.get(coeff)),
                 );
-                dense_rows(ops, &run_tables, srcs, &mut dsts[r..end], accumulate);
+                dense_rows(ops, &run_tables, srcs, members, &mut dsts[r..end], accumulate);
                 r = end;
                 continue;
             }
@@ -497,28 +534,50 @@ pub(crate) fn matrix_apply_with(
 }
 
 /// The rows of a matrix apply that are real products, `tables` holding their
-/// `dsts.len() × srcs.len()` coefficients: through the kernel's tile one
-/// [`DRIVER_STRIP`] and at most [`TILE_COLS`] columns at a time, so the
-/// destination strips stay L1-resident between column passes — or, for a
-/// kernel without a tile, between the single products of [`product_rows`].
+/// `dsts.len() × cols` coefficients over `members` runs of `cols` sources:
+/// through the kernel's tile one [`DRIVER_STRIP`] and at most [`TILE_COLS`]
+/// columns at a time, so the destination strips stay L1-resident between
+/// column passes — or, for a kernel without a tile, between the single
+/// products of [`product_rows`]. A tile gets every member of its columns and
+/// sums them in registers as it loads them.
 fn dense_rows(
     ops: &KernelOps,
     tables: &[&MulTable],
     srcs: &[&[u8]],
+    members: usize,
     dsts: &mut [&mut [u8]],
     accumulate: bool,
 ) {
-    let (cols, len) = (srcs.len(), dsts[0].len());
+    let (cols, len) = (srcs.len() / members, dsts[0].len());
+    // A column tile's sources, member by member, when there is more than one.
+    let mut gathered: Vec<&[u8]> = Vec::new();
     for start in (0..len).step_by(DRIVER_STRIP) {
         let span = start..(start + DRIVER_STRIP).min(len);
         let Some(tile) = ops.matrix_tile else {
-            product_rows(ops, tables, cols, srcs, dsts, span, accumulate);
+            product_rows(ops, tables, cols, srcs, members, dsts, span, accumulate);
             continue;
         };
         for col in (0..cols).step_by(TILE_COLS) {
-            let tile_srcs = &srcs[col..(col + TILE_COLS).min(cols)];
+            let width = TILE_COLS.min(cols - col);
+            let tile_srcs = if members == 1 {
+                &srcs[col..col + width]
+            } else {
+                gathered.clear();
+                for run in srcs.chunks_exact(cols) {
+                    gathered.extend_from_slice(&run[col..col + width]);
+                }
+                &gathered[..]
+            };
             let later = accumulate || col > 0;
-            tile(&tables[col..], cols, tile_srcs, dsts, span.clone(), later);
+            tile(
+                &tables[col..],
+                cols,
+                tile_srcs,
+                members,
+                dsts,
+                span.clone(),
+                later,
+            );
         }
     }
 }
@@ -544,29 +603,34 @@ fn trivial_row(row: &[Gf256]) -> Option<TrivialRow> {
     }
 }
 
-/// A [`MatrixTile`] of any width out of `ops`' single products: per row, the
-/// first non-zero coefficient is a plain multiply (a multiply-accumulate when
-/// accumulating) and every further one a multiply-accumulate. Also the scalar
-/// tail of the SIMD tiles.
+/// A [`MatrixTile`] of any width out of `ops`' single products: per row, one
+/// product per column and member — the first a plain multiply (a
+/// multiply-accumulate when accumulating), every further one a
+/// multiply-accumulate. Also the scalar tail of the SIMD tiles.
+#[allow(clippy::too_many_arguments)]
 fn product_rows(
     ops: &KernelOps,
     tables: &[&MulTable],
     stride: usize,
     srcs: &[&[u8]],
+    members: usize,
     dsts: &mut [&mut [u8]],
     span: Range<usize>,
     accumulate: bool,
 ) {
+    let cols = srcs.len() / members;
     for (r, dst) in dsts.iter_mut().enumerate() {
         let dst = &mut dst[span.clone()];
         let mut fresh = !accumulate;
-        for (table, src) in tables[r * stride..].iter().zip(srcs) {
+        for (c, table) in tables[r * stride..][..cols].iter().enumerate() {
             if table.mul(1) == 0 {
                 continue; // a zero coefficient
             }
-            let op = if fresh { ops.mul } else { ops.mul_add };
-            op(table, &src[span.clone()], dst);
-            fresh = false;
+            for src in srcs.iter().skip(c).step_by(cols) {
+                let op = if fresh { ops.mul } else { ops.mul_add };
+                op(table, &src[span.clone()], dst);
+                fresh = false;
+            }
         }
         if fresh {
             dst.fill(0);
@@ -575,13 +639,23 @@ fn product_rows(
 }
 
 /// The part of a tile's `span` a `width`-byte SIMD body covers, after the
-/// checks its pointer arithmetic rests on: a source count the tile is
-/// compiled for, and `span` inside every source and destination.
+/// checks its pointer arithmetic rests on: `members` runs of a source count
+/// the tile is compiled for, and `span` inside every source and destination.
 #[cfg(target_arch = "x86_64")]
-fn tile_main(srcs: &[&[u8]], dsts: &[&mut [u8]], span: &Range<usize>, width: usize) -> Range<usize> {
+fn tile_main(
+    srcs: &[&[u8]],
+    members: usize,
+    dsts: &[&mut [u8]],
+    span: &Range<usize>,
+    width: usize,
+) -> Range<usize> {
     assert!(
-        (1..=TILE_COLS).contains(&srcs.len()),
-        "a tile takes 1..={TILE_COLS} sources"
+        members > 0 && srcs.len().is_multiple_of(members),
+        "a tile takes {members} equal runs of sources"
+    );
+    assert!(
+        (1..=TILE_COLS).contains(&(srcs.len() / members)),
+        "a tile takes 1..={TILE_COLS} sources per run"
     );
     assert!(span.start <= span.end, "tile span is reversed");
     let mut lens = srcs
@@ -891,24 +965,26 @@ mod avx2 {
         }
     }
 
-    /// The matrix tile for exactly `C` sources, 32 bytes a step: the nibbles
-    /// of every source are split once and stay in registers (the compiler
-    /// unrolls the `C` loops) while each row looks its `2·C` tables up, sums
-    /// them in one accumulator and stores it.
+    /// The matrix tile for exactly `C` columns of `members` sources each,
+    /// 32 bytes a step: every column's members are loaded and XORed once and
+    /// its nibbles split once, staying in registers (the compiler unrolls the
+    /// `C` loops) while each row looks its `2·C` tables up, sums them in one
+    /// accumulator and stores it.
     #[target_feature(enable = "avx2")]
     // audit: unsafe ok — AVX2 is guaranteed by the caller; every unaligned 32-byte
     // load/store offset i satisfies span.start <= i and i + 32 <= span.end, and the safe
-    // wrapper checked that span is a multiple of 32 long and lies inside each of the C
-    // sources and every destination
+    // wrapper checked that span is a multiple of 32 long and lies inside each of the
+    // members·C sources and every destination
     unsafe fn tile_impl<const C: usize>(
         tables: &[&MulTable],
         stride: usize,
         srcs: &[&[u8]],
+        members: usize,
         dsts: &mut [&mut [u8]],
         span: Range<usize>,
         accumulate: bool,
     ) {
-        debug_assert_eq!(srcs.len(), C);
+        debug_assert_eq!(srcs.len(), members * C);
         debug_assert_eq!(span.len() % 32, 0);
         let mask = _mm256_set1_epi8(0x0f);
         let mut lo = [_mm256_setzero_si256(); C];
@@ -916,7 +992,11 @@ mod avx2 {
         let mut i = span.start;
         while i < span.end {
             for c in 0..C {
-                let x = _mm256_loadu_si256(srcs[c].as_ptr().add(i) as *const __m256i);
+                let mut x = _mm256_loadu_si256(srcs[c].as_ptr().add(i) as *const __m256i);
+                for member in 1..members {
+                    let y = _mm256_loadu_si256(srcs[member * C + c].as_ptr().add(i) as *const __m256i);
+                    x = _mm256_xor_si256(x, y);
+                }
                 lo[c] = _mm256_and_si256(x, mask);
                 hi[c] = _mm256_and_si256(_mm256_srli_epi16::<4>(x), mask);
             }
@@ -943,17 +1023,19 @@ mod avx2 {
         tables: &[&MulTable],
         stride: usize,
         srcs: &[&[u8]],
+        members: usize,
         dsts: &mut [&mut [u8]],
         span: Range<usize>,
         accumulate: bool,
     ) {
-        if dsts.len() == 1 {
+        if dsts.len() == 1 && members == 1 {
             // Nothing shares the nibble split with a single row, and the
             // single products keep their tables in registers.
-            return super::product_rows(&super::AVX2_OPS, tables, stride, srcs, dsts, span, accumulate);
+            let ops = &super::AVX2_OPS;
+            return super::product_rows(ops, tables, stride, srcs, 1, dsts, span, accumulate);
         }
-        let main = super::tile_main(srcs, dsts, &span, 32);
-        let tile = match srcs.len() {
+        let main = super::tile_main(srcs, members, dsts, &span, 32);
+        let tile = match srcs.len() / members {
             1 => tile_impl::<1>,
             2 => tile_impl::<2>,
             3 => tile_impl::<3>,
@@ -964,12 +1046,13 @@ mod avx2 {
             _ => tile_impl::<8>,
         };
         // audit: unsafe ok — AVX2 support was verified by Kernel::is_supported before
-        // this fn pointer was installed; tile_main checked 1..=8 sources (so the arm taken
-        // is compiled for exactly srcs.len()) and returned a multiple of 32 bytes inside
-        // every source and destination
-        unsafe { tile(tables, stride, srcs, dsts, main.clone(), accumulate) };
+        // this fn pointer was installed; tile_main checked `members` runs of 1..=8 sources
+        // (so the arm taken is compiled for exactly srcs.len() / members) and returned a
+        // multiple of 32 bytes inside every source and destination
+        unsafe { tile(tables, stride, srcs, members, dsts, main.clone(), accumulate) };
         let tail = main.end..span.end;
-        super::product_rows(&super::SCALAR_OPS, tables, stride, srcs, dsts, tail, accumulate);
+        let ops = &super::SCALAR_OPS;
+        super::product_rows(ops, tables, stride, srcs, members, dsts, tail, accumulate);
     }
 
     pub(super) fn mul(table: &MulTable, src: &[u8], dst: &mut [u8]) {
@@ -1028,30 +1111,36 @@ mod gfni {
 
     use crate::bulk8::MulTable;
 
-    /// The matrix tile for exactly `C` sources, 64 bytes a step: every source
-    /// is loaded once and stays in a register (the compiler unrolls the `C`
-    /// loops) while each row sums its `C` affine products in one accumulator
-    /// and stores it.
+    /// The matrix tile for exactly `C` columns of `members` sources each, 64
+    /// bytes a step: every column's members are loaded and XORed once and the
+    /// sum stays in a register (the compiler unrolls the `C` loops) while
+    /// each row sums its `C` affine products in one accumulator and stores
+    /// it.
     #[target_feature(enable = "gfni,avx512f")]
     // audit: unsafe ok — GFNI and AVX-512F are guaranteed by the caller; every unaligned
     // 64-byte load/store offset i satisfies span.start <= i and i + 64 <= span.end, and
     // the safe wrapper checked that span is a multiple of 64 long and lies inside each of
-    // the C sources and every destination
+    // the members·C sources and every destination
     unsafe fn tile_impl<const C: usize>(
         tables: &[&MulTable],
         stride: usize,
         srcs: &[&[u8]],
+        members: usize,
         dsts: &mut [&mut [u8]],
         span: Range<usize>,
         accumulate: bool,
     ) {
-        debug_assert_eq!(srcs.len(), C);
+        debug_assert_eq!(srcs.len(), members * C);
         debug_assert_eq!(span.len() % 64, 0);
         let mut x = [_mm512_setzero_si512(); C];
         let mut i = span.start;
         while i < span.end {
             for c in 0..C {
                 x[c] = _mm512_loadu_si512(srcs[c].as_ptr().add(i) as *const __m512i);
+                for member in 1..members {
+                    let y = _mm512_loadu_si512(srcs[member * C + c].as_ptr().add(i) as *const __m512i);
+                    x[c] = _mm512_xor_si512(x[c], y);
+                }
             }
             for (r, dst) in dsts.iter_mut().enumerate() {
                 let row = &tables[r * stride..][..C];
@@ -1075,12 +1164,13 @@ mod gfni {
         tables: &[&MulTable],
         stride: usize,
         srcs: &[&[u8]],
+        members: usize,
         dsts: &mut [&mut [u8]],
         span: Range<usize>,
         accumulate: bool,
     ) {
-        let main = super::tile_main(srcs, dsts, &span, 64);
-        let tile = match srcs.len() {
+        let main = super::tile_main(srcs, members, dsts, &span, 64);
+        let tile = match srcs.len() / members {
             1 => tile_impl::<1>,
             2 => tile_impl::<2>,
             3 => tile_impl::<3>,
@@ -1091,12 +1181,13 @@ mod gfni {
             _ => tile_impl::<8>,
         };
         // audit: unsafe ok — GFNI and AVX-512F support was verified by Kernel::is_supported
-        // before this fn pointer was installed; tile_main checked 1..=8 sources (so the arm
-        // taken is compiled for exactly srcs.len()) and returned a multiple of 64 bytes
-        // inside every source and destination
-        unsafe { tile(tables, stride, srcs, dsts, main.clone(), accumulate) };
+        // before this fn pointer was installed; tile_main checked `members` runs of 1..=8
+        // sources (so the arm taken is compiled for exactly srcs.len() / members) and
+        // returned a multiple of 64 bytes inside every source and destination
+        unsafe { tile(tables, stride, srcs, members, dsts, main.clone(), accumulate) };
         let tail = main.end..span.end;
-        super::product_rows(&super::SCALAR_OPS, tables, stride, srcs, dsts, tail, accumulate);
+        let ops = &super::SCALAR_OPS;
+        super::product_rows(ops, tables, stride, srcs, members, dsts, tail, accumulate);
     }
 
     /// One product with the matrix held in a register: `dst[i] = c·src[i]`,
@@ -1308,6 +1399,7 @@ pub(crate) mod test_support {
         tables: &[&MulTable],
         stride: usize,
         srcs: &[&[u8]],
+        members: usize,
         dsts: &mut [&mut [u8]],
         span: Range<usize>,
         accumulate: bool,
@@ -1317,6 +1409,7 @@ pub(crate) mod test_support {
             tables,
             stride,
             srcs,
+            members,
             dsts,
             span.clone(),
             accumulate,
@@ -1442,7 +1535,7 @@ mod tests {
         let run = |ops: &KernelOps| {
             let mut out = init.clone();
             let mut dsts: Vec<&mut [u8]> = out.iter_mut().map(|dst| &mut dst[offset..]).collect();
-            matrix_apply_with(ops, tables, &coeffs, &views, &mut dsts, accumulate);
+            matrix_apply_with(ops, tables, &coeffs, &views, 1, &mut dsts, accumulate);
             out
         };
         run(ops) == run(&SCALAR_OPS)

@@ -273,6 +273,73 @@ proptest! {
     }
 
     #[test]
+    fn matrix_apply_summed_equals_xoring_each_group_then_applying(
+        rows in 1usize..=7,
+        cols in 1usize..=9,
+        members in 1usize..=4,
+        len in prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(63usize),
+            Just(64usize),
+            Just(65usize),
+            Just(crate::kernel::DRIVER_STRIP - 13),
+            Just(crate::kernel::DRIVER_STRIP + 13),
+            Just(3 * crate::kernel::DRIVER_STRIP),
+        ],
+        mode in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        use crate::kernel::Kernel;
+        let accumulate = mode == 1;
+        let byte = |i: usize, salt: u64| (seed.wrapping_add(salt).wrapping_mul(i as u64 * 2 + 1) >> 23) as u8;
+        // Zeros, ones and a unit row among the coefficients, as in the
+        // matrix-apply property above.
+        let mut coeffs: Vec<Gf256> = (0..rows * cols)
+            .map(|i| match byte(i, 1) {
+                b if b < 32 => Gf256::ZERO,
+                b if b < 64 => Gf256::ONE,
+                b => Gf256::from_u64(u64::from(b)),
+            })
+            .collect();
+        if seed % 2 == 0 {
+            coeffs[..cols].fill(Gf256::ZERO);
+            coeffs[seed as usize % cols] = Gf256::ONE;
+        }
+        let srcs: Vec<Vec<u8>> = (0..members * cols)
+            .map(|s| (0..len).map(|i| byte(i, 100 + s as u64)).collect())
+            .collect();
+        let init: Vec<Vec<u8>> = (0..rows)
+            .map(|r| (0..len).map(|i| byte(i, 300 + r as u64)).collect())
+            .collect();
+        let views: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+
+        // Reference: each column's group XORed whole, then one plain apply.
+        let sums: Vec<Vec<u8>> = (0..cols)
+            .map(|c| {
+                let mut sum = vec![0u8; len];
+                let group: Vec<&[u8]> = (0..members).map(|member| views[member * cols + c]).collect();
+                Kernel::Scalar.xor_accumulate(&mut sum, &group).unwrap();
+                sum
+            })
+            .collect();
+        let sum_views: Vec<&[u8]> = sums.iter().map(Vec::as_slice).collect();
+        let tables = crate::bulk8::CoeffTables::new();
+        let mut want = init.clone();
+        let mut dsts: Vec<&mut [u8]> = want.iter_mut().map(Vec::as_mut_slice).collect();
+        Kernel::Scalar.matrix_apply(&tables, &coeffs, &sum_views, &mut dsts, accumulate).unwrap();
+
+        for kernel in Kernel::available() {
+            let mut got = init.clone();
+            let mut dsts: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+            kernel
+                .matrix_apply_summed(&tables, &coeffs, &views, members, &mut dsts, accumulate)
+                .unwrap();
+            prop_assert_eq!(&got, &want, "{} members on kernel `{}`", members, kernel.name());
+        }
+    }
+
+    #[test]
     fn bulk8_xor_accumulate_matches_scalar_reference(
         len in prop_oneof![Just(0usize), Just(1usize), Just(64usize), 2usize..200],
         rows in 0usize..5,

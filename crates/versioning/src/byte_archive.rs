@@ -38,14 +38,15 @@
 
 use std::ops::Deref;
 
-use sec_erasure::read_plan::plan_read;
-use sec_erasure::{ByteCodec, ByteShards};
+use sec_erasure::read_plan::{plan_read, ReadPlan, ReadTarget};
+use sec_erasure::{ByteCodec, ByteShards, SecCode};
+use sec_gf::Gf256;
 
 use crate::archive::ArchiveConfig;
 use crate::error::VersioningError;
 use crate::ledger::{ArchiveLedger, ByteEncodedEntry};
 use crate::object::VersionId;
-use crate::walk::{apply_planned, read_target, unchanged, walk_prefix, walk_version};
+use crate::walk::{apply_planned, read_target, unchanged, walk_prefix, VersionWalk};
 
 /// Result of retrieving a single version from a byte archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,14 +185,16 @@ impl ByteVersionedArchive {
         L: Fn(usize, usize) -> bool,
     {
         self.check_version(l)?;
-        let out = walk_version(
+        let code = self.codec().code();
+        let out = VersionWalk::plan(
             self.config().strategy(),
             self.entries.len(),
             |idx| self.entries[idx].payload,
             l,
             None,
-            |idx, acc| apply_entry(self.codec(), idx, &self.entries[idx], |p| live(idx, p), acc),
-        )?;
+            |idx, target| plan_entry(code, idx, |p| live(idx, p), target),
+        )
+        .fold(self.codec(), |idx, p| Ok(self.entries[idx].shards.shard(p)))?;
         Ok(ByteVersionRetrieval {
             version: l,
             data: out.shards.into_flat(self.object_len().unwrap_or(0)),
@@ -232,8 +235,20 @@ impl ByteVersionedArchive {
     }
 }
 
-/// Folds stored entry `idx` into the walk's accumulator, reading only the
-/// positions `live` admits, and returns `(block_reads, accumulator)`.
+/// Plans a read of `target` from entry `idx`'s positions that `live`
+/// admits.
+fn plan_entry(
+    code: &SecCode<Gf256>,
+    idx: usize,
+    live: impl Fn(usize) -> bool,
+    target: ReadTarget,
+) -> Result<ReadPlan, VersioningError> {
+    let live: Vec<usize> = (0..code.n()).filter(|&p| live(p)).collect();
+    plan_read(code, &live, target).map_err(|_| VersioningError::Unrecoverable { entry: idx })
+}
+
+/// Folds stored entry `idx` into a prefix walk's accumulator, reading only
+/// the positions `live` admits, and returns `(block_reads, accumulator)`.
 fn apply_entry(
     codec: &ByteCodec,
     idx: usize,
@@ -245,9 +260,7 @@ fn apply_entry(
         // Nothing changed; no reads needed at all.
         return Ok((0, unchanged(acc, codec.code().k(), entry.shards.shard_len())));
     };
-    let live: Vec<usize> = (0..codec.code().n()).filter(|&p| live(p)).collect();
-    let plan = plan_read(codec.code(), &live, target)
-        .map_err(|_| VersioningError::Unrecoverable { entry: idx })?;
+    let plan = plan_entry(codec.code(), idx, live, target)?;
     let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, entry.shards.shard(i))).collect();
     let acc = apply_planned(codec, plan.method, target, &shares, acc)?;
     Ok((plan.io_reads, acc))

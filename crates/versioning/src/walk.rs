@@ -5,33 +5,111 @@
 //! reference [`ByteVersionedArchive`](crate::ByteVersionedArchive), whose
 //! in-memory blocks are read from whichever positions the caller's live set
 //! admits, and the concurrent `SecEngine` in `sec-engine`, whose blocks sit
-//! on storage nodes. They differ only in *how one entry's blocks are fetched*;
-//! the strategy walk itself (find the anchor, XOR deltas forward, or
-//! un-apply deltas backward from the Reversed-SEC latest copy) and the
-//! decode of the fetched blocks ([`apply_planned`]) are identical. This
-//! module holds both once, parameterized over a per-entry read callback, so
-//! the strategy semantics cannot drift between layers.
+//! on storage nodes. They differ only in *how one entry is planned and how
+//! its blocks are fetched*; the strategy walk itself (find the anchor, XOR
+//! deltas forward, or un-apply deltas backward from the Reversed-SEC latest
+//! copy) and the decode of the fetched blocks are identical. This module
+//! holds both once, parameterized over per-entry callbacks, so the strategy
+//! semantics cannot drift between layers.
+//!
+//! A walk to one version ([`VersionWalk`]) runs in two phases:
+//!
+//! 1. **Plan** every entry it touches, in walk order, stopping at the first
+//!    entry no plan can read ([`VersionWalk::plan`]).
+//! 2. **Fold** ([`VersionWalk::fold`]): read every planned block in walk
+//!    order, then decode. A read failure ends the walk where it happens and
+//!    a plan failure is reported after the reads of the entries before it —
+//!    the entry and the reads of a walk that planned, read and decoded one
+//!    entry at a time. SEC is linear, so the coded form of
+//!    `x_l = x_b ⊕ Σ z_j` is `c(x_b) ⊕ Σ c(z_j)`: every full-plan entry
+//!    that reads the same position set — the full version starting the
+//!    chain, each dense delta, any sparse delta whose plan fell back to `k`
+//!    reads — is summed block by block and decoded once
+//!    ([`Decode::decode_sum`]), straight into the chain's accumulator, while
+//!    the sparse deltas recover into the same accumulator
+//!    ([`Decode::recover_sparse`]).
+//!
+//! A prefix walk ([`walk_prefix`]) needs every version on the way, so it
+//! folds entry by entry through a callback ([`apply_planned`]).
 //!
 //! Conventions shared by every caller:
 //!
 //! * `payload_at(i)` describes stored entry `i` of `stored_count` entries in
 //!   entry order, with the Reversed-SEC full latest copy as the **final**
 //!   element (the order of [`ArchiveLedger::layout`](crate::ArchiveLedger::layout));
-//! * the read callback is a *fold step*: it receives the entry index and the
-//!   chain's accumulator — `None` at the start of a chain, where the entry
-//!   is a full version to decode into a fresh buffer — and returns
-//!   `(block_reads, accumulator)` with the entry applied. A delta recovers
-//!   straight into the accumulator it was handed ([`apply_planned`]); the
-//!   `γ = 0` shortcut (an empty delta needs no reads, [`read_target`]
-//!   returning `None`) hands it back untouched ([`unchanged`]). The walk
-//!   never materialises a delta and never XORs `k` blocks itself;
+//! * an all-zero (`γ = 0`) delta is known without reading a block: it is
+//!   never planned ([`read_target`] returns `None`) and leaves the
+//!   accumulator as it is ([`unchanged`]). The walk never materialises a
+//!   delta and never XORs `k` blocks itself;
 //! * version bounds are validated by the caller — the walk assumes
 //!   `1 ≤ l ≤ L`.
 
-use sec_erasure::read_plan::{DecodeMethod, ReadTarget};
+use sec_erasure::read_plan::{DecodeMethod, ReadPlan, ReadTarget};
 use sec_erasure::{ByteCodec, ByteShards, CodeError};
 
 use crate::archive::{EncodingStrategy, StoredPayload};
+
+/// The decodes a walk runs on the blocks it read — [`ByteCodec`] in every
+/// read layer. Each folds into the chain's accumulator: `None` at the start
+/// of a chain, where the result is a fresh buffer.
+pub trait Decode {
+    /// Decodes the XOR-sum of `codewords` — share lists read at the same
+    /// positions — and XORs it onto `acc`, or returns it when `acc` is
+    /// `None`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteCodec::decode_sum_into`].
+    fn decode_sum(
+        &self,
+        codewords: &[&[(usize, &[u8])]],
+        acc: Option<ByteShards>,
+    ) -> Result<ByteShards, CodeError>;
+
+    /// Recovers the `gamma`-sparse object `shares` encode and XORs it onto
+    /// `acc` (onto zeros when `acc` is `None`).
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteCodec::recover_sparse_into`].
+    fn recover_sparse(
+        &self,
+        shares: &[(usize, &[u8])],
+        gamma: usize,
+        acc: Option<ByteShards>,
+    ) -> Result<ByteShards, CodeError>;
+}
+
+impl Decode for ByteCodec {
+    fn decode_sum(
+        &self,
+        codewords: &[&[(usize, &[u8])]],
+        acc: Option<ByteShards>,
+    ) -> Result<ByteShards, CodeError> {
+        match acc {
+            Some(mut acc) => self.decode_sum_into(codewords, &mut acc, true).map(|()| acc),
+            None => {
+                let shard_len = codewords
+                    .first()
+                    .and_then(|shares| shares.first())
+                    .map_or(0, |(_, shard)| shard.len());
+                let mut out = ByteShards::zeroed(self.code().k(), shard_len);
+                self.decode_sum_into(codewords, &mut out, false).map(|()| out)
+            }
+        }
+    }
+
+    fn recover_sparse(
+        &self,
+        shares: &[(usize, &[u8])],
+        gamma: usize,
+        acc: Option<ByteShards>,
+    ) -> Result<ByteShards, CodeError> {
+        let shard_len = shares.first().map_or(0, |(_, shard)| shard.len());
+        let mut acc = unchanged(acc, self.code().k(), shard_len);
+        self.recover_sparse_into(shares, gamma, &mut acc).map(|()| acc)
+    }
+}
 
 /// Result of one strategy walk: the I/O spent and what was reconstructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,40 +174,188 @@ impl WalkOutcome {
     }
 }
 
-/// Reconstructs version `l` by walking the stored entries under `strategy`,
-/// folding each touched entry into the chain through `read_entry`.
-///
-/// `anchor` is an optional already-decoded version `(version, shards)` the
-/// walk may start from instead of a stored full version: a base `≤ l` for
-/// Basic/Optimized SEC (only the trailing deltas `z_{b+1}, …, z_l` are
-/// read), a tail `≥ l` for Reversed SEC (only `z_{tail}, …, z_{l+1}` are
-/// un-applied, never touching the stored latest copy), and the exact
-/// version for NonDifferential. [`WalkOutcome::anchor_used`] reports
-/// whether it served: a forward base is dropped when a stored **full
-/// version** (a checkpoint or Optimized-threshold full) sits at or above it
-/// — that entry is not a delta and cannot be XORed, and it is the closer
-/// anchor anyway.
-///
-/// # Errors
-///
-/// Propagates the first `read_entry` error.
-pub fn walk_version<E, P, R>(
+/// One entry a version walk touches and the read planned for it.
+#[derive(Debug)]
+struct Step {
+    idx: usize,
+    /// The positions to read and, for a sparse plan, the `γ` to recover —
+    /// `None` for a `γ = 0` delta, which reads nothing.
+    read: Option<(Vec<usize>, Option<usize>)>,
+}
+
+/// A walk to one version with every entry it touches planned
+/// ([`VersionWalk::plan`]), ready to be read and decoded
+/// ([`VersionWalk::fold`]).
+#[derive(Debug)]
+pub struct VersionWalk<E> {
+    steps: Vec<Step>,
+    /// The first plan failure in walk order; planning stopped there.
+    failure: Option<E>,
+    /// The caller's decoded anchor, when the walk starts from it.
+    anchor: Option<ByteShards>,
+}
+
+impl<E> VersionWalk<E> {
+    /// Plans the walk to version `l` under `strategy`: every entry it
+    /// touches, in walk order, through `plan_entry` — never called for a
+    /// `γ = 0` delta — stopping at the first entry it cannot plan.
+    ///
+    /// `anchor` is an optional already-decoded version `(version, shards)`
+    /// the walk may start from instead of a stored full version: a base
+    /// `≤ l` for Basic/Optimized SEC (only the trailing deltas
+    /// `z_{b+1}, …, z_l` are read), a tail `≥ l` for Reversed SEC (only
+    /// `z_{tail}, …, z_{l+1}` are un-applied, never touching the stored
+    /// latest copy), and the exact version for NonDifferential.
+    /// [`WalkOutcome::anchor_used`] reports whether it served: a forward
+    /// base is dropped when a stored **full version** (a checkpoint or
+    /// Optimized-threshold full) sits at or above it — that entry is not a
+    /// delta and cannot be XORed, and it is the closer anchor anyway.
+    pub fn plan<P, Q>(
+        strategy: EncodingStrategy,
+        stored_count: usize,
+        payload_at: P,
+        l: usize,
+        anchor: Option<(usize, ByteShards)>,
+        mut plan_entry: Q,
+    ) -> Self
+    where
+        P: Fn(usize) -> StoredPayload,
+        Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
+    {
+        let (anchor, entries) = chain(strategy, stored_count, &payload_at, l, anchor);
+        let mut steps = Vec::with_capacity(entries.len());
+        let mut failure = None;
+        for idx in entries {
+            let read = match read_target(payload_at(idx)) {
+                None => None,
+                Some(target) => match plan_entry(idx, target) {
+                    Ok(plan) => Some((plan.nodes, sparse_gamma(plan.method, target))),
+                    Err(error) => {
+                        failure = Some(error);
+                        break;
+                    }
+                },
+            };
+            steps.push(Step { idx, read });
+        }
+        Self {
+            steps,
+            failure,
+            anchor,
+        }
+    }
+
+    /// The block reads the plans call for, in walk order: every planned
+    /// entry before a plan failure, with the positions it reads — what a
+    /// caller must keep readable while [`VersionWalk::fold`] runs.
+    pub fn reads(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        self.steps
+            .iter()
+            .filter_map(|step| step.read.as_ref().map(|(nodes, _)| (step.idx, nodes.as_slice())))
+    }
+
+    /// Reads every planned block through `read(entry, position)` in walk
+    /// order, then folds the chain: each position set's full-plan entries
+    /// are summed and decoded once, the first set (the chain start's)
+    /// overwriting a fresh accumulator unless the walk starts from the
+    /// caller's anchor, every later one accumulating; sparse entries recover
+    /// into the accumulator as they come.
+    ///
+    /// # Errors
+    ///
+    /// The first `read` error in walk order; otherwise the plan failure
+    /// planning stopped at; otherwise the first decode error.
+    pub fn fold<'b, D, R>(self, decoder: &D, mut read: R) -> Result<WalkOutcome, E>
+    where
+        D: Decode,
+        E: From<CodeError>,
+        R: FnMut(usize, usize) -> Result<&'b [u8], E>,
+    {
+        let mut shares: Vec<(usize, &'b [u8])> =
+            Vec::with_capacity(self.reads().map(|(_, nodes)| nodes.len()).sum());
+        for (idx, nodes) in self.reads() {
+            for &position in nodes {
+                shares.push((position, read(idx, position)?));
+            }
+        }
+        if let Some(failure) = self.failure {
+            return Err(failure);
+        }
+
+        // One decode per position set, at the set's first entry in walk
+        // order; the sparse entries in between.
+        let mut order: Vec<FoldStep<'_, 'b>> = Vec::new();
+        let mut rest = shares.as_slice();
+        for (nodes, sparse) in self.steps.iter().filter_map(|step| step.read.as_ref()) {
+            // audit: panic ok — the loop above pushed exactly `nodes.len()` shares per planned entry
+            let (entry_shares, tail) = rest.split_at(nodes.len());
+            rest = tail;
+            if let Some(gamma) = *sparse {
+                order.push(FoldStep::Sparse(entry_shares, gamma));
+                continue;
+            }
+            let group = order.iter_mut().find_map(|step| match step {
+                FoldStep::Sum(set, members) if *set == nodes.as_slice() => Some(members),
+                _ => None,
+            });
+            match group {
+                Some(members) => members.push(entry_shares),
+                None => order.push(FoldStep::Sum(nodes, vec![entry_shares])),
+            }
+        }
+        let anchor_used = self.anchor.is_some();
+        let mut acc = self.anchor;
+        for step in order {
+            acc = Some(match step {
+                FoldStep::Sum(_, members) => decoder.decode_sum(&members, acc)?,
+                FoldStep::Sparse(entry_shares, gamma) => {
+                    decoder.recover_sparse(entry_shares, gamma, acc)?
+                }
+            });
+        }
+        // Unreachable: a walk without an anchor starts at a stored full
+        // version, whose group decodes first.
+        let shards = acc.ok_or(CodeError::NotEnoughShares {
+            needed: 1,
+            available: 0,
+        })?;
+        Ok(WalkOutcome {
+            io_reads: shares.len(),
+            entries_read: self.steps.len(),
+            shards,
+            anchor_used,
+        })
+    }
+}
+
+/// One entry's shares: `(position, block)` in plan order.
+type Shares<'b> = [(usize, &'b [u8])];
+
+/// One decode of a walk's fold, in walk order.
+enum FoldStep<'s, 'b> {
+    /// The summed decode of every full-plan entry reading this position set.
+    Sum(&'s [usize], Vec<&'s Shares<'b>>),
+    /// The recovery of one sparse entry's shares at this `γ`.
+    Sparse(&'s Shares<'b>, usize),
+}
+
+/// The entries a walk to version `l` touches, in walk order, and the anchor
+/// it starts from when that serves ([`VersionWalk::plan`]).
+fn chain<P>(
     strategy: EncodingStrategy,
     stored_count: usize,
-    payload_at: P,
+    payload_at: &P,
     l: usize,
     anchor: Option<(usize, ByteShards)>,
-    mut read_entry: R,
-) -> Result<WalkOutcome, E>
+) -> (Option<ByteShards>, Vec<usize>)
 where
     P: Fn(usize) -> StoredPayload,
-    R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
 {
     match strategy {
-        EncodingStrategy::NonDifferential => {
-            let exact = anchor.filter(|&(version, _)| version == l);
-            WalkOutcome::start(exact, l - 1, &mut read_entry).map(|(_, out)| out)
-        }
+        EncodingStrategy::NonDifferential => match anchor.filter(|&(version, _)| version == l) {
+            Some((_, shards)) => (Some(shards), Vec::new()),
+            None => (None, vec![l - 1]),
+        },
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
             let full = (0..l)
                 .rev()
@@ -139,22 +365,21 @@ where
             // Entry `v - 1` stores the delta to version `v`, so a base `b`
             // is followed by entries `b..l` — usable only while the latest
             // full lies below them.
-            let base = anchor.filter(|&(version, _)| version > full);
-            let (held, mut out) = WalkOutcome::start(base, full, &mut read_entry)?;
-            for idx in held..l {
-                out = out.apply_delta(idx, &mut read_entry)?;
+            match anchor.filter(|&(version, _)| version > full) {
+                Some((base, shards)) => (Some(shards), (base..l).collect()),
+                None => (None, (full..l).collect()),
             }
-            Ok(out)
         }
         EncodingStrategy::ReversedSec => {
             // The full latest copy is the final stored entry and entry
             // `v - 2` stores the delta to version `v`; un-apply the deltas
             // newest-first from the tail (or the latest copy) down to `l + 1`.
-            let (held, mut out) = WalkOutcome::start(anchor, stored_count - 1, &mut read_entry)?;
-            for idx in (l.saturating_sub(1)..held.saturating_sub(1)).rev() {
-                out = out.apply_delta(idx, &mut read_entry)?;
-            }
-            Ok(out)
+            let (anchor, held, start) = match anchor {
+                Some((tail, shards)) => (Some(shards), tail, None),
+                None => (None, stored_count, Some(stored_count - 1)),
+            };
+            let deltas = (l.saturating_sub(1)..held.saturating_sub(1)).rev();
+            (anchor, start.into_iter().chain(deltas).collect())
         }
     }
 }
@@ -177,47 +402,42 @@ pub fn unchanged(acc: Option<ByteShards>, k: usize, shard_len: usize) -> ByteSha
     acc.unwrap_or_else(|| ByteShards::zeroed(k, shard_len))
 }
 
-/// Applies one planned entry read to the chain: decodes the gathered shares
-/// of a [`ReadPlan`](sec_erasure::read_plan::ReadPlan) under its chosen
-/// method and folds them into `acc`.
+/// The `γ` a plan recovers, `None` for a full plan. Sparse plans only arise
+/// for sparse targets, so every other pairing is a full `k`-block read.
+fn sparse_gamma(method: DecodeMethod, target: ReadTarget) -> Option<usize> {
+    match (method, target) {
+        (DecodeMethod::SparseRecovery, ReadTarget::Sparse { gamma }) => Some(gamma),
+        _ => None,
+    }
+}
+
+/// Applies one planned entry read to the chain — the per-entry fold of a
+/// prefix walk: decodes the gathered shares of a
+/// [`ReadPlan`] under its chosen method and folds them into `acc`.
 ///
 /// With no accumulator (the start of a chain) the decoded object *is* the
 /// result. With one, a sparse plan recovers its `γ` blocks straight into it
-/// ([`ByteCodec::recover_sparse_into`]); a delta whose plan fell back to a
-/// full `k`-block read is dense by construction, so it is decoded and XORed
-/// whole.
+/// ([`Decode::recover_sparse`]), and a full plan is decoded onto it
+/// ([`Decode::decode_sum`] of one codeword, accumulating) — no `k`-block
+/// temporary either way. A full plan is not a dense delta by construction:
+/// under a systematic code a sparse delta whose live positions hold no
+/// qualifying `2γ`-subset falls back to `k` reads too.
 ///
-/// Shared by every read layer so the method dispatch (and the invariant that
-/// sparse plans only arise for sparse targets) lives once.
+/// Shared by every read layer so the method dispatch lives once.
 ///
 /// # Errors
 ///
 /// Propagates decode failures from the codec.
-pub fn apply_planned(
-    codec: &ByteCodec,
+pub fn apply_planned<D: Decode>(
+    decoder: &D,
     method: DecodeMethod,
     target: ReadTarget,
     shares: &[(usize, &[u8])],
     acc: Option<ByteShards>,
 ) -> Result<ByteShards, CodeError> {
-    match (method, target) {
-        (DecodeMethod::SystematicDirect | DecodeMethod::Inversion, _) => {
-            let decoded = codec.decode_blocks(shares)?;
-            match acc {
-                None => Ok(decoded),
-                Some(mut acc) => acc.xor_with(&decoded).map(|()| acc),
-            }
-        }
-        (DecodeMethod::SparseRecovery, ReadTarget::Sparse { gamma }) => {
-            let shard_len = shares.first().map_or(0, |(_, shard)| shard.len());
-            let mut acc = unchanged(acc, codec.code().k(), shard_len);
-            codec.recover_sparse_into(shares, gamma, &mut acc)?;
-            Ok(acc)
-        }
-        (DecodeMethod::SparseRecovery, ReadTarget::Full) => {
-            // audit: panic ok — plan_read returns SparseRecovery only for ReadTarget::Sparse
-            unreachable!("sparse plans only arise for sparse targets")
-        }
+    match sparse_gamma(method, target) {
+        Some(gamma) => decoder.recover_sparse(shares, gamma, acc),
+        None => decoder.decode_sum(&[shares], acc),
     }
 }
 
@@ -246,7 +466,7 @@ pub struct PrefixWalkOutcome {
 ///
 /// # Errors
 ///
-/// As for [`walk_version`].
+/// Propagates the first `read_entry` error.
 pub fn walk_prefix<E, P, R>(
     strategy: EncodingStrategy,
     stored_count: usize,
@@ -313,6 +533,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+
     use super::*;
 
     type Entries = Vec<(StoredPayload, ByteShards)>;
@@ -352,33 +574,104 @@ mod tests {
         Some((version, ByteShards::from_flat(&[byte], 1)))
     }
 
-    /// The fold step over `entries`: one block read per touched entry, a
-    /// full version decoded afresh, a delta XORed into the accumulator.
-    fn fold(
-        entries: &Entries,
-    ) -> impl FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), CodeError> + '_ {
-        |idx, acc| match acc {
-            None => Ok((1, entries[idx].1.clone())),
-            Some(mut acc) => acc.xor_with(&entries[idx].1).map(|()| (1, acc)),
+    /// XORs `byte` onto the accumulator in place, or starts a one-byte one.
+    fn xor_onto(acc: Option<ByteShards>, byte: u8) -> ByteShards {
+        match acc {
+            Some(mut acc) => {
+                acc.shard_mut(0)[0] ^= byte;
+                acc
+            }
+            None => ByteShards::from_flat(&[byte], 1),
         }
     }
 
-    /// `walk_version` over `entries`, one block read per touched entry.
+    /// A fake fold over one-byte objects stored as a repetition code: every
+    /// position of an entry holds the object's byte, so any share decodes it
+    /// and a sum of codewords is the XOR of their bytes. Records the member
+    /// count of every summed decode and counts sparse recoveries.
+    #[derive(Default)]
+    struct Fake {
+        sums: RefCell<Vec<usize>>,
+        recoveries: Cell<usize>,
+    }
+
+    impl Decode for Fake {
+        fn decode_sum(
+            &self,
+            codewords: &[&[(usize, &[u8])]],
+            acc: Option<ByteShards>,
+        ) -> Result<ByteShards, CodeError> {
+            self.sums.borrow_mut().push(codewords.len());
+            let byte = codewords.iter().fold(0, |sum, shares| sum ^ shares[0].1[0]);
+            Ok(xor_onto(acc, byte))
+        }
+
+        fn recover_sparse(
+            &self,
+            shares: &[(usize, &[u8])],
+            _gamma: usize,
+            acc: Option<ByteShards>,
+        ) -> Result<ByteShards, CodeError> {
+            self.recoveries.set(self.recoveries.get() + 1);
+            Ok(xor_onto(acc, shares[0].1[0]))
+        }
+    }
+
+    /// A plan reading `nodes`, sparse or full.
+    fn plan_at(nodes: &[usize], sparse: bool) -> ReadPlan {
+        let method = if sparse {
+            DecodeMethod::SparseRecovery
+        } else {
+            DecodeMethod::Inversion
+        };
+        ReadPlan {
+            nodes: nodes.to_vec(),
+            io_reads: nodes.len(),
+            method,
+        }
+    }
+
+    /// Plans every entry onto position 0: full for a full target, sparse for
+    /// a delta.
+    fn plan_one(_: usize, target: ReadTarget) -> Result<ReadPlan, CodeError> {
+        Ok(plan_at(&[0], target != ReadTarget::Full))
+    }
+
+    /// Plans and folds the walk to version `l` over `entries` through
+    /// `plan` and `fake`, every position of entry `i` reading its byte.
+    fn walk_with<Q>(
+        strategy: EncodingStrategy,
+        entries: &Entries,
+        l: usize,
+        anchor: Option<(usize, ByteShards)>,
+        fake: &Fake,
+        plan: Q,
+    ) -> Result<WalkOutcome, CodeError>
+    where
+        Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, CodeError>,
+    {
+        VersionWalk::plan(strategy, entries.len(), |i| entries[i].0, l, anchor, plan)
+            .fold(fake, |idx, _| Ok(entries[idx].1.shard(0)))
+    }
+
+    /// The walk to version `l` over `entries`, one block read per touched
+    /// entry.
     fn walk(
         strategy: EncodingStrategy,
         entries: &Entries,
         l: usize,
         anchor: Option<(usize, ByteShards)>,
     ) -> WalkOutcome {
-        walk_version(
-            strategy,
-            entries.len(),
-            |i| entries[i].0,
-            l,
-            anchor,
-            fold(entries),
-        )
-        .unwrap()
+        walk_with(strategy, entries, l, anchor, &Fake::default(), plan_one).unwrap()
+    }
+
+    /// The per-entry fold step of a prefix walk over `entries`: one block
+    /// read per touched entry, a full version decoded afresh, a delta XORed
+    /// into the accumulator.
+    fn fold(
+        entries: &Entries,
+    ) -> impl FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), CodeError> + '_ {
+        |idx, acc| Ok((1, xor_onto(acc, entries[idx].1.as_bytes()[0])))
     }
 
     /// `walk_prefix` over `entries` (one-byte objects), one block read per
@@ -507,33 +800,152 @@ mod tests {
 
     #[test]
     fn the_accumulator_handed_to_the_callback_is_the_one_returned() {
-        // No hidden clone: the buffer the chain starts with is the buffer
-        // every delta callback receives and the buffer the walk returns.
+        // No hidden clone: the anchor's buffer is the buffer every decode
+        // folds into and the buffer the walk returns.
         let buffer = |shards: &ByteShards| shards.as_bytes().as_ptr();
         for (strategy, entries, l, start) in [
             (EncodingStrategy::BasicSec, entries(), 3, anchor(1, 5)),
             (EncodingStrategy::ReversedSec, reversed_entries(), 1, anchor(3, 7)),
-            (EncodingStrategy::BasicSec, entries(), 3, None),
         ] {
-            let mut held = start.as_ref().map(|(_, shards)| buffer(shards));
-            let mut step = fold(&entries);
-            let out = walk_version(
-                strategy,
-                entries.len(),
-                |i| entries[i].0,
-                l,
-                start,
-                |idx, acc| {
-                    assert_eq!(acc.as_ref().map(buffer), held, "{strategy:?} entry {idx}");
-                    let (reads, acc) = step(idx, acc)?;
-                    held = Some(buffer(&acc));
-                    Ok::<_, CodeError>((reads, acc))
-                },
-            )
-            .unwrap();
+            let held = start.as_ref().map(|(_, shards)| buffer(shards));
+            let out = walk(strategy, &entries, l, start);
             assert_eq!(Some(buffer(&out.shards)), held, "{strategy:?}");
             assert_eq!(out.shards.as_bytes(), &[if l == 3 { 7 } else { 5 }]);
-            assert_eq!(out.entries_read, 2 + usize::from(!out.anchor_used));
+            assert_eq!(out.entries_read, 2);
+        }
+    }
+
+    #[test]
+    fn full_plan_entries_on_one_position_set_decode_once() {
+        // Versions 5, 6, 7, 4, 12: every delta but z3 (γ = 1, sparse) is
+        // dense and read like a full version, from the same three positions.
+        let entries = vec![full(1, 5), delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8)];
+        let dense = |idx: usize| idx != 2;
+        for l in 1..=5 {
+            let fake = Fake::default();
+            let plan = |idx: usize, _| Ok(plan_at(&[1, 3, 4], !dense(idx)));
+            let out = walk_with(EncodingStrategy::BasicSec, &entries, l, None, &fake, plan).unwrap();
+            let want = [5u8, 6, 7, 4, 12][l - 1];
+            assert_eq!(out.shards.as_bytes(), &[want], "version {l}");
+            let full_plans = (0..l).filter(|&idx| dense(idx)).count();
+            assert_eq!(*fake.sums.borrow(), vec![full_plans], "version {l}: one decode");
+            assert_eq!(fake.recoveries.get(), usize::from(l >= 3), "version {l}");
+            assert_eq!(out.io_reads, 3 * l, "version {l}");
+        }
+        // From a cached anchor the group accumulates onto it.
+        let fake = Fake::default();
+        let plan = |_: usize, _| Ok(plan_at(&[1, 3, 4], false));
+        let out = walk_with(EncodingStrategy::BasicSec, &entries, 5, anchor(2, 6), &fake, plan).unwrap();
+        assert_eq!((out.shards.as_bytes(), out.anchor_used), (&[12u8][..], true));
+        assert_eq!(*fake.sums.borrow(), vec![3]);
+    }
+
+    #[test]
+    fn differing_position_sets_decode_once_per_set() {
+        // Dispersed slabs with different live sets: entries alternate
+        // between two position sets, in walk order A B A B A.
+        let entries = vec![full(1, 5), delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8)];
+        let set = |idx: usize| {
+            if idx.is_multiple_of(2) {
+                [0, 1, 2]
+            } else {
+                [0, 2, 5]
+            }
+        };
+        let fake = Fake::default();
+        let plan = |idx: usize, _| Ok(plan_at(&set(idx), false));
+        let out = walk_with(EncodingStrategy::BasicSec, &entries, 5, None, &fake, plan).unwrap();
+        assert_eq!(out.shards.as_bytes(), &[12]);
+        assert_eq!(
+            *fake.sums.borrow(),
+            vec![3, 2],
+            "set A first (the chain start), then set B"
+        );
+        assert_eq!(out.io_reads, 15);
+        // Reversed walks newest-first: the latest copy's set decodes first.
+        let reversed = vec![delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8), full(5, 12)];
+        let fake = Fake::default();
+        let plan = |idx: usize, _| Ok(plan_at(&set(idx), false));
+        let out = walk_with(EncodingStrategy::ReversedSec, &reversed, 1, None, &fake, plan).unwrap();
+        assert_eq!(out.shards.as_bytes(), &[5]);
+        assert_eq!(*fake.sums.borrow(), vec![3, 2]);
+    }
+
+    /// Which entry failed, and how — the engine's `Unrecoverable { entry }`
+    /// in miniature.
+    #[derive(Debug, PartialEq)]
+    enum Failed {
+        Plan(usize),
+        Read(usize),
+        Code(CodeError),
+    }
+
+    impl From<CodeError> for Failed {
+        fn from(error: CodeError) -> Self {
+            Failed::Code(error)
+        }
+    }
+
+    #[test]
+    fn plan_and_read_failures_report_the_per_entry_walks_entry() {
+        // Five entries, every one a full plan (one group): a walk that
+        // planned, read and decoded entry by entry stops at the first entry
+        // in walk order that cannot be planned or read, having read every
+        // entry before it.
+        let forward = vec![full(1, 5), delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8)];
+        let reversed = vec![delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8), full(5, 12)];
+        for (strategy, entries, walk_order) in [
+            (EncodingStrategy::BasicSec, &forward, [0, 1, 2, 3, 4]),
+            (EncodingStrategy::ReversedSec, &reversed, [4, 3, 2, 1, 0]),
+        ] {
+            for unplannable in [None, Some(1), Some(3)] {
+                for unreadable in [None, Some(0), Some(2), Some(3)] {
+                    let failing = |idx: usize| Some(idx) == unplannable || Some(idx) == unreadable;
+                    let first = walk_order.iter().copied().find(|&idx| failing(idx));
+                    // An entry is planned before it is read.
+                    let want = first.map(|idx| {
+                        if Some(idx) == unplannable {
+                            Failed::Plan(idx)
+                        } else {
+                            Failed::Read(idx)
+                        }
+                    });
+                    let mut reads = Vec::new();
+                    let result = VersionWalk::plan(
+                        strategy,
+                        entries.len(),
+                        |i| entries[i].0,
+                        1 + 4 * usize::from(strategy == EncodingStrategy::BasicSec),
+                        None,
+                        |idx, _| match Some(idx) == unplannable {
+                            true => Err(Failed::Plan(idx)),
+                            false => Ok(plan_at(&[0, 1], false)),
+                        },
+                    )
+                    .fold(&Fake::default(), |idx, _| {
+                        reads.push(idx);
+                        match Some(idx) == unreadable {
+                            true => Err(Failed::Read(idx)),
+                            false => Ok(entries[idx].1.shard(0)),
+                        }
+                    });
+                    let case = format!("{strategy:?} plan {unplannable:?} read {unreadable:?}");
+                    assert_eq!(result.as_ref().err(), want.as_ref(), "{case}");
+                    // Two reads for every entry the per-entry walk would
+                    // have read in full before it failed, and one for the
+                    // entry whose read failed.
+                    let read_before = walk_order
+                        .iter()
+                        .take_while(|&&idx| Some(idx) != first)
+                        .flat_map(|&idx| [idx, idx]);
+                    let failed_read = want.as_ref().and_then(|failed| match *failed {
+                        Failed::Read(idx) => Some(idx),
+                        _ => None,
+                    });
+                    let expect: Vec<usize> = read_before.chain(failed_read).collect();
+                    assert_eq!(reads, expect, "{case}");
+                }
+            }
         }
     }
 
@@ -566,23 +978,45 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_delta_folds_onto_the_accumulator_it_was_handed() {
+        // The prefix walk's per-entry fold of a full plan: decoded straight
+        // onto the accumulator, whose buffer comes back.
+        use sec_erasure::{GeneratorForm, SecCode};
+        for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
+            let codec = ByteCodec::new(SecCode::cauchy(6, 3, form).unwrap());
+            let base = ByteShards::from_flat(&[0x11; 24], 3);
+            let dense = ByteShards::from_flat(&(0..24).collect::<Vec<u8>>(), 3);
+            let coded = codec.encode_blocks(&dense).unwrap();
+            let shares: Vec<(usize, &[u8])> = [0, 1, 4].iter().map(|&i| (i, coded.shard(i))).collect();
+            let mut want = base.clone();
+            want.xor_with(&dense).unwrap();
+            let held = base.as_bytes().as_ptr();
+            let sparse = ReadTarget::Sparse { gamma: 1 };
+            let out =
+                apply_planned(&codec, DecodeMethod::Inversion, sparse, &shares, Some(base)).unwrap();
+            assert_eq!(out, want, "{form}");
+            assert_eq!(out.as_bytes().as_ptr(), held, "{form}");
+        }
+    }
+
+    #[test]
     fn read_errors_propagate() {
         let entries = entries();
-        let mut step = fold(&entries);
-        let result = walk_version(
+        let result = VersionWalk::plan(
             EncodingStrategy::BasicSec,
             entries.len(),
             |i| entries[i].0,
             3,
             None,
-            |idx, acc| {
-                if idx == 1 {
-                    Err(CodeError::SparseRecoveryFailed { gamma: 1 })
-                } else {
-                    step(idx, acc)
-                }
-            },
-        );
+            plan_one,
+        )
+        .fold(&Fake::default(), |idx, _| {
+            if idx == 1 {
+                Err(CodeError::SparseRecoveryFailed { gamma: 1 })
+            } else {
+                Ok(entries[idx].1.shard(0))
+            }
+        });
         assert!(matches!(
             result,
             Err(CodeError::SparseRecoveryFailed { gamma: 1 })
