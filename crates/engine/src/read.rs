@@ -2,13 +2,15 @@
 //! [`SecEngine::get_prefix`], the delta cache in front of them and the node
 //! reads behind them.
 //!
-//! A version read plans every entry its walk touches before it locks a node,
-//! from one liveness snapshot per slab ([`WalkSlabs`]); then read-locks each
-//! planned node once ([`lock_walk_nodes`]) and hands the blocks to
-//! [`VersionWalk::fold`], which sums the full-plan entries that share a
-//! position set and decodes each sum once. A prefix read needs every version
-//! on the way, so it folds entry by entry, locking one entry's planned nodes
-//! at a time.
+//! Both are one walk ([`VersionWalk`], [`PrefixWalk`]): the read plans every
+//! entry its walk touches before it locks a node, from one liveness snapshot
+//! per slab ([`WalkSlabs`]); then the fold read-locks the planned nodes
+//! ([`lock_walk_nodes`]) and decodes. [`VersionWalk::fold`] sums the
+//! full-plan entries that share a position set and decodes each sum once,
+//! so it holds every planned node for the whole decode; [`PrefixWalk::fold`]
+//! decodes entry by entry because every version is an output, so it holds
+//! one entry's planned nodes at a time and an append waits for at most one
+//! entry's decode, not the whole prefix.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,7 +19,7 @@ use sec_erasure::read_plan::{plan_read, ReadPlan, ReadTarget};
 use sec_erasure::ByteShards;
 use sec_store::node::{StorageNode, SymbolKey};
 use sec_store::{PlacementStrategy, StoreError};
-use sec_versioning::walk::{apply_planned, read_target, unchanged, walk_prefix, VersionWalk};
+use sec_versioning::walk::{PrefixWalk, VersionWalk};
 use sec_versioning::{ArchiveLedger, EncodingStrategy, StoredPayload};
 
 use crate::engine::{slab_index, EnginePrefix, EngineRetrieval, NodeSlab, SecEngine};
@@ -32,8 +34,8 @@ impl SecEngine {
     /// rewinding to a stored full version.
     ///
     /// Every entry the walk touches is planned first; then each planned node
-    /// is read-locked once, and the full-plan entries that read the same
-    /// nodes are decoded as one sum.
+    /// is read-locked once, for the whole decode, and the full-plan entries
+    /// that read the same nodes are decoded as one sum.
     ///
     /// # Errors
     ///
@@ -68,10 +70,11 @@ impl SecEngine {
             self.anchor_shards(anchor),
             |idx, target| slabs.plan(idx, target),
         );
-        let out = {
-            let held = lock_walk_nodes(&slabs, walk.reads());
-            walk.fold(&self.codec, |idx, position| held.block(idx, position))?
-        };
+        let out = walk.fold(
+            &self.codec,
+            |reads| lock_walk_nodes(&slabs, reads),
+            |held, idx, position| held.block(idx, position),
+        )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
         let data = self.cache.insert(l, out.shards.into_flat(snap.object_len));
         Ok(EngineRetrieval {
@@ -90,6 +93,10 @@ impl SecEngine {
     /// `l` regardless, so a probe would be bookkeeping with no read savings
     /// — their accounting stays bit-compatible with the reference archive.
     ///
+    /// Every entry is planned first, as for a version; then each entry's
+    /// planned nodes are read-locked only while that entry is read and
+    /// decoded.
+    ///
     /// # Errors
     ///
     /// As for [`SecEngine::get_version`].
@@ -103,16 +110,20 @@ impl SecEngine {
         };
         let snap = Snapshot::take(archive);
         let mut slabs = WalkSlabs::new(self);
-        let out = walk_prefix(
+        let walk = PrefixWalk::plan(
             snap.strategy,
             snap.layout.len(),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
+            // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
             |idx| snap.layout[idx],
             l,
-            snap.object_len,
             self.anchor_shards(tail),
-            // audit: panic ok — `idx` comes from walk_prefix, which stays within 0..layout.len()
-            |idx, acc| self.read_entry(&mut slabs, idx, snap.layout[idx], snap.shard_len, acc),
+            |idx, target| slabs.plan(idx, target),
+        );
+        let out = walk.fold(
+            &self.codec,
+            snap.object_len,
+            |reads| lock_walk_nodes(&slabs, reads),
+            |held, idx, position| held.block(idx, position),
         )?;
         self.count_anchored_deltas(out.anchor_used, out.entries_read);
         Ok(EnginePrefix {
@@ -151,32 +162,9 @@ impl SecEngine {
         }
     }
 
-    /// Reads one stored entry from the live nodes of its slab under the SEC
-    /// read plan, locking exactly the planned nodes, and folds it into a
-    /// prefix walk's accumulator. Under dispersed placement the slab is the
-    /// entry's private node set, so failures elsewhere in the engine cannot
-    /// affect this entry's plan.
-    fn read_entry(
-        &self,
-        slabs: &mut WalkSlabs<'_>,
-        entry_idx: usize,
-        payload: StoredPayload,
-        shard_len: usize,
-        acc: Option<ByteShards>,
-    ) -> Result<(usize, ByteShards), StoreError> {
-        let Some(target) = read_target(payload) else {
-            return Ok((0, unchanged(acc, self.codec.code().k(), shard_len)));
-        };
-        let plan = slabs.plan(entry_idx, target)?;
-        let guards = lock_nodes(&slabs.touch(entry_idx).slab.nodes, &plan.nodes);
-        let shares = self.gather(entry_idx, &plan.nodes, &guards)?;
-        let acc = apply_planned(&self.codec, plan.method, target, &shares, acc)?;
-        Ok((plan.io_reads, acc))
-    }
-
     /// Counts one block read per position and borrows entry `entry_idx`'s
     /// blocks from their locked nodes (`guards` as returned by
-    /// [`lock_nodes`] for `positions`).
+    /// [`lock_nodes`] for `positions`) — repair's reads.
     pub(crate) fn gather<'g>(
         &self,
         entry_idx: usize,
@@ -216,12 +204,15 @@ impl SecEngine {
 /// entries and their node blocks never change, so once the layout is copied
 /// the walk runs without the archive lock and a concurrent `append_version`
 /// no longer blocks readers (this is what makes the per-node lock sharding
-/// real). Reversed SEC rewrites the trailing full-copy slot in place on
-/// every append, so its readers keep the guard to pin that slot.
+/// real). An append still write-locks every node of the slab it writes —
+/// all of them on a colocated engine — while holding the archive write
+/// lock, so it waits for any reader holding one of those nodes: a version
+/// read for its whole decode, a prefix read for one entry's. Reversed SEC
+/// rewrites the trailing full-copy slot in place on every append, so its
+/// readers keep the guard to pin that slot.
 struct Snapshot<'a> {
     strategy: EncodingStrategy,
     object_len: usize,
-    shard_len: usize,
     layout: Vec<StoredPayload>,
     _pin: Option<OrderedReadGuard<'a, ArchiveLedger>>,
 }
@@ -232,7 +223,6 @@ impl<'a> Snapshot<'a> {
         Self {
             strategy,
             object_len: archive.object_len().unwrap_or(0),
-            shard_len: archive.shard_len(),
             layout: archive.layout().to_vec(),
             _pin: (strategy == EncodingStrategy::ReversedSec).then_some(archive),
         }
@@ -335,12 +325,10 @@ impl HeldNodes<'_> {
 /// each once however many entries read it, in ascending `(slab, position)`
 /// order — ascending node id, the one order that keeps the lock graph
 /// acyclic. Every slab named was touched while planning.
-fn lock_walk_nodes<'s, 'p>(
-    slabs: &'s WalkSlabs<'s>,
-    reads: impl Iterator<Item = (usize, &'p [usize])>,
-) -> HeldNodes<'s> {
+fn lock_walk_nodes<'s>(slabs: &'s WalkSlabs<'s>, reads: &[(usize, &[usize])]) -> HeldNodes<'s> {
     let mut wanted: Vec<(usize, usize)> = reads
-        .flat_map(|(entry, positions)| {
+        .iter()
+        .flat_map(|&(entry, positions)| {
             let slab = slabs.slab_of(entry);
             positions.iter().map(move |&position| (slab, position))
         })
@@ -357,10 +345,10 @@ fn lock_walk_nodes<'s, 'p>(
     HeldNodes { walk: slabs, guards }
 }
 
-/// Read-locks the given nodes of one slab in the given order, which every
-/// caller keeps strictly ascending ([`ReadPlan::nodes`], a prefix of an
-/// ascending live set): a stable acquisition order keeps the lock graph
-/// acyclic alongside the one-at-a-time writers.
+/// Read-locks the given nodes of one slab in the given order — repair's
+/// sources, a prefix of an ascending live set, so strictly ascending: a
+/// stable acquisition order keeps the lock graph acyclic alongside the
+/// one-at-a-time writers.
 pub(crate) fn lock_nodes<'a>(
     nodes: &'a [OrderedRwLock<StorageNode>],
     positions: &[usize],
@@ -369,6 +357,6 @@ pub(crate) fn lock_nodes<'a>(
         positions.windows(2).all(|w| w.first() < w.last()),
         "node locks are taken in ascending position order: {positions:?}"
     );
-    // audit: panic ok — planned positions come from the live set, which indexes this slab
+    // audit: panic ok — the positions come from the live set, which indexes this slab
     positions.iter().map(|&p| nodes[p].read()).collect()
 }

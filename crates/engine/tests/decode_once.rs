@@ -11,8 +11,12 @@
 //!   byte reference (held to that oracle by its own proptest) returns;
 //! * the block reads equal the reference's, and on a healthy layout
 //!   `IoModel::version_reads_for_layout`;
-//! * a failure names the same entry as the reference's;
-//! * the prefix walk, which still decodes entry by entry, agrees.
+//! * a failure names the same entry as the reference's, and no read fails
+//!   while every entry keeps `k` live positions;
+//! * every prefix read — one walk, decoded entry by entry because every
+//!   version is an output — agrees with the reference's prefix in bytes,
+//!   block reads and failing entry, and on a healthy layout reads
+//!   `IoModel::prefix_reads_for_layout`.
 //!
 //! A dispersed engine, where every entry has its own node set and so its
 //! own position set under failures, is checked against the same reference.
@@ -66,13 +70,16 @@ fn patterns() -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Asserts the engine's retrieval of every version agrees with the
-/// reference reading only the positions `live` admits.
+/// Asserts the engine's retrieval of every version, and of every prefix,
+/// agrees with the reference reading only the positions `live` admits. When
+/// `recoverable` — every entry keeps at least `k` live positions — every
+/// read must succeed, whatever the reference does.
 fn assert_agrees(
     engine: &SecEngine,
     reference: &ByteVersionedArchive,
     versions: &[Vec<u8>],
     live: impl Fn(usize, usize) -> bool + Copy,
+    recoverable: bool,
     case: &str,
 ) {
     for (l, expect) in (1..=versions.len()).zip(versions) {
@@ -83,14 +90,33 @@ fn assert_agrees(
                 assert_eq!(want.data, *expect, "{case} version {l}: reference bytes");
                 assert_eq!(got.io_reads, want.io_reads, "{case} version {l}: reads");
             }
-            (
-                Err(StoreError::Unrecoverable { entry }),
-                Err(VersioningError::Unrecoverable { entry: want }),
-            ) => {
-                assert_eq!(entry, want, "{case} version {l}: failing entry");
+            (got, want) => {
+                assert!(!recoverable, "{case} version {l}: {got:?} with k live positions");
+                assert_same_failure(got.err(), want.err(), &format!("{case} version {l}"));
             }
-            (got, want) => panic!("{case} version {l}: engine {got:?} vs reference {want:?}"),
         }
+        match (engine.get_prefix(l), reference.retrieve_prefix_from(l, live)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.versions, versions[..l], "{case} prefix {l}: bytes");
+                assert_eq!(want.versions, versions[..l], "{case} prefix {l}: reference bytes");
+                assert_eq!(got.io_reads, want.io_reads, "{case} prefix {l}: reads");
+            }
+            (got, want) => {
+                assert!(!recoverable, "{case} prefix {l}: {got:?} with k live positions");
+                assert_same_failure(got.err(), want.err(), &format!("{case} prefix {l}"));
+            }
+        }
+    }
+}
+
+/// Asserts the engine and the reference both failed, naming one entry.
+fn assert_same_failure(got: Option<StoreError>, want: Option<VersioningError>, case: &str) {
+    match (got, want) {
+        (
+            Some(StoreError::Unrecoverable { entry }),
+            Some(VersioningError::Unrecoverable { entry: want }),
+        ) => assert_eq!(entry, want, "{case}: failing entry"),
+        (got, want) => panic!("{case}: engine {got:?} vs reference {want:?}"),
     }
 }
 
@@ -125,16 +151,19 @@ proptest! {
                         model.version_reads_for_layout(strategy, &layout, l),
                         "{} {} spacing {} version {}", form, strategy, spacing, l
                     );
+                    let got = engine.get_prefix(l).unwrap();
+                    prop_assert_eq!(
+                        got.io_reads,
+                        model.prefix_reads_for_layout(strategy, &layout, l),
+                        "{} {} spacing {} prefix {}", form, strategy, spacing, l
+                    );
                 }
                 for failed in &patterns {
                     engine.apply_pattern(&FailurePattern::with_failures(N, failed));
                     let live = |_: usize, position: usize| !failed.contains(&position);
                     let case = format!("{form} {strategy} spacing {spacing} failed {failed:?}");
-                    assert_agrees(&engine, &reference, &versions, live, &case);
-                    if failed.len() <= N - K {
-                        let prefix = engine.get_prefix(versions.len()).unwrap();
-                        prop_assert_eq!(&prefix.versions, &versions, "{} prefix", case);
-                    }
+                    let recoverable = failed.len() <= N - K;
+                    assert_agrees(&engine, &reference, &versions, live, recoverable, &case);
                 }
             }
         }
@@ -178,7 +207,7 @@ proptest! {
                         .is_ok_and(|node| !failed.contains(&node))
                 };
                 let case = format!("dispersed {form} {strategy} spacing {spacing} failed {failed:?}");
-                assert_agrees(&engine, &reference, &versions, live, &case);
+                assert_agrees(&engine, &reference, &versions, live, true, &case);
             }
         }
     }

@@ -27,7 +27,8 @@ use sec_store::fault::{self, HookGuard};
 use sec_store::node::SymbolKey;
 use sec_store::{Placement, StoreError};
 use sec_versioning::{
-    ArchiveConfig, ByteVersionRetrieval, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy,
+    ArchiveConfig, BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive, CheckpointPolicy,
+    EncodingStrategy,
 };
 
 use crate::clock::{EventQueue, VirtualClock};
@@ -428,14 +429,27 @@ impl EngineSim {
     /// its node through the engine's placement. The archive's read path has
     /// no fault points, so injected faults never perturb expected results.
     fn oracle(&self, version: usize) -> Result<ByteVersionRetrieval, StoreError> {
+        Ok(self
+            .reference
+            .retrieve_version_from(version, self.oracle_live())?)
+    }
+
+    /// The prefix oracle: versions `1..=upto` read as [`Self::oracle`] reads
+    /// one.
+    fn prefix_oracle(&self, upto: usize) -> Result<BytePrefixRetrieval, StoreError> {
+        Ok(self.reference.retrieve_prefix_from(upto, self.oracle_live())?)
+    }
+
+    /// Whether the model leaves block `position` of stored entry `entry`
+    /// readable, through the engine's placement.
+    fn oracle_live(&self) -> impl Fn(usize, usize) -> bool + '_ {
         let entries = self.reference.layout().len();
         let placement = Placement::new(self.options.placement, self.options.n, entries);
-        let live = |entry, position| {
+        move |entry, position| {
             placement
                 .try_node_for(SymbolKey { entry, position })
                 .is_ok_and(|node| self.model_alive(node))
-        };
-        Ok(self.reference.retrieve_version_from(version, live)?)
+        }
     }
 
     fn do_get(&mut self, version: usize) {
@@ -443,58 +457,107 @@ impl EngineSim {
         let engine_result = self.engine.get_version(version);
         let oracle_result = self.oracle(version);
         let step = self.steps;
-        match (&engine_result, &oracle_result) {
-            (Ok(got), Ok(want)) => {
+        self.check_read(
+            &format!("get_version({version})"),
+            engine_result
+                .as_ref()
+                .map(|got| (got.data.as_slice(), got.io_reads, got.cached)),
+            oracle_result
+                .as_ref()
+                .map(|want| (want.data.as_slice(), want.io_reads)),
+        );
+        if let Ok(got) = engine_result {
+            assert_eq!(
+                Some(got.data.as_slice()),
+                self.model_version(version),
+                "step {step}: get_version({version}) bytes diverged from model"
+            );
+        }
+    }
+
+    fn do_get_prefix(&mut self, upto: usize) {
+        self.expected_retrievals += 1;
+        let engine_result = self.engine.get_prefix(upto);
+        let oracle_result = self.prefix_oracle(upto);
+        let step = self.steps;
+        // Recoverability judged apart from the prefix walk's planning: a
+        // prefix is served exactly when every version in it is.
+        assert_eq!(
+            oracle_result.is_ok(),
+            (1..=upto).all(|version| self.oracle(version).is_ok()),
+            "step {step}: get_prefix({upto}) oracle disagrees with the version oracles"
+        );
+        self.check_read(
+            &format!("get_prefix({upto})"),
+            engine_result
+                .as_ref()
+                .map(|got| (got.versions.as_slice(), got.io_reads, got.cached)),
+            oracle_result
+                .as_ref()
+                .map(|want| (want.versions.as_slice(), want.io_reads)),
+        );
+        if let Ok(prefix) = engine_result {
+            assert_eq!(
+                prefix.versions.len(),
+                upto,
+                "step {step}: get_prefix({upto}) length"
+            );
+            for (idx, got) in prefix.versions.iter().enumerate() {
                 assert_eq!(
-                    *got.data, want.data,
-                    "step {step}: get_version({version}) bytes diverged from oracle"
+                    Some(got.as_slice()),
+                    self.model_version(idx + 1),
+                    "step {step}: get_prefix({upto}) bytes diverged from model at version {}",
+                    idx + 1
                 );
-                let model = self.model_version(version).unwrap_or_else(|| {
-                    panic!("step {step}: get_version({version}) succeeded for a version the model lacks")
-                });
-                assert_eq!(
-                    *got.data, model,
-                    "step {step}: get_version({version}) bytes diverged from model"
-                );
+            }
+        }
+    }
+
+    /// Checks one read, `what`, against the oracle: the engine's answer is
+    /// `(bytes, block reads, cached)`, the oracle's `(bytes, block reads)`.
+    fn check_read<T: PartialEq + std::fmt::Debug>(
+        &self,
+        what: &str,
+        engine: Result<(T, usize, bool), &StoreError>,
+        oracle: Result<(T, usize), &StoreError>,
+    ) {
+        let step = self.steps;
+        match (engine, oracle) {
+            (Ok((got, got_reads, cached)), Ok((want, want_reads))) => {
+                assert_eq!(got, want, "step {step}: {what} bytes diverged from oracle");
                 if self.options.is_strict() {
                     assert_eq!(
-                        got.io_reads, want.io_reads,
-                        "step {step}: get_version({version}) I/O accounting diverged from oracle"
+                        got_reads, want_reads,
+                        "step {step}: {what} I/O accounting diverged from oracle"
                     );
-                    assert!(!got.cached, "step {step}: cache hit with caching disabled");
+                    assert!(!cached, "step {step}: {what} cache hit with caching disabled");
                 }
             }
             (Err(engine_err), Err(oracle_err)) => {
                 if self.options.cache_capacity == 0 {
                     assert_eq!(
                         engine_err, oracle_err,
-                        "step {step}: get_version({version}) failed on both sides with different errors"
+                        "step {step}: {what} failed on both sides with different errors"
                     );
                 } else {
-                    // A nearest-base walk anchors on a cached version, so a
-                    // failing read can surface at a different entry than the
-                    // oracle's from-scratch walk; the error kind must agree.
+                    // A walk anchored on a cached version can fail at a
+                    // different entry than the oracle's from-scratch walk;
+                    // the error kind must agree.
                     assert_eq!(
                         std::mem::discriminant(engine_err),
                         std::mem::discriminant(oracle_err),
-                        "step {step}: get_version({version}) failed on both sides with different \
-                         error kinds ({engine_err} vs {oracle_err})"
+                        "step {step}: {what} failed on both sides with different error kinds \
+                         ({engine_err} vs {oracle_err})"
                     );
                 }
             }
-            (Ok(got), Err(oracle_err)) => {
-                // A cache hit legitimately serves a version the cache-free
+            (Ok((_, _, cached)), Err(oracle_err)) => {
+                // A cached anchor legitimately serves a read the cache-free
                 // oracle cannot reach past the current failures; anything
                 // else is divergence.
                 assert!(
-                    got.cached,
-                    "step {step}: engine served get_version({version}) uncached but the oracle \
-                     fails with {oracle_err}"
-                );
-                assert_eq!(
-                    Some(got.data.as_slice()),
-                    self.model_version(version),
-                    "step {step}: cached get_version({version}) bytes diverged from model"
+                    cached,
+                    "step {step}: engine served {what} uncached but the oracle fails with {oracle_err}"
                 );
             }
             (Err(engine_err), Ok(_)) => {
@@ -502,58 +565,11 @@ impl EngineSim {
                 // fault-free oracle serves; without them this is divergence.
                 assert!(
                     !self.options.is_strict(),
-                    "step {step}: oracle serves get_version({version}) but the engine fails with {engine_err}"
+                    "step {step}: oracle serves {what} but the engine fails with {engine_err}"
                 );
                 assert!(
                     matches!(engine_err, StoreError::Unrecoverable { .. }),
                     "step {step}: injected read faults must surface as Unrecoverable, got {engine_err}"
-                );
-            }
-        }
-    }
-
-    fn do_get_prefix(&mut self, upto: usize) {
-        self.expected_retrievals += 1;
-        let engine_result = self.engine.get_prefix(upto);
-        // The oracle for prefix reads is recoverability of every version in
-        // the prefix (byte equality comes from the model).
-        let oracle_ok = (1..=upto).all(|l| self.oracle(l).is_ok());
-        let step = self.steps;
-        match engine_result {
-            Ok(prefix) => {
-                assert_eq!(
-                    prefix.versions.len(),
-                    upto,
-                    "step {step}: get_prefix({upto}) length"
-                );
-                if self.options.is_strict() {
-                    assert!(
-                        !prefix.cached,
-                        "step {step}: get_prefix({upto}) cache hit with caching disabled"
-                    );
-                }
-                for (idx, got) in prefix.versions.iter().enumerate() {
-                    assert_eq!(
-                        got.as_slice(),
-                        self.model_version(idx + 1).unwrap_or_else(|| panic!(
-                            "step {step}: get_prefix({upto}) returned version {} the model lacks",
-                            idx + 1
-                        )),
-                        "step {step}: get_prefix({upto}) bytes diverged from model at version {}",
-                        idx + 1
-                    );
-                }
-            }
-            Err(e) => {
-                if self.options.is_strict() {
-                    assert!(
-                        !oracle_ok,
-                        "step {step}: oracle serves the full prefix but get_prefix({upto}) failed with {e}"
-                    );
-                }
-                assert!(
-                    matches!(e, StoreError::Unrecoverable { .. }),
-                    "step {step}: get_prefix({upto}) failed with unexpected error {e}"
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! The byte-shard fast path of the versioning layer: a
 //! [`ByteVersionedArchive`] whose stored payloads are contiguous
-//! [`ByteShards`] encoded and retrieved through the batched `GF(2^8)`
-//! pipeline of `sec-erasure`.
+//! [`ByteShards`](sec_erasure::ByteShards) encoded and retrieved through the
+//! batched `GF(2^8)` pipeline of `sec-erasure`.
 //!
 //! Where the paper models a version as `k` field symbols, this archive models
 //! it as an arbitrary byte object split into `k` equally sized blocks
@@ -39,14 +39,14 @@
 use std::ops::Deref;
 
 use sec_erasure::read_plan::{plan_read, ReadPlan, ReadTarget};
-use sec_erasure::{ByteCodec, ByteShards, SecCode};
+use sec_erasure::SecCode;
 use sec_gf::Gf256;
 
 use crate::archive::ArchiveConfig;
 use crate::error::VersioningError;
 use crate::ledger::{ArchiveLedger, ByteEncodedEntry};
 use crate::object::VersionId;
-use crate::walk::{apply_planned, read_target, unchanged, walk_prefix, VersionWalk};
+use crate::walk::{PrefixWalk, VersionWalk};
 
 /// Result of retrieving a single version from a byte archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,7 +194,7 @@ impl ByteVersionedArchive {
             None,
             |idx, target| plan_entry(code, idx, |p| live(idx, p), target),
         )
-        .fold(self.codec(), |idx, p| Ok(self.entries[idx].shards.shard(p)))?;
+        .fold(self.codec(), |_| self, block)?;
         Ok(ByteVersionRetrieval {
             version: l,
             data: out.shards.into_flat(self.object_len().unwrap_or(0)),
@@ -210,16 +210,36 @@ impl ByteVersionedArchive {
     /// Returns [`VersioningError::NoSuchVersion`] for an out-of-range `l`, or
     /// [`VersioningError::EmptyArchive`] when nothing has been appended.
     pub fn retrieve_prefix(&self, l: usize) -> Result<BytePrefixRetrieval, VersioningError> {
+        self.retrieve_prefix_from(l, |_, _| true)
+    }
+
+    /// Retrieves the first `l` versions reading block `position` of stored
+    /// entry `entry` only where `live(entry, position)` holds, each touched
+    /// entry planned as [`ByteVersionedArchive::retrieve_version_from`]
+    /// plans it — the failure-aware reference for prefix reads.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ByteVersionedArchive::retrieve_version_from`].
+    pub fn retrieve_prefix_from<L>(
+        &self,
+        l: usize,
+        live: L,
+    ) -> Result<BytePrefixRetrieval, VersioningError>
+    where
+        L: Fn(usize, usize) -> bool,
+    {
         self.check_version(l)?;
-        let out = walk_prefix(
+        let code = self.codec().code();
+        let out = PrefixWalk::plan(
             self.config().strategy(),
             self.entries.len(),
             |idx| self.entries[idx].payload,
             l,
-            self.object_len().unwrap_or(0),
             None,
-            |idx, acc| apply_entry(self.codec(), idx, &self.entries[idx], |_| true, acc),
-        )?;
+            |idx, target| plan_entry(code, idx, |p| live(idx, p), target),
+        )
+        .fold(self.codec(), self.object_len().unwrap_or(0), |_| self, block)?;
         Ok(BytePrefixRetrieval {
             versions: out.versions,
             io_reads: out.io_reads,
@@ -235,6 +255,16 @@ impl ByteVersionedArchive {
     }
 }
 
+/// Stored entry `idx`'s block at `position`. Every block is in memory, so a
+/// walk holds them by borrowing the archive.
+fn block<'h>(
+    archive: &'h &ByteVersionedArchive,
+    idx: usize,
+    position: usize,
+) -> Result<&'h [u8], VersioningError> {
+    Ok(archive.entries[idx].shards.shard(position))
+}
+
 /// Plans a read of `target` from entry `idx`'s positions that `live`
 /// admits.
 fn plan_entry(
@@ -245,25 +275,6 @@ fn plan_entry(
 ) -> Result<ReadPlan, VersioningError> {
     let live: Vec<usize> = (0..code.n()).filter(|&p| live(p)).collect();
     plan_read(code, &live, target).map_err(|_| VersioningError::Unrecoverable { entry: idx })
-}
-
-/// Folds stored entry `idx` into a prefix walk's accumulator, reading only
-/// the positions `live` admits, and returns `(block_reads, accumulator)`.
-fn apply_entry(
-    codec: &ByteCodec,
-    idx: usize,
-    entry: &ByteEncodedEntry,
-    live: impl Fn(usize) -> bool,
-    acc: Option<ByteShards>,
-) -> Result<(usize, ByteShards), VersioningError> {
-    let Some(target) = read_target(entry.payload) else {
-        // Nothing changed; no reads needed at all.
-        return Ok((0, unchanged(acc, codec.code().k(), entry.shards.shard_len())));
-    };
-    let plan = plan_entry(codec.code(), idx, live, target)?;
-    let shares: Vec<(usize, &[u8])> = plan.nodes.iter().map(|&i| (i, entry.shards.shard(i))).collect();
-    let acc = apply_planned(codec, plan.method, target, &shares, acc)?;
-    Ok((plan.io_reads, acc))
 }
 
 #[cfg(test)]
@@ -558,6 +569,11 @@ mod tests {
                 "version {l}"
             );
         }
+        // A prefix walks down to version 1 whatever its length.
+        assert_eq!(
+            reversed.retrieve_prefix_from(3, live),
+            Err(VersioningError::Unrecoverable { entry: 1 })
+        );
     }
 
     #[test]
@@ -569,17 +585,20 @@ mod tests {
         let mut a = archive(EncodingStrategy::BasicSec);
         let versions = three_versions();
         a.append_all(&versions).unwrap();
-        let entries = a.stored_entries();
-        let live = |position: usize| position == 2 || position == 4;
-        assert!(matches!(
-            apply_entry(a.codec(), 0, entries[0], live, None),
+        let two_rows = |_: usize, position: usize| position == 2 || position == 4;
+        assert_eq!(
+            a.retrieve_version_from(2, two_rows),
             Err(VersioningError::Unrecoverable { entry: 0 })
-        ));
-        let (reads, delta) = apply_entry(a.codec(), 1, entries[1], live, None).unwrap();
-        assert_eq!(reads, 2);
-        assert_eq!(delta.weight(), 1);
-        let expect: Vec<u8> = versions[0].iter().zip(&versions[1]).map(|(x, y)| x ^ y).collect();
-        assert_eq!(delta.into_flat(expect.len()), expect);
+        );
+        // Only the full version keeps every row: v2 costs k + 2 reads, as on
+        // a healthy cluster, while the dense δ3 (read from k rows) is lost.
+        let live = |entry: usize, position: usize| entry == 0 || two_rows(entry, position);
+        let r = a.retrieve_version_from(2, live).unwrap();
+        assert_eq!((r.data, r.io_reads), (versions[1].clone(), 3 + 2));
+        assert_eq!(
+            a.retrieve_version_from(3, live),
+            Err(VersioningError::Unrecoverable { entry: 2 })
+        );
     }
 
     #[test]

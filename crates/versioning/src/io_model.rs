@@ -205,7 +205,7 @@ impl IoModel {
             EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
                 // Anchor on the most recent stored full at or before entry
                 // l - 1, then pay for every delta after it — the exact
-                // traversal of `walk::walk_version`.
+                // traversal of `walk::VersionWalk::plan`.
                 let anchor = (0..l)
                     .rev()
                     .find(|&idx| matches!(payloads[idx], StoredPayload::FullVersion { .. }))

@@ -1,48 +1,43 @@
 //! The per-strategy retrieval traversal, shared by every byte-shard read
-//! path.
+//! path. The reference [`ByteVersionedArchive`](crate::ByteVersionedArchive)
+//! and the concurrent `SecEngine` in `sec-engine` differ only in how one
+//! entry is planned and how its blocks are fetched, so the strategy walk
+//! (find the anchor, XOR deltas forward, or un-apply them backward from the
+//! Reversed-SEC latest copy) and the decodes live here once, parameterized
+//! over closures, and cannot drift between layers.
 //!
-//! Two layers serve versions out of the same stored-entry layout — the
-//! reference [`ByteVersionedArchive`](crate::ByteVersionedArchive), whose
-//! in-memory blocks are read from whichever positions the caller's live set
-//! admits, and the concurrent `SecEngine` in `sec-engine`, whose blocks sit
-//! on storage nodes. They differ only in *how one entry is planned and how
-//! its blocks are fetched*; the strategy walk itself (find the anchor, XOR
-//! deltas forward, or un-apply deltas backward from the Reversed-SEC latest
-//! copy) and the decode of the fetched blocks are identical. This module
-//! holds both once, parameterized over per-entry callbacks, so the strategy
-//! semantics cannot drift between layers.
+//! Every read — one version ([`VersionWalk`]) or the prefix `1..=l`
+//! ([`PrefixWalk`]) — first **plans** every entry it touches, in walk order,
+//! stopping at the first entry no plan can read, then **folds**: it holds
+//! the planned blocks, reads them in walk order and decodes. A read failure
+//! ends the walk where it happens and a plan failure is reported after the
+//! reads of the entries before it — the entry and the reads of a walk that
+//! planned, read and decoded one entry at a time.
 //!
-//! A walk to one version ([`VersionWalk`]) runs in two phases:
-//!
-//! 1. **Plan** every entry it touches, in walk order, stopping at the first
-//!    entry no plan can read ([`VersionWalk::plan`]).
-//! 2. **Fold** ([`VersionWalk::fold`]): read every planned block in walk
-//!    order, then decode. A read failure ends the walk where it happens and
-//!    a plan failure is reported after the reads of the entries before it —
-//!    the entry and the reads of a walk that planned, read and decoded one
-//!    entry at a time. SEC is linear, so the coded form of
-//!    `x_l = x_b ⊕ Σ z_j` is `c(x_b) ⊕ Σ c(z_j)`: every full-plan entry
-//!    that reads the same position set — the full version starting the
-//!    chain, each dense delta, any sparse delta whose plan fell back to `k`
-//!    reads — is summed block by block and decoded once
-//!    ([`Decode::decode_sum`]), straight into the chain's accumulator, while
-//!    the sparse deltas recover into the same accumulator
-//!    ([`Decode::recover_sparse`]).
-//!
-//! A prefix walk ([`walk_prefix`]) needs every version on the way, so it
-//! folds entry by entry through a callback ([`apply_planned`]).
+//! * A version fold holds every planned block at once and decodes once per
+//!   position set. SEC is linear, so the coded form of `x_l = x_b ⊕ Σ z_j`
+//!   is `c(x_b) ⊕ Σ c(z_j)`: every full-plan entry reading the same position
+//!   set — the chain's full version, each dense delta, any sparse delta
+//!   whose plan fell back to `k` reads — is summed and decoded once
+//!   ([`Decode::decode_sum`]) into the chain's accumulator, while sparse
+//!   deltas recover into it ([`Decode::recover_sparse`]).
+//! * A prefix fold outputs every version on the way, so nothing is summed:
+//!   it holds, reads and decodes one step at a time — a stored full
+//!   restarting the accumulator — and copies each version out after its
+//!   step, so a long prefix never holds every node it reads (for the
+//!   engine, their read locks) at once.
 //!
 //! Conventions shared by every caller:
 //!
-//! * `payload_at(i)` describes stored entry `i` of `stored_count` entries in
-//!   entry order, with the Reversed-SEC full latest copy as the **final**
-//!   element (the order of [`ArchiveLedger::layout`](crate::ArchiveLedger::layout));
-//! * an all-zero (`γ = 0`) delta is known without reading a block: it is
-//!   never planned ([`read_target`] returns `None`) and leaves the
-//!   accumulator as it is ([`unchanged`]). The walk never materialises a
-//!   delta and never XORs `k` blocks itself;
-//! * version bounds are validated by the caller — the walk assumes
-//!   `1 ≤ l ≤ L`.
+//! * `payload_at(i)` describes stored entry `i` of `stored_count` in entry
+//!   order, the Reversed-SEC full latest copy **last** (the order of
+//!   [`ArchiveLedger::layout`](crate::ArchiveLedger::layout));
+//! * a fold fetches blocks in two moves: `hold(reads)` keeps the blocks of
+//!   `reads` — `(entry, positions)` pairs — readable (the engine's node read
+//!   locks), and `read(&held, entry, position)` borrows one of them;
+//! * an all-zero (`γ = 0`) delta is never planned or read and leaves the
+//!   accumulator as it is; the walk never XORs `k` blocks itself;
+//! * the caller validates `1 ≤ l ≤ L`.
 
 use sec_erasure::read_plan::{DecodeMethod, ReadPlan, ReadTarget};
 use sec_erasure::{ByteCodec, ByteShards, CodeError};
@@ -106,12 +101,13 @@ impl Decode for ByteCodec {
         acc: Option<ByteShards>,
     ) -> Result<ByteShards, CodeError> {
         let shard_len = shares.first().map_or(0, |(_, shard)| shard.len());
-        let mut acc = unchanged(acc, self.code().k(), shard_len);
+        let mut acc = acc.unwrap_or_else(|| ByteShards::zeroed(self.code().k(), shard_len));
         self.recover_sparse_into(shares, gamma, &mut acc).map(|()| acc)
     }
 }
 
-/// Result of one strategy walk: the I/O spent and what was reconstructed.
+/// Result of a walk to one version: the I/O spent and what was
+/// reconstructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkOutcome {
     /// Total block reads spent.
@@ -127,72 +123,52 @@ pub struct WalkOutcome {
     pub anchor_used: bool,
 }
 
-impl WalkOutcome {
-    /// Starts a chain at the decoded `anchor` when there is one (no reads),
-    /// else at the stored full version in entry `full_idx`. Also returns the
-    /// version the chain now holds (a full version stored in entry `i` is
-    /// version `i + 1` under every strategy), which bounds the deltas left
-    /// to apply.
-    fn start<E, R>(
-        anchor: Option<(usize, ByteShards)>,
-        full_idx: usize,
-        read_entry: &mut R,
-    ) -> Result<(usize, Self), E>
-    where
-        R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
-    {
-        if let Some((version, shards)) = anchor {
-            let chain = Self {
-                io_reads: 0,
-                entries_read: 0,
-                shards,
-                anchor_used: true,
-            };
-            return Ok((version, chain));
-        }
-        let (io_reads, shards) = read_entry(full_idx, None)?;
-        let chain = Self {
-            io_reads,
-            entries_read: 1,
-            shards,
-            anchor_used: false,
-        };
-        Ok((full_idx + 1, chain))
-    }
-
-    /// Folds the delta in entry `idx` into the chain: the accumulator goes
-    /// through `read_entry` and comes back with the delta applied.
-    fn apply_delta<E, R>(mut self, idx: usize, read_entry: &mut R) -> Result<Self, E>
-    where
-        R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
-    {
-        let (reads, shards) = read_entry(idx, Some(self.shards))?;
-        self.shards = shards;
-        self.io_reads += reads;
-        self.entries_read += 1;
-        Ok(self)
-    }
+/// Result of a prefix walk: the I/O spent and versions `x_1, …, x_l`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixWalkOutcome {
+    /// Total block reads spent.
+    pub io_reads: usize,
+    /// Number of stored entries that were touched.
+    pub entries_read: usize,
+    /// The reconstructed versions in order, trimmed to `object_len` bytes.
+    pub versions: Vec<Vec<u8>>,
+    /// Whether the walk started from the caller's decoded tail instead of
+    /// the stored latest copy.
+    pub anchor_used: bool,
 }
 
-/// One entry a version walk touches and the read planned for it.
+/// One entry a walk touches and the read planned for it.
 #[derive(Debug)]
 struct Step {
     idx: usize,
+    /// Whether the entry stores a full version, which a prefix fold decodes
+    /// afresh.
+    full: bool,
     /// The positions to read and, for a sparse plan, the `γ` to recover —
     /// `None` for a `γ = 0` delta, which reads nothing.
     read: Option<(Vec<usize>, Option<usize>)>,
 }
 
 /// A walk to one version with every entry it touches planned
-/// ([`VersionWalk::plan`]), ready to be read and decoded
-/// ([`VersionWalk::fold`]).
+/// ([`VersionWalk::plan`]), ready for [`VersionWalk::fold`].
 #[derive(Debug)]
 pub struct VersionWalk<E> {
     steps: Vec<Step>,
     /// The first plan failure in walk order; planning stopped there.
     failure: Option<E>,
-    /// The caller's decoded anchor, when the walk starts from it.
-    anchor: Option<ByteShards>,
+    /// The caller's decoded anchor `(version, shards)`, when the walk
+    /// starts from it.
+    anchor: Option<(usize, ByteShards)>,
+}
+
+/// A walk that reconstructs versions `1..=l`, every entry it touches
+/// planned ([`PrefixWalk::plan`]), ready for [`PrefixWalk::fold`]. It plans
+/// as a [`VersionWalk`] does but folds differently, so it is its own type.
+#[derive(Debug)]
+pub struct PrefixWalk<E> {
+    walk: VersionWalk<E>,
+    /// The last version the prefix returns.
+    l: usize,
 }
 
 impl<E> VersionWalk<E> {
@@ -216,17 +192,33 @@ impl<E> VersionWalk<E> {
         payload_at: P,
         l: usize,
         anchor: Option<(usize, ByteShards)>,
-        mut plan_entry: Q,
+        plan_entry: Q,
     ) -> Self
     where
         P: Fn(usize) -> StoredPayload,
         Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
     {
         let (anchor, entries) = chain(strategy, stored_count, &payload_at, l, anchor);
+        Self::plan_entries(entries, anchor, payload_at, plan_entry)
+    }
+
+    /// Plans `entries` in walk order, stopping at the first one
+    /// `plan_entry` cannot plan.
+    fn plan_entries<P, Q>(
+        entries: Vec<usize>,
+        anchor: Option<(usize, ByteShards)>,
+        payload_at: P,
+        mut plan_entry: Q,
+    ) -> Self
+    where
+        P: Fn(usize) -> StoredPayload,
+        Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
+    {
         let mut steps = Vec::with_capacity(entries.len());
         let mut failure = None;
         for idx in entries {
-            let read = match read_target(payload_at(idx)) {
+            let target = read_target(payload_at(idx));
+            let read = match target {
                 None => None,
                 Some(target) => match plan_entry(idx, target) {
                     Ok(plan) => Some((plan.nodes, sparse_gamma(plan.method, target))),
@@ -236,7 +228,8 @@ impl<E> VersionWalk<E> {
                     }
                 },
             };
-            steps.push(Step { idx, read });
+            let full = target == Some(ReadTarget::Full);
+            steps.push(Step { idx, full, read });
         }
         Self {
             steps,
@@ -245,37 +238,33 @@ impl<E> VersionWalk<E> {
         }
     }
 
-    /// The block reads the plans call for, in walk order: every planned
-    /// entry before a plan failure, with the positions it reads — what a
-    /// caller must keep readable while [`VersionWalk::fold`] runs.
-    pub fn reads(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.steps
-            .iter()
-            .filter_map(|step| step.read.as_ref().map(|(nodes, _)| (step.idx, nodes.as_slice())))
-    }
-
-    /// Reads every planned block through `read(entry, position)` in walk
-    /// order, then folds the chain: each position set's full-plan entries
-    /// are summed and decoded once, the first set (the chain start's)
-    /// overwriting a fresh accumulator unless the walk starts from the
-    /// caller's anchor, every later one accumulating; sparse entries recover
-    /// into the accumulator as they come.
+    /// Folds the chain: holds every planned block at once — a sum decodes
+    /// several entries' blocks together — and reads each in walk order;
+    /// then decodes each position set's full-plan entries as one sum, the
+    /// first set (the chain start's) overwriting a fresh accumulator unless
+    /// the walk starts from the caller's anchor, every later one
+    /// accumulating; sparse entries recover into the accumulator as they
+    /// come.
     ///
     /// # Errors
     ///
     /// The first `read` error in walk order; otherwise the plan failure
     /// planning stopped at; otherwise the first decode error.
-    pub fn fold<'b, D, R>(self, decoder: &D, mut read: R) -> Result<WalkOutcome, E>
+    pub fn fold<D, H, L, R>(self, decoder: &D, mut hold: L, mut read: R) -> Result<WalkOutcome, E>
     where
         D: Decode,
         E: From<CodeError>,
-        R: FnMut(usize, usize) -> Result<&'b [u8], E>,
+        L: FnMut(&[(usize, &[usize])]) -> H,
+        R: for<'h> FnMut(&'h H, usize, usize) -> Result<&'h [u8], E>,
     {
-        let mut shares: Vec<(usize, &'b [u8])> =
-            Vec::with_capacity(self.reads().map(|(_, nodes)| nodes.len()).sum());
-        for (idx, nodes) in self.reads() {
+        let reads: Vec<(usize, &[usize])> = (self.steps.iter())
+            .filter_map(|step| step.read.as_ref().map(|(nodes, _)| (step.idx, nodes.as_slice())))
+            .collect();
+        let held = hold(&reads);
+        let mut shares = Vec::with_capacity(reads.iter().map(|(_, nodes)| nodes.len()).sum());
+        for &(idx, nodes) in &reads {
             for &position in nodes {
-                shares.push((position, read(idx, position)?));
+                shares.push((position, read(&held, idx, position)?));
             }
         }
         if let Some(failure) = self.failure {
@@ -284,10 +273,13 @@ impl<E> VersionWalk<E> {
 
         // One decode per position set, at the set's first entry in walk
         // order; the sparse entries in between.
-        let mut order: Vec<FoldStep<'_, 'b>> = Vec::new();
+        let mut order: Vec<FoldStep<'_, '_>> = Vec::new();
         let mut rest = shares.as_slice();
-        for (nodes, sparse) in self.steps.iter().filter_map(|step| step.read.as_ref()) {
-            // audit: panic ok — the loop above pushed exactly `nodes.len()` shares per planned entry
+        for step in &self.steps {
+            let Some((nodes, sparse)) = &step.read else {
+                continue;
+            };
+            // audit: panic ok — the read phase pushed exactly `nodes.len()` shares per planned entry
             let (entry_shares, tail) = rest.split_at(nodes.len());
             rest = tail;
             if let Some(gamma) = *sparse {
@@ -304,7 +296,7 @@ impl<E> VersionWalk<E> {
             }
         }
         let anchor_used = self.anchor.is_some();
-        let mut acc = self.anchor;
+        let mut acc = self.anchor.map(|(_, shards)| shards);
         for step in order {
             acc = Some(match step {
                 FoldStep::Sum(_, members) => decoder.decode_sum(&members, acc)?,
@@ -313,16 +305,116 @@ impl<E> VersionWalk<E> {
                 }
             });
         }
-        // Unreachable: a walk without an anchor starts at a stored full
-        // version, whose group decodes first.
-        let shards = acc.ok_or(CodeError::NotEnoughShares {
-            needed: 1,
-            available: 0,
-        })?;
         Ok(WalkOutcome {
             io_reads: shares.len(),
             entries_read: self.steps.len(),
-            shards,
+            shards: acc.ok_or_else(no_chain)?,
+            anchor_used,
+        })
+    }
+}
+
+impl<E> PrefixWalk<E> {
+    /// Plans the walk that reconstructs versions `1..=l` under `strategy`,
+    /// as [`VersionWalk::plan`] plans one version: entries `0..l` in order
+    /// for Basic, Optimized and NonDifferential, and for Reversed SEC the
+    /// chain of the walk to version 1.
+    ///
+    /// `tail` is an optional already-decoded version `(version, shards)`
+    /// with `version ≥ l`. Reversed SEC un-applies its deltas backwards from
+    /// it instead of reading the stored full latest copy; the forward
+    /// strategies read every stored entry below `l` regardless and ignore
+    /// it.
+    pub fn plan<P, Q>(
+        strategy: EncodingStrategy,
+        stored_count: usize,
+        payload_at: P,
+        l: usize,
+        tail: Option<(usize, ByteShards)>,
+        plan_entry: Q,
+    ) -> Self
+    where
+        P: Fn(usize) -> StoredPayload,
+        Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
+    {
+        let (anchor, entries) = match strategy {
+            EncodingStrategy::ReversedSec => chain(strategy, stored_count, &payload_at, 1, tail),
+            _ => (None, (0..l).collect()),
+        };
+        let walk = VersionWalk::plan_entries(entries, anchor, payload_at, plan_entry);
+        Self { walk, l }
+    }
+
+    /// Folds the chain step by step — every version is an output, so
+    /// nothing is summed, and each step's blocks are held, read and decoded
+    /// before the next step's are held: a stored full starts the chain
+    /// afresh, a dense delta decodes onto it and a sparse one recovers into
+    /// it. After each step the version the chain holds is copied out,
+    /// trimmed to `object_len` bytes (dropping shard zero-padding), when it
+    /// is one of `1..=l`.
+    ///
+    /// # Errors
+    ///
+    /// What a walk that planned, read and decoded one entry at a time meets
+    /// first: a `read` or decode error where it happens, and the plan
+    /// failure after every entry before it.
+    pub fn fold<D, H, L, R>(
+        self,
+        decoder: &D,
+        object_len: usize,
+        mut hold: L,
+        mut read: R,
+    ) -> Result<PrefixWalkOutcome, E>
+    where
+        D: Decode,
+        E: From<CodeError>,
+        L: FnMut(&[(usize, &[usize])]) -> H,
+        R: for<'h> FnMut(&'h H, usize, usize) -> Result<&'h [u8], E>,
+    {
+        let Self { walk, l } = self;
+        // The one padding rule every read layer shares: a version is the
+        // first `object_len` bytes of its data shards.
+        let trim = |shards: &ByteShards| {
+            let bytes = shards.as_bytes();
+            bytes.get(..object_len).unwrap_or(bytes).to_vec()
+        };
+        let mut versions = Vec::with_capacity(l);
+        let anchor_used = walk.anchor.is_some();
+        let mut acc = walk.anchor.map(|(version, shards)| {
+            if version <= l {
+                versions.push((version, trim(&shards)));
+            }
+            shards
+        });
+        let mut io_reads = 0;
+        for step in &walk.steps {
+            if let Some((nodes, sparse)) = &step.read {
+                let held = hold(&[(step.idx, nodes.as_slice())]);
+                let shares = (nodes.iter())
+                    .map(|&position| Ok((position, read(&held, step.idx, position)?)))
+                    .collect::<Result<Vec<_>, E>>()?;
+                io_reads += shares.len();
+                acc = Some(match *sparse {
+                    Some(gamma) => decoder.recover_sparse(&shares, gamma, acc)?,
+                    None => decoder.decode_sum(&[&shares], if step.full { None } else { acc })?,
+                });
+            }
+            // Under every strategy, folding in entry `i` leaves the chain
+            // holding version `i + 1`.
+            let version = acc.as_ref().ok_or_else(no_chain)?;
+            if step.idx < l {
+                versions.push((step.idx + 1, trim(version)));
+            }
+        }
+        if let Some(failure) = walk.failure {
+            return Err(failure);
+        }
+        // Reversed SEC produces the versions newest-first.
+        versions.sort_unstable_by_key(|&(version, _)| version);
+        Ok(PrefixWalkOutcome {
+            io_reads,
+            entries_read: walk.steps.len(),
+            versions: versions.into_iter().map(|(_, bytes)| bytes).collect(),
             anchor_used,
         })
     }
@@ -331,7 +423,16 @@ impl<E> VersionWalk<E> {
 /// One entry's shares: `(position, block)` in plan order.
 type Shares<'b> = [(usize, &'b [u8])];
 
-/// One decode of a walk's fold, in walk order.
+/// The error of a fold left with no chain to fold into — unreachable: a
+/// walk without an anchor starts at a stored full version.
+fn no_chain() -> CodeError {
+    CodeError::NotEnoughShares {
+        needed: 1,
+        available: 0,
+    }
+}
+
+/// One decode of a version walk's fold, in walk order.
 enum FoldStep<'s, 'b> {
     /// The summed decode of every full-plan entry reading this position set.
     Sum(&'s [usize], Vec<&'s Shares<'b>>),
@@ -347,13 +448,13 @@ fn chain<P>(
     payload_at: &P,
     l: usize,
     anchor: Option<(usize, ByteShards)>,
-) -> (Option<ByteShards>, Vec<usize>)
+) -> (Option<(usize, ByteShards)>, Vec<usize>)
 where
     P: Fn(usize) -> StoredPayload,
 {
     match strategy {
         EncodingStrategy::NonDifferential => match anchor.filter(|&(version, _)| version == l) {
-            Some((_, shards)) => (Some(shards), Vec::new()),
+            Some(anchor) => (Some(anchor), Vec::new()),
             None => (None, vec![l - 1]),
         },
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
@@ -366,7 +467,7 @@ where
             // is followed by entries `b..l` — usable only while the latest
             // full lies below them.
             match anchor.filter(|&(version, _)| version > full) {
-                Some((base, shards)) => (Some(shards), (base..l).collect()),
+                Some((base, shards)) => (Some((base, shards)), (base..l).collect()),
                 None => (None, (full..l).collect()),
             }
         }
@@ -374,9 +475,9 @@ where
             // The full latest copy is the final stored entry and entry
             // `v - 2` stores the delta to version `v`; un-apply the deltas
             // newest-first from the tail (or the latest copy) down to `l + 1`.
-            let (anchor, held, start) = match anchor {
-                Some((tail, shards)) => (Some(shards), tail, None),
-                None => (None, stored_count, Some(stored_count - 1)),
+            let (held, start) = match &anchor {
+                Some((tail, _)) => (*tail, None),
+                None => (stored_count, Some(stored_count - 1)),
             };
             let deltas = (l.saturating_sub(1)..held.saturating_sub(1)).rev();
             (anchor, start.into_iter().chain(deltas).collect())
@@ -386,20 +487,13 @@ where
 
 /// Maps one stored payload to its SEC read target, or `None` for the
 /// `γ = 0` shortcut: an all-zero delta is known without reading a single
-/// block, so the caller should return `(0, unchanged(acc, k, shard_len))`
-/// directly.
-pub fn read_target(payload: StoredPayload) -> Option<ReadTarget> {
+/// block.
+pub(crate) fn read_target(payload: StoredPayload) -> Option<ReadTarget> {
     match payload {
         StoredPayload::FullVersion { .. } => Some(ReadTarget::Full),
         StoredPayload::Delta { sparsity: 0, .. } => None,
         StoredPayload::Delta { sparsity, .. } => Some(ReadTarget::Sparse { gamma: sparsity }),
     }
-}
-
-/// The fold step of an all-zero delta: the accumulator itself, or `k` zero
-/// shards of `shard_len` bytes when no chain has started.
-pub fn unchanged(acc: Option<ByteShards>, k: usize, shard_len: usize) -> ByteShards {
-    acc.unwrap_or_else(|| ByteShards::zeroed(k, shard_len))
 }
 
 /// The `γ` a plan recovers, `None` for a full plan. Sparse plans only arise
@@ -408,126 +502,6 @@ fn sparse_gamma(method: DecodeMethod, target: ReadTarget) -> Option<usize> {
     match (method, target) {
         (DecodeMethod::SparseRecovery, ReadTarget::Sparse { gamma }) => Some(gamma),
         _ => None,
-    }
-}
-
-/// Applies one planned entry read to the chain — the per-entry fold of a
-/// prefix walk: decodes the gathered shares of a
-/// [`ReadPlan`] under its chosen method and folds them into `acc`.
-///
-/// With no accumulator (the start of a chain) the decoded object *is* the
-/// result. With one, a sparse plan recovers its `γ` blocks straight into it
-/// ([`Decode::recover_sparse`]), and a full plan is decoded onto it
-/// ([`Decode::decode_sum`] of one codeword, accumulating) — no `k`-block
-/// temporary either way. A full plan is not a dense delta by construction:
-/// under a systematic code a sparse delta whose live positions hold no
-/// qualifying `2γ`-subset falls back to `k` reads too.
-///
-/// Shared by every read layer so the method dispatch lives once.
-///
-/// # Errors
-///
-/// Propagates decode failures from the codec.
-pub fn apply_planned<D: Decode>(
-    decoder: &D,
-    method: DecodeMethod,
-    target: ReadTarget,
-    shares: &[(usize, &[u8])],
-    acc: Option<ByteShards>,
-) -> Result<ByteShards, CodeError> {
-    match sparse_gamma(method, target) {
-        Some(gamma) => decoder.recover_sparse(shares, gamma, acc),
-        None => decoder.decode_sum(&[shares], acc),
-    }
-}
-
-/// Result of a prefix walk: the I/O spent and versions `x_1, …, x_l`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixWalkOutcome {
-    /// Total block reads spent.
-    pub io_reads: usize,
-    /// Number of stored entries that were touched.
-    pub entries_read: usize,
-    /// The reconstructed versions in order, trimmed to `object_len` bytes.
-    pub versions: Vec<Vec<u8>>,
-    /// Whether the walk started from the caller's decoded tail instead of
-    /// the stored latest copy.
-    pub anchor_used: bool,
-}
-
-/// Reconstructs versions `1..=l` in one pass under `strategy`, trimming each
-/// to `object_len` bytes (dropping shard zero-padding). Every version is a
-/// distinct output, so each is copied out of the chain's accumulator.
-///
-/// `tail` is an optional already-decoded version `(version, shards)` with
-/// `version ≥ l`. Reversed SEC un-applies its deltas backwards from it
-/// instead of reading the stored full latest copy; the forward strategies
-/// read every stored entry below `l` regardless and ignore it.
-///
-/// # Errors
-///
-/// Propagates the first `read_entry` error.
-pub fn walk_prefix<E, P, R>(
-    strategy: EncodingStrategy,
-    stored_count: usize,
-    payload_at: P,
-    l: usize,
-    object_len: usize,
-    tail: Option<(usize, ByteShards)>,
-    mut read_entry: R,
-) -> Result<PrefixWalkOutcome, E>
-where
-    P: Fn(usize) -> StoredPayload,
-    R: FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), E>,
-{
-    // The one padding rule every read layer shares: a version is the first
-    // `object_len` bytes of its data shards.
-    let trim = |shards: &ByteShards| {
-        let bytes = shards.as_bytes();
-        bytes.get(..object_len).unwrap_or(bytes).to_vec()
-    };
-    match strategy {
-        EncodingStrategy::NonDifferential
-        | EncodingStrategy::BasicSec
-        | EncodingStrategy::OptimizedSec => {
-            let mut io_reads = 0;
-            let mut versions: Vec<Vec<u8>> = Vec::with_capacity(l);
-            let mut acc: Option<ByteShards> = None;
-            for idx in 0..l {
-                // A full version starts a new chain; a delta extends the
-                // one its base version (entry 0 is always full) started.
-                let chain = match payload_at(idx) {
-                    StoredPayload::FullVersion { .. } => None,
-                    StoredPayload::Delta { .. } => acc.take(),
-                };
-                let (reads, held) = read_entry(idx, chain)?;
-                io_reads += reads;
-                versions.push(trim(&held));
-                acc = Some(held);
-            }
-            Ok(PrefixWalkOutcome {
-                io_reads,
-                entries_read: l,
-                versions,
-                anchor_used: false,
-            })
-        }
-        EncodingStrategy::ReversedSec => {
-            let (held, mut chain) = WalkOutcome::start(tail, stored_count - 1, &mut read_entry)?;
-            let mut versions_rev = vec![trim(&chain.shards)];
-            for idx in (0..held.saturating_sub(1)).rev() {
-                chain = chain.apply_delta(idx, &mut read_entry)?;
-                versions_rev.push(trim(&chain.shards));
-            }
-            versions_rev.reverse();
-            versions_rev.truncate(l);
-            Ok(PrefixWalkOutcome {
-                io_reads: chain.io_reads,
-                entries_read: chain.entries_read,
-                versions: versions_rev,
-                anchor_used: chain.anchor_used,
-            })
-        }
     }
 }
 
@@ -650,8 +624,11 @@ mod tests {
     where
         Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, CodeError>,
     {
-        VersionWalk::plan(strategy, entries.len(), |i| entries[i].0, l, anchor, plan)
-            .fold(fake, |idx, _| Ok(entries[idx].1.shard(0)))
+        VersionWalk::plan(strategy, entries.len(), |i| entries[i].0, l, anchor, plan).fold(
+            fake,
+            |_| entries,
+            |entries, idx, _| Ok(entries[idx].1.shard(0)),
+        )
     }
 
     /// The walk to version `l` over `entries`, one block read per touched
@@ -665,16 +642,35 @@ mod tests {
         walk_with(strategy, entries, l, anchor, &Fake::default(), plan_one).unwrap()
     }
 
-    /// The per-entry fold step of a prefix walk over `entries`: one block
-    /// read per touched entry, a full version decoded afresh, a delta XORed
-    /// into the accumulator.
-    fn fold(
+    /// Plans and folds the prefix walk to version `l` over `entries` through
+    /// `plan` and `fake`, recording the entry of every block read.
+    fn prefix_with<Q>(
+        strategy: EncodingStrategy,
         entries: &Entries,
-    ) -> impl FnMut(usize, Option<ByteShards>) -> Result<(usize, ByteShards), CodeError> + '_ {
-        |idx, acc| Ok((1, xor_onto(acc, entries[idx].1.as_bytes()[0])))
+        l: usize,
+        tail: Option<(usize, ByteShards)>,
+        fake: &Fake,
+        plan: Q,
+    ) -> (PrefixWalkOutcome, Vec<usize>)
+    where
+        Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, CodeError>,
+    {
+        let mut reads = Vec::new();
+        let out = PrefixWalk::plan(strategy, entries.len(), |i| entries[i].0, l, tail, plan)
+            .fold(
+                fake,
+                1,
+                |_| entries,
+                |entries, idx, _| {
+                    reads.push(idx);
+                    Ok(entries[idx].1.shard(0))
+                },
+            )
+            .unwrap();
+        (out, reads)
     }
 
-    /// `walk_prefix` over `entries` (one-byte objects), one block read per
+    /// The prefix walk to version `l` over `entries`, one block read per
     /// touched entry.
     fn prefix(
         strategy: EncodingStrategy,
@@ -682,16 +678,7 @@ mod tests {
         l: usize,
         tail: Option<(usize, ByteShards)>,
     ) -> PrefixWalkOutcome {
-        walk_prefix(
-            strategy,
-            entries.len(),
-            |i| entries[i].0,
-            l,
-            1,
-            tail,
-            fold(entries),
-        )
-        .unwrap()
+        prefix_with(strategy, entries, l, tail, &Fake::default(), plan_one).0
     }
 
     #[test]
@@ -731,6 +718,32 @@ mod tests {
         // a decoded tail is ignored, not misapplied.
         let anchored = prefix(EncodingStrategy::BasicSec, &entries, 3, anchor(3, 7));
         assert_eq!(anchored, out);
+    }
+
+    #[test]
+    fn a_stored_full_restarts_a_forward_prefix() {
+        // A checkpoint mid-chain: full x1=5, z2=3, full x3=7, z4=2. Every
+        // entry is a full plan on one position set, which a version fold
+        // would sum; a prefix decodes each on its own, and the full at
+        // entry 2 replaces the chain rather than XORing onto it.
+        let entries = vec![full(1, 5), delta(2, 3), full(3, 7), delta(4, 2)];
+        for strategy in [EncodingStrategy::BasicSec, EncodingStrategy::OptimizedSec] {
+            let fake = Fake::default();
+            let plan = |_: usize, _| Ok(plan_at(&[0, 2], false));
+            let (out, _) = prefix_with(strategy, &entries, 4, None, &fake, plan);
+            assert_eq!(
+                out.versions,
+                vec![vec![5u8], vec![6], vec![7], vec![5]],
+                "{strategy:?}"
+            );
+            assert_eq!(
+                *fake.sums.borrow(),
+                vec![1; 4],
+                "{strategy:?}: one decode per entry"
+            );
+            assert_eq!((out.io_reads, out.entries_read), (8, 4), "{strategy:?}");
+            assert!(!out.anchor_used);
+        }
     }
 
     #[test]
@@ -779,12 +792,45 @@ mod tests {
             assert_eq!(out.entries_read, touched, "l={l} tail={tail}");
             assert_eq!(out.io_reads, touched);
         }
-        // Prefix from the tail: versions 1..=2 without reading the full copy.
-        let prefix = prefix(EncodingStrategy::ReversedSec, &entries, 2, anchor(3, 7));
-        assert!(prefix.anchor_used);
-        assert_eq!(prefix.versions, vec![vec![5u8], vec![6]]);
-        assert_eq!(prefix.entries_read, 2);
-        assert_eq!(prefix.io_reads, 2);
+    }
+
+    #[test]
+    fn a_reversed_prefix_from_a_cached_tail_skips_the_latest_copy() {
+        // [z2=3, z3=1, x3=7]: from a decoded tail the prefix un-applies only
+        // the deltas below it and never reads entry 2, the latest copy; a
+        // tail equal to `l` is itself the prefix's last version.
+        let entries = reversed_entries();
+        let all = [vec![5u8], vec![6], vec![7]];
+        for (l, tail, byte, walked) in [(2, 3, 7, vec![1, 0]), (3, 3, 7, vec![1, 0]), (2, 2, 6, vec![0])]
+        {
+            let (out, reads) = prefix_with(
+                EncodingStrategy::ReversedSec,
+                &entries,
+                l,
+                anchor(tail, byte),
+                &Fake::default(),
+                plan_one,
+            );
+            let case = format!("l={l} tail={tail}");
+            assert!(out.anchor_used, "{case}");
+            assert_eq!(out.versions, all[..l], "{case}");
+            assert_eq!(reads, walked, "{case}");
+            assert_eq!(
+                (out.io_reads, out.entries_read),
+                (walked.len(), walked.len()),
+                "{case}"
+            );
+        }
+        // Without a tail the walk starts at the latest copy.
+        let (out, reads) = prefix_with(
+            EncodingStrategy::ReversedSec,
+            &entries,
+            2,
+            None,
+            &Fake::default(),
+            plan_one,
+        );
+        assert_eq!((out.versions, reads), (all[..2].to_vec(), vec![2, 1, 0]));
     }
 
     #[test]
@@ -796,6 +842,8 @@ mod tests {
         let out = walk(EncodingStrategy::NonDifferential, &entries, 2, anchor(1, 5));
         assert!(!out.anchor_used, "no delta chain links version 1 to 2");
         assert_eq!((out.io_reads, out.shards.as_bytes()), (1, &[6u8][..]));
+        let out = prefix(EncodingStrategy::NonDifferential, &entries, 2, None);
+        assert_eq!((out.io_reads, out.versions), (2, vec![vec![5u8], vec![6]]));
     }
 
     #[test]
@@ -888,15 +936,32 @@ mod tests {
 
     #[test]
     fn plan_and_read_failures_report_the_per_entry_walks_entry() {
-        // Five entries, every one a full plan (one group): a walk that
-        // planned, read and decoded entry by entry stops at the first entry
-        // in walk order that cannot be planned or read, having read every
-        // entry before it.
+        // Five entries, every one a full plan (one group in a version walk):
+        // a walk that planned, read and decoded entry by entry stops at the
+        // first entry in walk order that cannot be planned or read, having
+        // read every entry before it. The prefix walks — the forward one
+        // over a layout with a checkpoint, so that its order is not the
+        // version walk's — report the same.
         let forward = vec![full(1, 5), delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8)];
+        let checkpointed = vec![full(1, 5), delta(2, 3), full(3, 7), delta(4, 3), delta(5, 8)];
         let reversed = vec![delta(2, 3), delta(3, 1), delta(4, 3), delta(5, 8), full(5, 12)];
-        for (strategy, entries, walk_order) in [
-            (EncodingStrategy::BasicSec, &forward, [0, 1, 2, 3, 4]),
-            (EncodingStrategy::ReversedSec, &reversed, [4, 3, 2, 1, 0]),
+        for (strategy, entries, prefix, l, walk_order) in [
+            (EncodingStrategy::BasicSec, &forward, false, 5, [0, 1, 2, 3, 4]),
+            (
+                EncodingStrategy::ReversedSec,
+                &reversed,
+                false,
+                1,
+                [4, 3, 2, 1, 0],
+            ),
+            (
+                EncodingStrategy::BasicSec,
+                &checkpointed,
+                true,
+                5,
+                [0, 1, 2, 3, 4],
+            ),
+            (EncodingStrategy::ReversedSec, &reversed, true, 2, [4, 3, 2, 1, 0]),
         ] {
             for unplannable in [None, Some(1), Some(3)] {
                 for unreadable in [None, Some(0), Some(2), Some(3)] {
@@ -911,25 +976,33 @@ mod tests {
                         }
                     });
                     let mut reads = Vec::new();
-                    let result = VersionWalk::plan(
-                        strategy,
-                        entries.len(),
-                        |i| entries[i].0,
-                        1 + 4 * usize::from(strategy == EncodingStrategy::BasicSec),
-                        None,
-                        |idx, _| match Some(idx) == unplannable {
-                            true => Err(Failed::Plan(idx)),
-                            false => Ok(plan_at(&[0, 1], false)),
-                        },
-                    )
-                    .fold(&Fake::default(), |idx, _| {
+                    let plan = |idx, _| match Some(idx) == unplannable {
+                        true => Err(Failed::Plan(idx)),
+                        false => Ok(plan_at(&[0, 1], false)),
+                    };
+                    let mut read_at = |idx: usize| {
                         reads.push(idx);
                         match Some(idx) == unreadable {
                             true => Err(Failed::Read(idx)),
-                            false => Ok(entries[idx].1.shard(0)),
+                            false => Ok(()),
                         }
-                    });
-                    let case = format!("{strategy:?} plan {unplannable:?} read {unreadable:?}");
+                    };
+                    let hold = |_: &[(usize, &[usize])]| entries;
+                    let (count, payload_at) = (entries.len(), |i: usize| entries[i].0);
+                    let result = match prefix {
+                        false => VersionWalk::plan(strategy, count, payload_at, l, None, plan)
+                            .fold(&Fake::default(), hold, |entries, idx, _| {
+                                read_at(idx).map(|()| entries[idx].1.shard(0))
+                            })
+                            .map(drop),
+                        true => PrefixWalk::plan(strategy, count, payload_at, l, None, plan)
+                            .fold(&Fake::default(), 1, hold, |entries, idx, _| {
+                                read_at(idx).map(|()| entries[idx].1.shard(0))
+                            })
+                            .map(drop),
+                    };
+                    let case =
+                        format!("{strategy:?} prefix {prefix} plan {unplannable:?} read {unreadable:?}");
                     assert_eq!(result.as_ref().err(), want.as_ref(), "{case}");
                     // Two reads for every entry the per-entry walk would
                     // have read in full before it failed, and one for the
@@ -952,7 +1025,7 @@ mod tests {
     #[test]
     fn corrupt_block_length_is_an_error_not_a_panic() {
         // A stored block one byte short must surface as ShardSizeMismatch
-        // from both decode methods, with or without a chain to fold into.
+        // from both decodes, with or without a chain to fold into.
         use sec_erasure::{GeneratorForm, SecCode};
         let codec = ByteCodec::new(SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap());
         let mut delta = ByteShards::zeroed(3, 8);
@@ -960,18 +1033,15 @@ mod tests {
         let coded = codec.encode_blocks(&delta).unwrap();
         let short = &coded.shard(1)[1..];
         let shares = [(0, coded.shard(0)), (1, short), (2, coded.shard(2))];
-        let sparse = ReadTarget::Sparse { gamma: 1 };
-        for (method, target, shares) in [
-            (DecodeMethod::Inversion, ReadTarget::Full, &shares[..]),
-            (DecodeMethod::SparseRecovery, sparse, &shares[..2]),
-        ] {
+        for sparse in [false, true] {
             for acc in [None, Some(ByteShards::zeroed(3, 8))] {
+                let result = match sparse {
+                    true => codec.recover_sparse(&shares[..2], 1, acc),
+                    false => codec.decode_sum(&[&shares], acc),
+                };
                 assert!(
-                    matches!(
-                        apply_planned(&codec, method, target, shares, acc),
-                        Err(CodeError::ShardSizeMismatch { .. })
-                    ),
-                    "{method:?}"
+                    matches!(result, Err(CodeError::ShardSizeMismatch { .. })),
+                    "sparse {sparse}"
                 );
             }
         }
@@ -979,8 +1049,8 @@ mod tests {
 
     #[test]
     fn a_dense_delta_folds_onto_the_accumulator_it_was_handed() {
-        // The prefix walk's per-entry fold of a full plan: decoded straight
-        // onto the accumulator, whose buffer comes back.
+        // A prefix fold's full-plan delta: decoded straight onto the
+        // accumulator, whose buffer comes back.
         use sec_erasure::{GeneratorForm, SecCode};
         for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
             let codec = ByteCodec::new(SecCode::cauchy(6, 3, form).unwrap());
@@ -991,9 +1061,7 @@ mod tests {
             let mut want = base.clone();
             want.xor_with(&dense).unwrap();
             let held = base.as_bytes().as_ptr();
-            let sparse = ReadTarget::Sparse { gamma: 1 };
-            let out =
-                apply_planned(&codec, DecodeMethod::Inversion, sparse, &shares, Some(base)).unwrap();
+            let out = codec.decode_sum(&[&shares], Some(base)).unwrap();
             assert_eq!(out, want, "{form}");
             assert_eq!(out.as_bytes().as_ptr(), held, "{form}");
         }
@@ -1010,16 +1078,53 @@ mod tests {
             None,
             plan_one,
         )
-        .fold(&Fake::default(), |idx, _| {
-            if idx == 1 {
-                Err(CodeError::SparseRecoveryFailed { gamma: 1 })
-            } else {
-                Ok(entries[idx].1.shard(0))
-            }
-        });
+        .fold(
+            &Fake::default(),
+            |_| &entries,
+            |entries, idx, _| {
+                if idx == 1 {
+                    Err(CodeError::SparseRecoveryFailed { gamma: 1 })
+                } else {
+                    Ok(entries[idx].1.shard(0))
+                }
+            },
+        );
         assert!(matches!(
             result,
             Err(CodeError::SparseRecoveryFailed { gamma: 1 })
         ));
+    }
+
+    #[test]
+    fn a_prefix_fold_holds_one_step_at_a_time() {
+        // A version fold sums entries' blocks, so it holds every read at
+        // once; a prefix fold decodes step by step and holds one entry's
+        // reads at a time, releasing each before the next is held. The γ = 0
+        // delta (entry 2) reads nothing and is never held.
+        let entries = vec![full(1, 5), delta(2, 3), delta(3, 0), delta(4, 1)];
+        let plan = |_: usize, _| Ok::<_, CodeError>(plan_at(&[0, 2], false));
+        let holds = RefCell::new(Vec::new());
+        let hold = |reads: &[(usize, &[usize])]| {
+            holds
+                .borrow_mut()
+                .push(reads.iter().map(|&(idx, _)| idx).collect::<Vec<_>>());
+            &entries
+        };
+        let strategy = EncodingStrategy::BasicSec;
+        let version = VersionWalk::plan(strategy, 4, |i| entries[i].0, 4, None, plan)
+            .fold(&Fake::default(), hold, |entries, idx, _| {
+                Ok(entries[idx].1.shard(0))
+            })
+            .unwrap();
+        assert_eq!(version.shards.as_bytes(), &[7]);
+        assert_eq!(holds.take(), vec![vec![0, 1, 3]]);
+        let prefix = PrefixWalk::plan(strategy, 4, |i| entries[i].0, 4, None, plan)
+            .fold(&Fake::default(), 1, hold, |entries, idx, _| {
+                Ok(entries[idx].1.shard(0))
+            })
+            .unwrap();
+        assert_eq!(prefix.versions, vec![vec![5u8], vec![6], vec![6], vec![7]]);
+        assert_eq!(holds.take(), vec![vec![0], vec![1], vec![3]]);
+        assert_eq!((version.io_reads, prefix.io_reads), (6, 6));
     }
 }
