@@ -10,7 +10,7 @@
 //!
 //! 1. **lock-hierarchy** — `.read()`/`.write()` acquisitions of the known
 //!    lock fields must follow the documented partial order
-//!    (`archive → placement → slab directory → node slab → object map`);
+//!    (`archive → slab directory → node slab → object map`);
 //! 2. **atomic** — every `Ordering::*` use must carry a justification
 //!    comment, and the full inventory is renderable as a markdown report;
 //! 3. **panic** — designated read-path modules may not `unwrap`/`expect`/

@@ -657,8 +657,7 @@ impl SecCluster {
     ///
     /// **Overwrite semantics** (as [`SecEngine::apply_pattern`]): within the
     /// pattern's length the pattern *is* the shard's new liveness; nodes
-    /// beyond its length keep theirs. Use
-    /// [`SecCluster::apply_pattern_additive`] to layer failures.
+    /// beyond its length keep theirs.
     ///
     /// # Errors
     ///
@@ -671,27 +670,6 @@ impl SecCluster {
                 liveness.fail(idx);
             } else if idx < pattern.len() {
                 liveness.revive(idx);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fails every node the pattern marks failed on shard `shard`, leaving
-    /// all other nodes' liveness untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidShard`] for a bad shard index, or
-    /// [`ClusterError::PlacementMismatch`] under dispersed placement.
-    pub fn apply_pattern_additive(
-        &self,
-        shard: usize,
-        pattern: &FailurePattern,
-    ) -> Result<(), ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        for idx in 0..liveness.len() {
-            if pattern.is_failed(idx) {
-                liveness.fail(idx);
             }
         }
         Ok(())
@@ -947,9 +925,6 @@ mod tests {
         ));
         assert!(cluster.is_node_alive(1, 99).is_err());
         assert!(cluster.apply_pattern(9, &FailurePattern::none(N)).is_err());
-        assert!(cluster
-            .apply_pattern_additive(9, &FailurePattern::none(N))
-            .is_err());
         // Display impls cover the addressing errors.
         assert!(ClusterError::NoShards.to_string().contains("at least one"));
         assert!(cluster
@@ -1050,11 +1025,11 @@ mod tests {
     #[test]
     fn patterns_apply_per_shard_with_overwrite_and_additive_semantics() {
         let cluster = cluster(2);
-        cluster.fail_node(0, 4).unwrap();
-        // Additive keeps node 4 down; overwrite revives it.
-        cluster
-            .apply_pattern_additive(0, &FailurePattern::with_failures(N, &[1]))
-            .unwrap();
+        // Failures layer one node at a time; an overwrite revives the nodes
+        // its pattern leaves alive.
+        for node in [4, 1] {
+            cluster.fail_node(0, node).unwrap();
+        }
         assert!(!cluster.is_node_alive(0, 4).unwrap());
         assert!(!cluster.is_node_alive(0, 1).unwrap());
         cluster
@@ -1140,9 +1115,6 @@ mod tests {
         assert!(cluster.revive_node(0, 0).is_err());
         assert!(cluster.repair_node(0, 0).is_err());
         assert!(cluster.apply_pattern(0, &FailurePattern::none(N)).is_err());
-        assert!(cluster
-            .apply_pattern_additive(0, &FailurePattern::none(N))
-            .is_err());
         assert!(cluster
             .fail_node(0, 0)
             .unwrap_err()

@@ -103,12 +103,12 @@ impl NodeLiveness {
 
 use sec_erasure::ByteCodec;
 use sec_store::fault;
-use sec_store::node::{StorageNode, SymbolKey};
+use sec_store::node::StorageNode;
 use sec_store::{AtomicIoMetrics, FailurePattern, IoMetrics, Placement, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
 use sec_versioning::{ArchiveConfig, ArchiveLedger, CacheStats, DeltaCache, VersioningError};
 
-use crate::read::lock_nodes;
+use crate::read::{lock_walk_nodes, WalkSlabs};
 
 /// Result of one engine retrieval.
 #[derive(Debug, Clone)]
@@ -191,15 +191,6 @@ impl NodeSlab {
     }
 }
 
-/// The directory index of the slab hosting `entry`'s coded blocks: the one
-/// slab under colocated placement, the entry's own under dispersed.
-pub(crate) fn slab_index(strategy: PlacementStrategy, entry: usize) -> usize {
-    match strategy {
-        PlacementStrategy::Colocated => 0,
-        PlacementStrategy::Dispersed => entry,
-    }
-}
-
 /// A concurrent SEC serving engine.
 ///
 /// # Locking model
@@ -237,11 +228,12 @@ pub(crate) fn slab_index(strategy: PlacementStrategy, entry: usize) -> usize {
 ///    [`SecEngine::fail_node`] is a single atomic store and never blocks
 ///    in-flight retrievals.
 ///
-/// Node addressing consults the engine's [`Placement`] rather than assuming
-/// `node i ↔ codeword position i`: under [`PlacementStrategy::Dispersed`]
-/// node `e·n + i` is position `i` of entry `e`'s private node set, so
-/// failing it degrades only entry `e`. The placement grows monotonically on
-/// append ([`Placement::grow_to`]) under the archive write lock.
+/// Every block is addressed by [`PlacementStrategy::slab_slot`]: entry `e`'s
+/// block at position `i` lives in one slot of node `i` of one slab. Node
+/// id `s·n + i` is node `i` of slab `s`, so under
+/// [`PlacementStrategy::Dispersed`] node `e·n + i` is position `i` of entry
+/// `e`'s private node set, and failing it degrades only entry `e`. The
+/// directory grows on append under the archive write lock.
 ///
 /// Counters ([`AtomicIoMetrics`], per-node read counts, cache statistics)
 /// are atomics and never require exclusive access.
@@ -254,7 +246,7 @@ pub(crate) fn slab_index(strategy: PlacementStrategy, entry: usize) -> usize {
 pub struct SecEngine {
     archive: OrderedRwLock<ArchiveLedger>,
     pub(crate) codec: ByteCodec,
-    placement: OrderedRwLock<Placement>,
+    pub(crate) strategy: PlacementStrategy,
     slabs: OrderedRwLock<Vec<NodeSlab>>,
     pub(crate) metrics: AtomicIoMetrics,
     pub(crate) cache: DeltaCache<Vec<u8>>,
@@ -308,8 +300,8 @@ impl SecEngine {
     }
 
     /// The one builder every constructor (and the cluster) funnels into:
-    /// wraps a still-empty ledger in an empty placement and slab directory
-    /// (both grow on append).
+    /// wraps a still-empty ledger in its initial slab directory (which grows
+    /// on append under dispersed placement).
     ///
     /// `shared_liveness` is the cluster hook (colocated only): every
     /// per-object engine of one shard shares the shard's liveness array, so
@@ -340,7 +332,7 @@ impl SecEngine {
         Self {
             archive: OrderedRwLock::new(LockRank::Archive, ledger),
             codec,
-            placement: OrderedRwLock::new(LockRank::Placement, Placement::new(strategy, n, 0)),
+            strategy,
             slabs: OrderedRwLock::new(LockRank::Directory, slabs),
             metrics: AtomicIoMetrics::new(),
             cache: DeltaCache::new(cache_capacity),
@@ -353,17 +345,18 @@ impl SecEngine {
         self.read_archive().config()
     }
 
-    /// The node placement currently in effect. Under dispersed placement the
-    /// covered entry count (and with it [`Placement::node_count`]) grows as
-    /// versions are appended.
+    /// The node placement currently in effect, over the entries stored so
+    /// far. Under dispersed placement the covered entry count (and with it
+    /// [`Placement::node_count`]) grows as versions are appended.
     pub fn placement(&self) -> Placement {
-        *self.placement.read()
+        let entries = self.read_archive().layout().len();
+        Placement::new(self.strategy, self.codec.code().n(), entries)
     }
 
-    /// Total number of storage nodes the placement currently addresses:
-    /// `n` under colocated placement, `n · entries` under dispersed.
+    /// Total number of storage nodes the engine currently addresses: `n`
+    /// under colocated placement, `n · entries` under dispersed.
     pub fn node_count(&self) -> usize {
-        self.placement().node_count()
+        self.slabs.read().len() * self.codec.code().n()
     }
 
     /// Number of versions appended so far.
@@ -376,25 +369,23 @@ impl SecEngine {
         self.read_archive().is_empty()
     }
 
-    /// Resolves a placement node id to its `(slab, position)` address.
+    /// Resolves a placement node id to its slab index, the slab's handles
+    /// and its position in the slab, under one directory read.
     ///
-    /// Under colocated placement the single slab holds nodes `0..n`; under
-    /// dispersed placement node `e·n + i` is position `i` of entry `e`'s
-    /// slab. The bound is the placement's *current* node count, so ids for
-    /// not-yet-appended dispersed entries are [`StoreError::InvalidNode`].
-    fn locate(&self, node: usize) -> Result<(usize, usize), StoreError> {
-        let placement = self.placement();
-        let total = placement.node_count();
-        if node >= total {
-            return Err(StoreError::InvalidNode { node, n: total });
+    /// Node `s·n + i` is position `i` of slab `s` under either placement (a
+    /// colocated engine has the one slab). The bound is the directory's
+    /// current size, `slabs.len()·n`, so ids for not-yet-appended dispersed
+    /// entries are [`StoreError::InvalidNode`].
+    fn locate(&self, node: usize) -> Result<(usize, NodeSlab, usize), StoreError> {
+        let n = self.codec.code().n();
+        let slabs = self.slabs.read();
+        match slabs.get(node / n) {
+            Some(slab) => Ok((node / n, slab.clone(), node % n)),
+            None => Err(StoreError::InvalidNode {
+                node,
+                n: slabs.len() * n,
+            }),
         }
-        Ok(match placement.strategy() {
-            PlacementStrategy::Colocated => (0, node),
-            PlacementStrategy::Dispersed => {
-                let n = placement.codeword_len();
-                (node / n, node % n)
-            }
-        })
     }
 
     /// Clones the `Arc` handles of slab `idx`, holding the directory lock
@@ -404,18 +395,6 @@ impl SecEngine {
         self.slabs.read()[idx].clone()
     }
 
-    /// Resolves a node id straight to its slab handles and in-slab position
-    /// — one placement read and one directory read per logical lookup.
-    fn locate_slab(&self, node: usize) -> Result<(NodeSlab, usize), StoreError> {
-        let (slab_idx, position) = self.locate(node)?;
-        Ok((self.slab(slab_idx), position))
-    }
-
-    /// The slab hosting `entry`'s coded blocks.
-    fn slab_for_entry(&self, entry: usize) -> NodeSlab {
-        self.slab(slab_index(self.placement().strategy(), entry))
-    }
-
     /// Whether node `node` is currently live. Lock-free.
     ///
     /// # Errors
@@ -423,7 +402,7 @@ impl SecEngine {
     /// Returns [`StoreError::InvalidNode`] if `node` is out of range — a bad
     /// node id is an error the caller handles, never a process abort.
     pub fn is_node_alive(&self, node: usize) -> Result<bool, StoreError> {
-        let (slab, position) = self.locate_slab(node)?;
+        let (_, slab, position) = self.locate(node)?;
         Ok(slab.alive.is_alive(position))
     }
 
@@ -438,7 +417,7 @@ impl SecEngine {
     /// typo in a failure-injection script is a handled error instead of a
     /// panic inside the serving process.
     pub fn fail_node(&self, node: usize) -> Result<(), StoreError> {
-        let (slab, position) = self.locate_slab(node)?;
+        let (_, slab, position) = self.locate(node)?;
         slab.alive.fail(position);
         Ok(())
     }
@@ -450,7 +429,7 @@ impl SecEngine {
     ///
     /// Returns [`StoreError::InvalidNode`] if `node` is out of range.
     pub fn revive_node(&self, node: usize) -> Result<(), StoreError> {
-        let (slab, position) = self.locate_slab(node)?;
+        let (_, slab, position) = self.locate(node)?;
         slab.alive.revive(position);
         Ok(())
     }
@@ -463,8 +442,7 @@ impl SecEngine {
     /// the new liveness — covered nodes the pattern marks alive are revived
     /// even if they were failed before the call (so replaying a sequence of
     /// sampled patterns always leaves the cluster in the last pattern's
-    /// state). Nodes beyond the pattern's length keep their liveness. Use
-    /// [`SecEngine::apply_pattern_additive`] to layer failures instead.
+    /// state). Nodes beyond the pattern's length keep their liveness.
     pub fn apply_pattern(&self, pattern: &FailurePattern) {
         let slabs = self.slabs.read();
         let mut base = 0usize;
@@ -481,39 +459,23 @@ impl SecEngine {
         }
     }
 
-    /// Fails every node the pattern marks failed and leaves all other nodes'
-    /// liveness untouched — the additive counterpart of
-    /// [`SecEngine::apply_pattern`], for tests and experiments that layer
-    /// patterns on top of already-injected failures.
-    pub fn apply_pattern_additive(&self, pattern: &FailurePattern) {
-        let slabs = self.slabs.read();
-        let mut base = 0usize;
-        for slab in slabs.iter() {
-            for position in 0..slab.alive.len() {
-                if pattern.is_failed(base + position) {
-                    slab.alive.fail(position);
-                }
-            }
-            base += slab.alive.len();
-        }
-    }
-
-    /// Grows the placement — and, under dispersed placement, the slab
-    /// directory — to cover `entries` stored entries. Called with the
-    /// archive write lock held, so growth is atomic with the append that
-    /// caused it. The directory's write lock is held only for the pushes:
-    /// in-flight readers work off `Arc` handles to the slabs of entries
-    /// that already existed, so appending slabs never blocks their block
-    /// reads.
-    fn grow_to_entries(&self, entries: usize) {
-        let mut placement = self.placement.write();
-        placement.grow_to(entries);
-        if placement.strategy() == PlacementStrategy::Dispersed {
-            let n = placement.codeword_len();
-            let mut slabs = self.slabs.write();
-            while slabs.len() < placement.entries() {
-                slabs.push(NodeSlab::fresh(n, Arc::new(NodeLiveness::new(n))));
-            }
+    /// Grows the slab directory to hold `entries` stored entries: under
+    /// dispersed placement each new entry gets a fresh slab of `n` live
+    /// nodes, and a colocated engine's one slab already holds them all.
+    /// Called with the archive write lock held, so growth is atomic with the
+    /// append that caused it. The directory's write lock is held only for
+    /// the pushes: in-flight readers work off `Arc` handles to the slabs of
+    /// entries that already existed, so appending slabs never blocks their
+    /// block reads.
+    fn grow_slabs(&self, entries: usize) {
+        let Some(last) = entries.checked_sub(1) else {
+            return;
+        };
+        let (needed, _) = self.strategy.slab_slot(last);
+        let n = self.codec.code().n();
+        let mut slabs = self.slabs.write();
+        while slabs.len() <= needed {
+            slabs.push(NodeSlab::fresh(n, Arc::new(NodeLiveness::new(n))));
         }
     }
 
@@ -533,24 +495,20 @@ impl SecEngine {
     pub fn append_version(&self, object: &[u8]) -> Result<VersionId, StoreError> {
         let mut archive = self.archive.write();
         // The ledger encodes the new blocks into one buffer per block and
-        // hands them over by value: one fresh slot, or for Reversed SEC two
-        // (the old full copy's slot becomes the new delta and keeps its node
-        // set — slots never move, so placement addressing stays stable).
+        // hands them over by value: one fresh entry, or for Reversed SEC two
+        // (the old full copy's entry becomes the new delta and keeps its
+        // slab and slot — entries never move, so addressing stays stable).
         let (id, writes) = archive.append::<Vec<Vec<u8>>>(object)?;
-        // Admit the new entries into the placement (and their slabs into the
-        // directory) before any block lands.
-        self.grow_to_entries(archive.layout().len());
+        // Admit the new entries' slabs into the directory before any block
+        // lands.
+        self.grow_slabs(archive.layout().len());
         fault::reached("engine::append::slab_grown");
-        for (slot, entry) in writes {
-            let slab = self.slab_for_entry(slot);
+        for (entry, encoded) in writes {
+            let (slab, slot) = self.strategy.slab_slot(entry);
             // Every slab holds n nodes, one per coded block of the entry;
-            // each block moves onto its node, uncopied.
-            for (position, (node, block)) in slab.nodes.iter().zip(entry.shards).enumerate() {
-                let key = SymbolKey {
-                    entry: slot,
-                    position,
-                };
-                node.write().put(key, block);
+            // each block moves into its node's slot, uncopied.
+            for (node, block) in self.slab(slab).nodes.iter().zip(encoded.shards) {
+                node.write().put(slot, block);
                 self.metrics.add_symbol_writes(1);
             }
         }
@@ -618,8 +576,7 @@ impl SecEngine {
     /// landed after the new failure — re-run the repair), or
     /// [`StoreError::InvalidNode`] if `node_id` is out of range.
     pub fn repair_node(&self, node_id: usize) -> Result<usize, StoreError> {
-        let (slab_idx, position) = self.locate(node_id)?;
-        let slab = self.slab(slab_idx);
+        let (slab_idx, slab, position) = self.locate(node_id)?;
         let epoch = slab.alive.epoch(position);
         let rebuilt = self.rebuild_at(&slab, slab_idx, position)?;
         fault::reached("engine::repair::window");
@@ -634,16 +591,18 @@ impl SecEngine {
     /// rebuild the same physical node across every co-hosted object before
     /// reviving it once.
     pub(crate) fn rebuild_node(&self, node_id: usize) -> Result<usize, StoreError> {
-        let (slab_idx, position) = self.locate(node_id)?;
-        let slab = self.slab(slab_idx);
+        let (slab_idx, slab, position) = self.locate(node_id)?;
         self.rebuild_at(&slab, slab_idx, position)
     }
 
     /// Rebuilds the node at an already-resolved slab address.
     ///
-    /// A colocated node hosts one block of every stored entry; a dispersed
-    /// node hosts exactly one block of the single entry its slab belongs to,
-    /// so a dispersed rebuild decodes one entry, not the whole archive.
+    /// The node hosts one block of every entry stored on its slab: every
+    /// entry under colocated placement, the slab's single entry under
+    /// dispersed, so a dispersed rebuild decodes one entry, not the whole
+    /// archive. Each entry's sources are the first `k` other positions that
+    /// were live when the rebuild touched the slab, read as a walk reads
+    /// them.
     fn rebuild_at(
         &self,
         slab: &NodeSlab,
@@ -652,31 +611,27 @@ impl SecEngine {
     ) -> Result<usize, StoreError> {
         let archive = self.archive.write();
         let k = self.codec.code().k();
-        let n = self.codec.code().n();
-        let hosted: Vec<usize> = match self.placement().strategy() {
-            PlacementStrategy::Colocated => (0..archive.layout().len()).collect(),
-            PlacementStrategy::Dispersed => vec![slab_idx],
-        };
-        let mut staged: Vec<(SymbolKey, Vec<u8>)> = Vec::with_capacity(hosted.len());
-        for entry_idx in hosted {
-            let live: Vec<usize> = (0..n)
-                .filter(|&p| p != position && slab.alive.is_alive(p))
-                .collect();
-            if live.len() < k {
-                return Err(StoreError::Unrecoverable { entry: entry_idx });
+        let mut walk = WalkSlabs::new(self);
+        let mut staged = Vec::new();
+        for entry in 0..archive.layout().len() {
+            let (entry_slab, slot) = self.strategy.slab_slot(entry);
+            if entry_slab != slab_idx {
+                continue;
             }
-            // audit: panic ok — `live.len() >= k` was checked above
-            let sources = &live[..k];
+            let live = walk.live(entry).iter().copied();
+            let sources: Vec<usize> = live.filter(|&p| p != position).take(k).collect();
+            if sources.len() < k {
+                return Err(StoreError::Unrecoverable { entry });
+            }
             let block = {
-                let guards = lock_nodes(&slab.nodes, sources);
-                let shares = self.gather(entry_idx, sources, &guards)?;
+                let held = lock_walk_nodes(&walk, &[(entry, &sources)]);
+                let shares = sources
+                    .iter()
+                    .map(|&p| Ok((p, held.block(entry, p)?)))
+                    .collect::<Result<Vec<_>, StoreError>>()?;
                 self.codec.rebuild_block(&shares, position)?
             };
-            let key = SymbolKey {
-                entry: entry_idx,
-                position,
-            };
-            staged.push((key, block));
+            staged.push((slot, block));
             fault::reached("engine::rebuild::staged");
         }
         if fault::buggify("engine::rebuild::abort") {
@@ -686,15 +641,9 @@ impl SecEngine {
         }
         // Commit: every block rebuilt, so replace the node's contents.
         let rebuilt = staged.len();
-        {
-            // audit: panic ok — `position` was range-checked by locate_slab
-            let mut node = slab.nodes[position].write();
-            node.wipe();
-            for (key, block) in staged {
-                node.put(key, block);
-                self.metrics.add_symbol_writes(1);
-            }
-        }
+        // audit: panic ok — `position` was range-checked by locate
+        slab.nodes[position].write().replace(staged);
+        self.metrics.add_symbol_writes(rebuilt as u64);
         self.metrics.add_repair();
         Ok(rebuilt)
     }
@@ -1161,9 +1110,11 @@ mod tests {
         )
         .unwrap();
         engine.append_all(&versions()).unwrap();
-        // Fail position 0 of every entry additively, then overwrite-revive
-        // entry 0's group only.
-        engine.apply_pattern_additive(&FailurePattern::with_failures(18, &[0, 6, 12]));
+        // Fail position 0 of every entry, then overwrite-revive entry 0's
+        // group only.
+        for node in [0, 6, 12] {
+            engine.fail_node(node).unwrap();
+        }
         assert!(!engine.is_node_alive(0).unwrap());
         assert!(!engine.is_node_alive(6).unwrap());
         assert!(!engine.is_node_alive(12).unwrap());

@@ -1,8 +1,8 @@
 //! Debug-build lock-ordering enforcement.
 //!
 //! The serving stack documents a strict lock hierarchy (see
-//! `docs/INVARIANTS.md` and `audit.toml`): archive → placement → slab
-//! directory → node slabs → cluster object map. The static auditor
+//! `docs/INVARIANTS.md` and `audit.toml`): archive → slab directory → node
+//! slabs → cluster object map. The static auditor
 //! (`sec-audit`) checks acquisition order lexically, but it cannot see
 //! through every dynamic call path. [`OrderedRwLock`] closes that gap: each
 //! lock carries a [`LockRank`], and in debug builds every acquisition is
@@ -27,15 +27,13 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub enum LockRank {
     /// `SecEngine`'s versioned byte archive — the outermost lock.
     Archive = 0,
-    /// `SecEngine`'s placement table.
-    Placement = 1,
     /// The slab directory (`Vec<NodeSlab>`).
-    Directory = 2,
-    /// Per-node symbol slabs. Reentrant: planned reads lock several nodes
+    Directory = 1,
+    /// Per-node block slots. Reentrant: planned reads lock several nodes
     /// at this rank (in ascending id order, which breaks cycles among them).
-    Node = 3,
+    Node = 2,
     /// `SecCluster`'s per-shard object map — the innermost lock.
-    ObjectMap = 4,
+    ObjectMap = 3,
 }
 
 impl LockRank {
@@ -48,7 +46,6 @@ impl LockRank {
     pub fn name(self) -> &'static str {
         match self {
             LockRank::Archive => "archive",
-            LockRank::Placement => "placement",
             LockRank::Directory => "slab directory",
             LockRank::Node => "node slab",
             LockRank::ObjectMap => "object map",
@@ -61,7 +58,6 @@ impl LockRank {
     pub fn site(self) -> sec_store::fault::Site {
         match self {
             LockRank::Archive => "engine::lock::archive",
-            LockRank::Placement => "engine::lock::placement",
             LockRank::Directory => "engine::lock::directory",
             LockRank::Node => "engine::lock::node",
             LockRank::ObjectMap => "engine::lock::objects",

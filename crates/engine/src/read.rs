@@ -10,20 +10,21 @@
 //! so it holds every planned node for the whole decode; [`PrefixWalk::fold`]
 //! decodes entry by entry because every version is an output, so it holds
 //! one entry's planned nodes at a time and an append waits for at most one
-//! entry's decode, not the whole prefix.
+//! entry's decode, not the whole prefix. A repair reads its `k` sources per
+//! entry through the same [`WalkSlabs`] and [`lock_walk_nodes`].
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sec_erasure::read_plan::{plan_read, ReadPlan, ReadTarget};
 use sec_erasure::ByteShards;
-use sec_store::node::{StorageNode, SymbolKey};
-use sec_store::{PlacementStrategy, StoreError};
+use sec_store::node::StorageNode;
+use sec_store::StoreError;
 use sec_versioning::walk::{PrefixWalk, VersionWalk};
 use sec_versioning::{ArchiveLedger, EncodingStrategy, StoredPayload};
 
-use crate::engine::{slab_index, EnginePrefix, EngineRetrieval, NodeSlab, SecEngine};
-use crate::ordered::{OrderedReadGuard, OrderedRwLock};
+use crate::engine::{EnginePrefix, EngineRetrieval, NodeSlab, SecEngine};
+use crate::ordered::OrderedReadGuard;
 
 impl SecEngine {
     /// Retrieves version `l` (1-based), reading blocks only from live nodes
@@ -161,41 +162,6 @@ impl SecEngine {
             self.deltas_applied.fetch_add(applied, Ordering::Relaxed);
         }
     }
-
-    /// Counts one block read per position and borrows entry `entry_idx`'s
-    /// blocks from their locked nodes (`guards` as returned by
-    /// [`lock_nodes`] for `positions`) — repair's reads.
-    pub(crate) fn gather<'g>(
-        &self,
-        entry_idx: usize,
-        positions: &[usize],
-        guards: &'g [OrderedReadGuard<'_, StorageNode>],
-    ) -> Result<Vec<(usize, &'g [u8])>, StoreError> {
-        positions
-            .iter()
-            .zip(guards)
-            .map(|(&position, guard)| Ok((position, self.read_block(guard, entry_idx, position)?)))
-            .collect()
-    }
-
-    /// Reads entry `entry`'s block at `position` from its locked node and
-    /// counts the read.
-    fn read_block<'g>(
-        &self,
-        node: &'g StorageNode,
-        entry: usize,
-        position: usize,
-    ) -> Result<&'g [u8], StoreError> {
-        // Liveness was snapshotted at plan time and lives outside the node,
-        // so a concurrent `fail_node` cannot abort an admitted read: only an
-        // absent block (or an injected fault) fails here.
-        let Some(block) = node.read(SymbolKey { entry, position }) else {
-            self.metrics.add_failed_read();
-            return Err(StoreError::Unrecoverable { entry });
-        };
-        self.metrics.add_symbol_reads(1);
-        Ok(block)
-    }
 }
 
 /// The ledger metadata one walk needs, taken under the archive read lock.
@@ -241,25 +207,18 @@ struct TouchedSlab {
 /// liveness snapshotted once, on the walk's first touch: every entry of a
 /// colocated engine lives on slab 0, every entry of a dispersed one on its
 /// own slab. All of it happens while planning, before any node is locked.
-struct WalkSlabs<'e> {
+pub(crate) struct WalkSlabs<'e> {
     engine: &'e SecEngine,
-    placement: PlacementStrategy,
     /// Ascending by slab index.
     touched: Vec<TouchedSlab>,
 }
 
 impl<'e> WalkSlabs<'e> {
-    fn new(engine: &'e SecEngine) -> Self {
+    pub(crate) fn new(engine: &'e SecEngine) -> Self {
         Self {
             engine,
-            placement: engine.placement().strategy(),
             touched: Vec::new(),
         }
-    }
-
-    /// The directory index of the slab hosting `entry`.
-    fn slab_of(&self, entry: usize) -> usize {
-        slab_index(self.placement, entry)
     }
 
     /// Touched slab `idx`, if the walk has touched it.
@@ -271,10 +230,11 @@ impl<'e> WalkSlabs<'e> {
         self.touched.get(at)
     }
 
-    /// The slab hosting `entry`, fetched and its liveness snapshotted on
-    /// first use.
-    fn touch(&mut self, entry: usize) -> &TouchedSlab {
-        let idx = self.slab_of(entry);
+    /// The positions of `entry`'s slab that were live when the walk first
+    /// touched it, ascending. The first touch fetches the slab and
+    /// snapshots its liveness.
+    pub(crate) fn live(&mut self, entry: usize) -> &[usize] {
+        let (idx, _) = self.engine.strategy.slab_slot(entry);
         let at = match self.touched.binary_search_by_key(&idx, |touched| touched.idx) {
             Ok(at) => at,
             Err(at) => {
@@ -287,19 +247,19 @@ impl<'e> WalkSlabs<'e> {
             }
         };
         // audit: panic ok — `at` was just found or inserted
-        &self.touched[at]
+        &self.touched[at].live
     }
 
     /// Plans a read of `target` from `entry`'s live positions — lock-free:
     /// liveness comes from the walk's snapshot of the slab's atomics.
     fn plan(&mut self, entry: usize, target: ReadTarget) -> Result<ReadPlan, StoreError> {
         let code = self.engine.codec.code();
-        plan_read(code, &self.touch(entry).live, target).map_err(|_| StoreError::Unrecoverable { entry })
+        plan_read(code, self.live(entry), target).map_err(|_| StoreError::Unrecoverable { entry })
     }
 }
 
 /// Read guards on every node a walk's planned reads name.
-struct HeldNodes<'s> {
+pub(crate) struct HeldNodes<'s> {
     walk: &'s WalkSlabs<'s>,
     /// One guard per `(slab index, position)`, ascending.
     guards: Vec<((usize, usize), OrderedReadGuard<'s, StorageNode>)>,
@@ -308,16 +268,24 @@ struct HeldNodes<'s> {
 impl HeldNodes<'_> {
     /// Entry `entry`'s block at `position`, read from its held node and
     /// counted.
-    fn block(&self, entry: usize, position: usize) -> Result<&[u8], StoreError> {
-        let node = (self.guards)
-            .binary_search_by_key(&(self.walk.slab_of(entry), position), |(node, _)| *node)
+    pub(crate) fn block(&self, entry: usize, position: usize) -> Result<&[u8], StoreError> {
+        let engine = self.walk.engine;
+        let (slab, slot) = engine.strategy.slab_slot(entry);
+        let block = (self.guards)
+            .binary_search_by_key(&(slab, position), |(node, _)| *node)
             .ok()
-            .and_then(|at| self.guards.get(at));
-        match node {
-            Some((_, guard)) => self.walk.engine.read_block(guard, entry, position),
-            // Every planned read's node is held, so this is unreachable.
-            None => Err(StoreError::Unrecoverable { entry }),
-        }
+            .and_then(|at| self.guards.get(at))
+            .and_then(|(_, node)| node.read(slot));
+        // Liveness was snapshotted at plan time and lives outside the node,
+        // so a concurrent `fail_node` cannot abort an admitted read: only an
+        // absent block (or an injected fault) fails here. Every planned
+        // read's node is held, so a missing guard is unreachable.
+        let Some(block) = block else {
+            engine.metrics.add_failed_read();
+            return Err(StoreError::Unrecoverable { entry });
+        };
+        engine.metrics.add_symbol_reads(1);
+        Ok(block)
     }
 }
 
@@ -325,11 +293,15 @@ impl HeldNodes<'_> {
 /// each once however many entries read it, in ascending `(slab, position)`
 /// order — ascending node id, the one order that keeps the lock graph
 /// acyclic. Every slab named was touched while planning.
-fn lock_walk_nodes<'s>(slabs: &'s WalkSlabs<'s>, reads: &[(usize, &[usize])]) -> HeldNodes<'s> {
+pub(crate) fn lock_walk_nodes<'s>(
+    slabs: &'s WalkSlabs<'s>,
+    reads: &[(usize, &[usize])],
+) -> HeldNodes<'s> {
+    let strategy = slabs.engine.strategy;
     let mut wanted: Vec<(usize, usize)> = reads
         .iter()
         .flat_map(|&(entry, positions)| {
-            let slab = slabs.slab_of(entry);
+            let (slab, _) = strategy.slab_slot(entry);
             positions.iter().map(move |&position| (slab, position))
         })
         .collect();
@@ -343,20 +315,4 @@ fn lock_walk_nodes<'s>(slabs: &'s WalkSlabs<'s>, reads: &[(usize, &[usize])]) ->
         })
         .collect();
     HeldNodes { walk: slabs, guards }
-}
-
-/// Read-locks the given nodes of one slab in the given order — repair's
-/// sources, a prefix of an ascending live set, so strictly ascending: a
-/// stable acquisition order keeps the lock graph acyclic alongside the
-/// one-at-a-time writers.
-pub(crate) fn lock_nodes<'a>(
-    nodes: &'a [OrderedRwLock<StorageNode>],
-    positions: &[usize],
-) -> Vec<OrderedReadGuard<'a, StorageNode>> {
-    debug_assert!(
-        positions.windows(2).all(|w| w.first() < w.last()),
-        "node locks are taken in ascending position order: {positions:?}"
-    );
-    // audit: panic ok — the positions come from the live set, which indexes this slab
-    positions.iter().map(|&p| nodes[p].read()).collect()
 }

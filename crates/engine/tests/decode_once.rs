@@ -25,7 +25,6 @@ use proptest::prelude::*;
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
-use sec_store::node::SymbolKey;
 use sec_store::{FailurePattern, Placement, PlacementStrategy, StoreError};
 use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy, VersioningError,
@@ -203,7 +202,7 @@ proptest! {
                 let placement = Placement::new(PlacementStrategy::Dispersed, N, entries);
                 let live = |entry: usize, position: usize| {
                     placement
-                        .try_node_for(SymbolKey { entry, position })
+                        .try_node_for(entry, position)
                         .is_ok_and(|node| !failed.contains(&node))
                 };
                 let case = format!("dispersed {form} {strategy} spacing {spacing} failed {failed:?}");

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
-use sec_store::node::SymbolKey;
 use sec_store::{Placement, PlacementStrategy, StoreError};
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
@@ -111,7 +110,7 @@ proptest! {
         }
         let live = |entry, position| {
             placement
-                .try_node_for(SymbolKey { entry, position })
+                .try_node_for(entry, position)
                 .is_ok_and(|node| !failed.contains(&node))
         };
         for l in 1..=versions.len() {

@@ -16,8 +16,8 @@
 //! [`SecCode`] packages a generator matrix (non-systematic Cauchy, or
 //! systematic `[I_k ; B]` with a Cauchy parity block `B`) together with both
 //! decoders, read planning over live/failed nodes, and shard-level bulk
-//! encoding. [`ReplicationCode`] and the plain "encode every version in full"
-//! usage of [`SecCode`] serve as the paper's baselines.
+//! encoding. The plain "encode every version in full" usage of [`SecCode`]
+//! serves as the paper's baseline.
 //!
 //! # Example
 //!
@@ -47,15 +47,12 @@
 mod code;
 mod error;
 
-pub mod baseline;
 pub mod byte_shards;
 pub mod criteria;
-pub mod puncture;
 pub mod read_plan;
 pub mod shards;
 pub mod sparse;
 
-pub use baseline::ReplicationCode;
 pub use byte_shards::{ByteCodec, ByteShards};
 pub use code::{CodeParams, GeneratorForm, SecCode, Share};
 pub use criteria::{CriteriaReport, GammaReport};

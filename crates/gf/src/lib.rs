@@ -9,8 +9,6 @@
 //! * concrete fields [`Gf16`], [`Gf256`], [`Gf1024`] and [`Gf65536`]
 //!   (characteristic-2 fields of 2^4, 2^8, 2^10 and 2^16 elements) built from
 //!   log/exp tables generated at first use,
-//! * dense polynomial arithmetic over any such field ([`poly::Poly`]),
-//!   including Lagrange interpolation used by decoder tests,
 //! * bulk slice kernels ([`bulk`]) used by the erasure encoder to apply a
 //!   scalar coefficient to a whole block of symbols at once,
 //! * the byte-shard fast path ([`bulk8`]): split-table `GF(2^8)` kernels
@@ -48,12 +46,10 @@ mod tables;
 pub mod bulk;
 pub mod bulk8;
 pub mod kernel;
-pub mod poly;
 
 pub use field::GaloisField;
 pub use fields::{Gf1024, Gf16, Gf256, Gf65536};
 pub use kernel::{active_kernel, force_kernel, reset_kernel, Kernel, UnsupportedKernel, KERNEL_ENV};
-pub use poly::Poly;
 
 #[cfg(test)]
 mod proptests;

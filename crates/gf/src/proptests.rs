@@ -1,8 +1,8 @@
-//! Property-based tests of the field axioms and polynomial algebra.
+//! Property-based tests of the field axioms and the bulk kernels.
 
 use proptest::prelude::*;
 
-use crate::{GaloisField, Gf1024, Gf16, Gf256, Gf65536, Poly};
+use crate::{GaloisField, Gf1024, Gf16, Gf256, Gf65536};
 
 fn elem<F: GaloisField>() -> impl Strategy<Value = F> {
     (0..F::ORDER).prop_map(F::from_u64)
@@ -76,46 +76,7 @@ field_axioms!(gf256_axioms, Gf256);
 field_axioms!(gf1024_axioms, Gf1024);
 field_axioms!(gf65536_axioms, Gf65536);
 
-fn poly256(max_len: usize) -> impl Strategy<Value = Poly<Gf256>> {
-    prop::collection::vec(0u64..256, 0..max_len)
-        .prop_map(|cs| Poly::new(cs.into_iter().map(Gf256::from_u64).collect()))
-}
-
 proptest! {
-    #[test]
-    fn poly_add_commutes_and_mul_distributes(p in poly256(8), q in poly256(8), r in poly256(6)) {
-        prop_assert_eq!(p.add(&q), q.add(&p));
-        prop_assert_eq!(p.mul(&q), q.mul(&p));
-        prop_assert_eq!(p.mul(&q.add(&r)), p.mul(&q).add(&p.mul(&r)));
-    }
-
-    #[test]
-    fn poly_div_rem_invariant(p in poly256(10), d in poly256(6)) {
-        prop_assume!(!d.is_zero());
-        let (q, r) = p.div_rem(&d);
-        prop_assert_eq!(q.mul(&d).add(&r), p);
-        if let (Some(rd), Some(dd)) = (r.degree(), d.degree()) {
-            prop_assert!(rd < dd);
-        }
-    }
-
-    #[test]
-    fn poly_eval_is_ring_homomorphism(p in poly256(8), q in poly256(8), x in 0u64..256) {
-        let x = Gf256::from_u64(x);
-        prop_assert_eq!(p.add(&q).eval(x), p.eval(x) + q.eval(x));
-        prop_assert_eq!(p.mul(&q).eval(x), p.eval(x) * q.eval(x));
-    }
-
-    #[test]
-    fn poly_interpolation_round_trip(coeffs in prop::collection::vec(0u64..256, 1..7)) {
-        let p = Poly::new(coeffs.into_iter().map(Gf256::from_u64).collect());
-        let deg = p.degree().map_or(0, |d| d + 1).max(1);
-        let points: Vec<(Gf256, Gf256)> = (1..=deg as u64)
-            .map(|v| { let x = Gf256::from_u64(v); (x, p.eval(x)) })
-            .collect();
-        prop_assert_eq!(Poly::interpolate(&points), p);
-    }
-
     #[test]
     fn bulk_kernels_match_scalar_loop(
         a in prop::collection::vec(0u64..256, 1..64),

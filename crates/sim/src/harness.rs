@@ -24,7 +24,6 @@ use std::rc::Rc;
 use sec_engine::{ClusterError, ObjectId, PlacementStrategy, SecCluster, SecEngine};
 use sec_erasure::GeneratorForm;
 use sec_store::fault::{self, HookGuard};
-use sec_store::node::SymbolKey;
 use sec_store::{Placement, StoreError};
 use sec_versioning::{
     ArchiveConfig, BytePrefixRetrieval, ByteVersionRetrieval, ByteVersionedArchive, CheckpointPolicy,
@@ -447,7 +446,7 @@ impl EngineSim {
         let placement = Placement::new(self.options.placement, self.options.n, entries);
         move |entry, position| {
             placement
-                .try_node_for(SymbolKey { entry, position })
+                .try_node_for(entry, position)
                 .is_ok_and(|node| self.model_alive(node))
         }
     }

@@ -8,7 +8,7 @@
 //! retrieval costs. This crate provides the pieces `sec-engine` serves with:
 //!
 //! * [`placement`] — colocated vs dispersed node assignment (§IV);
-//! * [`node`] — the block map one storage node keeps, with a read counter;
+//! * [`node`] — the block slots one storage node keeps, with a read counter;
 //! * [`failure`] — i.i.d. failure injection and exhaustive failure-pattern
 //!   enumeration for the small clusters of the paper's examples;
 //! * [`metrics`] — the I/O counters, updatable under a shared borrow;
@@ -26,7 +26,6 @@
 //!
 //! ```rust
 //! use sec_erasure::GeneratorForm;
-//! use sec_store::node::SymbolKey;
 //! use sec_store::{FailurePattern, Placement, PlacementStrategy};
 //! use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy, VersioningError};
 //!
@@ -42,7 +41,7 @@
 //! fn live(placement: Placement, pattern: &FailurePattern) -> impl Fn(usize, usize) -> bool + '_ {
 //!     move |entry, position| {
 //!         placement
-//!             .try_node_for(SymbolKey { entry, position })
+//!             .try_node_for(entry, position)
 //!             .is_ok_and(|node| !pattern.is_failed(node))
 //!     }
 //! }

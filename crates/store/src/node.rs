@@ -1,54 +1,57 @@
 //! A single simulated storage node.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fault;
 
-/// Key of one stored coded symbol: which archive entry it belongs to and its
-/// position within that entry's codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SymbolKey {
-    /// Index of the stored object (archive entry) the symbol encodes.
-    pub entry: usize,
-    /// Position of the symbol within the entry's codeword (`0..n`).
-    pub position: usize,
-}
-
-/// One storage node: the coded blocks it holds and a read counter.
+/// One storage node: an array of block slots and a read counter.
+///
+/// A node holds at most one block per stored entry, in the slot
+/// [`PlacementStrategy::slab_slot`](crate::PlacementStrategy::slab_slot)
+/// assigns it; slots never written read as absent.
 ///
 /// Liveness is not the node's concern — `sec-engine` keeps it in one atomic
 /// array per node group, outside every node lock. Reads work through
 /// `&self` (the counter is atomic), so any number of readers can borrow
 /// blocks from a shared node; only [`StorageNode::put`] and
-/// [`StorageNode::wipe`] change the contents and need `&mut self`.
+/// [`StorageNode::replace`] change the contents and need `&mut self`.
 #[derive(Debug, Default)]
 pub struct StorageNode {
-    blocks: BTreeMap<SymbolKey, Vec<u8>>,
+    slots: Vec<Option<Vec<u8>>>,
     reads: AtomicU64,
 }
 
 impl StorageNode {
-    /// Clears the node's contents (models permanent data loss).
-    pub fn wipe(&mut self) {
-        self.blocks.clear();
+    /// Stores `block` in `slot`, replacing what the slot held. Slots below
+    /// `slot` that were never written stay absent.
+    pub fn put(&mut self, slot: usize, block: Vec<u8>) {
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        if let Some(held) = self.slots.get_mut(slot) {
+            *held = Some(block);
+        }
     }
 
-    /// Stores one coded block.
-    pub fn put(&mut self, key: SymbolKey, block: Vec<u8>) {
-        self.blocks.insert(key, block);
+    /// Replaces the node's whole contents with `blocks`, as `(slot, block)`
+    /// pairs — a repair's commit. The read counter is kept.
+    pub fn replace(&mut self, blocks: impl IntoIterator<Item = (usize, Vec<u8>)>) {
+        self.slots.clear();
+        for (slot, block) in blocks {
+            self.put(slot, block);
+        }
     }
 
-    /// Borrows the block stored under `key` and counts one read, or returns
-    /// `None` when the node does not hold it.
-    pub fn read(&self, key: SymbolKey) -> Option<&[u8]> {
+    /// Borrows the block in `slot` and counts one read, or returns `None`
+    /// when the slot is absent.
+    pub fn read(&self, slot: usize) -> Option<&[u8]> {
         // Simulated transient read failure: the request is lost, exactly
         // like a node missing a deadline, so callers fall back as they would
         // for a missing block.
         if fault::buggify("store::node::read") {
             return None;
         }
-        let block = self.blocks.get(&key)?;
+        let block = self.slots.get(slot)?.as_deref()?;
         // audit: atomic ok — read counter is a statistic; no ordering dependency
         self.reads.fetch_add(1, Ordering::Relaxed);
         Some(block)
@@ -65,35 +68,60 @@ impl StorageNode {
 mod tests {
     use super::*;
 
-    const KEY: SymbolKey = SymbolKey {
-        entry: 0,
-        position: 2,
-    };
-
     #[test]
     fn put_read_and_counters() {
         let mut node = StorageNode::default();
-        assert_eq!(node.read(KEY), None);
-        assert_eq!(node.reads(), 0, "a missing block is not a served read");
-        node.put(KEY, vec![9, 8]);
-        assert_eq!(node.read(KEY), Some(&[9u8, 8][..]));
+        assert_eq!(node.read(0), None);
+        node.put(0, vec![9, 8]);
+        assert_eq!(node.read(0), Some(&[9u8, 8][..]));
+        assert_eq!(node.read(1), None);
+        assert_eq!(node.reads(), 1, "a miss is not a counted read");
+    }
+
+    #[test]
+    fn a_put_past_the_end_leaves_absent_slots() {
+        let mut node = StorageNode::default();
+        node.put(5, vec![5]);
+        let absent = [0, 1, 2, 3, 4, 6, usize::MAX];
+        assert!(absent.iter().all(|&slot| node.read(slot).is_none()));
+        assert_eq!(node.read(5), Some(&[5u8][..]));
         assert_eq!(node.reads(), 1);
-        node.wipe();
-        assert_eq!(node.read(KEY), None);
-        assert_eq!(node.reads(), 1);
+    }
+
+    /// Reversed SEC rewrites the previous full copy's slot with the new
+    /// delta: the slot's old block is gone, its neighbours untouched.
+    #[test]
+    fn overwriting_a_slot_replaces_only_its_block() {
+        let mut node = StorageNode::default();
+        for (slot, byte) in [(0, 1u8), (1, 2), (1, 3), (2, 4)] {
+            node.put(slot, vec![byte]);
+        }
+        let held: Vec<_> = (0..3).map(|slot| node.read(slot)).collect();
+        assert_eq!(held, [Some(&[1u8][..]), Some(&[3][..]), Some(&[4][..])]);
+    }
+
+    #[test]
+    fn replace_swaps_the_contents_and_keeps_the_read_counter() {
+        let mut node = StorageNode::default();
+        node.put(0, vec![1]);
+        assert!(node.read(0).is_some());
+        node.replace([(1, vec![7])]);
+        assert_eq!(node.read(0), None);
+        assert_eq!(node.read(1), Some(&[7u8][..]));
+        assert_eq!(node.reads(), 2, "one read before the repair, one after");
     }
 
     #[test]
     fn shared_reads_count_concurrently() {
         let mut node = StorageNode::default();
-        node.put(KEY, vec![1]);
+        node.put(2, vec![1]);
         let node = std::sync::Arc::new(node);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let node = std::sync::Arc::clone(&node);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        assert_eq!(node.read(KEY), Some(&[1u8][..]));
+                        assert_eq!(node.read(2), Some(&[1u8][..]));
                     }
                 })
             })

@@ -6,8 +6,10 @@
 //!   whole-archive resilience.
 //! * **Dispersed** — each stored object gets its own disjoint set of `n`
 //!   nodes, for `n·L` nodes in total.
+//!
+//! Either way nodes come in *slabs* of `n`, node `i` holding position `i`;
+//! [`PlacementStrategy::slab_slot`] says which slab and slot hold an entry.
 
-use crate::node::SymbolKey;
 use crate::store::StoreError;
 
 /// Which placement strategy an engine uses.
@@ -17,6 +19,19 @@ pub enum PlacementStrategy {
     Colocated,
     /// Every entry gets its own disjoint set of `n` nodes.
     Dispersed,
+}
+
+impl PlacementStrategy {
+    /// Where `entry`'s blocks live: the index of the slab of `n` nodes that
+    /// holds them, and the slot each of those nodes keeps its block in.
+    /// Colocated entries share slab 0, one slot each; a dispersed entry has
+    /// a slab of its own and fills slot 0 of every node in it.
+    pub fn slab_slot(self, entry: usize) -> (usize, usize) {
+        match self {
+            PlacementStrategy::Colocated => (0, entry),
+            PlacementStrategy::Dispersed => (entry, 0),
+        }
+    }
 }
 
 impl core::fmt::Display for PlacementStrategy {
@@ -31,11 +46,8 @@ impl core::fmt::Display for PlacementStrategy {
 /// A concrete node assignment for `entries` stored objects of codeword length
 /// `n` each.
 ///
-/// # Growth contract
-///
-/// A placement starts out covering the entries that existed when it was
-/// built and grows monotonically via [`Placement::grow_to`] as versions are
-/// appended: growing never renames an existing symbol's node, it only adds
+/// Node `s·n + i` is position `i` of slab `s`. A placement for more entries
+/// never renames a node an existing entry's block lives on; it only adds
 /// addressable entries (and, under [`PlacementStrategy::Dispersed`], the `n`
 /// fresh nodes each new entry lives on). An **empty** placement covers zero
 /// entries: under `Dispersed` it therefore has **zero** nodes and rejects
@@ -69,15 +81,10 @@ impl Placement {
         self.n
     }
 
-    /// Number of stored objects covered by the placement.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Total number of distinct nodes required. An empty dispersed placement
     /// needs zero nodes (consistently with [`Placement::try_node_for`], which
-    /// rejects every key until [`Placement::grow_to`] admits entries); a
-    /// colocated placement always needs exactly `n`.
+    /// rejects every key of an empty placement); a colocated placement always
+    /// needs exactly `n`.
     pub fn node_count(&self) -> usize {
         match self.strategy {
             PlacementStrategy::Colocated => self.n,
@@ -85,32 +92,20 @@ impl Placement {
         }
     }
 
-    /// The node that stores the given coded symbol, or
-    /// [`StoreError::InvalidSymbol`] when the key lies outside the
+    /// The node that stores block `position` of stored entry `entry`, or
+    /// [`StoreError::InvalidSymbol`] when the pair lies outside the
     /// placement's geometry.
-    pub fn try_node_for(&self, key: SymbolKey) -> Result<usize, StoreError> {
-        if key.position >= self.n || key.entry >= self.entries {
+    pub fn try_node_for(&self, entry: usize, position: usize) -> Result<usize, StoreError> {
+        if position >= self.n || entry >= self.entries {
             return Err(StoreError::InvalidSymbol {
-                entry: key.entry,
-                position: key.position,
+                entry,
+                position,
                 n: self.n,
                 entries: self.entries,
             });
         }
-        Ok(match self.strategy {
-            PlacementStrategy::Colocated => key.position,
-            PlacementStrategy::Dispersed => key.entry * self.n + key.position,
-        })
-    }
-
-    /// Grows the placement to cover at least `entries` stored objects (used
-    /// when versions are appended after the engine was created).
-    /// Growing is monotone — it never shrinks coverage nor reassigns an
-    /// already-addressable symbol — and under
-    /// [`PlacementStrategy::Dispersed`] each admitted entry adds `n` fresh
-    /// nodes to [`Placement::node_count`].
-    pub fn grow_to(&mut self, entries: usize) {
-        self.entries = self.entries.max(entries);
+        let (slab, _) = self.strategy.slab_slot(entry);
+        Ok(slab * self.n + position)
     }
 }
 
@@ -121,7 +116,7 @@ mod tests {
     /// The nodes holding `entry`, in codeword-position order.
     fn nodes_of(p: &Placement, entry: usize) -> Result<Vec<usize>, StoreError> {
         (0..p.codeword_len())
-            .map(|position| p.try_node_for(SymbolKey { entry, position }))
+            .map(|position| p.try_node_for(entry, position))
             .collect()
     }
 
@@ -133,7 +128,7 @@ mod tests {
         assert_eq!(nodes_of(&p, 4), Ok(vec![0, 1, 2, 3, 4, 5]));
         assert_eq!(p.strategy(), PlacementStrategy::Colocated);
         assert_eq!(p.codeword_len(), 6);
-        assert_eq!(p.entries(), 5);
+        assert_eq!(PlacementStrategy::Colocated.slab_slot(4), (0, 4));
     }
 
     #[test]
@@ -142,44 +137,37 @@ mod tests {
         assert_eq!(p.node_count(), 30);
         assert_eq!(nodes_of(&p, 0), Ok(vec![0, 1, 2, 3, 4, 5]));
         assert_eq!(nodes_of(&p, 2), Ok(vec![12, 13, 14, 15, 16, 17]));
+        assert_eq!(PlacementStrategy::Dispersed.slab_slot(2), (2, 0));
         // Node sets of different entries never intersect.
-        for a in 0..5 {
-            for b in (a + 1)..5 {
-                let na = nodes_of(&p, a).unwrap();
-                let nb = nodes_of(&p, b).unwrap();
-                assert!(na.iter().all(|x| !nb.contains(x)));
-            }
-        }
+        let mut all: Vec<usize> = (0..5).flat_map(|e| nodes_of(&p, e).unwrap()).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 30);
     }
 
+    /// An engine's placement is rebuilt from its entry count as it grows: a
+    /// placement over more entries keeps every earlier assignment.
     #[test]
     fn grow_extends_entry_range() {
-        let mut p = Placement::new(PlacementStrategy::Dispersed, 4, 1);
-        assert_eq!(p.node_count(), 4);
-        p.grow_to(3);
-        assert_eq!(p.entries(), 3);
-        assert_eq!(p.node_count(), 12);
-        // Growing never shrinks.
-        p.grow_to(2);
-        assert_eq!(p.entries(), 3);
+        for strategy in [PlacementStrategy::Colocated, PlacementStrategy::Dispersed] {
+            let small = Placement::new(strategy, 4, 1);
+            let grown = Placement::new(strategy, 4, 3);
+            assert_eq!(nodes_of(&small, 0), nodes_of(&grown, 0), "{strategy}");
+            assert!(nodes_of(&small, 2).is_err());
+            assert!(nodes_of(&grown, 2).is_ok());
+        }
+        assert_eq!(Placement::new(PlacementStrategy::Dispersed, 4, 1).node_count(), 4);
+        assert_eq!(
+            Placement::new(PlacementStrategy::Dispersed, 4, 3).node_count(),
+            12
+        );
     }
 
     #[test]
     fn empty_placement_has_no_dispersed_nodes_and_rejects_every_key() {
-        // The former `entries.max(1)` quirk reported `n` nodes for an empty
-        // dispersed placement while rejecting entry 0; empty now means zero
-        // nodes, and growth admits them.
-        let mut p = Placement::new(PlacementStrategy::Dispersed, 4, 0);
+        let p = Placement::new(PlacementStrategy::Dispersed, 4, 0);
         assert_eq!(p.node_count(), 0);
-        assert!(p
-            .try_node_for(SymbolKey {
-                entry: 0,
-                position: 0,
-            })
-            .is_err());
-        p.grow_to(2);
-        assert_eq!(p.node_count(), 8);
-        assert_eq!(nodes_of(&p, 1), Ok(vec![4, 5, 6, 7]));
+        assert!(p.try_node_for(0, 0).is_err());
         // Colocated nodes exist independently of entries.
         let colo = Placement::new(PlacementStrategy::Colocated, 4, 0);
         assert_eq!(colo.node_count(), 4);
@@ -189,19 +177,8 @@ mod tests {
     #[test]
     fn try_addressing_reports_the_offending_key() {
         let p = Placement::new(PlacementStrategy::Dispersed, 6, 2);
-        assert_eq!(
-            p.try_node_for(SymbolKey {
-                entry: 1,
-                position: 4,
-            }),
-            Ok(10)
-        );
-        let err = p
-            .try_node_for(SymbolKey {
-                entry: 2,
-                position: 0,
-            })
-            .unwrap_err();
+        assert_eq!(p.try_node_for(1, 4), Ok(10));
+        let err = p.try_node_for(2, 0).unwrap_err();
         assert_eq!(
             err,
             StoreError::InvalidSymbol {
@@ -212,12 +189,7 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("out of range"));
-        assert!(p
-            .try_node_for(SymbolKey {
-                entry: 0,
-                position: 6,
-            })
-            .is_err());
+        assert!(p.try_node_for(0, 6).is_err());
     }
 
     #[test]

@@ -33,12 +33,12 @@ pub enum StoreError {
         /// The node whose repair lost the race with a fresh failure.
         node: usize,
     },
-    /// A symbol key outside the placement's geometry was addressed (entry or
+    /// A block outside the placement's geometry was addressed (entry or
     /// codeword position too large).
     InvalidSymbol {
-        /// Entry index of the offending key.
+        /// Entry index of the offending block.
         entry: usize,
-        /// Codeword position of the offending key.
+        /// Codeword position of the offending block.
         position: usize,
         /// Codeword length `n` of the placement.
         n: usize,

@@ -8,11 +8,11 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, polynomials, bulk kernels |
+//! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, bulk kernels |
 //! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy/Vandermonde, criteria checks |
 //! | [`erasure`] | `sec-erasure` | systematic / non-systematic Cauchy MDS codes, sparse recovery, read planning |
 //! | [`versioning`] | `sec-versioning` | byte archives (layout ledger + blocks), Basic/Optimized/Reversed SEC, I/O model |
-//! | [`store`] | `sec-store` | storage nodes, placement, failure patterns, I/O counters, the shared error type |
+//! | [`store`] | `sec-store` | storage nodes as block-slot arrays, placement, failure patterns, I/O counters, the shared error type |
 //! | [`engine`] | `sec-engine` | concurrent serving layer: sharded locks, lock-free planning, delta cache |
 //! | [`analysis`] | `sec-analysis` | static resilience, availability, average-I/O, expected-I/O |
 //! | [`workload`] | `sec-workload` | sparsity PMFs and synthetic edit traces |

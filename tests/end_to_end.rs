@@ -11,7 +11,6 @@ use sec::analysis::patterns::census;
 use sec::analysis::resilience::{paper_eq20_systematic_loss, prob_lose_sparse_exact};
 use sec::gf::{bulk, Gf1024, Gf256};
 use sec::store::failure::enumerate_patterns;
-use sec::store::node::SymbolKey;
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
     ArchiveConfig, ByteVersionedArchive, EncodingStrategy, GeneratorForm, PlacementStrategy, SecCode,
@@ -61,11 +60,7 @@ fn trace_to_storage_round_trip_under_failures() {
                 engine.fail_node(node).unwrap();
             }
             let nodes = engine.placement();
-            let live = |entry, position| {
-                nodes
-                    .try_node_for(SymbolKey { entry, position })
-                    .is_ok_and(|node| node >= 8)
-            };
+            let live = |entry, position| nodes.try_node_for(entry, position).is_ok_and(|node| node >= 8);
             for (l, expect) in versions.iter().enumerate() {
                 let case = format!("{strategy} {placement} version {}", l + 1);
                 let got = engine

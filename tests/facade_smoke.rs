@@ -4,10 +4,9 @@
 
 use sec::analysis::patterns::census;
 use sec::engine::{ClusterMetrics, EngineMetrics, EngineRetrieval};
-use sec::erasure::{CodeError, DecodeMethod, ReadPlan, ReadTarget, ReplicationCode, Share};
-use sec::gf::{GaloisField, Gf1024, Gf16, Gf256, Gf65536, Poly};
+use sec::erasure::{CodeError, DecodeMethod, ReadPlan, ReadTarget, Share};
+use sec::gf::{GaloisField, Gf1024, Gf16, Gf256, Gf65536};
 use sec::linalg::{cauchy::cauchy_matrix, checks, Matrix, MatrixError};
-use sec::store::node::SymbolKey;
 use sec::store::{FailurePattern, IoMetrics, Placement, StorageNode};
 use sec::versioning::{BytePrefixRetrieval, ByteVersionRetrieval, VersioningError};
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
@@ -49,7 +48,7 @@ fn facade_types_interoperate_end_to_end() {
     let pattern = FailurePattern::with_failures(placement.node_count(), &[0]);
     let live = |entry, position| {
         placement
-            .try_node_for(SymbolKey { entry, position })
+            .try_node_for(entry, position)
             .is_ok_and(|node| !pattern.is_failed(node))
     };
     let retrieved: ByteVersionRetrieval = archive.retrieve_version_from(2, live).expect("retrieve");
@@ -106,13 +105,11 @@ fn facade_types_interoperate_end_to_end() {
 /// Re-exported auxiliary types and the whole-module re-exports stay reachable.
 #[test]
 fn facade_module_reexports_are_reachable() {
-    // gf: all four fields and polynomials.
+    // gf: all four fields.
     assert_eq!(Gf16::ORDER, 16);
     assert_eq!(Gf256::ORDER, 256);
     assert_eq!(Gf1024::ORDER, 1024);
     assert_eq!(Gf65536::ORDER, 65536);
-    let poly = Poly::new(vec![Gf256::ONE, Gf256::ONE]);
-    assert_eq!(poly.eval(Gf256::ONE), Gf256::ZERO); // 1 + x at x=1, char 2
 
     // linalg: Cauchy construction satisfies both SEC criteria.
     let g: Matrix<Gf256> = cauchy_matrix(6, 3).expect("cauchy");
@@ -120,10 +117,7 @@ fn facade_module_reexports_are_reachable() {
     let bad: Result<Matrix<Gf256>, MatrixError> = Matrix::from_vec(2, 2, vec![Gf256::ZERO]);
     assert!(bad.is_err());
 
-    // erasure auxiliaries: baseline code, read planning vocabulary, errors.
-    let replication = ReplicationCode::new(3, 4).expect("replication code");
-    assert_eq!(replication.replicas(), 3);
-    assert_eq!(replication.io_reads(), 4);
+    // erasure auxiliaries: read planning vocabulary, errors.
     let target = ReadTarget::Sparse { gamma: 1 };
     assert!(matches!(target, ReadTarget::Sparse { gamma: 1 }));
     let plan = ReadPlan {
