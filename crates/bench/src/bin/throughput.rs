@@ -27,6 +27,14 @@
 //! ([`ByteCodec::decode_sum_into`]) against `m` decodes, each XORed into the
 //! first — the walk before it summed.
 //!
+//! The **edited-delta recovery** rows (`sparse_recover_edit64_g*`) time, on
+//! every kernel, what a version walk does with a sparse delta as real edits
+//! make it: `γ ∈ {1, 2}` blocks each changed in 64 bytes, recovered from
+//! `2γ` coded blocks onto a reused accumulator, at (12, 6) @ 32 KiB and
+//! (6, 3) @ 4 KiB (`γ = 1` only, since `2γ < k`). Beside them, the codec
+//! and kernel matrices' `sparse_recover` row recovers a block that is
+//! non-zero in every byte — the column scan's worst case.
+//!
 //! Nothing here asserts or records. What a `GET` costs end to end, what the
 //! delta cache serves and how the server holds up under many connections are
 //! measured — with assertions — by the `benchmark/` package and with
@@ -299,6 +307,50 @@ fn measure_folded(path: &'static str, min_total: Duration, samples: &mut Vec<Sam
     }
 }
 
+/// Op names of the edited-delta recovery rows, by `γ`.
+const EDIT64: [&str; 2] = ["sparse_recover_edit64_g1", "sparse_recover_edit64_g2"];
+
+/// The edited-delta recovery rows on whatever kernel is active (see the
+/// module docs): per shape and `γ`, a delta whose `γ` middle blocks each
+/// differ in 64 bytes at their own offset, recovered from its first `2γ`
+/// coded blocks and XORed onto one accumulator call after call.
+fn measure_edit64(path: &'static str, min_total: Duration, samples: &mut Vec<Sample>) {
+    for (k, shard_bytes) in [(6, 32 * 1024), (3, 4096)] {
+        let code: SecCode<Gf256> =
+            SecCode::cauchy(2 * k, k, GeneratorForm::NonSystematic).expect("(2k,k) fits in GF(256)");
+        let codec = ByteCodec::new(code);
+        for (gamma, op) in (1..).zip(EDIT64).take_while(|&(gamma, _)| 2 * gamma < k) {
+            let mut delta = ByteShards::zeroed(k, shard_bytes);
+            for g in 0..gamma {
+                let at = (2 * g + 1) * shard_bytes / (2 * gamma + 1);
+                fill(
+                    &mut delta.shard_mut(k / 2 + g - gamma / 2)[at..at + 64],
+                    42 + g as u64,
+                );
+            }
+            let coded = codec.encode_blocks(&delta).expect("encode delta");
+            let shares: Vec<(usize, &[u8])> = (0..2 * gamma).map(|i| (i, coded.shard(i))).collect();
+            let mut acc = ByteShards::zeroed(k, shard_bytes);
+            let ns = measure(
+                || {
+                    codec
+                        .recover_sparse_into(&shares, gamma, &mut acc)
+                        .expect("recover")
+                },
+                min_total,
+                1000,
+            );
+            samples.push(Sample {
+                path,
+                op,
+                k,
+                shard_bytes,
+                ns_per_op: ns,
+            });
+        }
+    }
+}
+
 /// Times `f` until `min_total` has elapsed or `max_iters` runs completed
 /// (after one untimed warm-up call), returning mean ns per call.
 fn measure<F: FnMut()>(mut f: F, min_total: Duration, max_iters: u64) -> f64 {
@@ -392,6 +444,7 @@ fn main() {
 
     let mut kernel_samples = Vec::new();
     let mut folded_samples = Vec::new();
+    let mut edit_samples = Vec::new();
     for kernel in Kernel::available() {
         sec_gf::force_kernel(kernel).expect("available kernels can be forced");
         for k in ks {
@@ -400,6 +453,7 @@ fn main() {
             }
         }
         measure_folded(kernel.name(), min_total, &mut folded_samples);
+        measure_edit64(kernel.name(), min_total, &mut edit_samples);
     }
     sec_gf::reset_kernel();
 
@@ -408,6 +462,8 @@ fn main() {
     print_table("kernel", &kernel_samples);
     println!();
     print_table("kernel", &folded_samples);
+    println!();
+    print_table("kernel", &edit_samples);
     println!();
     let headline = *sizes.last().expect("at least one size");
     print_encode_speedup(&codec_samples, headline, "byte", "per-symbol");

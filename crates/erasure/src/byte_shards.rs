@@ -54,6 +54,7 @@
 //! ```
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sec_gf::bulk8::CoeffTables;
@@ -250,9 +251,12 @@ impl ByteShards {
 /// shared codec, each through its own thread-local `DecodeScratch`.
 #[derive(Debug, Default)]
 struct DecodeScratch {
-    /// One [`VERIFY_CHUNK`] of every residual row, for the full consistency
-    /// verification.
+    /// Every residual row over one run of non-zero columns, for the full
+    /// consistency verification.
     row: Vec<u8>,
+    /// The runs of non-zero columns of the shares being recovered, from
+    /// [`scan_runs`].
+    runs: Vec<Range<usize>>,
     /// The generator rows of the supplied shares, `r × k` row-major.
     phi: Vec<Gf256>,
     /// Elimination workspace `[A | T]`, `r × (w + r)` row-major: after
@@ -271,7 +275,8 @@ struct DecodeScratch {
 const MAX_PROBES: usize = 8;
 
 impl DecodeScratch {
-    /// Loads the generator rows of `shares` and clears the probe set.
+    /// Loads the generator rows of `shares`, clears the probe set and scans
+    /// the shares for their runs of non-zero columns.
     fn begin(&mut self, code: &SecCode<Gf256>, shares: &[(usize, &[u8])]) {
         let g = code.generator();
         self.phi.clear();
@@ -279,6 +284,7 @@ impl DecodeScratch {
             self.phi.extend((0..code.k()).map(|col| g.get(row, col)));
         }
         self.probes.clear();
+        scan_runs(shares, &mut self.runs);
     }
 
     /// Records the byte-column at `offset` as a probe (up to [`MAX_PROBES`]).
@@ -360,6 +366,109 @@ impl DecodeScratch {
             })
         })
     }
+}
+
+/// Columns of the shares the column scan tests at a time: a strip is
+/// non-zero when any share has a non-zero byte in it, and a run is a union
+/// of strips.
+const STRIP: usize = 64;
+
+/// Fewest zero bytes that separate two runs of non-zero columns in sparse
+/// recovery ([`ByteCodec::recover_sparse_into`]): non-zero 64-byte strips
+/// closer than this share a run. Each run costs two matrix applies of its
+/// own, so a gap shorter than this is cheaper to multiply through than to
+/// split at. Public so that tests can place edits either side of it.
+pub const RUN_GAP: usize = 4096;
+
+/// Columns the scan skips at a time where every share is zero, before it
+/// looks for the strip that ends the zeros.
+const WINDOW: usize = 512;
+
+/// Longest run. Bounds the residual rows in the scratch whatever the shard
+/// length.
+const MAX_RUN: usize = 32 * 1024;
+
+/// Replaces `runs` with the runs of non-zero columns of `shares`, in order:
+/// every column outside them is zero in every share. A run starts at a
+/// non-zero strip and ends at its last non-zero strip, once [`RUN_GAP`] zero
+/// bytes follow it or the run reaches [`MAX_RUN`].
+fn scan_runs(shares: &[(usize, &[u8])], runs: &mut Vec<Range<usize>>) {
+    runs.clear();
+    let len = first_len(shares);
+    let mut from = 0;
+    while let Some(first) = first_nonzero_strip(shares, from..len) {
+        // The last non-zero strip that starts less than `RUN_GAP` past the
+        // run's end joins the run, with every strip before it: looking from
+        // the farthest lets a dense run skip the strips in between.
+        let (start, mut end) = (first.start, first.end);
+        loop {
+            let reach = (end + RUN_GAP).min(start + MAX_RUN).min(len);
+            match last_nonzero_strip(shares, end..reach) {
+                Some(strip) => end = strip.end,
+                None => {
+                    from = reach;
+                    break;
+                }
+            }
+        }
+        runs.push(start..end);
+    }
+}
+
+/// The first and last non-zero columns of `run`, found in its first and
+/// last strips, which hold one each.
+fn run_ends(shares: &[(usize, &[u8])], run: &Range<usize>) -> (usize, usize) {
+    let head = run.start..(run.start + STRIP).min(run.end);
+    let tail = (run.end - 1) / STRIP * STRIP..run.end;
+    let first = shares
+        .iter()
+        .filter_map(|&(_, shard)| first_nonzero(&shard[head.clone()]))
+        .min();
+    let last = shares
+        .iter()
+        .filter_map(|&(_, shard)| shard[tail.clone()].iter().rposition(|&b| b != 0))
+        .max();
+    let (Some(first), Some(last)) = (first, last) else {
+        unreachable!("a run starts and ends with a non-zero strip");
+    };
+    (head.start + first, tail.start + last)
+}
+
+/// The first [`STRIP`] of `columns` (which start on a strip) where some
+/// share is non-zero, skipping zeros a [`WINDOW`] at a time.
+fn first_nonzero_strip(shares: &[(usize, &[u8])], columns: Range<usize>) -> Option<Range<usize>> {
+    let window = pieces(columns, WINDOW).find(|w| nonzero_columns::<WINDOW>(shares, w))?;
+    pieces(window, STRIP).find(|strip| nonzero_columns::<STRIP>(shares, strip))
+}
+
+/// The last [`STRIP`] of `columns` (which start on a strip) where some
+/// share is non-zero, skipping zeros a [`WINDOW`] at a time.
+fn last_nonzero_strip(shares: &[(usize, &[u8])], columns: Range<usize>) -> Option<Range<usize>> {
+    let window = pieces(columns, WINDOW)
+        .rev()
+        .find(|w| nonzero_columns::<WINDOW>(shares, w))?;
+    pieces(window, STRIP)
+        .rev()
+        .find(|strip| nonzero_columns::<STRIP>(shares, strip))
+}
+
+/// `columns` cut into consecutive pieces of `size`, the last one shorter.
+fn pieces(columns: Range<usize>, size: usize) -> impl DoubleEndedIterator<Item = Range<usize>> {
+    (0..columns.len().div_ceil(size)).map(move |i| {
+        let start = columns.start + i * size;
+        start..(start + size).min(columns.end)
+    })
+}
+
+/// Whether any share has a non-zero byte in `columns`, at most `N` of them.
+fn nonzero_columns<const N: usize>(shares: &[(usize, &[u8])], columns: &Range<usize>) -> bool {
+    shares.iter().any(|&(_, shard)| {
+        let bytes = &shard[columns.clone()];
+        match <&[u8; N]>::try_from(bytes) {
+            Ok(full) => any_nonzero(full),
+            Err(_) => first_nonzero(bytes).is_some(),
+        }
+    })
 }
 
 thread_local! {
@@ -666,9 +775,10 @@ impl ByteCodec {
         let coeffs: Vec<Gf256> = (0..k)
             .map(|col| (0..k).map(|j| g.get(position, j) * inv[j * k + col]).sum())
             .collect();
+        let sources = columns_of(used, &(0..shard_len));
         let mut block = vec![0u8; shard_len];
         self.tables
-            .matrix_apply(&coeffs, &blocks_of(used), &mut [&mut block], false);
+            .matrix_apply(&coeffs, &sources, &mut [&mut block], false);
         Ok(block)
     }
 
@@ -689,6 +799,17 @@ impl ByteCodec {
     /// `shard_len` bytes, and nothing is written before it has — so the
     /// winner, and the output, are exactly those of an exhaustive check of
     /// each candidate in turn, including on inputs that are not `γ`-sparse.
+    ///
+    /// Only the byte columns where at least one share is non-zero carry
+    /// arithmetic. One scan of the shares finds them as runs of 64-byte
+    /// strips, and both the residual verification and the solution are
+    /// applied over those runs alone. This changes no outcome. A column that
+    /// is zero in every share has a zero residual under every support, so it
+    /// can never reject one, and its solution is zero. Every byte is still
+    /// checked: the scan tests each column, and the residual apply covers
+    /// every column the scan did not find zero. A delta that edits a few
+    /// bytes of each block therefore costs the scan plus arithmetic on those
+    /// bytes, whatever the block length.
     ///
     /// # Errors
     ///
@@ -712,7 +833,11 @@ impl ByteCodec {
     /// [`ByteCodec::recover_sparse_blocks`] does and XORs it onto `acc` —
     /// delta application fused into the recovery: only the (at most `γ`)
     /// solved blocks of `acc` are touched, and no `k`-block temporary exists.
-    /// On any error `acc` is left exactly as it was.
+    /// Within those blocks only the columns where some share is non-zero are
+    /// written. Everywhere else the recovered delta is zero, so XORing it
+    /// would change nothing. The winning support is still verified on every
+    /// byte before `acc` is touched, so on any error `acc` is left exactly as
+    /// it was.
     ///
     /// # Errors
     ///
@@ -730,7 +855,8 @@ impl ByteCodec {
     }
 
     /// The one sparse-recovery implementation: validate, search the supports
-    /// behind the probe screen, fully verify, then accumulate the winner.
+    /// behind the probe screen, fully verify, then accumulate the winner —
+    /// the last two over the runs of non-zero columns.
     fn recover_sparse_into_with(
         &self,
         shares: &[(usize, &[u8])],
@@ -753,15 +879,15 @@ impl ByteCodec {
         check_shape(acc, k, shard_len)?;
 
         // Weight 0: an all-zero observation decodes to zero. Otherwise the
-        // two ends of the first non-zero share seed the probe set — blocks
-        // edited at different offsets show up at different ends.
-        let Some((first, last)) = shares.iter().find_map(|&(_, shard)| nonzero_span(shard)) else {
+        // two ends of the first run of non-zero columns seed the probe set.
+        scratch.begin(&self.code, shares);
+        let Some(first) = scratch.runs.first() else {
             return Ok(());
         };
-        scratch.begin(&self.code, shares);
-        scratch.add_probe(shares, first);
-        if last != first {
-            scratch.add_probe(shares, last);
+        let (start, end) = run_ends(shares, first);
+        scratch.add_probe(shares, start);
+        if end != start {
+            scratch.add_probe(shares, end);
         }
 
         let r = shares.len();
@@ -771,7 +897,7 @@ impl ByteCodec {
                 if !scratch.eliminate(r, k, support) || !scratch.probes_pass(r, weight) {
                     continue;
                 }
-                match self.first_residual(shares, weight, shard_len, scratch) {
+                match self.first_residual(shares, weight, scratch) {
                     // One column saw only part of the support: it passed the
                     // probes but not the shards. Probe the offending offset.
                     Some(offset) => scratch.add_probe(shares, offset),
@@ -786,39 +912,40 @@ impl ByteCodec {
     }
 
     /// The full consistency check of the support just eliminated in
-    /// `scratch`: applies the residual rows of the transform to the whole
-    /// shards, [`VERIFY_CHUNK`] bytes at a time, and returns an offset at
-    /// which one is non-zero, `None` when the support explains every byte.
+    /// `scratch`: applies the residual rows of the transform to every run of
+    /// non-zero columns and returns an offset at which one is non-zero,
+    /// `None` when the support explains every byte. A column outside the
+    /// runs is zero in every share, so its residual is zero for any support.
     fn first_residual(
         &self,
         shares: &[(usize, &[u8])],
         w: usize,
-        shard_len: usize,
         scratch: &mut DecodeScratch,
     ) -> Option<usize> {
         let r = shares.len();
         scratch.load_rows(r, w, w..r);
-        let DecodeScratch { row, coeffs, .. } = scratch;
-        let chunk = VERIFY_CHUNK.min(shard_len);
-        row.resize((r - w) * chunk, 0);
-        for start in (0..shard_len).step_by(VERIFY_CHUNK) {
-            let len = chunk.min(shard_len - start);
-            let srcs: Vec<&[u8]> = shares
-                .iter()
-                .map(|&(_, shard)| &shard[start..start + len])
-                .collect();
-            let mut residuals: Vec<&mut [u8]> =
-                row.chunks_exact_mut(chunk).map(|res| &mut res[..len]).collect();
-            self.tables.matrix_apply(coeffs, &srcs, &mut residuals, false);
+        let DecodeScratch {
+            row, runs, coeffs, ..
+        } = scratch;
+        for run in runs.iter() {
+            let len = run.len();
+            if row.len() < (r - w) * len {
+                row.resize((r - w) * len, 0);
+            }
+            let mut residuals: Vec<&mut [u8]> = row.chunks_exact_mut(len).take(r - w).collect();
+            self.tables
+                .matrix_apply(coeffs, &columns_of(shares, run), &mut residuals, false);
             if let Some(at) = residuals.iter().find_map(|res| first_nonzero(res)) {
-                return Some(start + at);
+                return Some(run.start + at);
             }
         }
         None
     }
 
     /// XORs the solved blocks of a verified support onto `acc`: block
-    /// `support[j]` gains row `j` of the transform applied to the shares.
+    /// `support[j]` gains row `j` of the transform applied to the shares,
+    /// over the runs of non-zero columns alone — elsewhere the shares are
+    /// zero, and so is the solution.
     fn accumulate_solution(
         &self,
         shares: &[(usize, &[u8])],
@@ -827,12 +954,14 @@ impl ByteCodec {
         acc: &mut ByteShards,
     ) {
         scratch.load_rows(shares.len(), support.len(), 0..support.len());
-        // `support` is sorted, so the kept blocks line up with its rows.
-        let mut solved: Vec<&mut [u8]> = (acc.shards_mut().enumerate())
-            .filter_map(|(block, shard)| support.contains(&block).then_some(shard))
-            .collect();
-        self.tables
-            .matrix_apply(&scratch.coeffs, &blocks_of(shares), &mut solved, true);
+        for run in &scratch.runs {
+            // `support` is sorted, so the kept blocks line up with its rows.
+            let mut solved: Vec<&mut [u8]> = (acc.shards_mut().enumerate())
+                .filter_map(|(block, shard)| support.contains(&block).then(|| &mut shard[run.clone()]))
+                .collect();
+            self.tables
+                .matrix_apply(&scratch.coeffs, &columns_of(shares, run), &mut solved, true);
+        }
     }
 
     /// Validates indices (range, duplicates) and equal shard lengths,
@@ -867,20 +996,15 @@ impl ByteCodec {
     }
 }
 
-/// Bytes of each share the full verification of a support covers per step:
-/// bounds the residual scratch whatever the shard length, and a support that
-/// passed the probes and still fails is dropped at the first failing step.
-const VERIFY_CHUNK: usize = 32 * 1024;
-
 /// Length of the first share (0 for none) — the shard length of an output
 /// sized before the shares are validated.
 fn first_len(shares: &[(usize, &[u8])]) -> usize {
     shares.first().map_or(0, |(_, s)| s.len())
 }
 
-/// The blocks of a share list, without their node indices.
-fn blocks_of<'a>(shares: &[(usize, &'a [u8])]) -> Vec<&'a [u8]> {
-    shares.iter().map(|&(_, shard)| shard).collect()
+/// The bytes `columns` of every share, without their node indices.
+fn columns_of<'a>(shares: &[(usize, &'a [u8])], columns: &Range<usize>) -> Vec<&'a [u8]> {
+    shares.iter().map(|&(_, shard)| &shard[columns.clone()]).collect()
 }
 
 /// Checks that `shards` is `count` shards of `shard_len` bytes.
@@ -894,11 +1018,13 @@ fn check_shape(shards: &ByteShards, count: usize, shard_len: usize) -> Result<()
     Ok(())
 }
 
-/// Whether a 64-byte chunk holds a non-zero byte; the OR-fold over a
-/// fixed-size chunk compiles to a few vector instructions, unlike a
-/// byte-at-a-time search with an early exit.
-fn any_nonzero(chunk: &[u8; 64]) -> bool {
-    chunk.iter().fold(0, |acc, &b| acc | b) != 0
+/// Whether a fixed-size chunk (a multiple of 8 bytes) holds a non-zero
+/// byte; the OR-fold of its 64-bit words compiles to a few vector
+/// instructions, unlike a byte-at-a-time search with an early exit.
+fn any_nonzero<const N: usize>(chunk: &[u8; N]) -> bool {
+    const { assert!(N.is_multiple_of(8), "a chunk is whole words") };
+    let (words, _) = chunk.as_chunks::<8>();
+    words.iter().fold(0, |acc, word| acc | u64::from_ne_bytes(*word)) != 0
 }
 
 /// Offset of the first non-zero byte of `bytes`, testing 64 bytes at a time.
@@ -909,18 +1035,6 @@ fn first_nonzero(bytes: &[u8]) -> Option<usize> {
         .position(any_nonzero)
         .map_or(chunks.len() * 64, |at| at * 64);
     bytes[head..].iter().position(|&b| b != 0).map(|at| head + at)
-}
-
-/// Offsets of the first and last non-zero bytes of `shard`, `None` when it
-/// is all zero.
-fn nonzero_span(shard: &[u8]) -> Option<(usize, usize)> {
-    let first = first_nonzero(shard)?;
-    let (_, chunks) = shard.as_rchunks::<64>();
-    let skipped = chunks.iter().rev().position(any_nonzero).unwrap_or(chunks.len());
-    let last = shard[..shard.len() - skipped * 64]
-        .iter()
-        .rposition(|&b| b != 0)?;
-    Some((first, last))
 }
 
 #[cfg(test)]
@@ -1225,20 +1339,56 @@ mod tests {
         }
     }
 
+    /// Every run the scan finds, in order.
+    fn runs_of(shares: &[(usize, &[u8])]) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        scan_runs(shares, &mut runs);
+        runs
+    }
+
     #[test]
-    fn nonzero_span_finds_both_ends_across_chunk_boundaries() {
-        for len in [0usize, 1, 63, 64, 65, 200] {
-            let mut shard = vec![0u8; len];
-            assert_eq!(nonzero_span(&shard), None, "len {len}");
+    fn runs_cover_every_nonzero_column_across_strip_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 200, 2 * RUN_GAP + 77] {
+            let zero = vec![0u8; len];
+            assert_eq!(runs_of(&[(0, &zero), (1, &zero)]), [], "len {len}");
+            let strip = |s: usize| s * STRIP..((s + 1) * STRIP).min(len);
             for first in 0..len {
-                for last in [first, (first + 70).min(len - 1), len - 1] {
-                    shard.fill(0);
-                    shard[first] = 1;
-                    shard[last] = 2;
-                    assert_eq!(nonzero_span(&shard), Some((first, last)), "len {len}");
+                let lasts = [
+                    first,
+                    first + 70,
+                    first + RUN_GAP - 1,
+                    first + RUN_GAP + 1,
+                    len - 1,
+                ];
+                for last in lasts.map(|last| last.min(len - 1)) {
+                    // One byte in each share: a run is the union of the
+                    // strips that hold one, merged when fewer than
+                    // `RUN_GAP` zero bytes of whole strips lie between them.
+                    let (mut a, mut b) = (zero.clone(), zero.clone());
+                    a[first] = 1;
+                    b[last] = 2;
+                    let (sf, sl) = (first / STRIP, last / STRIP);
+                    let mut expect = vec![strip(sf)];
+                    if (sl - sf) * STRIP <= RUN_GAP {
+                        expect[0].end = strip(sl).end;
+                    } else {
+                        expect.push(strip(sl));
+                    }
+                    assert_eq!(
+                        runs_of(&[(0, &a), (1, &b)]),
+                        expect,
+                        "len {len} bytes {first}, {last}"
+                    );
                 }
             }
         }
+        // A dense share splits into runs of at most `MAX_RUN`, the last one
+        // short.
+        let dense = vec![1u8; 2 * MAX_RUN + 13];
+        assert_eq!(
+            runs_of(&[(0, &dense)]),
+            [0..MAX_RUN, MAX_RUN..2 * MAX_RUN, 2 * MAX_RUN..2 * MAX_RUN + 13]
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use sec_erasure::byte_shards::RUN_GAP;
 use sec_erasure::{shards, sparse, ByteCodec, ByteShards, CodeError, GeneratorForm, SecCode, Share};
 use sec_gf::bulk8::CoeffTables;
 use sec_gf::{bulk, force_kernel, reset_kernel, GaloisField, Gf256, Kernel};
@@ -71,6 +72,78 @@ fn block_sparse(shard_len: usize, support: &[usize], seed: u64) -> ByteShards {
     for (pos, &s) in support.iter().enumerate() {
         let bytes = object(shard_len, seed.wrapping_add(pos as u64 * 7919));
         delta.shard_mut(s).copy_from_slice(&bytes);
+    }
+    delta
+}
+
+/// One short edit of a delta block, as [`byte_sparse`] draws it.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// The block's first byte.
+    First,
+    /// The block's last byte.
+    Last,
+    /// Four bytes across a 64-byte boundary, picked by the value.
+    Boundary(usize),
+    /// Two bytes with `RUN_GAP + 1` (wide) or `RUN_GAP − 1` zero bytes
+    /// between them, the first ending the 64-byte strip the delta's pair
+    /// offset picks (the same in every block): the codec's column scan puts
+    /// them in two runs or in one.
+    Pair(bool),
+}
+
+/// Edits of one block. Half the draws are one wide pair with edits only at
+/// the block's ends, which leave the pair's gap zero: when every edited
+/// block is drawn that way, the shares have two runs.
+fn edits_strategy() -> impl Strategy<Value = Vec<Edit>> {
+    let edit = prop_oneof![
+        Just(Edit::First),
+        Just(Edit::Last),
+        (0usize..usize::MAX).prop_map(Edit::Boundary),
+        Just(Edit::Pair(false)),
+        Just(Edit::Pair(true)),
+    ];
+    let end = prop_oneof![Just(Edit::First), Just(Edit::Last)];
+    prop_oneof![
+        prop::collection::vec(edit, 1..=3),
+        prop::collection::vec(end, 0..=2).prop_map(|mut edits| {
+            edits.push(Edit::Pair(true));
+            edits
+        }),
+    ]
+}
+
+/// A byte-sparse delta: each of the `edits` blocks differs in a few short
+/// edits and is zero elsewhere, so most byte columns are zero in every
+/// coded block. Every edited byte is non-zero.
+fn byte_sparse(shard_len: usize, edits: &[(usize, Vec<Edit>)], pair_at: usize, seed: u64) -> ByteShards {
+    let mut delta = ByteShards::zeroed(K, shard_len);
+    let value = object(shard_len, seed);
+    for (block, block_edits) in edits {
+        let bytes: Vec<usize> = block_edits
+            .iter()
+            .flat_map(|&edit| match edit {
+                Edit::First => vec![0],
+                Edit::Last => vec![shard_len - 1],
+                Edit::Boundary(pick) => {
+                    let boundary = 64 * (pick % (shard_len / 64) + 1);
+                    (boundary - 2..(boundary + 2).min(shard_len)).collect()
+                }
+                Edit::Pair(wide) => {
+                    let gap = if wide { RUN_GAP + 1 } else { RUN_GAP - 1 };
+                    match shard_len.saturating_sub(gap + 1) / 64 {
+                        0 => vec![pair_at % shard_len],
+                        strips => {
+                            let first = 64 * (pair_at % strips) + 63;
+                            vec![first, first + gap + 1]
+                        }
+                    }
+                }
+            })
+            .collect();
+        for at in bytes {
+            delta.shard_mut(*block)[at] = value[at] | 1;
+        }
     }
     delta
 }
@@ -477,5 +550,56 @@ proptest! {
             let ref_column: Vec<u64> = reference.iter().map(|v| v.to_u64()).collect();
             prop_assert_eq!(fast_column, ref_column, "position {}", position);
         }
+    }
+}
+
+proptest! {
+    // Two runs need a zero gap of `RUN_GAP` inside one shard, which few
+    // draws make: more cases than the block above.
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// (e) Byte-sparse deltas, where recovery works only on the columns some
+    /// share is non-zero in: 1–3 short edits per support block (the first
+    /// byte, the last byte, across a 64-byte boundary, pairs with the scan's
+    /// merge gap ± 1 zero bytes between them) over shard lengths `64·m`,
+    /// `64·m + 1` and `64·m + 13` up to 5 KiB, half of them long enough for
+    /// such a pair, for both forms. With `corrupt`, one share is changed in
+    /// one column that is zero in every share — a column only the full
+    /// verification of the runs sees — and no support may be accepted.
+    #[test]
+    fn sparse_recovery_of_byte_sparse_deltas_matches_reference(
+        form in form_strategy(),
+        m in prop_oneof![1usize..64, 64usize..=80],
+        tail in prop_oneof![Just(0usize), Just(1usize), Just(13usize)],
+        support in prop::collection::btree_set(0usize..K, 1..=2),
+        edits in prop::collection::vec(edits_strategy(), 2),
+        pair_at in 0usize..usize::MAX,
+        corrupt in prop_oneof![Just(None), (0usize..5, 0usize..usize::MAX).prop_map(Some)],
+        extra in 0usize..=1,
+        seed in 0u64..u64::MAX,
+    ) {
+        let gamma = 2usize;
+        let codec = ByteCodec::new(code(form));
+        let shard_len = 64 * m + tail;
+        let edits: Vec<(usize, Vec<Edit>)> = support.into_iter().zip(edits).collect();
+        let delta = byte_sparse(shard_len, &edits, pair_at, seed);
+        let coded = codec.encode_blocks(&delta).unwrap();
+        let read: Vec<usize> = match form {
+            GeneratorForm::Systematic => (K..K + 2 * gamma + extra).collect(),
+            GeneratorForm::NonSystematic => (0..N).step_by(2).take(2 * gamma + extra).collect(),
+        };
+        let mut blocks: Vec<Vec<u8>> = read.iter().map(|&i| coded.shard(i).to_vec()).collect();
+        let zero_columns: Vec<usize> = (0..shard_len).filter(|&at| blocks.iter().all(|b| b[at] == 0)).collect();
+        let corrupted = match corrupt {
+            Some((share, pick)) if !zero_columns.is_empty() => {
+                let share = share % blocks.len();
+                blocks[share][zero_columns[pick % zero_columns.len()]] = 0x5A;
+                true
+            }
+            _ => false,
+        };
+        let shares: Vec<(usize, &[u8])> = read.iter().copied().zip(blocks.iter().map(Vec::as_slice)).collect();
+        let recovered = assert_matches_reference(&codec, &shares, gamma, seed)?;
+        prop_assert_eq!(recovered, if corrupted { None } else { Some(delta) });
     }
 }
