@@ -150,9 +150,9 @@ pub fn availability_sweep<F: GaloisField>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
-    fn codes() -> (SecCode<Gf1024>, SecCode<Gf1024>) {
+    fn codes() -> (SecCode<Gf256>, SecCode<Gf256>) {
         (
             SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap(),
             SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap(),

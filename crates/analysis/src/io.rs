@@ -188,9 +188,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
-    fn codes_6_3() -> (SecCode<Gf1024>, SecCode<Gf1024>) {
+    fn codes_6_3() -> (SecCode<Gf256>, SecCode<Gf256>) {
         (
             SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap(),
             SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap(),
@@ -270,8 +270,8 @@ mod tests {
 
     #[test]
     fn fig5_parameters_10_5_gamma_1_and_2() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
-        let sys: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
+        let sys: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
         for gamma in 1..=2usize {
             for &p in &[0.05, 0.2] {
                 let a_ns = average_io_exact(&ns, IoScheme::Sec(GeneratorForm::NonSystematic), gamma, p);

@@ -101,12 +101,12 @@ pub fn census<F: GaloisField>(code: &SecCode<F>, gamma: usize) -> PatternCensus 
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
     #[test]
     fn paper_section_iv_c_counts() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
-        let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
 
         let census_ns = census(&ns, 1);
         assert_eq!(census_ns.total_patterns, 63);
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn unexploitable_sparsity_reduces_to_mds_only() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
         let c = census(&ns, 2); // 2γ = 4 ≥ k = 3
         assert_eq!(c.sparse_only_recoverable, 0);
         assert_eq!(c.recoverable(), c.mds_recoverable);
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn larger_code_census_is_consistent() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
         let c1 = census(&ns, 1);
         let c2 = census(&ns, 2);
         assert_eq!(c1.total_patterns, 1023);
@@ -150,8 +150,8 @@ mod tests {
 
     #[test]
     fn systematic_never_beats_non_systematic() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
-        let sys: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
+        let sys: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
         for gamma in 1..=2usize {
             let a = census(&ns, gamma);
             let b = census(&sys, gamma);

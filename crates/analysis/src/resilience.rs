@@ -131,11 +131,11 @@ pub fn paper_eq17_full_loss(p: f64) -> f64 {
 mod tests {
     use super::*;
     use sec_erasure::GeneratorForm;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
     const PS: [f64; 6] = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2];
 
-    fn code(form: GeneratorForm) -> SecCode<Gf1024> {
+    fn code(form: GeneratorForm) -> SecCode<Gf256> {
         SecCode::cauchy(6, 3, form).unwrap()
     }
 
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn larger_code_10_5_exact_vs_closed_form() {
-        let ns: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
         for gamma in 1..=2usize {
             for &p in &[0.05, 0.15] {
                 let exact = prob_lose_sparse_exact(&ns, gamma, p);

@@ -18,7 +18,7 @@ use sec_analysis::resilience::{
 };
 use sec_analysis::tables::table1;
 use sec_erasure::{CodeParams, GeneratorForm, SecCode};
-use sec_gf::{Gf1024, Gf256};
+use sec_gf::Gf256;
 
 const TOL: f64 = 1e-12;
 /// Tolerance for values pinned as 4-decimal literals (half an ulp + margin).
@@ -33,8 +33,8 @@ fn assert_close(actual: f64, expected: f64, tol: f64, what: &str) {
 
 #[test]
 fn fig4_average_io_for_6_3_code_gamma_1() {
-    let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
-    let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+    let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+    let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
 
     for p in [0.01, 0.05, 0.10, 0.15, 0.20] {
         // Non-systematic Cauchy SEC: every 2-row subset qualifies, so μ_1 is
@@ -142,7 +142,7 @@ fn static_resilience_closed_forms() {
     // Exact systematic loss for (6,3), γ = 1: survivable with ≥ 3 live nodes
     // or with exactly the 3 qualifying parity pairs among the C(6,2) = 15
     // two-node patterns: loss = p^6 + 6·p^5·q + 12·p^4·q^2.
-    let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+    let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
     let p: f64 = 0.1;
     let q: f64 = 0.9;
     let expected = p.powi(6) + 6.0 * p.powi(5) * q + 12.0 * p.powi(4) * q.powi(2);
@@ -156,7 +156,7 @@ fn static_resilience_closed_forms() {
 
     // Sanity ordering of §IV-A: sparse deltas are strictly more resilient
     // than full objects, and non-systematic dominates systematic.
-    let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+    let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
     let full = prob_lose_full(6, 3, 0.1);
     let sparse_ns = prob_lose_sparse_exact(&ns, 1, 0.1);
     let sparse_sys = prob_lose_sparse_exact(&sys, 1, 0.1);
@@ -169,8 +169,8 @@ fn pattern_census_matches_section_iv_c() {
     // §IV-C, (6,3), γ = 1: 63 non-empty failure patterns, 41 recoverable by
     // the MDS property alone, 56 under non-systematic SEC, 44 under
     // systematic SEC.
-    let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
-    let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+    let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+    let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
     let census_ns = census(&ns, 1);
     assert_eq!(census_ns.total_patterns, 63);
     assert_eq!(census_ns.mds_recoverable, 41);

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use sec_analysis::io::{average_io_exact, IoScheme};
 use sec_analysis::resilience::prob_lose_sparse_exact;
 use sec_erasure::{GeneratorForm, SecCode};
-use sec_gf::{bulk, Gf1024, Gf256};
+use sec_gf::{bulk, Gf256};
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 use sec_workload::{EditModel, TraceConfig, VersionTrace};
 
@@ -69,7 +69,7 @@ fn bench_append_and_retrieve(c: &mut Criterion) {
 
 fn bench_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis");
-    let sys: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
+    let sys: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).unwrap();
     group.bench_function("exact_loss_probability_10x5", |b| {
         b.iter(|| prob_lose_sparse_exact(std::hint::black_box(&sys), 2, 0.1));
     });

@@ -9,13 +9,13 @@ use sec_analysis::resilience::{
 };
 use sec_bench::{fmt_float, probability_grid, ExperimentArgs, ResultTable};
 use sec_erasure::{GeneratorForm, SecCode};
-use sec_gf::Gf1024;
+use sec_gf::Gf256;
 
 fn main() -> std::io::Result<()> {
     let args = ExperimentArgs::from_env();
-    let systematic: SecCode<Gf1024> =
+    let systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("(6,3) fits in GF(1024)");
-    let non_systematic: SecCode<Gf1024> =
+    let non_systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("(6,3) fits in GF(1024)");
 
     let mut table = ResultTable::new(

@@ -10,13 +10,13 @@ use rand::SeedableRng;
 use sec_analysis::io::{average_io_exact, average_io_monte_carlo, IoScheme};
 use sec_bench::{fmt_float, probability_grid, ExperimentArgs, ResultTable};
 use sec_erasure::{GeneratorForm, SecCode};
-use sec_gf::Gf1024;
+use sec_gf::Gf256;
 
 fn main() -> std::io::Result<()> {
     let args = ExperimentArgs::from_env();
-    let systematic: SecCode<Gf1024> =
+    let systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("(6,3) fits in GF(1024)");
-    let non_systematic: SecCode<Gf1024> =
+    let non_systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("(6,3) fits in GF(1024)");
     let trials = args.trials.unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(2015);

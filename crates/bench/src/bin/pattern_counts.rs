@@ -9,13 +9,13 @@
 use sec_analysis::patterns::census;
 use sec_bench::{ExperimentArgs, ResultTable};
 use sec_erasure::{CriteriaReport, GeneratorForm, SecCode};
-use sec_gf::Gf1024;
+use sec_gf::Gf256;
 
 fn main() -> std::io::Result<()> {
     let args = ExperimentArgs::from_env();
-    let non_systematic: SecCode<Gf1024> =
+    let non_systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("(6,3) fits in GF(1024)");
-    let systematic: SecCode<Gf1024> =
+    let systematic: SecCode<Gf256> =
         SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("(6,3) fits in GF(1024)");
 
     let mut table = ResultTable::new(

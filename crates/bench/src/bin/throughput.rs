@@ -1,24 +1,12 @@
 //! Byte-shard pipeline throughput: encode, full decode and `2γ` sparse
-//! recovery in MB/s, printed as two tables.
+//! recovery in MB/s, printed as three tables.
 //!
-//! The **codec matrix** measures three implementations of each
-//! `(n, k) = (2k, k)` Cauchy code, `k ∈ {3, 6, 12}`:
-//!
-//! * `byte` — the batched [`ByteCodec`] pipeline (split-table `GF(2^8)`
-//!   kernels over contiguous shards);
-//! * `generic-bulk` — the field-generic `Vec<Gf256>` shard path
-//!   (`shards::encode_shards` / `decode_shards`), the reference
-//!   implementation;
-//! * `per-symbol` — one `code.encode` / `code.decode_full` /
-//!   `code.decode_sparse` call per byte position, i.e. how the pre-fast-path
-//!   archive layers processed large objects. Only measured where it finishes
-//!   in reasonable time.
-//!
-//! The **kernel matrix** forces the byte pipeline onto each `GF(2^8)` kernel
-//! the host supports (`scalar`, `ssse3`, `avx2`, `gfni`, `neon`) via
-//! [`sec_gf::force_kernel`], across shard sizes from 4 KiB to 4 MiB, and
-//! prints each SIMD kernel's speedup over scalar for the (6, 3) encode next
-//! to the kernel production dispatch selected.
+//! The **kernel matrix** runs the batched [`ByteCodec`] pipeline of each
+//! `(n, k) = (2k, k)` Cauchy code, `k ∈ {3, 6, 12}`, forced onto each
+//! `GF(2^8)` kernel the host supports (`scalar`, `ssse3`, `avx2`, `gfni`,
+//! `neon`) via [`sec_gf::force_kernel`], across shard sizes from 4 KiB to
+//! 4 MiB, and prints each SIMD kernel's speedup over scalar for the (6, 3)
+//! encode next to the kernel production dispatch selected.
 //!
 //! The **folded decode** rows (`decode_folded_m*` against
 //! `decode_separate_m*`) time, on every kernel, what a version walk does
@@ -31,9 +19,9 @@
 //! every kernel, what a version walk does with a sparse delta as real edits
 //! make it: `γ ∈ {1, 2}` blocks each changed in 64 bytes, recovered from
 //! `2γ` coded blocks onto a reused accumulator, at (12, 6) @ 32 KiB and
-//! (6, 3) @ 4 KiB (`γ = 1` only, since `2γ < k`). Beside them, the codec
-//! and kernel matrices' `sparse_recover` row recovers a block that is
-//! non-zero in every byte — the column scan's worst case.
+//! (6, 3) @ 4 KiB (`γ = 1` only, since `2γ < k`). Beside them, the kernel
+//! matrix's `sparse_recover` row recovers a block that is non-zero in every
+//! byte — the column scan's worst case.
 //!
 //! Nothing here asserts or records. What a `GET` costs end to end, what the
 //! delta cache serves and how the server holds up under many connections are
@@ -45,14 +33,13 @@
 
 use std::time::{Duration, Instant};
 
-use sec_erasure::{shards, ByteCodec, ByteShards, GeneratorForm, SecCode, Share};
-use sec_gf::{GaloisField, Gf256, Kernel};
+use sec_erasure::{ByteCodec, ByteShards, GeneratorForm, SecCode};
+use sec_gf::{Gf256, Kernel};
 
 /// The sparsity of the delta every `sparse_recover` row recovers.
 const GAMMA: usize = 1;
 
-/// One measured data point; `path` is the implementation (codec matrix) or
-/// the forced kernel's name (kernel matrix).
+/// One measured data point; `path` is the forced kernel's name.
 struct Sample {
     path: &'static str,
     op: &'static str,
@@ -154,90 +141,6 @@ impl Case {
             1000,
         );
         samples.push(self.sample(path, "sparse_recover", ns));
-    }
-
-    /// The field-generic shard path (scalar reference).
-    fn measure_generic_bulk(&self, min_total: Duration, samples: &mut Vec<Sample>) {
-        let sym_data: Vec<Vec<Gf256>> = (0..self.k)
-            .map(|i| sec_gf::bulk::bytes_to_symbols(self.data.shard(i)))
-            .collect();
-        let ns = measure(
-            || {
-                std::hint::black_box(
-                    shards::encode_shards(self.codec.code(), &sym_data).expect("encode"),
-                );
-            },
-            min_total,
-            50,
-        );
-        samples.push(self.sample("generic-bulk", "encode", ns));
-
-        let sym_coded = shards::encode_shards(self.codec.code(), &sym_data).expect("encode");
-        let sym_shares: Vec<(usize, Vec<Gf256>)> = self
-            .decode_rows
-            .iter()
-            .map(|&i| (i, sym_coded[i].clone()))
-            .collect();
-        let ns = measure(
-            || {
-                std::hint::black_box(
-                    shards::decode_shards(self.codec.code(), &sym_shares).expect("decode"),
-                );
-            },
-            min_total,
-            50,
-        );
-        samples.push(self.sample("generic-bulk", "decode", ns));
-    }
-
-    /// One matrix-vector product per byte position (decode even runs a matrix
-    /// inversion per position): `f` maps the symbols at one position of
-    /// `rows` of `from` to `out_rows` output symbols.
-    fn per_symbol<F>(&self, from: &ByteShards, rows: &[usize], out_rows: usize, f: F) -> impl FnMut()
-    where
-        F: Fn(&[Share<Gf256>]) -> Vec<Gf256>,
-    {
-        let shard_bytes = self.shard_bytes;
-        let shards: Vec<(usize, Vec<u8>)> = rows.iter().map(|&i| (i, from.shard(i).to_vec())).collect();
-        move || {
-            let mut out = vec![vec![0u8; shard_bytes]; out_rows];
-            for position in 0..shard_bytes {
-                let symbols: Vec<Share<Gf256>> = shards
-                    .iter()
-                    .map(|(i, shard)| (*i, Gf256::from_u64(u64::from(shard[position]))))
-                    .collect();
-                for (row, symbol) in f(&symbols).iter().enumerate() {
-                    out[row][position] = symbol.to_u64() as u8;
-                }
-            }
-            std::hint::black_box(out);
-        }
-    }
-
-    /// The pre-fast-path behaviour, restricted to configurations that
-    /// complete in sensible time: encode everywhere it matters (k = 3 carries
-    /// the headline 1 MiB comparison), decode/sparse at 4 KiB.
-    fn measure_per_symbol(&self, min_total: Duration, samples: &mut Vec<Sample>) {
-        if self.shard_bytes <= 65536 || self.k == 3 {
-            let source_rows: Vec<usize> = (0..self.k).collect();
-            let encode = self.per_symbol(&self.data, &source_rows, 2 * self.k, |symbols| {
-                let object: Vec<Gf256> = symbols.iter().map(|&(_, s)| s).collect();
-                self.codec.code().encode(&object).expect("encode")
-            });
-            samples.push(self.sample("per-symbol", "encode", measure(encode, min_total, 5)));
-        }
-        if self.shard_bytes == 4096 {
-            let decode = self.per_symbol(&self.coded, &self.decode_rows, self.k, |shares| {
-                self.codec.code().decode_full(shares).expect("decode")
-            });
-            samples.push(self.sample("per-symbol", "decode", measure(decode, min_total, 3)));
-
-            let sparse_rows: Vec<usize> = (0..2 * GAMMA).collect();
-            let recover = self.per_symbol(&self.coded_delta, &sparse_rows, self.k, |shares| {
-                self.codec.code().decode_sparse(shares, GAMMA).expect("recover")
-            });
-            samples.push(self.sample("per-symbol", "sparse_recover", measure(recover, min_total, 3)));
-        }
     }
 }
 
@@ -422,25 +325,11 @@ fn main() {
     // (auto-detection plus any SEC_GF_KERNEL pin) actually selected.
     let auto_kernel = sec_gf::active_kernel();
     let ks = [3usize, 6, 12];
-    let (sizes, kernel_sizes, min_total): (&[usize], &[usize], _) = if smoke {
-        (&[4096], &[4096], Duration::from_millis(20))
+    let (kernel_sizes, min_total): (&[usize], _) = if smoke {
+        (&[4096], Duration::from_millis(20))
     } else {
-        (
-            &[4096, 65536, 1 << 20],
-            &[4096, 65536, 1 << 20, 1 << 22],
-            Duration::from_millis(100),
-        )
+        (&[4096, 65536, 1 << 20, 1 << 22], Duration::from_millis(100))
     };
-
-    let mut codec_samples = Vec::new();
-    for k in ks {
-        for &shard_bytes in sizes {
-            let case = Case::new(k, shard_bytes);
-            case.measure_byte("byte", min_total, &mut codec_samples);
-            case.measure_generic_bulk(min_total, &mut codec_samples);
-            case.measure_per_symbol(min_total, &mut codec_samples);
-        }
-    }
 
     let mut kernel_samples = Vec::new();
     let mut folded_samples = Vec::new();
@@ -457,16 +346,13 @@ fn main() {
     }
     sec_gf::reset_kernel();
 
-    print_table("path", &codec_samples);
-    println!("\nactive kernel (auto-detected): {auto_kernel}");
+    println!("active kernel (auto-detected): {auto_kernel}");
     print_table("kernel", &kernel_samples);
     println!();
     print_table("kernel", &folded_samples);
     println!();
     print_table("kernel", &edit_samples);
     println!();
-    let headline = *sizes.last().expect("at least one size");
-    print_encode_speedup(&codec_samples, headline, "byte", "per-symbol");
     let kernel_headline = *kernel_sizes.last().expect("at least one size");
     for kernel in Kernel::available().into_iter().filter(|&k| k != Kernel::Scalar) {
         print_encode_speedup(&kernel_samples, kernel_headline, kernel.name(), "scalar");

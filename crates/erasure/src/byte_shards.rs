@@ -2,14 +2,14 @@
 //! encode / decode / sparse-recovery pipeline built on the
 //! [`bulk8`](sec_gf::bulk8) kernels.
 //!
-//! The generic [`shards`](crate::shards) module models a stored object as
-//! `Vec<Vec<F>>` — one heap vector per shard, one field element per symbol.
-//! That is the *reference implementation*: simple, field-generic, and slow.
-//! This module is the production-shaped equivalent for `GF(2^8)`:
+//! [`SecCode`]'s `encode`, `decode_full` and `decode_sparse` work on one
+//! byte column at a time — one field element per symbol. That is the
+//! *reference implementation*: simple and slow. This module is the
+//! production-shaped equivalent over whole blocks:
 //!
 //! * [`ByteShards`] keeps all shards of an object in one contiguous byte
 //!   buffer, so a `(6, 3)` encode of a 1 MiB object streams cache lines
-//!   instead of chasing per-symbol allocations;
+//!   instead of chasing one allocation per shard;
 //! * [`ByteCodec`] wraps an [`Arc`]-shared [`SecCode<Gf256>`] and
 //!   per-coefficient multiplication-table cache, and exposes the batched
 //!   pipeline: [`ByteCodec::encode_blocks`], [`ByteCodec::decode_blocks`] and
@@ -67,8 +67,7 @@ use crate::error::CodeError;
 /// A set of equally sized byte shards stored in one contiguous buffer.
 ///
 /// Shard `i` occupies bytes `i·shard_len .. (i+1)·shard_len` of the backing
-/// buffer. The type is the byte-level analogue of the `Vec<Vec<F>>` shard
-/// lists used by the generic [`shards`](crate::shards) reference path.
+/// buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ByteShards {
     shards: usize,
@@ -87,8 +86,8 @@ impl ByteShards {
     }
 
     /// Splits a flat byte object into `k` equally sized shards, zero-padding
-    /// the tail — the byte-level analogue of
-    /// [`shards::split_into_shards`](crate::shards::split_into_shards).
+    /// the tail — the "application object → fixed-size coding object"
+    /// transformation the paper assumes implicitly.
     ///
     /// # Panics
     ///
@@ -523,8 +522,8 @@ impl ByteCodec {
     }
 
     /// Encodes `k` data shards into `n` coded shards (`C = G · X` applied
-    /// block-wise), the batched analogue of
-    /// [`shards::encode_shards`](crate::shards::encode_shards).
+    /// block-wise), the batched analogue of [`SecCode::encode`] applied to
+    /// every byte column.
     ///
     /// # Errors
     ///
@@ -647,7 +646,7 @@ impl ByteCodec {
 
     /// Decodes the original `k` data shards from any `k` (or more) coded
     /// shards given with their node indices — the batched analogue of
-    /// [`shards::decode_shards`](crate::shards::decode_shards).
+    /// [`SecCode::decode_full`] applied to every byte column.
     ///
     /// # Errors
     ///
@@ -1041,7 +1040,6 @@ fn first_nonzero(bytes: &[u8]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::code::GeneratorForm;
-    use crate::shards;
 
     fn codec(n: usize, k: usize, form: GeneratorForm) -> ByteCodec {
         ByteCodec::new(SecCode::cauchy(n, k, form).unwrap())
@@ -1049,6 +1047,19 @@ mod tests {
 
     fn object(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    /// The per-column reference: [`SecCode::encode`] on every byte column.
+    fn reference_encode(code: &SecCode<Gf256>, data: &ByteShards) -> Vec<Vec<u8>> {
+        let columns: Vec<Vec<Gf256>> = (0..data.shard_len())
+            .map(|at| {
+                let column: Vec<Gf256> = (0..code.k()).map(|i| Gf256::from(data.shard(i)[at])).collect();
+                code.encode(&column).unwrap()
+            })
+            .collect();
+        (0..code.n())
+            .map(|row| columns.iter().map(|column| column[row].raw()).collect())
+            .collect()
     }
 
     #[test]
@@ -1202,19 +1213,9 @@ mod tests {
             let coded = codec.encode_blocks(&data).unwrap();
             assert_eq!(coded.shard_count(), 6);
 
-            // Reference: generic shard path over Gf256 symbols.
-            let ref_data: Vec<Vec<Gf256>> = data
-                .to_rows()
-                .iter()
-                .map(|row| sec_gf::bulk::bytes_to_symbols(row))
-                .collect();
-            let ref_coded = shards::encode_shards(codec.code(), &ref_data).unwrap();
-            for (i, ref_row) in ref_coded.iter().enumerate() {
-                assert_eq!(
-                    coded.shard(i),
-                    sec_gf::bulk::symbols_to_bytes(ref_row).as_slice(),
-                    "{form} row {i}"
-                );
+            let reference = reference_encode(codec.code(), &data);
+            for (i, ref_row) in reference.iter().enumerate() {
+                assert_eq!(coded.shard(i), ref_row.as_slice(), "{form} row {i}");
             }
 
             let shares: Vec<(usize, &[u8])> = [4, 2, 5].iter().map(|&i| (i, coded.shard(i))).collect();

@@ -248,6 +248,11 @@ impl<F: GaloisField> SecCode<F> {
     /// Builds an `(n, k)` Cauchy-matrix code in the requested form
     /// (paper, Examples 1 and 2).
     ///
+    /// The Cauchy construction needs one distinct field element per point.
+    /// Over `GF(2^8)` a non-systematic code therefore needs `n + k ≤ 256`,
+    /// and a systematic one (whose `(n − k) × k` parity block is the Cauchy
+    /// matrix) needs `n ≤ 256`.
+    ///
     /// # Errors
     ///
     /// Returns [`CodeError::InvalidParams`] for a bad `(n, k)` pair or
@@ -262,42 +267,6 @@ impl<F: GaloisField> SecCode<F> {
                 Matrix::identity(k).stack(&parity)?
             }
         };
-        Ok(Self {
-            params,
-            form,
-            generator,
-            qualify: QualifyMemo::default(),
-            inverses: InverseMemo::default(),
-        })
-    }
-
-    /// Wraps an arbitrary generator matrix, validating its shape and the MDS
-    /// property (Criterion 1 in its strongest form).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InvalidParams`] when the matrix shape is not
-    /// `n × k` with `k < n`, or when the matrix is not MDS.
-    pub fn from_generator(generator: Matrix<F>, form: GeneratorForm) -> Result<Self, CodeError> {
-        let (n, k) = generator.shape();
-        let params = CodeParams::new(n, k)?;
-        if !checks::is_mds(&generator) {
-            return Err(CodeError::InvalidParams {
-                n,
-                k,
-                reason: "generator matrix is not MDS (some k rows are linearly dependent)",
-            });
-        }
-        if form == GeneratorForm::Systematic {
-            let top = generator.select_rows(&(0..k).collect::<Vec<_>>())?;
-            if top != Matrix::identity(k) {
-                return Err(CodeError::InvalidParams {
-                    n,
-                    k,
-                    reason: "systematic form requires the first k rows to be the identity",
-                });
-            }
-        }
         Ok(Self {
             params,
             form,
@@ -595,7 +564,7 @@ fn map_cauchy_err<T>(res: Result<T, CauchyError>, n: usize, k: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::{Gf1024, Gf16, Gf256};
+    use sec_gf::Gf256;
 
     fn data256(vals: &[u64]) -> Vec<Gf256> {
         vals.iter().map(|&v| Gf256::from_u64(v)).collect()
@@ -709,9 +678,22 @@ mod tests {
             assert_eq!(code.form(), form);
             assert_eq!(code.generator().shape(), (6, 3));
         }
+        // One past GF(2^8)'s ceiling, in each form.
         assert!(matches!(
-            SecCode::<Gf16>::cauchy(14, 5, GeneratorForm::NonSystematic),
-            Err(CodeError::FieldTooSmall { .. })
+            SecCode::<Gf256>::cauchy(192, 65, GeneratorForm::NonSystematic),
+            Err(CodeError::FieldTooSmall {
+                n: 192,
+                k: 65,
+                field_order: 256
+            })
+        ));
+        assert!(matches!(
+            SecCode::<Gf256>::cauchy(257, 128, GeneratorForm::Systematic),
+            Err(CodeError::FieldTooSmall {
+                n: 257,
+                k: 128,
+                field_order: 256
+            })
         ));
         assert!(matches!(
             SecCode::<Gf256>::cauchy(3, 3, GeneratorForm::Systematic),
@@ -721,16 +703,16 @@ mod tests {
 
     #[test]
     fn systematic_generator_starts_with_identity() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
         let g = code.generator();
         for i in 0..3 {
             for j in 0..3 {
-                let expect = if i == j { Gf1024::ONE } else { Gf1024::ZERO };
+                let expect = if i == j { Gf256::ONE } else { Gf256::ZERO };
                 assert_eq!(g.get(i, j), expect);
             }
         }
         assert_eq!(code.sparse_eligible_rows(), vec![3, 4, 5]);
-        let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
         assert_eq!(ns.sparse_eligible_rows(), vec![0, 1, 2, 3, 4, 5]);
     }
 
@@ -790,15 +772,15 @@ mod tests {
 
     #[test]
     fn sparse_decode_from_two_shares() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
         // 1-sparse delta in an arbitrary position.
         for pos in 0..3 {
-            let mut z = vec![Gf1024::ZERO; 3];
-            z[pos] = Gf1024::from_u64(999);
+            let mut z = vec![Gf256::ZERO; 3];
+            z[pos] = Gf256::from_u64(0x5A);
             let c = code.encode(&z).unwrap();
             // Any 2 shares suffice for the non-systematic Cauchy code.
             for rows in sec_linalg::combinatorics::combinations(6, 2) {
-                let shares: Vec<Share<Gf1024>> = rows.iter().map(|&i| (i, c[i])).collect();
+                let shares: Vec<Share<Gf256>> = rows.iter().map(|&i| (i, c[i])).collect();
                 assert_eq!(
                     code.decode_sparse(&shares, 1).unwrap(),
                     z,
@@ -810,17 +792,17 @@ mod tests {
 
     #[test]
     fn sparse_decode_systematic_uses_parity_rows() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
-        let z = vec![Gf1024::from_u64(77), Gf1024::ZERO, Gf1024::ZERO];
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let z = vec![Gf256::from_u64(77), Gf256::ZERO, Gf256::ZERO];
         let c = code.encode(&z).unwrap();
         // Two parity shares (rows from B) recover the delta.
-        let shares: Vec<Share<Gf1024>> = vec![(3, c[3]), (4, c[4])];
+        let shares: Vec<Share<Gf256>> = vec![(3, c[3]), (4, c[4])];
         assert_eq!(code.decode_sparse(&shares, 1).unwrap(), z);
         // Two identity rows that both miss the support cannot see the delta:
         // rows 1 and 2 read zeros and sparse recovery returns the zero vector,
         // which is *wrong* for z — this is exactly why Criterion 2 restricts
         // which submatrices may be used.
-        let shares: Vec<Share<Gf1024>> = vec![(1, c[1]), (2, c[2])];
+        let shares: Vec<Share<Gf256>> = vec![(1, c[1]), (2, c[2])];
         let recovered = code.decode_sparse(&shares, 1).unwrap();
         assert_ne!(recovered, z);
     }
@@ -862,7 +844,7 @@ mod tests {
     fn io_reads_match_paper_formulas() {
         // (20,10) rate-1/2 code: both forms give min(2γ, k).
         for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
-            let code: SecCode<Gf1024> = SecCode::cauchy(20, 10, form).unwrap();
+            let code: SecCode<Gf256> = SecCode::cauchy(20, 10, form).unwrap();
             assert_eq!(code.io_reads_for_sparsity(0), 0);
             assert_eq!(code.io_reads_for_sparsity(3), 6);
             assert_eq!(code.io_reads_for_sparsity(4), 8);
@@ -883,29 +865,11 @@ mod tests {
     }
 
     #[test]
-    fn from_generator_validates() {
-        let g = sec_linalg::cauchy::cauchy_matrix::<Gf256>(5, 2).unwrap();
-        let code = SecCode::from_generator(g.clone(), GeneratorForm::NonSystematic).unwrap();
-        assert_eq!(code.params(), CodeParams::new(5, 2).unwrap());
-        // Claiming systematic form for a dense matrix is rejected.
-        assert!(matches!(
-            SecCode::from_generator(g, GeneratorForm::Systematic),
-            Err(CodeError::InvalidParams { .. })
-        ));
-        // A rank-deficient generator is rejected.
-        let bad = Matrix::<Gf256>::zeros(4, 2);
-        assert!(matches!(
-            SecCode::from_generator(bad, GeneratorForm::NonSystematic),
-            Err(CodeError::InvalidParams { .. })
-        ));
-    }
-
-    #[test]
     fn paper_example_table1_io_reads() {
         // §IV-C / Table I: (6,3) code, z2 1-sparse → 2 I/O reads for both SEC
         // forms, 3 for the non-differential scheme (full object read).
-        let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
-        let sy: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let sy: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
         assert_eq!(ns.io_reads_for_sparsity(1), 2);
         assert_eq!(sy.io_reads_for_sparsity(1), 2);
         assert_eq!(ns.k(), 3);

@@ -96,11 +96,11 @@ impl CriteriaReport {
 mod tests {
     use super::*;
     use crate::code::GeneratorForm;
-    use sec_gf::{Gf1024, Gf256};
+    use sec_gf::Gf256;
 
     #[test]
     fn non_systematic_6_3_report_matches_paper() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap();
         let report = CriteriaReport::for_code(&code);
         assert!(report.criterion1);
         assert!(report.mds);
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn systematic_6_3_report_matches_paper() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
         let report = CriteriaReport::for_code(&code);
         assert!(report.criterion1);
         assert!(report.mds);

@@ -15,9 +15,9 @@
 //!
 //! [`SecCode`] packages a generator matrix (non-systematic Cauchy, or
 //! systematic `[I_k ; B]` with a Cauchy parity block `B`) together with both
-//! decoders, read planning over live/failed nodes, and shard-level bulk
-//! encoding. The plain "encode every version in full" usage of [`SecCode`]
-//! serves as the paper's baseline.
+//! decoders and read planning over live/failed nodes; [`ByteCodec`] runs the
+//! same code over byte shards. The plain "encode every version in full"
+//! usage of [`SecCode`] serves as the paper's baseline.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@ mod error;
 pub mod byte_shards;
 pub mod criteria;
 pub mod read_plan;
-pub mod shards;
 pub mod sparse;
 
 pub use byte_shards::{ByteCodec, ByteShards};

@@ -1,6 +1,6 @@
 //! Property-based tests of the erasure-coding layer: encode/decode round
 //! trips through random share subsets, sparse recovery of random sparse
-//! deltas, and shard-level consistency.
+//! deltas, and read planning.
 
 use proptest::prelude::*;
 
@@ -8,7 +8,6 @@ use sec_gf::{GaloisField, Gf256};
 
 use crate::code::{GeneratorForm, SecCode, Share};
 use crate::read_plan::{plan_and_decode, ReadTarget};
-use crate::shards;
 
 const N: usize = 10;
 const K: usize = 5;
@@ -96,20 +95,6 @@ proptest! {
         let (full_plan, full_decoded) = plan_and_decode(&code, &c, &live, ReadTarget::Full).unwrap();
         prop_assert_eq!(full_decoded, delta);
         prop_assert_eq!(full_plan.io_reads, K);
-    }
-
-    #[test]
-    fn shard_round_trip_random_data(
-        form in form_strategy(),
-        flat in prop::collection::vec((0u64..256).prop_map(Gf256::from_u64), 1..80),
-        subset in prop::collection::btree_set(0usize..N, K..=N),
-    ) {
-        let code = code(form);
-        let data_shards = shards::split_into_shards(&flat, K);
-        let coded = shards::encode_shards(&code, &data_shards).unwrap();
-        let survivors: Vec<(usize, Vec<Gf256>)> = subset.iter().map(|&i| (i, coded[i].clone())).collect();
-        let recovered = shards::decode_shards(&code, &survivors).unwrap();
-        prop_assert_eq!(shards::join_shards(&recovered, flat.len()), flat);
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn plan_and_decode<F: GaloisField>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::{GaloisField, Gf1024, Gf256};
+    use sec_gf::{GaloisField, Gf256};
 
     fn all_nodes(n: usize) -> Vec<usize> {
         (0..n).collect()
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn sparse_read_costs_two_gamma() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(20, 10, GeneratorForm::NonSystematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(20, 10, GeneratorForm::NonSystematic).unwrap();
         let plan = plan_read(&code, &all_nodes(20), ReadTarget::Sparse { gamma: 3 }).unwrap();
         assert_eq!(plan.io_reads, 6);
         assert_eq!(plan.method, DecodeMethod::SparseRecovery);
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn sparse_read_systematic_needs_parity_nodes() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
+        let code: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).unwrap();
         // All nodes alive: the parity nodes 3,4 are used.
         let plan = plan_read(&code, &all_nodes(6), ReadTarget::Sparse { gamma: 1 }).unwrap();
         assert_eq!(plan.io_reads, 2);
@@ -265,10 +265,10 @@ mod tests {
 
     #[test]
     fn plan_and_decode_round_trips() {
-        let code: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
-        let mut z = vec![Gf1024::ZERO; 5];
-        z[2] = Gf1024::from_u64(500);
-        z[4] = Gf1024::from_u64(1);
+        let code: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::NonSystematic).unwrap();
+        let mut z = vec![Gf256::ZERO; 5];
+        z[2] = Gf256::from_u64(0x5A);
+        z[4] = Gf256::from_u64(1);
         let c = code.encode(&z).unwrap();
         let live: Vec<usize> = vec![0, 2, 4, 6, 8, 9];
         let (plan, decoded) =

@@ -4,31 +4,18 @@
 //! (Proposition 1 of the SEC paper — the finite-field analogue of
 //! compressed sensing).
 //!
-//! Two decoders are provided:
-//!
-//! * [`recover_sparse`] — minimal-weight support search. It tries supports of
-//!   size 0, 1, …, γ and solves the corresponding over-determined system for
-//!   each candidate support. Uniqueness of the answer is guaranteed by the
-//!   column-independence hypothesis; complexity is `O(C(k, γ))` solves, which
-//!   is entirely practical at the paper's scales (`k ≤ 10`, `γ ≤ 4`).
-//! * [`recover_sparse_incremental`] — the same search but returning the full
-//!   diagnostic (support, number of candidate systems examined), used by the
-//!   benches to compare decoder strategies.
+//! [`recover_sparse`] is a minimal-weight support search. It tries supports of
+//! size 0, 1, …, γ and solves the corresponding over-determined system for
+//! each candidate support. Uniqueness of the answer is guaranteed by the
+//! column-independence hypothesis; complexity is `O(C(k, γ))` solves, which
+//! is entirely practical at the paper's scales (`k ≤ 10`, `γ ≤ 4`). It is the
+//! per-column reference the byte path
+//! ([`ByteCodec::recover_sparse_blocks`](crate::ByteCodec::recover_sparse_blocks))
+//! is tested against.
 
 use sec_gf::GaloisField;
 use sec_linalg::combinatorics::Combinations;
 use sec_linalg::{ops, Matrix};
-
-/// Outcome of a sparse recovery with diagnostics attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SparseRecovery<F> {
-    /// The recovered `k`-symbol vector.
-    pub vector: Vec<F>,
-    /// Indices of the non-zero entries that were solved for.
-    pub support: Vec<usize>,
-    /// Number of candidate supports examined before success.
-    pub candidates_examined: usize,
-}
 
 /// Recovers the minimal-weight vector `z` with `weight(z) ≤ gamma` satisfying
 /// `phi · z = y`, or `None` when no such vector exists.
@@ -39,77 +26,35 @@ pub struct SparseRecovery<F> {
 /// minimal-weight consistent vector if one exists — callers that cannot
 /// guarantee the hypotheses must validate the result against other shares.
 pub fn recover_sparse<F: GaloisField>(phi: &Matrix<F>, y: &[F], gamma: usize) -> Option<Vec<F>> {
-    recover_sparse_incremental(phi, y, gamma).map(|r| r.vector)
-}
-
-/// Same as [`recover_sparse`] but also reports the recovered support and how
-/// many candidate supports were examined.
-pub fn recover_sparse_incremental<F: GaloisField>(
-    phi: &Matrix<F>,
-    y: &[F],
-    gamma: usize,
-) -> Option<SparseRecovery<F>> {
     if y.len() != phi.rows() {
         return None;
     }
     let k = phi.cols();
-    let mut examined = 0usize;
-
+    let mut vector = vec![F::ZERO; k];
     // Weight-0 fast path.
     if y.iter().all(|v| v.is_zero()) {
-        return Some(SparseRecovery {
-            vector: vec![F::ZERO; k],
-            support: Vec::new(),
-            candidates_examined: 0,
-        });
+        return Some(vector);
     }
-
     for weight in 1..=gamma.min(k) {
         for support in Combinations::new(k, weight) {
-            examined += 1;
             let restricted = phi
                 .select_cols(&support)
                 .expect("support indices generated in range");
             if let Some(coeffs) = ops::solve_consistent(&restricted, y) {
-                // Reject solutions whose actual weight is lower than `weight`
-                // only in the sense that a zero coefficient would mean the
-                // same vector was already reachable at a smaller weight; it
-                // cannot happen because smaller weights were tried first, but
-                // normalize anyway by dropping zero coefficients.
-                let mut vector = vec![F::ZERO; k];
-                let mut support_out = Vec::with_capacity(weight);
                 for (&col, &c) in support.iter().zip(&coeffs) {
-                    if !c.is_zero() {
-                        vector[col] = c;
-                        support_out.push(col);
-                    }
+                    vector[col] = c;
                 }
-                return Some(SparseRecovery {
-                    vector,
-                    support: support_out,
-                    candidates_examined: examined,
-                });
+                return Some(vector);
             }
         }
     }
     None
 }
 
-/// Checks whether `candidate` explains the observation: `phi · candidate == y`.
-///
-/// Useful as a cheap post-hoc validation when the caller is not certain the
-/// Criterion-2 hypotheses hold for the rows it read.
-pub fn is_consistent<F: GaloisField>(phi: &Matrix<F>, candidate: &[F], y: &[F]) -> bool {
-    match phi.mul_vec(candidate) {
-        Ok(prod) => prod == y,
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::{GaloisField, Gf1024, Gf256};
+    use sec_gf::{GaloisField, Gf256};
     use sec_linalg::cauchy::cauchy_matrix;
 
     fn sparse_vec<F: GaloisField>(k: usize, entries: &[(usize, u64)]) -> Vec<F> {
@@ -122,14 +67,11 @@ mod tests {
 
     #[test]
     fn recovers_one_sparse_from_two_rows() {
-        let g = cauchy_matrix::<Gf1024>(6, 3).unwrap();
-        let z = sparse_vec::<Gf1024>(3, &[(1, 513)]);
+        let g = cauchy_matrix::<Gf256>(6, 3).unwrap();
+        let z = sparse_vec::<Gf256>(3, &[(1, 0xA5)]);
         let phi = g.select_rows(&[2, 5]).unwrap();
         let y = phi.mul_vec(&z).unwrap();
-        let rec = recover_sparse_incremental(&phi, &y, 1).unwrap();
-        assert_eq!(rec.vector, z);
-        assert_eq!(rec.support, vec![1]);
-        assert!(rec.candidates_examined >= 1 && rec.candidates_examined <= 3);
+        assert_eq!(recover_sparse(&phi, &y, 1).unwrap(), z);
     }
 
     #[test]
@@ -148,9 +90,7 @@ mod tests {
         let phi = g.select_rows(&[0, 2, 5, 7]).unwrap();
         let y = phi.mul_vec(&z).unwrap();
         // Asking for up to 2-sparse still finds the 1-sparse answer first.
-        let rec = recover_sparse_incremental(&phi, &y, 2).unwrap();
-        assert_eq!(rec.vector, z);
-        assert_eq!(rec.support, vec![2]);
+        assert_eq!(recover_sparse(&phi, &y, 2).unwrap(), z);
     }
 
     #[test]
@@ -158,19 +98,18 @@ mod tests {
         let g = cauchy_matrix::<Gf256>(6, 3).unwrap();
         let phi = g.select_rows(&[0, 4]).unwrap();
         let y = vec![Gf256::ZERO; 2];
-        let rec = recover_sparse_incremental(&phi, &y, 1).unwrap();
-        assert!(rec.vector.iter().all(|c| c.is_zero()));
-        assert_eq!(rec.candidates_examined, 0);
+        let rec = recover_sparse(&phi, &y, 1).unwrap();
+        assert!(rec.iter().all(|c| c.is_zero()));
     }
 
     #[test]
     fn fails_when_vector_is_denser_than_gamma() {
-        let g = cauchy_matrix::<Gf1024>(20, 10).unwrap();
+        let g = cauchy_matrix::<Gf256>(20, 10).unwrap();
         // 5-sparse vector but only gamma = 3 allowed with 6 observation rows:
         // the recovery must not silently return a wrong vector that matches
         // the true one; it either fails or returns some ≤3-sparse consistent
         // vector that is necessarily different from the true 5-sparse one.
-        let z = sparse_vec::<Gf1024>(10, &[(0, 3), (2, 5), (4, 7), (6, 11), (8, 13)]);
+        let z = sparse_vec::<Gf256>(10, &[(0, 3), (2, 5), (4, 7), (6, 11), (8, 13)]);
         let phi = g.select_rows(&[0, 1, 2, 3, 4, 5]).unwrap();
         let y = phi.mul_vec(&z).unwrap();
         match recover_sparse(&phi, &y, 3) {
@@ -197,19 +136,6 @@ mod tests {
         let g = cauchy_matrix::<Gf256>(6, 3).unwrap();
         let phi = g.select_rows(&[0, 1]).unwrap();
         assert!(recover_sparse(&phi, &[Gf256::ONE], 1).is_none());
-    }
-
-    #[test]
-    fn consistency_check() {
-        let g = cauchy_matrix::<Gf256>(6, 3).unwrap();
-        let phi = g.select_rows(&[1, 4]).unwrap();
-        let z = sparse_vec::<Gf256>(3, &[(0, 9)]);
-        let y = phi.mul_vec(&z).unwrap();
-        assert!(is_consistent(&phi, &z, &y));
-        let mut wrong = z.clone();
-        wrong[0] += Gf256::ONE;
-        assert!(!is_consistent(&phi, &wrong, &y));
-        assert!(!is_consistent(&phi, &z[..2], &y));
     }
 
     #[test]

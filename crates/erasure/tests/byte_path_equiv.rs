@@ -3,18 +3,19 @@
 //!
 //! For random coefficients, shard sizes (including 0, 1, odd and
 //! non-multiple-of-64 lengths) and erasure patterns, the `ByteCodec`
-//! pipeline must produce *byte-identical* output to the generic per-symbol
-//! path for all three stages: encode, full decode, and `2γ`-read sparse
-//! recovery. Any divergence — a wrong table entry, a chunk-boundary bug, a
+//! pipeline must produce *byte-identical* output to the per-column
+//! reference (`SecCode::encode`, `decode_full` and `decode_sparse` run at
+//! every byte position) for all three stages: encode, full decode, and
+//! `2γ`-read sparse recovery. Any divergence — a wrong table entry, a chunk-boundary bug, a
 //! support-search ordering change — fails these tests (verified during
 //! development by mutating the kernels).
 
 use proptest::prelude::*;
 
 use sec_erasure::byte_shards::RUN_GAP;
-use sec_erasure::{shards, sparse, ByteCodec, ByteShards, CodeError, GeneratorForm, SecCode, Share};
+use sec_erasure::{sparse, ByteCodec, ByteShards, CodeError, GeneratorForm, SecCode, Share};
 use sec_gf::bulk8::CoeffTables;
-use sec_gf::{bulk, force_kernel, reset_kernel, GaloisField, Gf256, Kernel};
+use sec_gf::{force_kernel, reset_kernel, GaloisField, Gf256, Kernel};
 use sec_linalg::combinatorics::Combinations;
 use sec_linalg::ops;
 
@@ -53,17 +54,37 @@ fn object(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Lifts byte shards into the symbol-vector shape of the reference path.
-fn to_symbol_rows(data: &ByteShards) -> Vec<Vec<Gf256>> {
-    data.to_rows()
-        .iter()
-        .map(|row| bulk::bytes_to_symbols(row))
+/// The per-column reference: `column` maps the symbols of `rows` at one byte
+/// position to `out_rows` output symbols (`SecCode::encode`, `decode_full`
+/// or `decode_sparse`), and runs at every position.
+fn per_column(
+    rows: &[&[u8]],
+    out_rows: usize,
+    column: impl Fn(Vec<Gf256>) -> Vec<Gf256>,
+) -> Vec<Vec<u8>> {
+    let len = rows.first().map_or(0, |row| row.len());
+    let columns: Vec<Vec<Gf256>> = (0..len)
+        .map(|at| column(rows.iter().map(|row| Gf256::from(row[at])).collect()))
+        .collect();
+    (0..out_rows)
+        .map(|row| columns.iter().map(|column| column[row].raw()).collect())
         .collect()
 }
 
-/// Flattens reference symbol rows back to bytes for comparison.
-fn rows_to_bytes(rows: &[Vec<Gf256>]) -> Vec<Vec<u8>> {
-    rows.iter().map(|row| bulk::symbols_to_bytes(row)).collect()
+/// [`per_column`] with `SecCode::encode`: the `n` coded rows of `data`.
+fn reference_encode(code: &SecCode<Gf256>, data: &ByteShards) -> Vec<Vec<u8>> {
+    let rows: Vec<&[u8]> = (0..data.shard_count()).map(|b| data.shard(b)).collect();
+    per_column(&rows, code.n(), |column| code.encode(&column).unwrap())
+}
+
+/// [`per_column`] with `SecCode::decode_full`: the `k` data rows decoded
+/// from `shares`.
+fn reference_decode(code: &SecCode<Gf256>, shares: &[(usize, &[u8])]) -> Vec<Vec<u8>> {
+    let rows: Vec<&[u8]> = shares.iter().map(|&(_, row)| row).collect();
+    per_column(&rows, code.k(), |column| {
+        let shares: Vec<Share<Gf256>> = shares.iter().map(|&(i, _)| i).zip(column).collect();
+        code.decode_full(&shares).unwrap()
+    })
 }
 
 /// A block-sparse delta: at most `max_gamma` of the K shards are non-zero.
@@ -239,10 +260,11 @@ fn first_live(erased: &std::collections::BTreeSet<usize>, count: usize) -> Vec<u
 /// Systematic codes put coefficients 0 and 1 where the byte path treats them
 /// apart: encode copies its `k` identity rows, and a degraded decode copies
 /// the surviving systematic symbols (unit rows of the inverse) and multiplies
-/// only the rows of the lost ones. For (6,3) and (12,6), the encode and the
-/// decode from the first `k` live nodes of **every** failure pattern of up to
-/// `n − k` nodes are bit-identical to the scalar reference, and each lost
-/// block rebuilds to what was stored. 97 bytes end in a scalar tail on every
+/// only the rows of the lost ones. For (6,3) and (12,6), the encode is
+/// bit-identical to the per-column reference, the decode from the first `k`
+/// live nodes of **every** failure pattern of up to `n − k` nodes returns the
+/// data (which is what the reference decodes them to), and each lost block
+/// rebuilds to what was stored. 97 bytes end in a scalar tail on every
 /// kernel.
 #[test]
 fn systematic_encode_and_every_degraded_decode_match_scalar() {
@@ -251,22 +273,17 @@ fn systematic_encode_and_every_degraded_decode_match_scalar() {
         let codec = ByteCodec::new(code.clone());
         let data = ByteShards::from_flat(&object(97 * k, 0xD15C + n as u64), k);
         let coded = codec.encode_blocks(&data).unwrap();
-        let reference = shards::encode_shards(&code, &to_symbol_rows(&data)).unwrap();
-        assert_eq!(coded.to_rows(), rows_to_bytes(&reference), "({n},{k}) encode");
+        assert_eq!(
+            coded.to_rows(),
+            reference_encode(&code, &data),
+            "({n},{k}) encode"
+        );
 
         for failures in 0..=n - k {
             for failed in Combinations::new(n, failures) {
                 let live: Vec<usize> = (0..n).filter(|i| !failed.contains(i)).take(k).collect();
                 let shares: Vec<(usize, &[u8])> = live.iter().map(|&i| (i, coded.shard(i))).collect();
                 let fast = codec.decode_blocks(&shares).unwrap();
-                let ref_shares: Vec<(usize, Vec<Gf256>)> =
-                    live.iter().map(|&i| (i, reference[i].clone())).collect();
-                let decoded = shards::decode_shards(&code, &ref_shares).unwrap();
-                assert_eq!(
-                    fast.to_rows(),
-                    rows_to_bytes(&decoded),
-                    "({n},{k}) failed {failed:?}"
-                );
                 assert_eq!(fast, data, "({n},{k}) failed {failed:?}");
                 for &lost in &failed {
                     let rebuilt = codec.rebuild_block(&shares, lost).unwrap();
@@ -277,6 +294,57 @@ fn systematic_encode_and_every_degraded_decode_match_scalar() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The largest codes `GF(2^8)` hosts, both past the `n ≤ 62` bound of the
+/// qualify and inverse memos: non-systematic (192,64) at `n + k = 256` and
+/// systematic (256,128) at `n = 256`. The encode, the decode from the last
+/// `k` shares, and γ = 1, 2 sparse recovery of a delta in the last γ blocks
+/// (the end of the support search) from the last `2γ` shares match the
+/// per-column reference.
+#[test]
+fn codes_at_the_field_ceiling_match_the_reference() {
+    for (n, k, form) in [
+        (192usize, 64usize, GeneratorForm::NonSystematic),
+        (256, 128, GeneratorForm::Systematic),
+    ] {
+        let code = SecCode::cauchy(n, k, form).expect("at the ceiling of GF(256)");
+        let codec = ByteCodec::new(code.clone());
+        let data = ByteShards::from_flat(&object(3 * k, n as u64), k);
+        let coded = codec.encode_blocks(&data).unwrap();
+        assert_eq!(
+            coded.to_rows(),
+            reference_encode(&code, &data),
+            "({n},{k}) encode"
+        );
+        let last: Vec<(usize, &[u8])> = (n - k..n).map(|i| (i, coded.shard(i))).collect();
+        let decoded = codec.decode_blocks(&last).unwrap();
+        assert_eq!(
+            decoded.to_rows(),
+            reference_decode(&code, &last),
+            "({n},{k}) decode"
+        );
+        assert_eq!(decoded, data, "({n},{k}) decode");
+
+        for gamma in 1..=2 {
+            let mut delta = ByteShards::zeroed(k, 3);
+            for block in k - gamma..k {
+                delta
+                    .shard_mut(block)
+                    .copy_from_slice(&[0x5A, 0, block as u8 | 1]);
+            }
+            let coded = codec.encode_blocks(&delta).unwrap();
+            let read: Vec<(usize, &[u8])> = (n - 2 * gamma..n).map(|i| (i, coded.shard(i))).collect();
+            let recovered = codec.recover_sparse_blocks(&read, gamma).unwrap();
+            let rows: Vec<&[u8]> = read.iter().map(|&(_, row)| row).collect();
+            let reference = per_column(&rows, k, |column| {
+                let shares: Vec<Share<Gf256>> = read.iter().map(|&(i, _)| i).zip(column).collect();
+                code.decode_sparse(&shares, gamma).unwrap()
+            });
+            assert_eq!(recovered.to_rows(), reference, "({n},{k}) γ = {gamma}");
+            assert_eq!(recovered, delta, "({n},{k}) γ = {gamma}");
         }
     }
 }
@@ -394,18 +462,17 @@ proptest! {
         let data = ByteShards::from_flat(&object(shard_len * K, seed), K);
 
         let fast = codec.encode_blocks(&data).unwrap();
-        let reference = shards::encode_shards(&code, &to_symbol_rows(&data)).unwrap();
+        let reference = reference_encode(&code, &data);
 
         prop_assert_eq!(fast.shard_count(), N);
-        let reference_bytes = rows_to_bytes(&reference);
-        for (i, ref_row) in reference_bytes.iter().enumerate() {
+        for (i, ref_row) in reference.iter().enumerate() {
             prop_assert_eq!(fast.shard(i), ref_row.as_slice(), "row {}", i);
         }
     }
 
     /// The sparse encode: a delta with `γ ∈ 0..=k` non-zero blocks at any
     /// positions encodes, on every available kernel, to both the dense
-    /// generator product over all `k` blocks and the scalar `encode_shards`
+    /// generator product over all `k` blocks and the per-column `encode`
     /// — whether its zero blocks are found by `encode_blocks`' scan or left
     /// out by the caller of `encode_sparse_into`.
     #[test]
@@ -423,7 +490,7 @@ proptest! {
             delta.shard_mut(block).iter_mut().for_each(|b| *b |= 1);
         }
         prop_assert_eq!(delta.weight(), if shard_len == 0 { 0 } else { support.len() });
-        let reference = rows_to_bytes(&shards::encode_shards(&code, &to_symbol_rows(&delta)).unwrap());
+        let reference = reference_encode(&code, &delta);
         let every_block: Vec<&[u8]> = (0..K).map(|b| delta.shard(b)).collect();
         let listed: Vec<(usize, &[u8])> = support.iter().map(|&b| (b, delta.shard(b))).collect();
         let tables = CoeffTables::new();
@@ -462,13 +529,8 @@ proptest! {
             survivors.iter().map(|&i| (i, coded.shard(i))).collect();
         let fast = codec.decode_blocks(&byte_shares).unwrap();
 
-        let ref_coded = shards::encode_shards(&code, &to_symbol_rows(&data)).unwrap();
-        let ref_shares: Vec<(usize, Vec<Gf256>)> =
-            survivors.iter().map(|&i| (i, ref_coded[i].clone())).collect();
-        let reference = shards::decode_shards(&code, &ref_shares).unwrap();
-
-        let reference_bytes = rows_to_bytes(&reference);
-        for (i, ref_row) in reference_bytes.iter().enumerate() {
+        let reference = reference_decode(&code, &byte_shares);
+        for (i, ref_row) in reference.iter().enumerate() {
             prop_assert_eq!(fast.shard(i), ref_row.as_slice(), "data shard {}", i);
         }
         prop_assert_eq!(fast.join(original.len()), original);

@@ -4,8 +4,9 @@
 //! symbol per position (the usual situation: each of the `k` source symbols
 //! is really a shard of many field elements), each generator-matrix
 //! coefficient multiplies an entire shard. These kernels implement that inner
-//! loop — `dst += c * src` and friends — for any [`GaloisField`], so the
-//! erasure layer stays free of per-symbol call overhead in its hot path.
+//! loop — `dst += c * src` and friends — for any [`GaloisField`], one symbol
+//! at a time: the scalar reference the [`bulk8`](crate::bulk8) byte kernels
+//! are tested against.
 
 use core::fmt;
 
@@ -170,11 +171,8 @@ pub fn dot<F: GaloisField>(a: &[F], b: &[F]) -> F {
     a.iter().zip(b).fold(F::ZERO, |acc, (&x, &y)| acc + x * y)
 }
 
-/// Converts a byte slice into field symbols, one byte per symbol.
-///
-/// For fields wider than 8 bits each byte still maps to one symbol (zero
-/// padded into the high bits), which keeps the mapping trivially invertible
-/// via [`symbols_to_bytes`] regardless of the field in use.
+/// Converts a byte slice into field symbols, one byte per symbol; the
+/// inverse is [`symbols_to_bytes`].
 pub fn bytes_to_symbols<F: GaloisField>(bytes: &[u8]) -> Vec<F> {
     bytes.iter().map(|&b| F::from_u64(b as u64)).collect()
 }
@@ -199,7 +197,7 @@ pub fn symbols_to_bytes<F: GaloisField>(symbols: &[F]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf1024, Gf256};
+    use crate::Gf256;
 
     fn shard(values: &[u64]) -> Vec<Gf256> {
         values.iter().map(|&v| Gf256::from_u64(v)).collect()
@@ -298,8 +296,6 @@ mod tests {
         let bytes: Vec<u8> = (0..=255).collect();
         let sym: Vec<Gf256> = bytes_to_symbols(&bytes);
         assert_eq!(symbols_to_bytes(&sym), bytes);
-        let wide: Vec<Gf1024> = bytes_to_symbols(&bytes);
-        assert_eq!(symbols_to_bytes(&wide), bytes);
     }
 
     #[test]

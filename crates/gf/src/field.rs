@@ -8,9 +8,8 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 /// A binary-extension Galois field `GF(2^w)`.
 ///
 /// All SEC constructions (Cauchy generator matrices, sparse-delta recovery,
-/// Gaussian elimination) are written against this trait so that the same code
-/// runs over `GF(2^8)` byte symbols, the paper's `GF(2^10)` example alphabet,
-/// or `GF(2^16)`.
+/// Gaussian elimination) are written against this trait. Its one
+/// implementation is [`Gf256`](crate::Gf256), the `GF(2^8)` byte field.
 ///
 /// Implementations are plain `Copy` newtypes over an unsigned integer and all
 /// operations are total: the arithmetic operators panic only on division by
@@ -118,8 +117,7 @@ pub trait GaloisField:
     /// Iterator over every element of the field, starting from zero.
     ///
     /// Intended for exhaustive checks in tests and for small-field searches
-    /// (e.g. picking Cauchy evaluation points); do not call on `GF(2^16)`
-    /// inside hot loops.
+    /// (e.g. picking Cauchy evaluation points).
     fn all_elements() -> AllElements<Self> {
         AllElements {
             next: 0,
@@ -159,20 +157,20 @@ impl<F: GaloisField> ExactSizeIterator for AllElements<F> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Gf16;
+    use crate::Gf256;
 
     #[test]
     fn all_elements_yields_order_many() {
-        let v: Vec<Gf16> = Gf16::all_elements().collect();
-        assert_eq!(v.len(), Gf16::ORDER as usize);
-        assert_eq!(v[0], Gf16::ZERO);
-        assert_eq!(v[1], Gf16::ONE);
+        let v: Vec<Gf256> = Gf256::all_elements().collect();
+        assert_eq!(v.len(), Gf256::ORDER as usize);
+        assert_eq!(v[0], Gf256::ZERO);
+        assert_eq!(v[1], Gf256::ONE);
     }
 
     #[test]
     fn default_pow_matches_repeated_multiplication() {
-        let g = Gf16::generator();
-        let mut acc = Gf16::ONE;
+        let g = Gf256::generator();
+        let mut acc = Gf256::ONE;
         for e in 0..20u64 {
             assert_eq!(g.pow(e), acc, "generator^{e}");
             acc *= g;
@@ -181,8 +179,8 @@ mod tests {
 
     #[test]
     fn pow_zero_conventions() {
-        assert_eq!(Gf16::ZERO.pow(0), Gf16::ONE);
-        assert_eq!(Gf16::ZERO.pow(5), Gf16::ZERO);
-        assert_eq!(Gf16::ONE.pow(u64::MAX), Gf16::ONE);
+        assert_eq!(Gf256::ZERO.pow(0), Gf256::ONE);
+        assert_eq!(Gf256::ZERO.pow(5), Gf256::ZERO);
+        assert_eq!(Gf256::ONE.pow(u64::MAX), Gf256::ONE);
     }
 }

@@ -1,14 +1,13 @@
 //! Finite-field arithmetic for the SEC (Sparsity Exploiting Coding) stack.
 //!
 //! The SEC paper works with data objects `x ∈ F_q^k` where `q` is a power of
-//! two; its running example uses `q = 1024` (i.e. `GF(2^10)`) and practical
-//! erasure-coding deployments use `GF(2^8)` or `GF(2^16)`. This crate
-//! provides:
+//! two. Every code here runs over `q = 256`: the paper's (6,3), (10,5) and
+//! (12,6) Cauchy codes fit `GF(2^8)` (a Cauchy code needs `n + k ≤ q`), and
+//! one byte is one symbol. This crate provides:
 //!
 //! * the [`GaloisField`] trait describing a binary-extension field,
-//! * concrete fields [`Gf16`], [`Gf256`], [`Gf1024`] and [`Gf65536`]
-//!   (characteristic-2 fields of 2^4, 2^8, 2^10 and 2^16 elements) built from
-//!   log/exp tables generated at first use,
+//! * its one implementation, [`Gf256`] (`GF(2^8)`), built from log/exp tables
+//!   generated at first use,
 //! * bulk slice kernels ([`bulk`]) used by the erasure encoder to apply a
 //!   scalar coefficient to a whole block of symbols at once,
 //! * the byte-shard fast path ([`bulk8`]): split-table `GF(2^8)` kernels
@@ -48,7 +47,7 @@ pub mod bulk8;
 pub mod kernel;
 
 pub use field::GaloisField;
-pub use fields::{Gf1024, Gf16, Gf256, Gf65536};
+pub use fields::Gf256;
 pub use kernel::{active_kernel, force_kernel, reset_kernel, Kernel, UnsupportedKernel, KERNEL_ENV};
 
 #[cfg(test)]

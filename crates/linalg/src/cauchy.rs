@@ -147,7 +147,7 @@ pub fn cauchy_determinant<F: GaloisField>(h: &[F], f: &[F]) -> F {
 mod tests {
     use super::*;
     use crate::ops;
-    use sec_gf::{Gf1024, Gf16, Gf256};
+    use sec_gf::Gf256;
 
     #[test]
     fn canonical_points_produce_expected_shape() {
@@ -161,9 +161,9 @@ mod tests {
 
     #[test]
     fn every_square_submatrix_is_invertible_small() {
-        // Exhaustively verify the defining Cauchy property on a (6,3) matrix
-        // over GF(16): every square submatrix is invertible.
-        let m: Matrix<Gf16> = cauchy_matrix(6, 3).unwrap();
+        // Exhaustively verify the defining Cauchy property on a (6,3) matrix:
+        // every square submatrix is invertible.
+        let m: Matrix<Gf256> = cauchy_matrix(6, 3).unwrap();
         let n = m.rows();
         let k = m.cols();
         for size in 1..=k {
@@ -181,10 +181,24 @@ mod tests {
 
     #[test]
     fn field_too_small_is_reported() {
-        let err = cauchy_matrix::<Gf16>(14, 5).unwrap_err();
-        assert!(matches!(err, CauchyError::FieldTooSmall { field_order: 16, .. }));
-        assert!(err.to_string().contains("19"));
-        assert!(cauchy_matrix::<Gf1024>(20, 10).is_ok());
+        // GF(2^8) hosts n + k ≤ 256 points: an n × k matrix up to that
+        // ceiling, and a parity block for any n ≤ 256.
+        assert_eq!(cauchy_matrix::<Gf256>(192, 64).unwrap().shape(), (192, 64));
+        let err = cauchy_matrix::<Gf256>(192, 65).unwrap_err();
+        assert!(matches!(err, CauchyError::FieldTooSmall { field_order: 256, .. }));
+        assert!(err.to_string().contains("257"));
+        assert_eq!(
+            cauchy_parity_block::<Gf256>(256, 128).unwrap().shape(),
+            (128, 128)
+        );
+        assert!(matches!(
+            cauchy_parity_block::<Gf256>(257, 128),
+            Err(CauchyError::FieldTooSmall {
+                rows: 129,
+                cols: 128,
+                field_order: 256
+            })
+        ));
     }
 
     #[test]
@@ -230,7 +244,7 @@ mod tests {
 
     #[test]
     fn rectangular_cauchy_has_full_rank() {
-        let m: Matrix<Gf1024> = cauchy_matrix(20, 10).unwrap();
+        let m: Matrix<Gf256> = cauchy_matrix(20, 10).unwrap();
         assert_eq!(ops::rank(&m), 10);
         let t = m.transpose();
         assert_eq!(ops::rank(&t), 10);

@@ -138,8 +138,7 @@ mod tests {
     use super::*;
     use crate::cauchy::{cauchy_matrix, cauchy_parity_block};
     use crate::combinatorics::binomial_exact;
-    use crate::vandermonde::vandermonde_matrix;
-    use sec_gf::{GaloisField, Gf1024, Gf16, Gf256};
+    use sec_gf::{GaloisField, Gf256};
 
     fn systematic_gen<F: GaloisField>(n: usize, k: usize) -> Matrix<F> {
         let b = cauchy_parity_block::<F>(n, k).unwrap();
@@ -169,11 +168,11 @@ mod tests {
         // all C(6,2) = 15 two-row subsets satisfying Criterion 2; the
         // systematic generator has only 3 (the ones drawn from the parity
         // block B).
-        let gn: Matrix<Gf1024> = cauchy_matrix(6, 3).unwrap();
+        let gn: Matrix<Gf256> = cauchy_matrix(6, 3).unwrap();
         assert_eq!(count_criterion2_subsets(&gn, 1), 15);
         assert_eq!(binomial_exact(6, 2), 15);
 
-        let gs: Matrix<Gf1024> = systematic_gen(6, 3);
+        let gs: Matrix<Gf256> = systematic_gen(6, 3);
         assert_eq!(count_criterion2_subsets(&gs, 1), 3);
     }
 
@@ -219,13 +218,6 @@ mod tests {
         assert_eq!(invertible_k_subsets(&g).len(), 20);
         let gs: Matrix<Gf256> = systematic_gen(6, 3);
         assert_eq!(invertible_k_subsets(&gs).len(), 20);
-    }
-
-    #[test]
-    fn vandermonde_is_mds_but_not_superregular() {
-        let v: Matrix<Gf16> = vandermonde_matrix(6, 3).unwrap();
-        assert!(is_mds(&v));
-        assert!(!is_superregular(&v));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This crate is the algebraic substrate of the SEC erasure-coding stack:
 //! generator matrices, Gaussian elimination, rank and invertibility checks,
-//! and the structured matrix families (Cauchy, Vandermonde) the paper uses to
-//! build MDS codes satisfying its two design criteria:
+//! and the Cauchy matrices the paper uses to build MDS codes satisfying its
+//! two design criteria:
 //!
 //! * **Criterion 1** — at least one `k × k` submatrix of the generator is
 //!   invertible, so full (non-sparse) objects can be decoded from any `k`
@@ -39,7 +39,6 @@ pub mod cauchy;
 pub mod checks;
 pub mod combinatorics;
 pub mod ops;
-pub mod vandermonde;
 
 pub use matrix::{Matrix, MatrixError};
 

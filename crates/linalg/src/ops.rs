@@ -203,7 +203,7 @@ pub fn null_space<F: GaloisField>(m: &Matrix<F>) -> Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::{GaloisField, Gf16, Gf256};
+    use sec_gf::{GaloisField, Gf256};
 
     fn m(rows: usize, cols: usize, vals: &[u64]) -> Matrix<Gf256> {
         Matrix::from_vec(rows, cols, vals.iter().map(|&v| Gf256::from_u64(v)).collect()).unwrap()
@@ -320,32 +320,23 @@ mod tests {
     }
 
     #[test]
-    fn small_field_exhaustive_invertibility() {
-        // Over GF(16), check that invert() agrees with determinant() != 0 for
-        // a sample of 2x2 matrices.
-        let mut checked = 0;
-        for a in 0..16u64 {
-            for b in (0..16u64).step_by(3) {
-                for c in (0..16u64).step_by(5) {
-                    for d in 0..16u64 {
-                        let m = Matrix::<Gf16>::from_vec(
-                            2,
-                            2,
-                            vec![
-                                Gf16::from_u64(a),
-                                Gf16::from_u64(b),
-                                Gf16::from_u64(c),
-                                Gf16::from_u64(d),
-                            ],
-                        )
-                        .unwrap();
+    fn invert_agrees_with_determinant_on_2x2() {
+        // invert() agrees with determinant() != 0 on a sample of 2x2 matrices.
+        // Every `d` is tried, so each sampled `a != 0, b, c` also meets its
+        // one singular completion `d = b·c / a`.
+        let mut singular = 0;
+        for a in (0..256u64).step_by(17) {
+            for b in (0..256u64).step_by(51) {
+                for c in (0..256u64).step_by(61) {
+                    for d in 0..256u64 {
+                        let m = m(2, 2, &[a, b, c, d]);
                         let det = determinant(&m).unwrap();
                         assert_eq!(invert(&m).is_ok(), !det.is_zero());
-                        checked += 1;
+                        singular += usize::from(det.is_zero());
                     }
                 }
             }
         }
-        assert!(checked > 1000);
+        assert!(singular > 16 * 6 * 5);
     }
 }

@@ -171,24 +171,24 @@ impl StoredPayload {
 mod tests {
     use super::*;
     use crate::symbol_archive::VersionedArchive;
-    use sec_gf::{GaloisField, Gf1024};
+    use sec_gf::{GaloisField, Gf256};
 
-    fn obj(vals: &[u64]) -> Vec<Gf1024> {
-        vals.iter().map(|&v| Gf1024::from_u64(v)).collect()
+    fn obj(vals: &[u64]) -> Vec<Gf256> {
+        vals.iter().map(|&v| Gf256::from_u64(v)).collect()
     }
 
-    fn archive(strategy: EncodingStrategy) -> VersionedArchive<Gf1024> {
+    fn archive(strategy: EncodingStrategy) -> VersionedArchive<Gf256> {
         let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap();
         VersionedArchive::new(config).unwrap()
     }
 
-    fn three_versions() -> Vec<Vec<Gf1024>> {
+    fn three_versions() -> Vec<Vec<Gf256>> {
         let v1 = obj(&[10, 20, 30]);
         let mut v2 = v1.clone();
-        v2[1] = Gf1024::from_u64(500); // γ2 = 1
+        v2[1] = Gf256::from_u64(0x5A); // γ2 = 1
         let mut v3 = v2.clone();
-        v3[0] = Gf1024::from_u64(7);
-        v3[2] = Gf1024::from_u64(9); // γ3 = 2 (≥ k/2 for k = 3)
+        v3[0] = Gf256::from_u64(7);
+        v3[2] = Gf256::from_u64(9); // γ3 = 2 (≥ k/2 for k = 3)
         vec![v1, v2, v3]
     }
 
@@ -231,12 +231,12 @@ mod tests {
             .unwrap()
             .with_checkpoints(CheckpointPolicy::every(2));
         assert!(config.checkpoints().is_enabled());
-        let mut a: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
+        let mut a: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
         // Six versions differing by one symbol each: with spacing 2 the
         // layout is full, δ, δ, full(checkpoint), δ, δ.
         let mut version = obj(&[10, 20, 30]);
         for v in 1..=6u64 {
-            version[0] = Gf1024::from_u64(v);
+            version[0] = Gf256::from_u64(v);
             a.append_version(&version).unwrap();
         }
         let fulls: Vec<usize> = a
@@ -284,7 +284,7 @@ mod tests {
         let latest = a.latest_full_entry().unwrap();
         assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
         // The full copy decodes to version 3.
-        let shares: Vec<(usize, Gf1024)> = latest.codeword.iter().copied().enumerate().take(3).collect();
+        let shares: Vec<(usize, Gf256)> = latest.codeword.iter().copied().enumerate().take(3).collect();
         assert_eq!(a.code().decode_full(&shares).unwrap(), versions[2]);
     }
 
@@ -319,7 +319,7 @@ mod tests {
         let versions = three_versions();
         a.append_all(&versions).unwrap();
         let delta_entry = &a.entries()[1];
-        let expected_delta: Vec<Gf1024> = versions[1]
+        let expected_delta: Vec<Gf256> = versions[1]
             .iter()
             .zip(&versions[0])
             .map(|(&b, &a)| b - a)

@@ -131,10 +131,10 @@ pub fn sparsity_profile<F: GaloisField>(versions: &[Vec<F>]) -> Result<Vec<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
-    fn obj(vals: &[u64]) -> Vec<Gf1024> {
-        vals.iter().map(|&v| Gf1024::from_u64(v)).collect()
+    fn obj(vals: &[u64]) -> Vec<Gf256> {
+        vals.iter().map(|&v| Gf256::from_u64(v)).collect()
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
         for positions in edits {
             let mut next = versions.last().unwrap().clone();
             for &p in positions {
-                next[p] += Gf1024::from_u64(1000);
+                next[p] += Gf256::from_u64(0x5A);
             }
             versions.push(next);
         }

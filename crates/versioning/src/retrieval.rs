@@ -229,12 +229,12 @@ mod tests {
     use super::*;
     use crate::archive::ArchiveConfig;
     use sec_erasure::GeneratorForm;
-    use sec_gf::Gf1024;
+    use sec_gf::Gf256;
 
     /// Builds the §III-D version sequence: k = 10, sparsity profile {3, 8, 3, 6}.
-    fn paper_versions() -> Vec<Vec<Gf1024>> {
+    fn paper_versions() -> Vec<Vec<Gf256>> {
         let k = 10;
-        let base: Vec<Gf1024> = (0..k as u64).map(|v| Gf1024::from_u64(v + 1)).collect();
+        let base: Vec<Gf256> = (0..k as u64).map(|v| Gf256::from_u64(v + 1)).collect();
         let mut versions = vec![base];
         let edits: [&[usize]; 4] = [
             &[0, 1, 2],
@@ -245,7 +245,7 @@ mod tests {
         for positions in edits {
             let mut next = versions.last().unwrap().clone();
             for &p in positions {
-                next[p] += Gf1024::from_u64(512);
+                next[p] += Gf256::from_u64(0x5A);
             }
             versions.push(next);
         }
@@ -255,7 +255,7 @@ mod tests {
     fn build(
         strategy: EncodingStrategy,
         form: GeneratorForm,
-    ) -> (VersionedArchive<Gf1024>, Vec<Vec<Gf1024>>) {
+    ) -> (VersionedArchive<Gf256>, Vec<Vec<Gf256>>) {
         let config = ArchiveConfig::new(20, 10, form, strategy).unwrap();
         let mut archive = VersionedArchive::new(config).unwrap();
         let versions = paper_versions();
@@ -362,7 +362,7 @@ mod tests {
     fn retrieval_error_paths() {
         let config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
-        let empty: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
+        let empty: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
         assert!(matches!(
             empty.retrieve_version(1),
             Err(VersioningError::EmptyArchive)
@@ -390,8 +390,8 @@ mod tests {
     fn identical_consecutive_versions_cost_no_delta_reads() {
         let config =
             ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
-        let mut archive: VersionedArchive<Gf1024> = VersionedArchive::new(config).unwrap();
-        let v: Vec<Gf1024> = vec![Gf1024::from_u64(5); 3];
+        let mut archive: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
+        let v: Vec<Gf256> = vec![Gf256::from_u64(5); 3];
         archive.append_version(&v).unwrap();
         archive.append_version(&v).unwrap();
         let r = archive.retrieve_version(2).unwrap();

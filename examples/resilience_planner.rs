@@ -9,7 +9,7 @@
 use sec::analysis::availability::{colocated_availability, dispersed_availability, nines, Scheme};
 use sec::analysis::io::{average_io_exact, IoScheme};
 use sec::analysis::resilience::{prob_lose_full, prob_lose_sparse_exact};
-use sec::gf::Gf1024;
+use sec::gf::Gf256;
 use sec::{GeneratorForm, SecCode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (n, k) = (10usize, 5usize);
     let sparsity = [1usize, 2, 1]; // four versions with three small deltas
 
-    let non_systematic: SecCode<Gf1024> = SecCode::cauchy(n, k, GeneratorForm::NonSystematic)?;
-    let systematic: SecCode<Gf1024> = SecCode::cauchy(n, k, GeneratorForm::Systematic)?;
+    let non_systematic: SecCode<Gf256> = SecCode::cauchy(n, k, GeneratorForm::NonSystematic)?;
+    let systematic: SecCode<Gf256> = SecCode::cauchy(n, k, GeneratorForm::Systematic)?;
 
     println!("resilience plan for a ({n},{k}) code, node failure probability p = {p}\n");
     println!("per-object loss probabilities:");

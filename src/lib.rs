@@ -8,8 +8,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`gf`] | `sec-gf` | finite fields `GF(2^w)`, bulk kernels |
-//! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy/Vandermonde, criteria checks |
+//! | [`gf`] | `sec-gf` | the field `GF(2^8)`, bulk kernels |
+//! | [`linalg`] | `sec-linalg` | matrices, Gaussian elimination, Cauchy matrices, criteria checks |
 //! | [`erasure`] | `sec-erasure` | systematic / non-systematic Cauchy MDS codes, sparse recovery, read planning |
 //! | [`versioning`] | `sec-versioning` | byte archives (layout ledger + blocks), Basic/Optimized/Reversed SEC, I/O model |
 //! | [`store`] | `sec-store` | storage nodes as block-slot arrays, placement, failure patterns, I/O counters, the shared error type |

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use sec::analysis::io::{average_io_exact, IoScheme};
 use sec::analysis::patterns::census;
 use sec::analysis::resilience::{paper_eq20_systematic_loss, prob_lose_sparse_exact};
-use sec::gf::{bulk, Gf1024, Gf256};
+use sec::gf::{bulk, Gf256};
 use sec::store::failure::enumerate_patterns;
 use sec::workload::{EditModel, TraceConfig, VersionTrace};
 use sec::{
@@ -117,8 +117,8 @@ fn paper_running_example_end_to_end() {
         assert_eq!(both.versions, vec![x1.clone(), x2.clone()]);
     }
 
-    let ns: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("builds");
-    let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("builds");
+    let ns: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("builds");
+    let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("builds");
     assert_eq!(census(&ns, 1).recoverable(), 56);
     assert_eq!(census(&sys, 1).recoverable(), 44);
     for &p in &[0.05, 0.1, 0.2] {
@@ -168,7 +168,7 @@ fn simulator_agrees_with_analytical_availability() {
 /// analysis used for Figs. 4–5.
 #[test]
 fn degraded_reads_match_average_io_analysis() {
-    let sys: SecCode<Gf1024> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("builds");
+    let sys: SecCode<Gf256> = SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("builds");
     // All parity nodes alive → 2 reads; parity pair broken → k reads.
     let avg_low_p = average_io_exact(&sys, IoScheme::Sec(GeneratorForm::Systematic), 1, 0.01);
     let avg_high_p = average_io_exact(&sys, IoScheme::Sec(GeneratorForm::Systematic), 1, 0.2);

@@ -5,7 +5,7 @@
 use sec::analysis::patterns::census;
 use sec::engine::{ClusterMetrics, EngineMetrics, EngineRetrieval};
 use sec::erasure::{CodeError, DecodeMethod, ReadPlan, ReadTarget, Share};
-use sec::gf::{GaloisField, Gf1024, Gf16, Gf256, Gf65536};
+use sec::gf::{GaloisField, Gf256};
 use sec::linalg::{cauchy::cauchy_matrix, checks, Matrix, MatrixError};
 use sec::store::{FailurePattern, IoMetrics, Placement, StorageNode};
 use sec::versioning::{BytePrefixRetrieval, ByteVersionRetrieval, VersioningError};
@@ -105,11 +105,8 @@ fn facade_types_interoperate_end_to_end() {
 /// Re-exported auxiliary types and the whole-module re-exports stay reachable.
 #[test]
 fn facade_module_reexports_are_reachable() {
-    // gf: all four fields.
-    assert_eq!(Gf16::ORDER, 16);
+    // gf: the one field.
     assert_eq!(Gf256::ORDER, 256);
-    assert_eq!(Gf1024::ORDER, 1024);
-    assert_eq!(Gf65536::ORDER, 65536);
 
     // linalg: Cauchy construction satisfies both SEC criteria.
     let g: Matrix<Gf256> = cauchy_matrix(6, 3).expect("cauchy");

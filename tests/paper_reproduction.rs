@@ -9,13 +9,13 @@ use sec::analysis::resilience::{
 };
 use sec::analysis::tables::table1;
 use sec::erasure::CriteriaReport;
-use sec::gf::Gf1024;
+use sec::gf::Gf256;
 use sec::{
     ArchiveConfig, ByteVersionedArchive, CodeParams, EncodingStrategy, GeneratorForm, IoModel, SecCode,
     SecEngine, SparsityPmf,
 };
 
-fn codes_6_3() -> (SecCode<Gf1024>, SecCode<Gf1024>) {
+fn codes_6_3() -> (SecCode<Gf256>, SecCode<Gf256>) {
     (
         SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).expect("builds"),
         SecCode::cauchy(6, 3, GeneratorForm::Systematic).expect("builds"),
@@ -78,7 +78,7 @@ fn fig4_and_fig5_average_io_curves() {
         assert!((2.0..=3.0).contains(&s));
     }
     // (10,5), gamma = 1 and 2: systematic stays close to 2γ for γ=1 up to p=0.2.
-    let sys10: SecCode<Gf1024> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).expect("builds");
+    let sys10: SecCode<Gf256> = SecCode::cauchy(10, 5, GeneratorForm::Systematic).expect("builds");
     let g1 = average_io_exact(&sys10, IoScheme::Sec(GeneratorForm::Systematic), 1, 0.2).average_reads;
     let g2 = average_io_exact(&sys10, IoScheme::Sec(GeneratorForm::Systematic), 2, 0.2).average_reads;
     assert!(g1 < 2.1, "gamma=1 average {g1}");
