@@ -28,7 +28,7 @@ use std::sync::Arc;
 use crate::ordered::{LockRank, OrderedRwLock};
 
 use sec_store::fault;
-use sec_store::{FailurePattern, IoMetrics, PlacementStrategy, StoreError};
+use sec_store::{IoMetrics, PlacementStrategy, StoreError};
 use sec_versioning::object::VersionId;
 use sec_versioning::{ArchiveConfig, ArchiveLedger, CacheStats, VersioningError};
 
@@ -331,8 +331,8 @@ impl SecCluster {
 
     /// Codeword length `n`: the size of each shard's shared node group
     /// under colocated placement, and of each stored entry's private node
-    /// set under dispersed (see [`SecCluster::object_node_count`] for an
-    /// object's total).
+    /// set under dispersed, where an object's node space holds `n` nodes per
+    /// stored entry.
     pub fn node_count(&self) -> usize {
         self.config.params().n
     }
@@ -646,35 +646,6 @@ impl SecCluster {
         Ok(self.engine_of(id)?.repair_node(node)?)
     }
 
-    /// Total nodes in object `id`'s node space (`n` under colocated
-    /// placement, `n · entries` under dispersed), or `None` for an unknown
-    /// object.
-    pub fn object_node_count(&self, id: ObjectId) -> Option<usize> {
-        self.engine_of(id).ok().map(|e| e.node_count())
-    }
-
-    /// Applies a failure pattern to one shard's nodes.
-    ///
-    /// **Overwrite semantics** (as [`SecEngine::apply_pattern`]): within the
-    /// pattern's length the pattern *is* the shard's new liveness; nodes
-    /// beyond its length keep theirs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidShard`] for a bad shard index, or
-    /// [`ClusterError::PlacementMismatch`] under dispersed placement.
-    pub fn apply_pattern(&self, shard: usize, pattern: &FailurePattern) -> Result<(), ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        for idx in 0..liveness.len() {
-            if pattern.is_failed(idx) {
-                liveness.fail(idx);
-            } else if idx < pattern.len() {
-                liveness.revive(idx);
-            }
-        }
-        Ok(())
-    }
-
     /// Repairs node `node` of shard `shard` after data loss: rebuilds the
     /// node's blocks for **every** object on the shard (each staged before
     /// commit), then revives the node once. Returns the total number of
@@ -924,7 +895,6 @@ mod tests {
             Err(ClusterError::Engine(StoreError::InvalidNode { .. }))
         ));
         assert!(cluster.is_node_alive(1, 99).is_err());
-        assert!(cluster.apply_pattern(9, &FailurePattern::none(N)).is_err());
         // Display impls cover the addressing errors.
         assert!(ClusterError::NoShards.to_string().contains("at least one"));
         assert!(cluster
@@ -1023,25 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn patterns_apply_per_shard_with_overwrite_and_additive_semantics() {
-        let cluster = cluster(2);
-        // Failures layer one node at a time; an overwrite revives the nodes
-        // its pattern leaves alive.
-        for node in [4, 1] {
-            cluster.fail_node(0, node).unwrap();
-        }
-        assert!(!cluster.is_node_alive(0, 4).unwrap());
-        assert!(!cluster.is_node_alive(0, 1).unwrap());
-        cluster
-            .apply_pattern(0, &FailurePattern::with_failures(N, &[1]))
-            .unwrap();
-        assert!(cluster.is_node_alive(0, 4).unwrap());
-        assert!(!cluster.is_node_alive(0, 1).unwrap());
-        // Shard 1 was never touched.
-        assert_eq!(cluster.metrics_snapshot().shards[1].live_nodes, N);
-    }
-
-    #[test]
     fn metrics_aggregate_across_objects_and_shards() {
         let cluster = SecCluster::with_cache(config(EncodingStrategy::BasicSec), 2, 2).unwrap();
         let a = ObjectId(1);
@@ -1103,8 +1054,6 @@ mod tests {
         let b = ObjectId(2);
         cluster.append_all(a, &versions(0)).unwrap();
         cluster.append_all(b, &versions(7)).unwrap();
-        // Three stored entries × six private nodes each.
-        assert_eq!(cluster.object_node_count(a), Some(3 * N));
         // Shard-scoped node addressing has no shared group to hit: a
         // placement mismatch, never a panic.
         assert!(matches!(
@@ -1114,7 +1063,6 @@ mod tests {
         assert!(cluster.is_node_alive(0, 0).is_err());
         assert!(cluster.revive_node(0, 0).is_err());
         assert!(cluster.repair_node(0, 0).is_err());
-        assert!(cluster.apply_pattern(0, &FailurePattern::none(N)).is_err());
         assert!(cluster
             .fail_node(0, 0)
             .unwrap_err()
@@ -1151,7 +1099,6 @@ mod tests {
             cluster.fail_object_node(a, 3 * N),
             Err(ClusterError::Engine(StoreError::InvalidNode { .. }))
         ));
-        assert_eq!(cluster.object_node_count(ObjectId(99)), None);
     }
 
     #[test]
@@ -1171,7 +1118,6 @@ mod tests {
             cluster.repair_object_node(a, 0),
             Err(ClusterError::PlacementMismatch { .. })
         ));
-        assert_eq!(cluster.object_node_count(a), Some(N));
     }
 
     #[test]

@@ -14,103 +14,103 @@
 //!   fresh entropy (decimal or 0x-hex), making the whole sweep replayable.
 //! * `--out PATH` — append one `<property> SEC_SIM_SEED=0x…` line per
 //!   failure to `PATH`.
+//!
+//! With `SEC_SIM_SEED` set, `--seeds` and `--root` are ignored and every
+//! property runs once on that seed: the replay of a failure this sweep
+//! reported, with the command it printed.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sec_sim::harness::{ClusterSim, ClusterSimOptions, EngineSim, SimOptions};
+use sec_engine::PlacementStrategy;
+use sec_sim::harness::SimOptions;
 use sec_sim::rng::SimRng;
-use sec_sim::{seed, SEED_ENV};
+use sec_sim::{seed, walk, SEED_ENV};
 use sec_versioning::EncodingStrategy;
 
-/// One named property the sweep drives: build a sim from a seed, run a
-/// seed-derived schedule, panic on divergence.
+/// One named property the sweep drives: a seed-derived schedule over a sim
+/// built from `options`, panicking on divergence.
 struct Property {
     name: &'static str,
-    run: fn(u64),
+    options: fn() -> SimOptions,
 }
 
 const SCHEDULE_STEPS: usize = 60;
 
-fn engine_walk(seed: u64, options: SimOptions) {
-    let mut rng = SimRng::new(seed);
-    let mut sim = EngineSim::new(options, rng.fork());
-    for _ in 0..SCHEDULE_STEPS {
-        let op = sim.random_op(&mut rng);
-        sim.step(&op);
-    }
-    sim.step(&sec_sim::Op::CheckMetrics);
-}
+/// The command that replays one seed of this sweep.
+const REPLAY_COMMAND: &str = "cargo run --release -p sec-sim --bin sim-sweep";
 
-fn cluster_walk(seed: u64, options: ClusterSimOptions) {
-    let mut rng = SimRng::new(seed);
-    let mut sim = ClusterSim::new(options, rng.fork());
-    for _ in 0..SCHEDULE_STEPS {
-        let op = sim.random_op(&mut rng);
-        sim.step(&op);
+/// `engine-*` properties run one shard holding one object; `cluster-*`
+/// properties run 2 shards holding 3 objects.
+fn cluster(n: usize, k: usize, object_len: usize) -> SimOptions {
+    SimOptions {
+        shards: 2,
+        objects: 3,
+        ..SimOptions::strict(n, k, object_len)
     }
-    sim.step(&sec_sim::ClusterOp::CheckMetrics);
 }
 
 const PROPERTIES: &[Property] = &[
     Property {
         name: "engine-colocated-strict",
-        run: |seed| engine_walk(seed, SimOptions::strict(5, 3, 64)),
+        options: || SimOptions::strict(5, 3, 64),
     },
     Property {
         name: "engine-dispersed-strict",
-        run: |seed| {
-            let mut options = SimOptions::strict(5, 3, 48);
-            options.placement = sec_engine::PlacementStrategy::Dispersed;
-            engine_walk(seed, options);
+        options: || SimOptions {
+            placement: PlacementStrategy::Dispersed,
+            ..SimOptions::strict(5, 3, 48)
         },
     },
     Property {
         name: "engine-optimized-cached",
-        run: |seed| {
-            let mut options = SimOptions::strict(6, 3, 64);
-            options.encoding = EncodingStrategy::OptimizedSec;
-            options.cache_capacity = 4;
-            options.checkpoint_spacing = 2;
-            engine_walk(seed, options);
+        options: || SimOptions {
+            encoding: EncodingStrategy::OptimizedSec,
+            cache_capacity: 4,
+            checkpoint_spacing: 2,
+            ..SimOptions::strict(6, 3, 64)
         },
     },
     Property {
         name: "engine-checkpointed-strict",
-        run: |seed| {
-            let mut options = SimOptions::strict(5, 3, 64);
-            options.checkpoint_spacing = 2;
-            engine_walk(seed, options);
+        options: || SimOptions {
+            checkpoint_spacing: 2,
+            ..SimOptions::strict(5, 3, 64)
         },
     },
     Property {
         name: "engine-read-faults",
-        run: |seed| {
-            let mut options = SimOptions::strict(5, 3, 64);
-            options.read_fault_percent = 10;
-            options.rebuild_abort_percent = 10;
-            engine_walk(seed, options);
+        options: || SimOptions {
+            read_fault_percent: 10,
+            rebuild_abort_percent: 10,
+            ..SimOptions::strict(5, 3, 64)
         },
     },
     Property {
         name: "cluster-colocated-strict",
-        run: |seed| cluster_walk(seed, ClusterSimOptions::strict(5, 3, 2, 3, 48)),
+        options: || cluster(5, 3, 48),
+    },
+    Property {
+        name: "cluster-dispersed-strict",
+        options: || SimOptions {
+            placement: PlacementStrategy::Dispersed,
+            ..cluster(5, 3, 48)
+        },
     },
     Property {
         name: "cluster-read-faults",
-        run: |seed| {
-            let mut options = ClusterSimOptions::strict(5, 3, 2, 3, 48);
-            options.read_fault_percent = 10;
-            cluster_walk(seed, options);
+        options: || SimOptions {
+            read_fault_percent: 10,
+            rebuild_abort_percent: 10,
+            ..cluster(5, 3, 48)
         },
     },
     Property {
         name: "cluster-cached-checkpointed",
-        run: |seed| {
-            let mut options = ClusterSimOptions::strict(5, 3, 2, 3, 48);
-            options.cache_capacity = 3;
-            options.checkpoint_spacing = 2;
-            cluster_walk(seed, options);
+        options: || SimOptions {
+            cache_capacity: 3,
+            checkpoint_spacing: 2,
+            ..cluster(5, 3, 48)
         },
     },
 ];
@@ -158,23 +158,36 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let pinned = seed::from_env();
     let root = args.root.unwrap_or_else(seed::entropy);
-    println!(
-        "sim-sweep: {} seeds per property from root {root:#018x}",
-        args.seeds
-    );
+    match pinned {
+        Some(pinned) => println!("sim-sweep: replaying {SEED_ENV}={pinned:#018x} once per property"),
+        None => println!(
+            "sim-sweep: {} seeds per property from root {root:#018x}",
+            args.seeds
+        ),
+    }
 
     // Failing runs may leave a panic trace; keep the default hook so the
     // assertion text (which names the diverged invariant) stays visible.
     let mut failures: Vec<(String, u64)> = Vec::new();
     for property in PROPERTIES {
-        let mut rng = SimRng::new(root ^ splitmix_label(property.name));
+        let seeds: Vec<u64> = match pinned {
+            Some(pinned) => vec![pinned],
+            None => {
+                let mut rng = SimRng::new(root ^ splitmix_label(property.name));
+                (0..args.seeds).map(|_| rng.next_u64()).collect()
+            }
+        };
         let mut failed_here = 0usize;
-        for _ in 0..args.seeds {
-            let seed = rng.next_u64();
-            if catch_unwind(AssertUnwindSafe(|| (property.run)(seed))).is_err() {
+        for seed in seeds {
+            if catch_unwind(AssertUnwindSafe(|| {
+                walk((property.options)(), seed, SCHEDULE_STEPS)
+            }))
+            .is_err()
+            {
                 eprintln!(
-                    "sim-sweep: {} FAILED — replay with {SEED_ENV}={seed:#018x}",
+                    "sim-sweep: {} FAILED — replay with {SEED_ENV}={seed:#018x} {REPLAY_COMMAND}",
                     property.name
                 );
                 failures.push((property.name.to_string(), seed));

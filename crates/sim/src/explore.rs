@@ -4,15 +4,33 @@
 //!
 //! * [`random_walk`] — run a property under many derived seeds; any panic
 //!   is caught, the failing seed printed, and the panic re-raised, so every
-//!   failure is replayable via `SEC_SIM_SEED`.
+//!   failure is replayable via `SEC_SIM_SEED`. The usual property is
+//!   [`walk`]: one seeded random schedule over a fresh [`Sim`].
 //! * [`interleavings`] — enumerate *every* order-preserving merge of a few
 //!   short operation tracks (the "≤6-step window" mode): when the window is
 //!   small enough to exhaust, exhaust it instead of sampling.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use crate::harness::{Op, Sim, SimOptions};
 use crate::rng::SimRng;
 use crate::seed;
+
+/// Runs `steps` random operations, drawn from `seed`, on a fresh [`Sim`]
+/// built from `options`, then a final metrics check.
+///
+/// # Panics
+///
+/// Panics when the cluster diverges from the model or the oracle.
+pub fn walk(options: SimOptions, seed: u64, steps: usize) {
+    let mut rng = SimRng::new(seed);
+    let mut sim = Sim::new(options, rng.fork());
+    for _ in 0..steps {
+        let op = sim.random_op(&mut rng);
+        sim.step(&op);
+    }
+    sim.step(&Op::CheckMetrics);
+}
 
 /// Runs `property` under `runs` seeds derived from a fresh entropy root —
 /// unless [`seed::SEED_ENV`] is set, in which case the pinned seed is run

@@ -14,7 +14,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sec_engine::ordered::{LockRank, OrderedRwLock};
-use sec_sim::harness::{EngineSim, Op, SimOptions};
+use sec_sim::harness::{Op, Sim, SimOptions};
 use sec_sim::SimRng;
 
 /// The schedule is pinned: this regression replays one known-bad
@@ -78,12 +78,13 @@ fn pre_fix_metrics_shape_violates_the_hierarchy_on_the_pinned_schedule() {
 /// archive and directory ranks the pre-fix shape inverted.
 #[test]
 fn fixed_engine_survives_the_same_schedule() {
-    let mut sim = EngineSim::new(SimOptions::strict(5, 3, 64), SimRng::new(PINNED_SEED));
+    let mut sim = Sim::new(SimOptions::strict(5, 3, 64), SimRng::new(PINNED_SEED));
     for metrics_step in pinned_schedule() {
         if metrics_step {
             sim.step(&Op::CheckMetrics);
         } else {
             sim.step(&Op::Append {
+                object: 0,
                 edits: vec![(11, 0x2A)],
             });
         }

@@ -5,25 +5,18 @@
 //! produce the interleavings *on purpose*, from a seed, and check every
 //! step against the model and the failure-aware oracle. Any failure prints a
 //! `SEC_SIM_SEED=0x…` line; export it to replay the schedule exactly.
+//!
+//! Engine-level scenarios run on a cluster of one shard holding one object
+//! (object 0, node group 0).
 
 use sec_engine::PlacementStrategy;
-use sec_sim::harness::{next_version, EngineSim, Op, SimOptions, WindowOp};
-use sec_sim::{interleavings, random_walk, SimRng};
+use sec_sim::harness::{next_version, Op, Sim, SimOptions, WindowOp};
+use sec_sim::{interleavings, random_walk, walk, SimRng};
 use sec_versioning::EncodingStrategy;
 
 const N: usize = 5;
 const K: usize = 3;
 const OBJECT_LEN: usize = 64;
-
-fn walk(seed: u64, options: SimOptions, steps: usize) {
-    let mut rng = SimRng::new(seed);
-    let mut sim = EngineSim::new(options, rng.fork());
-    for _ in 0..steps {
-        let op = sim.random_op(&mut rng);
-        sim.step(&op);
-    }
-    sim.step(&Op::CheckMetrics);
-}
 
 /// `eight_readers_match_the_archive_reference_bit_for_bit`, deterministic:
 /// every `Get` in every schedule is checked against the reference archive's
@@ -31,7 +24,7 @@ fn walk(seed: u64, options: SimOptions, steps: usize) {
 #[test]
 fn seeded_schedules_match_the_reference_bit_for_bit() {
     random_walk("engine-colocated-strict", 30, |seed| {
-        walk(seed, SimOptions::strict(N, K, OBJECT_LEN), 60);
+        walk(SimOptions::strict(N, K, OBJECT_LEN), seed, 60);
     });
 }
 
@@ -47,7 +40,7 @@ fn seeded_schedules_hold_under_every_encoding() {
         random_walk("engine-encodings", 8, |seed| {
             let mut options = SimOptions::strict(N, K, OBJECT_LEN);
             options.encoding = encoding;
-            walk(seed, options, 40);
+            walk(options, seed, 40);
         });
     }
 }
@@ -65,22 +58,24 @@ fn every_survivable_failure_pattern_serves_every_version() {
             if pattern.count_ones() as usize > N - K {
                 continue;
             }
-            let mut sim = EngineSim::new(SimOptions::strict(N, K, OBJECT_LEN), rng.fork());
+            let mut sim = Sim::new(SimOptions::strict(N, K, OBJECT_LEN), rng.fork());
             for _ in 0..4 {
                 sim.step(&Op::Append {
+                    object: 0,
                     edits: vec![(rng.gen_range(OBJECT_LEN), 0x11)],
                 });
             }
             for node in 0..N {
                 if pattern & (1 << node) != 0 {
-                    sim.step(&Op::Fail { node });
+                    sim.step(&Op::Fail { group: 0, node });
                 }
             }
-            for version in 1..=sim.version_count() {
-                sim.step(&Op::Get { version });
+            for version in 1..=sim.version_count(0) {
+                sim.step(&Op::Get { object: 0, version });
             }
             sim.step(&Op::GetPrefix {
-                upto: sim.version_count(),
+                object: 0,
+                upto: sim.version_count(0),
             });
             sim.step(&Op::CheckMetrics);
         }
@@ -96,7 +91,7 @@ fn reads_survive_failures_appends_and_repairs_without_corruption() {
     random_walk("engine-churn", 20, |seed| {
         let mut options = SimOptions::strict(N, K, OBJECT_LEN);
         options.cache_capacity = 3;
-        walk(seed, options, 80);
+        walk(options, seed, 80);
     });
 }
 
@@ -108,7 +103,7 @@ fn checkpointed_schedules_keep_strict_io_accounting() {
     random_walk("engine-checkpointed-strict", 15, |seed| {
         let mut options = SimOptions::strict(N, K, OBJECT_LEN);
         options.checkpoint_spacing = 2;
-        walk(seed, options, 60);
+        walk(options, seed, 60);
     });
 }
 
@@ -127,7 +122,7 @@ fn cached_checkpointed_walks_survive_churn() {
             options.encoding = encoding;
             options.cache_capacity = 3;
             options.checkpoint_spacing = 2;
-            walk(seed, options, 60);
+            walk(options, seed, 60);
         });
     }
 }
@@ -140,27 +135,41 @@ fn cached_checkpointed_walks_survive_churn() {
 fn cached_reads_survive_dead_nodes_until_reset() {
     let mut options = SimOptions::strict(N, K, OBJECT_LEN);
     options.cache_capacity = 2;
-    let mut sim = EngineSim::new(options, SimRng::new(11));
-    sim.step(&Op::Append { edits: Vec::new() });
+    let mut sim = Sim::new(options, SimRng::new(11));
     sim.step(&Op::Append {
+        object: 0,
+        edits: Vec::new(),
+    });
+    sim.step(&Op::Append {
+        object: 0,
         edits: vec![(3, 0x21)],
     });
     sim.step(&Op::Append {
+        object: 0,
         edits: vec![(9, 0x42)],
     });
     // k = 3 live nodes are required; leave only 2 so node reads die.
-    sim.step(&Op::Fail { node: 0 });
-    sim.step(&Op::Fail { node: 1 });
-    sim.step(&Op::Fail { node: 2 });
+    sim.step(&Op::Fail { group: 0, node: 0 });
+    sim.step(&Op::Fail { group: 0, node: 1 });
+    sim.step(&Op::Fail { group: 0, node: 2 });
     // Appends pre-warmed the cache: version 3 is served from it (the
     // harness's Ok-vs-oracle-Err arm asserts the hit is cached).
-    sim.step(&Op::Get { version: 3 });
+    sim.step(&Op::Get {
+        object: 0,
+        version: 3,
+    });
     // Dropping the cache forces node reads; the engine now fails with
     // exactly the oracle's error (the Err/Err arm asserts equality).
-    sim.step(&Op::ResetCache);
-    sim.step(&Op::Get { version: 3 });
-    sim.step(&Op::Revive { node: 0 });
-    sim.step(&Op::Get { version: 3 });
+    sim.step(&Op::ResetCache { object: 0 });
+    sim.step(&Op::Get {
+        object: 0,
+        version: 3,
+    });
+    sim.step(&Op::Revive { group: 0, node: 0 });
+    sim.step(&Op::Get {
+        object: 0,
+        version: 3,
+    });
     sim.step(&Op::CheckMetrics);
 }
 
@@ -170,23 +179,31 @@ fn cached_reads_survive_dead_nodes_until_reset() {
 #[test]
 fn exhaustive_interleavings_of_repair_and_append() {
     let repair_track = vec![
-        Op::Fail { node: 1 },
+        Op::Fail { group: 0, node: 1 },
         Op::Repair {
+            group: 0,
             node: 1,
             window: Vec::new(),
         },
     ];
     let append_track = vec![
         Op::Append {
+            object: 0,
             edits: vec![(5, 0x21)],
         },
-        Op::Get { version: 1 },
+        Op::Get {
+            object: 0,
+            version: 1,
+        },
     ];
     let schedules = interleavings(&[repair_track, append_track]);
     assert_eq!(schedules.len(), 6);
     for schedule in &schedules {
-        let mut sim = EngineSim::new(SimOptions::strict(N, K, OBJECT_LEN), SimRng::new(0));
-        sim.step(&Op::Append { edits: Vec::new() });
+        let mut sim = Sim::new(SimOptions::strict(N, K, OBJECT_LEN), SimRng::new(0));
+        sim.step(&Op::Append {
+            object: 0,
+            edits: Vec::new(),
+        });
         // `Get { version: 1 }` needs version 1, appended above; the merged
         // tracks then exercise fail/repair against append/read in every
         // relative order.
@@ -194,42 +211,55 @@ fn exhaustive_interleavings_of_repair_and_append() {
     }
 }
 
-/// Pinned-seed regression for the repair-window race (the `SecCluster::
-/// repair_node` bug fixed in this change, which `SecEngine::repair_node`
-/// shared): a node that fails *while its repair is rebuilding* must not be
-/// revived by that repair's commit. Pre-fix, the unconditional revive
-/// stomped the new failure and the harness's LOST FAILURE assertion fires;
-/// fixed, the repair observes the epoch bump and returns `RepairRaced`.
+/// Pinned-seed regression for the repair-window race: a node that fails
+/// *while its repair is rebuilding* must not be revived by that repair's
+/// commit. An unconditional revive stomps the new failure and the harness's
+/// LOST FAILURE assertion fires; the epoch-checked repair observes the bump
+/// and returns `RepairRaced`. Run under both placements: colocated drives
+/// `SecCluster::repair_node`'s own epoch check, dispersed drives
+/// `SecEngine::repair_node`'s (through `SecCluster::repair_object_node`).
 #[test]
 fn repair_window_failure_is_never_lost() {
-    // Pinned: this exact schedule is the regression, not a random walk.
-    let mut rng = SimRng::new(0x5EC0_0000_0000_0007);
-    let mut sim = EngineSim::new(SimOptions::strict(N, K, OBJECT_LEN), rng.fork());
-    sim.step(&Op::Append { edits: Vec::new() });
-    sim.step(&Op::Append {
-        edits: vec![(3, 0x42)],
-    });
-    sim.step(&Op::Fail { node: 2 });
-    // The window re-fails node 2 between its rebuild and its commit. The
-    // harness asserts the repair reports `RepairRaced` (an `Ok` here is the
-    // lost failure).
-    sim.step(&Op::Repair {
-        node: 2,
-        window: vec![WindowOp::Fail(2)],
-    });
-    assert!(!sim.model_alive(2), "the mid-repair failure must stick");
-    sim.step(&Op::CheckMetrics);
-    // The documented recovery: re-run the repair. No window this time, so
-    // it commits and the node serves reads again.
-    sim.step(&Op::Repair {
-        node: 2,
-        window: Vec::new(),
-    });
-    assert!(sim.model_alive(2));
-    for version in 1..=sim.version_count() {
-        sim.step(&Op::Get { version });
+    for placement in [PlacementStrategy::Colocated, PlacementStrategy::Dispersed] {
+        // Pinned: this exact schedule is the regression, not a random walk.
+        let mut rng = SimRng::new(0x5EC0_0000_0000_0007);
+        let options = SimOptions {
+            placement,
+            ..SimOptions::strict(N, K, OBJECT_LEN)
+        };
+        let mut sim = Sim::new(options, rng.fork());
+        sim.step(&Op::Append {
+            object: 0,
+            edits: Vec::new(),
+        });
+        sim.step(&Op::Append {
+            object: 0,
+            edits: vec![(3, 0x42)],
+        });
+        sim.step(&Op::Fail { group: 0, node: 2 });
+        // The window re-fails node 2 between its rebuild and its commit.
+        // The harness asserts the repair reports `RepairRaced` (an `Ok` here
+        // is the lost failure).
+        sim.step(&Op::Repair {
+            group: 0,
+            node: 2,
+            window: vec![WindowOp::Fail(0, 2)],
+        });
+        assert!(!sim.model_alive(0, 2), "the mid-repair failure must stick");
+        sim.step(&Op::CheckMetrics);
+        // The documented recovery: re-run the repair. No window this time,
+        // so it commits and the node serves reads again.
+        sim.step(&Op::Repair {
+            group: 0,
+            node: 2,
+            window: Vec::new(),
+        });
+        assert!(sim.model_alive(0, 2));
+        for version in 1..=sim.version_count(0) {
+            sim.step(&Op::Get { object: 0, version });
+        }
+        sim.step(&Op::CheckMetrics);
     }
-    sim.step(&Op::CheckMetrics);
 }
 
 /// The repair window under heavier traffic: appends and reads landing in
@@ -239,24 +269,26 @@ fn repair_window_failure_is_never_lost() {
 fn repair_windows_linearize_appends_and_reads() {
     random_walk("engine-repair-windows", 20, |seed| {
         let mut rng = SimRng::new(seed);
-        let mut sim = EngineSim::new(SimOptions::strict(N, K, OBJECT_LEN), rng.fork());
+        let mut sim = Sim::new(SimOptions::strict(N, K, OBJECT_LEN), rng.fork());
         for _ in 0..3 {
             sim.step(&Op::Append {
+                object: 0,
                 edits: vec![(rng.gen_range(OBJECT_LEN), 0x33)],
             });
         }
         let node = rng.gen_range(N);
-        sim.step(&Op::Fail { node });
+        sim.step(&Op::Fail { group: 0, node });
         sim.step(&Op::Repair {
+            group: 0,
             node,
             window: vec![
-                WindowOp::Append(vec![(rng.gen_range(OBJECT_LEN), 0x44)]),
-                WindowOp::Get(1),
-                WindowOp::Append(vec![(rng.gen_range(OBJECT_LEN), 0x55)]),
+                WindowOp::Append(0, vec![(rng.gen_range(OBJECT_LEN), 0x44)]),
+                WindowOp::Get(0, 1),
+                WindowOp::Append(0, vec![(rng.gen_range(OBJECT_LEN), 0x55)]),
             ],
         });
-        for version in 1..=sim.version_count() {
-            sim.step(&Op::Get { version });
+        for version in 1..=sim.version_count(0) {
+            sim.step(&Op::Get { object: 0, version });
         }
         sim.step(&Op::CheckMetrics);
     });
@@ -267,18 +299,35 @@ fn repair_windows_linearize_appends_and_reads() {
 /// oracle predicts.
 #[test]
 fn virtual_clock_revivals_restore_service() {
-    let mut sim = EngineSim::new(SimOptions::strict(N, K, OBJECT_LEN), SimRng::new(9));
-    sim.step(&Op::Append { edits: Vec::new() });
-    sim.step(&Op::FailFor { node: 0, ticks: 3 });
-    sim.step(&Op::FailFor { node: 1, ticks: 5 });
-    assert!(!sim.model_alive(0) && !sim.model_alive(1));
-    sim.step(&Op::Get { version: 1 });
+    let mut sim = Sim::new(SimOptions::strict(N, K, OBJECT_LEN), SimRng::new(9));
+    sim.step(&Op::Append {
+        object: 0,
+        edits: Vec::new(),
+    });
+    sim.step(&Op::FailFor {
+        group: 0,
+        node: 0,
+        ticks: 3,
+    });
+    sim.step(&Op::FailFor {
+        group: 0,
+        node: 1,
+        ticks: 5,
+    });
+    assert!(!sim.model_alive(0, 0) && !sim.model_alive(0, 1));
+    sim.step(&Op::Get {
+        object: 0,
+        version: 1,
+    });
     sim.step(&Op::AdvanceClock { ticks: 3 });
-    assert!(sim.model_alive(0), "node 0's revival was due at tick 3");
-    assert!(!sim.model_alive(1), "node 1's revival is due at tick 5");
+    assert!(sim.model_alive(0, 0), "node 0's revival was due at tick 3");
+    assert!(!sim.model_alive(0, 1), "node 1's revival is due at tick 5");
     sim.step(&Op::AdvanceClock { ticks: 2 });
-    assert!(sim.model_alive(1));
-    sim.step(&Op::Get { version: 1 });
+    assert!(sim.model_alive(0, 1));
+    sim.step(&Op::Get {
+        object: 0,
+        version: 1,
+    });
     sim.step(&Op::CheckMetrics);
 }
 
@@ -300,6 +349,6 @@ fn dispersed_schedules_match_the_reference() {
     random_walk("engine-dispersed", 15, |seed| {
         let mut options = SimOptions::strict(N, K, 48);
         options.placement = PlacementStrategy::Dispersed;
-        walk(seed, options, 50);
+        walk(options, seed, 50);
     });
 }

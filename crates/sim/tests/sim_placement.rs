@@ -1,19 +1,21 @@
 //! Deterministic re-expression of `crates/engine/tests/placement_chaos.rs`:
-//! dispersed placement, where every archive entry owns a private group of
-//! `n` nodes and failures are scoped to single entries.
+//! dispersed placement, where every archive entry owns a private set of
+//! `n` nodes and failures are scoped to single entries. One shard holds one
+//! object, whose node group (group 0) grows by `n` with each stored entry.
 
 use sec_engine::PlacementStrategy;
-use sec_sim::harness::{EngineSim, Op, SimOptions};
-use sec_sim::{interleavings, random_walk, SimRng};
+use sec_sim::harness::{Op, Sim, SimOptions};
+use sec_sim::{interleavings, random_walk, walk, SimRng};
 
 const N: usize = 5;
 const K: usize = 3;
 const OBJECT_LEN: usize = 48;
 
 fn dispersed_options() -> SimOptions {
-    let mut options = SimOptions::strict(N, K, OBJECT_LEN);
-    options.placement = PlacementStrategy::Dispersed;
-    options
+    SimOptions {
+        placement: PlacementStrategy::Dispersed,
+        ..SimOptions::strict(N, K, OBJECT_LEN)
+    }
 }
 
 /// `failing_one_entry_degrades_only_the_versions_that_need_it`,
@@ -26,10 +28,11 @@ fn dispersed_options() -> SimOptions {
 fn failing_one_entry_degrades_only_the_versions_that_need_it() {
     random_walk("placement-entry-scoped", 10, |seed| {
         let mut rng = SimRng::new(seed);
-        let mut sim = EngineSim::new(dispersed_options(), rng.fork());
+        let mut sim = Sim::new(dispersed_options(), rng.fork());
         let versions = 4;
         for _ in 0..versions {
             sim.step(&Op::Append {
+                object: 0,
                 edits: vec![(rng.gen_range(OBJECT_LEN), 0x2B)],
             });
         }
@@ -38,15 +41,19 @@ fn failing_one_entry_degrades_only_the_versions_that_need_it() {
         let last_entry = versions - 1;
         for position in 0..=(N - K) {
             sim.step(&Op::Fail {
+                group: 0,
                 node: last_entry * N + position,
             });
         }
         // Earlier versions read clean; the last is unrecoverable on both
         // the engine and the oracle (the harness asserts the errors match).
         for version in 1..=versions {
-            sim.step(&Op::Get { version });
+            sim.step(&Op::Get { object: 0, version });
         }
-        sim.step(&Op::GetPrefix { upto: versions - 1 });
+        sim.step(&Op::GetPrefix {
+            object: 0,
+            upto: versions - 1,
+        });
         sim.step(&Op::CheckMetrics);
     });
 }
@@ -59,32 +66,38 @@ fn failing_one_entry_degrades_only_the_versions_that_need_it() {
 fn readers_are_isolated_from_entry_churn_and_growth() {
     random_walk("placement-churn", 15, |seed| {
         let mut rng = SimRng::new(seed);
-        let mut sim = EngineSim::new(dispersed_options(), rng.fork());
-        sim.step(&Op::Append { edits: Vec::new() });
+        let mut sim = Sim::new(dispersed_options(), rng.fork());
+        sim.step(&Op::Append {
+            object: 0,
+            edits: Vec::new(),
+        });
         for _ in 0..30 {
             match rng.gen_range(4) {
-                0 if sim.version_count() < 10 => sim.step(&Op::Append {
+                0 if sim.version_count(0) < 10 => sim.step(&Op::Append {
+                    object: 0,
                     edits: vec![(rng.gen_range(OBJECT_LEN), 0x5D)],
                 }),
                 1 => {
                     // Churn the newest entry's group; version 1 only needs
                     // entry 0.
-                    let entry = sim.version_count() - 1;
+                    let entry = sim.version_count(0) - 1;
                     if entry > 0 {
                         let node = entry * N + rng.gen_range(N);
-                        sim.step(&Op::Fail { node });
-                        sim.step(&Op::Revive { node });
+                        sim.step(&Op::Fail { group: 0, node });
+                        sim.step(&Op::Revive { group: 0, node });
                     }
                 }
                 2 => {
-                    let node = rng.gen_range(sim.node_count());
+                    let node = rng.gen_range(sim.node_count(0));
                     sim.step(&Op::Repair {
+                        group: 0,
                         node,
                         window: Vec::new(),
                     });
                 }
                 _ => sim.step(&Op::Get {
-                    version: 1 + rng.gen_range(sim.version_count()),
+                    object: 0,
+                    version: 1 + rng.gen_range(sim.version_count(0)),
                 }),
             }
         }
@@ -97,13 +110,7 @@ fn readers_are_isolated_from_entry_churn_and_growth() {
 #[test]
 fn dispersed_random_walks_match_the_oracle() {
     random_walk("placement-walk", 20, |seed| {
-        let mut rng = SimRng::new(seed);
-        let mut sim = EngineSim::new(dispersed_options(), rng.fork());
-        for _ in 0..60 {
-            let op = sim.random_op(&mut rng);
-            sim.step(&op);
-        }
-        sim.step(&Op::CheckMetrics);
+        walk(dispersed_options(), seed, 60);
     });
 }
 
@@ -113,24 +120,35 @@ fn dispersed_random_walks_match_the_oracle() {
 #[test]
 fn exhaustive_interleavings_of_growth_and_entry_failures() {
     let churn_track = vec![
-        Op::Fail { node: 1 },
-        Op::Get { version: 1 },
-        Op::Revive { node: 1 },
+        Op::Fail { group: 0, node: 1 },
+        Op::Get {
+            object: 0,
+            version: 1,
+        },
+        Op::Revive { group: 0, node: 1 },
     ];
     let growth_track = vec![
         Op::Append {
+            object: 0,
             edits: vec![(3, 0x61)],
         },
         Op::Append {
+            object: 0,
             edits: vec![(9, 0x62)],
         },
-        Op::Get { version: 1 },
+        Op::Get {
+            object: 0,
+            version: 1,
+        },
     ];
     let schedules = interleavings(&[churn_track, growth_track]);
     assert_eq!(schedules.len(), 20);
     for schedule in &schedules {
-        let mut sim = EngineSim::new(dispersed_options(), SimRng::new(1));
-        sim.step(&Op::Append { edits: Vec::new() });
+        let mut sim = Sim::new(dispersed_options(), SimRng::new(1));
+        sim.step(&Op::Append {
+            object: 0,
+            edits: Vec::new(),
+        });
         sim.run(schedule);
     }
 }

@@ -10,8 +10,8 @@ use std::rc::Rc;
 
 use sec_engine::{PlacementStrategy, SecEngine};
 use sec_erasure::GeneratorForm;
-use sec_sim::harness::{next_version, EngineSim, Op, SimOptions};
-use sec_sim::{random_walk, SimHook, SimRng};
+use sec_sim::harness::{next_version, SimOptions};
+use sec_sim::{random_walk, walk, SimHook, SimRng};
 use sec_store::StoreError;
 use sec_versioning::{ArchiveConfig, EncodingStrategy};
 
@@ -99,39 +99,33 @@ fn aborted_engine_rebuild_destroys_nothing_and_retry_completes() {
     }
 }
 
-/// The same property explored: walks whose repairs abort with 30%
-/// probability must never diverge from the model — reads after any number
-/// of torn repairs stay byte-exact (the harness checks every `Get`).
+/// The same property explored on a one-object cluster: walks whose repairs
+/// abort with 30% probability must never diverge from the model — reads
+/// after any number of torn repairs stay byte-exact (the harness checks
+/// every `Get`).
 #[test]
 fn walks_with_flaky_repairs_never_lose_data() {
     random_walk("torn-repair-walk", 20, |seed| {
-        let mut rng = SimRng::new(seed);
-        let mut options = SimOptions::strict(N, K, OBJECT_LEN);
-        options.rebuild_abort_percent = 30;
-        let mut sim = EngineSim::new(options, rng.fork());
-        for _ in 0..60 {
-            let op = sim.random_op(&mut rng);
-            sim.step(&op);
-        }
-        sim.step(&Op::CheckMetrics);
+        let options = SimOptions {
+            rebuild_abort_percent: 30,
+            ..SimOptions::strict(N, K, OBJECT_LEN)
+        };
+        walk(options, seed, 60);
     });
 }
 
 /// Spurious read faults (`store::node::read`) compose with torn repairs:
-/// the engine may fail reads the fault-free oracle serves, but whenever it
-/// *does* serve bytes they are the model's bytes.
+/// the cluster may fail reads the fault-free oracle serves (only as
+/// `Unrecoverable`), but whenever it *does* serve bytes they are the model's
+/// bytes.
 #[test]
 fn walks_with_read_faults_serve_only_correct_bytes() {
     random_walk("read-fault-walk", 20, |seed| {
-        let mut rng = SimRng::new(seed);
-        let mut options = SimOptions::strict(N, K, OBJECT_LEN);
-        options.read_fault_percent = 15;
-        options.rebuild_abort_percent = 15;
-        let mut sim = EngineSim::new(options, rng.fork());
-        for _ in 0..60 {
-            let op = sim.random_op(&mut rng);
-            sim.step(&op);
-        }
-        sim.step(&Op::CheckMetrics);
+        let options = SimOptions {
+            read_fault_percent: 15,
+            rebuild_abort_percent: 15,
+            ..SimOptions::strict(N, K, OBJECT_LEN)
+        };
+        walk(options, seed, 60);
     });
 }
