@@ -6,9 +6,10 @@
 //! `n − k` failed nodes — and one more, where entries become unreadable.
 //! For every version:
 //!
-//! * the bytes are the version that was appended — what the symbol-level
-//!   oracle in `sec-versioning` reconstructs, and what the failure-aware
-//!   byte reference (held to that oracle by its own proptest) returns;
+//! * the bytes are the version that was appended, and what the
+//!   failure-aware byte archive returns. The archive reads through the same
+//!   walk as the engine; `sec-sim`'s walk-free reference is what holds that
+//!   walk to the paper (`crates/sim/tests/reference.rs`);
 //! * the block reads equal the reference's, and on a healthy layout
 //!   `IoModel::version_reads_for_layout`;
 //! * a failure names the same entry as the reference's, and no read fails

@@ -21,7 +21,7 @@ use crate::seed;
 ///
 /// # Panics
 ///
-/// Panics when the cluster diverges from the model or the oracle.
+/// Panics when the cluster diverges from the model or the reference.
 pub fn walk(options: SimOptions, seed: u64, steps: usize) {
     let mut rng = SimRng::new(seed);
     let mut sim = Sim::new(options, rng.fork());

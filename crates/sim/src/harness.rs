@@ -1,5 +1,5 @@
 //! The deterministic scheduler: explicit operation steps over a real
-//! [`SecCluster`], checked against a single-threaded oracle.
+//! [`SecCluster`], checked against the walk-free reference.
 //!
 //! Instead of racing OS threads, a simulation is a *schedule*: a sequence of
 //! [`Op`]s (append, read, fail, revive, repair, metrics) applied one at a
@@ -9,9 +9,12 @@
 //! installed [`SimHook`] runs inside the repair's window, between its
 //! rebuild and its liveness commit, where no locks are held. Every step is
 //! checked against a model (the exact version bytes and liveness the system
-//! should hold) and against the single-threaded oracle for read results and
-//! I/O accounting: one `ByteVersionedArchive` per object holding the same
-//! versions, read from the positions the model's liveness leaves readable.
+//! should hold) and against [`crate::reference`] for read results, I/O
+//! accounting and errors. The reference reads one `ByteVersionedArchive` per
+//! object holding the same versions — used only as a block store, its layout
+//! checked against the plaintext on every append — from the positions the
+//! model's liveness leaves readable. It shares no code with the walk the
+//! cluster reads through, so a walk bug is a divergence.
 //!
 //! A node is addressed as `(group, node)`. Under colocated placement the
 //! group is a shard, and the sim drives the shard-scoped calls the wire
@@ -36,6 +39,7 @@ use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, Enco
 
 use crate::clock::{EventQueue, VirtualClock};
 use crate::hook::SimHook;
+use crate::reference;
 use crate::rng::SimRng;
 
 /// Most versions a random walk appends to one object, so long schedules
@@ -58,7 +62,7 @@ pub enum Op {
         edits: Vec<(usize, u8)>,
     },
     /// Retrieve version `version` (1-based) of `object` and check it
-    /// against the model and the oracle.
+    /// against the model and the reference.
     Get {
         /// Object index.
         object: usize,
@@ -66,7 +70,7 @@ pub enum Op {
         version: usize,
     },
     /// Retrieve versions `1..=upto` of `object` and check them against the
-    /// model and the oracle.
+    /// model and the reference.
     GetPrefix {
         /// Object index.
         object: usize,
@@ -177,9 +181,9 @@ pub struct SimOptions {
     /// Per-object delta-cache capacity (0 disables; strict I/O accounting
     /// requires 0).
     pub cache_capacity: usize,
-    /// Checkpoint spacing for every archive under test *and* its reference
-    /// (0 disables). Strict-compatible: both sides share the layout, so
-    /// I/O accounting stays bit-identical.
+    /// Checkpoint spacing for every archive under test *and* the reference's
+    /// block store (0 disables). Strict-compatible: both store the layout
+    /// the plaintext dictates, so I/O accounting stays bit-identical.
     pub checkpoint_spacing: usize,
     /// Probability (percent) that a node read spuriously fails
     /// (`store::node::read` buggify site).
@@ -192,7 +196,7 @@ pub struct SimOptions {
 impl SimOptions {
     /// A strict (fault-free, cache-free) colocated BasicSec setup of one
     /// shard holding one object: the configuration under which behaviour
-    /// must match the oracle bit-for-bit including I/O counts. Widen it
+    /// must match the reference bit-for-bit including I/O counts. Widen it
     /// with struct-update syntax.
     pub fn strict(n: usize, k: usize, object_len: usize) -> Self {
         Self {
@@ -215,10 +219,10 @@ impl SimOptions {
     }
 }
 
-/// The model of one object: its oracle archive and version bytes (index
-/// `l-1` = version `l`). Object index `i` is [`ObjectId`] `i`.
+/// The model of one object: the reference's block store and the version
+/// bytes (index `l-1` = version `l`); object `i` is [`ObjectId`] `i`.
 struct ObjectModel {
-    reference: ByteVersionedArchive,
+    archive: ByteVersionedArchive,
     versions: Vec<Vec<u8>>,
 }
 
@@ -297,8 +301,8 @@ impl Sim {
         let guard = hook.install();
         let objects = (0..options.objects)
             .map(|_| ObjectModel {
-                reference: ByteVersionedArchive::new(config)
-                    .expect("sim: reference construction failed"),
+                archive: ByteVersionedArchive::new(config)
+                    .expect("sim: reference archive construction failed"),
                 versions: Vec::new(),
             })
             .collect();
@@ -448,7 +452,7 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// Panics when the cluster diverges from the model or the oracle — that
+    /// Panics when the cluster diverges from the model or the reference — that
     /// panic *is* the simulation's failure signal.
     pub fn step(&mut self, op: &Op) {
         self.steps += 1;
@@ -513,14 +517,21 @@ impl Sim {
         };
         fault::with_suspended(|| {
             model
-                .reference
+                .archive
                 .append_version(&bytes)
-                .unwrap_or_else(|e| panic!("step {step}: reference append failed: {e}"));
+                .unwrap_or_else(|e| panic!("step {step}: reference archive append failed: {e}"));
         });
         model.versions.push(bytes);
+        let want = reference::expected_layout(model.archive.config(), &model.versions);
+        let got = &model.archive;
+        assert_eq!(
+            (got.layout(), got.sparsity_profile(), got.checkpoints_written()),
+            (want.layout.as_slice(), want.profile.as_slice(), want.checkpoints),
+            "step {step}: object {object} stored layout diverged from its plaintext"
+        );
         // Dispersed placement grows the object's node space with each stored
         // entry; fresh nodes are live in epoch 0.
-        let entries = model.reference.layout().len();
+        let entries = model.archive.layout().len();
         let nodes = Placement::new(self.options.placement, self.options.n, entries).node_count();
         if let Some(group) = self.groups.get_mut(group) {
             if group.len() < nodes {
@@ -529,12 +540,12 @@ impl Sim {
         }
     }
 
-    /// The single-threaded oracle's liveness for `object`: block `position`
-    /// of stored entry `entry` is readable when the node the placement maps
-    /// it to is live in the model. The archive's read path has no fault
-    /// points, so injected faults never perturb expected results.
-    fn oracle_live(&self, object: usize) -> impl Fn(usize, usize) -> bool + '_ {
-        let entries = self.object(object).reference.layout().len();
+    /// The reference's liveness for `object`: block `position` of stored
+    /// entry `entry` is readable when the node the placement maps it to is
+    /// live in the model. The reference's reads have no fault points, so
+    /// injected faults never perturb expected results.
+    fn model_live(&self, object: usize) -> impl Fn(usize, usize) -> bool + '_ {
+        let entries = self.object(object).archive.layout().len();
         let placement = Placement::new(self.options.placement, self.options.n, entries);
         let group = self.group_of(object);
         move |entry, position| {
@@ -548,11 +559,9 @@ impl Sim {
         self.expected_retrievals += 1;
         let step = self.steps;
         let got = self.cluster.get_version(id(object), version);
-        let want = self
-            .object(object)
-            .reference
-            .retrieve_version_from(version, self.oracle_live(object))
-            .map_err(StoreError::from);
+        let want =
+            reference::read_version(&self.object(object).archive, version, self.model_live(object))
+                .map_err(StoreError::from);
         let what = format!("object {object} get_version({version})");
         self.check_read(
             &what,
@@ -573,20 +582,9 @@ impl Sim {
         self.expected_retrievals += 1;
         let step = self.steps;
         let got = self.cluster.get_prefix(id(object), upto);
-        let reference = &self.object(object).reference;
-        let want = reference
-            .retrieve_prefix_from(upto, self.oracle_live(object))
+        let want = reference::read_prefix(&self.object(object).archive, upto, self.model_live(object))
             .map_err(StoreError::from);
         let what = format!("object {object} get_prefix({upto})");
-        // Recoverability judged apart from the prefix walk's planning: a
-        // prefix is served exactly when every version in it is.
-        assert_eq!(
-            want.is_ok(),
-            (1..=upto).all(|v| reference
-                .retrieve_version_from(v, self.oracle_live(object))
-                .is_ok()),
-            "step {step}: {what} oracle disagrees with the version oracles"
-        );
         self.check_read(
             &what,
             got.as_ref()
@@ -607,8 +605,9 @@ impl Sim {
         }
     }
 
-    /// Checks one read, `what`, against the oracle: the cluster's answer is
-    /// `(bytes, block reads, cached)`, the oracle's `(bytes, block reads)`.
+    /// Checks one read, `what`, against the reference: the cluster's answer
+    /// is `(bytes, block reads, cached)`, the reference's `(bytes, block
+    /// reads)`.
     fn check_read<T: PartialEq + std::fmt::Debug>(
         &self,
         what: &str,
@@ -622,11 +621,11 @@ impl Sim {
         });
         match (got, want) {
             (Ok((got, got_reads, cached)), Ok((want, want_reads))) => {
-                assert_eq!(got, want, "step {step}: {what} bytes diverged from oracle");
+                assert_eq!(got, want, "step {step}: {what} bytes diverged from the reference");
                 if self.options.is_strict() {
                     assert_eq!(
                         got_reads, want_reads,
-                        "step {step}: {what} I/O accounting diverged from oracle"
+                        "step {step}: {what} I/O accounting diverged from the reference"
                     );
                     assert!(!cached, "step {step}: {what} cache hit with caching disabled");
                 }
@@ -639,7 +638,7 @@ impl Sim {
                     );
                 } else {
                     // A walk anchored on a cached version can fail at a
-                    // different entry than the oracle's from-scratch walk;
+                    // different entry than the reference's from-scratch read;
                     // the error kind must agree.
                     assert_eq!(
                         std::mem::discriminant(got_err),
@@ -651,21 +650,21 @@ impl Sim {
             }
             (Ok((_, _, cached)), Err(want_err)) => {
                 // A cached anchor legitimately serves a read the cache-free
-                // oracle cannot reach past the current failures; anything
+                // reference cannot reach past the current failures; anything
                 // else is divergence. The caller checks the bytes against
                 // the model.
                 assert!(
                     cached,
-                    "step {step}: cluster served {what} uncached but the oracle fails with {want_err}"
+                    "step {step}: cluster served {what} uncached but the reference fails with {want_err}"
                 );
             }
             (Err(got_err), Ok(_)) => {
                 // With read faults or torn rebuilds armed the cluster may
-                // fail a read the fault-free oracle serves; without them
+                // fail a read the fault-free reference serves; without them
                 // this is divergence.
                 assert!(
                     !self.options.is_strict(),
-                    "step {step}: oracle serves {what} but the cluster fails with {got_err}"
+                    "step {step}: reference serves {what} but the cluster fails with {got_err}"
                 );
                 assert!(
                     matches!(got_err, StoreError::Unrecoverable { .. }),

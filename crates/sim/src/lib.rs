@@ -20,10 +20,14 @@
 //!   operations inside lock-free repair windows.
 //! * [`harness`] — [`Sim`], the scheduler that applies operations to a
 //!   cluster of `shards × objects` and checks every step against a model
-//!   and the single-threaded archive oracle. Nodes are addressed as
+//!   and the walk-free reference. Nodes are addressed as
 //!   `(group, node)`: the group is a shard under colocated placement and
 //!   an object under dispersed. An engine-level scenario is one shard
 //!   holding one object.
+//! * [`mod@reference`] — the walk-free reference: the layout a plaintext
+//!   history must be stored as, and a straight-line read of stored blocks
+//!   that plans and decodes each entry on its own. It shares nothing with
+//!   `sec_versioning::walk`, so the sim sees walk bugs.
 //! * [`explore`] — seeded random walks (with failing-seed printing) and
 //!   exhaustive interleaving of short windows.
 //!
@@ -39,6 +43,7 @@ pub mod clock;
 pub mod explore;
 pub mod harness;
 pub mod hook;
+pub mod reference;
 pub mod rng;
 pub mod seed;
 

@@ -24,7 +24,7 @@ fn options() -> SimOptions {
 /// Seeded exploration over the full cluster alphabet: appends and reads on
 /// several objects across shards, node failures, revivals and repairs with
 /// interleaving windows — every read checked against the per-object model
-/// and the failure-aware oracle.
+/// and the walk-free reference.
 #[test]
 fn seeded_cluster_schedules_match_their_models() {
     random_walk("cluster-walk", 25, |seed| walk(options(), seed, 70));
@@ -104,7 +104,7 @@ fn interleaved_appends_keep_object_sequences_isolated() {
 
 /// The cluster walk with per-engine delta caches and anchor checkpoints on
 /// (including the walk's `ResetCache` steps): byte equality against each
-/// object's model and oracle throughout.
+/// object's model and reference throughout.
 #[test]
 fn cached_checkpointed_cluster_walks_match_their_models() {
     random_walk("cluster-cache-checkpoints", 15, |seed| {
@@ -120,7 +120,7 @@ fn cached_checkpointed_cluster_walks_match_their_models() {
 /// Pinned cluster mirror of the engine's cache lifecycle test: with more
 /// than `n − k` nodes of an object's shard down, the append-warmed cache
 /// keeps serving; `ResetCache` forces the next read back to the nodes,
-/// where it fails exactly as the oracle predicts until the nodes revive.
+/// where it fails exactly as the reference predicts until the nodes revive.
 #[test]
 fn cluster_cached_reads_survive_dead_nodes_until_reset() {
     let mut opts = options();

@@ -3,7 +3,7 @@
 //! The thread-raced suite hammers one engine from eight OS threads and
 //! hopes the scheduler produces interesting interleavings; these tests
 //! produce the interleavings *on purpose*, from a seed, and check every
-//! step against the model and the failure-aware oracle. Any failure prints a
+//! step against the model and the walk-free reference. Any failure prints a
 //! `SEC_SIM_SEED=0x…` line; export it to replay the schedule exactly.
 //!
 //! Engine-level scenarios run on a cluster of one shard holding one object
@@ -48,7 +48,7 @@ fn seeded_schedules_hold_under_every_encoding() {
 /// `eight_readers_under_every_survivable_failure_pattern`, deterministic:
 /// for every failure pattern with at most `n − k` dead nodes, reads of
 /// every version must keep matching the reference (the harness panics on
-/// the first divergence, and on any engine error the fault-free oracle
+/// the first divergence, and on any engine error the fault-free reference
 /// does not share).
 #[test]
 fn every_survivable_failure_pattern_serves_every_version() {
@@ -108,7 +108,7 @@ fn checkpointed_schedules_keep_strict_io_accounting() {
 }
 
 /// Cache, checkpoints and the full churn alphabet together (including the
-/// walk's `ResetCache` steps): byte equality against model and oracle
+/// walk's `ResetCache` steps): byte equality against model and reference
 /// under each delta-bearing encoding.
 #[test]
 fn cached_checkpointed_walks_survive_churn() {
@@ -130,7 +130,7 @@ fn cached_checkpointed_walks_survive_churn() {
 /// Pinned cache lifecycle: with more than `n − k` nodes down, an uncached
 /// read is unrecoverable, but the append-warmed cache keeps serving the
 /// latest version; `ResetCache` drops it and the very same read then fails
-/// exactly as the oracle predicts, until a revival restores service.
+/// exactly as the reference predicts, until a revival restores service.
 #[test]
 fn cached_reads_survive_dead_nodes_until_reset() {
     let mut options = SimOptions::strict(N, K, OBJECT_LEN);
@@ -153,13 +153,13 @@ fn cached_reads_survive_dead_nodes_until_reset() {
     sim.step(&Op::Fail { group: 0, node: 1 });
     sim.step(&Op::Fail { group: 0, node: 2 });
     // Appends pre-warmed the cache: version 3 is served from it (the
-    // harness's Ok-vs-oracle-Err arm asserts the hit is cached).
+    // harness's Ok-vs-reference-Err arm asserts the hit is cached).
     sim.step(&Op::Get {
         object: 0,
         version: 3,
     });
     // Dropping the cache forces node reads; the engine now fails with
-    // exactly the oracle's error (the Err/Err arm asserts equality).
+    // exactly the reference's error (the Err/Err arm asserts equality).
     sim.step(&Op::ResetCache { object: 0 });
     sim.step(&Op::Get {
         object: 0,
@@ -175,7 +175,7 @@ fn cached_reads_survive_dead_nodes_until_reset() {
 
 /// Exhaustive mode: every order-preserving interleaving of a failure/repair
 /// track with an append/read track — all C(4,2) = 6 schedules, not a
-/// sample. The harness checks model and oracle agreement in each.
+/// sample. The harness checks model and reference agreement in each.
 #[test]
 fn exhaustive_interleavings_of_repair_and_append() {
     let repair_track = vec![
@@ -296,7 +296,7 @@ fn repair_windows_linearize_appends_and_reads() {
 
 /// Timed failures: a node down for `t` virtual ticks comes back when the
 /// clock reaches its revival, and reads in between degrade exactly as the
-/// oracle predicts.
+/// reference predicts.
 #[test]
 fn virtual_clock_revivals_restore_service() {
     let mut sim = Sim::new(SimOptions::strict(N, K, OBJECT_LEN), SimRng::new(9));

@@ -22,7 +22,7 @@ fn dispersed_options() -> SimOptions {
 /// deterministic: killing the *last* delta entry's node group makes only
 /// the last version unrecoverable — every earlier version is decoded from
 /// entries whose groups are intact. The harness checks both directions
-/// (engine errors the oracle does not share are divergence, and vice
+/// (engine errors the reference does not share are divergence, and vice
 /// versa).
 #[test]
 fn failing_one_entry_degrades_only_the_versions_that_need_it() {
@@ -46,7 +46,7 @@ fn failing_one_entry_degrades_only_the_versions_that_need_it() {
             });
         }
         // Earlier versions read clean; the last is unrecoverable on both
-        // the engine and the oracle (the harness asserts the errors match).
+        // the engine and the reference (the harness asserts the errors match).
         for version in 1..=versions {
             sim.step(&Op::Get { object: 0, version });
         }

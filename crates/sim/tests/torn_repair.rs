@@ -115,7 +115,7 @@ fn walks_with_flaky_repairs_never_lose_data() {
 }
 
 /// Spurious read faults (`store::node::read`) compose with torn repairs:
-/// the cluster may fail reads the fault-free oracle serves (only as
+/// the cluster may fail reads the fault-free reference serves (only as
 /// `Unrecoverable`), but whenever it *does* serve bytes they are the model's
 /// bytes.
 #[test]

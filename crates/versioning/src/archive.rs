@@ -165,31 +165,35 @@ impl StoredPayload {
     }
 }
 
-/// The types above, plus their strategy/checkpoint semantics exercised on the
-/// symbol-level oracle (the byte archive's own twins live in `byte_archive`).
+/// The types above, the layout rules and what a stored entry holds, on the
+/// paper's own shape: one byte per block, so a block is a `GF(2^8)` symbol.
+/// The same rules on multi-byte blocks are tested in `byte_archive`, and
+/// against the plaintext by `sec-sim`'s walk-free reference.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol_archive::VersionedArchive;
-    use sec_gf::{GaloisField, Gf256};
+    use crate::byte_archive::ByteVersionedArchive;
 
-    fn obj(vals: &[u64]) -> Vec<Gf256> {
-        vals.iter().map(|&v| Gf256::from_u64(v)).collect()
-    }
+    use StoredPayload::{Delta, FullVersion};
 
-    fn archive(strategy: EncodingStrategy) -> VersionedArchive<Gf256> {
+    /// x1 = [10, 20, 30]; v2 changes one symbol (γ2 = 1), v3 two (γ3 = 2,
+    /// ≥ k/2 for k = 3).
+    const THREE: [&[u8]; 3] = [&[10, 20, 30], &[10, 0x5A, 30], &[7, 0x5A, 9]];
+
+    /// A (6, 3) archive holding [`THREE`].
+    fn archive(strategy: EncodingStrategy) -> ByteVersionedArchive {
         let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, strategy).unwrap();
-        VersionedArchive::new(config).unwrap()
+        let mut a = ByteVersionedArchive::new(config).unwrap();
+        a.append_all(&THREE).unwrap();
+        a
     }
 
-    fn three_versions() -> Vec<Vec<Gf256>> {
-        let v1 = obj(&[10, 20, 30]);
-        let mut v2 = v1.clone();
-        v2[1] = Gf256::from_u64(0x5A); // γ2 = 1
-        let mut v3 = v2.clone();
-        v3[0] = Gf256::from_u64(7);
-        v3[2] = Gf256::from_u64(9); // γ3 = 2 (≥ k/2 for k = 3)
-        vec![v1, v2, v3]
+    fn payloads(a: &ByteVersionedArchive) -> Vec<StoredPayload> {
+        a.stored_entries().iter().map(|e| e.payload).collect()
+    }
+
+    fn empty(config: ArchiveConfig) -> ByteVersionedArchive {
+        ByteVersionedArchive::new(config).unwrap()
     }
 
     #[test]
@@ -208,21 +212,20 @@ mod tests {
 
     #[test]
     fn basic_sec_stores_full_then_deltas() {
-        let mut a = archive(EncodingStrategy::BasicSec);
-        assert!(a.is_empty());
-        a.append_all(&three_versions()).unwrap();
+        let config =
+            ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
+        assert!(empty(config).is_empty());
+        let a = archive(EncodingStrategy::BasicSec);
         assert_eq!(a.len(), 3);
         assert_eq!(a.sparsity_profile(), &[1, 2]);
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
-        assert_eq!(
-            payloads,
-            vec![
-                StoredPayload::FullVersion { version: 1 },
-                StoredPayload::Delta { to: 2, sparsity: 1 },
-                StoredPayload::Delta { to: 3, sparsity: 2 },
-            ]
-        );
-        assert!(a.latest_full_entry().is_none());
+        let want = [
+            FullVersion { version: 1 },
+            Delta { to: 2, sparsity: 1 },
+            Delta { to: 3, sparsity: 2 },
+        ];
+        assert_eq!(payloads(&a), want);
+        assert_eq!(a.layout(), want);
+        assert_eq!(a.checkpoints_written(), 0);
     }
 
     #[test]
@@ -231,108 +234,109 @@ mod tests {
             .unwrap()
             .with_checkpoints(CheckpointPolicy::every(2));
         assert!(config.checkpoints().is_enabled());
-        let mut a: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-        // Six versions differing by one symbol each: with spacing 2 the
-        // layout is full, δ, δ, full(checkpoint), δ, δ.
-        let mut version = obj(&[10, 20, 30]);
-        for v in 1..=6u64 {
-            version[0] = Gf256::from_u64(v);
+        let mut a = empty(config);
+        // Six versions differing in one symbol each: with spacing 2 the
+        // layout is full, δ, δ, full (checkpoint), δ, δ.
+        let mut version = THREE[0].to_vec();
+        for v in 1..=6u8 {
+            version[0] = v;
             a.append_version(&version).unwrap();
         }
-        let fulls: Vec<usize> = a
-            .entries()
+        let fulls: Vec<usize> = payloads(&a)
             .iter()
             .enumerate()
-            .filter(|(_, e)| matches!(e.payload, StoredPayload::FullVersion { .. }))
+            .filter(|(_, p)| matches!(p, FullVersion { .. }))
             .map(|(idx, _)| idx)
             .collect();
         assert_eq!(fulls, vec![0, 3]);
         assert_eq!(a.checkpoints_written(), 1);
+        assert_eq!(a.retrieve_version(6).unwrap().data, version);
         // The disabled policy leaves the paper-exact layout untouched.
-        let mut plain = archive(EncodingStrategy::BasicSec);
-        plain.append_all(&three_versions()).unwrap();
-        assert_eq!(plain.checkpoints_written(), 0);
+        assert!(!CheckpointPolicy::disabled().is_enabled());
+        assert_eq!(archive(EncodingStrategy::BasicSec).checkpoints_written(), 0);
     }
 
     #[test]
     fn optimized_sec_stores_full_for_dense_deltas() {
-        let mut a = archive(EncodingStrategy::OptimizedSec);
-        a.append_all(&three_versions()).unwrap();
-        let payloads: Vec<StoredPayload> = a.entries().iter().map(|e| e.payload).collect();
+        let a = archive(EncodingStrategy::OptimizedSec);
         // γ3 = 2 ≥ k/2 = 1.5 → version 3 stored in full.
-        assert_eq!(
-            payloads,
-            vec![
-                StoredPayload::FullVersion { version: 1 },
-                StoredPayload::Delta { to: 2, sparsity: 1 },
-                StoredPayload::FullVersion { version: 3 },
-            ]
-        );
-    }
-
-    #[test]
-    fn reversed_sec_keeps_latest_full() {
-        let mut a = archive(EncodingStrategy::ReversedSec);
-        let versions = three_versions();
-        a.append_all(&versions).unwrap();
-        // Entries are the two deltas; latest_full encodes version 3.
-        assert_eq!(a.entries().len(), 2);
-        assert!(matches!(
-            a.entries()[0].payload,
-            StoredPayload::Delta { to: 2, sparsity: 1 }
-        ));
-        let latest = a.latest_full_entry().unwrap();
-        assert_eq!(latest.payload, StoredPayload::FullVersion { version: 3 });
-        // The full copy decodes to version 3.
-        let shares: Vec<(usize, Gf256)> = latest.codeword.iter().copied().enumerate().take(3).collect();
-        assert_eq!(a.code().decode_full(&shares).unwrap(), versions[2]);
-    }
-
-    #[test]
-    fn non_differential_stores_every_version_fully() {
-        let mut a = archive(EncodingStrategy::NonDifferential);
-        a.append_all(&three_versions()).unwrap();
-        assert!(a
-            .entries()
-            .iter()
-            .all(|e| matches!(e.payload, StoredPayload::FullVersion { .. })));
-        // The sparsity profile is still tracked for reporting purposes.
+        let want = [
+            FullVersion { version: 1 },
+            Delta { to: 2, sparsity: 1 },
+            FullVersion { version: 3 },
+        ];
+        assert_eq!(payloads(&a), want);
         assert_eq!(a.sparsity_profile(), &[1, 2]);
+        assert_eq!(a.checkpoints_written(), 0);
     }
 
     #[test]
     fn append_validates_object_length() {
+        let config =
+            ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
         let mut a = archive(EncodingStrategy::BasicSec);
         assert!(matches!(
-            a.append_version(&obj(&[1, 2])),
+            a.append_version(&[1, 2]),
             Err(VersioningError::ObjectLengthMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
-        assert!(matches!(a.append_all(&[]), Err(VersioningError::EmptyArchive)));
+        assert!(matches!(
+            a.append_version(&[1, 2, 3, 4]),
+            Err(VersioningError::ObjectLengthMismatch {
+                expected: 3,
+                actual: 4
+            })
+        ));
+        // A rejected version leaves the archive as it was.
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.retrieve_version(3).unwrap().data, THREE[2]);
+        let none: [&[u8]; 0] = [];
+        assert!(matches!(
+            empty(config).append_all(&none),
+            Err(VersioningError::EmptyArchive)
+        ));
+    }
+
+    #[test]
+    fn reversed_sec_keeps_latest_full() {
+        let a = archive(EncodingStrategy::ReversedSec);
+        let want = [
+            Delta { to: 2, sparsity: 1 },
+            Delta { to: 3, sparsity: 2 },
+            FullVersion { version: 3 },
+        ];
+        assert_eq!(payloads(&a), want);
+        // The full copy's first k blocks decode to version 3 on their own.
+        let latest = a.stored_entries()[2];
+        let shares: Vec<(usize, &[u8])> = (0..3).map(|p| (p, latest.shards.shard(p))).collect();
+        assert_eq!(a.codec().decode_blocks(&shares).unwrap().join(3), THREE[2]);
+    }
+
+    #[test]
+    fn non_differential_stores_every_version_fully() {
+        let a = archive(EncodingStrategy::NonDifferential);
+        assert!(payloads(&a).iter().all(|p| matches!(p, FullVersion { .. })));
+        // The sparsity profile is still tracked for reporting purposes.
+        assert_eq!(a.sparsity_profile(), &[1, 2]);
     }
 
     #[test]
     fn delta_codewords_encode_the_delta_not_the_version() {
-        let mut a = archive(EncodingStrategy::BasicSec);
-        let versions = three_versions();
-        a.append_all(&versions).unwrap();
-        let delta_entry = &a.entries()[1];
-        let expected_delta: Vec<Gf256> = versions[1]
-            .iter()
-            .zip(&versions[0])
-            .map(|(&b, &a)| b - a)
-            .collect();
-        let expected_codeword = a.code().encode(&expected_delta).unwrap();
-        assert_eq!(delta_entry.codeword, expected_codeword);
+        let a = archive(EncodingStrategy::BasicSec);
+        let delta: Vec<u8> = THREE[1].iter().zip(THREE[0]).map(|(b, a)| b ^ a).collect();
+        let expected = a
+            .codec()
+            .encode_blocks(&sec_erasure::ByteShards::from_flat(&delta, 3));
+        assert_eq!(a.stored_entries()[1].shards, expected.unwrap());
     }
 
     #[test]
     fn payload_reads_use_io_model() {
         let model = IoModel::new(CodeParams::new(20, 10).unwrap(), GeneratorForm::NonSystematic);
-        assert_eq!(StoredPayload::FullVersion { version: 1 }.reads(&model), 10);
-        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 3 }.reads(&model), 6);
-        assert_eq!(StoredPayload::Delta { to: 2, sparsity: 8 }.reads(&model), 10);
+        assert_eq!(FullVersion { version: 1 }.reads(&model), 10);
+        assert_eq!(Delta { to: 2, sparsity: 3 }.reads(&model), 6);
+        assert_eq!(Delta { to: 2, sparsity: 8 }.reads(&model), 10);
     }
 }

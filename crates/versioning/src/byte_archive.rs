@@ -167,9 +167,10 @@ impl ByteVersionedArchive {
     /// entry is planned over its live positions exactly as the paper's §V
     /// reader plans it (`2γ` reads for an exploitable delta, `k` otherwise),
     /// so the result's `io_reads` is what a reader of a degraded cluster
-    /// pays. This is the failure-aware reference the serving engine is
-    /// checked against; the live set maps a placement and a failure pattern
-    /// onto entry positions.
+    /// pays. The engine's equivalence suites compare against it; it reads
+    /// through the engine's own walk, which `sec-sim`'s walk-free reference
+    /// checks. The live set maps a placement and a failure pattern onto
+    /// entry positions.
     ///
     /// # Errors
     ///
@@ -480,6 +481,10 @@ mod tests {
             empty.retrieve_version(1),
             Err(VersioningError::EmptyArchive)
         ));
+        assert!(matches!(
+            empty.retrieve_prefix(1),
+            Err(VersioningError::EmptyArchive)
+        ));
         let mut a = archive(EncodingStrategy::BasicSec);
         a.append_all(&three_versions()).unwrap();
         assert!(matches!(
@@ -491,6 +496,10 @@ mod tests {
         ));
         assert!(matches!(
             a.retrieve_version(4),
+            Err(VersioningError::NoSuchVersion { requested: 4, .. })
+        ));
+        assert!(matches!(
+            a.retrieve_prefix(4),
             Err(VersioningError::NoSuchVersion { requested: 4, .. })
         ));
     }

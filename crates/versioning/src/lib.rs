@@ -20,7 +20,10 @@
 //! The archive is an [`ArchiveLedger`] (layout, `γ` profile, the one `append`
 //! that decides what a version is stored as) plus the coded blocks that
 //! `append` returns; `sec-engine` pairs the same ledger with storage nodes,
-//! and every layer reads through the one traversal in [`walk`].
+//! and every layer reads through the one traversal in [`walk`]. Because
+//! they share it, the archive cannot check the walk for the engine: the
+//! independent check is `sec-sim`'s walk-free reference, which reads each
+//! stored entry on its own.
 //!
 //! The [`io_model`] module provides the closed-form I/O read counts of
 //! eqs. (3)–(4) without touching any data, which is what the paper's Fig. 9
@@ -71,15 +74,6 @@ pub use cache::{CacheStats, DeltaCache};
 pub use error::VersioningError;
 pub use io_model::IoModel;
 pub use ledger::{ArchiveLedger, ByteEncodedEntry, CodedBlocks};
-
-// The paper-era symbol-level archive (one field element per node) is a test
-// oracle: `proptests` compares the byte archive against it, nothing ships it.
-#[cfg(test)]
-mod delta;
-#[cfg(test)]
-mod retrieval;
-#[cfg(test)]
-mod symbol_archive;
 
 #[cfg(test)]
 mod proptests;

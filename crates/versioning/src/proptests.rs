@@ -1,18 +1,17 @@
 //! Property-based tests of the ledger + walk that `sec-engine` serves from:
 //! any randomly edited byte history is stored and retrieved exactly by every
-//! strategy, block reads agree with the closed-form [`IoModel`](crate::IoModel)
-//! and never exceed the non-differential baseline, and — with one byte per
-//! block — layout, `γ` profile and every read agree with the independent
-//! symbol-level oracle.
+//! strategy, and block reads agree with the closed-form
+//! [`IoModel`](crate::IoModel) and never exceed the non-differential
+//! baseline. The walk-free reference that checks layout, reads and failures
+//! against an independent implementation is `sec-sim`'s
+//! (`crates/sim/tests/reference.rs`).
 
 use proptest::prelude::*;
 
 use sec_erasure::GeneratorForm;
-use sec_gf::{bulk, Gf256};
 
-use crate::archive::{ArchiveConfig, CheckpointPolicy, EncodingStrategy, StoredPayload};
+use crate::archive::{ArchiveConfig, EncodingStrategy};
 use crate::byte_archive::ByteVersionedArchive;
-use crate::symbol_archive::VersionedArchive;
 
 const N: usize = 12;
 const K: usize = 6;
@@ -136,51 +135,4 @@ proptest! {
         }
     }
 
-    /// One byte per block makes a byte a `GF(2^8)` symbol, so the byte archive
-    /// and the symbol-level oracle must agree on everything: what each stored
-    /// entry is (Reversed SEC's trailing full copy included), the `γ` profile,
-    /// the checkpoints the policy forced, and data, block reads and entries
-    /// touched of every version and prefix read. Spacing 0 is
-    /// `CheckpointPolicy::disabled()`.
-    #[test]
-    fn byte_archive_matches_the_symbol_oracle(versions in history_of(K), spacing in 0usize..=3) {
-        let symbols: Vec<Vec<Gf256>> = versions.iter().map(|v| bulk::bytes_to_symbols(v)).collect();
-        for strategy in all_strategies() {
-            for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
-                let config = ArchiveConfig::new(N, K, form, strategy)
-                    .unwrap()
-                    .with_checkpoints(CheckpointPolicy::every(spacing));
-                let archive = filled(config, &versions);
-                let mut oracle: VersionedArchive<Gf256> = VersionedArchive::new(config).unwrap();
-                oracle.append_all(&symbols).unwrap();
-
-                let oracle_layout: Vec<StoredPayload> = oracle
-                    .entries()
-                    .iter()
-                    .chain(oracle.latest_full_entry())
-                    .map(|e| e.payload)
-                    .collect();
-                prop_assert_eq!(archive.layout(), oracle_layout.as_slice(), "{} {}", strategy, form);
-                prop_assert_eq!(archive.sparsity_profile(), oracle.sparsity_profile());
-                prop_assert_eq!(archive.checkpoints_written(), oracle.checkpoints_written());
-
-                for l in 1..=versions.len() {
-                    let got = archive.retrieve_version(l).unwrap();
-                    let want = oracle.retrieve_version(l).unwrap();
-                    prop_assert_eq!(&got.data, &bulk::symbols_to_bytes(&want.data));
-                    prop_assert_eq!(&got.data, &versions[l - 1]);
-                    prop_assert_eq!(got.io_reads, want.io_reads, "{} {} version {}", strategy, form, l);
-                    prop_assert_eq!(got.entries_read, want.entries_read, "{} {} version {}", strategy, form, l);
-
-                    let got = archive.retrieve_prefix(l).unwrap();
-                    let want = oracle.retrieve_prefix(l).unwrap();
-                    let want_bytes: Vec<Vec<u8>> =
-                        want.versions.iter().map(|v| bulk::symbols_to_bytes(v)).collect();
-                    prop_assert_eq!(&got.versions, &want_bytes);
-                    prop_assert_eq!(got.io_reads, want.io_reads, "{} {} prefix {}", strategy, form, l);
-                    prop_assert_eq!(got.entries_read, want.entries_read, "{} {} prefix {}", strategy, form, l);
-                }
-            }
-        }
-    }
 }

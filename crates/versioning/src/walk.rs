@@ -1,10 +1,12 @@
 //! The per-strategy retrieval traversal, shared by every byte-shard read
-//! path. The reference [`ByteVersionedArchive`](crate::ByteVersionedArchive)
+//! path. The [`ByteVersionedArchive`](crate::ByteVersionedArchive)
 //! and the concurrent `SecEngine` in `sec-engine` differ only in how one
 //! entry is planned and how its blocks are fetched, so the strategy walk
 //! (find the anchor, XOR deltas forward, or un-apply them backward from the
 //! Reversed-SEC latest copy) and the decodes live here once, parameterized
-//! over closures, and cannot drift between layers.
+//! over closures, and cannot drift between layers. For the same reason
+//! no layer can check the walk for another; `sec-sim`'s walk-free
+//! reference, which reads each entry on its own, is what does.
 //!
 //! Every read — one version ([`VersionWalk`]) or the prefix `1..=l`
 //! ([`PrefixWalk`]) — first **plans** every entry it touches, in walk order,

@@ -46,6 +46,11 @@
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod delta;
+#[cfg(test)]
+mod retrieval;
+
 pub use sec_analysis as analysis;
 pub use sec_engine as engine;
 pub use sec_erasure as erasure;
