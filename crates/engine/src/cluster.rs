@@ -10,16 +10,19 @@
 //! * **one codec per process** — every per-object engine shares one
 //!   `Arc<SecCode>` / `Arc<CoeffTables>`, so the `GF(2^8)` multiplication
 //!   tables are materialized once, not once per object;
-//! * **one liveness array per shard** — a shard models a physical group of
-//!   `n` nodes, so failing `(shard, node)` is a single atomic store observed
-//!   by the read planner of every object on that shard;
+//! * **one liveness array per shard** — under colocated placement a shard
+//!   models a physical group of `n` nodes, so failing `(shard, node)` is a
+//!   single atomic store observed by the read planner of every object on
+//!   that shard;
 //! * **per-object version sequences** — each object id owns an independent
 //!   [`SecEngine`] (archive, storage nodes, metrics, optional cache), so
 //!   appends and retrievals of objects on different shards share no lock at
 //!   all, and objects on the same shard only share the shard's object map
 //!   (taken shared on every lookup, exclusively only to admit a new object);
-//! * **fallible addressing** — a bad shard index or node id is a
-//!   [`ClusterError`], never a panic inside the serving process.
+//! * **one node address** — a node is `(group, node)`, where the group is the
+//!   placement's failure domain (a shard, or an object under dispersed
+//!   placement), and a bad group or node is a [`ClusterError`], never a
+//!   panic inside the serving process.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,14 +91,6 @@ pub enum ClusterError {
     /// An error from the addressed shard's engine (including
     /// [`StoreError::InvalidNode`] for an out-of-range node id).
     Engine(StoreError),
-    /// An operation that only makes sense under one placement strategy was
-    /// invoked on a cluster built with the other (shard-scoped node
-    /// addressing needs colocated placement's shared node groups;
-    /// object-scoped repair needs dispersed placement's private node sets).
-    PlacementMismatch {
-        /// The placement the cluster was built with.
-        placement: PlacementStrategy,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -109,9 +104,6 @@ impl fmt::Display for ClusterError {
                 write!(f, "{object} holds no versions in this cluster")
             }
             ClusterError::Engine(e) => write!(f, "engine error: {e}"),
-            ClusterError::PlacementMismatch { placement } => {
-                write!(f, "operation is not addressable under {placement} placement")
-            }
         }
     }
 }
@@ -201,6 +193,14 @@ struct ClusterShard {
     objects: OrderedRwLock<BTreeMap<ObjectId, Arc<SecEngine>>>,
 }
 
+/// The failure domain a node address `(group, node)` names.
+enum NodeGroup<'a> {
+    /// Colocated: the shard and its shared group of `n` nodes.
+    Shard(&'a ClusterShard, &'a NodeLiveness),
+    /// Dispersed: the object whose node space holds `n` nodes per entry.
+    Object(Arc<SecEngine>),
+}
+
 /// A sharded multi-archive router: many versioned objects served by `S`
 /// independent groups of storage nodes under one SEC code.
 ///
@@ -214,18 +214,22 @@ struct ClusterShard {
 ///
 /// # Failure domains
 ///
-/// Under **colocated** placement (the default) `(shard, node)` addresses one
-/// simulated physical node: failing it makes block position `node` of
-/// **every** object on that shard unreadable (one atomic store), and
-/// [`SecCluster::repair_node`] rebuilds that position for every object
-/// before reviving the node — staged per object, so a repair that fails
-/// midway leaves each object exactly as recoverable as before.
+/// A node is addressed as `(group, node)` by four methods
+/// ([`SecCluster::is_node_alive`], [`SecCluster::fail_node`],
+/// [`SecCluster::revive_node`], [`SecCluster::repair_node`]); the group is
+/// the placement's failure domain.
+///
+/// Under **colocated** placement (the default) the group is a shard, and
+/// `(shard, node)` addresses one simulated physical node: failing it makes
+/// block position `node` of **every** object on that shard unreadable (one
+/// atomic store), and repair rebuilds that position for every object before
+/// reviving the node — staged per object, so a repair that fails midway
+/// leaves each object exactly as recoverable as before.
 ///
 /// Under **dispersed** placement every stored entry of every object owns a
-/// private set of `n` nodes, so there is no shard-wide node to address:
-/// failure injection and repair go through the object-scoped API
-/// ([`SecCluster::fail_object_node`], [`SecCluster::repair_object_node`]),
-/// and a node failure degrades exactly one entry of exactly one object.
+/// private set of `n` nodes, so there is no shard-wide node: the group is the
+/// object id and `node` the object's placement id `e·n + i`, and a node
+/// failure degrades exactly one entry of exactly one object.
 #[derive(Debug)]
 pub struct SecCluster {
     config: ArchiveConfig,
@@ -266,8 +270,7 @@ impl SecCluster {
     /// Like [`SecCluster::with_cache`] under an explicit placement strategy
     /// (§IV of the paper). Colocated keeps one shared liveness array of `n`
     /// nodes per shard; dispersed gives every object's every stored entry a
-    /// private set of `n` nodes, addressed through the object-scoped node
-    /// API.
+    /// private set of `n` nodes, addressed with the object id as the group.
     ///
     /// # Errors
     ///
@@ -372,28 +375,26 @@ impl SecCluster {
         })
     }
 
-    /// The shard's shared node group, for the shard-scoped node API. Only
-    /// colocated placement has one; under dispersed every object owns its
-    /// node space, so shard-scoped node addressing is a
-    /// [`ClusterError::PlacementMismatch`].
-    fn shard_group(&self, shard: usize) -> Result<(&ClusterShard, &Arc<NodeLiveness>), ClusterError> {
-        let s = self.shard(shard)?;
-        match &s.liveness {
-            Some(liveness) => Ok((s, liveness)),
-            None => Err(ClusterError::PlacementMismatch {
-                placement: self.placement,
-            }),
-        }
-    }
-
-    fn check_node(&self, liveness: &NodeLiveness, node: usize) -> Result<(), ClusterError> {
+    /// Resolves the group of node address `(group, node)`: the shard's
+    /// shared node group under colocated placement (with `node` checked
+    /// against it), the object's engine under dispersed placement (which
+    /// checks `node` against the object's node space itself).
+    fn node_group(&self, group: usize, node: usize) -> Result<NodeGroup<'_>, ClusterError> {
+        let shard = match self.placement {
+            PlacementStrategy::Colocated => self.shard(group)?,
+            PlacementStrategy::Dispersed => {
+                return Ok(NodeGroup::Object(self.engine_of(ObjectId(group as u64))?));
+            }
+        };
+        // audit: panic ok — every colocated shard is built with a liveness group
+        let liveness = shard.liveness.as_ref().expect("colocated shard");
         if node >= liveness.len() {
             return Err(ClusterError::Engine(StoreError::InvalidNode {
                 node,
                 n: liveness.len(),
             }));
         }
-        Ok(())
+        Ok(NodeGroup::Shard(shard, liveness))
     }
 
     /// The engine serving `id`, or [`ClusterError::UnknownObject`].
@@ -546,140 +547,91 @@ impl SecCluster {
         Ok(())
     }
 
-    /// Whether node `node` of shard `shard` is live. Lock-free.
+    /// Whether node `(group, node)` is live. Lock-free.
+    ///
+    /// A group is the placement's failure domain: the shard index under
+    /// colocated placement, where `node` is a position of the shard's shared
+    /// group of `n`; the object id under dispersed placement, where `node` is
+    /// the object's placement id `e·n + i` (position `i` of entry `e`).
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidShard`] / [`StoreError::InvalidNode`]
-    /// for a bad address, or [`ClusterError::PlacementMismatch`] under
-    /// dispersed placement (use [`SecCluster::is_object_node_alive`]).
-    pub fn is_node_alive(&self, shard: usize, node: usize) -> Result<bool, ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        self.check_node(liveness, node)?;
-        Ok(liveness.is_alive(node))
-    }
-
-    /// Fails node `node` of shard `shard`: one atomic store, observed by the
-    /// read planner of every object on the shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidShard`] / [`StoreError::InvalidNode`]
-    /// for a bad address — failure-injection typos are handled errors, never
-    /// process aborts — or [`ClusterError::PlacementMismatch`] under
-    /// dispersed placement (use [`SecCluster::fail_object_node`]).
-    pub fn fail_node(&self, shard: usize, node: usize) -> Result<(), ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        self.check_node(liveness, node)?;
-        liveness.fail(node);
-        Ok(())
-    }
-
-    /// Revives node `node` of shard `shard`, keeping whatever blocks it held
-    /// (crash recovery; use [`SecCluster::repair_node`] after data loss).
-    ///
-    /// # Errors
-    ///
-    /// As for [`SecCluster::fail_node`].
-    pub fn revive_node(&self, shard: usize, node: usize) -> Result<(), ClusterError> {
-        let (_, liveness) = self.shard_group(shard)?;
-        self.check_node(liveness, node)?;
-        liveness.revive(node);
-        Ok(())
-    }
-
-    /// Whether node `node` of object `id`'s node space is live. Node ids are
-    /// the object's placement ids (entry `e`, position `i` ↔ `e·n + i` under
-    /// dispersed; position `i` of the shared shard group under colocated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownObject`] / [`StoreError::InvalidNode`]
-    /// for a bad address.
-    pub fn is_object_node_alive(&self, id: ObjectId, node: usize) -> Result<bool, ClusterError> {
-        Ok(self.engine_of(id)?.is_node_alive(node)?)
-    }
-
-    /// Fails node `node` of object `id`'s node space. Under dispersed
-    /// placement this degrades exactly one stored entry of exactly this
-    /// object; under colocated placement the object's nodes *are* the
-    /// shard's shared group, so this is [`SecCluster::fail_node`] for the
-    /// object's shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownObject`] / [`StoreError::InvalidNode`]
-    /// for a bad address.
-    pub fn fail_object_node(&self, id: ObjectId, node: usize) -> Result<(), ClusterError> {
-        Ok(self.engine_of(id)?.fail_node(node)?)
-    }
-
-    /// Revives node `node` of object `id`'s node space, keeping whatever
-    /// blocks it held.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SecCluster::fail_object_node`].
-    pub fn revive_object_node(&self, id: ObjectId, node: usize) -> Result<(), ClusterError> {
-        Ok(self.engine_of(id)?.revive_node(node)?)
-    }
-
-    /// Repairs node `node` of object `id`'s node space after data loss:
-    /// rebuilds the blocks it hosts (one entry's block under dispersed) and
-    /// revives it. Dispersed placement only — under colocated placement a
-    /// node is shared by every co-hosted object, and repairing it for one
-    /// object would revive it with the other objects' blocks still missing;
-    /// use [`SecCluster::repair_node`] there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::PlacementMismatch`] under colocated
-    /// placement, [`ClusterError::UnknownObject`] /
-    /// [`StoreError::InvalidNode`] for a bad address, or
-    /// [`StoreError::Unrecoverable`] when too few live sources remain.
-    pub fn repair_object_node(&self, id: ObjectId, node: usize) -> Result<usize, ClusterError> {
-        if self.placement == PlacementStrategy::Colocated {
-            return Err(ClusterError::PlacementMismatch {
-                placement: self.placement,
-            });
+    /// Returns [`ClusterError::InvalidShard`] (colocated) or
+    /// [`ClusterError::UnknownObject`] (dispersed) for a bad group, and
+    /// [`StoreError::InvalidNode`] for a bad node.
+    pub fn is_node_alive(&self, group: usize, node: usize) -> Result<bool, ClusterError> {
+        match self.node_group(group, node)? {
+            NodeGroup::Shard(_, liveness) => Ok(liveness.is_alive(node)),
+            NodeGroup::Object(engine) => Ok(engine.is_node_alive(node)?),
         }
-        Ok(self.engine_of(id)?.repair_node(node)?)
     }
 
-    /// Repairs node `node` of shard `shard` after data loss: rebuilds the
-    /// node's blocks for **every** object on the shard (each staged before
-    /// commit), then revives the node once. Returns the total number of
-    /// blocks rebuilt across objects.
+    /// Fails node `(group, node)`: one atomic store, observed by the read
+    /// planner of every object on the shard (colocated) or of the one
+    /// entry of the one object the node hosts (dispersed).
     ///
-    /// If any object's rebuild fails the node stays failed and the error is
-    /// returned; objects rebuilt before the failure keep their fresh blocks
-    /// (they are byte-identical to what a completed repair would have
-    /// written), so no object is ever left *less* recoverable than before
-    /// the call.
+    /// # Errors
+    ///
+    /// As for [`SecCluster::is_node_alive`] — failure-injection typos are
+    /// handled errors, never process aborts.
+    pub fn fail_node(&self, group: usize, node: usize) -> Result<(), ClusterError> {
+        match self.node_group(group, node)? {
+            NodeGroup::Shard(_, liveness) => liveness.fail(node),
+            NodeGroup::Object(engine) => engine.fail_node(node)?,
+        }
+        Ok(())
+    }
+
+    /// Revives node `(group, node)`, keeping whatever blocks it held (crash
+    /// recovery; use [`SecCluster::repair_node`] after data loss).
+    ///
+    /// # Errors
+    ///
+    /// As for [`SecCluster::is_node_alive`].
+    pub fn revive_node(&self, group: usize, node: usize) -> Result<(), ClusterError> {
+        match self.node_group(group, node)? {
+            NodeGroup::Shard(_, liveness) => liveness.revive(node),
+            NodeGroup::Object(engine) => engine.revive_node(node)?,
+        }
+        Ok(())
+    }
+
+    /// Repairs node `(group, node)` after data loss: rebuilds the blocks it
+    /// hosts, then revives it. Returns the number of blocks rebuilt.
+    ///
+    /// Under colocated placement the node is shared by every object on the
+    /// shard, so its blocks are rebuilt for **every** object (each staged
+    /// before commit) before the node is revived once. If any object's
+    /// rebuild fails the node stays failed and the error is returned;
+    /// objects rebuilt before the failure keep their fresh blocks (they are
+    /// byte-identical to what a completed repair would have written), so no
+    /// object is ever left *less* recoverable than before the call. Under
+    /// dispersed placement the node hosts one block of one entry, and
+    /// [`SecEngine::repair_node`] rebuilds it.
     ///
     /// The concluding revive is epoch-checked: the repair snapshots the
     /// node's failure epoch before rebuilding and only commits if no new
     /// failure landed while the rebuilds ran — otherwise the rebuilt blocks
     /// may miss writes that arrived after the new failure, and reviving
     /// would serve a node the rebuild never saw. Objects admitted *during*
-    /// the repair are safe either way: a first append writes complete
-    /// blocks, so the new object needs nothing from this rebuild.
+    /// a colocated repair are safe either way: a first append writes
+    /// complete blocks, so the new object needs nothing from this rebuild.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidShard`] / [`StoreError::InvalidNode`]
-    /// for a bad address, [`ClusterError::PlacementMismatch`] under
-    /// dispersed placement (use [`SecCluster::repair_object_node`]),
-    /// [`StoreError::Unrecoverable`] when some object's entry has fewer than
-    /// `k` other live blocks, or [`StoreError::RepairRaced`] when the node
+    /// As for [`SecCluster::is_node_alive`], plus
+    /// [`StoreError::Unrecoverable`] when some entry has fewer than `k`
+    /// other live blocks, or [`StoreError::RepairRaced`] when the node
     /// failed again mid-repair (re-run the repair).
-    pub fn repair_node(&self, shard: usize, node: usize) -> Result<usize, ClusterError> {
-        let (s, liveness) = self.shard_group(shard)?;
-        self.check_node(liveness, node)?;
+    pub fn repair_node(&self, group: usize, node: usize) -> Result<usize, ClusterError> {
+        let (shard, liveness) = match self.node_group(group, node)? {
+            NodeGroup::Shard(shard, liveness) => (shard, liveness),
+            NodeGroup::Object(engine) => return Ok(engine.repair_node(node)?),
+        };
         let epoch = liveness.epoch(node);
         // Snapshot the engines, then release the map lock: rebuilds decode
         // k blocks per entry per object and must not block object admission.
-        let engines: Vec<Arc<SecEngine>> = s.objects.read().values().cloned().collect();
+        let engines: Vec<Arc<SecEngine>> = shard.objects.read().values().cloned().collect();
         let mut rebuilt = 0usize;
         for engine in engines {
             rebuilt += engine.rebuild_node(node)?;
@@ -1054,31 +1006,23 @@ mod tests {
         let b = ObjectId(2);
         cluster.append_all(a, &versions(0)).unwrap();
         cluster.append_all(b, &versions(7)).unwrap();
-        // Shard-scoped node addressing has no shared group to hit: a
-        // placement mismatch, never a panic.
+        // The group is the object id: a group naming no stored object is
+        // unknown, never a panic — also where it is a valid shard index.
         assert!(matches!(
             cluster.fail_node(0, 0),
-            Err(ClusterError::PlacementMismatch { .. })
+            Err(ClusterError::UnknownObject { object: ObjectId(0) })
         ));
         assert!(cluster.is_node_alive(0, 0).is_err());
-        assert!(cluster.revive_node(0, 0).is_err());
-        assert!(cluster.repair_node(0, 0).is_err());
-        assert!(cluster
-            .fail_node(0, 0)
-            .unwrap_err()
-            .to_string()
-            .contains("dispersed"));
-        // Bad shard indices still win over placement checks.
-        assert!(matches!(
-            cluster.fail_node(9, 0),
-            Err(ClusterError::InvalidShard { .. })
-        ));
+        assert!(cluster.revive_node(9, 0).is_err());
+        assert!(cluster.repair_node(9, 0).is_err());
+        let (ga, gb) = (a.0 as usize, b.0 as usize);
 
         // Failing every node of a's entry 2 (δ3) degrades only a's v3.
         for node in 2 * N..3 * N {
-            cluster.fail_object_node(a, node).unwrap();
+            cluster.fail_node(ga, node).unwrap();
         }
-        assert!(!cluster.is_object_node_alive(a, 2 * N).unwrap());
+        assert!(!cluster.is_node_alive(ga, 2 * N).unwrap());
+        assert!(cluster.is_node_alive(gb, 2 * N).unwrap());
         assert_eq!(*cluster.get_version(a, 2).unwrap().data, versions(0)[1]);
         assert!(matches!(
             cluster.get_version(a, 3),
@@ -1087,36 +1031,30 @@ mod tests {
         // b is untouched — even if it shares a's shard.
         assert_eq!(*cluster.get_version(b, 3).unwrap().data, versions(7)[2]);
 
-        // Object-scoped repair rebuilds the single hosted block.
+        // Repair rebuilds the single hosted block.
         for node in 2 * N..3 * N {
-            cluster.revive_object_node(a, node).unwrap();
+            cluster.revive_node(ga, node).unwrap();
         }
-        cluster.fail_object_node(a, 2 * N).unwrap();
-        assert_eq!(cluster.repair_object_node(a, 2 * N).unwrap(), 1);
+        cluster.fail_node(ga, 2 * N).unwrap();
+        assert_eq!(cluster.repair_node(ga, 2 * N).unwrap(), 1);
+        assert!(cluster.is_node_alive(ga, 2 * N).unwrap());
         assert_eq!(*cluster.get_version(a, 3).unwrap().data, versions(0)[2]);
-        // Out-of-range object node ids surface the engine's InvalidNode.
+        // Node ids past the object's node space surface the engine's
+        // InvalidNode.
         assert!(matches!(
-            cluster.fail_object_node(a, 3 * N),
-            Err(ClusterError::Engine(StoreError::InvalidNode { .. }))
+            cluster.fail_node(ga, 3 * N),
+            Err(ClusterError::Engine(StoreError::InvalidNode { node: 18, n: 18 }))
         ));
-    }
-
-    #[test]
-    fn colocated_object_scoped_ops_hit_the_shared_shard_group() {
-        let cluster = cluster(2);
-        let a = ObjectId(1);
-        cluster.append_all(a, &versions(0)).unwrap();
-        // Object-scoped failure flips the shard's shared liveness…
-        cluster.fail_object_node(a, 0).unwrap();
-        assert!(!cluster.is_node_alive(cluster.shard_of(a), 0).unwrap());
-        assert!(!cluster.is_object_node_alive(a, 0).unwrap());
-        cluster.revive_object_node(a, 0).unwrap();
-        assert!(cluster.is_node_alive(cluster.shard_of(a), 0).unwrap());
-        // …but object-scoped repair is refused: it would revive a shared
-        // node with co-hosted objects' blocks still missing.
+        assert!(cluster.is_node_alive(gb, 3 * N).is_err());
+        assert!(cluster.revive_node(gb, 3 * N).is_err());
+        assert!(cluster.repair_node(gb, 3 * N).is_err());
         assert!(matches!(
-            cluster.repair_object_node(a, 0),
-            Err(ClusterError::PlacementMismatch { .. })
+            cluster.fail_node(usize::MAX, 0),
+            Err(ClusterError::UnknownObject { .. })
+        ));
+        assert!(matches!(
+            cluster.repair_node(ga, usize::MAX),
+            Err(ClusterError::Engine(StoreError::InvalidNode { .. }))
         ));
     }
 
@@ -1143,7 +1081,7 @@ mod tests {
         let b = ObjectId(2);
         disp.append_all(a, &versions(0)).unwrap();
         disp.append_all(b, &versions(3)).unwrap();
-        disp.fail_object_node(b, 0).unwrap();
+        disp.fail_node(b.0 as usize, 0).unwrap();
         let m = disp.metrics_snapshot();
         assert_eq!(m.placement, PlacementStrategy::Dispersed);
         assert_eq!(m.nodes, 2 * 3 * N);

@@ -84,8 +84,10 @@
 //! cluster.append_version(wiki, &v1)?;
 //! assert_eq!(*cluster.get_version(wiki, 1)?.data, v1);
 //!
-//! // Failure injection is addressed as (shard, node) and is fallible: a
-//! // typo'd address is an error, not a process abort.
+//! // A node is addressed as (group, node), the group being the placement's
+//! // failure domain: a shard under the default colocated placement (an
+//! // object id under dispersed). A typo'd address is an error, not a
+//! // process abort.
 //! let shard = cluster.shard_of(wiki);
 //! cluster.fail_node(shard, 0)?;
 //! assert!(cluster.fail_node(99, 0).is_err());

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sec_gf::{GaloisField, Gf256};
 
 use crate::code::{GeneratorForm, SecCode, Share};
-use crate::read_plan::{plan_and_decode, ReadTarget};
+use crate::read_plan::{plan_read, DecodeMethod, ReadPlan, ReadTarget};
 
 const N: usize = 10;
 const K: usize = 5;
@@ -88,12 +88,19 @@ proptest! {
         let c = code.encode(&delta).unwrap();
         let live: Vec<usize> = live.into_iter().collect();
         let gamma = delta.iter().filter(|v| !v.is_zero()).count().max(1);
-        let (plan, decoded) = plan_and_decode(&code, &c, &live, ReadTarget::Sparse { gamma }).unwrap();
+        let shares = |plan: &ReadPlan| plan.nodes.iter().map(|&i| (i, c[i])).collect::<Vec<_>>();
+        let plan = plan_read(&code, &live, ReadTarget::Sparse { gamma }).unwrap();
+        let decoded = match plan.method {
+            DecodeMethod::SparseRecovery => code.decode_sparse(&shares(&plan), gamma).unwrap(),
+            DecodeMethod::SystematicDirect | DecodeMethod::Inversion => {
+                code.decode_full(&shares(&plan)).unwrap()
+            }
+        };
         prop_assert_eq!(&decoded, &delta);
         prop_assert!(plan.io_reads <= K);
         prop_assert!(plan.io_reads >= 2 * gamma.min((K - 1) / 2).min(plan.io_reads));
-        let (full_plan, full_decoded) = plan_and_decode(&code, &c, &live, ReadTarget::Full).unwrap();
-        prop_assert_eq!(full_decoded, delta);
+        let full_plan = plan_read(&code, &live, ReadTarget::Full).unwrap();
+        prop_assert_eq!(code.decode_full(&shares(&full_plan)).unwrap(), delta);
         prop_assert_eq!(full_plan.io_reads, K);
     }
 

@@ -165,30 +165,6 @@ fn plan_sparse<F: GaloisField>(code: &SecCode<F>, live: &[usize], gamma: usize) 
     }
 }
 
-/// Convenience: plans the read and immediately decodes from a full codeword
-/// (used by simulations where the codeword is available in memory).
-///
-/// # Errors
-///
-/// Propagates planning and decoding errors.
-pub fn plan_and_decode<F: GaloisField>(
-    code: &SecCode<F>,
-    codeword: &[F],
-    live: &[usize],
-    target: ReadTarget,
-) -> Result<(ReadPlan, Vec<F>), CodeError> {
-    let plan = plan_read(code, live, target)?;
-    let shares: Vec<(usize, F)> = plan.nodes.iter().map(|&i| (i, codeword[i])).collect();
-    let decoded = match plan.method {
-        DecodeMethod::SystematicDirect | DecodeMethod::Inversion => code.decode_full(&shares)?,
-        DecodeMethod::SparseRecovery => match target {
-            ReadTarget::Sparse { gamma } => code.decode_sparse(&shares, gamma)?,
-            ReadTarget::Full => unreachable!("sparse recovery is only planned for sparse targets"),
-        },
-    };
-    Ok((plan, decoded))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,13 +247,13 @@ mod tests {
         z[4] = Gf256::from_u64(1);
         let c = code.encode(&z).unwrap();
         let live: Vec<usize> = vec![0, 2, 4, 6, 8, 9];
-        let (plan, decoded) =
-            plan_and_decode(&code, &c, &live, ReadTarget::Sparse { gamma: 2 }).unwrap();
-        assert_eq!(plan.io_reads, 4);
-        assert_eq!(decoded, z);
-        let (plan, decoded) = plan_and_decode(&code, &c, &live, ReadTarget::Full).unwrap();
-        assert_eq!(plan.io_reads, 5);
-        assert_eq!(decoded, z);
+        let shares = |plan: &ReadPlan| plan.nodes.iter().map(|&i| (i, c[i])).collect::<Vec<_>>();
+        let plan = plan_read(&code, &live, ReadTarget::Sparse { gamma: 2 }).unwrap();
+        assert_eq!((plan.io_reads, plan.method), (4, DecodeMethod::SparseRecovery));
+        assert_eq!(code.decode_sparse(&shares(&plan), 2).unwrap(), z);
+        let plan = plan_read(&code, &live, ReadTarget::Full).unwrap();
+        assert_eq!((plan.io_reads, plan.method), (5, DecodeMethod::Inversion));
+        assert_eq!(code.decode_full(&shares(&plan)).unwrap(), z);
     }
 
     #[test]

@@ -553,6 +553,7 @@ mod tests {
                 actual: 5
             }
         );
+        assert!(err.to_string().contains("destination holds 4"));
         assert!(tables.try_mul_add_slice(Gf256::ONE, &[1u8; 4], &mut dst).is_ok());
         assert_eq!(dst, vec![1u8; 4]);
     }

@@ -128,13 +128,13 @@ impl NetClient {
     }
 
     /// `FAIL`.
-    pub fn fail(&mut self, shard: usize, node: usize) -> io::Result<Result<(), String>> {
-        self.ok_command(&Command::Fail { shard, node })
+    pub fn fail(&mut self, group: usize, node: usize) -> io::Result<Result<(), String>> {
+        self.ok_command(&Command::Fail { group, node })
     }
 
     /// `REVIVE`.
-    pub fn revive(&mut self, shard: usize, node: usize) -> io::Result<Result<(), String>> {
-        self.ok_command(&Command::Revive { shard, node })
+    pub fn revive(&mut self, group: usize, node: usize) -> io::Result<Result<(), String>> {
+        self.ok_command(&Command::Revive { group, node })
     }
 
     /// `METRICS` — the raw JSON bulk.

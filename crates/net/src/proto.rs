@@ -11,10 +11,14 @@
 //! GET <obj> <ver>\r\n
 //! PREFIX <obj> <ver>\r\n
 //! APPEND <obj> <len>\r\n<len raw bytes>\r\n
-//! FAIL <shard> <node>\r\n
-//! REVIVE <shard> <node>\r\n
+//! FAIL <group> <node>\r\n
+//! REVIVE <group> <node>\r\n
 //! METRICS\r\n
 //! ```
+//!
+//! A node is addressed as `(group, node)`: the group is a shard index under
+//! colocated placement and a decimal object id under dispersed placement,
+//! where `node` is the object's placement id `e·n + i`.
 //!
 //! `<obj>` is either a decimal 64-bit object id or an object *name* (any
 //! other token, hashed through [`ObjectId::from_name`] — so `GET logs 3`
@@ -71,18 +75,19 @@ pub enum Command<'a> {
         /// The version's bytes (borrowed from the input buffer).
         payload: &'a [u8],
     },
-    /// Fail a node of a shard's group.
+    /// Fail node `(group, node)` (see [`sec_engine::SecCluster::fail_node`]).
     Fail {
-        /// Shard index.
-        shard: usize,
-        /// Node index within the shard's group.
+        /// The failure domain: a shard index under colocated placement, an
+        /// object id under dispersed.
+        group: usize,
+        /// Node index within the group.
         node: usize,
     },
-    /// Revive a node of a shard's group.
+    /// Revive node `(group, node)` (see [`sec_engine::SecCluster::revive_node`]).
     Revive {
-        /// Shard index.
-        shard: usize,
-        /// Node index within the shard's group.
+        /// The failure domain, as for [`Command::Fail`].
+        group: usize,
+        /// Node index within the group.
         node: usize,
     },
     /// Snapshot the cluster metrics as a JSON bulk.
@@ -250,16 +255,16 @@ pub fn parse_command(buf: &[u8]) -> Parsed<'_> {
             },
             Err(m) => m,
         },
-        b"FAIL" => match two_naturals("FAIL wants: FAIL <shard> <node>") {
-            Ok((shard, node)) => Parsed::Complete {
-                command: Command::Fail { shard, node },
+        b"FAIL" => match two_naturals("FAIL wants: FAIL <group> <node>") {
+            Ok((group, node)) => Parsed::Complete {
+                command: Command::Fail { group, node },
                 consumed: consumed_line,
             },
             Err(m) => m,
         },
-        b"REVIVE" => match two_naturals("REVIVE wants: REVIVE <shard> <node>") {
-            Ok((shard, node)) => Parsed::Complete {
-                command: Command::Revive { shard, node },
+        b"REVIVE" => match two_naturals("REVIVE wants: REVIVE <group> <node>") {
+            Ok((group, node)) => Parsed::Complete {
+                command: Command::Revive { group, node },
                 consumed: consumed_line,
             },
             Err(m) => m,
@@ -321,11 +326,11 @@ pub fn encode_command(command: &Command<'_>, out: &mut Vec<u8>) {
         Command::Prefix { object, version } => {
             push_line(out, format_args!("PREFIX {} {version}", object.0));
         }
-        Command::Fail { shard, node } => {
-            push_line(out, format_args!("FAIL {shard} {node}"));
+        Command::Fail { group, node } => {
+            push_line(out, format_args!("FAIL {group} {node}"));
         }
-        Command::Revive { shard, node } => {
-            push_line(out, format_args!("REVIVE {shard} {node}"));
+        Command::Revive { group, node } => {
+            push_line(out, format_args!("REVIVE {group} {node}"));
         }
         Command::Append { object, payload } => {
             push_line(out, format_args!("APPEND {} {}", object.0, payload.len()));
@@ -556,8 +561,8 @@ mod tests {
                     version: 2,
                 },
             ),
-            (b"FAIL 0 2\r\n", Command::Fail { shard: 0, node: 2 }),
-            (b"REVIVE 1 0\r\n", Command::Revive { shard: 1, node: 0 }),
+            (b"FAIL 0 2\r\n", Command::Fail { group: 0, node: 2 }),
+            (b"REVIVE 1 0\r\n", Command::Revive { group: 1, node: 0 }),
             (
                 b"APPEND 9 5\r\nhello\r\n",
                 Command::Append {

@@ -477,11 +477,11 @@ fn execute(cluster: &SecCluster, wbuf: &mut Vec<u8>, command: &Command<'_>) {
             Ok(id) => proto::write_int(wbuf, id.0 as u64),
             Err(e) => proto::write_error(wbuf, &e.to_string()),
         },
-        Command::Fail { shard, node } => match cluster.fail_node(shard, node) {
+        Command::Fail { group, node } => match cluster.fail_node(group, node) {
             Ok(()) => proto::write_simple(wbuf, "OK"),
             Err(e) => proto::write_error(wbuf, &e.to_string()),
         },
-        Command::Revive { shard, node } => match cluster.revive_node(shard, node) {
+        Command::Revive { group, node } => match cluster.revive_node(group, node) {
             Ok(()) => proto::write_simple(wbuf, "OK"),
             Err(e) => proto::write_error(wbuf, &e.to_string()),
         },

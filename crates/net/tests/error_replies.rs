@@ -5,8 +5,9 @@
 //!
 //! Not reachable from the wire, so not pinned: `ClusterError::NoShards`
 //! (construction only), `StoreError::Code` (a corrupt block),
-//! `StoreError::RepairRaced` and `StoreError::InvalidSymbol` (repair and
-//! per-object node calls, which the protocol does not carry) and
+//! `StoreError::RepairRaced` (repair, which the protocol does not carry),
+//! `StoreError::InvalidSymbol` (a `Placement` lookup the server never makes)
+//! and
 //! `VersioningError::EmptyArchive` (an object with no versions is unknown).
 
 use std::io::{Read, Write};
@@ -67,8 +68,8 @@ fn every_error_reply_is_pinned_word_for_word() {
             ("PREFIX 777 1", unknown),
             (
                 "APPEND 0 3\r\nabc",
-                "-ERR engine error: versioning error: version has 3 symbols but the archive \
-                 stores 64-symbol objects",
+                "-ERR engine error: versioning error: version has 3 bytes but the archive \
+                 stores 64-byte objects",
             ),
             ("FAIL 2 0", "-ERR shard 2 is out of range for a 2-shard cluster"),
             ("REVIVE 7 0", "-ERR shard 7 is out of range for a 2-shard cluster"),
@@ -100,11 +101,42 @@ fn unrecoverable_and_placement_errors_are_pinned_word_for_word() {
             ("PREFIX 0 1", lost),
         ],
     );
-    // A dispersed cluster has no shard-wide node to fail.
-    let mismatch = "-ERR operation is not addressable under dispersed placement";
+    // Under colocated placement the group is a shard.
+    assert_exchange(
+        1,
+        PlacementStrategy::Colocated,
+        &[
+            ("FAIL 1 0", "-ERR shard 1 is out of range for a 1-shard cluster"),
+            (
+                "REVIVE 0 6",
+                "-ERR engine error: node id 6 is out of range for a 6-node cluster",
+            ),
+        ],
+    );
+    // Under dispersed placement the group is an object id, and object 0's
+    // three stored entries own 3 × 6 nodes.
     assert_exchange(
         1,
         PlacementStrategy::Dispersed,
-        &[("FAIL 0 0", mismatch), ("REVIVE 0 0", mismatch)],
+        &[
+            ("FAIL 0 17", "+OK"),
+            ("REVIVE 0 17", "+OK"),
+            (
+                "FAIL 777 0",
+                "-ERR object-0000000000000309 holds no versions in this cluster",
+            ),
+            (
+                "REVIVE 1 0",
+                "-ERR object-0000000000000001 holds no versions in this cluster",
+            ),
+            (
+                "FAIL 0 18",
+                "-ERR engine error: node id 18 is out of range for a 18-node cluster",
+            ),
+            (
+                "REVIVE 0 99",
+                "-ERR engine error: node id 99 is out of range for a 18-node cluster",
+            ),
+        ],
     );
 }

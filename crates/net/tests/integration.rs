@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sec_engine::{ObjectId, SecCluster};
+use sec_engine::{ObjectId, PlacementStrategy, SecCluster};
 use sec_erasure::GeneratorForm;
 use sec_net::load::{run_get_load, LoadConfig};
 use sec_net::proto::{self, Command};
@@ -290,6 +290,75 @@ fn concurrent_clients_under_fail_revive_chaos_stay_byte_exact() {
         assert_eq!(wire, payload(100, v - 1, 128), "chaos append version {v}");
     }
 
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Every `(object, version)` of a 3-object, 4-version history, object-major.
+fn every_read() -> impl Iterator<Item = (u64, usize)> {
+    (0..3u64).flat_map(|id| (1..=4).map(move |v| (id, v)))
+}
+
+#[test]
+fn dispersed_fail_and_revive_degrade_only_the_named_object() {
+    // Under dispersed placement the group of `FAIL <group> <node>` is an
+    // object id and `node` its placement id `e·n + i`. The oracle is an
+    // identical cluster failed by direct calls; errors compare as wire text.
+    let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
+        .expect("valid archive config");
+    let build = || {
+        let cluster =
+            SecCluster::with_placement(config, 2, 0, PlacementStrategy::Dispersed).expect("cluster");
+        populate(&cluster, 3, 4, 128);
+        cluster
+    };
+    let served = Arc::new(build());
+    let oracle = build();
+    let server = start_server(&served, 2);
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let oracle_reads = || -> Vec<Result<Vec<u8>, String>> {
+        every_read()
+            .map(|(id, v)| match oracle.get_version(ObjectId(id), v) {
+                Ok(r) => Ok((*r.data).clone()),
+                Err(e) => Err(e.to_string()),
+            })
+            .collect()
+    };
+    let mut wire_reads = || -> Vec<Result<Vec<u8>, String>> {
+        every_read()
+            .map(|(id, v)| client.get(ObjectId(id), v).expect("io"))
+            .collect()
+    };
+    let healthy: Vec<Result<Vec<u8>, String>> =
+        every_read().map(|(id, v)| Ok(payload(id, v, 128))).collect();
+    assert_eq!(wire_reads(), healthy);
+
+    // Fail n − k + 1 = 4 of the 6 nodes of object 1's entry 2 (z_3): its
+    // versions 3 and 4 need that entry, nothing else does.
+    let (object, n) = (1usize, 6usize);
+    let mut admin = NetClient::connect(server.local_addr()).expect("connect");
+    for node in 2 * n..2 * n + 4 {
+        admin.fail(object, node).expect("io").expect("fail");
+        oracle.fail_node(object, node).expect("direct fail");
+    }
+    let degraded = wire_reads();
+    assert_eq!(degraded, oracle_reads());
+    let lost = "engine error: archive entry 2 is unrecoverable with the current failures";
+    for ((id, v), (read, healthy)) in every_read().zip(degraded.iter().zip(&healthy)) {
+        if id == object as u64 && v >= 3 {
+            assert_eq!(read, &Err(lost.to_owned()), "object {id} version {v}");
+        } else {
+            assert_eq!(read, healthy, "object {id} version {v}");
+        }
+    }
+
+    for node in 2 * n..2 * n + 4 {
+        admin.revive(object, node).expect("io").expect("revive");
+        oracle.revive_node(object, node).expect("direct revive");
+    }
+    assert_eq!(wire_reads(), healthy);
+    assert_eq!(oracle_reads(), healthy);
+
+    drop((client, admin));
     server.shutdown().expect("clean shutdown");
 }
 

@@ -20,8 +20,8 @@ enum OwnedCommand {
     Get { object: u64, version: usize },
     Prefix { object: u64, version: usize },
     Append { object: u64, payload: Vec<u8> },
-    Fail { shard: usize, node: usize },
-    Revive { shard: usize, node: usize },
+    Fail { group: usize, node: usize },
+    Revive { group: usize, node: usize },
 }
 
 impl OwnedCommand {
@@ -41,12 +41,12 @@ impl OwnedCommand {
                 object: ObjectId(*object),
                 payload,
             },
-            OwnedCommand::Fail { shard, node } => Command::Fail {
-                shard: *shard,
+            OwnedCommand::Fail { group, node } => Command::Fail {
+                group: *group,
                 node: *node,
             },
-            OwnedCommand::Revive { shard, node } => Command::Revive {
-                shard: *shard,
+            OwnedCommand::Revive { group, node } => Command::Revive {
+                group: *group,
                 node: *node,
             },
         }
@@ -85,8 +85,8 @@ fn command_strategy() -> impl Strategy<Value = OwnedCommand> {
             .prop_map(|(object, version)| OwnedCommand::Prefix { object, version }),
         (id_strategy(), payload_strategy())
             .prop_map(|(object, payload)| OwnedCommand::Append { object, payload }),
-        (0usize..64, 0usize..64).prop_map(|(shard, node)| OwnedCommand::Fail { shard, node }),
-        (0usize..64, 0usize..64).prop_map(|(shard, node)| OwnedCommand::Revive { shard, node }),
+        (0usize..64, 0usize..64).prop_map(|(group, node)| OwnedCommand::Fail { group, node }),
+        (0usize..64, 0usize..64).prop_map(|(group, node)| OwnedCommand::Revive { group, node }),
     ]
 }
 

@@ -79,6 +79,13 @@ const PROPERTIES: &[Property] = &[
         },
     },
     Property {
+        name: "engine-reversed-strict",
+        options: || SimOptions {
+            encoding: EncodingStrategy::ReversedSec,
+            ..SimOptions::strict(5, 3, 64)
+        },
+    },
+    Property {
         name: "engine-read-faults",
         options: || SimOptions {
             read_fault_percent: 10,

@@ -16,13 +16,13 @@
 //! model's liveness leaves readable. It shares no code with the walk the
 //! cluster reads through, so a walk bug is a divergence.
 //!
-//! A node is addressed as `(group, node)`. Under colocated placement the
-//! group is a shard, and the sim drives the shard-scoped calls the wire
-//! protocol serves ([`SecCluster::fail_node`], [`SecCluster::repair_node`],
-//! window `cluster::repair::window`). Under dispersed placement the group is
-//! an object, and the sim drives the object-scoped calls
-//! ([`SecCluster::fail_object_node`], [`SecCluster::repair_object_node`],
-//! window `engine::repair::window`). That is the only placement fork.
+//! A node is addressed as `(group, node)`, the cluster's own node address:
+//! the sim calls [`SecCluster::fail_node`], [`SecCluster::revive_node`],
+//! [`SecCluster::is_node_alive`] and [`SecCluster::repair_node`] under
+//! either placement. Under colocated placement the group is a shard and the
+//! repair window is `cluster::repair::window`; under dispersed placement the
+//! group is an object (the sim's object index is its id) and the window is
+//! `engine::repair::window`.
 //!
 //! Schedules are pure functions of a seed; see `crate::explore` for the
 //! random-walk and exhaustive drivers and `docs/DST.md` for the replay
@@ -691,13 +691,15 @@ impl Sim {
     }
 
     fn do_fail(&mut self, group: usize, node: usize) {
-        fail_node(&self.cluster, group, node)
+        self.cluster
+            .fail_node(group, node)
             .unwrap_or_else(|e| panic!("step {}: fail ({group}, {node}): {e}", self.steps));
         self.model_fail(group, node);
     }
 
     fn do_revive(&mut self, group: usize, node: usize) {
-        revive_node(&self.cluster, group, node)
+        self.cluster
+            .revive_node(group, node)
             .unwrap_or_else(|e| panic!("step {}: revive ({group}, {node}): {e}", self.steps));
         self.model_revive(group, node);
     }
@@ -747,11 +749,11 @@ impl Sim {
             let records = records.clone();
             match op.clone() {
                 WindowOp::Fail(g, nd) => self.hook.queue_window_action(move || {
-                    let outcome = fail_node(&cluster, g, nd);
+                    let outcome = cluster.fail_node(g, nd);
                     records.borrow_mut().push(WindowRecord::Fail(g, nd, outcome));
                 }),
                 WindowOp::Revive(g, nd) => self.hook.queue_window_action(move || {
-                    let outcome = revive_node(&cluster, g, nd);
+                    let outcome = cluster.revive_node(g, nd);
                     records.borrow_mut().push(WindowRecord::Revive(g, nd, outcome));
                 }),
                 WindowOp::Append(object, edits) => {
@@ -783,10 +785,7 @@ impl Sim {
             PlacementStrategy::Colocated => "cluster::repair::window",
             PlacementStrategy::Dispersed => "engine::repair::window",
         });
-        let result = match self.options.placement {
-            PlacementStrategy::Colocated => self.cluster.repair_node(group, node),
-            PlacementStrategy::Dispersed => self.cluster.repair_object_node(id(group), node),
-        };
+        let result = self.cluster.repair_node(group, node);
         // Actions whose window never fired simply did not happen.
         drop(self.hook.disarm_window());
 
@@ -867,7 +866,9 @@ impl Sim {
         let step = self.steps;
         for (group, nodes) in self.groups.iter().enumerate() {
             for (node, want) in nodes.iter().enumerate() {
-                let got = node_alive(&self.cluster, group, node)
+                let got = self
+                    .cluster
+                    .is_node_alive(group, node)
                     .unwrap_or_else(|e| panic!("step {step}: liveness of ({group}, {node}): {e}"));
                 assert_eq!(
                     got, want.alive,
@@ -902,30 +903,6 @@ impl Sim {
 /// The cluster id of object index `object`.
 fn id(object: usize) -> ObjectId {
     ObjectId(object as u64)
-}
-
-/// Fails node `(group, node)` through the placement's calls.
-fn fail_node(cluster: &SecCluster, group: usize, node: usize) -> Result<(), ClusterError> {
-    match cluster.placement() {
-        PlacementStrategy::Colocated => cluster.fail_node(group, node),
-        PlacementStrategy::Dispersed => cluster.fail_object_node(id(group), node),
-    }
-}
-
-/// Revives node `(group, node)` through the placement's calls.
-fn revive_node(cluster: &SecCluster, group: usize, node: usize) -> Result<(), ClusterError> {
-    match cluster.placement() {
-        PlacementStrategy::Colocated => cluster.revive_node(group, node),
-        PlacementStrategy::Dispersed => cluster.revive_object_node(id(group), node),
-    }
-}
-
-/// Whether node `(group, node)` is live, through the placement's calls.
-fn node_alive(cluster: &SecCluster, group: usize, node: usize) -> Result<bool, ClusterError> {
-    match cluster.placement() {
-        PlacementStrategy::Colocated => cluster.is_node_alive(group, node),
-        PlacementStrategy::Dispersed => cluster.is_object_node_alive(id(group), node),
-    }
 }
 
 /// The next version in a chain: the parent's bytes (or the fixed base

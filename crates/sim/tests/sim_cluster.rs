@@ -259,9 +259,9 @@ fn objects_admitted_mid_repair_are_complete() {
 }
 
 /// The sweep's `cluster-dispersed-strict` property: under dispersed
-/// placement every object owns its node space, so the walk drives the
-/// object-scoped calls (`fail_object_node`, `repair_object_node`, window
-/// `engine::repair::window`) and checks every read and liveness bit.
+/// placement every object owns its node space, so the walk's groups are
+/// objects (repair window `engine::repair::window`), and it checks every
+/// read and liveness bit.
 #[test]
 fn seeded_dispersed_cluster_schedules_match_their_models() {
     random_walk("cluster-dispersed-strict", 20, |seed| {

@@ -217,7 +217,8 @@ fn exhaustive_interleavings_of_repair_and_append() {
 /// LOST FAILURE assertion fires; the epoch-checked repair observes the bump
 /// and returns `RepairRaced`. Run under both placements: colocated drives
 /// `SecCluster::repair_node`'s own epoch check, dispersed drives
-/// `SecEngine::repair_node`'s (through `SecCluster::repair_object_node`).
+/// `SecEngine::repair_node`'s (through `SecCluster::repair_node` with the
+/// object as the group).
 #[test]
 fn repair_window_failure_is_never_lost() {
     for placement in [PlacementStrategy::Colocated, PlacementStrategy::Dispersed] {

@@ -7,12 +7,12 @@ use sec_erasure::{CodeError, GeneratorForm};
 /// Errors returned by archive construction, appending and retrieval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VersioningError {
-    /// A version had the wrong number of symbols for the configured object
-    /// dimension `k`.
+    /// A version's byte length differs from the archive's object length
+    /// (the length of its first version).
     ObjectLengthMismatch {
-        /// The configured dimension `k`.
+        /// The archive's object length in bytes.
         expected: usize,
-        /// The supplied length.
+        /// The supplied version's length in bytes.
         actual: usize,
     },
     /// The requested version index does not exist (versions are numbered from
@@ -49,7 +49,7 @@ impl fmt::Display for VersioningError {
             VersioningError::ObjectLengthMismatch { expected, actual } => {
                 write!(
                     f,
-                    "version has {actual} symbols but the archive stores {expected}-symbol objects"
+                    "version has {actual} bytes but the archive stores {expected}-byte objects"
                 )
             }
             VersioningError::NoSuchVersion { requested, available } => {
@@ -101,7 +101,7 @@ mod tests {
             actual: 5
         }
         .to_string()
-        .contains("3-symbol"));
+        .contains("has 5 bytes but the archive stores 3-byte objects"));
         assert!(VersioningError::NoSuchVersion {
             requested: 7,
             available: 2
