@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so this module includes a
 //! hand-rolled parser for the small TOML subset the auditor needs: `[a.b]`
-//! section headers, `key = value` pairs with string / bool / integer /
-//! array-of-string values (arrays may span lines), and `#` comments. Anything
+//! section headers, `key = value` pairs with string or array-of-string
+//! values (arrays may span lines), and `#` comments. Anything
 //! outside that subset is a hard [`ConfigError`] — the config is in-repo, so
 //! failing loudly beats guessing.
 
@@ -42,7 +42,6 @@ fn err(line: u32, message: impl Into<String>) -> ConfigError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Value {
     Str(String),
-    Bool(bool),
     List(Vec<String>),
 }
 
@@ -141,12 +140,6 @@ fn brackets_balanced(text: &str) -> bool {
 }
 
 fn parse_value(line: u32, text: &str) -> Result<Value, ConfigError> {
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(s) = parse_str(text) {
         return Ok(Value::Str(s));
     }
@@ -223,15 +216,6 @@ pub struct LockClass {
     pub aliases: Vec<String>,
 }
 
-/// A `Type::method` pair named by the shared-read rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedReadMethod {
-    /// The type whose impl block is searched.
-    pub type_name: String,
-    /// The method that must keep a `&self` receiver.
-    pub method: String,
-}
-
 /// Typed view of `audit.toml`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditConfig {
@@ -248,21 +232,29 @@ pub struct AuditConfig {
     /// Cross-crate method calls the lexical pass cannot resolve: method name
     /// → canonical lock names the callee acquires internally.
     pub method_locks: BTreeMap<String, Vec<String>>,
-    /// Path suffixes of the designated panic-free modules.
-    pub panic_modules: Vec<String>,
-    /// Whether the panic rule also flags `x[i]` indexing in those modules.
-    pub check_indexing: bool,
-    /// Methods that must keep a `&self` receiver.
-    pub shared_read: Vec<SharedReadMethod>,
     /// Source roots whose crate root must carry `#![forbid(unsafe_code)]`.
     /// Defaults to every include root that has a `lib.rs`.
     pub unsafe_carve_outs: Vec<String>,
 }
 
+/// The sections `audit.toml` may contain. Any other is an error, so a
+/// retired or misspelt section cannot sit in the file configuring nothing.
+const SECTIONS: [&str; 6] = [
+    "paths",
+    "rules.lock-hierarchy",
+    "rules.lock-hierarchy.aliases",
+    "rules.lock-hierarchy.guard-returning",
+    "rules.lock-hierarchy.methods",
+    "rules.unsafe-code",
+];
+
 impl AuditConfig {
     /// Parses and validates an `audit.toml` document.
     pub fn parse(src: &str) -> Result<Self, ConfigError> {
         let tree = parse_tree(src)?;
+        if let Some(section) = tree.keys().find(|s| !SECTIONS.contains(&s.as_str())) {
+            return Err(err(0, format!("unknown section `[{section}]`")));
+        }
         let get = |section: &str, key: &str| -> Option<&(u32, Value)> {
             tree.get(section).and_then(|s| s.get(key))
         };
@@ -337,24 +329,6 @@ impl AuditConfig {
             }
         }
 
-        let panic_modules = list("rules.panic-freedom", "modules")?;
-        let check_indexing = match get("rules.panic-freedom", "check-indexing") {
-            Some((_, Value::Bool(b))) => *b,
-            Some((line, _)) => return Err(err(*line, "`check-indexing` must be a bool")),
-            None => true,
-        };
-
-        let mut shared_read = Vec::new();
-        for entry in list("rules.shared-read", "methods")? {
-            let (type_name, method) = entry
-                .split_once("::")
-                .ok_or_else(|| err(0, format!("shared-read entry `{entry}` is not `Type::method`")))?;
-            shared_read.push(SharedReadMethod {
-                type_name: type_name.to_owned(),
-                method: method.to_owned(),
-            });
-        }
-
         let unsafe_carve_outs = list("rules.unsafe-code", "carve-outs")?;
 
         Ok(Self {
@@ -363,9 +337,6 @@ impl AuditConfig {
             reentrant,
             guard_returning,
             method_locks,
-            panic_modules,
-            check_indexing,
-            shared_read,
             unsafe_carve_outs,
         })
     }
@@ -417,13 +388,6 @@ nodes = ["node"]
 [rules.lock-hierarchy.methods]
 get_version = ["archive"]
 
-[rules.panic-freedom]
-modules = ["crates/engine/src/engine.rs"]
-check-indexing = true
-
-[rules.shared-read]
-methods = ["SecEngine::get_version"]
-
 [rules.unsafe-code]
 carve-outs = ["crates/gf/src"]
 "#;
@@ -437,10 +401,6 @@ carve-outs = ["crates/gf/src"]
         assert!(cfg.is_reentrant("nodes"));
         assert!(!cfg.is_reentrant("archive"));
         assert_eq!(cfg.method_locks["get_version"], vec!["archive"]);
-        assert_eq!(cfg.panic_modules, vec!["crates/engine/src/engine.rs"]);
-        assert!(cfg.check_indexing);
-        assert_eq!(cfg.shared_read[0].type_name, "SecEngine");
-        assert_eq!(cfg.shared_read[0].method, "get_version");
         assert_eq!(cfg.unsafe_carve_outs, vec!["crates/gf/src"]);
     }
 
@@ -463,6 +423,9 @@ carve-outs = ["crates/gf/src"]
         assert!(AuditConfig::parse(&bad).is_err());
         let bad = SAMPLE.replace("get_version = [\"archive\"]", "get_version = [\"bogus\"]");
         assert!(AuditConfig::parse(&bad).is_err());
+        let misspelt = format!("{SAMPLE}\n[rules.lock-order]\norder = []\n");
+        let e = AuditConfig::parse(&misspelt).unwrap_err();
+        assert!(e.message.contains("unknown section `[rules.lock-order]`"), "{e}");
     }
 
     #[test]
@@ -471,6 +434,6 @@ carve-outs = ["crates/gf/src"]
         assert!(AuditConfig::parse("[paths]\ninclude = [1, 2]").is_err());
         assert!(AuditConfig::parse("[paths]\ninclude\n").is_err());
         // Missing include list entirely.
-        assert!(AuditConfig::parse("[rules.shared-read]\nmethods = []").is_err());
+        assert!(AuditConfig::parse("[rules.unsafe-code]\ncarve-outs = []").is_err());
     }
 }

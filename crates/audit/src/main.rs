@@ -1,36 +1,30 @@
 //! `sec-audit` — the workspace invariant auditor binary.
 //!
 //! ```text
-//! sec-audit check [--root DIR] [--report FILE] [--fix-annotations]
+//! sec-audit check [--root DIR] [--report FILE]
 //! ```
 //!
 //! `check` (the default) scans the configured source roots and exits
 //! nonzero on violations. `--report` additionally writes the markdown
-//! inventory (lock hierarchy, atomic orderings, panic policy, open
-//! violations). `--fix-annotations` inserts `// audit: <rule> ok — TODO:
-//! justify` stubs above every violating line — the stubs still fail the
-//! audit until a human replaces the TODO with a real justification.
+//! inventory (lock hierarchy, atomic orderings, unsafe sites, open
+//! violations).
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sec_audit::rules::Rule;
-use sec_audit::{insert_annotation_stubs, load, report, run, CONFIG_FILE};
+use sec_audit::{load, report, run, CONFIG_FILE};
 
 struct Args {
     root: Option<PathBuf>,
     report: Option<PathBuf>,
-    fix_annotations: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         report: None,
-        fix_annotations: false,
     };
     let mut iter = std::env::args().skip(1).peekable();
     let mut saw_command = false;
@@ -47,10 +41,9 @@ fn parse_args() -> Result<Args, String> {
                     iter.next().ok_or("--report needs a file argument")?,
                 ));
             }
-            "--fix-annotations" => args.fix_annotations = true,
             "--help" | "-h" => {
                 return Err(format!(
-                    "usage: sec-audit check [--root DIR] [--report FILE] [--fix-annotations]\n\
+                    "usage: sec-audit check [--root DIR] [--report FILE]\n\
                      The root defaults to the nearest ancestor directory containing {CONFIG_FILE}."
                 ));
             }
@@ -97,34 +90,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         println!("report written to {}", report_path.display());
-    }
-
-    if args.fix_annotations && !outcome.violations.is_empty() {
-        let mut by_file: BTreeMap<&str, Vec<(u32, Rule)>> = BTreeMap::new();
-        for v in &outcome.violations {
-            if Rule::ANNOTATABLE.contains(&v.rule) {
-                by_file.entry(&v.file).or_default().push((v.line, v.rule));
-            }
-        }
-        for (rel, sites) in by_file {
-            let path = root.join(rel);
-            let src = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("sec-audit: reading {rel}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let fixed = insert_annotation_stubs(&src, &sites);
-            if fixed != src {
-                if let Err(e) = std::fs::write(&path, fixed) {
-                    eprintln!("sec-audit: writing {rel}: {e}");
-                    return ExitCode::from(2);
-                }
-                println!("inserted {} annotation stub(s) into {rel}", sites.len());
-            }
-        }
-        println!("stubs inserted — replace every `TODO: justify` with a real reason");
     }
 
     if outcome.is_clean() {

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use crate::config::AuditConfig;
-use crate::rules::Rule;
 use crate::AuditOutcome;
 
 /// Console summary: violations (if any) plus one closing line.
@@ -113,19 +112,6 @@ pub fn render_markdown(config: &AuditConfig, outcome: &AuditOutcome) -> String {
         md.push('\n');
     }
 
-    md.push_str("## Panic policy\n\n");
-    if config.panic_modules.is_empty() {
-        md.push_str("No designated panic-free modules.\n\n");
-    } else {
-        md.push_str(
-            "The following modules may not `unwrap`/`expect`/`panic!`/`unreachable!` or\nindex slices without an `// audit: panic ok — <reason>` justification:\n\n",
-        );
-        for module in &config.panic_modules {
-            md.push_str(&format!("- `{module}`\n"));
-        }
-        md.push('\n');
-    }
-
     if !outcome.violations.is_empty() {
         md.push_str("## Open violations\n\n");
         md.push_str("| Site | Rule | Finding |\n|---|---|---|\n");
@@ -141,18 +127,6 @@ pub fn render_markdown(config: &AuditConfig, outcome: &AuditOutcome) -> String {
         md.push('\n');
     }
 
-    let shared: Vec<String> = config
-        .shared_read
-        .iter()
-        .map(|m| format!("`{}::{}`", m.type_name, m.method))
-        .collect();
-    if !shared.is_empty() {
-        md.push_str("## Guarded shared-read APIs\n\n");
-        md.push_str(&format!(
-            "These must keep `&self` receivers: {}.\n",
-            shared.join(", ")
-        ));
-    }
     md
 }
 
@@ -160,23 +134,12 @@ fn escape_cell(text: &str) -> String {
     text.replace('|', "\\|").replace('\n', " ")
 }
 
-/// Rules in a stable order for summaries.
-pub const ALL_RULES: [Rule; 7] = [
-    Rule::LockOrder,
-    Rule::Atomic,
-    Rule::Panic,
-    Rule::SharedRead,
-    Rule::UnsafeCode,
-    Rule::UnsafeBlock,
-    Rule::Annotation,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::atomics::AtomicSite;
     use crate::rules::unsafe_blocks::UnsafeSite;
-    use crate::rules::Violation;
+    use crate::rules::{Rule, Violation};
 
     fn outcome() -> AuditOutcome {
         AuditOutcome {

@@ -29,7 +29,7 @@ use crate::rules::{Rule, Violation};
 use crate::source::SourceFile;
 
 /// Keywords that can precede `(` or `[` without being calls/indexing.
-pub const KEYWORDS: &[&str] = &[
+const KEYWORDS: &[&str] = &[
     "if", "else", "while", "match", "for", "loop", "return", "let", "in", "as", "ref", "mut", "move",
     "break", "continue", "where", "impl", "fn", "use", "pub", "dyn", "box", "await",
 ];

@@ -1,4 +1,4 @@
-//! The five rule families plus cross-cutting diagnostics.
+//! The four rule families plus cross-cutting diagnostics.
 //!
 //! Every rule consumes [`SourceFile`]s and emits
 //! [`Violation`]s. Rules skip `#[cfg(test)]` regions, and each violation can
@@ -9,8 +9,6 @@ pub mod atomics;
 pub mod lints;
 pub mod lock_order;
 pub mod model;
-pub mod panics;
-pub mod shared_read;
 pub mod unsafe_blocks;
 
 use crate::source::SourceFile;
@@ -22,10 +20,6 @@ pub enum Rule {
     LockOrder,
     /// Every `Ordering::*` use must carry a justification.
     Atomic,
-    /// No panicking constructs in designated read-path modules.
-    Panic,
-    /// Listed retrieval/metrics APIs must keep `&self` receivers.
-    SharedRead,
     /// Crate roots must carry the configured `unsafe_code` lint attribute.
     UnsafeCode,
     /// Every `unsafe` block/fn/impl in the carve-out crates must carry a
@@ -41,8 +35,6 @@ impl Rule {
         match self {
             Rule::LockOrder => "lock-order",
             Rule::Atomic => "atomic",
-            Rule::Panic => "panic",
-            Rule::SharedRead => "shared-read",
             Rule::UnsafeCode => "unsafe-code",
             Rule::UnsafeBlock => "unsafe",
             Rule::Annotation => "annotation",
@@ -50,13 +42,7 @@ impl Rule {
     }
 
     /// Rule ids annotations may legitimately name.
-    pub const ANNOTATABLE: [Rule; 5] = [
-        Rule::LockOrder,
-        Rule::Atomic,
-        Rule::Panic,
-        Rule::SharedRead,
-        Rule::UnsafeBlock,
-    ];
+    pub const ANNOTATABLE: [Rule; 3] = [Rule::LockOrder, Rule::Atomic, Rule::UnsafeBlock];
 }
 
 /// One confirmed finding.
@@ -87,8 +73,7 @@ impl std::fmt::Display for Violation {
 
 /// Validates the annotations themselves: malformed markers and unknown rule
 /// ids are violations (a typo'd annotation must not silently suppress
-/// nothing), as are annotations whose justification text is still the
-/// `--fix-annotations` stub or empty.
+/// nothing), as are annotations whose justification is empty or a `TODO`.
 pub fn check_annotations(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     for (line, problem) in &file.malformed {
@@ -140,9 +125,9 @@ mod tests {
     fn annotation_validation_catches_typos_and_stubs() {
         let src = "\
 let a = 1; // audit: panics ok — unknown rule id
-let b = 2; // audit: panic ok — TODO: justify
-let c = 3; // audit: panic ok
-let d = 4; // audit: panic ok — a real reason
+let b = 2; // audit: atomic ok — TODO: justify
+let c = 3; // audit: atomic ok
+let d = 4; // audit: atomic ok — a real reason
 ";
         let f = SourceFile::from_source("t.rs", src);
         let v = check_annotations(&f);

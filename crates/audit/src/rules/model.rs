@@ -1,23 +1,9 @@
-//! A lightweight structural model on top of the token stream: impl blocks,
-//! function spans and receivers. Shared by the lock-hierarchy rule (which
-//! needs per-function bodies and a file-local call graph) and the
-//! shared-read rule (which needs receivers by qualified name).
+//! A lightweight structural model on top of the token stream: impl blocks
+//! and function spans, for the lock-hierarchy rule (which needs per-function
+//! bodies and a file-local call graph).
 
 use crate::lexer::{Tok, Token};
 use crate::source::matching_brace;
-
-/// How a method takes `self`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// `&self` (possibly with a lifetime).
-    SelfRef,
-    /// `&mut self`.
-    SelfMut,
-    /// `self` or `mut self` by value.
-    SelfValue,
-    /// No receiver (free function or associated function).
-    None,
-}
 
 /// One function with a body, located in the token stream.
 #[derive(Debug, Clone)]
@@ -26,8 +12,6 @@ pub struct FnSpan {
     pub qname: String,
     /// The bare function name.
     pub name: String,
-    /// Receiver kind.
-    pub receiver: Receiver,
     /// 1-based line of the `fn` keyword.
     pub sig_line: u32,
     /// Token index of the `fn` keyword.
@@ -88,7 +72,6 @@ pub fn scan_fns(tokens: &[Token]) -> Vec<FnSpan> {
                 continue;
             };
             let close = matching_brace(tokens, open);
-            let receiver = parse_receiver(tokens, i + 2, open);
             let qname = match impl_stack.last() {
                 Some((ty, _)) => format!("{ty}::{name}"),
                 None => name.clone(),
@@ -96,7 +79,6 @@ pub fn scan_fns(tokens: &[Token]) -> Vec<FnSpan> {
             fns.push(FnSpan {
                 qname,
                 name,
-                receiver,
                 sig_line: tokens[i].line,
                 fn_kw: i,
                 body_open: open,
@@ -171,63 +153,13 @@ fn skip_angle_group(tokens: &[Token], open: usize) -> usize {
     j
 }
 
-/// Determines the receiver from the tokens between the function name and the
-/// body brace.
-fn parse_receiver(tokens: &[Token], mut j: usize, body_open: usize) -> Receiver {
-    // Skip generics on the function itself (`fn f<F: Fn(usize)>(…)`) so the
-    // first `(` we see is the parameter list.
-    if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-        j = skip_angle_group(tokens, j);
-    }
-    while j < body_open && !tokens[j].is_punct('(') {
-        j += 1;
-    }
-    if j >= body_open {
-        return Receiver::None;
-    }
-    // First parameter: tokens up to the first top-level `,` or the closing
-    // `)` of the parameter list.
-    let mut depth = 0i32;
-    let mut first_param = Vec::new();
-    let mut k = j;
-    while let Some(t) = tokens.get(k) {
-        match &t.tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            Tok::Punct(',') if depth == 1 => break,
-            _ => {
-                if depth >= 1 {
-                    first_param.push(t.clone());
-                }
-            }
-        }
-        k += 1;
-    }
-    let has_self = first_param.iter().any(|t| t.is_ident("self"));
-    if !has_self {
-        return Receiver::None;
-    }
-    let has_amp = first_param.iter().any(|t| t.is_punct('&'));
-    let has_mut = first_param.iter().any(|t| t.is_ident("mut"));
-    match (has_amp, has_mut) {
-        (true, true) => Receiver::SelfMut,
-        (true, false) => Receiver::SelfRef,
-        (false, _) => Receiver::SelfValue,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     #[test]
-    fn finds_fns_with_impl_context_and_receivers() {
+    fn finds_fns_with_impl_context() {
         let src = "
 impl<F: GaloisField> DistributedStore<F> {
     pub fn retrieve(&self, l: usize) -> usize { l }
@@ -242,26 +174,18 @@ fn free_helper(x: usize) -> usize { x }
 ";
         let toks = lex(src);
         let fns = scan_fns(&toks);
-        let by_name: Vec<(&str, Receiver)> =
-            fns.iter().map(|f| (f.qname.as_str(), f.receiver)).collect();
+        let qnames: Vec<&str> = fns.iter().map(|f| f.qname.as_str()).collect();
         assert_eq!(
-            by_name,
+            qnames,
             vec![
-                ("DistributedStore::retrieve", Receiver::SelfRef),
-                ("DistributedStore::repair", Receiver::SelfMut),
-                ("DistributedStore::consume", Receiver::SelfValue),
-                ("DistributedStore::new", Receiver::None),
-                ("StoreError::fmt", Receiver::SelfRef),
-                ("free_helper", Receiver::None),
+                "DistributedStore::retrieve",
+                "DistributedStore::repair",
+                "DistributedStore::consume",
+                "DistributedStore::new",
+                "StoreError::fmt",
+                "free_helper",
             ]
         );
-    }
-
-    #[test]
-    fn generic_fn_params_do_not_confuse_the_receiver() {
-        let src = "impl T { fn go<F: Fn(usize) -> bool>(&self, f: F) {} }";
-        let fns = scan_fns(&lex(src));
-        assert_eq!(fns[0].receiver, Receiver::SelfRef);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Source-file discovery and per-file context: lexed tokens, justification
 //! annotations, and `#[cfg(test)]` regions (which every rule skips — test
-//! code is allowed to `unwrap()` and to take locks in whatever order it
-//! pleases).
+//! code may take locks in whatever order it pleases).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -12,11 +11,11 @@ use crate::lexer::{lex, line_comments, Token};
 /// A parsed justification comment: `// audit: <rule> ok — <reason>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Annotation {
-    /// The rule identifier being suppressed (`lock-order`, `atomic`, `panic`,
-    /// `shared-read`).
+    /// The rule identifier being suppressed (`lock-order`, `atomic`,
+    /// `unsafe`).
     pub rule: String,
-    /// The justification text after the separator (may be empty — the
-    /// `--fix-annotations` stubs start that way).
+    /// The justification text after the separator (may be empty, which
+    /// [`check_annotations`](crate::rules::check_annotations) rejects).
     pub reason: String,
     /// 1-based line the annotation sits on.
     pub line: u32,
@@ -27,7 +26,7 @@ pub struct Annotation {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (used in diagnostics).
     pub rel: String,
-    /// Raw source lines (for annotation insertion and context display).
+    /// Raw source lines (for finding the comment block above a line).
     pub lines: Vec<String>,
     /// Lexed token stream.
     pub tokens: Vec<Token>,
@@ -301,14 +300,14 @@ mod tests {
     fn annotations_parse_with_any_separator() {
         let src = "\
 let a = x.load(Ordering::Relaxed); // audit: atomic ok — statistic only
-// audit: panic ok - checked above
-let b = v[0];
+// audit: unsafe ok - checked above
+let b = unsafe { *p };
 // audit: lock-order ok: documented
 let c = l.read();
 ";
         let f = SourceFile::from_source("t.rs", src);
         assert_eq!(f.annotation_for("atomic", 1).unwrap().reason, "statistic only");
-        assert_eq!(f.annotation_for("panic", 3).unwrap().reason, "checked above");
+        assert_eq!(f.annotation_for("unsafe", 3).unwrap().reason, "checked above");
         assert_eq!(f.annotation_for("lock-order", 5).unwrap().reason, "documented");
         assert!(f.annotation_for("atomic", 3).is_none());
     }
@@ -317,20 +316,20 @@ let c = l.read();
     fn annotation_blocks_cover_the_line_below() {
         let src = "\
 // A longer justification that spans
-// audit: panic ok — the key was checked two lines up
+// audit: atomic ok — the flag was published two lines up
 // and continues after the marker line.
-let v = map[key];
-let w = map[key2];
+let v = flag.load(Ordering::Relaxed);
+let w = flag.load(Ordering::Relaxed);
 ";
         let f = SourceFile::from_source("t.rs", src);
-        assert!(f.annotation_for("panic", 4).is_some());
+        assert!(f.annotation_for("atomic", 4).is_some());
         // The block does not leak past the first code line.
-        assert!(f.annotation_for("panic", 5).is_none());
+        assert!(f.annotation_for("atomic", 5).is_none());
     }
 
     #[test]
     fn annotations_inside_string_literals_are_ignored() {
-        let src = "let s = \"// audit: panic ok — fake\";\n\
+        let src = "let s = \"// audit: atomic ok — fake\";\n\
                    let t = format!(\"// audit: {} ok\", rule);\n";
         let f = SourceFile::from_source("t.rs", src);
         assert!(f.annotations().next().is_none());

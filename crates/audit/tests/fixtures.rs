@@ -15,13 +15,6 @@ include = ["fixtures"]
 [rules.lock-hierarchy]
 order = ["archive", "objects"]
 
-[rules.panic-freedom]
-modules = ["fixtures/panics.rs"]
-check-indexing = true
-
-[rules.shared-read]
-methods = ["Engine::get_version", "Engine::regressed"]
-
 [rules.unsafe-code]
 carve-outs = ["fixtures"]
 "#;
@@ -30,7 +23,7 @@ fn run_fixtures() -> Vec<Violation> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
     let config = AuditConfig::parse(FIXTURE_CONFIG).expect("fixture config parses");
     let rels = discover(&root, &config.include).expect("fixture dir scans");
-    assert!(rels.len() >= 7, "fixture set went missing: {rels:?}");
+    assert!(rels.len() >= 5, "fixture set went missing: {rels:?}");
     let files: Vec<SourceFile> = rels
         .iter()
         .map(|rel| SourceFile::load(&root, rel).expect("fixture loads"))
@@ -66,25 +59,6 @@ fn unannotated_ordering_is_flagged_justified_and_test_sites_pass() {
 }
 
 #[test]
-fn panic_sites_are_flagged_fallible_and_justified_pass() {
-    let violations = run_fixtures();
-    let panic = of_rule(&violations, Rule::Panic);
-    assert_eq!(panic.len(), 2, "{panic:?}");
-    assert!(panic.iter().all(|v| v.file == "fixtures/panics.rs"));
-    assert!(panic.iter().any(|v| v.message.contains("unwrap")));
-    assert!(panic.iter().any(|v| v.message.contains("indexing")));
-}
-
-#[test]
-fn shared_read_regression_is_flagged() {
-    let violations = run_fixtures();
-    let shared = of_rule(&violations, Rule::SharedRead);
-    assert_eq!(shared.len(), 1, "{shared:?}");
-    assert_eq!(shared[0].file, "fixtures/shared_read.rs");
-    assert!(shared[0].message.contains("Engine::regressed"));
-}
-
-#[test]
 fn bare_unsafe_is_flagged_justified_and_test_sites_pass() {
     let violations = run_fixtures();
     let unsafe_v = of_rule(&violations, Rule::UnsafeBlock);
@@ -96,5 +70,5 @@ fn bare_unsafe_is_flagged_justified_and_test_sites_pass() {
 #[test]
 fn fixture_run_has_no_unexpected_violations() {
     let violations = run_fixtures();
-    assert_eq!(violations.len(), 6, "{violations:?}");
+    assert_eq!(violations.len(), 3, "{violations:?}");
 }

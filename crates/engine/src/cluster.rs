@@ -24,6 +24,16 @@
 //!   placement), and a bad group or node is a [`ClusterError`], never a
 //!   panic inside the serving process.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -347,8 +357,12 @@ impl SecCluster {
 
     /// Whether any version was appended for `id`.
     pub fn contains_object(&self, id: ObjectId) -> bool {
-        // audit: panic ok — shard_of maps every id into 0..shards.len() by modulo
-        self.shards[self.shard_of(id)].objects.read().contains_key(&id)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of maps every id into 0..shards.len() by modulo"
+        )]
+        let shard = &self.shards[self.shard_of(id)];
+        shard.objects.read().contains_key(&id)
     }
 
     /// Number of versions appended for `id`, or `None` for an unknown
@@ -386,7 +400,10 @@ impl SecCluster {
                 return Ok(NodeGroup::Object(self.engine_of(ObjectId(group as u64))?));
             }
         };
-        // audit: panic ok — every colocated shard is built with a liveness group
+        #[expect(
+            clippy::expect_used,
+            reason = "every colocated shard is built with a liveness group"
+        )]
         let liveness = shard.liveness.as_ref().expect("colocated shard");
         if node >= liveness.len() {
             return Err(ClusterError::Engine(StoreError::InvalidNode {
@@ -399,8 +416,12 @@ impl SecCluster {
 
     /// The engine serving `id`, or [`ClusterError::UnknownObject`].
     fn engine_of(&self, id: ObjectId) -> Result<Arc<SecEngine>, ClusterError> {
-        // audit: panic ok — shard_of maps every id into 0..shards.len() by modulo
-        self.shards[self.shard_of(id)]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of maps every id into 0..shards.len() by modulo"
+        )]
+        let shard = &self.shards[self.shard_of(id)];
+        shard
             .objects
             .read()
             .get(&id)
@@ -427,7 +448,10 @@ impl SecCluster {
         id: ObjectId,
         append: impl Fn(&SecEngine) -> Result<R, StoreError>,
     ) -> Result<R, ClusterError> {
-        // audit: panic ok — shard_of maps every id into 0..shards.len() by modulo
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of maps every id into 0..shards.len() by modulo"
+        )]
         let shard = &self.shards[self.shard_of(id)];
         let existing = shard.objects.read().get(&id).cloned();
         if let Some(engine) = existing {
@@ -693,8 +717,11 @@ impl SecCluster {
                 sm.io.absorb(&m.io);
                 // Per-object node spaces fold onto the n codeword positions
                 // (the identity map for a colocated engine's n nodes).
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`idx % n` is always < n = node_reads.len()"
+                )]
                 for (idx, reads) in m.node_reads.iter().enumerate() {
-                    // audit: panic ok — `idx % n` is always < n = node_reads.len()
                     sm.node_reads[idx % n] += reads;
                 }
                 sm.versions += m.versions;

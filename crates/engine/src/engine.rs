@@ -2,6 +2,16 @@
 //! its distributed storage nodes, generic over the paper's §IV placement
 //! strategies.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -391,8 +401,12 @@ impl SecEngine {
     /// Clones the `Arc` handles of slab `idx`, holding the directory lock
     /// only for the fetch.
     pub(crate) fn slab(&self, idx: usize) -> NodeSlab {
-        // audit: panic ok — private helper; callers pass a directory index they just resolved
-        self.slabs.read()[idx].clone()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "private helper; callers pass a directory index they just resolved"
+        )]
+        let slab = self.slabs.read()[idx].clone();
+        slab
     }
 
     /// Whether node `node` is currently live. Lock-free.
@@ -641,7 +655,7 @@ impl SecEngine {
         }
         // Commit: every block rebuilt, so replace the node's contents.
         let rebuilt = staged.len();
-        // audit: panic ok — `position` was range-checked by locate
+        #[expect(clippy::indexing_slicing, reason = "`position` was range-checked by locate")]
         slab.nodes[position].write().replace(staged);
         self.metrics.add_symbol_writes(rebuilt as u64);
         self.metrics.add_repair();

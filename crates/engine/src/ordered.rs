@@ -15,6 +15,16 @@
 //! poisoned lock as a fatal invariant breach everywhere, so the `panic!` on
 //! poison lives here once instead of as an `.expect()` at every call site.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -153,9 +163,12 @@ impl<T> OrderedRwLock<T> {
         let token = held::Token::acquire(self.rank);
         let guard = match self.inner.read() {
             Ok(guard) => guard,
-            // audit: panic ok — poison means a writer panicked mid-update; the
-            // protected state can no longer be trusted, so every path treats
-            // this as fatal (this is the one place that decision lives)
+            #[expect(
+                clippy::panic,
+                reason = "poison means a writer panicked mid-update; the protected state can no \
+                          longer be trusted, so every path treats this as fatal (this is the one \
+                          place that decision lives)"
+            )]
             Err(_) => panic!("{} lock poisoned", self.rank.name()),
         };
         OrderedReadGuard { guard, _token: token }
@@ -167,7 +180,7 @@ impl<T> OrderedRwLock<T> {
         let token = held::Token::acquire(self.rank);
         let guard = match self.inner.write() {
             Ok(guard) => guard,
-            // audit: panic ok — same fatal-poison policy as `read` above
+            #[expect(clippy::panic, reason = "same fatal-poison policy as `read` above")]
             Err(_) => panic!("{} lock poisoned", self.rank.name()),
         };
         OrderedWriteGuard { guard, _token: token }

@@ -13,6 +13,16 @@
 //! entry's decode, not the whole prefix. A repair reads its `k` sources per
 //! entry through the same [`WalkSlabs`] and [`lock_walk_nodes`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -62,10 +72,13 @@ impl SecEngine {
         };
         let snap = Snapshot::take(archive);
         let mut slabs = WalkSlabs::new(self);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`idx` comes from the walk, which stays within 0..layout.len()"
+        )]
         let walk = VersionWalk::plan(
             snap.strategy,
             snap.layout.len(),
-            // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
             |idx| snap.layout[idx],
             l,
             self.anchor_shards(anchor),
@@ -111,10 +124,13 @@ impl SecEngine {
         };
         let snap = Snapshot::take(archive);
         let mut slabs = WalkSlabs::new(self);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`idx` comes from the walk, which stays within 0..layout.len()"
+        )]
         let walk = PrefixWalk::plan(
             snap.strategy,
             snap.layout.len(),
-            // audit: panic ok — `idx` comes from the walk, which stays within 0..layout.len()
             |idx| snap.layout[idx],
             l,
             self.anchor_shards(tail),
@@ -246,8 +262,9 @@ impl<'e> WalkSlabs<'e> {
                 at
             }
         };
-        // audit: panic ok — `at` was just found or inserted
-        &self.touched[at].live
+        #[expect(clippy::indexing_slicing, reason = "`at` was just found or inserted")]
+        let live = &self.touched[at].live;
+        live
     }
 
     /// Plans a read of `target` from `entry`'s live positions — lock-free:

@@ -17,12 +17,13 @@
 //! ```
 //!
 //! A node is addressed as `(group, node)`: the group is a shard index under
-//! colocated placement and a decimal object id under dispersed placement,
-//! where `node` is the object's placement id `e·n + i`.
+//! colocated placement and an object under dispersed placement, where
+//! `node` is the object's placement id `e·n + i`. The group token parses
+//! like `<obj>` below, so `FAIL logs 0` names the object `logs`.
 //!
 //! `<obj>` is either a decimal 64-bit object id or an object *name* (any
 //! other token, hashed through [`ObjectId::from_name`] — so `GET logs 3`
-//! and `GET 7818597926421802027 3` address the same object). Replies use
+//! and `GET 14846069637550713894 3` address the same object). Replies use
 //! the RESP shapes `+simple`, `-ERR message`, `:integer`, `$len` bulk and
 //! `*count` arrays of bulks.
 //!
@@ -36,9 +37,19 @@
 //! malformed frame poisons the stream (there is no reliable resync point in
 //! a binary protocol), so the server replies `-ERR` and closes.
 //!
-//! This module is under `sec-audit`'s panic-freedom rule: no unwraps and no
-//! unchecked indexing. Payload slices borrow from the input buffer
+//! This module denies clippy's panicking lints: no unwraps and no unchecked
+//! indexing. Payload slices borrow from the input buffer
 //! (zero-copy); the server copies only into its write buffer.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use sec_engine::ObjectId;
 
@@ -78,7 +89,8 @@ pub enum Command<'a> {
     /// Fail node `(group, node)` (see [`sec_engine::SecCluster::fail_node`]).
     Fail {
         /// The failure domain: a shard index under colocated placement, an
-        /// object id under dispersed.
+        /// object id under dispersed. On the wire it may also be an object
+        /// name, parsed to its id like `GET`'s object.
         group: usize,
         /// Node index within the group.
         node: usize,
@@ -216,8 +228,11 @@ pub fn parse_command(buf: &[u8]) -> Parsed<'_> {
             reason: "too many arguments",
         };
     }
-    let two_naturals = |reason: &'static str| -> Result<(usize, usize), Parsed<'static>> {
-        match (arg1.and_then(parse_usize), arg2.and_then(parse_usize)) {
+    let group_and_node = |reason: &'static str| -> Result<(usize, usize), Parsed<'static>> {
+        let group = arg1
+            .and_then(parse_object)
+            .and_then(|id| usize::try_from(id.0).ok());
+        match (group, arg2.and_then(parse_usize)) {
             (Some(a), Some(b)) => Ok((a, b)),
             _ => Err(Parsed::Malformed { reason }),
         }
@@ -255,14 +270,14 @@ pub fn parse_command(buf: &[u8]) -> Parsed<'_> {
             },
             Err(m) => m,
         },
-        b"FAIL" => match two_naturals("FAIL wants: FAIL <group> <node>") {
+        b"FAIL" => match group_and_node("FAIL wants: FAIL <group> <node>") {
             Ok((group, node)) => Parsed::Complete {
                 command: Command::Fail { group, node },
                 consumed: consumed_line,
             },
             Err(m) => m,
         },
-        b"REVIVE" => match two_naturals("REVIVE wants: REVIVE <group> <node>") {
+        b"REVIVE" => match group_and_node("REVIVE wants: REVIVE <group> <node>") {
             Ok((group, node)) => Parsed::Complete {
                 command: Command::Revive { group, node },
                 consumed: consumed_line,
@@ -591,6 +606,24 @@ mod tests {
             } => assert_eq!(object, ObjectId::from_name("logs")),
             other => panic!("{other:?}"),
         }
+        // A node's group parses like an object, so a dispersed object's
+        // nodes can be named too; the encoder's decimal form is canonical.
+        let group = usize::try_from(ObjectId::from_name("logs").0).unwrap();
+        for (bytes, want) in [
+            (b"FAIL logs 0\r\n".as_slice(), Command::Fail { group, node: 0 }),
+            (b"REVIVE logs 0\r\n", Command::Revive { group, node: 0 }),
+        ] {
+            match parse_command(bytes) {
+                Parsed::Complete { command, .. } => assert_eq!(command, want),
+                other => panic!("{other:?}"),
+            }
+            let mut canonical = Vec::new();
+            encode_command(&want, &mut canonical);
+            assert!(matches!(
+                parse_command(&canonical),
+                Parsed::Complete { command, .. } if command == want
+            ));
+        }
     }
 
     #[test]
@@ -610,6 +643,8 @@ mod tests {
             b"GET 1 2 3\r\n",
             b"PING 1\r\n",
             b"GET 1 -2\r\n",
+            b"FAIL logs\r\n",
+            b"FAIL logs -1\r\n",
             b"APPEND 1 -5\r\nhello\r\n",
             b"APPEND 1 99999999999999999999999\r\n",
             b"APPEND 1 5\r\nhelloXY",

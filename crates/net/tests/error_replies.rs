@@ -20,15 +20,25 @@ use sec_erasure::GeneratorForm;
 use sec_net::{Server, ServerConfig};
 use sec_versioning::{ArchiveConfig, EncodingStrategy};
 
-/// Serves a (6, 3) Basic SEC cluster of `shards` shards under `placement`,
-/// object 0 holding three 64-byte versions; sends every request of
-/// `exchange` in one pipelined write and asserts the replies, byte for byte.
-fn assert_exchange(shards: usize, placement: PlacementStrategy, exchange: &[(&str, &str)]) {
+/// A (6, 3) Basic SEC cluster of `shards` shards under `placement`, object 0
+/// holding three 64-byte versions.
+fn cluster(shards: usize, placement: PlacementStrategy) -> SecCluster {
     let config = ArchiveConfig::new(6, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec)
         .expect("valid archive config");
     let cluster = SecCluster::with_placement(config, shards, 0, placement).expect("cluster");
     let history: Vec<Vec<u8>> = (1..=3).map(|v| vec![v; 64]).collect();
     cluster.append_all(ObjectId(0), &history).expect("populate");
+    cluster
+}
+
+/// Serves [`cluster`]`(shards, placement)`; sends every request of
+/// `exchange` in one pipelined write and asserts the replies, byte for byte.
+fn assert_exchange(shards: usize, placement: PlacementStrategy, exchange: &[(&str, &str)]) {
+    assert_exchange_with(cluster(shards, placement), exchange);
+}
+
+/// As [`assert_exchange`], against a prepared cluster.
+fn assert_exchange_with(cluster: SecCluster, exchange: &[(&str, &str)]) {
     let server =
         Server::start(Arc::new(cluster), "127.0.0.1:0", ServerConfig::default()).expect("server start");
 
@@ -137,6 +147,48 @@ fn unrecoverable_and_placement_errors_are_pinned_word_for_word() {
                 "REVIVE 0 99",
                 "-ERR engine error: node id 99 is out of range for a 18-node cluster",
             ),
+        ],
+    );
+}
+
+#[test]
+fn fail_and_revive_take_an_object_name() {
+    // The group token parses like GET's object: under dispersed placement
+    // `FAIL logs <node>` fails a node of the object named `logs`. Four of
+    // its entry 0's six nodes down loses `logs` version 1 and nothing else.
+    let dispersed = cluster(1, PlacementStrategy::Dispersed);
+    dispersed
+        .append_version(ObjectId::from_name("logs"), &[b'L'; 64])
+        .expect("populate logs");
+    let logs = format!("$64\r\n{}", "L".repeat(64));
+    let object_0 = format!("$64\r\n{}", "\u{1}".repeat(64));
+    assert_exchange_with(
+        dispersed,
+        &[
+            ("FAIL logs 0", "+OK"),
+            ("FAIL logs 1", "+OK"),
+            ("FAIL logs 2", "+OK"),
+            ("FAIL logs 3", "+OK"),
+            (
+                "GET logs 1",
+                "-ERR engine error: archive entry 0 is unrecoverable with the current failures",
+            ),
+            ("GET 0 1", &object_0),
+            ("REVIVE logs 0", "+OK"),
+            ("GET logs 1", &logs),
+        ],
+    );
+    // Under colocated placement the group is a shard: a name is a shard
+    // index out of range, an `-ERR` on a connection that stays open.
+    assert_exchange(
+        2,
+        PlacementStrategy::Colocated,
+        &[
+            (
+                "FAIL logs 0",
+                "-ERR shard 14846069637550713894 is out of range for a 2-shard cluster",
+            ),
+            ("PING", "+PONG"),
         ],
     );
 }

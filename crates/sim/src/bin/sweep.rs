@@ -182,7 +182,7 @@ fn main() {
         let seeds: Vec<u64> = match pinned {
             Some(pinned) => vec![pinned],
             None => {
-                let mut rng = SimRng::new(root ^ splitmix_label(property.name));
+                let mut rng = SimRng::new(root ^ seed::from_label(property.name));
                 (0..args.seeds).map(|_| rng.next_u64()).collect()
             }
         };
@@ -228,14 +228,4 @@ fn main() {
         println!("sim-sweep: {} failing seed(s)", failures.len());
         std::process::exit(1);
     }
-}
-
-/// Stable per-property seed-stream separation (FNV-1a over the name).
-fn splitmix_label(name: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }

@@ -2,9 +2,10 @@
 //!
 //! Two complementary modes, per ADR-001-style simulation-first testing:
 //!
-//! * [`random_walk`] — run a property under many derived seeds; any panic
-//!   is caught, the failing seed printed, and the panic re-raised, so every
-//!   failure is replayable via `SEC_SIM_SEED`. The usual property is
+//! * [`random_walk`] — run a property under many seeds derived from its
+//!   label, the same on every run; any panic is caught, the failing seed
+//!   printed, and the panic re-raised, so every failure is replayable via
+//!   `SEC_SIM_SEED`. The usual property is
 //!   [`walk`]: one seeded random schedule over a fresh [`Sim`].
 //! * [`interleavings`] — enumerate *every* order-preserving merge of a few
 //!   short operation tracks (the "≤6-step window" mode): when the window is
@@ -32,9 +33,10 @@ pub fn walk(options: SimOptions, seed: u64, steps: usize) {
     sim.step(&Op::CheckMetrics);
 }
 
-/// Runs `property` under `runs` seeds derived from a fresh entropy root —
+/// Runs `property` under `runs` seeds derived from a root fixed by `label`
+/// ([`seed::from_label`]), so every run of a test walks the same seeds —
 /// unless [`seed::SEED_ENV`] is set, in which case the pinned seed is run
-/// exactly once (replay mode).
+/// exactly once (replay mode). Fresh seeds are `sim-sweep`'s job.
 ///
 /// On a panic the failing seed is printed as an `SEC_SIM_SEED=0x…` line and
 /// the panic resumes, so the test fails with both the original assertion
@@ -48,8 +50,8 @@ pub fn random_walk(label: &str, runs: usize, property: impl Fn(u64)) {
         property(pinned);
         return;
     }
-    let root = seed::entropy();
-    eprintln!("sec-sim[{label}]: walking {runs} seeds from entropy root {root:#018x}");
+    let root = seed::from_label(label);
+    eprintln!("sec-sim[{label}]: walking {runs} seeds from root {root:#018x}");
     let mut rng = SimRng::new(root);
     for run in 0..runs {
         let seed = rng.next_u64();
@@ -159,10 +161,14 @@ mod tests {
     #[test]
     fn random_walk_is_quiet_on_success_and_replays_pinned_seeds() {
         // No env manipulation here (tests run in parallel); just check the
-        // walk drives the property with distinct seeds.
-        let seen = std::cell::RefCell::new(Vec::new());
-        random_walk("explore-test", 5, |seed| seen.borrow_mut().push(seed));
-        let seen = seen.into_inner();
+        // walk drives the property with distinct seeds, the same every run.
+        let seeds = || {
+            let seen = std::cell::RefCell::new(Vec::new());
+            random_walk("explore-test", 5, |seed| seen.borrow_mut().push(seed));
+            seen.into_inner()
+        };
+        let seen = seeds();
+        assert_eq!(seeds(), seen, "a label fixes its walk's seeds");
         if seed::from_env().is_none() {
             assert_eq!(seen.len(), 5);
             let mut dedup = seen.clone();

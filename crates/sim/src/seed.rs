@@ -49,6 +49,15 @@ pub fn entropy() -> u64 {
     hasher.finish()
 }
 
+/// The fixed seed a label names: its FNV-1a hash. Stable across runs and
+/// platforms, so a walk rooted here explores the same seeds every run, and
+/// distinct labels get unrelated streams.
+pub fn from_label(label: &str) -> u64 {
+    label.bytes().fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Resolves the seed for a named simulation: the pinned [`SEED_ENV`] value
 /// when set, a fresh entropy seed otherwise. Either way the seed is printed
 /// to stderr (cargo shows captured output only for failing tests, so a
@@ -82,6 +91,13 @@ mod tests {
         assert_eq!(parse(""), None);
         assert_eq!(parse("0x"), None);
         assert_eq!(parse("zebra"), None);
+    }
+
+    #[test]
+    fn label_seeds_are_fnv1a() {
+        assert_eq!(from_label(""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(from_label("logs"), 14_846_069_637_550_713_894);
+        assert_ne!(from_label("walk-a"), from_label("walk-b"));
     }
 
     #[test]

@@ -1,5 +1,15 @@
 //! A single simulated storage node.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fault;

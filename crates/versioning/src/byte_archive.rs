@@ -375,13 +375,22 @@ mod tests {
                 let mut a = ByteVersionedArchive::new(config).unwrap();
                 let versions = three_versions();
                 a.append_all(&versions).unwrap();
-                for (l, expect) in versions.iter().enumerate() {
-                    let r = a.retrieve_version(l + 1).unwrap();
-                    assert_eq!(&r.data, expect, "{strategy} {form} version {}", l + 1);
-                    assert_eq!(r.version, l + 1);
-                }
-                let prefix = a.retrieve_prefix(versions.len()).unwrap();
-                assert_eq!(prefix.versions, versions, "{strategy} {form} prefix");
+                // Two threads read through one `&ByteVersionedArchive`: the
+                // reads take `&self` and the archive is `Sync`.
+                let (a, versions) = (&a, &versions);
+                std::thread::scope(|scope| {
+                    for _ in 0..2 {
+                        scope.spawn(move || {
+                            for (l, expect) in versions.iter().enumerate() {
+                                let r = a.retrieve_version(l + 1).unwrap();
+                                assert_eq!(&r.data, expect, "{strategy} {form} version {}", l + 1);
+                                assert_eq!(r.version, l + 1);
+                            }
+                            let prefix = a.retrieve_prefix(versions.len()).unwrap();
+                            assert_eq!(&prefix.versions, versions, "{strategy} {form} prefix");
+                        });
+                    }
+                });
             }
         }
     }

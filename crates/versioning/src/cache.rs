@@ -18,6 +18,16 @@
 //! miss counts, no lock traffic, no slot allocation — so a disabled cache is
 //! indistinguishable from no cache at all in both metrics and cost.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -110,8 +120,9 @@ impl<V> DeltaCache<V> {
 
     /// Number of currently cached versions.
     pub fn len(&self) -> usize {
-        // audit: panic ok — lock poisoning only propagates a prior panic
-        self.slots.read().expect("cache lock poisoned").len()
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
+        let slots = self.slots.read().expect("cache lock poisoned");
+        slots.len()
     }
 
     /// `true` when nothing is cached.
@@ -152,7 +163,7 @@ impl<V> DeltaCache<V> {
         if self.capacity == 0 {
             return None;
         }
-        // audit: panic ok — lock poisoning only propagates a prior panic
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
         let slots = self.slots.read().expect("cache lock poisoned");
         let found = slots
             .iter()
@@ -197,7 +208,7 @@ impl<V> DeltaCache<V> {
         if self.capacity == 0 {
             return value;
         }
-        // audit: panic ok — lock poisoning only propagates a prior panic
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
         let mut slots = self.slots.write().expect("cache lock poisoned");
         if let Some(slot) = slots.iter().find(|slot| slot.version == version) {
             return Arc::clone(&slot.value);
@@ -205,13 +216,16 @@ impl<V> DeltaCache<V> {
         // audit: atomic ok — LRU clock tick; approximate recency is acceptable
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if slots.len() >= self.capacity {
+            #[expect(
+                clippy::expect_used,
+                reason = "capacity > 0 here and len ≥ capacity, so the list is non-empty"
+            )]
             let oldest = slots
                 .iter()
                 .enumerate()
                 // audit: atomic ok — stale stamp only skews which slot is evicted
                 .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
                 .map(|(idx, _)| idx)
-                // audit: panic ok — capacity > 0 here and len ≥ capacity, so the list is non-empty
                 .expect("capacity > 0 and cache full");
             slots.swap_remove(oldest);
         }
@@ -225,7 +239,7 @@ impl<V> DeltaCache<V> {
 
     /// Drops every cached version (counters are kept).
     pub fn clear(&self) {
-        // audit: panic ok — lock poisoning only propagates a prior panic
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
         self.slots.write().expect("cache lock poisoned").clear();
     }
 

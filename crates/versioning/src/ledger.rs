@@ -19,6 +19,16 @@
 //! per-block γ — only those `γ` blocks are multiplied by the generator, and
 //! then only they are copied in to make the tail the new version.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use sec_erasure::{ByteCodec, ByteShards, SecCode};
 
 use crate::archive::{ArchiveConfig, EncodingStrategy, StoredPayload};

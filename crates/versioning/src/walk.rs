@@ -41,6 +41,16 @@
 //!   accumulator as it is; the walk never XORs `k` blocks itself;
 //! * the caller validates `1 ≤ l ≤ L`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use sec_erasure::read_plan::{DecodeMethod, ReadPlan, ReadTarget};
 use sec_erasure::{ByteCodec, ByteShards, CodeError};
 
@@ -281,7 +291,6 @@ impl<E> VersionWalk<E> {
             let Some((nodes, sparse)) = &step.read else {
                 continue;
             };
-            // audit: panic ok — the read phase pushed exactly `nodes.len()` shares per planned entry
             let (entry_shares, tail) = rest.split_at(nodes.len());
             rest = tail;
             if let Some(gamma) = *sparse {
@@ -460,10 +469,13 @@ where
             None => (None, vec![l - 1]),
         },
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
+            #[expect(
+                clippy::expect_used,
+                reason = "archive invariant: entry 0 always stores a full version"
+            )]
             let full = (0..l)
                 .rev()
                 .find(|&idx| matches!(payload_at(idx), StoredPayload::FullVersion { .. }))
-                // audit: panic ok — archive invariant: entry 0 always stores a full version
                 .expect("the first entry always stores a full version");
             // Entry `v - 1` stores the delta to version `v`, so a base `b`
             // is followed by entries `b..l` — usable only while the latest
