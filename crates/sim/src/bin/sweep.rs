@@ -12,6 +12,8 @@
 //! * `--seeds N` — number of seeds per property (default 200).
 //! * `--root SEED` — derive the per-run seeds from this root instead of
 //!   fresh entropy (decimal or 0x-hex), making the whole sweep replayable.
+//!   Without it the sweep is the one place that draws entropy: it explores
+//!   seeds no test walks.
 //! * `--out PATH` — append one `<property> SEC_SIM_SEED=0x…` line per
 //!   failure to `PATH`.
 //!
@@ -23,6 +25,7 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sec_engine::PlacementStrategy;
+use sec_erasure::GeneratorForm;
 use sec_sim::harness::SimOptions;
 use sec_sim::rng::SimRng;
 use sec_sim::{seed, walk, SEED_ENV};
@@ -83,6 +86,13 @@ const PROPERTIES: &[Property] = &[
         options: || SimOptions {
             encoding: EncodingStrategy::ReversedSec,
             ..SimOptions::strict(5, 3, 64)
+        },
+    },
+    Property {
+        name: "engine-systematic-strict",
+        options: || SimOptions {
+            form: GeneratorForm::Systematic,
+            ..SimOptions::strict(6, 3, 64)
         },
     },
     Property {

@@ -16,6 +16,14 @@
 //! model's liveness leaves readable. It shares no code with the walk the
 //! cluster reads through, so a walk bug is a divergence.
 //!
+//! With caching on, the model also tracks the versions each object's cache
+//! could hold (appended or served since its last `ResetCache`): a cached read
+//! must be what the reference reads from one of them, and a failed read must
+//! fail as the reference does from none or one of them. The metrics check
+//! holds the cluster's block counters to the model's account: every reported
+//! read, `k` reads and one write per block a repair rebuilt, and `n` writes
+//! per stored entry an append wrote.
+//!
 //! A node is addressed as `(group, node)`, the cluster's own node address:
 //! the sim calls [`SecCluster::fail_node`], [`SecCluster::revive_node`],
 //! [`SecCluster::is_node_alive`] and [`SecCluster::repair_node`] under
@@ -29,13 +37,16 @@
 //! workflow.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use sec_engine::{ClusterError, ObjectId, PlacementStrategy, SecCluster};
+use sec_engine::{CacheStats, ClusterError, ObjectId, PlacementStrategy, SecCluster};
 use sec_erasure::GeneratorForm;
 use sec_store::fault::{self, HookGuard};
-use sec_store::{Placement, StoreError};
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy};
+use sec_store::{IoMetrics, Placement, StoreError};
+use sec_versioning::{
+    ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy, VersioningError,
+};
 
 use crate::clock::{EventQueue, VirtualClock};
 use crate::hook::SimHook;
@@ -157,7 +168,8 @@ enum WindowRecord {
     Get {
         object: usize,
         version: usize,
-        outcome: Result<Vec<u8>, ClusterError>,
+        /// The bytes and block reads, or the error.
+        outcome: Result<(Vec<u8>, usize), ClusterError>,
     },
 }
 
@@ -168,6 +180,8 @@ pub struct SimOptions {
     pub n: usize,
     /// Dimension `k`.
     pub k: usize,
+    /// Generator form of the code.
+    pub form: GeneratorForm,
     /// Encoding strategy of every object.
     pub encoding: EncodingStrategy,
     /// Placement strategy of the cluster under test.
@@ -194,14 +208,15 @@ pub struct SimOptions {
 }
 
 impl SimOptions {
-    /// A strict (fault-free, cache-free) colocated BasicSec setup of one
-    /// shard holding one object: the configuration under which behaviour
-    /// must match the reference bit-for-bit including I/O counts. Widen it
-    /// with struct-update syntax.
+    /// A strict (fault-free, cache-free) colocated non-systematic BasicSec
+    /// setup of one shard holding one object: the configuration under which
+    /// behaviour must match the reference bit-for-bit including I/O counts.
+    /// Widen it with struct-update syntax.
     pub fn strict(n: usize, k: usize, object_len: usize) -> Self {
         Self {
             n,
             k,
+            form: GeneratorForm::NonSystematic,
             encoding: EncodingStrategy::BasicSec,
             placement: PlacementStrategy::Colocated,
             shards: 1,
@@ -214,16 +229,20 @@ impl SimOptions {
         }
     }
 
-    fn is_strict(&self) -> bool {
-        self.read_fault_percent == 0 && self.rebuild_abort_percent == 0 && self.cache_capacity == 0
+    /// Whether faults are injected, so the cluster may fail reads the
+    /// fault-free reference serves.
+    fn faulty(&self) -> bool {
+        self.read_fault_percent > 0 || self.rebuild_abort_percent > 0
     }
 }
 
-/// The model of one object: the reference's block store and the version
-/// bytes (index `l-1` = version `l`); object `i` is [`ObjectId`] `i`.
+/// The model of one object: the reference's block store, the version bytes
+/// (index `l-1` = version `l`) and the versions its cache could hold;
+/// object `i` is [`ObjectId`] `i`.
 struct ObjectModel {
     archive: ByteVersionedArchive,
     versions: Vec<Vec<u8>>,
+    cacheable: BTreeSet<usize>,
 }
 
 /// The model of one node: liveness and failure epoch.
@@ -256,8 +275,11 @@ pub struct Sim {
     clock: VirtualClock,
     /// Revivals scheduled by [`Op::FailFor`], as `(group, node)`.
     due: EventQueue<(usize, usize)>,
-    expected_retrievals: u64,
-    drained_retrievals: u64,
+    /// The model's account of the I/O counters since construction, drained
+    /// epochs included.
+    expected: IoMetrics,
+    /// The I/O counters every [`Op::ResetMetrics`] drained.
+    drained: IoMetrics,
     steps: u64,
 }
 
@@ -280,14 +302,9 @@ impl Sim {
     /// shards) — simulations are tests, and a bad setup should fail loudly
     /// at construction.
     pub fn new(options: SimOptions, hook_rng: SimRng) -> Self {
-        let config = ArchiveConfig::new(
-            options.n,
-            options.k,
-            GeneratorForm::NonSystematic,
-            options.encoding,
-        )
-        .expect("sim: invalid archive config")
-        .with_checkpoints(CheckpointPolicy::every(options.checkpoint_spacing));
+        let config = ArchiveConfig::new(options.n, options.k, options.form, options.encoding)
+            .expect("sim: invalid archive config")
+            .with_checkpoints(CheckpointPolicy::every(options.checkpoint_spacing));
         let cluster = SecCluster::with_placement(
             config,
             options.shards,
@@ -304,6 +321,7 @@ impl Sim {
                 archive: ByteVersionedArchive::new(config)
                     .expect("sim: reference archive construction failed"),
                 versions: Vec::new(),
+                cacheable: BTreeSet::new(),
             })
             .collect();
         let groups = match options.placement {
@@ -319,8 +337,8 @@ impl Sim {
             groups,
             clock: VirtualClock::new(),
             due: EventQueue::new(),
-            expected_retrievals: 0,
-            drained_retrievals: 0,
+            expected: IoMetrics::new(),
+            drained: IoMetrics::new(),
             steps: 0,
         }
     }
@@ -476,7 +494,7 @@ impl Sim {
             Op::Repair { group, node, window } => self.do_repair(*group, *node, window),
             Op::ResetMetrics => {
                 let m = self.cluster.reset_metrics();
-                self.drained_retrievals += m.io.retrievals;
+                self.drained.absorb(&m.io);
             }
             Op::ResetCache { object } => self.do_reset_cache(*object),
             Op::CheckMetrics => self.check_metrics(),
@@ -522,6 +540,15 @@ impl Sim {
                 .unwrap_or_else(|e| panic!("step {step}: reference archive append failed: {e}"));
         });
         model.versions.push(bytes);
+        let version = model.versions.len();
+        if self.options.cache_capacity > 0 {
+            model.cacheable.insert(version);
+        }
+        // An append writes every block of the entry it stores, and Reversed
+        // SEC also rewrites its previous full copy as a delta.
+        let reversed = self.options.encoding == EncodingStrategy::ReversedSec;
+        let entries_written = 1 + usize::from(reversed && version > 1);
+        self.expected.symbol_writes += (self.options.n * entries_written) as u64;
         let want = reference::expected_layout(model.archive.config(), &model.versions);
         let got = &model.archive;
         assert_eq!(
@@ -556,115 +583,177 @@ impl Sim {
     }
 
     fn do_get(&mut self, object: usize, version: usize) {
-        self.expected_retrievals += 1;
+        self.expected.retrievals += 1;
         let step = self.steps;
         let got = self.cluster.get_version(id(object), version);
-        let want =
-            reference::read_version(&self.object(object).archive, version, self.model_live(object))
-                .map_err(StoreError::from);
+        let model = self.object(object);
+        let anchors = self.anchors(object, |a| match self.options.encoding {
+            EncodingStrategy::ReversedSec => a >= version,
+            EncodingStrategy::NonDifferential => a == version,
+            EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => a <= version,
+        });
         let what = format!("object {object} get_version({version})");
         self.check_read(
             &what,
             got.as_ref()
                 .map(|got| (got.data.as_slice(), got.io_reads, got.cached)),
-            want.as_ref().map(|want| (want.data.as_slice(), want.io_reads)),
+            &anchors,
+            |anchor| {
+                let anchor = anchor.map(|a| (a, model.versions[a - 1].as_slice()));
+                reference::read_version(&model.archive, version, anchor, self.model_live(object))
+                    .map(|want| (want.data, want.io_reads))
+            },
         );
-        if let Ok(got) = got {
-            assert_eq!(
-                Some(got.data.as_slice()),
-                self.model_version(object, version),
-                "step {step}: {what} bytes diverged from model"
+        let Ok(got) = got else {
+            self.resync_io();
+            return;
+        };
+        assert_eq!(
+            Some(got.data.as_slice()),
+            self.model_version(object, version),
+            "step {step}: {what} bytes diverged from model"
+        );
+        self.expected.symbol_reads += got.io_reads as u64;
+        if self.options.cache_capacity > 0 {
+            // The read left `version` cached: an immediate re-read is an
+            // exact hit that reads no block.
+            self.expected.retrievals += 1;
+            let again = (self.cluster.get_version(id(object), version))
+                .unwrap_or_else(|e| panic!("step {step}: {what} re-read failed: {e}"));
+            assert!(
+                again.cached && again.io_reads == 0 && again.data == got.data,
+                "step {step}: {what} re-read was not a byte-exact cache hit ({} reads, cached {})",
+                again.io_reads,
+                again.cached
             );
+            self.cacheable_mut(object).insert(version);
         }
     }
 
     fn do_get_prefix(&mut self, object: usize, upto: usize) {
-        self.expected_retrievals += 1;
+        self.expected.retrievals += 1;
         let step = self.steps;
         let got = self.cluster.get_prefix(id(object), upto);
-        let want = reference::read_prefix(&self.object(object).archive, upto, self.model_live(object))
-            .map_err(StoreError::from);
+        let model = self.object(object);
+        // Only Reversed SEC's backward chain starts from a cached tail.
+        let anchors = match self.options.encoding {
+            EncodingStrategy::ReversedSec => self.anchors(object, |a| a >= upto),
+            _ => Vec::new(),
+        };
         let what = format!("object {object} get_prefix({upto})");
         self.check_read(
             &what,
             got.as_ref()
                 .map(|got| (got.versions.as_slice(), got.io_reads, got.cached)),
-            want.as_ref()
-                .map(|want| (want.versions.as_slice(), want.io_reads)),
+            &anchors,
+            |tail| {
+                let tail = tail.map(|a| (a, model.versions[a - 1].as_slice()));
+                reference::read_prefix(&model.archive, upto, tail, self.model_live(object))
+                    .map(|want| (want.versions, want.io_reads))
+            },
         );
-        if let Ok(prefix) = got {
-            assert_eq!(prefix.versions.len(), upto, "step {step}: {what} length");
-            for (idx, bytes) in prefix.versions.iter().enumerate() {
-                assert_eq!(
-                    Some(bytes.as_slice()),
-                    self.model_version(object, idx + 1),
-                    "step {step}: {what} bytes diverged from model at version {}",
-                    idx + 1
-                );
-            }
+        let Ok(prefix) = got else {
+            self.resync_io();
+            return;
+        };
+        assert_eq!(prefix.versions.len(), upto, "step {step}: {what} length");
+        for (idx, bytes) in prefix.versions.iter().enumerate() {
+            assert_eq!(
+                Some(bytes.as_slice()),
+                self.model_version(object, idx + 1),
+                "step {step}: {what} bytes diverged from model at version {}",
+                idx + 1
+            );
+        }
+        self.expected.symbol_reads += prefix.io_reads as u64;
+    }
+
+    /// The versions `object`'s cache could hold that `usable` admits as a
+    /// read's anchor, nearest the read's target first.
+    fn anchors(&self, object: usize, usable: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut anchors: Vec<usize> = (self.object(object).cacheable.iter().copied())
+            .filter(|&a| usable(a))
+            .collect();
+        if self.options.encoding != EncodingStrategy::ReversedSec {
+            anchors.reverse();
+        }
+        anchors
+    }
+
+    fn cacheable_mut(&mut self, object: usize) -> &mut BTreeSet<usize> {
+        let step = self.steps;
+        match self.objects.get_mut(object) {
+            Some(model) => &mut model.cacheable,
+            None => panic!("step {step}: unknown object index {object}"),
         }
     }
 
-    /// Checks one read, `what`, against the reference: the cluster's answer
-    /// is `(bytes, block reads, cached)`, the reference's `(bytes, block
-    /// reads)`.
-    fn check_read<T: PartialEq + std::fmt::Debug>(
+    /// Checks one read, `what`, against the reference. The cluster's answer
+    /// is `(bytes, block reads, cached)`; `want(anchor)` is the reference's
+    /// `(bytes, block reads)` read from scratch (`None`) or from one of
+    /// `anchors`, the versions the cluster could hold cached.
+    ///
+    /// An uncached answer must be the reference's from scratch, a cached one
+    /// the reference's from one anchor, reads included (unless faults are
+    /// injected). A failure must be the reference's from scratch or from one
+    /// anchor, error for error; with faults injected the cluster may also
+    /// fail, as `Unrecoverable`, a read the reference serves.
+    fn check_read<G, W>(
         &self,
         what: &str,
-        got: Result<(T, usize, bool), &ClusterError>,
-        want: Result<(T, usize), &StoreError>,
-    ) {
+        got: Result<(G, usize, bool), &ClusterError>,
+        anchors: &[usize],
+        want: impl Fn(Option<usize>) -> Result<(W, usize), VersioningError>,
+    ) where
+        G: PartialEq<W> + std::fmt::Debug,
+        W: std::fmt::Debug,
+    {
         let step = self.steps;
         let got = got.map_err(|e| match e {
             ClusterError::Engine(e) => e,
             other => panic!("step {step}: {what} failed with non-engine error {other}"),
         });
-        match (got, want) {
-            (Ok((got, got_reads, cached)), Ok((want, want_reads))) => {
-                assert_eq!(got, want, "step {step}: {what} bytes diverged from the reference");
-                if self.options.is_strict() {
-                    assert_eq!(
-                        got_reads, want_reads,
-                        "step {step}: {what} I/O accounting diverged from the reference"
-                    );
-                    assert!(!cached, "step {step}: {what} cache hit with caching disabled");
-                }
-            }
-            (Err(got_err), Err(want_err)) => {
-                if self.options.cache_capacity == 0 {
-                    assert_eq!(
-                        got_err, want_err,
-                        "step {step}: {what} failed on both sides with different errors"
-                    );
-                } else {
-                    // A walk anchored on a cached version can fail at a
-                    // different entry than the reference's from-scratch read;
-                    // the error kind must agree.
-                    assert_eq!(
-                        std::mem::discriminant(got_err),
-                        std::mem::discriminant(want_err),
-                        "step {step}: {what} failed on both sides with different error kinds \
-                         ({got_err} vs {want_err})"
+        let faulty = self.options.faulty();
+        let want = |anchor| want(anchor).map_err(StoreError::from);
+        match got {
+            Ok((got, got_reads, false)) => match want(None) {
+                Ok((want, want_reads)) => {
+                    assert_eq!(got, want, "step {step}: {what} bytes diverged from the reference");
+                    assert!(
+                        faulty || got_reads == want_reads,
+                        "step {step}: {what} I/O accounting diverged from the reference \
+                         ({got_reads} vs {want_reads} reads)"
                     );
                 }
-            }
-            (Ok((_, _, cached)), Err(want_err)) => {
-                // A cached anchor legitimately serves a read the cache-free
-                // reference cannot reach past the current failures; anything
-                // else is divergence. The caller checks the bytes against
-                // the model.
-                assert!(
-                    cached,
+                Err(want_err) => panic!(
                     "step {step}: cluster served {what} uncached but the reference fails with {want_err}"
+                ),
+            },
+            Ok((got, got_reads, true)) => {
+                assert!(
+                    self.options.cache_capacity > 0,
+                    "step {step}: {what} cache hit with caching disabled"
+                );
+                let served = anchors.iter().any(|&anchor| {
+                    want(Some(anchor)).is_ok_and(|(want, want_reads)| {
+                        got == want && (faulty || want_reads == got_reads)
+                    })
+                });
+                assert!(
+                    served,
+                    "step {step}: cluster served {what} cached in {got_reads} reads, which the \
+                     reference reads from none of the versions it could hold ({anchors:?})"
                 );
             }
-            (Err(got_err), Ok(_)) => {
-                // With read faults or torn rebuilds armed the cluster may
-                // fail a read the fault-free reference serves; without them
-                // this is divergence.
+            Err(got_err) => {
+                let same = |anchor| want(anchor).err().as_ref() == Some(got_err);
+                if same(None) || anchors.iter().any(|&anchor| same(Some(anchor))) {
+                    return;
+                }
                 assert!(
-                    !self.options.is_strict(),
-                    "step {step}: reference serves {what} but the cluster fails with {got_err}"
+                    faulty,
+                    "step {step}: {what} fails with {got_err}, which the reference fails with \
+                     from none of no anchor and {anchors:?}"
                 );
                 assert!(
                     matches!(got_err, StoreError::Unrecoverable { .. }),
@@ -678,10 +767,13 @@ impl Sim {
         let step = self.steps;
         let model = self.object(object);
         match self.cluster.clear_cache(id(object)) {
-            Ok(()) => assert!(
-                !model.versions.is_empty(),
-                "step {step}: clear_cache(object {object}) succeeded before any append"
-            ),
+            Ok(()) => {
+                assert!(
+                    !model.versions.is_empty(),
+                    "step {step}: clear_cache(object {object}) succeeded before any append"
+                );
+                self.cacheable_mut(object).clear();
+            }
             Err(ClusterError::UnknownObject { .. }) => assert!(
                 model.versions.is_empty(),
                 "step {step}: clear_cache(object {object}) lost a known object"
@@ -771,7 +863,7 @@ impl Sim {
                     self.hook.queue_window_action(move || {
                         let outcome = cluster
                             .get_version(id(object), version)
-                            .map(|r| (*r.data).clone());
+                            .map(|r| ((*r.data).clone(), r.io_reads));
                         records.borrow_mut().push(WindowRecord::Get {
                             object,
                             version,
@@ -792,6 +884,7 @@ impl Sim {
         // Linearize the executed window actions into the model (they all
         // happened before the repair's liveness commit).
         let mut window_touched_liveness = false;
+        let mut window_read_failed = false;
         for record in records.take() {
             match record {
                 WindowRecord::Fail(g, nd, outcome) => {
@@ -810,13 +903,19 @@ impl Sim {
                     version,
                     outcome,
                 } => {
-                    self.expected_retrievals += 1;
-                    if let Ok(bytes) = outcome {
-                        assert_eq!(
-                            Some(bytes.as_slice()),
-                            self.model_version(object, version),
-                            "step {step}: window get(object {object}, {version}) diverged from model"
-                        );
+                    self.expected.retrievals += 1;
+                    let Ok((bytes, reads)) = outcome else {
+                        window_read_failed = true;
+                        continue;
+                    };
+                    assert_eq!(
+                        Some(bytes.as_slice()),
+                        self.model_version(object, version),
+                        "step {step}: window get(object {object}, {version}) diverged from model"
+                    );
+                    self.expected.symbol_reads += reads as u64;
+                    if self.options.cache_capacity > 0 {
+                        self.cacheable_mut(object).insert(version);
                     }
                 }
             }
@@ -824,7 +923,7 @@ impl Sim {
 
         let raced = self.epoch(group, node) != snapshot_epoch;
         match result {
-            Ok(_) => {
+            Ok(rebuilt) => {
                 // A repair must never revive a node whose newest failure its
                 // rebuild did not see.
                 assert!(
@@ -834,6 +933,9 @@ impl Sim {
                     self.epoch(group, node)
                 );
                 self.model_revive(group, node);
+                // Each rebuilt block decoded from `k` sources.
+                self.expected.symbol_reads += (self.options.k * rebuilt) as u64;
+                self.expected.symbol_writes += rebuilt as u64;
             }
             Err(ClusterError::Engine(StoreError::RepairRaced { node: raced_node })) => {
                 assert_eq!(raced_node, node, "step {step}: RepairRaced names the wrong node");
@@ -848,7 +950,7 @@ impl Sim {
                 // Legitimate when too few live sources remain. In a strict
                 // run whose window never revived nodes, liveness only
                 // shrank, so the model must agree the rebuild is blocked.
-                if self.options.is_strict() && !window_touched_liveness {
+                if !self.options.faulty() && !window_touched_liveness {
                     assert!(
                         self.model_repair_blocked(group, node),
                         "step {step}: repair ({group}, {node}) says unrecoverable but the model \
@@ -860,6 +962,19 @@ impl Sim {
         }
         // Either way the cluster's visible liveness must match the model.
         self.assert_liveness();
+        if result.is_err() || window_read_failed {
+            self.resync_io();
+        }
+    }
+
+    /// Takes the cluster's block counters as the model's account after an
+    /// operation whose block I/O the model does not predict: a failed read
+    /// (the walk reads the entries planned before the one that fails) or a
+    /// failed repair (which may fail after rebuilding some blocks).
+    fn resync_io(&mut self) {
+        let io = self.cluster.metrics_snapshot().io;
+        self.expected.symbol_reads = io.symbol_reads + self.drained.symbol_reads;
+        self.expected.symbol_writes = io.symbol_writes + self.drained.symbol_writes;
     }
 
     fn assert_liveness(&self) {
@@ -888,14 +1003,50 @@ impl Sim {
         let nodes: usize = self.groups.iter().map(Vec::len).sum();
         let live = self.groups.iter().flatten().filter(|n| n.alive).count();
         assert_eq!(m.versions, versions, "step {step}: metrics.versions diverged");
+        let checkpoints: usize = (self.objects.iter())
+            .map(|o| o.archive.checkpoints_written())
+            .sum();
+        assert_eq!(
+            m.checkpoints_written, checkpoints as u64,
+            "step {step}: metrics.checkpoints_written diverged"
+        );
         assert_eq!(m.objects, admitted, "step {step}: metrics.objects diverged");
         assert_eq!(m.nodes, nodes, "step {step}: metrics.nodes diverged");
         assert_eq!(m.live_nodes, live, "step {step}: metrics.live_nodes diverged");
+        let objects: usize = m.shards.iter().map(|shard| shard.objects).sum();
+        assert_eq!(objects, admitted, "step {step}: per-shard objects diverged");
+        let mut io = m.io;
+        io.absorb(&self.drained);
         assert_eq!(
-            m.io.retrievals + self.drained_retrievals,
-            self.expected_retrievals,
+            io.retrievals, self.expected.retrievals,
             "step {step}: retrieval accounting lost or duplicated increments across resets"
         );
+        assert_eq!(
+            io.symbol_reads, self.expected.symbol_reads,
+            "step {step}: symbol_reads diverged from the block reads reported and repaired"
+        );
+        assert_eq!(
+            io.symbol_writes, self.expected.symbol_writes,
+            "step {step}: symbol_writes diverged from n per entry written plus one per block repaired"
+        );
+        let node_reads: u64 = m.shards.iter().flat_map(|shard| &shard.node_reads).sum();
+        assert_eq!(
+            node_reads, io.symbol_reads,
+            "step {step}: per-node reads diverged from symbol_reads"
+        );
+        if self.options.read_fault_percent == 0 {
+            assert_eq!(
+                io.failed_reads, 0,
+                "step {step}: a block read failed without injected faults"
+            );
+        }
+        if self.options.cache_capacity == 0 {
+            assert_eq!(
+                m.cache,
+                CacheStats::default(),
+                "step {step}: a disabled cache kept books"
+            );
+        }
         self.assert_liveness();
     }
 }

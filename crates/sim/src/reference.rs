@@ -16,7 +16,8 @@
 //!   planned blocks, decode them into a fresh buffer and XOR the result
 //!   into the answer. A `γ = 0` delta is known without a read and is
 //!   skipped; the first entry no plan can read is
-//!   [`VersioningError::Unrecoverable`].
+//!   [`VersioningError::Unrecoverable`]. Given an anchor — a decoded
+//!   version, as a cache holds one — they read only the chain past it.
 //!
 //! The [`ByteVersionedArchive`] is used only as a block store: its
 //! [`stored_entries`](ByteVersionedArchive::stored_entries), codec and
@@ -103,14 +104,26 @@ pub fn expected_layout<V: AsRef<[u8]>>(config: ArchiveConfig, versions: &[V]) ->
 /// Reads version `l` (1-based) of `archive`, reading block `position` of
 /// stored entry `entry` only where `live(entry, position)` holds.
 ///
+/// `anchor` is a decoded version `(a, x_a)` the read may start from, as a
+/// cached version starts a cached read: at or below `l` for Basic, Optimized
+/// and NonDifferential, at or above it for Reversed. The read then reads
+/// only the chain past it — the entries producing versions above `a`
+/// (below it for Reversed) — and starts from `x_a` unless that chain still
+/// holds a full version, which it then starts from instead.
+///
 /// # Errors
 ///
 /// [`VersioningError::EmptyArchive`] and [`VersioningError::NoSuchVersion`]
 /// for a bad `l`, [`VersioningError::Unrecoverable`] for the first entry of
 /// the chain that no plan can read, and a code error if a decode fails.
+///
+/// # Panics
+///
+/// If `anchor` lies on the wrong side of `l`.
 pub fn read_version<L>(
     archive: &ByteVersionedArchive,
     l: usize,
+    anchor: Option<(usize, &[u8])>,
     live: L,
 ) -> Result<ByteVersionRetrieval, VersioningError>
 where
@@ -119,7 +132,7 @@ where
     check_version(archive, l)?;
     let entries = archive.stored_entries();
     let chain = version_chain(archive, &entries, l);
-    let mut answer = zeroed(archive);
+    let (chain, mut answer) = start(archive, &entries, chain, l, anchor);
     let mut io_reads = 0;
     for &idx in &chain {
         if let Some((decoded, reads)) = read_entry(archive, &entries, idx, &live)? {
@@ -141,12 +154,22 @@ where
 /// in order, a full restarting the answer; Reversed SEC reads the chain to
 /// version 1, producing the versions newest first.
 ///
+/// `tail` is Reversed SEC's anchor, as for [`read_version`]: a decoded
+/// version at or above `l` the chain to version 1 may start from. Every
+/// version of a forward prefix is an output, so no anchor spares a forward
+/// read and `tail` must be `None` there.
+///
 /// # Errors
 ///
 /// As for [`read_version`].
+///
+/// # Panics
+///
+/// If `tail` is given for a forward strategy or lies below `l`.
 pub fn read_prefix<L>(
     archive: &ByteVersionedArchive,
     l: usize,
+    tail: Option<(usize, &[u8])>,
     live: L,
 ) -> Result<BytePrefixRetrieval, VersioningError>
 where
@@ -155,6 +178,10 @@ where
     check_version(archive, l)?;
     let entries = archive.stored_entries();
     let reversed = archive.config().strategy() == EncodingStrategy::ReversedSec;
+    assert!(
+        reversed || tail.is_none(),
+        "a forward prefix reads from no anchor"
+    );
     // Forward, the entry storing each version: its full copy or its delta.
     let stored = |v| {
         full_of(&entries, v)
@@ -166,8 +193,12 @@ where
     } else {
         (1..=l).map(stored).collect()
     };
-    let mut answer = zeroed(archive);
+    let (chain, mut answer) = start(archive, &entries, chain, l, tail);
+    let object_len = archive.object_len().unwrap_or(0);
     let mut versions = Vec::new();
+    if let Some((a, _)) = tail.filter(|&(a, _)| a == l) {
+        versions.push((a, answer.join(object_len)));
+    }
     let mut io_reads = 0;
     for &idx in &chain {
         let payload = entries[idx].payload;
@@ -178,15 +209,9 @@ where
             }
             io_reads += reads;
         }
-        // After a full `x_v` or a forward delta `z_v` the answer is `x_v`;
-        // after un-applying `z_v` it is `x_{v-1}`.
-        let held = match payload {
-            StoredPayload::FullVersion { version } => version,
-            StoredPayload::Delta { to, .. } if reversed => to - 1,
-            StoredPayload::Delta { to, .. } => to,
-        };
+        let held = held(payload, reversed);
         if held <= l {
-            versions.push((held, answer.join(archive.object_len().unwrap_or(0))));
+            versions.push((held, answer.join(object_len)));
         }
     }
     versions.sort_by_key(|&(version, _)| version);
@@ -195,6 +220,55 @@ where
         io_reads,
         entries_read: chain.len(),
     })
+}
+
+/// The version the answer holds after applying an entry storing `payload`:
+/// `x_v` after a full `x_v` or a forward delta `z_v`, `x_{v-1}` after
+/// un-applying Reversed SEC's `z_v`.
+fn held(payload: StoredPayload, reversed: bool) -> usize {
+    match payload {
+        StoredPayload::FullVersion { version } => version,
+        StoredPayload::Delta { to, .. } if reversed => to - 1,
+        StoredPayload::Delta { to, .. } => to,
+    }
+}
+
+/// Where a read of `chain` toward version `l` starts: the whole chain from
+/// an all-zero answer, or, from `anchor` `(a, x_a)`, only the entries that
+/// produce versions past `a` — above it, or below it for Reversed SEC —
+/// starting from `x_a` unless one of them is a full version.
+fn start(
+    archive: &ByteVersionedArchive,
+    entries: &[&ByteEncodedEntry],
+    chain: Vec<usize>,
+    l: usize,
+    anchor: Option<(usize, &[u8])>,
+) -> (Vec<usize>, ByteShards) {
+    let Some((a, bytes)) = anchor else {
+        return (chain, zeroed(archive));
+    };
+    let reversed = archive.config().strategy() == EncodingStrategy::ReversedSec;
+    assert!(
+        if reversed { a >= l } else { a <= l },
+        "an anchor at version {a} cannot start a read of version {l}"
+    );
+    let past = |idx: &usize| {
+        let held = held(entries[*idx].payload, reversed);
+        if reversed {
+            held < a
+        } else {
+            held > a
+        }
+    };
+    let chain: Vec<usize> = chain.into_iter().filter(past).collect();
+    let restarts =
+        (chain.iter()).any(|&idx| matches!(entries[idx].payload, StoredPayload::FullVersion { .. }));
+    let answer = if restarts {
+        zeroed(archive)
+    } else {
+        ByteShards::from_flat(bytes, archive.config().params().k)
+    };
+    (chain, answer)
 }
 
 /// The stored entries a read of version `l` touches, in walk order, found

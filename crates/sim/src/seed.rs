@@ -1,9 +1,10 @@
 //! Seed resolution and replay.
 //!
 //! Every simulation run is a pure function of one `u64` seed. This module
-//! owns the two ends of that contract: picking a fresh seed (and announcing
-//! it) for exploratory runs, and honouring `SEC_SIM_SEED` to replay a
-//! specific schedule bit-identically.
+//! owns the two ends of that contract: naming a fixed seed for each test
+//! (and announcing it), and honouring `SEC_SIM_SEED` to replay a specific
+//! schedule bit-identically. No test draws entropy: only `sim-sweep` without
+//! `--root` does, to explore seeds no test has walked.
 //!
 //! Replay workflow: any failing run prints a line of the form
 //! `SEC_SIM_SEED=0x…`; exporting that variable and re-running the same test
@@ -40,7 +41,7 @@ pub fn from_env() -> Option<u64> {
     }
 }
 
-/// A fresh entropy-derived seed for exploratory runs. Uses the standard
+/// A fresh entropy-derived seed for `sim-sweep`'s exploration. Uses the standard
 /// library's per-process `RandomState` entropy (the crate has no external
 /// dependencies), mixed per call so successive calls differ.
 pub fn entropy() -> u64 {
@@ -59,18 +60,20 @@ pub fn from_label(label: &str) -> u64 {
 }
 
 /// Resolves the seed for a named simulation: the pinned [`SEED_ENV`] value
-/// when set, a fresh entropy seed otherwise. Either way the seed is printed
-/// to stderr (cargo shows captured output only for failing tests, so a
-/// passing run stays quiet and a failing one always carries its seed).
+/// when set, the label's fixed seed ([`from_label`]) otherwise, so every run
+/// of a test replays the same seed. Either way the seed is printed to stderr
+/// (cargo shows captured output only for failing tests, so a passing run
+/// stays quiet and a failing one always carries its seed), on a line of its
+/// own: under `--nocapture` libtest's progress dots share the stream.
 pub fn resolve(label: &str) -> u64 {
     match from_env() {
         Some(seed) => {
-            eprintln!("sec-sim[{label}]: replaying pinned {SEED_ENV}={seed:#018x}");
+            eprintln!("\nsec-sim[{label}]: replaying pinned {SEED_ENV}={seed:#018x}");
             seed
         }
         None => {
-            let seed = entropy();
-            eprintln!("sec-sim[{label}]: {SEED_ENV}={seed:#018x} (export to replay this run)");
+            let seed = from_label(label);
+            eprintln!("\nsec-sim[{label}]: {SEED_ENV}={seed:#018x} (the label's seed)");
             seed
         }
     }
@@ -98,6 +101,13 @@ mod tests {
         assert_eq!(from_label(""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(from_label("logs"), 14_846_069_637_550_713_894);
         assert_ne!(from_label("walk-a"), from_label("walk-b"));
+    }
+
+    #[test]
+    fn unpinned_seeds_are_the_labels() {
+        if from_env().is_none() {
+            assert_eq!(resolve("seed-test"), from_label("seed-test"));
+        }
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! concurrently failed, appended to, revived and repaired — even while an
 //! entire other shard is down.
 //!
-//! This is the threaded counterpart of the `cluster_equivalence` proptest:
-//! equivalence shows sharding is unobservable per object; this suite shows
+//! This is the threaded counterpart of the cluster simulations
+//! (`sim_cluster.rs`): those show sharding is unobservable per object,
+//! checked step by step against the walk-free reference; this suite shows
 //! the *isolation* claim holds under concurrency (readers and chaos touch
-//! distinct shards and never block or corrupt each other).
+//! distinct shards and never block or corrupt each other). Expected bytes
+//! and read counts come from [`sec_sim::reference`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use sec_engine::{ClusterError, ObjectId, SecCluster};
 use sec_erasure::GeneratorForm;
-use sec_sim::SimRng;
+use sec_sim::{reference, SimRng};
 use sec_store::StoreError;
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
@@ -26,6 +28,13 @@ const READERS: usize = 6;
 
 fn config() -> ArchiveConfig {
     ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap()
+}
+
+/// The suite's seed, resolved once (so announced once) for all its tests:
+/// the label's own, or the `SEC_SIM_SEED` pinned to replay another.
+fn suite_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| sec_sim::seed::resolve("cluster-chaos"))
 }
 
 /// Eight versions of a 90-byte object with a mixed sparsity profile (two
@@ -50,6 +59,13 @@ fn versions(seed: u64, salt: u8) -> Vec<Vec<u8>> {
     out
 }
 
+/// An archive holding `versions`, the reference's block store.
+fn archive(versions: &[Vec<u8>]) -> ByteVersionedArchive {
+    let mut archive = ByteVersionedArchive::new(config()).unwrap();
+    archive.append_all(versions).unwrap();
+    archive
+}
+
 /// Finds an id (probing a salt) that routes to `shard`.
 fn id_on_shard(cluster: &SecCluster, shard: usize, mut salt: u64) -> ObjectId {
     loop {
@@ -63,7 +79,7 @@ fn id_on_shard(cluster: &SecCluster, shard: usize, mut salt: u64) -> ObjectId {
 
 #[test]
 fn readers_on_quiet_shards_stay_exact_while_other_shards_burn() {
-    let seed = sec_sim::seed::resolve("cluster-chaos");
+    let seed = suite_seed();
     let cluster = Arc::new(SecCluster::new(config(), SHARDS).unwrap());
 
     // Two reader objects on shards 0 and 1, two chaos objects on shards 2
@@ -78,18 +94,17 @@ fn readers_on_quiet_shards_stay_exact_while_other_shards_burn() {
         cluster.append_all(id, &versions(seed, 0x80 + i as u8)).unwrap();
     }
 
-    // Single-threaded references for the quiet objects: bytes AND exact
-    // block-read counts must hold throughout the chaos.
+    // The reference's reads of the quiet objects: bytes AND exact block-read
+    // counts must hold throughout the chaos.
     type VersionExpectations = Vec<(Vec<u8>, usize)>;
     let expected: Vec<(ObjectId, VersionExpectations)> = quiet
         .iter()
         .enumerate()
         .map(|(i, &id)| {
-            let mut reference = ByteVersionedArchive::new(config()).unwrap();
-            reference.append_all(&versions(seed, i as u8)).unwrap();
-            let per_version = (1..=reference.len())
+            let archive = archive(&versions(seed, i as u8));
+            let per_version = (1..=archive.len())
                 .map(|l| {
-                    let r = reference.retrieve_version(l).unwrap();
+                    let r = reference::read_version(&archive, l, None, |_, _| true).unwrap();
                     (r.data, r.io_reads)
                 })
                 .collect();
@@ -191,7 +206,7 @@ fn readers_on_quiet_shards_stay_exact_while_other_shards_burn() {
 fn concurrent_appenders_on_distinct_objects_do_not_interleave_sequences() {
     // Many threads append to their own objects through the shared router;
     // per-object sequences must come out exactly as if appended alone.
-    let seed = sec_sim::seed::resolve("cluster-chaos-appenders");
+    let seed = suite_seed();
     let cluster = Arc::new(SecCluster::new(config(), SHARDS).unwrap());
     let writers: Vec<_> = (0..8u64)
         .map(|t| {
@@ -217,12 +232,8 @@ fn concurrent_appenders_on_distinct_objects_do_not_interleave_sequences() {
             got.versions, vs,
             "object {t}: sequence corrupted by concurrent appends"
         );
-        // And the read accounting matches a solo reference archive.
-        let mut reference = ByteVersionedArchive::new(config()).unwrap();
-        reference.append_all(&vs).unwrap();
-        assert_eq!(
-            got.io_reads,
-            reference.retrieve_prefix(vs.len()).unwrap().io_reads
-        );
+        // And the read accounting matches the reference's.
+        let want = reference::read_prefix(&archive(&vs), vs.len(), None, |_, _| true).unwrap();
+        assert_eq!(got.io_reads, want.io_reads);
     }
 }

@@ -1,26 +1,28 @@
 //! The threaded stress suite: a [`SecEngine`] must serve many concurrent
 //! readers with results and symbol-read counts *identical* to the
-//! single-threaded references, across every survivable failure pattern.
+//! walk-free reference's, across every survivable failure pattern.
 //!
-//! The reference is [`ByteVersionedArchive`]: its all-nodes-alive read
-//! counts are eqs. 3–4 of the paper lifted to blocks, and read from the live
-//! positions of a failure pattern (colocated: position `i` is node `i`) it
-//! gives the failure-aware counts.
+//! The reference is [`sec_sim::reference`], reading a
+//! [`ByteVersionedArchive`] of the same versions as a block store: read from
+//! every position its counts are eqs. 3–4 of the paper lifted to blocks, and
+//! read from the live positions of a failure pattern (colocated: position
+//! `i` is node `i`) it gives the failure-aware counts.
 //!
 //! Reads are deterministic given the live set, so even the aggregate
 //! counters must come out exact: N threads each replaying the reference
 //! workload must account exactly N × the reference's block reads.
 //!
-//! The byte workload is drawn from a suite seed (`sec_sim::seed::resolve`),
-//! so every run prints a `SEC_SIM_SEED=…` line — captured by cargo and shown
-//! only on failure — that replays the exact version profile bit-identically.
+//! The byte workload is drawn from the suite's label seed
+//! (`sec_sim::seed::resolve`), the same on every run; the printed
+//! `SEC_SIM_SEED=…` line names it, and exporting another seed runs that
+//! seed's version profile instead.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
-use sec_sim::SimRng;
+use sec_sim::{reference, SimRng};
 use sec_store::failure::enumerate_patterns;
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
@@ -30,6 +32,13 @@ const READERS: usize = 8;
 
 fn config(strategy: EncodingStrategy) -> ArchiveConfig {
     ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, strategy).unwrap()
+}
+
+/// The suite's seed, resolved once (so announced once) for all its tests:
+/// the label's own, or the `SEC_SIM_SEED` pinned to replay another.
+fn suite_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| sec_sim::seed::resolve("engine-concurrency"))
 }
 
 /// Eight versions of a 90-byte object (30-byte blocks) with a mixed
@@ -60,6 +69,22 @@ fn versions(seed: u64) -> Vec<Vec<u8>> {
 struct Expected {
     data: Vec<u8>,
     io_reads: usize,
+}
+
+/// The reference's read of every version of `archive` from the positions
+/// `live` admits.
+fn expected(
+    archive: &ByteVersionedArchive,
+    live: impl Fn(usize, usize) -> bool + Copy,
+) -> Arc<Vec<Expected>> {
+    let expected = (1..=archive.len()).map(|l| {
+        let r = reference::read_version(archive, l, None, live).unwrap();
+        Expected {
+            data: r.data,
+            io_reads: r.io_reads,
+        }
+    });
+    Arc::new(expected.collect())
 }
 
 /// Spawns `READERS` threads, each retrieving every version `rounds` times,
@@ -96,7 +121,7 @@ fn hammer(engine: &Arc<SecEngine>, expected: &Arc<Vec<Expected>>, rounds: usize)
 
 #[test]
 fn eight_readers_match_the_archive_reference_bit_for_bit() {
-    let seed = sec_sim::seed::resolve("engine-concurrency");
+    let seed = suite_seed();
     for strategy in [
         EncodingStrategy::BasicSec,
         EncodingStrategy::OptimizedSec,
@@ -104,19 +129,9 @@ fn eight_readers_match_the_archive_reference_bit_for_bit() {
         EncodingStrategy::NonDifferential,
     ] {
         let vs = versions(seed);
-        let mut reference = ByteVersionedArchive::new(config(strategy)).unwrap();
-        reference.append_all(&vs).unwrap();
-        let expected: Arc<Vec<Expected>> = Arc::new(
-            (1..=vs.len())
-                .map(|l| {
-                    let r = reference.retrieve_version(l).unwrap();
-                    Expected {
-                        data: r.data,
-                        io_reads: r.io_reads,
-                    }
-                })
-                .collect(),
-        );
+        let mut archive = ByteVersionedArchive::new(config(strategy)).unwrap();
+        archive.append_all(&vs).unwrap();
+        let expected = expected(&archive, |_, _| true);
 
         let engine = SecEngine::new(config(strategy)).unwrap();
         engine.append_all(&vs).unwrap();
@@ -151,15 +166,15 @@ fn eight_readers_match_the_archive_reference_bit_for_bit() {
 
 #[test]
 fn eight_readers_under_every_survivable_failure_pattern() {
-    let vs = versions(sec_sim::seed::resolve("engine-concurrency-patterns"));
+    let vs = versions(suite_seed());
     // The systematic form makes the live set observable: failures cost its
     // sparse deltas their qualifying rows, and the reads rise to k.
     for form in [GeneratorForm::NonSystematic, GeneratorForm::Systematic] {
         let config = ArchiveConfig::new(N, K, form, EncodingStrategy::BasicSec).unwrap();
-        // Failure-aware single-threaded reference: the archive read from
-        // each pattern's live positions.
-        let mut reference = ByteVersionedArchive::new(config).unwrap();
-        reference.append_all(&vs).unwrap();
+        // Failure-aware reference: the archive's blocks read from each
+        // pattern's live positions.
+        let mut archive = ByteVersionedArchive::new(config).unwrap();
+        archive.append_all(&vs).unwrap();
 
         let engine = SecEngine::new(config).unwrap();
         engine.append_all(&vs).unwrap();
@@ -172,19 +187,7 @@ fn eight_readers_under_every_survivable_failure_pattern() {
             }
             checked += 1;
 
-            let expected: Arc<Vec<Expected>> = Arc::new(
-                (1..=vs.len())
-                    .map(|l| {
-                        let r = reference
-                            .retrieve_version_from(l, |_, position| !pattern.is_failed(position))
-                            .unwrap();
-                        Expected {
-                            data: r.data,
-                            io_reads: r.io_reads,
-                        }
-                    })
-                    .collect(),
-            );
+            let expected = expected(&archive, |_, position| !pattern.is_failed(position));
 
             engine.apply_pattern(&pattern);
             engine.reset_metrics();
@@ -212,7 +215,7 @@ fn readers_race_failures_appends_and_repairs_without_corruption() {
     // Results must always be *some* complete version image — never a torn
     // read — and every successful retrieval of version l must equal the
     // reference bytes for l.
-    let vs = versions(sec_sim::seed::resolve("engine-concurrency-races"));
+    let vs = versions(suite_seed());
     let strategy = EncodingStrategy::BasicSec;
     let engine = SecEngine::new(config(strategy)).unwrap();
     engine.append_all(&vs[..4]).unwrap();

@@ -6,10 +6,8 @@
 //! `n − k` failed nodes — and one more, where entries become unreadable.
 //! For every version:
 //!
-//! * the bytes are the version that was appended, and what the
-//!   failure-aware byte archive returns. The archive reads through the same
-//!   walk as the engine; `sec-sim`'s walk-free reference is what holds that
-//!   walk to the paper (`crates/sim/tests/reference.rs`);
+//! * the bytes are the version that was appended, and what the walk-free
+//!   reference (`sec_sim::reference`) reads from the same live positions;
 //! * the block reads equal the reference's, and on a healthy layout
 //!   `IoModel::version_reads_for_layout`;
 //! * a failure names the same entry as the reference's, and no read fails
@@ -21,11 +19,13 @@
 //!
 //! A dispersed engine, where every entry has its own node set and so its
 //! own position set under failures, is checked against the same reference.
-
-use proptest::prelude::*;
+//!
+//! Histories are drawn from each test's label seed; a failure prints the
+//! `SEC_SIM_SEED` that replays it.
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
+use sec_sim::{random_walk, reference, SimRng};
 use sec_store::{FailurePattern, Placement, PlacementStrategy, StoreError};
 use sec_versioning::{
     ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy, VersioningError,
@@ -35,23 +35,21 @@ const N: usize = 6;
 const K: usize = 3;
 const BLOCK: usize = 17;
 
-/// A history of three-block objects: a base object, then one version per
-/// entry of `edits`, each XORing a non-zero byte into `γ` distinct blocks
-/// (`γ` drawn from 0..=3, so dense, sparse and identical versions mix).
-fn history() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    let base = prop::collection::vec(0u8..=255, K * BLOCK);
-    let edits = prop::collection::vec((0usize..=K, 0usize..K, 0usize..BLOCK, 1u8..=255), 3..9);
-    (base, edits).prop_map(|(base, edits)| {
-        let mut versions = vec![base];
-        for (gamma, first_block, offset, mask) in edits {
-            let mut next = versions.last().expect("non-empty").clone();
-            for block in (0..gamma).map(|i| (first_block + i) % K) {
-                next[block * BLOCK + offset] ^= mask;
-            }
-            versions.push(next);
+/// A history of three-block objects: a random base object, then 3 to 8
+/// versions, each XORing a non-zero byte into `γ` distinct blocks (`γ` drawn
+/// from 0..=3, so dense, sparse and identical versions mix).
+fn history(rng: &mut SimRng) -> Vec<Vec<u8>> {
+    let mut versions = vec![(0..K * BLOCK).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()];
+    for _ in 0..3 + rng.gen_range(6) {
+        let mut next = versions.last().expect("non-empty").clone();
+        let (gamma, first_block) = (rng.gen_range(K + 1), rng.gen_range(K));
+        let (offset, mask) = (rng.gen_range(BLOCK), 1 + rng.gen_range(255) as u8);
+        for block in (0..gamma).map(|i| (first_block + i) % K) {
+            next[block * BLOCK + offset] ^= mask;
         }
-        versions
-    })
+        versions.push(next);
+    }
+    versions
 }
 
 fn config(form: GeneratorForm, strategy: EncodingStrategy, spacing: usize) -> ArchiveConfig {
@@ -71,12 +69,13 @@ fn patterns() -> Vec<Vec<usize>> {
 }
 
 /// Asserts the engine's retrieval of every version, and of every prefix,
-/// agrees with the reference reading only the positions `live` admits. When
+/// agrees with the reference reading `archive`'s blocks only at the positions
+/// `live` admits. When
 /// `recoverable` — every entry keeps at least `k` live positions — every
 /// read must succeed, whatever the reference does.
 fn assert_agrees(
     engine: &SecEngine,
-    reference: &ByteVersionedArchive,
+    archive: &ByteVersionedArchive,
     versions: &[Vec<u8>],
     live: impl Fn(usize, usize) -> bool + Copy,
     recoverable: bool,
@@ -84,7 +83,7 @@ fn assert_agrees(
 ) {
     for (l, expect) in (1..=versions.len()).zip(versions) {
         let got = engine.get_version(l);
-        match (got, reference.retrieve_version_from(l, live)) {
+        match (got, reference::read_version(archive, l, None, live)) {
             (Ok(got), Ok(want)) => {
                 assert_eq!(&*got.data, expect, "{case} version {l}: bytes");
                 assert_eq!(want.data, *expect, "{case} version {l}: reference bytes");
@@ -95,7 +94,10 @@ fn assert_agrees(
                 assert_same_failure(got.err(), want.err(), &format!("{case} version {l}"));
             }
         }
-        match (engine.get_prefix(l), reference.retrieve_prefix_from(l, live)) {
+        match (
+            engine.get_prefix(l),
+            reference::read_prefix(archive, l, None, live),
+        ) {
             (Ok(got), Ok(want)) => {
                 assert_eq!(got.versions, versions[..l], "{case} prefix {l}: bytes");
                 assert_eq!(want.versions, versions[..l], "{case} prefix {l}: reference bytes");
@@ -120,15 +122,13 @@ fn assert_same_failure(got: Option<StoreError>, want: Option<VersioningError>, c
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn colocated_walks_equal_the_reference_under_every_failure_pattern(
-        versions in history(),
-        spacing in 0usize..4,
-    ) {
-        let patterns = patterns();
+#[test]
+fn colocated_walks_equal_the_reference_under_every_failure_pattern() {
+    let patterns = patterns();
+    random_walk("decode-once-colocated", 8, |seed| {
+        let mut rng = SimRng::new(seed);
+        let versions = history(&mut rng);
+        let spacing = rng.gen_range(4);
         for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
             for strategy in [
                 EncodingStrategy::BasicSec,
@@ -137,25 +137,25 @@ proptest! {
             ] {
                 let config = config(form, strategy, spacing);
                 let engine = SecEngine::new(config).unwrap();
-                let mut reference = ByteVersionedArchive::new(config).unwrap();
+                let mut archive = ByteVersionedArchive::new(config).unwrap();
                 engine.append_all(&versions).unwrap();
-                reference.append_all(&versions).unwrap();
+                archive.append_all(&versions).unwrap();
 
                 // Healthy: the layout-exact model, read for read.
                 let model = config.io_model();
-                let layout = reference.layout().to_vec();
+                let layout = archive.layout().to_vec();
                 for l in 1..=versions.len() {
                     let got = engine.get_version(l).unwrap();
-                    prop_assert_eq!(
+                    assert_eq!(
                         got.io_reads,
                         model.version_reads_for_layout(strategy, &layout, l),
-                        "{} {} spacing {} version {}", form, strategy, spacing, l
+                        "{form} {strategy} spacing {spacing} version {l}"
                     );
                     let got = engine.get_prefix(l).unwrap();
-                    prop_assert_eq!(
+                    assert_eq!(
                         got.io_reads,
                         model.prefix_reads_for_layout(strategy, &layout, l),
-                        "{} {} spacing {} prefix {}", form, strategy, spacing, l
+                        "{form} {strategy} spacing {spacing} prefix {l}"
                     );
                 }
                 for failed in &patterns {
@@ -163,18 +163,20 @@ proptest! {
                     let live = |_: usize, position: usize| !failed.contains(&position);
                     let case = format!("{form} {strategy} spacing {spacing} failed {failed:?}");
                     let recoverable = failed.len() <= N - K;
-                    assert_agrees(&engine, &reference, &versions, live, recoverable, &case);
+                    assert_agrees(&engine, &archive, &versions, live, recoverable, &case);
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn dispersed_walks_decode_once_per_position_set(
-        versions in history(),
-        spacing in 0usize..4,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn dispersed_walks_decode_once_per_position_set() {
+    random_walk("decode-once-dispersed", 8, |seed| {
+        let mut rng = SimRng::new(seed);
+        let versions = history(&mut rng);
+        let spacing = rng.gen_range(4);
+        let bits = rng.next_u64();
         for form in [GeneratorForm::Systematic, GeneratorForm::NonSystematic] {
             for strategy in [
                 EncodingStrategy::BasicSec,
@@ -182,17 +184,16 @@ proptest! {
                 EncodingStrategy::ReversedSec,
             ] {
                 let config = config(form, strategy, spacing);
-                let engine =
-                    SecEngine::with_placement(config, PlacementStrategy::Dispersed, 0).unwrap();
-                let mut reference = ByteVersionedArchive::new(config).unwrap();
+                let engine = SecEngine::with_placement(config, PlacementStrategy::Dispersed, 0).unwrap();
+                let mut archive = ByteVersionedArchive::new(config).unwrap();
                 engine.append_all(&versions).unwrap();
-                reference.append_all(&versions).unwrap();
+                archive.append_all(&versions).unwrap();
                 // Up to n − k failures per entry, a different set on each
                 // entry's own nodes.
-                let entries = reference.layout().len();
+                let entries = archive.layout().len();
                 let failed: Vec<usize> = (0..entries)
                     .flat_map(|entry| {
-                        let bits = seed.rotate_left(7 * entry as u32);
+                        let bits = bits.rotate_left(7 * entry as u32);
                         (0..N)
                             .filter(move |&position| bits >> position & 1 == 1)
                             .take(N - K)
@@ -207,8 +208,8 @@ proptest! {
                         .is_ok_and(|node| !failed.contains(&node))
                 };
                 let case = format!("dispersed {form} {strategy} spacing {spacing} failed {failed:?}");
-                assert_agrees(&engine, &reference, &versions, live, true, &case);
+                assert_agrees(&engine, &archive, &versions, live, true, &case);
             }
         }
-    }
+    });
 }

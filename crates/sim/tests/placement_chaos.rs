@@ -2,15 +2,17 @@
 //! must degrade **only the entry it hosts**. Readers of every other version
 //! stay bit-exact in data *and* in read cost — even while the doomed entry's
 //! nodes are failed and revived under them and an appender grows the slab
-//! directory concurrently.
+//! directory concurrently. Expected bytes and read counts come from
+//! [`sec_sim::reference`]; the single-threaded entry-by-entry degradation
+//! is `sim_placement.rs`'s `failing_one_entry_degrades_only_the_versions_that_need_it`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sec_engine::SecEngine;
 use sec_erasure::GeneratorForm;
-use sec_sim::SimRng;
-use sec_store::{PlacementStrategy, StoreError};
+use sec_sim::{reference, SimRng};
+use sec_store::PlacementStrategy;
 use sec_versioning::{ArchiveConfig, ByteVersionedArchive, EncodingStrategy};
 
 const N: usize = 6;
@@ -18,6 +20,13 @@ const K: usize = 3;
 
 fn config(strategy: EncodingStrategy) -> ArchiveConfig {
     ArchiveConfig::new(N, K, GeneratorForm::NonSystematic, strategy).unwrap()
+}
+
+/// The suite's seed, resolved once (so announced once) for all its tests:
+/// the label's own, or the `SEC_SIM_SEED` pinned to replay another.
+fn suite_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| sec_sim::seed::resolve("placement-chaos"))
 }
 
 /// Six versions of a 60-byte object with single-byte (γ = 1) edits — one
@@ -36,83 +45,19 @@ fn versions(seed: u64) -> Vec<Vec<u8>> {
     versions
 }
 
-/// Failing every node of entry `j` must leave every version whose walk does
-/// not touch entry `j` byte-identical — at the all-alive reference's exact
-/// read cost — and fail exactly the versions that need entry `j`.
-#[test]
-fn failing_one_entry_degrades_only_the_versions_that_need_it() {
-    let seed = sec_sim::seed::resolve("placement-chaos");
-    for strategy in [
-        EncodingStrategy::BasicSec,
-        EncodingStrategy::OptimizedSec,
-        EncodingStrategy::ReversedSec,
-        EncodingStrategy::NonDifferential,
-    ] {
-        let vs = versions(seed);
-        let mut reference = ByteVersionedArchive::new(config(strategy)).unwrap();
-        reference.append_all(&vs).unwrap();
-        let engine =
-            SecEngine::with_placement(config(strategy), PlacementStrategy::Dispersed, 0).unwrap();
-        engine.append_all(&vs).unwrap();
-        let entries = reference.layout().len();
-
-        for doomed in 0..entries {
-            // Wholesale-fail the doomed entry's private node set.
-            for node in doomed * N..(doomed + 1) * N {
-                engine.fail_node(node).unwrap();
-            }
-            for l in 1..=vs.len() {
-                // Basic/Optimized SEC walk entries 0..l (anchor + deltas);
-                // the baseline stores one full entry per version; Reversed
-                // SEC reads the trailing full copy (the last entry, needed
-                // by everyone) and walks deltas l-1..latest backwards.
-                let latest = entries - 1;
-                let touches_doomed = match strategy {
-                    EncodingStrategy::NonDifferential => l - 1 == doomed,
-                    EncodingStrategy::ReversedSec => {
-                        doomed == latest || (doomed >= l - 1 && doomed < latest)
-                    }
-                    _ => doomed < l,
-                };
-                if touches_doomed {
-                    assert!(
-                        matches!(
-                            engine.get_version(l),
-                            Err(StoreError::Unrecoverable { entry }) if entry == doomed
-                        ),
-                        "{strategy} v{l} must be lost with entry {doomed} down"
-                    );
-                } else {
-                    let got = engine.get_version(l).unwrap();
-                    let want = reference.retrieve_version(l).unwrap();
-                    assert_eq!(*got.data, want.data, "{strategy} v{l}, entry {doomed} down");
-                    assert_eq!(
-                        got.io_reads, want.io_reads,
-                        "{strategy} v{l} read cost must not see entry {doomed}'s failures"
-                    );
-                }
-            }
-            // Revive for the next round.
-            for node in doomed * N..(doomed + 1) * N {
-                engine.revive_node(node).unwrap();
-            }
-        }
-    }
-}
-
 /// Readers of healthy versions keep exact bytes *and* exact read costs while
 /// a chaos thread flips the last entry's nodes and an appender grows the
 /// slab directory — dispersed node sets are disjoint, so the churn is
 /// invisible to them.
 #[test]
 fn concurrent_readers_are_isolated_from_entry_churn_and_growth() {
-    let vs = versions(sec_sim::seed::resolve("placement-chaos-churn"));
-    let mut reference = ByteVersionedArchive::new(config(EncodingStrategy::BasicSec)).unwrap();
-    reference.append_all(&vs).unwrap();
-    // Per-version expectations from the all-alive single-threaded reference.
+    let vs = versions(suite_seed());
+    let mut archive = ByteVersionedArchive::new(config(EncodingStrategy::BasicSec)).unwrap();
+    archive.append_all(&vs).unwrap();
+    // Per-version expectations from the reference reading every position.
     let expected: Vec<(Vec<u8>, usize)> = (1..vs.len()) // versions 1..=5: never touch entry 5
         .map(|l| {
-            let r = reference.retrieve_version(l).unwrap();
+            let r = reference::read_version(&archive, l, None, |_, _| true).unwrap();
             (r.data, r.io_reads)
         })
         .collect();

@@ -1,9 +1,10 @@
-//! Deterministic re-expression of `crates/engine/tests/cluster_chaos.rs`,
+//! Deterministic re-expression of `cluster_chaos.rs`,
 //! plus the pinned-seed regression for the `SecCluster::repair_node`
 //! window race. Nodes are addressed as `(shard, node)` under colocated
 //! placement and `(object, node)` under dispersed.
 
 use sec_engine::PlacementStrategy;
+use sec_erasure::GeneratorForm;
 use sec_sim::harness::{Op, Sim, SimOptions, WindowOp};
 use sec_sim::{random_walk, walk, SimRng};
 
@@ -115,6 +116,24 @@ fn cached_checkpointed_cluster_walks_match_their_models() {
         };
         walk(options, seed, 70);
     });
+}
+
+/// Objects sharing shards behave as independent archives under the
+/// systematic code too, cached or not: every object's reads match its own
+/// reference, and the shards' block counters add up to the reads reported.
+#[test]
+fn systematic_cluster_schedules_match_their_models() {
+    for cache_capacity in [0, 2] {
+        random_walk("cluster-systematic", 10, |seed| {
+            let options = SimOptions {
+                n: 6,
+                form: GeneratorForm::Systematic,
+                cache_capacity,
+                ..options()
+            };
+            walk(options, seed, 60);
+        });
+    }
 }
 
 /// Pinned cluster mirror of the engine's cache lifecycle test: with more

@@ -1,15 +1,18 @@
-//! Deterministic re-expression of `crates/engine/tests/concurrency.rs`.
+//! Deterministic re-expression of `concurrency.rs`.
 //!
 //! The thread-raced suite hammers one engine from eight OS threads and
 //! hopes the scheduler produces interesting interleavings; these tests
 //! produce the interleavings *on purpose*, from a seed, and check every
-//! step against the model and the walk-free reference. Any failure prints a
-//! `SEC_SIM_SEED=0x…` line; export it to replay the schedule exactly.
+//! step against the model and the walk-free reference — bytes, block reads,
+//! errors and the metrics' block counters — under both generator forms.
+//! Any failure prints a `SEC_SIM_SEED=0x…` line; export it to replay the
+//! schedule exactly.
 //!
 //! Engine-level scenarios run on a cluster of one shard holding one object
 //! (object 0, node group 0).
 
 use sec_engine::PlacementStrategy;
+use sec_erasure::GeneratorForm;
 use sec_sim::harness::{next_version, Op, Sim, SimOptions, WindowOp};
 use sec_sim::{interleavings, random_walk, walk, SimRng};
 use sec_versioning::EncodingStrategy;
@@ -42,6 +45,32 @@ fn seeded_schedules_hold_under_every_encoding() {
             options.encoding = encoding;
             walk(options, seed, 40);
         });
+    }
+}
+
+/// The systematic code under every encoding and both placements. Its
+/// failure-free full reads copy the data blocks, and a sparse delta whose
+/// `2γ` live rows do not qualify falls back to a full read, so the live set
+/// shows in the read counts as it never does for a non-systematic code.
+#[test]
+fn systematic_schedules_match_the_reference() {
+    for encoding in [
+        EncodingStrategy::BasicSec,
+        EncodingStrategy::OptimizedSec,
+        EncodingStrategy::ReversedSec,
+        EncodingStrategy::NonDifferential,
+    ] {
+        for placement in [PlacementStrategy::Colocated, PlacementStrategy::Dispersed] {
+            random_walk("engine-systematic", 6, |seed| {
+                let options = SimOptions {
+                    form: GeneratorForm::Systematic,
+                    encoding,
+                    placement,
+                    ..SimOptions::strict(6, K, OBJECT_LEN)
+                };
+                walk(options, seed, 40);
+            });
+        }
     }
 }
 
@@ -108,14 +137,17 @@ fn checkpointed_schedules_keep_strict_io_accounting() {
 }
 
 /// Cache, checkpoints and the full churn alphabet together (including the
-/// walk's `ResetCache` steps): byte equality against model and reference
-/// under each delta-bearing encoding.
+/// walk's `ResetCache` steps) under every encoding: a cached read is what
+/// the reference reads from a version the cache could hold, a failed one
+/// fails as the reference does from none or one of them, and every read's
+/// immediate re-read is a byte-exact cache hit that reads no block.
 #[test]
 fn cached_checkpointed_walks_survive_churn() {
     for encoding in [
         EncodingStrategy::BasicSec,
         EncodingStrategy::OptimizedSec,
         EncodingStrategy::ReversedSec,
+        EncodingStrategy::NonDifferential,
     ] {
         random_walk("engine-cache-checkpoints", 8, |seed| {
             let mut options = SimOptions::strict(N, K, OBJECT_LEN);

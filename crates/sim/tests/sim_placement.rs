@@ -1,4 +1,4 @@
-//! Deterministic re-expression of `crates/engine/tests/placement_chaos.rs`:
+//! Deterministic re-expression of `placement_chaos.rs`:
 //! dispersed placement, where every archive entry owns a private set of
 //! `n` nodes and failures are scoped to single entries. One shard holds one
 //! object, whose node group (group 0) grows by `n` with each stored entry.
@@ -6,6 +6,7 @@
 use sec_engine::PlacementStrategy;
 use sec_sim::harness::{Op, Sim, SimOptions};
 use sec_sim::{interleavings, random_walk, walk, SimRng};
+use sec_versioning::EncodingStrategy;
 
 const N: usize = 5;
 const K: usize = 3;
@@ -18,44 +19,77 @@ fn dispersed_options() -> SimOptions {
     }
 }
 
-/// `failing_one_entry_degrades_only_the_versions_that_need_it`,
-/// deterministic: killing the *last* delta entry's node group makes only
-/// the last version unrecoverable — every earlier version is decoded from
-/// entries whose groups are intact. The harness checks both directions
-/// (engine errors the reference does not share are divergence, and vice
-/// versa).
+/// Failing every node of one entry degrades only the versions whose chain
+/// needs that entry, under every encoding and for every entry in turn:
+/// each version and the whole prefix read exactly what the reference reads
+/// from the surviving entries — bytes and block reads where it serves, the
+/// same `Unrecoverable` entry where it cannot (the harness asserts both
+/// directions).
 #[test]
 fn failing_one_entry_degrades_only_the_versions_that_need_it() {
-    random_walk("placement-entry-scoped", 10, |seed| {
-        let mut rng = SimRng::new(seed);
-        let mut sim = Sim::new(dispersed_options(), rng.fork());
-        let versions = 4;
-        for _ in 0..versions {
-            sim.step(&Op::Append {
-                object: 0,
-                edits: vec![(rng.gen_range(OBJECT_LEN), 0x2B)],
-            });
-        }
-        // Entry indices equal version indices under BasicSec (x1, then a
-        // delta per version); kill the last entry's group beyond repair.
-        let last_entry = versions - 1;
-        for position in 0..=(N - K) {
-            sim.step(&Op::Fail {
-                group: 0,
-                node: last_entry * N + position,
-            });
-        }
-        // Earlier versions read clean; the last is unrecoverable on both
-        // the engine and the reference (the harness asserts the errors match).
-        for version in 1..=versions {
-            sim.step(&Op::Get { object: 0, version });
-        }
-        sim.step(&Op::GetPrefix {
-            object: 0,
-            upto: versions - 1,
+    for encoding in [
+        EncodingStrategy::BasicSec,
+        EncodingStrategy::OptimizedSec,
+        EncodingStrategy::ReversedSec,
+        EncodingStrategy::NonDifferential,
+    ] {
+        random_walk("placement-entry-scoped", 4, |seed| {
+            let mut rng = SimRng::new(seed);
+            let options = SimOptions {
+                encoding,
+                ..dispersed_options()
+            };
+            let mut sim = Sim::new(options, rng.fork());
+            let versions = 6;
+            for _ in 0..versions {
+                sim.step(&Op::Append {
+                    object: 0,
+                    edits: vec![(rng.gen_range(OBJECT_LEN), 0x2B)],
+                });
+            }
+            let entries = sim.node_count(0) / N;
+            for doomed in 0..entries {
+                for node in doomed * N..(doomed + 1) * N {
+                    sim.step(&Op::Fail { group: 0, node });
+                }
+                for version in 1..=versions {
+                    sim.step(&Op::Get { object: 0, version });
+                }
+                sim.step(&Op::GetPrefix {
+                    object: 0,
+                    upto: versions,
+                });
+                for node in doomed * N..(doomed + 1) * N {
+                    sim.step(&Op::Revive { group: 0, node });
+                }
+            }
+            sim.step(&Op::CheckMetrics);
         });
-        sim.step(&Op::CheckMetrics);
-    });
+    }
+}
+
+/// Dispersed placement with per-object caches and anchor checkpoints, under
+/// every encoding, capacity `1..=4` and spacing `0..=3` drawn from the seed:
+/// cached reads stay what the reference reads from a version the cache
+/// could hold, and every re-read is a cache hit.
+#[test]
+fn cached_checkpointed_dispersed_walks_match_the_oracle() {
+    for encoding in [
+        EncodingStrategy::BasicSec,
+        EncodingStrategy::OptimizedSec,
+        EncodingStrategy::ReversedSec,
+        EncodingStrategy::NonDifferential,
+    ] {
+        random_walk("placement-cache-checkpoints", 6, |seed| {
+            let options = SimOptions {
+                encoding,
+                cache_capacity: 1 + (seed % 4) as usize,
+                checkpoint_spacing: (seed >> 8) as usize % 4,
+                ..dispersed_options()
+            };
+            walk(options, seed, 60);
+        });
+    }
 }
 
 /// `concurrent_readers_are_isolated_from_entry_churn_and_growth`,

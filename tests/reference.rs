@@ -8,12 +8,15 @@
 //! stored as the plaintext dictates and read identically by both — bytes,
 //! block reads, entries touched and, under failures, the entry that cannot
 //! be read. On healthy layouts the reference's reads are also
-//! `IoModel`'s, read for read.
+//! `IoModel`'s, read for read, and a read from an anchor reads only the
+//! chain past it.
 
 use sec_erasure::GeneratorForm;
 use sec_sim::reference::{self, expected_layout};
 use sec_sim::SimRng;
-use sec_versioning::{ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy};
+use sec_versioning::{
+    ArchiveConfig, ByteVersionedArchive, CheckpointPolicy, EncodingStrategy, StoredPayload,
+};
 
 /// A history of `len`-byte objects: a random base, then 1 to 8 versions.
 /// Each version XORs one non-zero mask into up to `k` random bytes or, with
@@ -75,12 +78,12 @@ fn assert_agrees(
     assert_eq!(archive.sparsity_profile(), want.profile.as_slice(), "{case}");
     assert_eq!(archive.checkpoints_written(), want.checkpoints, "{case}");
     for l in 0..=versions.len() + 1 {
-        let want = reference::read_version(archive, l, live);
+        let want = reference::read_version(archive, l, None, live);
         assert_eq!(archive.retrieve_version_from(l, live), want, "{case} version {l}");
         if let Ok(want) = want {
             assert_eq!(want.data, versions[l - 1], "{case} version {l}: bytes");
         }
-        let want = reference::read_prefix(archive, l, live);
+        let want = reference::read_prefix(archive, l, None, live);
         assert_eq!(archive.retrieve_prefix_from(l, live), want, "{case} prefix {l}");
         if let Ok(want) = want {
             assert_eq!(want.versions, versions[..l], "{case} prefix {l}: bytes");
@@ -151,8 +154,12 @@ fn healthy_reads(archive: &ByteVersionedArchive, case: &str) -> (Vec<usize>, Vec
     let (strategy, layout) = (archive.config().strategy(), archive.layout());
     (1..=archive.len())
         .map(|l| {
-            let version = reference::read_version(archive, l, |_, _| true).unwrap().io_reads;
-            let prefix = reference::read_prefix(archive, l, |_, _| true).unwrap().io_reads;
+            let version = reference::read_version(archive, l, None, |_, _| true)
+                .unwrap()
+                .io_reads;
+            let prefix = reference::read_prefix(archive, l, None, |_, _| true)
+                .unwrap()
+                .io_reads;
             let want_version = model.version_reads_for_layout(strategy, layout, l);
             assert_eq!(version, want_version, "{case} version {l}");
             let want_prefix = model.prefix_reads_for_layout(strategy, layout, l);
@@ -173,6 +180,50 @@ fn reference_reads_equal_the_io_model_on_healthy_layouts() {
         for (strategy, form, spacing) in configs() {
             let archive = filled((6, 3), form, strategy, spacing, &versions);
             healthy_reads(&archive, &format!("{strategy} {form} spacing {spacing}"));
+        }
+    }
+}
+
+/// A read from an anchor — a decoded version, as a cache holds one — reads
+/// only the chain past it. From `x_a` toward `x_l` (`a ≤ l`, or `a ≥ l` for
+/// Reversed SEC) it returns `x_l` and reads what a read of `x_l` reads
+/// beyond a read of `x_a`, unless a stored full version lies past `a`, which
+/// it then reads from instead, as from scratch. A Reversed prefix from a
+/// tail `a ≥ l` reads what the whole prefix reads beyond `x_a`.
+#[test]
+fn anchored_reads_read_only_the_chain_past_the_anchor() {
+    let mut rng = SimRng::new(0xA7C4_0125);
+    for _ in 0..4 {
+        let versions = history(&mut rng, 3 * 17, 3, true);
+        for (strategy, form, spacing) in configs() {
+            let archive = filled((6, 3), form, strategy, spacing, &versions);
+            let case = format!("{strategy} {form} spacing {spacing}");
+            let (scratch, prefixes) = healthy_reads(&archive, &case);
+            let reversed = strategy == EncodingStrategy::ReversedSec;
+            for l in 1..=versions.len() {
+                let anchors = if reversed { l..=versions.len() } else { 1..=l };
+                for a in anchors {
+                    let anchor = Some((a, versions[a - 1].as_slice()));
+                    let got = reference::read_version(&archive, l, anchor, |_, _| true).unwrap();
+                    assert_eq!(got.data, versions[l - 1], "{case} version {l} from {a}");
+                    let full_past = (archive.layout().iter()).any(|payload| {
+                        matches!(payload, StoredPayload::FullVersion { version }
+                            if !reversed && a < *version && *version <= l)
+                    });
+                    let want = if full_past {
+                        scratch[l - 1]
+                    } else {
+                        scratch[l - 1].abs_diff(scratch[a - 1])
+                    };
+                    assert_eq!(got.io_reads, want, "{case} version {l} from {a}: reads");
+                    if reversed {
+                        let got = reference::read_prefix(&archive, l, anchor, |_, _| true).unwrap();
+                        assert_eq!(got.versions, versions[..l], "{case} prefix {l} from {a}");
+                        let want = prefixes[l - 1] - scratch[a - 1];
+                        assert_eq!(got.io_reads, want, "{case} prefix {l} from {a}: reads");
+                    }
+                }
+            }
         }
     }
 }
