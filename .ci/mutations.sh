@@ -4,7 +4,10 @@
 # `sec_sim::reference` is the one oracle for the engine and the cluster. It
 # shares no code with `sec_versioning::walk`, the traversal every read layer
 # goes through, nor with the engine's cache ladder, repair commit or metrics;
-# this script shows that the simulator sees bugs in each of them.
+# this script shows that the simulator sees bugs in each of them. Its debug
+# build also arms the engine's lock ranks (`OrderedRwLock`), the one check of
+# the lock hierarchy, so the lock-order rows show that every path they break
+# is one a `sec-sim` test reaches.
 #
 # For each mutation in the table below it copies the tree (without `target/`
 # and `.git/`), applies the mutation as a literal text replacement, and runs
@@ -115,6 +118,33 @@ mutations=(
     rewritten-slot-write-uncounted "$engine"
     'self.metrics.add_symbol_writes(1);'
     'self.metrics.add_symbol_writes(u64::from(entry + 1 == archive.layout().len()));'
+    # Lock order: each row takes a lock against the archive → slabs → nodes
+    # → objects hierarchy, which the debug build's `OrderedRwLock` ranks
+    # turn into a panic at the acquisition.
+    lock-node-then-slabs "$engine"
+    'node_reads.push(node.read().reads());'
+    'let node = node.read();\n                node_reads.push(node.reads() + self.slabs.read().len() as u64 * 0);'
+    lock-archive-under-objects "$cluster"
+    'let landed = !engine.is_empty();\n        let winner = {\n            let mut objects = shard.objects.write();'
+    'let winner = {\n            let mut objects = shard.objects.write();\n            let landed = !engine.is_empty();'
+    lock-nodes-descending "$read"
+    'let guards = wanted\n        .into_iter()\n        .filter_map(|(slab, position)| {\n            let node = slabs.get(slab)?.slab.nodes.get(position)?;\n            Some(((slab, position), node.read()))\n        })\n        .collect();\n    HeldNodes { walk: slabs, guards }'
+    'let mut guards: Vec<_> = wanted\n        .into_iter()\n        .rev()\n        .filter_map(|(slab, position)| {\n            let node = slabs.get(slab)?.slab.nodes.get(position)?;\n            Some(((slab, position), node.read()))\n        })\n        .collect();\n    guards.reverse();\n    HeldNodes { walk: slabs, guards }'
+    lock-repair-slabs-then-archive "$engine"
+    'let archive = self.archive.write();\n        let k = self.codec.code().k();'
+    'let directory = self.slabs.read();\n        let archive = self.archive.write();\n        drop(directory);\n        let k = self.codec.code().k();'
+    lock-append-node-then-slabs "$engine"
+    'node.write().put(slot, block);'
+    'let mut guard = node.write();\n                guard.put(slot, block);\n                self.grow_slabs(archive.layout().len());'
+    lock-metrics-slabs-then-archive "$engine"
+    'let (versions, checkpoints_written) = {'
+    'let directory = self.slabs.read();\n        let (versions, checkpoints_written) = {'
+    lock-race-winner-archive-under-objects "$cluster"
+    'Some(winner) => Some(Arc::clone(winner)),'
+    'Some(winner) => {\n                    let _ = winner.metrics_snapshot();\n                    Some(Arc::clone(winner))\n                }'
+    lock-read-slabs-across-files "$read"
+    'let (slab, slot) = engine.strategy.slab_slot(entry);'
+    'let (slab, slot) = engine.strategy.slab_slot(entry);\n        let _ = engine.slab(slab);'
 )
 
 # The failing tests of a `cargo test --no-fail-fast` log: the names listed

@@ -1,14 +1,15 @@
 //! Debug-build lock-ordering enforcement.
 //!
 //! The serving stack documents a strict lock hierarchy (see
-//! `docs/INVARIANTS.md` and `audit.toml`): archive → slab directory → node
-//! slabs → cluster object map. The static auditor
-//! (`sec-audit`) checks acquisition order lexically, but it cannot see
-//! through every dynamic call path. [`OrderedRwLock`] closes that gap: each
-//! lock carries a [`LockRank`], and in debug builds every acquisition is
-//! checked against a thread-local stack of currently held ranks — taking a
-//! lock at or below the highest held rank panics at the acquisition site,
-//! turning a would-be deadlock into an immediate, attributable failure.
+//! `docs/INVARIANTS.md` §1): archive → slab directory → node slabs → cluster
+//! object map, node slabs in ascending node id. [`OrderedRwLock`] is what
+//! enforces it: each lock carries a [`LockRank`] (and a node its id), and in
+//! debug builds every acquisition is checked against a thread-local stack of
+//! currently held locks — taking a lock at or below the highest held rank,
+//! or a node at or below the highest held node id, panics at the
+//! acquisition site, turning a would-be deadlock into an immediate,
+//! attributable failure. Every debug test (the `sec-sim` suites included)
+//! arms the check; it sees the paths they reach, through any call chain.
 //! Release builds compile the bookkeeping away entirely.
 //!
 //! The wrapper also centralises poison handling: the engine treats a
@@ -40,7 +41,8 @@ pub enum LockRank {
     /// The slab directory (`Vec<NodeSlab>`).
     Directory = 1,
     /// Per-node block slots. Reentrant: planned reads lock several nodes
-    /// at this rank (in ascending id order, which breaks cycles among them).
+    /// at this rank, in ascending id order (which breaks cycles among
+    /// them, and which debug builds check: see [`OrderedRwLock::keyed`]).
     Node = 2,
     /// `SecCluster`'s per-shard object map — the innermost lock.
     ObjectMap = 3,
@@ -81,34 +83,34 @@ mod held {
     use std::cell::RefCell;
 
     thread_local! {
-        static HELD: RefCell<Vec<LockRank>> = const { RefCell::new(Vec::new()) };
+        static HELD: RefCell<Vec<(LockRank, usize)>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Proof of a recorded acquisition; dropping it un-records the rank.
+    /// Proof of a recorded acquisition; dropping it un-records the lock.
     pub struct Token {
-        rank: LockRank,
+        lock: (LockRank, usize),
     }
 
     impl Token {
-        pub fn acquire(rank: LockRank) -> Self {
+        pub fn acquire(rank: LockRank, key: usize) -> Self {
             HELD.with(|cell| {
                 let mut held = cell.borrow_mut();
                 // Guards can drop out of declaration order, so compare
-                // against the highest held rank, not the most recent one.
-                if let Some(&top) = held.iter().max() {
+                // against the highest held lock, not the most recent one.
+                if let Some(&(top, top_key)) = held.iter().max() {
                     assert!(
-                        rank > top || (rank == top && rank.reentrant()),
-                        "lock-order violation: acquiring the {} lock (rank {}) while \
-                         holding the {} lock (rank {}) — see docs/INVARIANTS.md",
+                        rank > top || (rank == top && rank.reentrant() && key > top_key),
+                        "lock-order violation: acquiring the {} lock (rank {}, key {key}) while \
+                         holding the {} lock (rank {}, key {top_key}) — see docs/INVARIANTS.md",
                         rank.name(),
                         rank as u8,
                         top.name(),
                         top as u8,
                     );
                 }
-                held.push(rank);
+                held.push((rank, key));
             });
-            Token { rank }
+            Token { lock: (rank, key) }
         }
     }
 
@@ -116,7 +118,7 @@ mod held {
         fn drop(&mut self) {
             HELD.with(|cell| {
                 let mut held = cell.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|&r| r == self.rank) {
+                if let Some(pos) = held.iter().rposition(|&lock| lock == self.lock) {
                     held.remove(pos);
                 }
             });
@@ -133,7 +135,7 @@ mod held {
 
     impl Token {
         #[inline(always)]
-        pub fn acquire(_rank: LockRank) -> Self {
+        pub fn acquire(_rank: LockRank, _key: usize) -> Self {
             Token
         }
     }
@@ -145,22 +147,49 @@ mod held {
 /// lock as a fatal invariant breach, and the panic is centralised here.
 pub struct OrderedRwLock<T> {
     rank: LockRank,
+    /// Position among the locks of a reentrant rank (see [`Self::keyed`]).
+    #[cfg(debug_assertions)]
+    key: usize,
     inner: RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
     /// Wraps `value` in a lock at the given hierarchy rank.
     pub fn new(rank: LockRank, value: T) -> Self {
+        Self::keyed(rank, 0, value)
+    }
+
+    /// Wraps `value` in a lock at `rank` with position `key` among that
+    /// rank's locks. A thread holds several locks of a reentrant rank only
+    /// when it took them in ascending key order: a node's key is its node
+    /// id, the order planned reads lock nodes in. Release builds drop the
+    /// key with the rest of the bookkeeping.
+    pub fn keyed(rank: LockRank, key: usize, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = key;
         Self {
             rank,
+            #[cfg(debug_assertions)]
+            key,
             inner: RwLock::new(value),
         }
+    }
+
+    /// The key the debug-build order check compares.
+    #[cfg(debug_assertions)]
+    fn order_key(&self) -> usize {
+        self.key
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn order_key(&self) -> usize {
+        0
     }
 
     /// Acquires the shared lock, debug-asserting the hierarchy first.
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         sec_store::fault::reached(self.rank.site());
-        let token = held::Token::acquire(self.rank);
+        let token = held::Token::acquire(self.rank, self.order_key());
         let guard = match self.inner.read() {
             Ok(guard) => guard,
             #[expect(
@@ -177,7 +206,7 @@ impl<T> OrderedRwLock<T> {
     /// Acquires the exclusive lock, debug-asserting the hierarchy first.
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
         sec_store::fault::reached(self.rank.site());
-        let token = held::Token::acquire(self.rank);
+        let token = held::Token::acquire(self.rank, self.order_key());
         let guard = match self.inner.write() {
             Ok(guard) => guard,
             #[expect(clippy::panic, reason = "same fatal-poison policy as `read` above")]
@@ -272,10 +301,20 @@ mod tests {
 
     #[test]
     fn node_rank_is_reentrant() {
-        let n0 = OrderedRwLock::new(LockRank::Node, 0u32);
-        let n1 = OrderedRwLock::new(LockRank::Node, 1u32);
+        let n0 = OrderedRwLock::keyed(LockRank::Node, 0, 0u32);
+        let n1 = OrderedRwLock::keyed(LockRank::Node, 1, 1u32);
         let g0 = n0.read();
         let g1 = n1.read();
+        assert_eq!(*g0 + *g1, 1);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
+    fn descending_same_rank_keys_panic_in_debug() {
+        let n0 = OrderedRwLock::keyed(LockRank::Node, 0, 0u32);
+        let n1 = OrderedRwLock::keyed(LockRank::Node, 1, 1u32);
+        let g1 = n1.read();
+        let g0 = n0.read();
         assert_eq!(*g0 + *g1, 1);
     }
 

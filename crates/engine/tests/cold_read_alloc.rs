@@ -9,6 +9,12 @@
 //!
 //! One test per binary: the counting allocator is process-global.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code: the counting allocator's tallies"
+)]
+#![allow(unsafe_code, reason = "a counting `GlobalAlloc` forwards to `System`")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

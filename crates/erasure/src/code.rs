@@ -117,14 +117,20 @@ impl QualifyMemo {
     }
 
     fn get(&self, mask: u64) -> Option<bool> {
-        // audit: atomic ok — the slot word is the whole entry (key and verdict), publishing no other data
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the slot word is the whole entry (key and verdict), publishing no other data"
+        )]
         let word = self.slot(mask).load(Ordering::Relaxed);
         (word & 1 == 1 && word >> 2 == mask).then_some(word & 2 != 0)
     }
 
     fn put(&self, mask: u64, verdict: bool) {
         let word = mask << 2 | u64::from(verdict) << 1 | 1;
-        // audit: atomic ok — the slot word is the whole entry; overwriting a colliding key only evicts it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the slot word is the whole entry; overwriting a colliding key only evicts it"
+        )]
         self.slot(mask).store(word, Ordering::Relaxed);
     }
 }

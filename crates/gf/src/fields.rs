@@ -106,8 +106,10 @@ impl fmt::Octal for Gf256 {
 
 impl Add for Gf256 {
     type Output = Self;
-    // In characteristic 2, addition genuinely is XOR.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "in characteristic 2, addition genuinely is XOR"
+    )]
     #[inline]
     fn add(self, rhs: Self) -> Self {
         Self(self.0 ^ rhs.0)
@@ -115,7 +117,10 @@ impl Add for Gf256 {
 }
 
 impl AddAssign for Gf256 {
-    #[allow(clippy::suspicious_op_assign_impl)]
+    #[expect(
+        clippy::suspicious_op_assign_impl,
+        reason = "in characteristic 2, addition genuinely is XOR"
+    )]
     #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;
@@ -124,8 +129,10 @@ impl AddAssign for Gf256 {
 
 impl Sub for Gf256 {
     type Output = Self;
-    // Characteristic 2: subtraction is addition, i.e. XOR.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "characteristic 2: subtraction is addition, i.e. XOR"
+    )]
     #[inline]
     fn sub(self, rhs: Self) -> Self {
         Self(self.0 ^ rhs.0)
@@ -133,7 +140,10 @@ impl Sub for Gf256 {
 }
 
 impl SubAssign for Gf256 {
-    #[allow(clippy::suspicious_op_assign_impl)]
+    #[expect(
+        clippy::suspicious_op_assign_impl,
+        reason = "characteristic 2: subtraction is addition, i.e. XOR"
+    )]
     #[inline]
     fn sub_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;

@@ -126,7 +126,10 @@ impl Kernel {
             }
             #[cfg(target_arch = "aarch64")]
             Kernel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[allow(unreachable_patterns)]
+            #[allow(
+                unreachable_patterns,
+                reason = "every variant has an arm on x86_64; other targets lack some"
+            )]
             _ => false,
         }
     }
@@ -371,7 +374,10 @@ pub(crate) fn ops_of(kernel: Kernel) -> &'static KernelOps {
         Kernel::Gfni => &GFNI_OPS,
         #[cfg(target_arch = "aarch64")]
         Kernel::Neon => &NEON_OPS,
-        #[allow(unreachable_patterns)]
+        #[allow(
+            unreachable_patterns,
+            reason = "every variant has an arm on x86_64; other targets lack some"
+        )]
         _ => &SCALAR_OPS,
     }
 }
@@ -446,9 +452,13 @@ fn detected() -> Kernel {
 /// The kernel every `bulk8` entry point currently dispatches to: the forced
 /// selection if one is in effect, otherwise the once-resolved detection.
 pub fn active_kernel() -> Kernel {
-    // audit: atomic ok — one-byte kernel selector; every kernel computes bit-identical
-    // results, so a racing reader merely runs a different-speed implementation
-    match kernel_of(FORCED.load(Ordering::Relaxed)) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one-byte kernel selector; every kernel computes bit-identical results, so a \
+                  racing reader merely runs a different-speed implementation"
+    )]
+    let forced = FORCED.load(Ordering::Relaxed);
+    match kernel_of(forced) {
         Some(kernel) => kernel,
         None => detected(),
     }
@@ -467,8 +477,11 @@ pub fn force_kernel(kernel: Kernel) -> Result<Kernel, UnsupportedKernel> {
         return Err(UnsupportedKernel { kernel });
     }
     let previous = active_kernel();
-    // audit: atomic ok — one-byte kernel selector; all kernels are bit-identical, so
-    // readers that race this store compute the same bytes either way
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one-byte kernel selector; all kernels are bit-identical, so readers that race \
+                  this store compute the same bytes either way"
+    )]
     FORCED.store(code_of(kernel), Ordering::Relaxed);
     Ok(previous)
 }
@@ -476,8 +489,11 @@ pub fn force_kernel(kernel: Kernel) -> Result<Kernel, UnsupportedKernel> {
 /// Clears any [`force_kernel`] override, returning dispatch to the
 /// auto-detected (or [`KERNEL_ENV`]-pinned) kernel, which is also returned.
 pub fn reset_kernel() -> Kernel {
-    // audit: atomic ok — one-byte kernel selector; all kernels are bit-identical, so
-    // readers that race this store compute the same bytes either way
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one-byte kernel selector; all kernels are bit-identical, so readers that race \
+                  this store compute the same bytes either way"
+    )]
     FORCED.store(0, Ordering::Relaxed);
     detected()
 }
@@ -607,7 +623,10 @@ fn trivial_row(row: &[Gf256]) -> Option<TrivialRow> {
 /// product per column and member — the first a plain multiply (a
 /// multiply-accumulate when accumulating), every further one a
 /// multiply-accumulate. Also the scalar tail of the SIMD tiles.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a `MatrixTile`'s seven parameters plus the ops table it runs on"
+)]
 fn product_rows(
     ops: &KernelOps,
     tables: &[&MulTable],
@@ -726,7 +745,7 @@ mod scalar {
 /// per iteration. Safe wrappers run the SIMD body over the largest 16-byte
 /// prefix and finish the tail with the scalar table.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "SIMD intrinsics behind runtime feature detection")]
 mod ssse3 {
     use std::arch::x86_64::{
         __m128i, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8, _mm_srli_epi16,
@@ -738,20 +757,25 @@ mod ssse3 {
     /// One 16-lane shuffle multiply: `lo[x & 0xF] ^ hi[x >> 4]` per byte.
     /// `_mm_srli_epi16` shifts bits across byte-lane boundaries, so the high
     /// nibble is masked back to 4 bits before indexing the table.
+    ///
+    /// # Safety
+    ///
+    /// Pure register arithmetic (no memory access); only called from
+    /// SSSE3-gated fns that the dispatcher installs after is_x86_feature_detected!("ssse3")
     #[inline]
     #[target_feature(enable = "ssse3")]
-    // audit: unsafe ok — pure register arithmetic (no memory access); only called from
-    // SSSE3-gated fns that the dispatcher installs after is_x86_feature_detected!("ssse3")
     unsafe fn mul16(lo: __m128i, hi: __m128i, mask: __m128i, x: __m128i) -> __m128i {
         let lo_nib = _mm_and_si128(x, mask);
         let hi_nib = _mm_and_si128(_mm_srli_epi16::<4>(x), mask);
         _mm_xor_si128(_mm_shuffle_epi8(lo, lo_nib), _mm_shuffle_epi8(hi, hi_nib))
     }
 
+    /// # Safety
+    ///
+    /// SSSE3 is guaranteed by the caller; every unaligned 16-byte
+    /// load/store offset i satisfies i + 16 <= len for both slices, whose lengths the
+    /// safe wrapper checked equal and trimmed to a multiple of 16
     #[target_feature(enable = "ssse3")]
-    // audit: unsafe ok — SSSE3 is guaranteed by the caller; every unaligned 16-byte
-    // load/store offset i satisfies i + 16 <= len for both slices, whose lengths the
-    // safe wrapper checked equal and trimmed to a multiple of 16
     unsafe fn mul_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -773,10 +797,12 @@ mod ssse3 {
         }
     }
 
+    /// # Safety
+    ///
+    /// SSSE3 is guaranteed by the caller; every unaligned 16-byte
+    /// load/store offset i satisfies i + 16 <= len for both slices, whose lengths the
+    /// safe wrapper checked equal and trimmed to a multiple of 16
     #[target_feature(enable = "ssse3")]
-    // audit: unsafe ok — SSSE3 is guaranteed by the caller; every unaligned 16-byte
-    // load/store offset i satisfies i + 16 <= len for both slices, whose lengths the
-    // safe wrapper checked equal and trimmed to a multiple of 16
     unsafe fn mul_add_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -801,9 +827,11 @@ mod ssse3 {
         }
     }
 
-    // audit: unsafe ok — SSE2 (baseline on every x86_64) loads/stores; every 16-byte
-    // offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
-    // checked equal and trimmed to a multiple of 16
+    /// # Safety
+    ///
+    /// SSE2 (baseline on every x86_64) loads/stores; every 16-byte
+    /// offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
+    /// checked equal and trimmed to a multiple of 16
     unsafe fn xor_impl(src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -822,7 +850,7 @@ mod ssse3 {
     pub(super) fn mul(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — SSSE3 support was verified by Kernel::is_supported before
+        // SAFETY: SSSE3 support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 16 within both slices
         unsafe { mul_impl(table, &src[..main], &mut dst[..main]) };
@@ -834,7 +862,7 @@ mod ssse3 {
     pub(super) fn mul_add(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — SSSE3 support was verified by Kernel::is_supported before
+        // SAFETY: SSSE3 support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 16 within both slices
         unsafe { mul_add_impl(table, &src[..main], &mut dst[..main]) };
@@ -846,7 +874,7 @@ mod ssse3 {
     pub(super) fn xor(src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — SSE2 is baseline on x86_64; the impl touches only the
+        // SAFETY: SSE2 is baseline on x86_64; the impl touches only the
         // first `main` bytes, a multiple of 16 within both slices
         unsafe { xor_impl(&src[..main], &mut dst[..main]) };
         for i in main..dst.len() {
@@ -860,7 +888,7 @@ mod ssse3 {
 /// Safe wrappers run the SIMD body over the largest 32-byte prefix and finish
 /// the tail with the scalar table.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "SIMD intrinsics behind runtime feature detection")]
 mod avx2 {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
@@ -874,10 +902,13 @@ mod avx2 {
     /// One 32-lane shuffle multiply. `VPSHUFB` shuffles within each 128-bit
     /// lane independently, which is exactly right here: both lanes hold the
     /// same broadcast 16-entry table.
+    ///
+    /// # Safety
+    ///
+    /// Pure register arithmetic (no memory access); only called from
+    /// AVX2-gated fns that the dispatcher installs after is_x86_feature_detected!("avx2")
     #[inline]
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — pure register arithmetic (no memory access); only called from
-    // AVX2-gated fns that the dispatcher installs after is_x86_feature_detected!("avx2")
     unsafe fn mul32(lo: __m256i, hi: __m256i, mask: __m256i, x: __m256i) -> __m256i {
         let lo_nib = _mm256_and_si256(x, mask);
         let hi_nib = _mm256_and_si256(_mm256_srli_epi16::<4>(x), mask);
@@ -885,18 +916,23 @@ mod avx2 {
     }
 
     /// Loads one 16-entry split table and broadcasts it to both lanes.
+    ///
+    /// # Safety
+    ///
+    /// Reads exactly 16 bytes from a &[u8; 16] via unaligned load;
+    /// only called from AVX2-gated fns installed after feature detection
     #[inline]
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — reads exactly 16 bytes from a &[u8; 16] via unaligned load;
-    // only called from AVX2-gated fns installed after feature detection
     unsafe fn broadcast_table(table: &[u8; 16]) -> __m256i {
         _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr() as *const __m128i))
     }
 
+    /// # Safety
+    ///
+    /// AVX2 is guaranteed by the caller; every unaligned 32-byte
+    /// load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
+    /// safe wrapper checked equal and trimmed to a multiple of 32
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — AVX2 is guaranteed by the caller; every unaligned 32-byte
-    // load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
-    // safe wrapper checked equal and trimmed to a multiple of 32
     unsafe fn mul_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 32, 0);
@@ -918,10 +954,12 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 is guaranteed by the caller; every unaligned 32-byte
+    /// load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
+    /// safe wrapper checked equal and trimmed to a multiple of 32
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — AVX2 is guaranteed by the caller; every unaligned 32-byte
-    // load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
-    // safe wrapper checked equal and trimmed to a multiple of 32
     unsafe fn mul_add_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 32, 0);
@@ -946,10 +984,12 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 is guaranteed by the caller; every unaligned 32-byte
+    /// load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
+    /// safe wrapper checked equal and trimmed to a multiple of 32
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — AVX2 is guaranteed by the caller; every unaligned 32-byte
-    // load/store offset i satisfies i + 32 <= len for both slices, whose lengths the
-    // safe wrapper checked equal and trimmed to a multiple of 32
     unsafe fn xor_impl(src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 32, 0);
@@ -970,11 +1010,14 @@ mod avx2 {
     /// its nibbles split once, staying in registers (the compiler unrolls the
     /// `C` loops) while each row looks its `2·C` tables up, sums them in one
     /// accumulator and stores it.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is guaranteed by the caller; every unaligned 32-byte
+    /// load/store offset i satisfies span.start <= i and i + 32 <= span.end, and the safe
+    /// wrapper checked that span is a multiple of 32 long and lies inside each of the
+    /// members·C sources and every destination
     #[target_feature(enable = "avx2")]
-    // audit: unsafe ok — AVX2 is guaranteed by the caller; every unaligned 32-byte
-    // load/store offset i satisfies span.start <= i and i + 32 <= span.end, and the safe
-    // wrapper checked that span is a multiple of 32 long and lies inside each of the
-    // members·C sources and every destination
     unsafe fn tile_impl<const C: usize>(
         tables: &[&MulTable],
         stride: usize,
@@ -1045,7 +1088,7 @@ mod avx2 {
             7 => tile_impl::<7>,
             _ => tile_impl::<8>,
         };
-        // audit: unsafe ok — AVX2 support was verified by Kernel::is_supported before
+        // SAFETY: AVX2 support was verified by Kernel::is_supported before
         // this fn pointer was installed; tile_main checked `members` runs of 1..=8 sources
         // (so the arm taken is compiled for exactly srcs.len() / members) and returned a
         // multiple of 32 bytes inside every source and destination
@@ -1058,7 +1101,7 @@ mod avx2 {
     pub(super) fn mul(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 32;
-        // audit: unsafe ok — AVX2 support was verified by Kernel::is_supported before
+        // SAFETY: AVX2 support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 32 within both slices
         unsafe { mul_impl(table, &src[..main], &mut dst[..main]) };
@@ -1070,7 +1113,7 @@ mod avx2 {
     pub(super) fn mul_add(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 32;
-        // audit: unsafe ok — AVX2 support was verified by Kernel::is_supported before
+        // SAFETY: AVX2 support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 32 within both slices
         unsafe { mul_add_impl(table, &src[..main], &mut dst[..main]) };
@@ -1082,7 +1125,7 @@ mod avx2 {
     pub(super) fn xor(src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 32;
-        // audit: unsafe ok — AVX2 support was verified by Kernel::is_supported before
+        // SAFETY: AVX2 support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 32 within both slices
         unsafe { xor_impl(&src[..main], &mut dst[..main]) };
@@ -1101,7 +1144,7 @@ mod avx2 {
 /// took 54 µs on it against 38 µs here. Safe wrappers run the SIMD body over
 /// the largest 64-byte prefix and finish the tail with the scalar table.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "SIMD intrinsics behind runtime feature detection")]
 mod gfni {
     use std::arch::x86_64::{
         __m512i, _mm512_gf2p8affine_epi64_epi8, _mm512_loadu_si512, _mm512_set1_epi64,
@@ -1116,11 +1159,14 @@ mod gfni {
     /// sum stays in a register (the compiler unrolls the `C` loops) while
     /// each row sums its `C` affine products in one accumulator and stores
     /// it.
+    ///
+    /// # Safety
+    ///
+    /// GFNI and AVX-512F are guaranteed by the caller; every unaligned
+    /// 64-byte load/store offset i satisfies span.start <= i and i + 64 <= span.end, and
+    /// the safe wrapper checked that span is a multiple of 64 long and lies inside each of
+    /// the members·C sources and every destination
     #[target_feature(enable = "gfni,avx512f")]
-    // audit: unsafe ok — GFNI and AVX-512F are guaranteed by the caller; every unaligned
-    // 64-byte load/store offset i satisfies span.start <= i and i + 64 <= span.end, and
-    // the safe wrapper checked that span is a multiple of 64 long and lies inside each of
-    // the members·C sources and every destination
     unsafe fn tile_impl<const C: usize>(
         tables: &[&MulTable],
         stride: usize,
@@ -1180,7 +1226,7 @@ mod gfni {
             7 => tile_impl::<7>,
             _ => tile_impl::<8>,
         };
-        // audit: unsafe ok — GFNI and AVX-512F support was verified by Kernel::is_supported
+        // SAFETY: GFNI and AVX-512F support was verified by Kernel::is_supported
         // before this fn pointer was installed; tile_main checked `members` runs of 1..=8
         // sources (so the arm taken is compiled for exactly srcs.len() / members) and
         // returned a multiple of 64 bytes inside every source and destination
@@ -1192,10 +1238,13 @@ mod gfni {
 
     /// One product with the matrix held in a register: `dst[i] = c·src[i]`,
     /// or `dst[i] ^= c·src[i]` when `ADD`.
+    ///
+    /// # Safety
+    ///
+    /// GFNI and AVX-512F are guaranteed by the caller; every unaligned
+    /// 64-byte load/store offset i satisfies i + 64 <= len for both slices, whose lengths
+    /// the safe wrapper checked equal and trimmed to a multiple of 64
     #[target_feature(enable = "gfni,avx512f")]
-    // audit: unsafe ok — GFNI and AVX-512F are guaranteed by the caller; every unaligned
-    // 64-byte load/store offset i satisfies i + 64 <= len for both slices, whose lengths
-    // the safe wrapper checked equal and trimmed to a multiple of 64
     unsafe fn product_impl<const ADD: bool>(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 64, 0);
@@ -1217,7 +1266,7 @@ mod gfni {
     pub(super) fn product<const ADD: bool>(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 64;
-        // audit: unsafe ok — GFNI and AVX-512F support was verified by Kernel::is_supported
+        // SAFETY: GFNI and AVX-512F support was verified by Kernel::is_supported
         // before this fn pointer was installed; the impl touches only the first `main`
         // bytes, a multiple of 64 within both slices
         unsafe { product_impl::<ADD>(table, &src[..main], &mut dst[..main]) };
@@ -1231,7 +1280,7 @@ mod gfni {
 /// Safe wrappers run the SIMD body over the largest 16-byte prefix and finish
 /// the tail with the scalar table.
 #[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "SIMD intrinsics behind runtime feature detection")]
 mod neon {
     use std::arch::aarch64::{
         uint8x16_t, vandq_u8, vdupq_n_u8, veorq_u8, vld1q_u8, vqtbl1q_u8, vshrq_n_u8, vst1q_u8,
@@ -1240,20 +1289,25 @@ mod neon {
     use crate::bulk8::MulTable;
 
     /// One 16-lane table-lookup multiply: `lo[x & 0xF] ^ hi[x >> 4]` per byte.
+    ///
+    /// # Safety
+    ///
+    /// Pure register arithmetic (no memory access); only called from
+    /// NEON-gated fns that the dispatcher installs after is_aarch64_feature_detected!("neon")
     #[inline]
     #[target_feature(enable = "neon")]
-    // audit: unsafe ok — pure register arithmetic (no memory access); only called from
-    // NEON-gated fns that the dispatcher installs after is_aarch64_feature_detected!("neon")
     unsafe fn mul16(lo: uint8x16_t, hi: uint8x16_t, x: uint8x16_t) -> uint8x16_t {
         let lo_nib = vandq_u8(x, vdupq_n_u8(0x0f));
         let hi_nib = vshrq_n_u8::<4>(x);
         veorq_u8(vqtbl1q_u8(lo, lo_nib), vqtbl1q_u8(hi, hi_nib))
     }
 
+    /// # Safety
+    ///
+    /// NEON is guaranteed by the caller; every 16-byte load/store
+    /// offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
+    /// checked equal and trimmed to a multiple of 16
     #[target_feature(enable = "neon")]
-    // audit: unsafe ok — NEON is guaranteed by the caller; every 16-byte load/store
-    // offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
-    // checked equal and trimmed to a multiple of 16
     unsafe fn mul_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -1267,10 +1321,12 @@ mod neon {
         }
     }
 
+    /// # Safety
+    ///
+    /// NEON is guaranteed by the caller; every 16-byte load/store
+    /// offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
+    /// checked equal and trimmed to a multiple of 16
     #[target_feature(enable = "neon")]
-    // audit: unsafe ok — NEON is guaranteed by the caller; every 16-byte load/store
-    // offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
-    // checked equal and trimmed to a multiple of 16
     unsafe fn mul_add_impl(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -1285,10 +1341,12 @@ mod neon {
         }
     }
 
+    /// # Safety
+    ///
+    /// NEON is guaranteed by the caller; every 16-byte load/store
+    /// offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
+    /// checked equal and trimmed to a multiple of 16
     #[target_feature(enable = "neon")]
-    // audit: unsafe ok — NEON is guaranteed by the caller; every 16-byte load/store
-    // offset i satisfies i + 16 <= len for both slices, whose lengths the safe wrapper
-    // checked equal and trimmed to a multiple of 16
     unsafe fn xor_impl(src: &[u8], dst: &mut [u8]) {
         debug_assert_eq!(src.len(), dst.len());
         debug_assert_eq!(src.len() % 16, 0);
@@ -1303,7 +1361,7 @@ mod neon {
     pub(super) fn mul(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — NEON support was verified by Kernel::is_supported before
+        // SAFETY: NEON support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 16 within both slices
         unsafe { mul_impl(table, &src[..main], &mut dst[..main]) };
@@ -1315,7 +1373,7 @@ mod neon {
     pub(super) fn mul_add(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — NEON support was verified by Kernel::is_supported before
+        // SAFETY: NEON support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 16 within both slices
         unsafe { mul_add_impl(table, &src[..main], &mut dst[..main]) };
@@ -1327,7 +1385,7 @@ mod neon {
     pub(super) fn xor(src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "kernel ops require equal slice lengths");
         let main = dst.len() - dst.len() % 16;
-        // audit: unsafe ok — NEON support was verified by Kernel::is_supported before
+        // SAFETY: NEON support was verified by Kernel::is_supported before
         // this fn pointer was installed; the impl touches only the first `main` bytes,
         // a multiple of 16 within both slices
         unsafe { xor_impl(&src[..main], &mut dst[..main]) };

@@ -34,7 +34,7 @@
 //! assert_eq!(a + a, Gf256::ZERO);
 //! ```
 
-#![deny(unsafe_code)] // audit carve-out: kernel.rs SIMD modules carve out per-module #[allow]
+#![deny(unsafe_code)] // kernel.rs SIMD modules carve out per-module #[allow]s
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]
 

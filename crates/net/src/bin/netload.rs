@@ -101,8 +101,11 @@ fn chaos_loop(addr: SocketAddr, stop: &AtomicBool) {
     };
     let mut node = 0usize;
     let mut round = 0u8;
-    // audit: atomic ok — stop is a lone shutdown flag; the chaos loop only
-    // needs to observe it eventually, no other state is published through it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stop is a lone shutdown flag; the chaos loop only needs to observe it \
+                  eventually, no other state is published through it"
+    )]
     while !stop.load(Ordering::Relaxed) {
         if let Err(e) = client.fail(0, node) {
             eprintln!("chaos: FAIL transport error: {e}");
@@ -173,8 +176,11 @@ fn main() -> ExitCode {
 
     let result = run_get_load(addr, &targets, &config);
 
-    // audit: atomic ok — same lone flag; thread::join below is the real
-    // synchronization point for everything the chaos thread wrote.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same lone flag; thread::join below is the real synchronization point for \
+                  everything the chaos thread wrote"
+    )]
     stop.store(true, Ordering::Relaxed);
     if let Some(thread) = chaos_thread {
         let _ = thread.join();

@@ -181,9 +181,12 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) -> io::Result<()> {
-        // audit: atomic ok — Release pairs with the workers' Acquire load so
-        // config/drain state written before the store is visible once a worker
-        // observes shutdown after its waker fires.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Release pairs with the workers' Acquire load so config/drain state written \
+                      before the store is visible once a worker observes shutdown after its \
+                      waker fires"
+        )]
         self.shared.shutdown.store(true, Ordering::Release);
         for waker in &self.wakers {
             waker.wake();
@@ -270,8 +273,11 @@ fn worker_loop(
         let timeout_ms = if draining { 20 } else { -1 };
         poller.wait(&mut events, timeout_ms)?;
 
-        // audit: atomic ok — Acquire pairs with ServerHandle::stop's Release
-        // store, ordering the flag read before the drain bookkeeping it gates.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Acquire pairs with ServerHandle::stop's Release store, ordering the flag \
+                      read before the drain bookkeeping it gates"
+        )]
         if !draining && shared.shutdown.load(Ordering::Acquire) {
             draining = true;
             drain_deadline = Instant::now() + shared.config.drain_timeout;

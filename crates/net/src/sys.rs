@@ -3,16 +3,16 @@
 //!
 //! The build environment has no crates.io access, so instead of the `libc`
 //! crate this module declares the handful of POSIX symbols it needs as raw
-//! `extern "C"` functions. Every call site is `unsafe` and carries an
-//! `// audit: unsafe ok` justification; the crate root is `#![deny(unsafe_code)]`
-//! with this module as the only carve-out (mirroring `sec-gf`'s SIMD
-//! kernels), and `sec-audit` inventories each site.
+//! `extern "C"` functions. Every call site is an `unsafe` block with a
+//! `// SAFETY:` comment (clippy's `undocumented_unsafe_blocks`, denied in
+//! this crate's manifest); the crate is `unsafe_code = "deny"` with this
+//! module as the only carve-out (mirroring `sec-gf`'s SIMD kernels).
 //!
 //! The reactor backend is chosen once per [`Poller`]: `epoll` on Linux
 //! unless `SEC_NET_REACTOR=poll` forces the fallback (any other platform
 //! always uses `poll`).
 
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "raw POSIX calls: the crate has no `libc` to wrap them")]
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -153,12 +153,12 @@ fn last_os_error() -> io::Error {
 /// Sets `O_NONBLOCK` on a raw descriptor (used for the waker pipe; sockets
 /// go through `std`'s `set_nonblocking`).
 fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // audit: unsafe ok — fcntl on a descriptor we own; F_GETFL takes no argument
+    // SAFETY: fcntl on a descriptor we own; F_GETFL takes no argument
     let flags = unsafe { fcntl(fd, F_GETFL, 0) };
     if flags < 0 {
         return Err(last_os_error());
     }
-    // audit: unsafe ok — fcntl F_SETFL with an int flag argument on an owned descriptor
+    // SAFETY: fcntl F_SETFL with an int flag argument on an owned descriptor
     if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
         return Err(last_os_error());
     }
@@ -171,7 +171,7 @@ pub fn nofile_limit() -> io::Result<(u64, u64)> {
         rlim_cur: 0,
         rlim_max: 0,
     };
-    // audit: unsafe ok — getrlimit writes into a properly sized local struct
+    // SAFETY: getrlimit writes into a properly sized local struct
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } < 0 {
         return Err(last_os_error());
     }
@@ -198,7 +198,7 @@ pub fn raise_nofile(target: u64) -> u64 {
             rlim_cur: wanted,
             rlim_max: hard.max(wanted),
         };
-        // audit: unsafe ok — setrlimit reads a properly initialized local struct
+        // SAFETY: setrlimit reads a properly initialized local struct
         if unsafe { setrlimit(RLIMIT_NOFILE, &lim) } == 0 {
             return nofile_limit().map_or(wanted, |(s, _)| s);
         }
@@ -218,7 +218,7 @@ impl Waker {
     /// Creates the pipe with both ends nonblocking.
     pub fn new() -> io::Result<Self> {
         let mut fds = [0i32; 2];
-        // audit: unsafe ok — pipe writes two descriptors into a 2-element array
+        // SAFETY: pipe writes two descriptors into a 2-element array
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
             return Err(last_os_error());
         }
@@ -240,7 +240,7 @@ impl Waker {
     /// pending, so `EAGAIN` is success.
     pub fn wake(&self) {
         let byte = [1u8];
-        // audit: unsafe ok — write of one byte from a live stack buffer to an owned fd
+        // SAFETY: write of one byte from a live stack buffer to an owned fd
         let _ = unsafe { write(self.write_fd, byte.as_ptr(), 1) };
     }
 
@@ -249,7 +249,7 @@ impl Waker {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
-            // audit: unsafe ok — read into a live stack buffer of the stated length
+            // SAFETY: read into a live stack buffer of the stated length
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
             if n <= 0 {
                 return;
@@ -260,7 +260,7 @@ impl Waker {
 
 impl Drop for Waker {
     fn drop(&mut self) {
-        // audit: unsafe ok — closing descriptors this Waker exclusively owns
+        // SAFETY: closing descriptors this Waker exclusively owns
         unsafe {
             close(self.read_fd);
             close(self.write_fd);
@@ -270,9 +270,9 @@ impl Drop for Waker {
 
 // The pipe ends are plain descriptors; writes from any thread are atomic at
 // this size.
-// audit: unsafe ok — Waker holds two owned fds; write(2)/read(2) on them are thread-safe
+// SAFETY: Waker holds two owned fds; write(2)/read(2) on them are thread-safe
 unsafe impl Send for Waker {}
-// audit: unsafe ok — wake() and drain() only issue thread-safe syscalls on owned fds
+// SAFETY: wake() and drain() only issue thread-safe syscalls on owned fds
 unsafe impl Sync for Waker {}
 
 #[derive(Debug)]
@@ -313,7 +313,7 @@ impl Poller {
                 },
             });
         }
-        // audit: unsafe ok — epoll_create1 takes only a flags word
+        // SAFETY: epoll_create1 takes only a flags word
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(last_os_error());
@@ -378,7 +378,7 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd } => {
                 let mut ev = EpollEvent { events: 0, data: 0 };
-                // audit: unsafe ok — epoll_ctl DEL with a valid epfd and a live event struct
+                // SAFETY: epoll_ctl DEL with a valid epfd and a live event struct
                 if unsafe { epoll_ctl(*epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
                     return Err(last_os_error());
                 }
@@ -401,7 +401,7 @@ impl Poller {
             Backend::Epoll { epfd } => {
                 const MAX_EVENTS: usize = 256;
                 let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-                // audit: unsafe ok — epoll_wait fills at most MAX_EVENTS entries of a live array
+                // SAFETY: epoll_wait fills at most MAX_EVENTS entries of a live array
                 let n = unsafe { epoll_wait(*epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
                 if n < 0 {
                     let err = last_os_error();
@@ -430,7 +430,7 @@ impl Poller {
                         revents: 0,
                     })
                     .collect();
-                // audit: unsafe ok — poll reads/writes exactly fds.len() pollfd entries of a live Vec
+                // SAFETY: poll reads/writes exactly fds.len() pollfd entries of a live Vec
                 let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
                 if n < 0 {
                     let err = last_os_error();
@@ -460,7 +460,7 @@ impl Drop for Poller {
     fn drop(&mut self) {
         #[cfg(target_os = "linux")]
         if let Backend::Epoll { epfd } = self.backend {
-            // audit: unsafe ok — closing the epoll descriptor this Poller exclusively owns
+            // SAFETY: closing the epoll descriptor this Poller exclusively owns
             unsafe {
                 close(epfd);
             }
@@ -478,7 +478,7 @@ fn epoll_update(epfd: RawFd, op: i32, fd: RawFd, token: u64, interest: Interest)
         }) | (if interest.writable { EPOLLOUT } else { 0 }),
         data: token,
     };
-    // audit: unsafe ok — epoll_ctl with a valid epfd and a live, initialized event struct
+    // SAFETY: epoll_ctl with a valid epfd and a live, initialized event struct
     if unsafe { epoll_ctl(epfd, op, fd, &mut ev) } < 0 {
         return Err(last_os_error());
     }

@@ -2,6 +2,11 @@
 //! `NetClient`s — single calls, pipelines, concurrent clients, membership
 //! chaos, malformed input, and the graceful-shutdown contract.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code: the stop flag its worker threads poll"
+)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

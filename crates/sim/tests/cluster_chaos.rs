@@ -11,6 +11,11 @@
 //! distinct shards and never block or corrupt each other). Expected bytes
 //! and read counts come from [`sec_sim::reference`].
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code: the stop flag its worker threads poll"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;

@@ -11,11 +11,18 @@
 //! the fixed engine's real `metrics_snapshot` passes and demonstrably
 //! exercises the same ranks (checked through the fault-hook lock trace).
 
+#[cfg(debug_assertions)]
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
+#[cfg(debug_assertions)]
 use sec_engine::ordered::{LockRank, OrderedRwLock};
+use sec_engine::{ObjectId, SecCluster};
+use sec_erasure::GeneratorForm;
 use sec_sim::harness::{Op, Sim, SimOptions};
-use sec_sim::SimRng;
+use sec_sim::{SimHook, SimRng};
+use sec_versioning::object::VersionId;
+use sec_versioning::{ArchiveConfig, EncodingStrategy};
 
 /// The schedule is pinned: this regression replays one known-bad
 /// interleaving, it does not explore.
@@ -97,4 +104,42 @@ fn fixed_engine_survives_the_same_schedule() {
         "the schedule must exercise both ranks the inversion involved \
          (archive: {archive_acquisitions}, directory: {directory_acquisitions})"
     );
+}
+
+/// Two first appends of one object race, and the loser finds the winner's
+/// engine when it takes the object map to admit its own: the branch that
+/// replays the loser's version on the winner. Thread races reach it only by
+/// luck, so here the rival append runs as a window action at the loser's
+/// object-map write. The debug build's rank checks then see that path on
+/// every run.
+#[test]
+fn a_first_append_that_loses_the_race_replays_on_the_winner() {
+    let config =
+        ArchiveConfig::new(5, 3, GeneratorForm::NonSystematic, EncodingStrategy::BasicSec).unwrap();
+    let cluster = Rc::new(SecCluster::new(config, 1).unwrap());
+    let hook = Rc::new(SimHook::new(SimRng::new(PINNED_SEED)));
+    let _installed = hook.install();
+    let id = ObjectId(7);
+    let (first, second) = (vec![0x11u8; 48], vec![0x22u8; 48]);
+
+    // The loser visits the object-map site twice: its existence check, then
+    // the admission write. The rival's whole first append runs at the second.
+    hook.arm_window("engine::lock::objects");
+    hook.queue_window_action(|| {});
+    let rival = Rc::clone(&cluster);
+    let rival_version = first.clone();
+    hook.queue_window_action(move || {
+        assert_eq!(rival.append_version(id, &rival_version).unwrap(), VersionId(1));
+    });
+    let version = cluster.append_version(id, &second).unwrap();
+    assert!(hook.disarm_window().is_empty(), "the rival append never ran");
+
+    assert_eq!(
+        version,
+        VersionId(2),
+        "the loser's version lands after the winner's"
+    );
+    assert_eq!(cluster.version_count(id), Some(2));
+    assert_eq!(*cluster.get_version(id, 1).unwrap().data, first);
+    assert_eq!(*cluster.get_version(id, 2).unwrap().data, second);
 }

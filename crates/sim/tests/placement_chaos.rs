@@ -6,6 +6,11 @@
 //! [`sec_sim::reference`]; the single-threaded entry-by-entry degradation
 //! is `sim_placement.rs`'s `failing_one_entry_degrades_only_the_versions_that_need_it`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code: the stop flag its worker threads poll"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
