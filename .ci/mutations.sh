@@ -5,9 +5,10 @@
 # shares no code with `sec_versioning::walk`, the traversal every read layer
 # goes through, nor with the engine's cache ladder, repair commit or metrics;
 # this script shows that the simulator sees bugs in each of them. Its debug
-# build also arms the engine's lock ranks (`OrderedRwLock`), the one check of
-# the lock hierarchy, so the lock-order rows show that every path they break
-# is one a `sec-sim` test reaches.
+# build, like every build with `sim-faults` (so the release sweep's too),
+# arms the engine's lock ranks (`OrderedRwLock`), the one check of the lock
+# hierarchy, so the lock-order rows show that every path they break is one a
+# `sec-sim` test reaches.
 #
 # For each mutation in the table below it copies the tree (without `target/`
 # and `.git/`), applies the mutation as a literal text replacement, and runs
@@ -66,8 +67,8 @@ mutations=(
     'Some(members) => members.push(entry_shares),'
     'Some(_) => {}'
     anchor-one-off "$walk"
-    '(Some((base, shards)), (base..l).collect())'
-    '(Some((base, shards)), (base + 1..l).collect())'
+    'Some(base) => (true, (base..l).collect()),'
+    'Some(base) => (true, (base + 1..l).collect()),'
     reversed-chain-short "$walk"
     '(l.saturating_sub(1)..held.saturating_sub(1)).rev()'
     '(l..held.saturating_sub(1)).rev()'
@@ -86,11 +87,16 @@ mutations=(
     'Some((version, data)) if version == l => {'
     'Some((version, data)) if version + 1 >= l => {'
     cache-base-one-off "$read"
-    '(version, ByteShards::from_flat(&data, k))'
-    '(version + 1, ByteShards::from_flat(&data, k))'
+    '(version, ByteShards::from_flat_in(&data, k, buf))'
+    '(version + 1, ByteShards::from_flat_in(&data, k, buf))'
     cache-delta-twice "$walk"
-    '(Some((base, shards)), (base..l).collect())'
-    '(Some((base, shards)), (base.saturating_sub(1)..l).collect())'
+    'Some(base) => (true, (base..l).collect()),'
+    'Some(base) => (true, (base.saturating_sub(1)..l).collect()),'
+    # The recycled buffer an append's pre-warm copy overwrites keeps the
+    # bytes of the version the cache evicted.
+    cache-spare-not-cleared "$engine"
+    'copy.clear();'
+    ''
     cache-insert-after-failed-read "$read"
     '&self.codec,\n            |reads| lock_walk_nodes(&slabs, reads),\n            |held, idx, position| held.block(idx, position),\n        )?;'
     '&self.codec,\n            |reads| lock_walk_nodes(&slabs, reads),\n            |held, idx, position| held.block(idx, position),\n        ).inspect_err(|_| { self.cache.insert(l, vec![0; snap.object_len]); })?;'

@@ -543,12 +543,16 @@ impl SecEngine {
             }
         }
         // Pre-warm only when a cache exists; a disabled cache must not cost
-        // an object copy per append. Appends never invalidate: decoded
-        // versions are immutable under every strategy (Reversed SEC rewrites
-        // only its *encoded* full-copy slot, and that entry carries the new
-        // version's id).
+        // an object copy per append. The copy overwrites the cache's spare
+        // buffer when it has one. Appends never invalidate: decoded versions
+        // are immutable under every strategy (Reversed SEC rewrites only its
+        // *encoded* full-copy slot, and that entry carries the new version's
+        // id).
         if self.cache.capacity() > 0 {
-            self.cache.insert(id.0, object.to_vec());
+            let mut copy = self.cache.take_spare().unwrap_or_default();
+            copy.clear();
+            copy.extend_from_slice(object);
+            self.cache.insert(id.0, copy);
         }
         Ok(id)
     }

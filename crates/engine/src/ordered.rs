@@ -1,16 +1,18 @@
-//! Debug-build lock-ordering enforcement.
+//! Lock-ordering enforcement in debug and simulation builds.
 //!
 //! The serving stack documents a strict lock hierarchy (see
 //! `docs/INVARIANTS.md` §1): archive → slab directory → node slabs → cluster
 //! object map, node slabs in ascending node id. [`OrderedRwLock`] is what
 //! enforces it: each lock carries a [`LockRank`] (and a node its id), and in
-//! debug builds every acquisition is checked against a thread-local stack of
-//! currently held locks — taking a lock at or below the highest held rank,
-//! or a node at or below the highest held node id, panics at the
-//! acquisition site, turning a would-be deadlock into an immediate,
-//! attributable failure. Every debug test (the `sec-sim` suites included)
-//! arms the check; it sees the paths they reach, through any call chain.
-//! Release builds compile the bookkeeping away entirely.
+//! debug builds and under the `sim-faults` feature every acquisition is
+//! checked against a thread-local stack of currently held locks — taking a
+//! lock at or below the highest held rank, or a node at or below the
+//! highest held node id, panics at the acquisition site, turning a would-be
+//! deadlock into an immediate, attributable failure. Every debug test arms
+//! the check, and so does every `sec-sim` build, the release `sim-sweep`
+//! included (it enables `sim-faults`); it sees the paths they reach, through
+//! any call chain. Other release builds compile the bookkeeping away
+//! entirely.
 //!
 //! The wrapper also centralises poison handling: the engine treats a
 //! poisoned lock as a fatal invariant breach everywhere, so the `panic!` on
@@ -42,7 +44,7 @@ pub enum LockRank {
     Directory = 1,
     /// Per-node block slots. Reentrant: planned reads lock several nodes
     /// at this rank, in ascending id order (which breaks cycles among
-    /// them, and which debug builds check: see [`OrderedRwLock::keyed`]).
+    /// them, and which checked builds check: see [`OrderedRwLock::keyed`]).
     Node = 2,
     /// `SecCluster`'s per-shard object map — the innermost lock.
     ObjectMap = 3,
@@ -77,7 +79,7 @@ impl LockRank {
     }
 }
 
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, feature = "sim-faults"))]
 mod held {
     use super::LockRank;
     use std::cell::RefCell;
@@ -126,11 +128,12 @@ mod held {
     }
 }
 
-#[cfg(not(debug_assertions))]
+#[cfg(not(any(debug_assertions, feature = "sim-faults")))]
 mod held {
     use super::LockRank;
 
-    /// Release builds: no bookkeeping, zero-sized token.
+    /// Release builds without `sim-faults`: no bookkeeping, zero-sized
+    /// token.
     pub struct Token;
 
     impl Token {
@@ -148,7 +151,7 @@ mod held {
 pub struct OrderedRwLock<T> {
     rank: LockRank,
     /// Position among the locks of a reentrant rank (see [`Self::keyed`]).
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "sim-faults"))]
     key: usize,
     inner: RwLock<T>,
 }
@@ -162,31 +165,31 @@ impl<T> OrderedRwLock<T> {
     /// Wraps `value` in a lock at `rank` with position `key` among that
     /// rank's locks. A thread holds several locks of a reentrant rank only
     /// when it took them in ascending key order: a node's key is its node
-    /// id, the order planned reads lock nodes in. Release builds drop the
+    /// id, the order planned reads lock nodes in. Unchecked builds drop the
     /// key with the rest of the bookkeeping.
     pub fn keyed(rank: LockRank, key: usize, value: T) -> Self {
-        #[cfg(not(debug_assertions))]
+        #[cfg(not(any(debug_assertions, feature = "sim-faults")))]
         let _ = key;
         Self {
             rank,
-            #[cfg(debug_assertions)]
+            #[cfg(any(debug_assertions, feature = "sim-faults"))]
             key,
             inner: RwLock::new(value),
         }
     }
 
-    /// The key the debug-build order check compares.
-    #[cfg(debug_assertions)]
+    /// The key the order check compares.
+    #[cfg(any(debug_assertions, feature = "sim-faults"))]
     fn order_key(&self) -> usize {
         self.key
     }
 
-    #[cfg(not(debug_assertions))]
+    #[cfg(not(any(debug_assertions, feature = "sim-faults")))]
     fn order_key(&self) -> usize {
         0
     }
 
-    /// Acquires the shared lock, debug-asserting the hierarchy first.
+    /// Acquires the shared lock, checking the hierarchy first.
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         sec_store::fault::reached(self.rank.site());
         let token = held::Token::acquire(self.rank, self.order_key());
@@ -203,7 +206,7 @@ impl<T> OrderedRwLock<T> {
         OrderedReadGuard { guard, _token: token }
     }
 
-    /// Acquires the exclusive lock, debug-asserting the hierarchy first.
+    /// Acquires the exclusive lock, checking the hierarchy first.
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
         sec_store::fault::reached(self.rank.site());
         let token = held::Token::acquire(self.rank, self.order_key());
@@ -288,13 +291,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
+    #[cfg_attr(
+        any(debug_assertions, feature = "sim-faults"),
+        should_panic(expected = "lock-order violation")
+    )]
     fn inverted_acquisition_panics_in_debug() {
         let archive = OrderedRwLock::new(LockRank::Archive, 1u32);
         let objects = OrderedRwLock::new(LockRank::ObjectMap, 3u32);
         let _o = objects.write();
         let a = archive.read();
-        // Release builds skip the check; keep the guard observable so the
+        // Unchecked builds skip the check; keep the guard observable so the
         // test body is not optimised away.
         assert_eq!(*a, 1);
     }
@@ -309,7 +315,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
+    #[cfg_attr(
+        any(debug_assertions, feature = "sim-faults"),
+        should_panic(expected = "lock-order violation")
+    )]
     fn descending_same_rank_keys_panic_in_debug() {
         let n0 = OrderedRwLock::keyed(LockRank::Node, 0, 0u32);
         let n1 = OrderedRwLock::keyed(LockRank::Node, 1, 1u32);
@@ -319,7 +328,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "lock-order violation"))]
+    #[cfg_attr(
+        any(debug_assertions, feature = "sim-faults"),
+        should_panic(expected = "lock-order violation")
+    )]
     fn non_reentrant_same_rank_panics_in_debug() {
         let a = OrderedRwLock::new(LockRank::Archive, 1u32);
         let b = OrderedRwLock::new(LockRank::Archive, 2u32);

@@ -83,7 +83,8 @@ impl SecEngine {
             l,
             self.anchor_shards(anchor),
             |idx, target| slabs.plan(idx, target),
-        );
+        )
+        .recycling(|| self.cache.take_spare());
         let out = walk.fold(
             &self.codec,
             |reads| lock_walk_nodes(&slabs, reads),
@@ -163,10 +164,13 @@ impl SecEngine {
     }
 
     /// Re-shards a cached flat version into the `k` data shards a walk
-    /// starts from.
+    /// starts from, overwriting the cache's spare buffer when it has one.
     fn anchor_shards(&self, anchor: Option<(usize, Arc<Vec<u8>>)>) -> Option<(usize, ByteShards)> {
         let k = self.codec.code().k();
-        anchor.map(|(version, data)| (version, ByteShards::from_flat(&data, k)))
+        anchor.map(|(version, data)| {
+            let buf = self.cache.take_spare().unwrap_or_default();
+            (version, ByteShards::from_flat_in(&data, k, buf))
+        })
     }
 
     /// Feeds [`EngineMetrics::deltas_applied`](crate::EngineMetrics::deltas_applied):

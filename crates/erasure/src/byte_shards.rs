@@ -85,6 +85,40 @@ impl ByteShards {
         }
     }
 
+    /// [`ByteShards::zeroed`] in `buf`'s allocation: its old bytes are
+    /// cleared, and it grows only when it holds fewer than
+    /// `shards · shard_len` bytes.
+    pub fn zeroed_in(shards: usize, shard_len: usize, mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.resize(shards * shard_len, 0);
+        Self {
+            shards,
+            shard_len,
+            data: buf,
+        }
+    }
+
+    /// [`ByteShards::from_flat`] in `buf`'s allocation: its old bytes are
+    /// replaced by `object`, zero-padded, and it grows only when it holds
+    /// fewer than `k` padded shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    pub fn from_flat_in(object: &[u8], k: usize, mut buf: Vec<u8>) -> Self {
+        assert!(k > 0, "cannot split into zero shards");
+        let shard_len = object.len().div_ceil(k);
+        buf.clear();
+        buf.reserve_exact(k * shard_len);
+        buf.extend_from_slice(object);
+        buf.resize(k * shard_len, 0);
+        Self {
+            shards: k,
+            shard_len,
+            data: buf,
+        }
+    }
+
     /// Splits a flat byte object into `k` equally sized shards, zero-padding
     /// the tail — the "application object → fixed-size coding object"
     /// transformation the paper assumes implicitly.

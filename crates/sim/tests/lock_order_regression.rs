@@ -11,11 +11,9 @@
 //! the fixed engine's real `metrics_snapshot` passes and demonstrably
 //! exercises the same ranks (checked through the fault-hook lock trace).
 
-#[cfg(debug_assertions)]
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-#[cfg(debug_assertions)]
 use sec_engine::ordered::{LockRank, OrderedRwLock};
 use sec_engine::{ObjectId, SecCluster};
 use sec_erasure::GeneratorForm;
@@ -44,10 +42,10 @@ fn pinned_schedule() -> Vec<bool> {
 /// The pre-fix code shape: appends take archive → directory (hierarchy
 /// order); the metrics view took directory → archive. Modelled with the
 /// engine's own rank-checked locks, the first metrics step of the pinned
-/// schedule panics at the acquisition site in debug builds — the
+/// schedule panics at the acquisition site — in every build of this suite,
+/// whose `sim-faults` dependency arms the rank check in release too — the
 /// deterministic, attributable form of the deadlock the thread-raced
 /// chaos suite could only hit by luck.
-#[cfg(debug_assertions)]
 #[test]
 fn pre_fix_metrics_shape_violates_the_hierarchy_on_the_pinned_schedule() {
     let archive = OrderedRwLock::new(LockRank::Archive, 0u64);
@@ -110,8 +108,8 @@ fn fixed_engine_survives_the_same_schedule() {
 /// engine when it takes the object map to admit its own: the branch that
 /// replays the loser's version on the winner. Thread races reach it only by
 /// luck, so here the rival append runs as a window action at the loser's
-/// object-map write. The debug build's rank checks then see that path on
-/// every run.
+/// object-map write. The rank checks, armed in every `sec-sim` build, then
+/// see that path on every run.
 #[test]
 fn a_first_append_that_loses_the_race_replays_on_the_winner() {
     let config =

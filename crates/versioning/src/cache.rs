@@ -17,6 +17,14 @@
 //! return `None` and inserts store nothing, with **zero** bookkeeping — no
 //! miss counts, no lock traffic, no slot allocation — so a disabled cache is
 //! indistinguishable from no cache at all in both metrics and cost.
+//!
+//! An enabled cache also recycles the buffers it lets go. A value evicted,
+//! or the losing value of a duplicate [`DeltaCache::insert`], whose handle
+//! no reader still holds is parked as the cache's one *spare*
+//! ([`DeltaCache::take_spare`]), so the owner's next version-sized buffer
+//! overwrites it in place instead of allocating: the cache holds at most
+//! `capacity + 1` values. A value some reader still holds is never parked,
+//! so a handle keeps its bytes however many inserts follow.
 
 #![deny(
     clippy::unwrap_used,
@@ -29,7 +37,7 @@
 )]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Hit/miss statistics of a [`DeltaCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,7 +95,8 @@ struct CacheSlot<V> {
 ///   version, evicting the slot with the oldest stamp when full.
 ///
 /// Values are handed out as [`Arc`]s so a hit costs one refcount bump, not a
-/// copy of the decoded object.
+/// copy of the decoded object. A value leaves the cache through the spare
+/// slot ([`DeltaCache::take_spare`]) only once no handle to it is left.
 #[derive(Debug)]
 pub struct DeltaCache<V> {
     capacity: usize,
@@ -96,6 +105,9 @@ pub struct DeltaCache<V> {
     base_hits: AtomicU64,
     misses: AtomicU64,
     slots: RwLock<Vec<CacheSlot<V>>>,
+    /// One let-go value no handle refers to, kept for reuse; always `None`
+    /// at capacity 0.
+    spare: Mutex<Option<V>>,
 }
 
 impl<V> DeltaCache<V> {
@@ -110,6 +122,7 @@ impl<V> DeltaCache<V> {
             base_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             slots: RwLock::new(Vec::with_capacity(capacity)),
+            spare: Mutex::new(None),
         }
     }
 
@@ -211,22 +224,27 @@ impl<V> DeltaCache<V> {
     /// Admits `version`, evicting the least recently used slot when the
     /// cache is full. Returns the cached handle (the existing one
     /// when the version was already present — versions are immutable, so
-    /// the first admitted value wins).
+    /// the first admitted value wins). The evicted value, or the losing
+    /// `value` of a duplicate insert, becomes the spare when no handle to it
+    /// is left.
     pub fn insert(&self, version: usize, value: V) -> Arc<V> {
-        let value = Arc::new(value);
         if self.capacity == 0 {
-            return value;
+            return Arc::new(value);
         }
         #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
         let mut slots = self.slots.write().expect("cache lock poisoned");
         if let Some(slot) = slots.iter().find(|slot| slot.version == version) {
-            return Arc::clone(&slot.value);
+            let winner = Arc::clone(&slot.value);
+            drop(slots);
+            self.park(value);
+            return winner;
         }
         #[expect(
             clippy::disallowed_methods,
             reason = "LRU clock tick; approximate recency is acceptable"
         )]
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut evicted = None;
         if slots.len() >= self.capacity {
             #[expect(
                 clippy::expect_used,
@@ -242,14 +260,40 @@ impl<V> DeltaCache<V> {
                 .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
                 .map(|(idx, _)| idx)
                 .expect("capacity > 0 and cache full");
-            slots.swap_remove(oldest);
+            evicted = Some(slots.swap_remove(oldest).value);
         }
+        let value = Arc::new(value);
         slots.push(CacheSlot {
             version,
             value: Arc::clone(&value),
             last_used: AtomicU64::new(stamp),
         });
+        drop(slots);
+        // A reader still holding the evicted handle keeps it alive; only the
+        // last handle's bytes may be overwritten.
+        if let Some(Ok(evicted)) = evicted.map(Arc::try_unwrap) {
+            self.park(evicted);
+        }
         value
+    }
+
+    /// Keeps `value` as the spare (replacing any older one).
+    fn park(&self, value: V) {
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
+        let mut spare = self.spare.lock().expect("cache spare lock poisoned");
+        *spare = Some(value);
+    }
+
+    /// Takes the spare: a value this cache let go of that no handle refers
+    /// to any more, for the caller to overwrite in place. Always `None` for
+    /// a disabled cache, which takes no lock to say so.
+    pub fn take_spare(&self) -> Option<V> {
+        if self.capacity == 0 {
+            return None;
+        }
+        #[expect(clippy::expect_used, reason = "lock poisoning only propagates a prior panic")]
+        let mut spare = self.spare.lock().expect("cache spare lock poisoned");
+        spare.take()
     }
 
     /// Drops every cached version (counters are kept).
@@ -371,6 +415,51 @@ mod tests {
                 capacity: 0,
             }
         );
+    }
+
+    #[test]
+    fn a_held_handle_keeps_its_bytes_through_evicting_inserts() {
+        // The owner's loop: every insert first overwrites the spare, as an
+        // append's pre-warm or a miss's decode does, and evicts the LRU.
+        let cache: DeltaCache<Vec<u8>> = DeltaCache::new(2);
+        cache.insert(1, vec![1; 64]);
+        let held = cache.get(1).unwrap();
+        for v in 2..40u8 {
+            let mut buf = cache.take_spare().unwrap_or_default();
+            assert_ne!(buf.as_ptr(), held.as_ptr(), "a held value is never handed out");
+            buf.clear();
+            buf.extend_from_slice(&[v; 64]);
+            cache.insert(usize::from(v), buf);
+            assert_eq!(*held, vec![1; 64], "after inserting version {v}");
+        }
+        assert!(cache.get(1).is_none(), "version 1 was evicted while held");
+        // Versions nobody holds are recycled, one spare at a time.
+        assert!(cache.take_spare().is_some());
+        assert!(cache.take_spare().is_none(), "at most one spare");
+    }
+
+    #[test]
+    fn a_duplicate_insert_returns_the_winner_and_parks_the_loser() {
+        let cache: DeltaCache<Vec<u8>> = DeltaCache::new(2);
+        let first = cache.insert(1, vec![1; 8]);
+        let loser = vec![99; 8];
+        let loser_at = loser.as_ptr();
+        let second = cache.insert(1, loser);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(*second, vec![1; 8]);
+        let spare = cache.take_spare().unwrap();
+        assert_eq!(spare.as_ptr(), loser_at, "the losing value is the spare");
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_disabled_cache_never_parks_a_spare() {
+        let disabled: DeltaCache<Vec<u8>> = DeltaCache::new(0);
+        for v in 0..4 {
+            disabled.insert(v, vec![0; 8]);
+            disabled.insert(v, vec![1; 8]);
+            assert!(disabled.take_spare().is_none());
+        }
     }
 
     #[test]

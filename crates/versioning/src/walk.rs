@@ -56,13 +56,23 @@ use sec_erasure::{ByteCodec, ByteShards, CodeError};
 
 use crate::archive::{EncodingStrategy, StoredPayload};
 
+/// What a [`Decode`] folds into.
+#[derive(Debug)]
+pub enum Accumulator {
+    /// The start of a chain: the decode writes a fresh accumulator, into
+    /// this recycled buffer (its old bytes overwritten) when there is one,
+    /// into a new allocation when there is none.
+    Start(Option<Vec<u8>>),
+    /// The chain so far, which the decode XORs onto and hands back.
+    Onto(ByteShards),
+}
+
 /// The decodes a walk runs on the blocks it read — [`ByteCodec`] in every
-/// read layer. Each folds into the chain's accumulator: `None` at the start
-/// of a chain, where the result is a fresh buffer.
+/// read layer. Each folds into the chain's [`Accumulator`] and returns it.
 pub trait Decode {
     /// Decodes the XOR-sum of `codewords` — share lists read at the same
-    /// positions — and XORs it onto `acc`, or returns it when `acc` is
-    /// `None`.
+    /// positions — and XORs it onto `acc`, or writes it into a fresh
+    /// accumulator at a chain's start.
     ///
     /// # Errors
     ///
@@ -70,11 +80,11 @@ pub trait Decode {
     fn decode_sum(
         &self,
         codewords: &[&[(usize, &[u8])]],
-        acc: Option<ByteShards>,
+        acc: Accumulator,
     ) -> Result<ByteShards, CodeError>;
 
     /// Recovers the `gamma`-sparse object `shares` encode and XORs it onto
-    /// `acc` (onto zeros when `acc` is `None`).
+    /// `acc` (onto zeros at a chain's start).
     ///
     /// # Errors
     ///
@@ -83,7 +93,7 @@ pub trait Decode {
         &self,
         shares: &[(usize, &[u8])],
         gamma: usize,
-        acc: Option<ByteShards>,
+        acc: Accumulator,
     ) -> Result<ByteShards, CodeError>;
 }
 
@@ -91,16 +101,16 @@ impl Decode for ByteCodec {
     fn decode_sum(
         &self,
         codewords: &[&[(usize, &[u8])]],
-        acc: Option<ByteShards>,
+        acc: Accumulator,
     ) -> Result<ByteShards, CodeError> {
         match acc {
-            Some(mut acc) => self.decode_sum_into(codewords, &mut acc, true).map(|()| acc),
-            None => {
+            Accumulator::Onto(mut acc) => self.decode_sum_into(codewords, &mut acc, true).map(|()| acc),
+            Accumulator::Start(spare) => {
                 let shard_len = codewords
                     .first()
                     .and_then(|shares| shares.first())
                     .map_or(0, |(_, shard)| shard.len());
-                let mut out = ByteShards::zeroed(self.code().k(), shard_len);
+                let mut out = chain_start(self.code().k(), shard_len, spare);
                 self.decode_sum_into(codewords, &mut out, false).map(|()| out)
             }
         }
@@ -110,11 +120,23 @@ impl Decode for ByteCodec {
         &self,
         shares: &[(usize, &[u8])],
         gamma: usize,
-        acc: Option<ByteShards>,
+        acc: Accumulator,
     ) -> Result<ByteShards, CodeError> {
         let shard_len = shares.first().map_or(0, |(_, shard)| shard.len());
-        let mut acc = acc.unwrap_or_else(|| ByteShards::zeroed(self.code().k(), shard_len));
+        let mut acc = match acc {
+            Accumulator::Onto(acc) => acc,
+            Accumulator::Start(spare) => chain_start(self.code().k(), shard_len, spare),
+        };
         self.recover_sparse_into(shares, gamma, &mut acc).map(|()| acc)
+    }
+}
+
+/// A chain's all-zero start: `k` shards of `shard_len` bytes, in `spare`'s
+/// allocation when there is one.
+fn chain_start(k: usize, shard_len: usize, spare: Option<Vec<u8>>) -> ByteShards {
+    match spare {
+        Some(buf) => ByteShards::zeroed_in(k, shard_len, buf),
+        None => ByteShards::zeroed(k, shard_len),
     }
 }
 
@@ -171,6 +193,10 @@ pub struct VersionWalk<E> {
     /// The caller's decoded anchor `(version, shards)`, when the walk
     /// starts from it.
     anchor: Option<(usize, ByteShards)>,
+    /// A buffer to decode the chain's start into instead of allocating one
+    /// ([`VersionWalk::recycling`]); unused when the walk starts from its
+    /// anchor.
+    spare: Option<Vec<u8>>,
 }
 
 /// A walk that reconstructs versions `1..=l`, every entry it touches
@@ -197,7 +223,8 @@ impl<E> VersionWalk<E> {
     /// [`WalkOutcome::anchor_used`] reports whether it served: a forward
     /// base is dropped when a stored **full version** (a checkpoint or
     /// Optimized-threshold full) sits at or above it — that entry is not a
-    /// delta and cannot be XORed, and it is the closer anchor anyway.
+    /// delta and cannot be XORed, and it is the closer anchor anyway. A
+    /// dropped anchor's buffer is what the chain's start is decoded into.
     pub fn plan<P, Q>(
         strategy: EncodingStrategy,
         stored_count: usize,
@@ -210,15 +237,28 @@ impl<E> VersionWalk<E> {
         P: Fn(usize) -> StoredPayload,
         Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
     {
-        let (anchor, entries) = chain(strategy, stored_count, &payload_at, l, anchor);
-        Self::plan_entries(entries, anchor, payload_at, plan_entry)
+        let (used, entries) = chain(strategy, stored_count, &payload_at, l, anchor_version(&anchor));
+        Self::plan_entries(entries, anchor_or_spare(anchor, used), payload_at, plan_entry)
+    }
+
+    /// Gives a walk that decodes its chain's start (no anchor serves it)
+    /// a buffer to decode it into instead of allocating one: a dropped
+    /// anchor's, else what `spare` returns — the caller's recycled version
+    /// buffer, if it has one. `spare` is not called when the walk starts
+    /// from its anchor.
+    #[must_use]
+    pub fn recycling(mut self, spare: impl FnOnce() -> Option<Vec<u8>>) -> Self {
+        if self.anchor.is_none() && self.spare.is_none() {
+            self.spare = spare();
+        }
+        self
     }
 
     /// Plans `entries` in walk order, stopping at the first one
     /// `plan_entry` cannot plan.
     fn plan_entries<P, Q>(
         entries: Vec<usize>,
-        anchor: Option<(usize, ByteShards)>,
+        (anchor, spare): (Option<(usize, ByteShards)>, Option<Vec<u8>>),
         payload_at: P,
         mut plan_entry: Q,
     ) -> Self
@@ -247,16 +287,17 @@ impl<E> VersionWalk<E> {
             steps,
             failure,
             anchor,
+            spare,
         }
     }
 
     /// Folds the chain: holds every planned block at once — a sum decodes
     /// several entries' blocks together — and reads each in walk order;
     /// then decodes each position set's full-plan entries as one sum, the
-    /// first set (the chain start's) overwriting a fresh accumulator unless
-    /// the walk starts from the caller's anchor, every later one
-    /// accumulating; sparse entries recover into the accumulator as they
-    /// come.
+    /// first set (the chain start's) overwriting a fresh accumulator — the
+    /// recycled buffer, when the walk has one — unless the walk starts from
+    /// the caller's anchor, every later one accumulating; sparse entries
+    /// recover into the accumulator as they come.
     ///
     /// # Errors
     ///
@@ -307,19 +348,25 @@ impl<E> VersionWalk<E> {
             }
         }
         let anchor_used = self.anchor.is_some();
-        let mut acc = self.anchor.map(|(_, shards)| shards);
+        let mut acc = match self.anchor {
+            Some((_, shards)) => Accumulator::Onto(shards),
+            None => Accumulator::Start(self.spare),
+        };
         for step in order {
-            acc = Some(match step {
+            acc = Accumulator::Onto(match step {
                 FoldStep::Sum(_, members) => decoder.decode_sum(&members, acc)?,
                 FoldStep::Sparse(entry_shares, gamma) => {
                     decoder.recover_sparse(entry_shares, gamma, acc)?
                 }
             });
         }
+        let Accumulator::Onto(shards) = acc else {
+            return Err(no_chain().into());
+        };
         Ok(WalkOutcome {
             io_reads: shares.len(),
             entries_read: self.steps.len(),
-            shards: acc.ok_or_else(no_chain)?,
+            shards,
             anchor_used,
         })
     }
@@ -348,11 +395,14 @@ impl<E> PrefixWalk<E> {
         P: Fn(usize) -> StoredPayload,
         Q: FnMut(usize, ReadTarget) -> Result<ReadPlan, E>,
     {
-        let (anchor, entries) = match strategy {
-            EncodingStrategy::ReversedSec => chain(strategy, stored_count, &payload_at, 1, tail),
-            _ => (None, (0..l).collect()),
+        let (used, entries) = match strategy {
+            EncodingStrategy::ReversedSec => {
+                chain(strategy, stored_count, &payload_at, 1, anchor_version(&tail))
+            }
+            _ => (false, (0..l).collect()),
         };
-        let walk = VersionWalk::plan_entries(entries, anchor, payload_at, plan_entry);
+        let walk =
+            VersionWalk::plan_entries(entries, anchor_or_spare(tail, used), payload_at, plan_entry);
         Self { walk, l }
     }
 
@@ -397,6 +447,7 @@ impl<E> PrefixWalk<E> {
             }
             shards
         });
+        let onto = |acc: Option<ByteShards>| acc.map_or(Accumulator::Start(None), Accumulator::Onto);
         let mut io_reads = 0;
         for step in &walk.steps {
             if let Some((nodes, sparse)) = &step.read {
@@ -406,8 +457,8 @@ impl<E> PrefixWalk<E> {
                     .collect::<Result<Vec<_>, E>>()?;
                 io_reads += shares.len();
                 acc = Some(match *sparse {
-                    Some(gamma) => decoder.recover_sparse(&shares, gamma, acc)?,
-                    None => decoder.decode_sum(&[&shares], if step.full { None } else { acc })?,
+                    Some(gamma) => decoder.recover_sparse(&shares, gamma, onto(acc))?,
+                    None => decoder.decode_sum(&[&shares], onto(if step.full { None } else { acc }))?,
                 });
             }
             // Under every strategy, folding in entry `i` leaves the chain
@@ -451,22 +502,22 @@ enum FoldStep<'s, 'b> {
     Sparse(&'s Shares<'b>, usize),
 }
 
-/// The entries a walk to version `l` touches, in walk order, and the anchor
-/// it starts from when that serves ([`VersionWalk::plan`]).
+/// The entries a walk to version `l` touches, in walk order, and whether
+/// it starts from the anchor at version `anchor` ([`VersionWalk::plan`]).
 fn chain<P>(
     strategy: EncodingStrategy,
     stored_count: usize,
     payload_at: &P,
     l: usize,
-    anchor: Option<(usize, ByteShards)>,
-) -> (Option<(usize, ByteShards)>, Vec<usize>)
+    anchor: Option<usize>,
+) -> (bool, Vec<usize>)
 where
     P: Fn(usize) -> StoredPayload,
 {
     match strategy {
-        EncodingStrategy::NonDifferential => match anchor.filter(|&(version, _)| version == l) {
-            Some(anchor) => (Some(anchor), Vec::new()),
-            None => (None, vec![l - 1]),
+        EncodingStrategy::NonDifferential => match anchor.filter(|&version| version == l) {
+            Some(_) => (true, Vec::new()),
+            None => (false, vec![l - 1]),
         },
         EncodingStrategy::BasicSec | EncodingStrategy::OptimizedSec => {
             #[expect(
@@ -480,22 +531,40 @@ where
             // Entry `v - 1` stores the delta to version `v`, so a base `b`
             // is followed by entries `b..l` — usable only while the latest
             // full lies below them.
-            match anchor.filter(|&(version, _)| version > full) {
-                Some((base, shards)) => (Some((base, shards)), (base..l).collect()),
-                None => (None, (full..l).collect()),
+            match anchor.filter(|&version| version > full) {
+                Some(base) => (true, (base..l).collect()),
+                None => (false, (full..l).collect()),
             }
         }
         EncodingStrategy::ReversedSec => {
             // The full latest copy is the final stored entry and entry
             // `v - 2` stores the delta to version `v`; un-apply the deltas
             // newest-first from the tail (or the latest copy) down to `l + 1`.
-            let (held, start) = match &anchor {
-                Some((tail, _)) => (*tail, None),
+            let (held, start) = match anchor {
+                Some(tail) => (tail, None),
                 None => (stored_count, Some(stored_count - 1)),
             };
             let deltas = (l.saturating_sub(1)..held.saturating_sub(1)).rev();
-            (anchor, start.into_iter().chain(deltas).collect())
+            (anchor.is_some(), start.into_iter().chain(deltas).collect())
         }
+    }
+}
+
+/// The version of a walk's anchor, if it has one.
+fn anchor_version(anchor: &Option<(usize, ByteShards)>) -> Option<usize> {
+    anchor.as_ref().map(|&(version, _)| version)
+}
+
+/// The anchor a walk starts from when `used`, else none — and then the
+/// dropped anchor's buffer, emptied, for the chain's start to be decoded
+/// into.
+fn anchor_or_spare(
+    anchor: Option<(usize, ByteShards)>,
+    used: bool,
+) -> (Option<(usize, ByteShards)>, Option<Vec<u8>>) {
+    match anchor {
+        Some(anchor) if used => (Some(anchor), None),
+        dropped => (None, dropped.map(|(_, shards)| shards.into_flat(0))),
     }
 }
 
@@ -563,23 +632,25 @@ mod tests {
     }
 
     /// XORs `byte` onto the accumulator in place, or starts a one-byte one.
-    fn xor_onto(acc: Option<ByteShards>, byte: u8) -> ByteShards {
+    fn xor_onto(acc: Accumulator, byte: u8) -> ByteShards {
         match acc {
-            Some(mut acc) => {
+            Accumulator::Onto(mut acc) => {
                 acc.shard_mut(0)[0] ^= byte;
                 acc
             }
-            None => ByteShards::from_flat(&[byte], 1),
+            Accumulator::Start(_) => ByteShards::from_flat(&[byte], 1),
         }
     }
 
     /// A fake fold over one-byte objects stored as a repetition code: every
     /// position of an entry holds the object's byte, so any share decodes it
     /// and a sum of codewords is the XOR of their bytes. Records the member
-    /// count of every summed decode and counts sparse recoveries.
+    /// count of every summed decode, the capacity of the buffer each chain
+    /// start was handed (`None` for none), and counts sparse recoveries.
     #[derive(Default)]
     struct Fake {
         sums: RefCell<Vec<usize>>,
+        starts: RefCell<Vec<Option<usize>>>,
         recoveries: Cell<usize>,
     }
 
@@ -587,9 +658,12 @@ mod tests {
         fn decode_sum(
             &self,
             codewords: &[&[(usize, &[u8])]],
-            acc: Option<ByteShards>,
+            acc: Accumulator,
         ) -> Result<ByteShards, CodeError> {
             self.sums.borrow_mut().push(codewords.len());
+            if let Accumulator::Start(spare) = &acc {
+                self.starts.borrow_mut().push(spare.as_ref().map(Vec::capacity));
+            }
             let byte = codewords.iter().fold(0, |sum, shares| sum ^ shares[0].1[0]);
             Ok(xor_onto(acc, byte))
         }
@@ -598,7 +672,7 @@ mod tests {
             &self,
             shares: &[(usize, &[u8])],
             _gamma: usize,
-            acc: Option<ByteShards>,
+            acc: Accumulator,
         ) -> Result<ByteShards, CodeError> {
             self.recoveries.set(self.recoveries.get() + 1);
             Ok(xor_onto(acc, shares[0].1[0]))
@@ -1048,7 +1122,11 @@ mod tests {
         let short = &coded.shard(1)[1..];
         let shares = [(0, coded.shard(0)), (1, short), (2, coded.shard(2))];
         for sparse in [false, true] {
-            for acc in [None, Some(ByteShards::zeroed(3, 8))] {
+            let starts = [None, Some(vec![0xEE; 100])].map(Accumulator::Start);
+            for acc in starts
+                .into_iter()
+                .chain([Accumulator::Onto(ByteShards::zeroed(3, 8))])
+            {
                 let result = match sparse {
                     true => codec.recover_sparse(&shares[..2], 1, acc),
                     false => codec.decode_sum(&[&shares], acc),
@@ -1075,10 +1153,59 @@ mod tests {
             let mut want = base.clone();
             want.xor_with(&dense).unwrap();
             let held = base.as_bytes().as_ptr();
-            let out = codec.decode_sum(&[&shares], Some(base)).unwrap();
+            let out = codec.decode_sum(&[&shares], Accumulator::Onto(base)).unwrap();
             assert_eq!(out, want, "{form}");
             assert_eq!(out.as_bytes().as_ptr(), held, "{form}");
         }
+    }
+
+    #[test]
+    fn a_chain_start_decodes_into_the_recycled_buffer_it_was_handed() {
+        // Whatever the buffer held, the start is overwritten: the same bytes
+        // as a fresh decode, in the buffer's allocation.
+        use sec_erasure::{GeneratorForm, SecCode};
+        let codec = ByteCodec::new(SecCode::cauchy(6, 3, GeneratorForm::NonSystematic).unwrap());
+        let object = ByteShards::from_flat(&(0..24).collect::<Vec<u8>>(), 3);
+        let coded = codec.encode_blocks(&object).unwrap();
+        let shares: Vec<(usize, &[u8])> = [1, 3, 5].iter().map(|&i| (i, coded.shard(i))).collect();
+        let stale = vec![0xEE; 100];
+        let held = stale.as_ptr();
+        let out = codec
+            .decode_sum(&[&shares], Accumulator::Start(Some(stale)))
+            .unwrap();
+        assert_eq!(out, object);
+        assert_eq!(out.as_bytes().as_ptr(), held);
+
+        // The walk hands its start the caller's buffer, or a dropped
+        // anchor's, and asks the caller only when no anchor serves.
+        let entries = vec![full(1, 5), delta(2, 3), full(3, 9), delta(4, 1)];
+        let fold = |walk: VersionWalk<CodeError>| {
+            let fake = Fake::default();
+            let out = walk.fold(&fake, |_| &entries, |entries, idx, _| Ok(entries[idx].1.shard(0)));
+            (out.unwrap().shards.as_bytes().to_vec(), fake.starts.take())
+        };
+        let plan = |l, anchor| {
+            VersionWalk::plan(
+                EncodingStrategy::BasicSec,
+                4,
+                |i| entries[i].0,
+                l,
+                anchor,
+                plan_one,
+            )
+        };
+        let spare = || Some(Vec::with_capacity(64));
+        assert_eq!(fold(plan(2, None).recycling(spare)), (vec![6], vec![Some(64)]));
+        assert_eq!(fold(plan(2, None).recycling(|| None)), (vec![6], vec![None]));
+        let unasked = || -> Option<Vec<u8>> { panic!("the anchor serves") };
+        assert_eq!(fold(plan(4, anchor(3, 9)).recycling(unasked)), (vec![8], vec![]));
+        // Base 2 lies below the full version 3, so its buffer starts the
+        // chain there.
+        let dropped = Some((2, ByteShards::from_flat_in(&[6], 1, Vec::with_capacity(32))));
+        assert_eq!(
+            fold(plan(4, dropped).recycling(unasked)),
+            (vec![8], vec![Some(32)])
+        );
     }
 
     #[test]
